@@ -2,7 +2,7 @@
 
 The fallback is selected automatically when numba is unavailable, or
 explicitly by setting the environment variable ``SZEGO_NO_NUMBA=1``.
-``benchmarks/bench_kernels.py`` compares the two paths.
+``tests/test_kernels.py`` checks that the two paths agree.
 """
 
 import os
@@ -36,9 +36,20 @@ def _interior_log_product_np(z, gammas):
     return logs
 
 
+_SINE_BLOCK_ROWS = 1 << 15   # rows of t per (rows x terms) phase block
+
+
 def _sine_series_np(t, coeffs, freqs):
     t = np.asarray(t, dtype=np.float64)
-    return np.sin(2.0 * np.pi * t[:, None] * freqs[None, :]) @ coeffs
+    out = np.empty(t.size, dtype=np.float64)
+    # a one-row block would be a dot product, which rounds differently from
+    # the matrix-vector product; it joins the block before it
+    starts = list(range(0, max(t.size - 1, 1), _SINE_BLOCK_ROWS))
+    for lo, hi in zip(starts, starts[1:] + [t.size]):
+        ph = np.multiply.outer(2.0 * np.pi * t[lo:hi], freqs)
+        np.sin(ph, out=ph)
+        np.matmul(ph, coeffs, out=out[lo:hi])
+    return out
 
 
 _want_numba = os.environ.get("SZEGO_NO_NUMBA", "") not in ("1", "true", "yes")

@@ -8,7 +8,7 @@ resulting odd-square sine series decays like exp(-c/t) near 0 and 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,6 +4,14 @@ exponential systems and track the residual as the frequency cutoff grows.
 The Gram matrix of exponentials is Toeplitz in the Fourier coefficients of
 the weight; deep-zero weights make the system nearly dependent, so the
 solve carries an explicit eigenvalue floor and a condition estimate.
+
+The complements of a residual curve are nested prefixes of one frequency
+list, and the floor does not depend on N, so each curve computes the target
+norm, the Gram matrix A (floor on the diagonal) and its Cholesky factor L
+once, at the largest N.  The Gram matrix of every shorter prefix is a
+leading block A[:n,:n], whose Cholesky factor is L[:n,:n]; with y = L^-1 b
+the squared projection norm is the partial sum of |y|^2 up to n.  The
+condition estimate is lambda_max/lambda_min of the floored leading block.
 """
 
 import hashlib
@@ -55,15 +63,19 @@ def weight_fourier_coeff(w, k, tol=1e-12):
 
 def gram_matrix(freqs, w, tol=1e-12):
     """G[m][n] = <e_n, e_m>_w = w-hat(freqs[m] - freqs[n]); Hermitian Toeplitz
-    in the coefficient index."""
-    freqs = list(freqs)
-    if len(set(freqs)) != len(freqs):
+    in the coefficient index, filled by indexing one coefficient per lag."""
+    f = np.array(list(freqs), dtype=np.int64)
+    if np.unique(f).size != f.size:
         raise ValueError("frequencies must be distinct")
-    n = len(freqs)
-    G = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = weight_fourier_coeff(w, freqs[i] - freqs[j], tol)
+    d = f[:, None] - f[None, :]
+    lag = np.abs(d)
+    present = np.zeros(int(lag.max(initial=0)) + 1, dtype=bool)
+    present[lag] = True
+    w_hat = np.zeros(present.size, dtype=np.complex128)
+    for k in np.flatnonzero(present):
+        w_hat[k] = weight_fourier_coeff(w, k, tol)
+    G = w_hat[lag]
+    np.conjugate(G, out=G, where=d < 0)
     return G
 
 
@@ -152,12 +164,6 @@ class SampledTarget:
         return {"kind": "sampled", "label": self.label}
 
 
-def _chol_solve(A, b):
-    L = np.linalg.cholesky(A)
-    y = np.linalg.solve(L, b)
-    return np.linalg.solve(L.conj().T, y)
-
-
 @dataclass
 class ResidualRecord:
     N: int
@@ -171,30 +177,57 @@ class ResidualRecord:
         return self.residual / self.target_norm if self.target_norm else 0.0
 
 
+def _hermitian_cond(A):
+    """2-norm condition number of a Hermitian matrix; 1.0 when empty."""
+    if not len(A):
+        return 1.0
+    ev = np.abs(np.linalg.eigvalsh(A))
+    return float(ev.max() / ev.min())
+
+
+def _prefix_residuals(target, freqs, w, floor, tol, sizes):
+    """Distances from the target to the spans of freqs[:n], n in sizes.
+
+    One target norm, one floored Gram matrix A and one Cholesky factor L
+    serve every prefix: A[:n,:n] and L[:n,:n] belong to freqs[:n], so with
+    y = L^-1 b the projection has squared norm sum |y[:n]|^2 and
+    coefficients solving L[:n,:n]^H c = y[:n].
+    Returns (norm, [(residual, coeffs, cond) for each n]).
+    """
+    norm_sq = target.norm_sq(w, tol)
+    b = np.array([target.inner(m, w, tol) for m in freqs], dtype=np.complex128)
+    A = gram_matrix(freqs, w, tol)
+    if floor is None:
+        floor = 1e-10 * weight_fourier_coeff(w, 0, tol).real
+    A[np.diag_indices_from(A)] += floor
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(
+            f"Gram factorization failed at floor={floor:.3e}, "
+            f"cond estimate {_hermitian_cond(A):.3e}") from exc
+    y = np.linalg.solve(L, b)
+    proj = np.concatenate(([0.0], np.cumsum(np.abs(y) ** 2)))
+    rows = []
+    for n in sizes:
+        res_sq = min(max(norm_sq - float(proj[n]), 0.0), norm_sq)
+        coeffs = np.linalg.solve(L[:n, :n].conj().T, y[:n])
+        rows.append((math.sqrt(res_sq), coeffs, _hermitian_cond(A[:n, :n])))
+    return math.sqrt(max(norm_sq, 0.0)), rows
+
+
 def weighted_residual(target, freqs, w, floor=None, tol=1e-12):
     """Distance from the target to the span of the given exponentials.
 
     residual^2 = ||f||_w^2 - b^H (G + floor I)^(-1) b, clamped to
     [0, ||f||_w^2]; Cholesky is the (deterministic) factorization, and a
     failure even with the floor raises with the condition estimate.
+    Returns (residual, coefficients, norm, cond).
     """
     freqs = list(freqs)
-    G = gram_matrix(freqs, w, tol)
-    b = np.array([target.inner(m, w, tol) for m in freqs], dtype=np.complex128)
-    norm_sq = target.norm_sq(w, tol)
-    if floor is None:
-        floor = 1e-10 * weight_fourier_coeff(w, 0, tol).real
-    A = G + floor * np.eye(len(freqs))
-    cond = float(np.linalg.cond(A)) if len(freqs) else 1.0
-    try:
-        coeffs = _chol_solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            f"Gram factorization failed at floor={floor:.3e}, "
-            f"cond estimate {cond:.3e}") from exc
-    proj = float(np.real(np.vdot(b, coeffs)))
-    res_sq = min(max(norm_sq - proj, 0.0), norm_sq)
-    return math.sqrt(res_sq), coeffs, math.sqrt(max(norm_sq, 0.0)), cond
+    norm, [(res, coeffs, cond)] = _prefix_residuals(
+        target, freqs, w, floor, tol, [len(freqs)])
+    return res, coeffs, norm, cond
 
 
 @dataclass
@@ -221,15 +254,19 @@ class ResidualCurve:
 
 
 def residual_curve(config, N_list):
-    """weighted_residual over nested complements (N increasing)."""
+    """weighted_residual over nested complements (N increasing), from one
+    factorization at the largest N."""
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be increasing")
-    records = []
-    for N in N_list:
-        freqs = complement_in_range(config.gamma, N)
-        res, coeffs, norm, cond = weighted_residual(
-            config.target, freqs, config.weight, config.floor, config.tol)
-        records.append(ResidualRecord(N, res, norm, cond, coeffs))
+    if not N_list:
+        return ResidualCurve([], config.digest())
+    # complements in [1, N] are prefixes of the complement at the largest N
+    sizes = [len(complement_in_range(config.gamma, N)) for N in N_list]
+    freqs = complement_in_range(config.gamma, N_list[-1])
+    norm, rows = _prefix_residuals(config.target, freqs, config.weight,
+                                   config.floor, config.tol, sizes)
+    records = [ResidualRecord(N, res, norm, cond, coeffs)
+               for N, (res, coeffs, cond) in zip(N_list, rows)]
     return ResidualCurve(records, config.digest())
 
 

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from szegolab.deep_zero import DeepZeroSeries, decay_fit
-from szegolab.frequency_sets import gen_power_set
+from szegolab.frequency_sets import (FrequencySet, complement_in_range,
+                                     gen_power_set)
 from szegolab.probe import (AnnihilatorTarget, ProbeConfig, SampledTarget,
                             TrigPolyTarget, annihilator_test,
                             convolution_stability_check, gram_matrix,
@@ -126,6 +127,66 @@ def test_residual_curve_requires_increasing_N(companion):
                       target=TrigPolyTarget({2: 1.0}))
     with pytest.raises(ValueError):
         residual_curve(cfg, [50, 50])
+
+
+@pytest.mark.parametrize("rho, count, target, N_list", [
+    (2, 100, "annihilator", [50, 100]),
+    (3, 50, {2: 1.0, 3: 0.5, 5: 0.25}, [20, 40, 80]),
+], ids=["squares", "cubes"])
+def test_residual_curve_matches_per_N_solves(s20, companion, rho, count,
+                                             target, N_list):
+    target = (AnnihilatorTarget(s20) if target == "annihilator"
+              else TrigPolyTarget(target))
+    gamma = gen_power_set(rho, count)
+    cfg = ProbeConfig(weight=companion, gamma=gamma, target=target, tol=1e-13)
+    curve = residual_curve(cfg, N_list)
+    for rec in curve.records:
+        res, coeffs, norm, cond = weighted_residual(
+            target, complement_in_range(gamma, rec.N), companion, tol=1e-13)
+        assert abs(rec.residual - res) < 1e-12
+        assert rec.target_norm == norm
+        assert abs(rec.cond_estimate - cond) <= 1e-6 * cond
+        assert rec.coefficients.shape == coeffs.shape
+
+
+def test_residual_curve_factors_once(companion, monkeypatch):
+    target = TrigPolyTarget({2: 1.0, 3: 0.5})
+    calls = {"norm_sq": 0, "cholesky": 0}
+    norm_sq, cholesky = target.norm_sq, np.linalg.cholesky
+
+    def count_norm_sq(*args, **kwargs):
+        calls["norm_sq"] += 1
+        return norm_sq(*args, **kwargs)
+
+    def count_cholesky(*args, **kwargs):
+        calls["cholesky"] += 1
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(target, "norm_sq", count_norm_sq)
+    monkeypatch.setattr(np.linalg, "cholesky", count_cholesky)
+    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 50),
+                      target=target, tol=1e-13)
+    residual_curve(cfg, [20, 40, 80])
+    assert calls == {"norm_sq": 1, "cholesky": 1}
+
+
+def test_gram_unsorted_with_negative_frequencies(companion):
+    freqs = [7, -3, 0, 12, -8, 2]
+    G = gram_matrix(freqs, companion, 1e-12)
+    for i, fi in enumerate(freqs):
+        for j, fj in enumerate(freqs):
+            assert G[i, j] == weight_fourier_coeff(companion, fi - fj, 1e-12)
+
+
+def test_residual_curve_empty_first_complement(companion):
+    target = TrigPolyTarget({2: 1.0, 5: 0.5})
+    cfg = ProbeConfig(weight=companion, gamma=FrequencySet((1, 2, 3)),
+                      target=target, tol=1e-13)
+    first, second = residual_curve(cfg, [3, 10]).records
+    assert first.residual == first.target_norm > 0
+    assert first.cond_estimate == 1.0
+    assert first.coefficients.size == 0
+    assert second.residual < first.residual
 
 
 def test_annihilator_flat_curve(s20, companion):
