@@ -77,6 +77,11 @@ def _jsonable(obj):
     return obj
 
 
+def _complex(v):
+    """A trigpoly amplitude: a number, or [re, im]."""
+    return complex(*v) if isinstance(v, list) else complex(v)
+
+
 def _build_set(spec):
     gen = spec.get("generator", "explicit")
     if gen == "power":
@@ -103,23 +108,49 @@ def _build_weight(spec, summary=None):
     return Weight.from_descriptor(spec)
 
 
+def _number(problems, field, value, convert=float):
+    """convert(value), or None with a problem naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        problems.append(f"{field} must be a number, got {value!r}")
+        return None
+
+
+def _section(problems, config, name):
+    """config[name] when it is a JSON object, else None with a problem."""
+    spec = config.get(name)
+    if spec is None:
+        problems.append(f"missing {name!r} section")
+    elif not isinstance(spec, dict):
+        problems.append(f"{name} must be an object, got {spec!r}")
+        spec = None
+    return spec
+
+
 def validate_config(config):
     """Return a list of human-readable problems; empty means valid."""
+    if not isinstance(config, dict):
+        return [f"config must be a JSON object, got {type(config).__name__}"]
     problems = []
     kind = config.get("kind")
     if kind not in _KINDS:
         problems.append(f"kind must be one of {_KINDS}, got {kind!r}")
         return problems
+    if "tol" in config:
+        _number(problems, "tol", config["tol"])
     if kind in ("sets", "blaschke", "probe"):
-        spec = config.get("gamma", config.get("set"))
-        if spec is None:
-            problems.append("missing 'gamma' (or 'set') section")
-        else:
+        name = "gamma" if "gamma" in config or kind != "sets" else "set"
+        spec = _section(problems, config, name)
+        if spec is not None:
             gen = spec.get("generator", "explicit")
             if gen == "power":
-                if float(spec.get("rho", 0)) <= 1:
+                rho = _number(problems, "gamma.rho", spec.get("rho", 0))
+                if rho is not None and rho <= 1:
                     problems.append("gamma.rho must exceed 1")
-                if int(spec.get("count", 0)) < 1:
+                count = _number(problems, "gamma.count", spec.get("count", 0),
+                                int)
+                if count is not None and count < 1:
                     problems.append("gamma.count must be positive")
             elif gen == "blocks":
                 if len(spec.get("starts", [])) != len(spec.get("lengths", [])):
@@ -130,26 +161,45 @@ def validate_config(config):
             else:
                 problems.append(f"unknown generator {gen!r}")
     if kind in ("weights", "probe"):
-        wspec = config.get("weight")
-        if wspec is None:
-            problems.append("missing 'weight' section")
-        elif wspec.get("kind") not in ("exp", "constant", "tabulated", "companion"):
-            problems.append(f"unknown weight kind {wspec.get('kind')!r}")
-        elif wspec.get("kind") == "exp" and float(wspec.get("c", 0)) <= 0:
-            problems.append("weight.c must be positive")
+        wspec = _section(problems, config, "weight")
+        if wspec is not None:
+            wkind = wspec.get("kind")
+            if wkind not in ("exp", "constant", "tabulated", "companion"):
+                problems.append(f"unknown weight kind {wkind!r}")
+            elif wkind == "exp":
+                c = _number(problems, "weight.c", wspec.get("c", 0))
+                if c is not None and c <= 0:
+                    problems.append("weight.c must be positive")
     if kind == "deepzero":
-        if int(config.get("M", 20)) < int(config.get("k_min", 0)):
+        M = _number(problems, "M", config.get("M", 20), int)
+        k_min = _number(problems, "k_min", config.get("k_min", 0), int)
+        if None not in (M, k_min) and M < k_min:
             problems.append("M must be >= k_min")
-        if not 0 < float(config.get("t_min", 0.02)) < float(config.get("t_max", 0.2)) < 1:
+        t_min = _number(problems, "t_min", config.get("t_min", 0.02))
+        t_max = _number(problems, "t_max", config.get("t_max", 0.2))
+        if None not in (t_min, t_max) and not 0 < t_min < t_max < 1:
             problems.append("need 0 < t_min < t_max < 1")
     if kind == "probe":
-        tspec = config.get("target")
-        if tspec is None:
-            problems.append("missing 'target' section")
-        elif tspec.get("kind") not in ("annihilator", "trigpoly"):
-            problems.append(f"unknown target kind {tspec.get('kind')!r}")
-        ns = config.get("N_list", [])
-        if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
+        tspec = _section(problems, config, "target")
+        if tspec is not None:
+            tkind = tspec.get("kind")
+            if tkind not in ("annihilator", "trigpoly"):
+                problems.append(f"unknown target kind {tkind!r}")
+            elif tkind == "trigpoly":
+                coeffs = tspec.get("coeffs")
+                if not isinstance(coeffs, dict) or not coeffs:
+                    problems.append("target.coeffs must be a non-empty object")
+                else:
+                    for k, v in coeffs.items():
+                        _number(problems, "target.coeffs key", k, int)
+                        _number(problems, f"target.coeffs[{k!r}]", v, _complex)
+        if config.get("floor") is not None:
+            _number(problems, "floor", config["floor"])
+        ns = config.get("N_list")
+        if isinstance(ns, list):
+            ns = [_number(problems, "N_list entry", n, int) for n in ns]
+        if (not isinstance(ns, list) or not ns
+                or (None not in ns and any(b <= a for a, b in zip(ns, ns[1:])))):
             problems.append("N_list must be non-empty and increasing")
     return problems
 
@@ -281,8 +331,7 @@ def _run_probe(config, out, tol, summary):
         target = AnnihilatorTarget(DeepZeroSeries.build(
             int(tspec.get("k_min", 0)), int(tspec.get("M", 20))))
     else:
-        target = TrigPolyTarget({int(k): complex(v) if not isinstance(v, list)
-                                 else complex(*v)
+        target = TrigPolyTarget({int(k): _complex(v)
                                  for k, v in tspec["coeffs"].items()})
     pc = ProbeConfig(weight=w, gamma=gamma, target=target,
                      floor=config.get("floor"), tol=min(tol, 1e-10))

@@ -12,6 +12,13 @@ once, at the largest N.  The Gram matrix of every shorter prefix is a
 leading block A[:n,:n], whose Cholesky factor is L[:n,:n]; with y = L^-1 b
 the squared projection norm is the partial sum of |y|^2 up to n.  The
 condition estimate is lambda_max/lambda_min of the floored leading block.
+
+The Gram matrix is indexed from one vector w-hat(0..K) of the weight's
+Fourier coefficients.  One batched quadrature computes the whole vector
+(quadrature.fourier_coefficients): w is sampled once on a composite
+Gauss-Kronrod 7/15 rule with panels no wider than half a period of lag K,
+split at the weight's breakpoints, and each lag gets its own error
+estimate; a lag that misses the tolerance raises ArithmeticError.
 """
 
 import hashlib
@@ -23,10 +30,12 @@ import numpy as np
 
 from .deep_zero import eval_H_series, membership_check
 from .frequency_sets import complement_in_range
-from .quadrature import integrate_finite, oscillatory_integral
+from .quadrature import (fourier_coefficients, integrate_finite,
+                         oscillatory_integral)
 
 __all__ = [
     "weight_fourier_coeff",
+    "weight_fourier_coeffs",
     "gram_matrix",
     "TrigPolyTarget",
     "AnnihilatorTarget",
@@ -40,41 +49,56 @@ __all__ = [
 ]
 
 
+def weight_fourier_coeffs(w, K, tol=1e-12):
+    """The weight's Fourier coefficients w-hat(0..K) as one vector.
+
+    A constant weight has them in closed form.  Otherwise one batched
+    quadrature (fourier_coefficients) samples w once per node, with w's
+    breakpoints as panel edges, and a lag whose error estimate exceeds tol
+    raises.  Coefficients land in w._fourier_cache; entries already there
+    are kept, so a weight reports one value per (k, tol).
+    """
+    K = int(K)
+    cache = w._fourier_cache
+    vec = [cache.get((k, tol)) for k in range(K + 1)]
+    if None not in vec:
+        return np.array(vec, dtype=np.complex128)
+    if w.kind == "constant":
+        fresh = np.zeros(K + 1, dtype=np.complex128)
+        fresh[0] = w.v
+    else:
+        res = fourier_coefficients(w, K, tol, w.breakpoints)
+        if not res.converged:
+            k = int(np.argmax(res.abs_error_estimate))
+            raise ArithmeticError(
+                f"weight coefficient k={k} reached only "
+                f"{res.abs_error_estimate[k]:.2e}")
+        fresh = res.value
+    return np.array([cache.setdefault((k, tol), complex(v))
+                     for k, v in enumerate(fresh)], dtype=np.complex128)
+
+
 def weight_fourier_coeff(w, k, tol=1e-12):
-    """Fourier coefficient of the weight, conjugate-symmetric by construction."""
+    """Fourier coefficient of the weight, conjugate-symmetric by construction;
+    a lag not yet cached is served by weight_fourier_coeffs(w, |k|)."""
     k = int(k)
     if k < 0:
         return np.conj(weight_fourier_coeff(w, -k, tol))
     key = (k, tol)
-    if key in w._fourier_cache:
-        return w._fourier_cache[key]
-    if w.kind == "constant":
-        val = complex(w.v) if k == 0 else 0.0j
-    else:
-        res = oscillatory_integral(
-            lambda t: w(t) * np.exp(-2j * np.pi * k * t), k, 0.0, 1.0, tol)
-        if not res.converged:
-            raise ArithmeticError(
-                f"weight coefficient k={k} reached only {res.abs_error_estimate:.2e}")
-        val = res.value
-    w._fourier_cache[key] = val
-    return val
+    if key not in w._fourier_cache:
+        weight_fourier_coeffs(w, k, tol)
+    return w._fourier_cache[key]
 
 
 def gram_matrix(freqs, w, tol=1e-12):
     """G[m][n] = <e_n, e_m>_w = w-hat(freqs[m] - freqs[n]); Hermitian Toeplitz
-    in the coefficient index, filled by indexing one coefficient per lag."""
+    in the coefficient index, filled by indexing one coefficient vector."""
     f = np.array(list(freqs), dtype=np.int64)
     if np.unique(f).size != f.size:
         raise ValueError("frequencies must be distinct")
     d = f[:, None] - f[None, :]
     lag = np.abs(d)
-    present = np.zeros(int(lag.max(initial=0)) + 1, dtype=bool)
-    present[lag] = True
-    w_hat = np.zeros(present.size, dtype=np.complex128)
-    for k in np.flatnonzero(present):
-        w_hat[k] = weight_fourier_coeff(w, k, tol)
-    G = w_hat[lag]
+    G = weight_fourier_coeffs(w, lag.max(initial=0), tol)[lag]
     np.conjugate(G, out=G, where=d < 0)
     return G
 
@@ -194,6 +218,11 @@ def _prefix_residuals(target, freqs, w, floor, tol, sizes):
     coefficients solving L[:n,:n]^H c = y[:n].
     Returns (norm, [(residual, coeffs, cond) for each n]).
     """
+    # every lag among freqs in one batched quadrature, so that a
+    # TrigPolyTarget's inner products read cached coefficients; the Gram
+    # matrix itself waits until the target's norm quadrature has finished
+    if freqs:
+        weight_fourier_coeffs(w, max(freqs) - min(freqs), tol)
     norm_sq = target.norm_sq(w, tol)
     b = np.array([target.inner(m, w, tol) for m in freqs], dtype=np.complex128)
     A = gram_matrix(freqs, w, tol)

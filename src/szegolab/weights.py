@@ -46,6 +46,13 @@ class Weight:
         ws = np.array([s[1] for s in self.samples])
         return np.interp(t, ts, ws)
 
+    @property
+    def breakpoints(self):
+        """Edges of the pieces of (0,1) on which w is smooth: 0, the sample
+        abscissae inside (0,1) where a tabulated weight has its kinks, 1."""
+        inner = sorted({t for t, _ in self.samples if 0.0 < t < 1.0})
+        return (0.0, *inner, 1.0)
+
     def log_closed_form(self, eps):
         """Closed-form integral of log w over (eps, 1), when available."""
         if self.kind == "exp":

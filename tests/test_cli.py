@@ -40,6 +40,37 @@ def test_validate_names_the_field():
     assert any("rho" in p for p in problems)
 
 
+PROBE_TRIGPOLY = {"kind": "probe", "weight": {"kind": "exp", "c": 1.0},
+                  "gamma": {"generator": "power", "rho": 3, "count": 10},
+                  "target": {"kind": "trigpoly"}, "N_list": [20]}
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"kind": "sets", "gamma": {"generator": "power", "rho": "abc",
+                                "count": 5}}, "gamma.rho"),
+    ([SETS_CONFIG], "JSON object"),
+    (PROBE_TRIGPOLY, "target.coeffs"),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {"x": 1}}},
+     "target.coeffs key"),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
+      "N_list": [10, "abc"]}, "N_list"),
+    ({**SETS_CONFIG, "tol": "abc"}, "tol"),
+    ({**DEEPZERO_CONFIG, "t_min": "abc"}, "t_min"),
+    ({**WEIGHTS_CONFIG, "weight": 1.0}, "weight"),
+], ids=["rho-not-a-number", "top-level-list", "trigpoly-without-coeffs",
+        "coeff-key", "N_list-entry", "tol", "t_min", "weight-not-object"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, config, field,
+                                            command):
+    cfg = _write(tmp_path, "c.json", config)
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, cfg, *extra]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.json"), "--out",
                  str(tmp_path / "out")]) == 2

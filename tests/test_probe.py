@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,14 +6,17 @@ import pytest
 from scipy.integrate import quad
 
 from szegolab.deep_zero import DeepZeroSeries, decay_fit
+import szegolab.probe as probe
 from szegolab.frequency_sets import (FrequencySet, complement_in_range,
                                      gen_power_set)
 from szegolab.probe import (AnnihilatorTarget, ProbeConfig, SampledTarget,
                             TrigPolyTarget, annihilator_test,
                             convolution_stability_check, gram_matrix,
                             residual_curve, weight_fourier_coeff,
-                            weighted_residual)
-from szegolab.weights import make_constant_weight, make_exp_weight
+                            weight_fourier_coeffs, weighted_residual)
+from szegolab.quadrature import fourier_coefficients, oscillatory_integral
+from szegolab.weights import (make_constant_weight, make_exp_weight,
+                              make_tabulated_weight)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +51,68 @@ def test_fourier_coeff_exp_weight_oracle():
 def test_fourier_coeff_conjugate_symmetry():
     w = make_exp_weight(0.5)
     assert weight_fourier_coeff(w, -5) == np.conj(weight_fourier_coeff(w, 5))
+
+
+def _per_lag(w, k, tol):
+    return oscillatory_integral(lambda t: w(t) * np.exp(-2j * np.pi * k * t),
+                                k, 0.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("K", [0, 1, 17, 799])
+@pytest.mark.parametrize("c", [0.1, 0.25, 1.0, 5.0])
+def test_fourier_coeffs_match_per_lag_route(c, K):
+    tol = 1e-12
+    w = make_exp_weight(c)
+    res = fourier_coefficients(w, K, tol, w.breakpoints)
+    assert res.converged and np.all(res.abs_error_estimate <= tol)
+    vec = weight_fourier_coeffs(w, K, tol)
+    assert np.array_equal(vec, res.value)
+    for k in sorted({0, min(1, K), K // 3, K // 2, max(K - 1, 0), K}):
+        ref = _per_lag(w, k, tol)
+        assert ref.converged
+        assert abs(vec[k] - ref.value) <= tol
+
+
+def test_fourier_coeffs_tabulated_weight_with_kinks():
+    tol = 1e-12
+    # kinks off every dyadic panel grid, so only breakpoints resolve them
+    w = make_tabulated_weight([(0.13, 0.2), (0.37, 0.5), (0.61, 0.55),
+                               (0.87, 1.0)])
+    assert w.breakpoints == (0.0, 0.13, 0.37, 0.61, 0.87, 1.0)
+    vec = weight_fourier_coeffs(w, 40, tol)
+    for k in range(41):
+        assert abs(vec[k] - _per_lag(w, k, tol).value) <= tol
+
+
+def test_fourier_coeffs_constant_weight_exact():
+    vec = weight_fourier_coeffs(make_constant_weight(2.5), 30)
+    assert vec[0] == 2.5
+    assert np.all(vec[1:] == 0.0)
+
+
+def test_fourier_coeffs_unconverged_lag_raises(monkeypatch):
+    monkeypatch.setattr(probe, "fourier_coefficients",
+                        functools.partial(fourier_coefficients, max_evals=100))
+    with pytest.raises(ArithmeticError, match=r"k=\d+ reached only"):
+        weight_fourier_coeffs(make_exp_weight(1.0), 5, 1e-12)
+
+
+def test_fourier_coeff_cache_same_from_vector_and_scalar_routes():
+    tol = 1e-12
+    w_vec, w_scalar = make_exp_weight(0.3), make_exp_weight(0.3)
+    vec = weight_fourier_coeffs(w_vec, 40, tol)
+    top = weight_fourier_coeff(w_scalar, 40, tol)     # misses: fills 0..40
+    assert top == vec[40]
+    assert w_scalar._fourier_cache == w_vec._fourier_cache
+    assert np.array_equal(weight_fourier_coeffs(w_scalar, 40, tol), vec)
+    for k in range(-40, 41):
+        expected = vec[k] if k >= 0 else np.conj(vec[-k])
+        assert weight_fourier_coeff(w_vec, k, tol) == expected
+    # a shorter vector reads the cache, not a new quadrature
+    assert np.array_equal(weight_fourier_coeffs(w_vec, 7, tol), vec[:8])
+    # a longer one keeps the values the weight has already reported
+    low = weight_fourier_coeff(w_scalar, 3, 1e-11)
+    assert weight_fourier_coeffs(w_scalar, 60, 1e-11)[3] == low
 
 
 def test_gram_identity_for_unit_weight():
@@ -168,6 +234,26 @@ def test_residual_curve_factors_once(companion, monkeypatch):
                       target=target, tol=1e-13)
     residual_curve(cfg, [20, 40, 80])
     assert calls == {"norm_sq": 1, "cholesky": 1}
+
+
+def test_residual_curve_one_batched_coefficient_quadrature(companion,
+                                                           monkeypatch):
+    calls = {"oscillatory_integral": 0, "fourier_coefficients": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(probe, name, spy(name, getattr(probe, name)))
+    w = make_exp_weight(companion.c)      # fresh coefficient cache
+    cfg = ProbeConfig(weight=w, gamma=gen_power_set(3, 50),
+                      target=TrigPolyTarget({2: 1.0, 3: 0.5, 5: 0.25}),
+                      tol=1e-13)
+    residual_curve(cfg, [50, 200])
+    assert calls == {"oscillatory_integral": 0, "fourier_coefficients": 1}
 
 
 def test_gram_unsorted_with_negative_frequencies(companion):

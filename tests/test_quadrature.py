@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from szegolab.quadrature import (integrate_finite, integrate_left_halfline,
+from szegolab.quadrature import (_WG, _WK, _XK, fourier_coefficients,
+                                 integrate_finite, integrate_left_halfline,
                                  oscillatory_integral)
+
+
+def test_gk15_constants_full_precision():
+    assert abs(_WK.sum() - 2.0) <= 4e-16
+    assert abs(_WG.sum() - 2.0) <= 4e-16
+    # K15 is exact to degree 22, its embedded G7 (odd nodes) to degree 13
+    assert abs((_WK * _XK ** 22).sum() - 2.0 / 23.0) <= 1e-15
+    assert abs((_WG * _XK[1::2] ** 12).sum() - 2.0 / 13.0) <= 1e-15
 
 
 def test_polynomial_exact():
@@ -132,3 +141,48 @@ def test_polynomial_oracle(coeffs):
     exact = np.polyval(np.polyint(c), 1.0) - np.polyval(np.polyint(c), -1.0)
     res = integrate_finite(f, -1.0, 1.0, 1e-12)
     assert abs(res.value - exact) < 1e-10
+
+
+def test_fourier_coefficients_closed_form():
+    # int_0^1 t exp(-2 pi i k t) dt = 1/2 (k = 0), i/(2 pi k) (k >= 1)
+    K = 40
+    res = fourier_coefficients(lambda t: t + 0j, K, 1e-13)
+    k = np.arange(1, K + 1)
+    assert res.converged
+    assert res.value.shape == res.abs_error_estimate.shape == (K + 1,)
+    assert np.all(res.abs_error_estimate <= 1e-13)
+    assert abs(res.value[0] - 0.5) < 1e-13
+    assert np.abs(res.value[1:] - 1j / (2 * np.pi * k)).max() < 1e-13
+
+
+def test_fourier_coefficients_complex_integrand_picks_its_frequency():
+    res = fourier_coefficients(lambda t: np.exp(2j * np.pi * 3 * t), 6, 1e-13)
+    expected = np.zeros(7)
+    expected[3] = 1.0
+    assert np.abs(res.value - expected).max() < 1e-13
+
+
+def test_fourier_coefficients_breakpoints_at_kinks():
+    kinks = (0.0, 0.3137, 0.5521, 1.0)   # off every panel grid used
+    f = lambda t: np.interp(t, kinks, [1.0, 2.0, 0.5, 1.5]) + 0j
+    res = fourier_coefficients(f, 25, 1e-12, breakpoints=kinks)
+    assert res.converged
+    for k in (0, 1, 7, 25):
+        ref = oscillatory_integral(lambda t: f(t) * np.exp(-2j * np.pi * k * t),
+                                   k, 0.0, 1.0, 1e-12)
+        assert abs(res.value[k] - ref.value) <= 1e-12
+
+
+def test_fourier_coefficients_stop_at_max_evals():
+    f = lambda t: np.exp(-1.0 / np.maximum(t, 1e-300)) + 0j
+    res = fourier_coefficients(f, 3, 1e-14, max_evals=100)
+    assert not res.converged
+    assert res.evaluations == 6 * 15   # one round: 6 panels, none halved
+    assert res.abs_error_estimate.max() > 1e-14
+
+
+def test_fourier_coefficients_invalid_input():
+    with pytest.raises(ValueError):
+        fourier_coefficients(lambda t: t + 0j, -1, 1e-8)
+    with pytest.raises(ValueError):
+        fourier_coefficients(lambda t: t + 0j, 3, 1e-8, breakpoints=(0.5, 0.5))
