@@ -17,8 +17,10 @@ The Gram matrix is indexed from one vector w-hat(0..K) of the weight's
 Fourier coefficients.  One batched quadrature computes the whole vector
 (quadrature.fourier_coefficients): w is sampled once on a composite
 Gauss-Kronrod 7/15 rule with panels no wider than half a period of lag K,
-split at the weight's breakpoints, and each lag gets its own error
-estimate; a lag that misses the tolerance raises ArithmeticError.
+split at the weight's breakpoints and halved where they miss their share of
+the tolerance, and each lag gets its own error estimate; a lag that misses
+the tolerance raises ArithmeticError.  The weight caches one vector per
+tolerance and lengthens it when a larger lag is asked for.
 """
 
 import hashlib
@@ -50,19 +52,18 @@ __all__ = [
 
 
 def weight_fourier_coeffs(w, K, tol=1e-12):
-    """The weight's Fourier coefficients w-hat(0..K) as one vector.
+    """The weight's Fourier coefficients w-hat(0..K) as one read-only vector.
 
     A constant weight has them in closed form.  Otherwise one batched
     quadrature (fourier_coefficients) samples w once per node, with w's
     breakpoints as panel edges, and a lag whose error estimate exceeds tol
-    raises.  Coefficients land in w._fourier_cache; entries already there
-    are kept, so a weight reports one value per (k, tol).
+    raises.  w._fourier_cache holds one vector per tol; a larger K computes
+    a longer one and keeps the entries already reported.
     """
     K = int(K)
-    cache = w._fourier_cache
-    vec = [cache.get((k, tol)) for k in range(K + 1)]
-    if None not in vec:
-        return np.array(vec, dtype=np.complex128)
+    have = w._fourier_cache.get(tol)
+    if have is not None and have.size > K:
+        return have[:K + 1]
     if w.kind == "constant":
         fresh = np.zeros(K + 1, dtype=np.complex128)
         fresh[0] = w.v
@@ -74,20 +75,19 @@ def weight_fourier_coeffs(w, K, tol=1e-12):
                 f"weight coefficient k={k} reached only "
                 f"{res.abs_error_estimate[k]:.2e}")
         fresh = res.value
-    return np.array([cache.setdefault((k, tol), complex(v))
-                     for k, v in enumerate(fresh)], dtype=np.complex128)
+    if have is not None:
+        fresh[:have.size] = have
+    fresh.flags.writeable = False
+    w._fourier_cache[tol] = fresh
+    return fresh
 
 
 def weight_fourier_coeff(w, k, tol=1e-12):
     """Fourier coefficient of the weight, conjugate-symmetric by construction;
-    a lag not yet cached is served by weight_fourier_coeffs(w, |k|)."""
+    an entry of weight_fourier_coeffs(w, |k|)."""
     k = int(k)
-    if k < 0:
-        return np.conj(weight_fourier_coeff(w, -k, tol))
-    key = (k, tol)
-    if key not in w._fourier_cache:
-        weight_fourier_coeffs(w, k, tol)
-    return w._fourier_cache[key]
+    value = complex(weight_fourier_coeffs(w, abs(k), tol)[abs(k)])
+    return value.conjugate() if k < 0 else value
 
 
 def gram_matrix(freqs, w, tol=1e-12):
@@ -218,9 +218,11 @@ def _prefix_residuals(target, freqs, w, floor, tol, sizes):
     coefficients solving L[:n,:n]^H c = y[:n].
     Returns (norm, [(residual, coeffs, cond) for each n]).
     """
-    # every lag among freqs in one batched quadrature, so that a
-    # TrigPolyTarget's inner products read cached coefficients; the Gram
-    # matrix itself waits until the target's norm quadrature has finished
+    # size the coefficient vector for every lag among freqs first, so that
+    # a TrigPolyTarget's inner products index it instead of computing a
+    # shorter one that the Gram matrix would compute again at full length;
+    # the Gram matrix itself waits until the target's norm quadrature has
+    # finished
     if freqs:
         weight_fourier_coeffs(w, max(freqs) - min(freqs), tol)
     norm_sq = target.norm_sq(w, tol)

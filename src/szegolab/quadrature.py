@@ -45,9 +45,11 @@ _WG = np.array(_WG_HALF + _WG_HALF[-2::-1])
 
 _MAX_ROUNDS = 80
 # complex entries in one (panels x lags x nodes) block of fourier_coefficients:
-# 2**18 entries take 4 MB, and with _gk15's temporaries a round stays near
+# 2**18 entries take 4 MB, and with _gk15's temporaries a block stays near
 # 12 MB whatever K is
 _FOURIER_BLOCK = 1 << 18
+# nodes fourier_coefficients evaluates at most, over all its rounds
+_FOURIER_MAX_EVALS = 2_000_000
 
 
 @dataclass
@@ -201,20 +203,22 @@ def oscillatory_integral(f, omega, a, b, tol, max_evals=2_000_000):
     return _adaptive(f, breakpoints, tol, max_evals)
 
 
-def fourier_coefficients(f, K, tol, breakpoints=(0.0, 1.0),
-                         max_evals=2_000_000):
+def fourier_coefficients(f, K, tol, breakpoints=(0.0, 1.0)):
     """Integrals of f(t) exp(-2 pi i k t) over the breakpoints' span, k = 0..K.
 
     One composite Gauss-Kronrod 7/15 rule serves every lag, so f is sampled
-    once per node.  Each interval between consecutive breakpoints is split
-    into equal panels no wider than half a period of lag K.  On a panel with
+    once per node.  Each interval between consecutive breakpoints starts as
+    equal panels no wider than half a period of lag K.  On a panel with
     midpoint m and half-width h, exp(-2 pi i k t) is exp(-2 pi i k m) times
-    the table exp(-2 pi i k h x_j) that all panels of the interval share;
-    the first factor has modulus one, so each panel's Kronrod-Gauss error
+    the table exp(-2 pi i k h x_j) that all panels of width 2h share; the
+    first factor has modulus one, so each panel's Kronrod-Gauss error
     (scaled as in QUADPACK) needs only the table, and the phase enters only
-    the value sum.  While some lag's summed error exceeds tol, every panel
-    is halved and the rule repeated, unless that would take the nodes
-    evaluated beyond max_evals.
+    the value sum.  A panel is kept when its error at every lag is within
+    its share of tol (tol times its width over the span), so the kept
+    panels' errors sum to at most tol at every lag; the others are halved
+    and evaluated again, until every panel is kept, or a halving would take
+    the nodes evaluated beyond _FOURIER_MAX_EVALS, or the panels reach the
+    width floor.
 
     Returns a QuadratureResult whose value and abs_error_estimate are arrays
     over k; converged means that every lag met tol.
@@ -225,35 +229,51 @@ def fourier_coefficients(f, K, tol, breakpoints=(0.0, 1.0),
     if K < 0 or edges.size < 2 or not np.all(widths > 0):
         raise ValueError(f"need K >= 0 and increasing breakpoints, got K={K}, "
                          f"breakpoints {breakpoints}")
-    panels = np.maximum(np.ceil(widths * 2 * K), 1).astype(np.int64)
-    evals = 0
-    while True:
-        values, errors, n = _fourier_round(f, K, edges, panels)
-        evals += n
-        converged = bool(errors.max() <= tol)
-        if converged or evals + 2 * n > max_evals:
-            return QuadratureResult(values, errors, evals, converged)
-        panels *= 2
-
-
-def _fourier_round(f, K, edges, panels):
-    """One pass of fourier_coefficients' rule with the given panel counts."""
-    lags = np.arange(K + 1)
+    counts = np.maximum(np.ceil(widths * 2 * K), 1).astype(np.int64)
+    half = np.repeat(0.5 * widths / counts, counts)
+    mid = np.concatenate([a + h * (2.0 * np.arange(n) + 1.0) for a, h, n
+                          in zip(edges[:-1], 0.5 * widths / counts, counts)])
+    share = tol / (edges[-1] - edges[0])            # of tol per unit width
+    min_half = 0.5e-14 * max(edges[-1] - edges[0], np.abs(edges).max())
     values = np.zeros(K + 1, dtype=np.complex128)
     errors = np.zeros(K + 1)
-    for a, b, n in zip(edges[:-1], edges[1:], panels):
-        half = 0.5 * (b - a) / n
-        rows = min(n, _FOURIER_BLOCK // _XK.size)
-        step = max(1, _FOURIER_BLOCK // (_XK.size * rows))
-        for p0 in range(0, n, rows):
-            mid = a + half * (2.0 * np.arange(p0, min(p0 + rows, n)) + 1.0)
-            x = mid[:, None] + half * _XK
+    evals = 0
+    while True:
+        rest_values = np.zeros_like(values)
+        rest_errors = np.zeros_like(errors)
+        split = np.zeros(mid.size, dtype=bool)
+        for rows, vals, errs in _fourier_panels(f, K, mid, half):
+            bad = ((errs.max(axis=1) > share * 2.0 * half[rows])
+                   & (half[rows] > min_half))
+            values += vals[~bad].sum(axis=0)
+            errors += errs[~bad].sum(axis=0)
+            rest_values += vals[bad].sum(axis=0)
+            rest_errors += errs[bad].sum(axis=0)
+            split[rows] = bad
+        evals += mid.size * _XK.size
+        n_split = int(split.sum())
+        if not n_split or evals + 2 * n_split * _XK.size > _FOURIER_MAX_EVALS:
+            values += rest_values
+            errors += rest_errors
+            return QuadratureResult(values, errors, evals,
+                                    bool(errors.max() <= tol))
+        quarter = 0.5 * half[split]
+        mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
+        half = np.concatenate([quarter, quarter])
+
+
+def _fourier_panels(f, K, mid, half):
+    """Yield (panel indices, values, errors) over blocks of panels, each row
+    a panel's Kronrod value of f(t) exp(-2 pi i k t) and its error, k = 0..K."""
+    lags = np.arange(K + 1)
+    rows = max(1, _FOURIER_BLOCK // (_XK.size * (K + 1)))
+    for h in np.unique(half):
+        table = np.exp(-2j * np.pi * h * np.outer(lags, _XK))
+        same = np.flatnonzero(half == h)
+        for p0 in range(0, same.size, rows):
+            idx = same[p0:p0 + rows]
+            x = mid[idx, None] + h * _XK
             y = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
-            for k0 in range(0, K + 1, step):
-                k = lags[k0:k0 + step]
-                table = np.exp(-2j * np.pi * half * np.outer(k, _XK))
-                vk, err = _gk15(y[:, None, :] * table, half)
-                phase = np.exp(-2j * np.pi * np.outer(mid, k))
-                values[k0:k0 + step] += (phase * vk).sum(axis=0)
-                errors[k0:k0 + step] += err.sum(axis=0)
-    return values, errors, int(panels.sum()) * _XK.size
+            vk, err = _gk15(y[:, None, :] * table, h)
+            phase = np.exp(-2j * np.pi * np.outer(mid[idx], lags))
+            yield idx, phase * vk, err

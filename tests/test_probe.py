@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -7,6 +6,7 @@ from scipy.integrate import quad
 
 from szegolab.deep_zero import DeepZeroSeries, decay_fit
 import szegolab.probe as probe
+import szegolab.quadrature as quadrature
 from szegolab.frequency_sets import (FrequencySet, complement_in_range,
                                      gen_power_set)
 from szegolab.probe import (AnnihilatorTarget, ProbeConfig, SampledTarget,
@@ -59,7 +59,7 @@ def _per_lag(w, k, tol):
 
 
 @pytest.mark.parametrize("K", [0, 1, 17, 799])
-@pytest.mark.parametrize("c", [0.1, 0.25, 1.0, 5.0])
+@pytest.mark.parametrize("c", [1e-4, 1e-3, 0.1, 0.25, 1.0, 5.0])
 def test_fourier_coeffs_match_per_lag_route(c, K):
     tol = 1e-12
     w = make_exp_weight(c)
@@ -91,8 +91,7 @@ def test_fourier_coeffs_constant_weight_exact():
 
 
 def test_fourier_coeffs_unconverged_lag_raises(monkeypatch):
-    monkeypatch.setattr(probe, "fourier_coefficients",
-                        functools.partial(fourier_coefficients, max_evals=100))
+    monkeypatch.setattr(quadrature, "_FOURIER_MAX_EVALS", 100)
     with pytest.raises(ArithmeticError, match=r"k=\d+ reached only"):
         weight_fourier_coeffs(make_exp_weight(1.0), 5, 1e-12)
 
@@ -103,7 +102,8 @@ def test_fourier_coeff_cache_same_from_vector_and_scalar_routes():
     vec = weight_fourier_coeffs(w_vec, 40, tol)
     top = weight_fourier_coeff(w_scalar, 40, tol)     # misses: fills 0..40
     assert top == vec[40]
-    assert w_scalar._fourier_cache == w_vec._fourier_cache
+    assert w_scalar._fourier_cache.keys() == w_vec._fourier_cache.keys()
+    assert np.array_equal(w_scalar._fourier_cache[tol], w_vec._fourier_cache[tol])
     assert np.array_equal(weight_fourier_coeffs(w_scalar, 40, tol), vec)
     for k in range(-40, 41):
         expected = vec[k] if k >= 0 else np.conj(vec[-k])
@@ -113,6 +113,8 @@ def test_fourier_coeff_cache_same_from_vector_and_scalar_routes():
     # a longer one keeps the values the weight has already reported
     low = weight_fourier_coeff(w_scalar, 3, 1e-11)
     assert weight_fourier_coeffs(w_scalar, 60, 1e-11)[3] == low
+    with pytest.raises(ValueError):
+        vec[0] = 0.0                    # the cached vector is read-only
 
 
 def test_gram_identity_for_unit_weight():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import szegolab.quadrature as quadrature
 from szegolab.quadrature import (_WG, _WK, _XK, fourier_coefficients,
                                  integrate_finite, integrate_left_halfline,
                                  oscillatory_integral)
@@ -173,12 +174,21 @@ def test_fourier_coefficients_breakpoints_at_kinks():
         assert abs(res.value[k] - ref.value) <= 1e-12
 
 
-def test_fourier_coefficients_stop_at_max_evals():
+def test_fourier_coefficients_stop_at_max_evals(monkeypatch):
+    monkeypatch.setattr(quadrature, "_FOURIER_MAX_EVALS", 100)
     f = lambda t: np.exp(-1.0 / np.maximum(t, 1e-300)) + 0j
-    res = fourier_coefficients(f, 3, 1e-14, max_evals=100)
+    res = fourier_coefficients(f, 3, 1e-14)
     assert not res.converged
     assert res.evaluations == 6 * 15   # one round: 6 panels, none halved
     assert res.abs_error_estimate.max() > 1e-14
+
+
+def test_fourier_coefficients_refine_only_the_boundary_layer():
+    # exp(-c/t) turns on within about c of 0; only panels there are halved
+    f = lambda t: np.exp(-1e-4 / np.maximum(t, 1e-300)) + 0j
+    res = fourier_coefficients(f, 17, 1e-12)
+    assert res.converged
+    assert res.evaluations < 100 * 15
 
 
 def test_fourier_coefficients_invalid_input():
