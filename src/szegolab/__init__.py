@@ -7,7 +7,6 @@ sine series with a deep zero at the origin, plus projection probes that
 measure completeness residuals in weighted L2 on the circle.
 """
 
-from ._accel import USING_NUMBA
 from .blaschke import (BlaschkeAnnihilator, JumpFunction,
                        cauchy_identity_residual, compute_G,
                        convolution_identity_residual, eval_g, eval_phi,
@@ -32,7 +31,6 @@ from .weights import (Weight, jensen_diagnostic, log_integral, make_exp_weight,
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "__version__",
     "BlaschkeAnnihilator", "JumpFunction", "cauchy_identity_residual",
     "compute_G", "convolution_identity_residual", "eval_g", "eval_phi",

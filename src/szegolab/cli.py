@@ -7,16 +7,21 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 tolerance failure.  The
 environment variable SZEGO_TOL overrides the default quadrature tolerance.
-A manifest is written (status "incomplete") before any data file and
-finalized with sha256 digests, so interrupted runs are identifiable.
+`validate` runs the build step of `run`, which reads every config field and
+builds the run's objects before anything is written.  A manifest is written
+(status "incomplete") before any data file and finalized with sha256
+digests, so interrupted runs are identifiable.
 """
 
 import argparse
+import cmath
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,318 +35,360 @@ from .frequency_sets import (FrequencySet, condition_B_check, gen_interval_block
                              thin_to_condition_B)
 from .probe import (AnnihilatorTarget, ProbeConfig, TrigPolyTarget,
                     residual_curve)
-from .weights import Weight, validate_condition_A
+from .weights import (make_constant_weight, make_exp_weight,
+                      make_tabulated_weight, validate_condition_A)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
 
-_KINDS = ("sets", "weights", "blaschke", "deepzero", "probe")
+_COMPANION_FACTOR = 0.9   # default weight.factor; deepzero membership uses it
+_REQUIRED = object()
 
 
-def _default_tol(config):
-    env = os.environ.get("SZEGO_TOL")
-    if env is not None:
-        return float(env)
-    return float(config.get("tol", 1e-8))
+class ConfigError(Exception):
+    """A config field that is missing, mistyped or out of range."""
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
+def _write_text(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines += [",".join("%.17g" % float(v) for v in row) for row in rows]
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
-def _sha256(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_json(path, obj):
+    # numpy scalars and arrays in obj are written as plain JSON values
+    return _write_text(path, json.dumps(obj, indent=2, sort_keys=True,
+                                        default=lambda v: v.tolist()) + "\n")
 
 
-def _jsonable(obj):
-    """Coerce numpy scalars/arrays nested in dicts and lists to plain types."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+def _real(v):
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(v)
+    return x
+
+
+def _flag(v):
+    if not isinstance(v, bool):
+        raise TypeError(v)
+    return v
 
 
 def _complex(v):
     """A trigpoly amplitude: a number, or [re, im]."""
-    return complex(*v) if isinstance(v, list) else complex(v)
+    z = complex(*map(_real, v)) if isinstance(v, list) else complex(v)
+    if not cmath.isfinite(z):
+        raise ValueError(v)
+    return z
 
 
-def _build_set(spec):
-    gen = spec.get("generator", "explicit")
-    if gen == "power":
-        return gen_power_set(float(spec["rho"]), int(spec["count"]))
-    if gen == "blocks":
-        return gen_interval_blocks(spec["starts"], spec["lengths"])
-    if gen == "explicit":
-        return FrequencySet(tuple(float(e) for e in spec["elements"]),
-                            count_limit=len(spec["elements"]))
-    raise ValueError(f"unknown set generator {gen!r}")
+def _pair(v):
+    if not isinstance(v, list) or len(v) != 2:
+        raise TypeError(v)
+    return _real(v[0]), _real(v[1])
 
 
-def _build_weight(spec, summary=None):
-    if spec.get("kind") == "companion":
-        # exp weight tied to the fitted decay rate of a deep-zero series
-        factor = float(spec.get("factor", 0.9))
-        series = DeepZeroSeries.build(int(spec.get("k_min", 0)),
-                                      int(spec.get("M", 20)))
-        fit = decay_fit(series, 1.0 / np.linspace(5.0, 50.0, 20))
-        if summary is not None:
-            summary["companion_c2_fit"] = fit.c2
-        return Weight.from_descriptor({"kind": "exp",
-                                       "c": 2.0 * factor * fit.c2})
-    return Weight.from_descriptor(spec)
+def _each(convert):
+    """Converter of a JSON list whose entries convert with convert."""
+    def each(v):
+        if not isinstance(v, list):
+            raise TypeError(v)
+        return [convert(e) for e in v]
+    return each
 
 
-def _number(problems, field, value, convert=float):
-    """convert(value), or None with a problem naming the field."""
+_NEED = {_real: "a finite number", int: "an integer", _flag: "true or false",
+         _complex: "a number or [re, im]"}
+_POSITIVE = {"ok": lambda x: x > 0, "need": "a positive number"}
+
+
+def _one_of(*choices):
+    return {"ok": choices.__contains__, "need": "one of " + ", ".join(choices)}
+
+
+class _Spec:
+    """One JSON object of a config, read a field at a time: each read
+    converts and checks the field, or raises a ConfigError that names it
+    by its dotted path."""
+
+    def __init__(self, obj, path):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path or 'config'} must be a JSON object, "
+                              f"got {obj!r}")
+        self.obj, self.path = obj, path
+
+    def field(self, key):
+        return f"{self.path}.{key}" if self.path else key
+
+    def get(self, key, convert, default=_REQUIRED, ok=None, need=None):
+        """convert(field) when ok accepts it; default when the field is
+        absent or null.  need says what the field must be."""
+        name = self.field(key)
+        raw = self.obj.get(key)
+        if raw is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing {name}")
+            return default
+        try:
+            value = convert(raw)
+            accepted = ok is None or ok(value)
+        except (TypeError, ValueError, OverflowError):
+            accepted = False
+        if not accepted:
+            raise ConfigError(f"{name} must be {need or _NEED[convert]}, "
+                              f"got {raw!r}")
+        return value
+
+    def section(self, key, default=_REQUIRED):
+        """The JSON object at key, as a _Spec."""
+        return self.get(key, partial(_Spec, path=self.field(key)), default)
+
+
+def _make(field, make, *args):
+    """make(*args); a library object that refuses its arguments is a
+    config error on field."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
-        problems.append(f"{field} must be a number, got {value!r}")
-        return None
+        return make(*args)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{field}: {exc}") from None
 
 
-def _section(problems, config, name):
-    """config[name] when it is a JSON object, else None with a problem."""
-    spec = config.get(name)
-    if spec is None:
-        problems.append(f"missing {name!r} section")
-    elif not isinstance(spec, dict):
-        problems.append(f"{name} must be an object, got {spec!r}")
-        spec = None
-    return spec
+def _frequency_set(spec):
+    """The non-empty frequency set a gamma section describes."""
+    gen = spec.get("generator", str, "explicit",
+                   **_one_of("power", "blocks", "explicit"))
+    numbers = {"convert": _each(_real), "need": "a list of numbers"}
+    if gen == "power":
+        fset = _make(spec.path, gen_power_set, spec.get("rho", _real),
+                     spec.get("count", int))
+    elif gen == "blocks":
+        fset = _make(spec.path, gen_interval_blocks,
+                     spec.get("starts", **numbers),
+                     spec.get("lengths", **numbers))
+    else:
+        elements = spec.get("elements", **numbers)
+        fset = _make(spec.field("elements"), FrequencySet, tuple(elements),
+                     "explicit", len(elements))
+    if not len(fset):
+        raise ConfigError(f"{spec.path} is empty")
+    return fset
 
 
-def validate_config(config):
-    """Return a list of human-readable problems; empty means valid."""
-    if not isinstance(config, dict):
-        return [f"config must be a JSON object, got {type(config).__name__}"]
-    problems = []
-    kind = config.get("kind")
-    if kind not in _KINDS:
-        problems.append(f"kind must be one of {_KINDS}, got {kind!r}")
-        return problems
-    if "tol" in config:
-        _number(problems, "tol", config["tol"])
-    if kind in ("sets", "blaschke", "probe"):
-        name = "gamma" if "gamma" in config or kind != "sets" else "set"
-        spec = _section(problems, config, name)
-        if spec is not None:
-            gen = spec.get("generator", "explicit")
-            if gen == "power":
-                rho = _number(problems, "gamma.rho", spec.get("rho", 0))
-                if rho is not None and rho <= 1:
-                    problems.append("gamma.rho must exceed 1")
-                count = _number(problems, "gamma.count", spec.get("count", 0),
-                                int)
-                if count is not None and count < 1:
-                    problems.append("gamma.count must be positive")
-            elif gen == "blocks":
-                if len(spec.get("starts", [])) != len(spec.get("lengths", [])):
-                    problems.append("gamma.starts and gamma.lengths lengths differ")
-            elif gen == "explicit":
-                if not spec.get("elements"):
-                    problems.append("gamma.elements must be non-empty")
-            else:
-                problems.append(f"unknown generator {gen!r}")
-    if kind in ("weights", "probe"):
-        wspec = _section(problems, config, "weight")
-        if wspec is not None:
-            wkind = wspec.get("kind")
-            if wkind not in ("exp", "constant", "tabulated", "companion"):
-                problems.append(f"unknown weight kind {wkind!r}")
-            elif wkind == "exp":
-                c = _number(problems, "weight.c", wspec.get("c", 0))
-                if c is not None and c <= 0:
-                    problems.append("weight.c must be positive")
-    if kind == "deepzero":
-        M = _number(problems, "M", config.get("M", 20), int)
-        k_min = _number(problems, "k_min", config.get("k_min", 0), int)
-        if None not in (M, k_min) and M < k_min:
-            problems.append("M must be >= k_min")
-        t_min = _number(problems, "t_min", config.get("t_min", 0.02))
-        t_max = _number(problems, "t_max", config.get("t_max", 0.2))
-        if None not in (t_min, t_max) and not 0 < t_min < t_max < 1:
-            problems.append("need 0 < t_min < t_max < 1")
-    if kind == "probe":
-        tspec = _section(problems, config, "target")
-        if tspec is not None:
-            tkind = tspec.get("kind")
-            if tkind not in ("annihilator", "trigpoly"):
-                problems.append(f"unknown target kind {tkind!r}")
-            elif tkind == "trigpoly":
-                coeffs = tspec.get("coeffs")
-                if not isinstance(coeffs, dict) or not coeffs:
-                    problems.append("target.coeffs must be a non-empty object")
-                else:
-                    for k, v in coeffs.items():
-                        _number(problems, "target.coeffs key", k, int)
-                        _number(problems, f"target.coeffs[{k!r}]", v, _complex)
-        if config.get("floor") is not None:
-            _number(problems, "floor", config["floor"])
-        ns = config.get("N_list")
-        if isinstance(ns, list):
-            ns = [_number(problems, "N_list entry", n, int) for n in ns]
-        if (not isinstance(ns, list) or not ns
-                or (None not in ns and any(b <= a for a, b in zip(ns, ns[1:])))):
-            problems.append("N_list must be non-empty and increasing")
-    return problems
+def _series(spec):
+    """The deep-zero series of terms k_min..M that a section describes."""
+    k_min = spec.get("k_min", int, 0, ok=lambda k: k >= 0,
+                     need="a non-negative integer")
+    return _make(spec.field("M"), DeepZeroSeries.build, k_min,
+                 spec.get("M", int, 20))
 
 
-def _run_sets(config, out, tol, summary):
-    fset = _build_set(config["gamma"] if "gamma" in config else config["set"])
+def _companion(series, factor, summary):
+    """exp weight tied to the fitted decay rate of a deep-zero series."""
+    fit = decay_fit(series, 1.0 / np.linspace(5.0, 50.0, 20))
+    summary["companion_c2_fit"] = fit.c2
+    return make_exp_weight(2.0 * factor * fit.c2)
+
+
+def _weight(spec, summary):
+    """The weight a weight section describes."""
+    kind = spec.get("kind", str,
+                    **_one_of("exp", "constant", "tabulated", "companion"))
+    if kind == "exp":
+        return _make(spec.field("c"), make_exp_weight, spec.get("c", _real))
+    if kind == "constant":
+        return _make(spec.field("v"), make_constant_weight,
+                     spec.get("v", _real))
+    if kind == "tabulated":
+        return _make(spec.field("samples"), make_tabulated_weight,
+                     spec.get("samples", _each(_pair),
+                              need="a list of [t, w] pairs"))
+    factor = spec.get("factor", _real, _COMPANION_FACTOR, **_POSITIVE)
+    return _make(spec.path, _companion, _series(spec), factor, summary)
+
+
+def _target(spec):
+    """The probe target a target section describes."""
+    kind = spec.get("kind", str, **_one_of("annihilator", "trigpoly"))
+    if kind == "annihilator":
+        return AnnihilatorTarget(_series(spec))
+    coeffs = spec.section("coeffs")
+    if not coeffs.obj:
+        raise ConfigError(f"{coeffs.path} is empty")
+    amplitudes = {}
+    for key in coeffs.obj:
+        try:
+            freq = int(key)
+        except ValueError:
+            raise ConfigError(f"{coeffs.path} key must be an integer, "
+                              f"got {key!r}") from None
+        amplitudes[freq] = coeffs.get(key, _complex)
+    return TrigPolyTarget(amplitudes)
+
+
+def _build_sets(cfg, tol, summary):
+    fset = _frequency_set(cfg.section("gamma"))
+    cb = cfg.section("condition_B", None)
+    if cb is None:
+        return partial(_run_sets, fset, None)
+    C = cb.get("C", _real, **_POSITIVE)
+    x_grid = cb.get("x_grid", _each(_real),
+                    ok=lambda xs: all(x > math.e for x in xs),
+                    need="a list of numbers above e")
+    thinned = None
+    if cb.get("thin", _flag, False):
+        thinned = _make(cb.field("thin"), thin_to_condition_B, fset, C)
+    return partial(_run_sets, fset, (C, x_grid, thinned))
+
+
+def _run_sets(fset, condition_B, out, summary):
     report = sqrt_sum_diagnostic(fset)
     summary["verdict"] = report.verdict
     summary["note"] = report.note
     summary["tail_bound"] = report.tail_bound
     summary["generator"] = fset.generator
-    files = {}
-    set_path = out / "set.txt"
-    set_path.write_text(fset.to_text(), encoding="utf-8")
-    files["set.txt"] = set_path
-    _write_csv(out / "sqrt_sums.csv", ["K", "partial_sqrt_sum"],
-               report.partial_sqrt_sums)
-    files["sqrt_sums.csv"] = out / "sqrt_sums.csv"
-    if "condition_B" in config:
-        cb = config["condition_B"]
-        target = fset
-        if cb.get("thin", False):
-            target = thin_to_condition_B(fset, float(cb["C"]))
-            tpath = out / "thinned_set.txt"
-            tpath.write_text(target.to_text(), encoding="utf-8")
-            files["thinned_set.txt"] = tpath
-        rep = condition_B_check(target, float(cb["C"]), cb["x_grid"])
-        _write_csv(out / "condition_B.csv", ["x", "count", "bound", "ok"],
-                   [(x, c, b, int(ok)) for x, c, b, ok in rep.points])
-        files["condition_B.csv"] = out / "condition_B.csv"
+    files = [_write_text(out / "set.txt", fset.to_text()),
+             _write_csv(out / "sqrt_sums.csv", ["K", "partial_sqrt_sum"],
+                        report.partial_sqrt_sums)]
+    if condition_B is not None:
+        C, x_grid, thinned = condition_B
+        if thinned is not None:
+            files.append(_write_text(out / "thinned_set.txt",
+                                     thinned.to_text()))
+        rep = condition_B_check(fset if thinned is None else thinned, C,
+                                x_grid)
+        files.append(_write_csv(
+            out / "condition_B.csv", ["x", "count", "bound", "ok"],
+            [(x, c, b, int(ok)) for x, c, b, ok in rep.points]))
         summary["condition_B_passed"] = rep.passed
     return files, True
 
 
-def _run_weights(config, out, tol, summary):
-    w = _build_weight(config["weight"], summary)
-    report = validate_condition_A(w, int(config.get("grid_size", 64)))
+def _build_weights(cfg, tol, summary):
+    weight = _weight(cfg.section("weight"), summary)
+    grid_size = cfg.get("grid_size", int, 64, ok=lambda n: n >= 16,
+                        need="an integer >= 16")
+    return partial(_run_weights, weight, grid_size)
+
+
+def _run_weights(weight, grid_size, out, summary):
+    report = validate_condition_A(weight, grid_size)
     summary["positive"] = report.positive
     summary["nondecreasing"] = report.nondecreasing
     summary["bounded"] = report.bounded
     summary["log_integral_diverges"] = report.log_integral_diverges
     summary["divergence_certified"] = report.divergence_certified
     summary["passed"] = report.passed
-    files = {}
-    _write_csv(out / "log_integrals.csv", ["eps", "log_integral"],
-               report.log_integral_values)
-    files["log_integrals.csv"] = out / "log_integrals.csv"
-    return files, True
+    return [_write_csv(out / "log_integrals.csv", ["eps", "log_integral"],
+                       report.log_integral_values)], True
 
 
-def _run_blaschke(config, out, tol, summary):
-    ann = BlaschkeAnnihilator(_build_set(config["gamma"]),
-                              config.get("K"))
-    j = JumpFunction(ann)
-    files = {}
+def _build_blaschke(cfg, tol, summary):
+    gamma = _frequency_set(cfg.section("gamma"))
+    K = cfg.get("K", int, len(gamma), ok=lambda k: 0 <= k <= len(gamma),
+                need=f"an integer in [0, {len(gamma)}]")
+    jump = JumpFunction(_make("gamma", BlaschkeAnnihilator, gamma, K))
+    t_scan = cfg.get("t_scan", _each(_real), -np.geomspace(1e-3, 1e3, 25),
+                     ok=lambda ts: all(t <= 0 for t in ts),
+                     need="a list of numbers <= 0")
+    z_points = cfg.get("z_points", _each(_pair),
+                       [(0, 1), (1, 1), (2, 0.5), (0.5, -1), (3, 2)],
+                       ok=lambda zs: all(math.hypot(x, y) <= 1e3
+                                         and (y != 0 or x > 0) for x, y in zs),
+                       need="a list of [re, im] points off the cut "
+                            "(-inf, 0] with |z| <= 1000")
+    identity_tol = cfg.get("identity_tol", _real, 1e-4, **_POSITIVE)
+    return partial(_run_blaschke, jump,
+                   np.sort(np.asarray(t_scan, dtype=np.float64)), z_points,
+                   identity_tol, min(tol, 1e-6))
 
-    t_scan = np.asarray(config.get(
-        "t_scan", list(-np.geomspace(1e-3, 1e3, 25))), dtype=np.float64)
-    t_scan = np.sort(t_scan)
-    pp = eval_phi_boundary(ann, t_scan)
-    pp = np.atleast_1d(pp)
+
+def _run_blaschke(j, t_scan, z_points, identity_tol, cauchy_tol, out,
+                  summary):
+    ann = j.annihilator
+    pp = np.atleast_1d(eval_phi_boundary(ann, t_scan))
     g = j(t_scan)
     bound = j.envelope(t_scan)
-    _write_csv(out / "boundary_scan.csv",
-               ["t", "re_phi_plus", "im_phi_plus", "abs_g", "bound"],
-               [(t, p.real, p.imag, abs(gv), b)
-                for t, p, gv, b in zip(t_scan, pp, g, bound)])
-    files["boundary_scan.csv"] = out / "boundary_scan.csv"
-
-    z_pts = [complex(zr, zi) for zr, zi in config.get(
-        "z_points", [[0, 1], [1, 1], [2, 0.5], [0.5, -1], [3, 2]])]
-    check_tol = float(config.get("identity_tol", 1e-4))
-    rows = []
-    max_resid = 0.0
-    for z in z_pts:
-        r = cauchy_identity_residual(ann, j, z, tol=min(tol, 1e-6))
-        rows.append((z.real, z.imag, r))
-        max_resid = max(max_resid, r)
-    _write_csv(out / "identity_scan.csv", ["z_re", "z_im", "residual"], rows)
-    files["identity_scan.csv"] = out / "identity_scan.csv"
+    files = [_write_csv(out / "boundary_scan.csv",
+                        ["t", "re_phi_plus", "im_phi_plus", "abs_g", "bound"],
+                        [(t, p.real, p.imag, abs(gv), b)
+                         for t, p, gv, b in zip(t_scan, pp, g, bound)])]
+    rows = [(x, y, cauchy_identity_residual(ann, j, complex(x, y), cauchy_tol))
+            for x, y in z_points]
+    files.append(_write_csv(out / "identity_scan.csv",
+                            ["z_re", "z_im", "residual"], rows))
+    max_resid = max((r for _, _, r in rows), default=0.0)
     summary["max_identity_residual"] = max_resid
-    summary["identity_tol"] = check_tol
-    summary["identity_passed"] = max_resid < check_tol
+    summary["identity_tol"] = identity_tol
+    summary["identity_passed"] = max_resid < identity_tol
     return files, summary["identity_passed"]
 
 
-def _run_deepzero(config, out, tol, summary):
-    k_min = int(config.get("k_min", 0))
-    M = int(config.get("M", 20))
-    t_min = float(config.get("t_min", 0.02))
-    t_max = float(config.get("t_max", 0.2))
-    points = int(config.get("points", 20))
-    series = DeepZeroSeries.build(k_min, M)
+def _build_deepzero(cfg, tol, summary):
+    series = _series(cfg)
+    t_min = cfg.get("t_min", _real, 0.02, ok=lambda t: 0 < t < 1,
+                    need="a number in (0, 1)")
+    t_max = cfg.get("t_max", _real, 0.2, ok=lambda t: t_min < t < 1,
+                    need="a number in (t_min, 1)")
+    points = cfg.get("points", int, 20, ok=lambda n: n >= 8,
+                     need="an integer >= 8")
     # grid uniform in 1/t so the decay fit weights the deep-zero range evenly
     t_grid = 1.0 / np.linspace(1.0 / t_max, 1.0 / t_min, points)[::-1]
+    weight = None
+    if cfg.get("membership", _flag, False):
+        weight = _make("membership", _companion, series, _COMPANION_FACTOR,
+                       summary)
+    return partial(_run_deepzero, series, t_grid, weight, max(tol, 1e-8))
+
+
+def _run_deepzero(series, t_grid, weight, membership_tol, out, summary):
     vals = np.abs(eval_H_series(series, t_grid))
     rows = [(t, v, np.log(max(v, 1e-300)), 1.0 / t)
             for t, v in zip(t_grid, vals)]
-    files = {}
-    _write_csv(out / "deepzero_scan.csv", ["t", "abs_H", "log_abs_H", "inv_t"],
-               rows)
-    files["deepzero_scan.csv"] = out / "deepzero_scan.csv"
     fit = decay_fit(series, t_grid)
-    summary.update({"c1": fit.c1, "c2": fit.c2,
-                    "correlation": fit.correlation, "M": M, "k_min": k_min})
-    sp = out / "summary.json"
-    sp.write_text(json.dumps({"c1": fit.c1, "c2": fit.c2,
-                              "correlation": fit.correlation,
-                              "M": M, "k_min": k_min},
-                             indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    files["summary.json"] = sp
+    fitted = {"c1": fit.c1, "c2": fit.c2, "correlation": fit.correlation,
+              "M": series.M, "k_min": series.k_min}
+    summary.update(fitted)
+    files = [_write_csv(out / "deepzero_scan.csv",
+                        ["t", "abs_H", "log_abs_H", "inv_t"], rows),
+             _write_json(out / "summary.json", fitted)]
     ok = fit.c2 > 0 and abs(fit.correlation) > 0.99
     summary["fit_passed"] = ok
-    if config.get("membership", False):
-        w = _build_weight({"kind": "companion", "k_min": k_min, "M": M},
-                          summary)
-        value, err = membership_check(series, w, max(tol, 1e-8))
+    if weight is not None:
+        value, err = membership_check(series, weight, membership_tol)
         summary["membership_value"] = value
         summary["membership_error"] = err
         ok = ok and np.isfinite(value)
     return files, ok
 
 
-def _run_probe(config, out, tol, summary):
-    w = _build_weight(config["weight"], summary)
-    gamma = _build_set(config["gamma"])
-    tspec = config["target"]
-    if tspec["kind"] == "annihilator":
-        target = AnnihilatorTarget(DeepZeroSeries.build(
-            int(tspec.get("k_min", 0)), int(tspec.get("M", 20))))
-    else:
-        target = TrigPolyTarget({int(k): _complex(v)
-                                 for k, v in tspec["coeffs"].items()})
-    pc = ProbeConfig(weight=w, gamma=gamma, target=target,
-                     floor=config.get("floor"), tol=min(tol, 1e-10))
-    curve = residual_curve(pc, [int(n) for n in config["N_list"]])
+def _build_probe(cfg, tol, summary):
+    weight = _weight(cfg.section("weight"), summary)
+    gamma = _frequency_set(cfg.section("gamma"))
+    target = _target(cfg.section("target"))
+    floor = cfg.get("floor", _real, None, ok=lambda x: x >= 0,
+                    need="a non-negative number")
+    N_list = cfg.get("N_list", _each(int),
+                     ok=lambda ns: len(ns) > 0 and ns[0] >= 1
+                     and all(a < b for a, b in zip(ns, ns[1:])),
+                     need="a non-empty increasing list of positive integers")
+    config = ProbeConfig(weight=weight, gamma=gamma, target=target,
+                         floor=floor, tol=min(tol, 1e-10))
+    return partial(_run_probe, config, N_list)
+
+
+def _run_probe(config, N_list, out, summary):
+    curve = residual_curve(config, N_list)
     rows = [(r.N, r.residual, r.target_norm, r.ratio, r.cond_estimate)
             for r in curve.records]
-    files = {}
-    _write_csv(out / "residuals.csv",
-               ["N", "residual", "target_norm", "ratio", "cond_estimate"], rows)
-    files["residuals.csv"] = out / "residuals.csv"
+    files = [_write_csv(
+        out / "residuals.csv",
+        ["N", "residual", "target_norm", "ratio", "cond_estimate"], rows)]
     ratios = [r.ratio for r in curve.records]
     summary["config_digest"] = curve.config_digest
     summary["min_ratio"] = min(ratios)
@@ -350,53 +397,81 @@ def _run_probe(config, out, tol, summary):
     return files, True
 
 
-_RUNNERS = {"sets": _run_sets, "weights": _run_weights,
-            "blaschke": _run_blaschke, "deepzero": _run_deepzero,
-            "probe": _run_probe}
+_BUILDERS = {"sets": _build_sets, "weights": _build_weights,
+             "blaschke": _build_blaschke, "deepzero": _build_deepzero,
+             "probe": _build_probe}
+
+
+def _build_experiment(config):
+    """Read every field of a parsed config once, with its default,
+    conversion and range, and build the objects its run needs.
+
+    Returns (tol, run, summary): run(out, summary) writes the artifacts to
+    the directory out and returns ([their paths], within_tol); summary holds
+    what the build has found already.  Raises ConfigError naming the first
+    field that is missing, mistyped or out of range.
+    """
+    cfg = _Spec(config, "")
+    kind = cfg.get("kind", str, **_one_of(*_BUILDERS))
+    tol = cfg.get("tol", _real, 1e-8, **_POSITIVE)
+    # SZEGO_TOL, when set, overrides the config's tol
+    tol = _Spec({"SZEGO_TOL": os.environ.get("SZEGO_TOL")}, "").get(
+        "SZEGO_TOL", _real, tol, **_POSITIVE)
+    summary = {}
+    return tol, _BUILDERS[kind](cfg, tol, summary), summary
+
+
+def validate_config(config):
+    """[] when the config builds, else [the first problem found]."""
+    try:
+        _build_experiment(config)
+    except ConfigError as exc:
+        return [str(exc)]
+    return []
+
+
+def _build_file(config_path):
+    """(config, _build_experiment(config)) for a config file; None once the
+    config error is printed."""
+    try:
+        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        return config, _build_experiment(config)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+            ConfigError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return None
 
 
 def run_experiment(config_path, out_dir):
-    config_path = Path(config_path)
-    try:
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    built = _build_file(config_path)
+    if built is None:
         return EXIT_CONFIG
-    problems = validate_config(config)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+    config, (tol, run, summary) = built
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tol = _default_tol(config)
     manifest_path = out / "manifest.json"
     manifest = {"kind": config["kind"], "parameters": config,
                 "version": __version__, "tolerance": tol,
                 "status": "incomplete", "outputs": {}, "summary": {}}
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
-                             + "\n", encoding="utf-8")
+    _write_json(manifest_path, manifest)
 
-    summary = {}
     start = time.perf_counter()
     try:
-        files, within_tol = _RUNNERS[config["kind"]](config, out, tol, summary)
+        files, within_tol = run(out, summary)
     except (ArithmeticError, ValueError) as exc:
         manifest["status"] = "failed"
         manifest["summary"] = {"error": str(exc)}
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
-                                 + "\n", encoding="utf-8")
+        _write_json(manifest_path, manifest)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
 
     manifest["status"] = "complete"
-    manifest["summary"] = _jsonable(summary)
+    manifest["summary"] = summary
     manifest["wall_seconds"] = time.perf_counter() - start
-    manifest["outputs"] = {name: _sha256(path)
-                           for name, path in sorted(files.items())}
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
-                             + "\n", encoding="utf-8")
+    manifest["outputs"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                           for p in sorted(files)}
+    _write_json(manifest_path, manifest)
     print(f"wrote {len(files)} artifact(s) to {out}")
     if not within_tol:
         print("tolerance not met; see manifest summary", file=sys.stderr)
@@ -460,15 +535,7 @@ def main(argv=None):
     if args.command == "run":
         return run_experiment(args.config, args.out)
     if args.command == "validate":
-        try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        problems = validate_config(config)
-        if problems:
-            for p in problems:
-                print(f"config error: {p}", file=sys.stderr)
+        if _build_file(args.config) is None:
             return EXIT_CONFIG
         print("config ok")
         return EXIT_OK

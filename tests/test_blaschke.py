@@ -107,6 +107,18 @@ def test_gamma_vanishing(jump):
         assert r < 1e-6 * l1
 
 
+@pytest.mark.parametrize("q", [2.0, 3.0, 10.0])
+def test_off_set_residual_is_the_product_value(ann, jump, q):
+    """Off the set the residual is |int g(u)/(u-q) du| = 2 pi |phi(q)| by
+    the Cauchy representation; eval_phi evaluates the product directly, so
+    the two routes share no quadrature.  Criterion 3's control point is
+    q=2, where 2 pi |phi(2)| is 7.69e-5."""
+    resid, err = gamma_vanishing_residual(jump, q, 1e-8)
+    phi, bound = eval_phi(ann, q)
+    expected = 2.0 * np.pi * abs(phi)
+    assert abs(resid - expected) <= err + expected * bound
+
+
 def test_gamma_vanishing_empty_product_rejected():
     ann0 = BlaschkeAnnihilator(FrequencySet((1.0,)), K=0)
     with pytest.raises(ValueError):

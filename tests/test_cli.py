@@ -1,10 +1,15 @@
 import json
+import math
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from szegolab.cli import main, validate_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write(tmp_path, name, obj):
@@ -43,6 +48,10 @@ def test_validate_names_the_field():
 PROBE_TRIGPOLY = {"kind": "probe", "weight": {"kind": "exp", "c": 1.0},
                   "gamma": {"generator": "power", "rho": 3, "count": 10},
                   "target": {"kind": "trigpoly"}, "N_list": [20]}
+BLASCHKE_CONFIG = {"kind": "blaschke",
+                   "gamma": {"generator": "power", "rho": 3, "count": 50}}
+PROBE_CONFIG = {**PROBE_TRIGPOLY, "target": {"kind": "annihilator", "M": 20}}
+POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
 
 
 @pytest.mark.parametrize("config, field", [
@@ -57,8 +66,56 @@ PROBE_TRIGPOLY = {"kind": "probe", "weight": {"kind": "exp", "c": 1.0},
     ({**SETS_CONFIG, "tol": "abc"}, "tol"),
     ({**DEEPZERO_CONFIG, "t_min": "abc"}, "t_min"),
     ({**WEIGHTS_CONFIG, "weight": 1.0}, "weight"),
+    ({**BLASCHKE_CONFIG, "gamma": POWER_SQUARES}, "gamma"),
+    ({**BLASCHKE_CONFIG, "K": "x"}, "K"),
+    ({**BLASCHKE_CONFIG, "z_points": [[1]]}, "z_points"),
+    ({**WEIGHTS_CONFIG, "grid_size": 4}, "grid_size"),
+    ({**WEIGHTS_CONFIG, "weight": {"kind": "constant"}}, "weight.v"),
+    ({"kind": "sets", "gamma": {"generator": "blocks", "starts": [1, "x"],
+                                "lengths": [2, 3]}}, "gamma.starts"),
+    ({"kind": "sets", "gamma": POWER_SQUARES,
+      "condition_B": {"x_grid": [1000], "thin": True}}, "condition_B.C"),
+    ({**PROBE_CONFIG, "N_list": [0, 10]}, "N_list"),
+    ({**WEIGHTS_CONFIG, "grid_size": "x"}, "grid_size"),
+    ({**WEIGHTS_CONFIG, "weight": {"kind": "constant", "v": -1}}, "weight.v"),
+    ({**WEIGHTS_CONFIG, "weight": {"kind": "tabulated",
+                                   "samples": [[0.5, 1.0]]}},
+     "weight.samples"),
+    ({**WEIGHTS_CONFIG, "weight": {"kind": "companion", "factor": "x"}},
+     "weight.factor"),
+    ({**DEEPZERO_CONFIG, "points": "x"}, "points"),
+    ({**DEEPZERO_CONFIG, "points": 1}, "points"),
+    ({"kind": "sets", "gamma": {"generator": "explicit", "elements": ["a"]}},
+     "gamma.elements"),
+    ({"kind": "sets", "gamma": POWER_SQUARES,
+      "condition_B": {"C": "x", "x_grid": [1000]}}, "condition_B.C"),
+    ({**PROBE_CONFIG, "target": {"kind": "annihilator", "M": "x"}},
+     "target.M"),
+    ({**BLASCHKE_CONFIG, "identity_tol": "x"}, "identity_tol"),
+    ({**DEEPZERO_CONFIG, "t_max": 0.01}, "t_max"),
+    ({"kind": "sets", "gamma": {"generator": "explicit", "elements": []}},
+     "gamma"),
+    ({**BLASCHKE_CONFIG, "t_scan": [-1.0, 1.0]}, "t_scan"),
+    ({**BLASCHKE_CONFIG, "z_points": [[0, 1], [-1, 0]]}, "z_points"),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
+      "floor": -1}, "floor"),
+    ({**DEEPZERO_CONFIG, "k_min": -1}, "k_min"),
+    ({"kind": "sets", "gamma": POWER_SQUARES,
+      "condition_B": {"C": 3.0, "x_grid": [1000], "thin": "yes"}},
+     "condition_B.thin"),
+    ({**WEIGHTS_CONFIG, "weight": {"kind": "exp", "c": math.nan}}, "weight.c"),
 ], ids=["rho-not-a-number", "top-level-list", "trigpoly-without-coeffs",
-        "coeff-key", "N_list-entry", "tol", "t_min", "weight-not-object"])
+        "coeff-key", "N_list-entry", "tol", "t_min", "weight-not-object",
+        "blaschke-divergent-gamma", "K-not-a-number", "z_points-entry",
+        "grid_size-too-small", "constant-without-v", "blocks-starts-entry",
+        "condition_B-without-C", "N_list-zero", "grid_size-not-a-number",
+        "constant-v-negative", "tabulated-one-sample", "factor-not-a-number",
+        "points-not-a-number", "points-too-few", "elements-entry",
+        "condition_B-C-not-a-number", "target-M-not-a-number",
+        "identity_tol-not-a-number", "t_max-below-t_min", "empty-gamma",
+        "t_scan-above-0", "z_points-on-cut", "floor-negative",
+        "k_min-negative", "thin-not-a-flag",
+        "c-not-finite"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, config, field,
                                             command):
@@ -71,9 +128,89 @@ def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, config, field,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_bad_env_tolerance_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("SZEGO_TOL", "abc")
+    cfg = _write(tmp_path, "c.json", SETS_CONFIG)
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, cfg, *extra]) == 2
+    err = capsys.readouterr().err
+    assert "config error: SZEGO_TOL" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_config_validates(path, monkeypatch):
+    monkeypatch.delenv("SZEGO_TOL", raising=False)
+    assert main(["validate", str(path)]) == 0
+
+
+def _field_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+# magnitudes stay small: a well-formed config runs as long as it asks to
+# (a count of 1e9 builds a billion-element set), which is not a fault
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-1000, 1000)
+                 | st.floats(-1e3, 1e3)
+                 | st.sampled_from([math.nan, math.inf, -math.inf])
+                 | st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8)
+
+
+def _mutate(config, path, value, delete):
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    if delete:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+
+
+@pytest.mark.parametrize("name", ["sets", "weights", "blaschke", "deepzero",
+                                  "probe"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_config_exits_0_2_or_3(name, monkeypatch, data):
+    """A config with one field deleted or replaced by any JSON value
+    validates with exit 0 or 2; sets and weights, which are cheap to run,
+    also run with exit 0, 2 or 3, and exit 2 exactly when validate does."""
+    monkeypatch.delenv("SZEGO_TOL", raising=False)
+    config = json.loads((CONFIGS / f"{name}.json").read_text())
+    path = data.draw(st.sampled_from(list(_field_paths(config))))
+    _mutate(config, path, data.draw(_JSON_VALUES), data.draw(st.booleans()))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["validate", str(cfg)])
+        assert code in (0, 2)
+        if name in ("sets", "weights"):
+            run_code = main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
+            assert run_code in (0, 2, 3)
+            assert (run_code == 2) == (code == 2)
+
+
 def test_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.json"), "--out",
                  str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_config_not_utf8_exits_2(tmp_path, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b'{"kind": "\xff"}')
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(cfg), *extra]) == 2
 
 
 def test_unknown_kind(tmp_path):
