@@ -16,8 +16,8 @@ import numpy as np
 
 from ._accel import boundary_product, interior_log_product
 from .frequency_sets import FrequencySet, sqrt_sum_diagnostic
-from .quadrature import (QuadratureResult, integrate_left_halfline,
-                         oscillatory_integral)
+from .quadrature import (QuadratureResult, fourier_coefficients,
+                         integrate_left_halfline, oscillatory_integral)
 
 __all__ = [
     "BlaschkeAnnihilator",
@@ -134,6 +134,15 @@ def eval_g(j, t):
     return vals
 
 
+def _require(res, what):
+    """Raise ArithmeticError, naming what was integrated, unless res
+    converged."""
+    if not res.converged:
+        raise ArithmeticError(
+            f"{what}: quadrature did not converge "
+            f"(error {res.abs_error_estimate:.2e})")
+
+
 def g_l1_norm(j, tol=1e-8):
     res = integrate_left_halfline(lambda u: np.abs(j(u)) + 0j, 2.0, tol)
     return res.value.real, res.abs_error_estimate
@@ -148,9 +157,7 @@ def gamma_vanishing_residual(j, gamma_value, tol=1e-6):
     if retained.size == 0:
         raise ValueError("empty product has no vanishing frequencies")
     res = integrate_left_halfline(lambda u: j(u) / (u - gamma_value), 2.0, tol)
-    if not res.converged:
-        raise ArithmeticError(
-            f"quadrature did not converge (error {res.abs_error_estimate:.2e})")
+    _require(res, f"Cauchy transform of g at {gamma_value}")
     return abs(res.value), res.abs_error_estimate
 
 
@@ -173,34 +180,46 @@ def _g_abs_tail(T):
 
 
 def compute_G(j, s, tol=1e-6):
-    """Fourier transform of the jump: int_{-inf}^0 e^{2 pi i s u} g(u) du.
+    """Fourier transform of the jump: int_{-inf}^0 e^{2 pi i s u} g(u) du,
+    for a scalar s or every s of a 1-d array.
 
-    Small |s|: direct integral on [-T, 0] with the algebraic envelope tail
-    added to the error.  Larger |s|: moderate T plus two integration-by-
-    parts boundary terms at u = -T, with the remainder estimated from a
-    finite-difference second derivative of g.
+    Each branch is one batched quadrature (fourier_coefficients at the
+    frequencies -s) that samples g once for all of its s.  Small |s|: direct
+    integral on [-T, 0] with the algebraic envelope tail added to the error.
+    Larger |s|: moderate T plus two integration-by-parts boundary terms at
+    u = -T, with the remainder estimated from a finite-difference second
+    derivative of g.  converged is per s: the total error, tail or
+    remainder included, is within tol.  A scalar s gives scalar fields.
     """
-    s = float(s)
-    if abs(s) < 0.05:
+    s_in = np.asarray(s, dtype=np.float64)
+    s = np.atleast_1d(s_in)
+    value = np.empty(s.size, dtype=np.complex128)
+    error = np.empty(s.size)
+    evals = 0
+    small = np.abs(s) < 0.05
+    if small.any():
         T = 4.0e4
-        res = oscillatory_integral(
-            lambda u: j(u) * np.exp(2j * np.pi * s * u), s, -T, 0.0, tol)
-        return QuadratureResult(res.value, res.abs_error_estimate + _g_abs_tail(T),
-                                res.evaluations, res.converged)
-    T = 200.0
-    main = oscillatory_integral(
-        lambda u: j(u) * np.exp(2j * np.pi * s * u), s, -T, 0.0, tol)
-    c = 2j * np.pi * s
-    step = 1e-3
-    g0, gm, gp = j(np.array([-T, -T - step, -T + step]))
-    g1 = (gp - gm) / (2.0 * step)
-    g2 = (gp - 2.0 * g0 + gm) / step ** 2
-    ect = np.exp(-c * T)
-    corr = ect * g0 / c - ect * g1 / c ** 2
-    remainder = abs(g2) * T / 3.0 / abs(c) ** 2
-    return QuadratureResult(main.value + corr,
-                            main.abs_error_estimate + remainder,
-                            main.evaluations + 3, main.converged)
+        res = fourier_coefficients(j, -s[small], tol, (-T, 0.0))
+        value[small] = res.value
+        error[small] = res.abs_error_estimate + _g_abs_tail(T)
+        evals += res.evaluations
+    if not small.all():
+        T = 200.0
+        main = fourier_coefficients(j, -s[~small], tol, (-T, 0.0))
+        c = 2j * np.pi * s[~small]
+        step = 1e-3
+        g0, gm, gp = j(np.array([-T, -T - step, -T + step]))
+        g1 = (gp - gm) / (2.0 * step)
+        g2 = (gp - 2.0 * g0 + gm) / step ** 2
+        ect = np.exp(-c * T)
+        value[~small] = main.value + ect * g0 / c - ect * g1 / c ** 2
+        remainder = abs(g2) * T / 3.0 / np.abs(c) ** 2
+        error[~small] = main.abs_error_estimate + remainder
+        evals += main.evaluations + 3
+    if s_in.ndim == 0:
+        return QuadratureResult(complex(value[0]), float(error[0]), evals,
+                                bool(error[0] <= tol))
+    return QuadratureResult(value, error, evals, error <= tol)
 
 
 def _exp_diff_quotient(u, q, t):
@@ -221,32 +240,34 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
     Routes: direct convolution against computed G; the difference-quotient
     half-line form; and, for q among the retained frequencies, the reduced
     form that uses the vanishing of the Cauchy transform on the set.
-    Returns a dict with the route values and the max pairwise discrepancy.
+    The direct route gets G from one compute_G call per round of its outer
+    quadrature, and carries G's largest error (times t) in its error
+    estimate.  A route whose quadrature does not converge raises
+    ArithmeticError naming it.  Returns a dict with the route values, their
+    error estimates and the max pairwise discrepancy.
     """
     if not 0 < t <= 2:
         raise ValueError("t must lie in (0, 2]")
     q = float(q)
 
-    cache = {}
+    g_err = 0.0
 
     def g_of(s_arr):
-        out = np.empty(s_arr.size, dtype=np.complex128)
-        for i, s in enumerate(s_arr):
-            key = float(s)
-            if key not in cache:
-                cache[key] = compute_G(j, s, tol * 0.05)
-            out[i] = cache[key].value
-        return out
+        nonlocal g_err
+        res = compute_G(j, s_arr, tol * 0.05)
+        g_err = max(g_err, float(res.abs_error_estimate.max()))
+        return res.value
 
     direct_res = oscillatory_integral(
         lambda s: np.exp(2j * np.pi * q * (t - s)) * g_of(s), q, 0.0, t,
         tol * 0.5, max_evals=30_000)
-    g_err = max((r.abs_error_estimate for r in cache.values()), default=0.0)
+    _require(direct_res, "convolution route direct")
     direct = direct_res.value
     direct_err = direct_res.abs_error_estimate + g_err * t
 
     diff_res = integrate_left_halfline(
         lambda u: _exp_diff_quotient(u, q, t) * j(u), 2.0, tol * 0.1)
+    _require(diff_res, "convolution route difference_form")
     difference_form = diff_res.value / (2j * np.pi)
 
     values = {"direct": direct, "difference_form": difference_form}
@@ -255,6 +276,7 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
     if np.any(np.isclose(j.annihilator.retained, q)):
         red_res = integrate_left_halfline(
             lambda u: np.exp(2j * np.pi * u * t) / (u - q) * j(u), 2.0, tol * 0.1)
+        _require(red_res, "convolution route reduced")
         values["reduced"] = red_res.value / (2j * np.pi)
         errors["reduced"] = red_res.abs_error_estimate
 

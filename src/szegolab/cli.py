@@ -480,13 +480,27 @@ def run_experiment(config_path, out_dir):
 
 
 def emit_report(manifest_path):
+    """Print a manifest's summary; a file that is not a readable manifest
+    (UTF-8 JSON object, summary and outputs objects, fields of the types
+    run writes) exits 2."""
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        lines = _report_lines(manifest)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"manifest error: {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    kind = manifest.get("kind", "?")
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def _report_lines(manifest):
+    if not isinstance(manifest, dict):
+        raise TypeError("not a JSON object")
     s = manifest.get("summary", {})
+    outputs = manifest.get("outputs", {})
+    if not (isinstance(s, dict) and isinstance(outputs, dict)):
+        raise TypeError("'summary' and 'outputs' must be JSON objects")
+    kind = manifest.get("kind", "?")
     lines = [f"experiment kind: {kind}",
              f"status: {manifest.get('status', '?')}"]
     if kind == "blaschke" and "max_identity_residual" in s:
@@ -511,10 +525,9 @@ def emit_report(manifest_path):
     if kind == "weights" and "passed" in s:
         lines.append("deep-zero weight conditions: "
                      + ("PASS" if s["passed"] else "FAIL"))
-    for name, digest in sorted(manifest.get("outputs", {}).items()):
+    for name, digest in sorted(outputs.items()):
         lines.append(f"output {name} sha256={digest[:16]}...")
-    print("\n".join(lines))
-    return EXIT_OK
+    return lines
 
 
 def main(argv=None):

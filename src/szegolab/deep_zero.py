@@ -75,21 +75,32 @@ def eval_h_raw(z):
     return np.exp(1j * np.pi * z) * np.sin(np.pi * z) / (eval_F(z) * eval_F(-z))
 
 
+def _cmul(a, b):
+    """Complex product in real arithmetic.  numpy's complex array multiply
+    may fuse multiply and add and then rounds differently from its scalar
+    multiply; this rounds as the scalar one does, so the local rule's values
+    (the series coefficients among them) equal a per-point evaluation."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag
+                                                       + a.imag * b.real)
+
+
 def _local_ratio(u, n0):
-    """First-order value of sin(pi u)/F(u) near the odd square n0."""
-    ratio0 = np.pi * np.cos(np.pi * n0) / eval_F_prime(complex(n0))
-    return ratio0 * (1.0 + (u - n0) / (4.0 * n0))
+    """First-order value of sin(pi u)/F(u) near the odd squares n0."""
+    ratio0 = (np.pi * np.cos(np.pi * n0)
+              / eval_F_prime(n0.astype(np.complex128)))
+    return _cmul(ratio0, 1.0 + (u - n0) / (4.0 * n0))
 
 
 def _nearest_odd_square(x):
-    """Nearest (2m+1)^2 >= 1 to a nonnegative real x."""
-    r = math.sqrt(max(x, 0.0))
-    m = max(int(round((r - 1.0) / 2.0)), 0)
-    candidates = [(2 * m + 1) ** 2]
-    if m >= 1:
-        candidates.append((2 * m - 1) ** 2)
-    candidates.append((2 * m + 3) ** 2)
-    return min(candidates, key=lambda n: abs(x - n))
+    """Nearest (2m+1)^2 >= 1 to each nonnegative real x, as floats.  A tie
+    goes to (2m+1)^2 with m = round((sqrt(x) - 1)/2), then to the smaller."""
+    x = np.asarray(x, dtype=np.float64)
+    m = np.maximum(np.round((np.sqrt(np.maximum(x, 0.0)) - 1.0) / 2.0), 0.0)
+    best = (2.0 * m + 1.0) ** 2
+    for n in (np.where(m >= 1, (2.0 * m - 1.0) ** 2, np.inf),
+              (2.0 * m + 3.0) ** 2):
+        best = np.where(np.abs(x - n) < np.abs(x - best), n, best)
+    return best
 
 
 def eval_h(z, delta=SINGULARITY_DELTA):
@@ -97,28 +108,22 @@ def eval_h(z, delta=SINGULARITY_DELTA):
     first-order local quotient rule inside a delta-neighborhood."""
     z = np.asarray(z, dtype=np.complex128)
     scalar = z.ndim == 0
-    z = np.atleast_1d(z).copy()
+    z = np.atleast_1d(z)
     out = np.empty(z.shape, dtype=np.complex128)
     handled = np.zeros(z.shape, dtype=bool)
-
-    flat = z.ravel()
-    for i, zi in enumerate(flat):
-        for sign in (1.0, -1.0):
-            u = sign * zi
-            if u.real < 0.5:
-                continue
-            n0 = _nearest_odd_square(u.real)
-            if abs(u - n0) >= delta:
-                continue
-            if sign > 0:
-                # zero of F(z): replace sin(pi z)/F(z)
-                val = np.exp(1j * np.pi * zi) * _local_ratio(u, n0) / eval_F(-zi)
-            else:
-                # zero of F(-z): sin(pi z) = -sin(pi u)
-                val = -np.exp(1j * np.pi * zi) * _local_ratio(u, n0) / eval_F(zi)
-            out.ravel()[i] = val
-            handled.ravel()[i] = True
-            break
+    # sign +1: zero of F(z), replace sin(pi z)/F(z); sign -1: zero of F(-z),
+    # where sin(pi z) = -sin(pi u).  A point near both takes the first.
+    for sign in (1.0, -1.0):
+        u = sign * z
+        n0 = _nearest_odd_square(u.real)
+        near = ~handled & (u.real >= 0.5) & (np.abs(u - n0) < delta)
+        if near.any():
+            zs = z[near]
+            ratio = _local_ratio(u[near], n0[near])
+            val = (_cmul(np.exp(1j * np.pi * zs), ratio)
+                   / eval_F(-zs if sign > 0 else zs))
+            out[near] = val if sign > 0 else -val
+            handled |= near
     rest = ~handled
     if rest.any():
         out[rest] = eval_h_raw(z[rest])
@@ -241,10 +246,12 @@ def estimate_envelope_constants(xy_grid, delta=SINGULARITY_DELTA):
     """
     pts = np.asarray(xy_grid, dtype=np.float64)
     zs = pts[:, 0] + 1j * pts[:, 1]
-    for x, y in pts:
-        n0 = _nearest_odd_square(abs(x))
-        if y == 0 and abs(abs(x) - n0) < delta:
-            raise ValueError(f"grid point ({x},{y}) inside a singular neighborhood")
+    ax = np.abs(pts[:, 0])
+    inside = (pts[:, 1] == 0) & (np.abs(ax - _nearest_odd_square(ax)) < delta)
+    if inside.any():
+        x, y = pts[np.argmax(inside)]
+        raise ValueError(
+            f"grid point ({x},{y}) inside a singular neighborhood")
     vals = np.abs(eval_h(zs))
     q = vals * (1.0 + pts[:, 0] ** 2)
 

@@ -68,7 +68,7 @@ def weight_fourier_coeffs(w, K, tol=1e-12):
         fresh = np.zeros(K + 1, dtype=np.complex128)
         fresh[0] = w.v
     else:
-        res = fourier_coefficients(w, K, tol, w.breakpoints)
+        res = fourier_coefficients(w, np.arange(K + 1), tol, w.breakpoints)
         if not res.converged:
             k = int(np.argmax(res.abs_error_estimate))
             raise ArithmeticError(

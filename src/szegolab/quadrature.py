@@ -44,9 +44,9 @@ _WK = np.array(_WK_HALF + _WK_HALF[-2::-1])
 _WG = np.array(_WG_HALF + _WG_HALF[-2::-1])
 
 _MAX_ROUNDS = 80
-# complex entries in one (panels x lags x nodes) block of fourier_coefficients:
-# 2**18 entries take 4 MB, and with _gk15's temporaries a block stays near
-# 12 MB whatever K is
+# complex entries in one (panels x frequencies x nodes) block of
+# fourier_coefficients: 2**18 entries take 4 MB, and with _gk15's temporaries
+# a block stays near 12 MB whatever the number of frequencies
 _FOURIER_BLOCK = 1 << 18
 # nodes fourier_coefficients evaluates at most, over all its rounds
 _FOURIER_MAX_EVALS = 2_000_000
@@ -55,8 +55,9 @@ _FOURIER_MAX_EVALS = 2_000_000
 @dataclass
 class QuadratureResult:
     """Value, error estimate, integrand evaluations and whether the estimate
-    met the tolerance; fourier_coefficients returns arrays over the lags as
-    value and abs_error_estimate."""
+    met the tolerance.  fourier_coefficients returns arrays over its
+    frequencies as value and abs_error_estimate, and blaschke.compute_G
+    over its s, converged included."""
 
     value: complex
     abs_error_estimate: float
@@ -203,46 +204,51 @@ def oscillatory_integral(f, omega, a, b, tol, max_evals=2_000_000):
     return _adaptive(f, breakpoints, tol, max_evals)
 
 
-def fourier_coefficients(f, K, tol, breakpoints=(0.0, 1.0)):
-    """Integrals of f(t) exp(-2 pi i k t) over the breakpoints' span, k = 0..K.
+def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
+    """Integrals of f(t) exp(-2 pi i nu t) over the breakpoints' span, for
+    every real frequency nu in the 1-d array freqs.
 
-    One composite Gauss-Kronrod 7/15 rule serves every lag, so f is sampled
-    once per node.  Each interval between consecutive breakpoints starts as
-    equal panels no wider than half a period of lag K.  On a panel with
-    midpoint m and half-width h, exp(-2 pi i k t) is exp(-2 pi i k m) times
-    the table exp(-2 pi i k h x_j) that all panels of width 2h share; the
-    first factor has modulus one, so each panel's Kronrod-Gauss error
-    (scaled as in QUADPACK) needs only the table, and the phase enters only
-    the value sum.  A panel is kept when its error at every lag is within
-    its share of tol (tol times its width over the span), so the kept
-    panels' errors sum to at most tol at every lag; the others are halved
-    and evaluated again, until every panel is kept, or a halving would take
-    the nodes evaluated beyond _FOURIER_MAX_EVALS, or the panels reach the
-    width floor.
+    One composite Gauss-Kronrod 7/15 rule serves every frequency, so f is
+    sampled once per node.  Each interval between consecutive breakpoints
+    starts as equal panels no wider than half a period of the largest |nu|.
+    On a panel with midpoint m and half-width h, exp(-2 pi i nu t) is
+    exp(-2 pi i nu m) times the table exp(-2 pi i nu h x_j) that all panels
+    of width 2h share; the first factor has modulus one, so each panel's
+    Kronrod-Gauss error (scaled as in QUADPACK) needs only the table, and
+    the phase enters only the value sum.  A panel is kept when its error at
+    every frequency is within its share of tol (tol times its width over the
+    span), so the kept panels' errors sum to at most tol at every frequency;
+    the others are halved and evaluated again, until every panel is kept, or
+    a halving would take the nodes evaluated beyond _FOURIER_MAX_EVALS, or
+    the panels reach the width floor.
 
     Returns a QuadratureResult whose value and abs_error_estimate are arrays
-    over k; converged means that every lag met tol.
+    over freqs; converged means that every frequency met tol.  The Fourier
+    coefficients of f on [0, 1] are freqs = np.arange(K + 1).
     """
-    K = int(K)
+    freqs = np.asarray(freqs, dtype=np.float64)
     edges = np.asarray(breakpoints, dtype=np.float64)
     widths = np.diff(edges)
-    if K < 0 or edges.size < 2 or not np.all(widths > 0):
-        raise ValueError(f"need K >= 0 and increasing breakpoints, got K={K}, "
-                         f"breakpoints {breakpoints}")
-    counts = np.maximum(np.ceil(widths * 2 * K), 1).astype(np.int64)
+    if (freqs.ndim != 1 or not freqs.size or not np.all(np.isfinite(freqs))
+            or edges.size < 2 or not np.all(widths > 0)):
+        raise ValueError(f"need a nonempty 1-d array of finite frequencies "
+                         f"and increasing breakpoints, got {freqs.size} "
+                         f"frequencies, breakpoints {breakpoints}")
+    counts = np.maximum(np.ceil(widths * 2 * np.abs(freqs).max()),
+                        1).astype(np.int64)
     half = np.repeat(0.5 * widths / counts, counts)
     mid = np.concatenate([a + h * (2.0 * np.arange(n) + 1.0) for a, h, n
                           in zip(edges[:-1], 0.5 * widths / counts, counts)])
     share = tol / (edges[-1] - edges[0])            # of tol per unit width
     min_half = 0.5e-14 * max(edges[-1] - edges[0], np.abs(edges).max())
-    values = np.zeros(K + 1, dtype=np.complex128)
-    errors = np.zeros(K + 1)
+    values = np.zeros(freqs.size, dtype=np.complex128)
+    errors = np.zeros(freqs.size)
     evals = 0
     while True:
         rest_values = np.zeros_like(values)
         rest_errors = np.zeros_like(errors)
         split = np.zeros(mid.size, dtype=bool)
-        for rows, vals, errs in _fourier_panels(f, K, mid, half):
+        for rows, vals, errs in _fourier_panels(f, freqs, mid, half):
             bad = ((errs.max(axis=1) > share * 2.0 * half[rows])
                    & (half[rows] > min_half))
             values += vals[~bad].sum(axis=0)
@@ -262,18 +268,18 @@ def fourier_coefficients(f, K, tol, breakpoints=(0.0, 1.0)):
         half = np.concatenate([quarter, quarter])
 
 
-def _fourier_panels(f, K, mid, half):
+def _fourier_panels(f, freqs, mid, half):
     """Yield (panel indices, values, errors) over blocks of panels, each row
-    a panel's Kronrod value of f(t) exp(-2 pi i k t) and its error, k = 0..K."""
-    lags = np.arange(K + 1)
-    rows = max(1, _FOURIER_BLOCK // (_XK.size * (K + 1)))
+    a panel's Kronrod value of f(t) exp(-2 pi i nu t) and its error, one
+    column per frequency nu."""
+    rows = max(1, _FOURIER_BLOCK // (_XK.size * freqs.size))
     for h in np.unique(half):
-        table = np.exp(-2j * np.pi * h * np.outer(lags, _XK))
+        table = np.exp(-2j * np.pi * h * np.outer(freqs, _XK))
         same = np.flatnonzero(half == h)
         for p0 in range(0, same.size, rows):
             idx = same[p0:p0 + rows]
             x = mid[idx, None] + h * _XK
             y = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
             vk, err = _gk15(y[:, None, :] * table, h)
-            phase = np.exp(-2j * np.pi * np.outer(mid[idx], lags))
+            phase = np.exp(-2j * np.pi * np.outer(mid[idx], freqs))
             yield idx, phase * vk, err

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from szegolab import blaschke
 from szegolab.blaschke import (BlaschkeAnnihilator, JumpFunction,
                                cauchy_identity_residual, compute_G,
                                convolution_identity_residual, eval_g,
                                eval_phi, eval_phi_boundary, g_l1_norm,
                                gamma_vanishing_residual)
 from szegolab.frequency_sets import FrequencySet, gen_power_set
+from szegolab.quadrature import QuadratureResult, oscillatory_integral
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +175,112 @@ def test_convolution_two_routes_quick(jump):
     out = convolution_identity_residual(jump, 1.0, 0.25, 1e-3)
     assert "reduced" in out["values"]
     assert out["max_discrepancy"] < 1e-3
+
+
+def _G_per_s(j, s, tol):
+    """compute_G's route before batching, one adaptive quadrature per s on
+    the same interval, with the same tail and integration-by-parts terms."""
+    if abs(s) < 0.05:
+        T = 4.0e4
+        res = oscillatory_integral(lambda u: j(u) * np.exp(2j * np.pi * s * u),
+                                   s, -T, 0.0, tol)
+        tail = 2.0 * (1 / (1 + T) - 1 / (1 + T) ** 2 + 1 / (3 * (1 + T) ** 3))
+        return res.value, res.abs_error_estimate + tail, res.converged
+    T = 200.0
+    res = oscillatory_integral(lambda u: j(u) * np.exp(2j * np.pi * s * u),
+                               s, -T, 0.0, tol)
+    c = 2j * np.pi * s
+    h = 1e-3
+    g0, gm, gp = j(np.array([-T, -T - h, -T + h]))
+    g1 = (gp - gm) / (2 * h)
+    g2 = (gp - 2 * g0 + gm) / h ** 2
+    corr = np.exp(-c * T) * (g0 / c - g1 / c ** 2)
+    remainder = abs(g2) * T / 3 / abs(c) ** 2
+    return res.value + corr, res.abs_error_estimate + remainder, res.converged
+
+
+def test_batched_G_matches_per_s_route(jump):
+    tol = 1e-6
+    s = np.array([0.0, 0.0499, -0.0499, 0.05, 0.2, 1.0, -0.3])
+    batch = compute_G(jump, s, tol)
+    assert batch.value.shape == batch.abs_error_estimate.shape == s.shape
+    for i, si in enumerate(s):
+        ref, ref_err, ref_ok = _G_per_s(jump, si, tol)
+        assert ref_ok
+        gap = abs(batch.value[i] - ref)
+        assert gap <= batch.abs_error_estimate[i] + ref_err
+        # both quadratures met tol, and the analytic terms are shared
+        assert gap <= 2 * tol
+        one = compute_G(jump, float(si), tol)
+        alone = compute_G(jump, np.array([si]), tol)
+        assert isinstance(one.value, complex)
+        assert isinstance(one.converged, bool)
+        assert one.value == alone.value[0]
+        assert one.abs_error_estimate == alone.abs_error_estimate[0]
+
+
+def test_G_converged_covers_tail_and_remainder(jump):
+    """converged is per s and holds exactly when the total error, the
+    envelope tail or integration-by-parts remainder included, is within tol.
+    The tail beyond T = 4e4 is about 5e-5, so a tol of 4e-5 cannot be met
+    for |s| < 0.05 however fine the quadrature."""
+    s = np.array([0.01, -0.02, 0.3, 2.0])
+    for tol in (5e-5, 4e-5):
+        res = compute_G(jump, s, tol)
+        assert np.array_equal(res.converged, res.abs_error_estimate <= tol)
+    assert not res.converged[:2].any() and res.converged[2:].all()
+    one = compute_G(jump, 0.01, 5e-5)
+    assert one.converged == (one.abs_error_estimate <= 5e-5)
+
+
+class _CountingJump:
+    """A jump function that counts the points it is sampled at."""
+
+    def __init__(self, j):
+        self.j = j
+        self.annihilator = j.annihilator
+        self.points = 0
+
+    def __call__(self, t):
+        self.points += np.size(t)
+        return self.j(t)
+
+
+def test_convolution_samples_the_jump_once_per_round(jump, monkeypatch):
+    calls = []
+    compute = blaschke.compute_G
+
+    def counted(j, s, tol):
+        calls.append(np.size(s))
+        return compute(j, s, tol)
+
+    monkeypatch.setattr(blaschke, "compute_G", counted)
+    spy = _CountingJump(jump)
+    out = convolution_identity_residual(spy, 0.0, 1.0, 1e-3)
+    assert out["max_discrepancy"] < 1e-3
+    # one batched G per round of the outer quadrature, 15 nodes a panel
+    assert 0 < len(calls) < 20 and all(n % 15 == 0 for n in calls)
+    assert spy.points < 500_000
+
+
+@pytest.mark.parametrize("route", ["direct", "difference_form", "reduced"])
+def test_convolution_raises_on_an_unconverged_route(jump, monkeypatch, route):
+    name = ("oscillatory_integral" if route == "direct"
+            else "integrate_left_halfline")
+    real = getattr(blaschke, name)
+    seen = []
+
+    def unconverged(*args, **kwargs):
+        res = real(*args, **kwargs)
+        seen.append(res)
+        # the reduced route is the second half-line integral
+        fail = route != "reduced" or len(seen) == 2
+        return QuadratureResult(res.value, res.abs_error_estimate,
+                                res.evaluations, res.converged and not fail)
+
+    monkeypatch.setattr(blaschke, name, unconverged)
+    with pytest.raises(ArithmeticError, match=route):
+        convolution_identity_residual(jump, 1.0, 0.25, 1e-3)
 
 
 def test_convolution_t_range_guard(jump):

@@ -230,6 +230,22 @@ def test_sets_run_and_report(tmp_path, capsys):
     assert "verdict: converges" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content", [
+    b'[1, 2]',
+    b'{"kind": "sets", "outputs": []}',
+    b'{"kind": "sets", "summary": {"verdict": "\xff"}}',
+    b'{"kind": "sets", "outputs": {"set.txt": 5}}',
+    b'{"kind": "deepzero", "summary": {"c2": 1.0}}',
+], ids=["list", "outputs-list", "not-utf8", "digest-number", "missing-field"])
+def test_report_malformed_manifest_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(content)
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("manifest error:")
+    assert "Traceback" not in err
+
+
 def test_weights_run(tmp_path):
     cfg = _write(tmp_path, "c.json", WEIGHTS_CONFIG)
     out = tmp_path / "out"

@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from szegolab.deep_zero import (DeepZeroSeries, decay_fit,
+from szegolab import deep_zero
+from szegolab.deep_zero import (SINGULARITY_DELTA, DeepZeroSeries, decay_fit,
                                 estimate_envelope_constants, eval_F,
                                 eval_F_prime, eval_h, eval_h_raw,
                                 eval_H_integral, eval_H_series,
@@ -82,6 +83,74 @@ def test_h_odd_conjugate_symmetry():
 def test_h_raw_agrees_off_singularities():
     z = np.array([2.3 + 0.5j, -4.2 + 1j, 12.0 + 0j])
     assert np.allclose(eval_h(z), eval_h_raw(z), rtol=1e-12, atol=1e-14)
+
+
+def _nearest_odd_square_loop(x):
+    r = math.sqrt(max(x, 0.0))
+    m = max(int(round((r - 1.0) / 2.0)), 0)
+    candidates = [(2 * m + 1) ** 2]
+    if m >= 1:
+        candidates.append((2 * m - 1) ** 2)
+    candidates.append((2 * m + 3) ** 2)
+    return min(candidates, key=lambda n: abs(x - n))
+
+
+def _local_ratio_loop(u, n0):
+    ratio0 = np.pi * np.cos(np.pi * n0) / eval_F_prime(complex(n0))
+    return ratio0 * (1.0 + (u - n0) / (4.0 * n0))
+
+
+def _eval_h_loop(z, delta=SINGULARITY_DELTA):
+    """eval_h as a per-point loop with scalar arithmetic: the oracle for the
+    vectorized singularity test and local quotient rule."""
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    out = np.empty(z.shape, dtype=np.complex128)
+    handled = np.zeros(z.shape, dtype=bool)
+    for i, zi in enumerate(z):
+        for sign in (1.0, -1.0):
+            u = sign * zi
+            if u.real < 0.5:
+                continue
+            n0 = _nearest_odd_square_loop(u.real)
+            if abs(u - n0) >= delta:
+                continue
+            e = np.exp(1j * np.pi * zi)
+            if sign > 0:
+                val = e * _local_ratio_loop(u, n0) / eval_F(-zi)
+            else:
+                val = -e * _local_ratio_loop(u, n0) / eval_F(zi)
+            out[i] = val
+            handled[i] = True
+            break
+    out[~handled] = eval_h_raw(z[~handled])
+    return out
+
+
+def test_nearest_odd_square_matches_the_loop():
+    odd = 2.0 * np.arange(40) + 1.0
+    ties = 0.5 * (odd[:-1] ** 2 + odd[1:] ** 2)      # equally near two squares
+    x = np.concatenate([np.arange(0.0, 3000.0, 0.25), ties, ties + 1e-9,
+                        odd ** 2, [-3.0, 1e-300]])
+    got = deep_zero._nearest_odd_square(x)
+    assert got.tolist() == [_nearest_odd_square_loop(v) for v in x]
+
+
+def test_eval_h_matches_the_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    n = 20000
+    z = rng.uniform(-250.0, 250.0, n) + 1j * np.where(
+        rng.random(n) < 0.3, rng.normal(0.0, 0.5, n), 0.0)
+    sq = (2.0 * np.arange(16) + 1.0) ** 2
+    d = SINGULARITY_DELTA
+    offsets = (0.0, 0.5 * d, -0.99999 * d, d, -d, 0.3j * d,
+               0.6 * d + 0.7j * d, 1e-13)
+    near = np.concatenate([s * sq + e for s in (1.0, -1.0) for e in offsets])
+    z = np.concatenate([z, near, [0.0, 0.5, 0.25, 2.0, 4.0, 1e-4, 1 + 1e-4j]])
+    got = eval_h(z)
+    ref = _eval_h_loop(z)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    for zi in (9.0, -25.0 + 0.5e-4j, 3.3):
+        assert eval_h(zi) == _eval_h_loop(zi)[0]
 
 
 def test_series_coefficients_decay():

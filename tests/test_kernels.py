@@ -38,3 +38,29 @@ def test_exact_zero_marker():
     gammas = np.array([4.0, 9.0])
     logs = _accel.interior_log_product(np.array([4.0 + 0j]), gammas)
     assert np.isneginf(logs.real[0])
+
+
+def _boundary_product_oracle(tau, gammas):
+    """The product form of phi_+: one complex factor per (point, gamma)."""
+    r = 1j * np.sqrt(tau[:, None] / gammas[None, :])
+    prod = np.prod((1.0 - r) / (1.0 + r), axis=1)
+    return (tau * tau) / (1.0 + 1j * np.sqrt(tau)) ** 8 * prod
+
+
+def test_boundary_product_phase_form_matches_product_form():
+    """The phase form agrees with the product form to 1e-13 relative over
+    tau from 1e-12 to 1e6 and on the quadrature range [0, 4e4], over more
+    points than one block holds, and is exactly 0 at tau = 0."""
+    gammas = np.arange(1.0, 51.0) ** 3
+    rng = np.random.default_rng(11)
+    for tau in (np.geomspace(1e-12, 1e6, 4001), rng.uniform(0.0, 4e4, 20000)):
+        got = _accel.boundary_product(tau, gammas)
+        ref = _boundary_product_oracle(tau, gammas)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+    at_zero = _accel.boundary_product(np.array([0.0, 0.0]), gammas)
+    assert np.array_equal(at_zero, np.zeros(2, dtype=np.complex128))
+    # no gammas: the prefactor alone, unimodular phase times tau^2/(1+tau)^4
+    tau = np.geomspace(1e-6, 1e6, 50)
+    got = _accel.boundary_product(tau, np.array([]))
+    ref = tau ** 2 / (1.0 + 1j * np.sqrt(tau)) ** 8
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))

@@ -147,7 +147,7 @@ def test_polynomial_oracle(coeffs):
 def test_fourier_coefficients_closed_form():
     # int_0^1 t exp(-2 pi i k t) dt = 1/2 (k = 0), i/(2 pi k) (k >= 1)
     K = 40
-    res = fourier_coefficients(lambda t: t + 0j, K, 1e-13)
+    res = fourier_coefficients(lambda t: t + 0j, np.arange(K + 1), 1e-13)
     k = np.arange(1, K + 1)
     assert res.converged
     assert res.value.shape == res.abs_error_estimate.shape == (K + 1,)
@@ -157,7 +157,8 @@ def test_fourier_coefficients_closed_form():
 
 
 def test_fourier_coefficients_complex_integrand_picks_its_frequency():
-    res = fourier_coefficients(lambda t: np.exp(2j * np.pi * 3 * t), 6, 1e-13)
+    res = fourier_coefficients(lambda t: np.exp(2j * np.pi * 3 * t),
+                               np.arange(7), 1e-13)
     expected = np.zeros(7)
     expected[3] = 1.0
     assert np.abs(res.value - expected).max() < 1e-13
@@ -166,7 +167,7 @@ def test_fourier_coefficients_complex_integrand_picks_its_frequency():
 def test_fourier_coefficients_breakpoints_at_kinks():
     kinks = (0.0, 0.3137, 0.5521, 1.0)   # off every panel grid used
     f = lambda t: np.interp(t, kinks, [1.0, 2.0, 0.5, 1.5]) + 0j
-    res = fourier_coefficients(f, 25, 1e-12, breakpoints=kinks)
+    res = fourier_coefficients(f, np.arange(26), 1e-12, breakpoints=kinks)
     assert res.converged
     for k in (0, 1, 7, 25):
         ref = oscillatory_integral(lambda t: f(t) * np.exp(-2j * np.pi * k * t),
@@ -177,7 +178,7 @@ def test_fourier_coefficients_breakpoints_at_kinks():
 def test_fourier_coefficients_stop_at_max_evals(monkeypatch):
     monkeypatch.setattr(quadrature, "_FOURIER_MAX_EVALS", 100)
     f = lambda t: np.exp(-1.0 / np.maximum(t, 1e-300)) + 0j
-    res = fourier_coefficients(f, 3, 1e-14)
+    res = fourier_coefficients(f, np.arange(4), 1e-14)
     assert not res.converged
     assert res.evaluations == 6 * 15   # one round: 6 panels, none halved
     assert res.abs_error_estimate.max() > 1e-14
@@ -186,13 +187,29 @@ def test_fourier_coefficients_stop_at_max_evals(monkeypatch):
 def test_fourier_coefficients_refine_only_the_boundary_layer():
     # exp(-c/t) turns on within about c of 0; only panels there are halved
     f = lambda t: np.exp(-1e-4 / np.maximum(t, 1e-300)) + 0j
-    res = fourier_coefficients(f, 17, 1e-12)
+    res = fourier_coefficients(f, np.arange(18), 1e-12)
     assert res.converged
     assert res.evaluations < 100 * 15
 
 
+def test_fourier_coefficients_any_real_frequencies():
+    # int_a^b t exp(-c t) dt with c = 2 pi i nu, for frequencies that are
+    # negative, fractional or zero, on an interval left of the origin
+    nu = np.array([-2.5, 0.0, 0.3, 7.25, -0.01])
+    a, b = -3.0, 0.5
+    res = fourier_coefficients(lambda t: t + 0j, nu, 1e-13, breakpoints=(a, b))
+    c = 2j * np.pi * nu[nu != 0]
+    prim = lambda t: -np.exp(-c * t) * (c * t + 1.0) / c ** 2
+    exact = np.full(nu.size, 0.5 * (b * b - a * a), dtype=np.complex128)
+    exact[nu != 0] = prim(b) - prim(a)
+    assert res.converged
+    assert np.all(np.abs(res.value - exact) <= 1e-13)
+
+
 def test_fourier_coefficients_invalid_input():
+    f = lambda t: t + 0j
+    for freqs in (3, np.arange(0), np.ones((2, 2)), [0.0, np.nan]):
+        with pytest.raises(ValueError):
+            fourier_coefficients(f, freqs, 1e-8)
     with pytest.raises(ValueError):
-        fourier_coefficients(lambda t: t + 0j, -1, 1e-8)
-    with pytest.raises(ValueError):
-        fourier_coefficients(lambda t: t + 0j, 3, 1e-8, breakpoints=(0.5, 0.5))
+        fourier_coefficients(f, np.arange(4), 1e-8, breakpoints=(0.5, 0.5))
