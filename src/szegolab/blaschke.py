@@ -17,7 +17,7 @@ import numpy as np
 from ._accel import boundary_product, interior_log_product
 from .frequency_sets import FrequencySet, sqrt_sum_diagnostic
 from .quadrature import (QuadratureResult, fourier_coefficients,
-                         integrate_left_halfline, oscillatory_integral)
+                         integrate_left_halfline, oscillatory_integral, require)
 
 __all__ = [
     "BlaschkeAnnihilator",
@@ -134,17 +134,9 @@ def eval_g(j, t):
     return vals
 
 
-def _require(res, what):
-    """Raise ArithmeticError, naming what was integrated, unless res
-    converged."""
-    if not res.converged:
-        raise ArithmeticError(
-            f"{what}: quadrature did not converge "
-            f"(error {res.abs_error_estimate:.2e})")
-
-
 def g_l1_norm(j, tol=1e-8):
     res = integrate_left_halfline(lambda u: np.abs(j(u)) + 0j, 2.0, tol)
+    require(res, "L1 norm of g")
     return res.value.real, res.abs_error_estimate
 
 
@@ -157,7 +149,7 @@ def gamma_vanishing_residual(j, gamma_value, tol=1e-6):
     if retained.size == 0:
         raise ValueError("empty product has no vanishing frequencies")
     res = integrate_left_halfline(lambda u: j(u) / (u - gamma_value), 2.0, tol)
-    _require(res, f"Cauchy transform of g at {gamma_value}")
+    require(res, f"Cauchy transform of g at {gamma_value}")
     return abs(res.value), res.abs_error_estimate
 
 
@@ -168,6 +160,7 @@ def cauchy_identity_residual(ann, j, z, tol=1e-6):
         raise ValueError("identity is checked at moderate |z| (<= 1e3)")
     phi_val, _ = eval_phi(ann, z)
     res = integrate_left_halfline(lambda u: j(u) / (u - z), 2.0, tol)
+    require(res, f"Cauchy integral of g at z={z}")
     cauchy = res.value / (2j * np.pi)
     floor = 1e-14
     return abs(phi_val - cauchy) / (abs(phi_val) + floor)
@@ -261,13 +254,13 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
     direct_res = oscillatory_integral(
         lambda s: np.exp(2j * np.pi * q * (t - s)) * g_of(s), q, 0.0, t,
         tol * 0.5, max_evals=30_000)
-    _require(direct_res, "convolution route direct")
+    require(direct_res, "convolution route direct")
     direct = direct_res.value
     direct_err = direct_res.abs_error_estimate + g_err * t
 
     diff_res = integrate_left_halfline(
         lambda u: _exp_diff_quotient(u, q, t) * j(u), 2.0, tol * 0.1)
-    _require(diff_res, "convolution route difference_form")
+    require(diff_res, "convolution route difference_form")
     difference_form = diff_res.value / (2j * np.pi)
 
     values = {"direct": direct, "difference_form": difference_form}
@@ -276,7 +269,7 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
     if np.any(np.isclose(j.annihilator.retained, q)):
         red_res = integrate_left_halfline(
             lambda u: np.exp(2j * np.pi * u * t) / (u - q) * j(u), 2.0, tol * 0.1)
-        _require(red_res, "convolution route reduced")
+        require(red_res, "convolution route reduced")
         values["reduced"] = red_res.value / (2j * np.pi)
         errors["reduced"] = red_res.abs_error_estimate
 

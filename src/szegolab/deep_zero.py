@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import sine_series
-from .quadrature import QuadratureResult, integrate_finite, oscillatory_integral
+from .quadrature import (QuadratureResult, integrate_finite,
+                         oscillatory_integral, require)
 
 __all__ = [
     "SERIES_SWITCHOVER",
@@ -58,7 +59,11 @@ def eval_F(w):
     if small.any():
         out[small] = _F_series(w[small])
     if (~small).any():
-        out[~small] = np.cos(0.5 * np.pi * np.sqrt(w[~small]))
+        # far out on the negative axis cosh(pi sqrt|w|/2) overflows to inf,
+        # its correct IEEE limit: the quotients that divide by it (the
+        # series coefficients among them) underflow to +-0 as they should
+        with np.errstate(over="ignore"):
+            out[~small] = np.cos(0.5 * np.pi * np.sqrt(w[~small]))
     return out[0] if scalar else out
 
 
@@ -290,6 +295,14 @@ def membership_check(series, w, tol=1e-8, grid_points=256):
     numerical integral therefore stops at that crossing and the true
     contribution of the remaining sliver is bounded analytically from the
     envelope; an envelope that 1/w outruns means genuine non-membership.
+
+    The package's quadrature rule: a caller asks for no finer a tolerance
+    than its dominant analytic error term, and an integral that still does
+    not converge raises ArithmeticError (the CLI exits 3).  Here that
+    tolerance is max(tol, 1e-3 * sliver bound); a finer request only
+    chases the integrand's rounding floor, which stalls the error
+    estimate, while the returned error, quadrature error plus sliver
+    bound, would not improve.  Returns (value, error).
     """
     if series.coeffs.size == 0:
         return 0.0, 0.0
@@ -333,5 +346,7 @@ def membership_check(series, w, tol=1e-8, grid_points=256):
             f"integrand grows without bound toward t={grid[0]:.3e} "
             f"(value {head[0]:.3e})")
 
-    res = integrate_finite(integrand, t_cut, 1.0, tol, singular_ends=("a", "b"))
+    res = integrate_finite(integrand, t_cut, 1.0, max(tol, 1e-3 * sliver),
+                           singular_ends=("a", "b"))
+    require(res, f"weighted energy of H on ({t_cut:.3g}, 1)")
     return res.value.real, res.abs_error_estimate + sliver

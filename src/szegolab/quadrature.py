@@ -16,6 +16,7 @@ __all__ = [
     "integrate_finite",
     "integrate_left_halfline",
     "oscillatory_integral",
+    "require",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the QUADPACK qk15
@@ -71,6 +72,15 @@ class QuadratureResult:
             self.evaluations + other.evaluations,
             self.converged and other.converged,
         )
+
+
+def require(res, what):
+    """Raise ArithmeticError, naming what was integrated and the error it
+    reached, unless res converged.  The CLI maps the error to exit 3."""
+    if not res.converged:
+        raise ArithmeticError(
+            f"{what}: quadrature did not converge "
+            f"(error {res.abs_error_estimate:.2e})")
 
 
 def _gk15(y, half):
@@ -166,7 +176,8 @@ def integrate_left_halfline(f, decay_exponent, tol, max_evals=2_000_000):
 
     Uses u = -s/(1-s) to map onto [0, 1); the sliver beyond the map's
     resolution is covered by the declared algebraic tail bound, which is
-    added to the error estimate.
+    added to the error estimate; converged means that the total, tail
+    included, is within tol.
     """
     p = float(decay_exponent)
     if p <= 1:
@@ -184,8 +195,9 @@ def integrate_left_halfline(f, decay_exponent, tol, max_evals=2_000_000):
     tail = 2.0 * m_est / ((p - 1.0) * (1.0 + cap) ** (p - 1.0))
 
     res = integrate_finite(transformed, 0.0, s_max, tol, max_evals=max_evals)
-    return QuadratureResult(res.value, res.abs_error_estimate + tail,
-                            res.evaluations + probes.size, res.converged)
+    error = res.abs_error_estimate + tail
+    return QuadratureResult(res.value, error, res.evaluations + probes.size,
+                            error <= tol)
 
 
 def oscillatory_integral(f, omega, a, b, tol, max_evals=2_000_000):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import integrate_finite
+from .quadrature import integrate_finite, require
 
 __all__ = [
     "Weight",
@@ -113,9 +113,7 @@ def log_integral(w, eps, tol=1e-10):
     if closed is not None:
         return closed
     res = integrate_finite(lambda t: np.log(w(t)) + 0j, eps, 1.0, tol)
-    if not res.converged:
-        raise ArithmeticError(
-            f"log-integral quadrature achieved only {res.abs_error_estimate:.2e}")
+    require(res, f"integral of log w over ({eps:g}, 1)")
     return res.value.real
 
 
@@ -196,12 +194,15 @@ def jensen_diagnostic(phi, w, eps, tol=1e-10):
             lg = 2.0 * np.log(np.maximum(a, 1e-300)) - np.log(w(t))
         return lg + 0j
 
-    log_part = integrate_finite(log_integrand, eps, 1.0, tol).value.real
+    log_res = integrate_finite(log_integrand, eps, 1.0, tol)
+    require(log_res, "Jensen log part, integral of log(|phi|^2/w)")
+    log_part = log_res.value.real
     lhs = math.exp(log_part / length) if log_part > -700 * length else 0.0
 
     def ratio(t):
         a = np.abs(np.asarray(phi(t), dtype=np.complex128))
         return a * a / w(t) + 0j
 
-    rhs = integrate_finite(ratio, eps, 1.0, tol).value.real / length
-    return lhs, rhs
+    ratio_res = integrate_finite(ratio, eps, 1.0, tol)
+    require(ratio_res, "Jensen ratio part, integral of |phi|^2/w")
+    return lhs, ratio_res.value.real / length

@@ -283,6 +283,25 @@ def test_convolution_raises_on_an_unconverged_route(jump, monkeypatch, route):
         convolution_identity_residual(jump, 1.0, 0.25, 1e-3)
 
 
+@pytest.mark.parametrize("call, what", [
+    (lambda ann, j: g_l1_norm(j, 1e-8), "L1 norm of g"),
+    (lambda ann, j: cauchy_identity_residual(ann, j, 1j, 1e-6),
+     "Cauchy integral of g"),
+], ids=["g_l1_norm", "cauchy_identity_residual"])
+def test_halfline_callers_raise_when_unconverged(ann, jump, monkeypatch, call,
+                                                  what):
+    real = blaschke.integrate_left_halfline
+
+    def unconverged(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return QuadratureResult(res.value, res.abs_error_estimate,
+                                res.evaluations, False)
+
+    monkeypatch.setattr(blaschke, "integrate_left_halfline", unconverged)
+    with pytest.raises(ArithmeticError, match=what):
+        call(ann, jump)
+
+
 def test_convolution_t_range_guard(jump):
     with pytest.raises(ValueError):
         convolution_identity_residual(jump, 0.0, 3.0)

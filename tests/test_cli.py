@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from szegolab import deep_zero, quadrature
 from szegolab.cli import main, validate_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -277,6 +278,22 @@ def test_tolerance_failure_exit_code(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert "error" in manifest["summary"]
+
+
+def test_unconverged_membership_exits_3(tmp_path, capsys, monkeypatch):
+    def unconverged(*args, **kw):
+        res = quadrature.integrate_finite(*args, **kw)
+        return quadrature.QuadratureResult(res.value, res.abs_error_estimate,
+                                           res.evaluations, False)
+
+    monkeypatch.delenv("SZEGO_TOL", raising=False)
+    monkeypatch.setattr(deep_zero, "integrate_finite", unconverged)
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIGS / "probe.json"), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "did not converge" in err
+    assert "Traceback" not in err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 
 def test_manifest_written_before_data(tmp_path):

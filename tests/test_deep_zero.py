@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from szegolab import deep_zero
+from szegolab import deep_zero, quadrature
 from szegolab.deep_zero import (SINGULARITY_DELTA, DeepZeroSeries, decay_fit,
                                 estimate_envelope_constants, eval_F,
                                 eval_F_prime, eval_h, eval_h_raw,
@@ -153,6 +154,22 @@ def test_eval_h_matches_the_loop_bit_for_bit():
         assert eval_h(zi) == _eval_h_loop(zi)[0]
 
 
+def test_coefficients_quiet_and_finite_for_large_M():
+    # from k = 226 on, cosh(pi(2k+1)/2) overflows to inf and the coefficient
+    # underflows to 0, its correct limit; neither may warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = DeepZeroSeries.build(0, 2000).coeffs
+        small = DeepZeroSeries.build(0, 300).coeffs
+    assert np.all(np.isfinite(big))
+    assert np.array_equal(big[:301], small)
+    assert np.all(big[226:] == 0.0)
+    for k in (0, 100, 200, 225, 226, 2000):
+        n = 2 * k + 1
+        ref = float(-(-1) ** k * 4 * n / mpmath.cosh(mpmath.pi * n / 2))
+        assert abs(big[k] - ref) <= 1e-10 * abs(ref) + 1e-300, k
+
+
 def test_series_coefficients_decay():
     coeffs = series_coefficients(0, 8)
     mags = np.abs(coeffs)
@@ -222,10 +239,13 @@ def test_membership_parseval(s20):
     assert abs(value - ref) <= err + 1e-8 * ref
 
 
+def _companion(series, factor):
+    fit = decay_fit(series, 1.0 / np.linspace(5.0, 50.0, 20))
+    return make_exp_weight(2.0 * factor * fit.c2)
+
+
 def test_membership_companion_weight(s20):
-    fit = decay_fit(s20, 1.0 / np.linspace(5.0, 50.0, 20))
-    w = make_exp_weight(2.0 * 0.9 * fit.c2)
-    value, err = membership_check(s20, w, 1e-8)
+    value, err = membership_check(s20, _companion(s20, 0.9), 1e-8)
     assert np.isfinite(value) and value > 0
     assert err < 1e-2 * value
 
@@ -238,3 +258,41 @@ def test_membership_incompatible_weight_raises(s20):
 def test_membership_empty_series():
     empty = DeepZeroSeries(0, -1, np.array([]), np.array([]), 0.0)
     assert membership_check(empty, make_constant_weight(1.0)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("factor", [0.9, 0.95, 0.99])
+def test_membership_converges_at_the_sliver_tolerance(s20, monkeypatch, factor):
+    """At tol=1e-13 the integrand's rounding floor is out of reach; the
+    quadrature asks for what the sliver bound allows and converges fast.
+    A reference at tol 1e-7 on the same integrand agrees within both
+    quadrature error estimates."""
+    calls = []
+
+    def recording(f, a, b, tol, **kw):
+        res = quadrature.integrate_finite(f, a, b, tol, **kw)
+        ref = quadrature.integrate_finite(f, a, b, 1e-7, **kw)
+        calls.append((res, ref))
+        return res
+
+    monkeypatch.setattr(deep_zero, "integrate_finite", recording)
+    w = _companion(s20, factor)
+    value, err = membership_check(s20, w, 1e-13)
+    (res, ref), = calls
+    assert res.converged and res.evaluations <= 20_000
+    assert ref.converged
+    assert abs(res.value - ref.value) <= (res.abs_error_estimate
+                                          + ref.abs_error_estimate)
+    assert value == res.value.real
+    coarse, _ = membership_check(s20, w, 1e-8)
+    assert abs(value - coarse) <= err
+
+
+def test_membership_unconverged_raises(s20, monkeypatch):
+    def unconverged(*args, **kw):
+        res = quadrature.integrate_finite(*args, **kw)
+        return quadrature.QuadratureResult(res.value, res.abs_error_estimate,
+                                           res.evaluations, False)
+
+    monkeypatch.setattr(deep_zero, "integrate_finite", unconverged)
+    with pytest.raises(ArithmeticError, match="weighted energy"):
+        membership_check(s20, _companion(s20, 0.9), 1e-8)

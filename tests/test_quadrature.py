@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import szegolab.quadrature as quadrature
-from szegolab.quadrature import (_WG, _WK, _XK, fourier_coefficients,
-                                 integrate_finite, integrate_left_halfline,
-                                 oscillatory_integral)
+from szegolab.quadrature import (_WG, _WK, _XK, QuadratureResult,
+                                 fourier_coefficients, integrate_finite,
+                                 integrate_left_halfline,
+                                 oscillatory_integral, require)
 
 
 def test_gk15_constants_full_precision():
@@ -48,6 +49,23 @@ def test_halfline_algebraic():
     res = integrate_left_halfline(lambda u: 1.0 / (1 + np.abs(u)) ** 2 + 0j,
                                   2.0, 1e-10)
     assert abs(res.value - 1.0) < 1e-8
+
+
+def test_require_names_the_integral_and_its_error():
+    require(QuadratureResult(1.0, 1e-9, 15, True), "ok")
+    with pytest.raises(ArithmeticError, match=r"energy of x.*2\.50e-03"):
+        require(QuadratureResult(1.0, 2.5e-3, 15, False), "energy of x")
+
+
+def test_halfline_converged_counts_the_tail():
+    # int_{-inf}^0 (1+|u|)^-1.5 du = 2; beyond the map's reach the algebraic
+    # tail bound is about 4e-6, and converged must cover it too
+    f = lambda u: 1.0 / (1.0 + np.abs(u)) ** 1.5 + 0j
+    loose = integrate_left_halfline(f, 1.5, 1e-4)
+    assert loose.converged
+    assert abs(loose.value - 2.0) <= loose.abs_error_estimate
+    tight = integrate_left_halfline(f, 1.5, 1e-5)
+    assert tight.abs_error_estimate > 1e-5 and not tight.converged
 
 
 def test_halfline_jump_envelope_closed_form():

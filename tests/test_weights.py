@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from szegolab import quadrature, weights
 from szegolab.weights import (Weight, jensen_diagnostic, log_integral,
                               make_constant_weight, make_exp_weight,
                               make_tabulated_weight, validate_condition_A)
@@ -100,6 +101,24 @@ def test_jensen_vanishing_phi():
     lhs, rhs = jensen_diagnostic(lambda t: np.zeros_like(t) + 0j, w, 0.1)
     assert lhs == 0.0
     assert rhs < 1e-12
+
+
+@pytest.mark.parametrize("bad_call, side", [(0, "log part"),
+                                             (1, "ratio part")])
+def test_jensen_unconverged_side_raises(monkeypatch, bad_call, side):
+    calls = []
+
+    def flaky(*args, **kw):
+        res = quadrature.integrate_finite(*args, **kw)
+        calls.append(res)
+        return quadrature.QuadratureResult(
+            res.value, res.abs_error_estimate, res.evaluations,
+            len(calls) - 1 != bad_call)
+
+    monkeypatch.setattr(weights, "integrate_finite", flaky)
+    w = make_constant_weight(1.0)
+    with pytest.raises(ArithmeticError, match=side):
+        jensen_diagnostic(lambda t: np.ones_like(t) + 0j, w, 0.25)
 
 
 def test_descriptor_roundtrip():
