@@ -9,22 +9,21 @@ measure completeness residuals in weighted L2 on the circle.
 
 from .blaschke import (BlaschkeAnnihilator, JumpFunction,
                        cauchy_identity_residual, compute_G,
-                       convolution_identity_residual, eval_g, eval_phi,
+                       convolution_identity_residual, eval_phi,
                        eval_phi_boundary, g_l1_norm, gamma_vanishing_residual)
-from .deep_zero import (DeepZeroSeries, decay_fit, estimate_envelope_constants,
-                        eval_F, eval_h, eval_H_integral, eval_H_series,
-                        membership_check, series_coefficients)
+from .deep_zero import (DeepZeroSeries, decay_fit, eval_F, eval_h,
+                        eval_H_integral, eval_H_series, membership_check,
+                        series_coefficients)
 from .frequency_sets import (FrequencySet, complement_in_range,
                              condition_B_check, gen_interval_blocks,
                              gen_power_set, primes_upto, sqrt_sum_diagnostic,
                              thin_to_condition_B)
 from .probe import (AnnihilatorTarget, ProbeConfig, ResidualCurve,
-                    SampledTarget, TrigPolyTarget, annihilator_test,
-                    convolution_stability_check, gram_matrix, residual_curve,
+                    TrigPolyTarget, gram_matrix, residual_curve,
                     weight_fourier_coeff, weighted_residual)
 from .quadrature import (QuadratureResult, integrate_finite,
                          integrate_left_halfline, oscillatory_integral)
-from .weights import (Weight, jensen_diagnostic, log_integral, make_exp_weight,
+from .weights import (Weight, log_integral, make_exp_weight,
                       make_constant_weight, make_tabulated_weight,
                       validate_condition_A)
 
@@ -33,20 +32,18 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BlaschkeAnnihilator", "JumpFunction", "cauchy_identity_residual",
-    "compute_G", "convolution_identity_residual", "eval_g", "eval_phi",
+    "compute_G", "convolution_identity_residual", "eval_phi",
     "eval_phi_boundary", "g_l1_norm", "gamma_vanishing_residual",
-    "DeepZeroSeries", "decay_fit", "estimate_envelope_constants", "eval_F",
-    "eval_h", "eval_H_integral", "eval_H_series", "membership_check",
-    "series_coefficients",
+    "DeepZeroSeries", "decay_fit", "eval_F", "eval_h", "eval_H_integral",
+    "eval_H_series", "membership_check", "series_coefficients",
     "FrequencySet", "complement_in_range", "condition_B_check",
     "gen_interval_blocks", "gen_power_set", "primes_upto",
     "sqrt_sum_diagnostic", "thin_to_condition_B",
-    "AnnihilatorTarget", "ProbeConfig", "ResidualCurve", "SampledTarget",
-    "TrigPolyTarget", "annihilator_test", "convolution_stability_check",
+    "AnnihilatorTarget", "ProbeConfig", "ResidualCurve", "TrigPolyTarget",
     "gram_matrix", "residual_curve", "weight_fourier_coeff",
     "weighted_residual",
     "QuadratureResult", "integrate_finite", "integrate_left_halfline",
     "oscillatory_integral",
-    "Weight", "jensen_diagnostic", "log_integral", "make_exp_weight",
+    "Weight", "log_integral", "make_exp_weight",
     "make_constant_weight", "make_tabulated_weight", "validate_condition_A",
 ]

@@ -24,7 +24,6 @@ __all__ = [
     "JumpFunction",
     "eval_phi",
     "eval_phi_boundary",
-    "eval_g",
     "g_l1_norm",
     "gamma_vanishing_residual",
     "cauchy_identity_residual",
@@ -121,15 +120,6 @@ def eval_phi_boundary(ann, t):
         raise ValueError("boundary values live on t <= 0")
     vals = boundary_product(-t, ann.retained)
     if t.size == 1:
-        return vals[0]
-    return vals
-
-
-def eval_g(j, t):
-    """Jump across the slit; zero on [0, inf)."""
-    t = np.asarray(t, dtype=np.float64)
-    vals = j(t)
-    if t.ndim == 0:
         return vals[0]
     return vals
 

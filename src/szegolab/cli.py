@@ -514,7 +514,7 @@ def _report_lines(manifest):
                      f"correlation={s['correlation']:.6g} "
                      f"(M={s['M']}, k_min={s['k_min']})")
     if kind == "probe" and "min_ratio" in s:
-        lines.append(f"annihilator flatness min ratio: {s['min_ratio']:.6g}")
+        lines.append(f"min residual ratio: {s['min_ratio']:.6g}")
         lines.append(f"final residual: {s['final_residual']:.6g}")
     if kind == "sets" and "verdict" in s:
         gen = s.get("generator", "")

@@ -29,8 +29,6 @@ __all__ = [
     "eval_H_integral",
     "DecayFit",
     "decay_fit",
-    "EnvelopeReport",
-    "estimate_envelope_constants",
     "membership_check",
 ]
 
@@ -233,56 +231,6 @@ def decay_fit(series, t_grid, abscissa="inv_t"):
     corr = float(np.corrcoef(x, y)[0, 1])
     return DecayFit(c1=float(np.exp(intercept)), c2=float(-slope),
                     correlation=corr, n_used=int(keep.sum()), abscissa=abscissa)
-
-
-@dataclass
-class EnvelopeReport:
-    c_amplitude: float
-    c_decay: float
-    max_ratio_upper: float
-    max_ratio_lower: float | None
-
-
-def estimate_envelope_constants(xy_grid, delta=SINGULARITY_DELTA):
-    """Fit constants for |h(x+iy)| <= C e^{-c sqrt(y)}/(1+x^2), y >= 0, and
-    check the lower-half-plane analogue with the extra e^{2 pi |y|} factor.
-
-    Grid points within delta of a singular point are rejected.
-    """
-    pts = np.asarray(xy_grid, dtype=np.float64)
-    zs = pts[:, 0] + 1j * pts[:, 1]
-    ax = np.abs(pts[:, 0])
-    inside = (pts[:, 1] == 0) & (np.abs(ax - _nearest_odd_square(ax)) < delta)
-    if inside.any():
-        x, y = pts[np.argmax(inside)]
-        raise ValueError(
-            f"grid point ({x},{y}) inside a singular neighborhood")
-    vals = np.abs(eval_h(zs))
-    q = vals * (1.0 + pts[:, 0] ** 2)
-
-    upper = pts[:, 1] >= 0
-    # decay rate from the imaginary axis trend (or all upper points)
-    up = pts[upper]
-    qu = q[upper]
-    ys = np.sqrt(up[:, 1])
-    pos = (up[:, 1] > 0) & (qu > 1e-300)
-    if pos.sum() >= 2:
-        A = np.vstack([ys[pos], np.ones(int(pos.sum()))]).T
-        (slope, _), *_ = np.linalg.lstsq(A, np.log(qu[pos]), rcond=None)
-        c_decay = max(-float(slope), 0.0)
-    else:
-        c_decay = 0.0
-    c_amp = float(np.max(qu * np.exp(c_decay * ys)))
-    max_up = float(np.max(qu * np.exp(c_decay * ys) / c_amp))
-
-    lower = ~upper
-    max_low = None
-    if lower.any():
-        yl = np.abs(pts[lower, 1])
-        envelope = c_amp * np.exp(2.0 * np.pi * yl - c_decay * np.sqrt(yl))
-        max_low = float(np.max(q[lower] / envelope))
-    return EnvelopeReport(c_amplitude=c_amp, c_decay=c_decay,
-                          max_ratio_upper=max_up, max_ratio_lower=max_low)
 
 
 def membership_check(series, w, tol=1e-8, grid_points=256):

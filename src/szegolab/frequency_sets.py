@@ -62,13 +62,6 @@ class FrequencySet:
     def array(self):
         return np.asarray(self.elements, dtype=np.float64)
 
-    @property
-    def gap(self):
-        """Uniform discreteness gap; inf for a singleton."""
-        if len(self.elements) < 2:
-            return math.inf
-        return min(b - a for a, b in zip(self.elements, self.elements[1:]))
-
     def sqrt_sum_tail(self):
         """Analytic bound on sum of gamma^(-1/2) past the generated range.
 

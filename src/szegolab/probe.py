@@ -13,14 +13,15 @@ leading block A[:n,:n], whose Cholesky factor is L[:n,:n]; with y = L^-1 b
 the squared projection norm is the partial sum of |y|^2 up to n.  The
 condition estimate is lambda_max/lambda_min of the floored leading block.
 
-The Gram matrix is indexed from one vector w-hat(0..K) of the weight's
-Fourier coefficients.  One batched quadrature computes the whole vector
+A curve computes one vector w-hat(0..K) of the weight's Fourier
+coefficients and passes it to the target (norm and inner products) and to
+the Gram matrix, which read it through one conjugate-symmetric indexing
+helper.  One batched quadrature computes the whole vector
 (quadrature.fourier_coefficients): w is sampled once on a composite
 Gauss-Kronrod 7/15 rule with panels no wider than half a period of lag K,
 split at the weight's breakpoints and halved where they miss their share of
 the tolerance, and each lag gets its own error estimate; a lag that misses
-the tolerance raises ArithmeticError.  The weight caches one vector per
-tolerance and lengthens it when a larger lag is asked for.
+the tolerance raises ArithmeticError.
 """
 
 import hashlib
@@ -30,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deep_zero import eval_H_series, membership_check
+from .deep_zero import membership_check
 from .frequency_sets import complement_in_range
-from .quadrature import (fourier_coefficients, integrate_finite,
-                         oscillatory_integral)
+from .quadrature import fourier_coefficients
 
 __all__ = [
     "weight_fourier_coeff",
@@ -41,66 +41,68 @@ __all__ = [
     "gram_matrix",
     "TrigPolyTarget",
     "AnnihilatorTarget",
-    "SampledTarget",
     "weighted_residual",
     "ProbeConfig",
     "ResidualCurve",
     "residual_curve",
-    "annihilator_test",
-    "convolution_stability_check",
 ]
 
 
 def weight_fourier_coeffs(w, K, tol=1e-12):
-    """The weight's Fourier coefficients w-hat(0..K) as one read-only vector.
+    """The weight's Fourier coefficients w-hat(0..K) as a fresh vector.
 
     A constant weight has them in closed form.  Otherwise one batched
     quadrature (fourier_coefficients) samples w once per node, with w's
     breakpoints as panel edges, and a lag whose error estimate exceeds tol
-    raises.  w._fourier_cache holds one vector per tol; a larger K computes
-    a longer one and keeps the entries already reported.
+    raises.
     """
     K = int(K)
-    have = w._fourier_cache.get(tol)
-    if have is not None and have.size > K:
-        return have[:K + 1]
     if w.kind == "constant":
-        fresh = np.zeros(K + 1, dtype=np.complex128)
-        fresh[0] = w.v
-    else:
-        res = fourier_coefficients(w, np.arange(K + 1), tol, w.breakpoints)
-        if not res.converged:
-            k = int(np.argmax(res.abs_error_estimate))
-            raise ArithmeticError(
-                f"weight coefficient k={k} reached only "
-                f"{res.abs_error_estimate[k]:.2e}")
-        fresh = res.value
-    if have is not None:
-        fresh[:have.size] = have
-    fresh.flags.writeable = False
-    w._fourier_cache[tol] = fresh
-    return fresh
+        what = np.zeros(K + 1, dtype=np.complex128)
+        what[0] = w.v
+        return what
+    res = fourier_coefficients(w, np.arange(K + 1), tol, w.breakpoints)
+    if not res.converged:
+        k = int(np.argmax(res.abs_error_estimate))
+        raise ArithmeticError(
+            f"weight coefficient k={k} reached only "
+            f"{res.abs_error_estimate[k]:.2e}")
+    return res.value
+
+
+def _at_lags(what, d):
+    """w-hat at the integer lags d (an array), from what = w-hat(0..K):
+    what[|d|], conjugated where d < 0 (w is real)."""
+    d = np.asarray(d, dtype=np.int64)
+    out = what[np.abs(d)]
+    np.conjugate(out, out=out, where=d < 0)
+    return out
 
 
 def weight_fourier_coeff(w, k, tol=1e-12):
-    """Fourier coefficient of the weight, conjugate-symmetric by construction;
-    an entry of weight_fourier_coeffs(w, |k|)."""
+    """Fourier coefficient w-hat(k) of the weight, k of either sign."""
     k = int(k)
-    value = complex(weight_fourier_coeffs(w, abs(k), tol)[abs(k)])
-    return value.conjugate() if k < 0 else value
+    return complex(_at_lags(weight_fourier_coeffs(w, abs(k), tol), [k])[0])
+
+
+def _max_lag(freqs):
+    """Largest lag between two of the int array freqs; 0 when empty."""
+    return int(np.ptp(freqs)) if freqs.size else 0
+
+
+def _gram(freqs, what):
+    """G[m][n] = <e_n, e_m>_w = w-hat(freqs[m] - freqs[n]), freqs an int
+    array of distinct frequencies."""
+    if np.unique(freqs).size != freqs.size:
+        raise ValueError("frequencies must be distinct")
+    return _at_lags(what, freqs[:, None] - freqs[None, :])
 
 
 def gram_matrix(freqs, w, tol=1e-12):
-    """G[m][n] = <e_n, e_m>_w = w-hat(freqs[m] - freqs[n]); Hermitian Toeplitz
-    in the coefficient index, filled by indexing one coefficient vector."""
+    """Hermitian Toeplitz Gram matrix of the exponentials e_f, f in freqs,
+    indexed from one coefficient vector."""
     f = np.array(list(freqs), dtype=np.int64)
-    if np.unique(f).size != f.size:
-        raise ValueError("frequencies must be distinct")
-    d = f[:, None] - f[None, :]
-    lag = np.abs(d)
-    G = weight_fourier_coeffs(w, lag.max(initial=0), tol)[lag]
-    np.conjugate(G, out=G, where=d < 0)
-    return G
+    return _gram(f, weight_fourier_coeffs(w, _max_lag(f), tol))
 
 
 class TrigPolyTarget:
@@ -110,19 +112,24 @@ class TrigPolyTarget:
     def __init__(self, coeffs):
         self.coeffs = {int(k): complex(v) for k, v in coeffs.items()}
 
-    def inner(self, m, w, tol=1e-12):
-        return sum(a * weight_fourier_coeff(w, m - n, tol)
-                   for n, a in self.coeffs.items())
+    @property
+    def freqs(self):
+        """The target's own frequencies; a curve's coefficient vector
+        reaches every lag between them and the curve's frequencies."""
+        return list(self.coeffs)
 
-    def norm_sq(self, w, tol=1e-12):
-        total = 0.0j
-        for n, a in self.coeffs.items():
-            for l, b in self.coeffs.items():
-                total += a * np.conj(b) * weight_fourier_coeff(w, l - n, tol)
-        return float(total.real)
+    def inner(self, freqs, what):
+        """<f, e_m>_w = sum_n a_n w-hat(m - n) for every m in freqs."""
+        m = np.asarray(freqs, dtype=np.int64)
+        return sum(a * _at_lags(what, m - n) for n, a in self.coeffs.items())
 
-    def fourier_coeff(self, n):
-        return self.coeffs.get(int(n), 0.0j)
+    def norm_sq(self, what, w=None, tol=None):
+        """||f||_w^2 = sum over n, l of a_n conj(a_l) w-hat(l - n), summed
+        left to right in row order rather than by numpy's pairwise sum;
+        w and tol are not read."""
+        a = np.array(list(self.coeffs.values()))
+        terms = np.outer(a, a.conj()) * _gram(np.array(self.freqs), what).T
+        return float(sum(terms.ravel().tolist()).real)
 
     def digest_data(self):
         return {"kind": "trigpoly",
@@ -135,57 +142,29 @@ class AnnihilatorTarget:
     inner product against exponentials, which become plain coefficients
     of H: the series coefficient on +-(odd square), zero elsewhere."""
 
+    # no own frequencies: the inner products read no weight coefficients
+    freqs = ()
+
     def __init__(self, series):
         self.series = series
         self._spectrum = {int(f): complex(c)
                           for f, c in zip(series.freqs, series.coeffs)}
 
-    def inner(self, m, w, tol=1e-10):
-        m = int(m)
-        if m > 0:
-            return self._spectrum.get(m, 0.0j)
-        if m < 0:
-            return -self._spectrum.get(-m, 0.0j)
-        return 0.0j
+    def inner(self, freqs, what=None):
+        """<Phi, e_m>_w for every m in freqs; what is not read."""
+        m = np.asarray(freqs, dtype=np.int64)
+        c = np.array([self._spectrum.get(int(k), 0.0j) for k in np.abs(m)],
+                     dtype=np.complex128)
+        return np.where(m > 0, c, np.where(m < 0, -c, 0.0j))
 
-    def inner_quadrature(self, m, tol=1e-10):
-        """Same inner product by direct oscillatory quadrature of H."""
-        top = float(max(np.max(self.series.freqs), abs(m)))
-        res = oscillatory_integral(
-            lambda t: eval_H_series(self.series, t)
-            * np.exp(-2j * np.pi * m * t), top, 0.0, 1.0, tol)
-        return res.value
-
-    def norm_sq(self, w, tol=1e-8):
+    def norm_sq(self, what, w, tol):
+        """||Phi||_w^2 = int |H|^2 / w, by membership_check."""
         value, _ = membership_check(self.series, w, tol)
         return value
 
     def digest_data(self):
         return {"kind": "annihilator", "k_min": self.series.k_min,
                 "M": self.series.M}
-
-
-class SampledTarget:
-    """Target given by a vectorized callable on (0,1)."""
-
-    def __init__(self, f, label="sampled"):
-        self.f = f
-        self.label = label
-
-    def inner(self, m, w, tol=1e-10):
-        res = oscillatory_integral(
-            lambda t: np.asarray(self.f(t), dtype=np.complex128)
-            * np.exp(-2j * np.pi * m * t) * w(t), m, 0.0, 1.0, tol)
-        return res.value
-
-    def norm_sq(self, w, tol=1e-10):
-        res = integrate_finite(
-            lambda t: np.abs(np.asarray(self.f(t), dtype=np.complex128)) ** 2
-            * w(t) + 0j, 0.0, 1.0, tol)
-        return res.value.real
-
-    def digest_data(self):
-        return {"kind": "sampled", "label": self.label}
 
 
 @dataclass
@@ -218,18 +197,17 @@ def _prefix_residuals(target, freqs, w, floor, tol, sizes):
     coefficients solving L[:n,:n]^H c = y[:n].
     Returns (norm, [(residual, coeffs, cond) for each n]).
     """
-    # size the coefficient vector for every lag among freqs first, so that
-    # a TrigPolyTarget's inner products index it instead of computing a
-    # shorter one that the Gram matrix would compute again at full length;
-    # the Gram matrix itself waits until the target's norm quadrature has
-    # finished
-    if freqs:
-        weight_fourier_coeffs(w, max(freqs) - min(freqs), tol)
-    norm_sq = target.norm_sq(w, tol)
-    b = np.array([target.inner(m, w, tol) for m in freqs], dtype=np.complex128)
-    A = gram_matrix(freqs, w, tol)
+    f = np.array(freqs, dtype=np.int64)
+    # one coefficient vector covers every lag among the curve's and the
+    # target's frequencies; the Gram matrix waits until the target's norm
+    # quadrature has finished
+    lags = np.concatenate([f, np.array(target.freqs, dtype=np.int64)])
+    what = weight_fourier_coeffs(w, _max_lag(lags), tol)
+    norm_sq = target.norm_sq(what, w, tol)
+    b = target.inner(f, what)
+    A = _gram(f, what)
     if floor is None:
-        floor = 1e-10 * weight_fourier_coeff(w, 0, tol).real
+        floor = 1e-10 * what[0].real
     A[np.diag_indices_from(A)] += floor
     try:
         L = np.linalg.cholesky(A)
@@ -299,73 +277,3 @@ def residual_curve(config, N_list):
     records = [ResidualRecord(N, res, norm, cond, coeffs)
                for N, (res, coeffs, cond) in zip(N_list, rows)]
     return ResidualCurve(records, config.digest())
-
-
-@dataclass
-class AnnihilatorReport:
-    entries: list          # (n, value, expected, ok)
-    passed: bool
-
-
-def annihilator_test(series, w, n_range, tol=1e-10, zero_tol=1e-8):
-    """Check that the weighted inner products of Phi = H/w against e_n
-    reduce to coefficients of H: zero off the odd-square spectrum, the
-    series coefficient on it."""
-    target = AnnihilatorTarget(series)
-    spectrum = {int(f): c for f, c in zip(series.freqs, series.coeffs)}
-    entries = []
-    passed = True
-    for n in n_range:
-        n = int(n)
-        val = target.inner_quadrature(n, tol)
-        expected = complex(spectrum.get(abs(n), 0.0))
-        if n < 0:
-            expected = -expected
-        ok = abs(val - expected) < zero_tol
-        passed = passed and ok
-        entries.append((n, val, expected, ok))
-    return AnnihilatorReport(entries, passed)
-
-
-def convolution_stability_check(F, psi, w, tol=1e-6):
-    """Finiteness of the weighted energy of F * psi with the product bound
-    ||psi||^2 * double integral of |F|^2/w as the ceiling.
-
-    F and psi are vectorized callables supported in [0, infinity) and
-    (0,1) respectively; all functions are used on (0,1) only.
-    Returns (value, ceiling, within_ceiling).
-    """
-    psi_norm_sq = integrate_finite(
-        lambda s: np.abs(np.asarray(psi(s), dtype=np.complex128)) ** 2 + 0j,
-        0.0, 1.0, tol).value.real
-
-    def inner_energy(t_arr):
-        out = np.empty(t_arr.shape, dtype=np.complex128)
-        for i, t in enumerate(t_arr):
-            if t <= 0:
-                out[i] = 0.0
-                continue
-            r = integrate_finite(
-                lambda s: np.abs(np.asarray(F(s), dtype=np.complex128)) ** 2
-                / w(s) + 0j, 1e-12, t, tol)
-            out[i] = r.value
-        return out
-
-    ceiling = psi_norm_sq * integrate_finite(
-        inner_energy, 0.0, 1.0, max(tol, 1e-4)).value.real
-
-    def conv_sq_over_w(t_arr):
-        out = np.empty(t_arr.shape, dtype=np.complex128)
-        for i, t in enumerate(t_arr):
-            if t <= 1e-12:
-                out[i] = 0.0
-                continue
-            conv = integrate_finite(
-                lambda s: np.asarray(psi(t - s), dtype=np.complex128)
-                * np.asarray(F(s), dtype=np.complex128) + 0j,
-                0.0, t, tol).value
-            out[i] = abs(conv) ** 2 / float(w(np.array([t]))[0])
-        return out
-
-    value = integrate_finite(conv_sq_over_w, 0.0, 1.0, max(tol, 1e-4)).value.real
-    return value, ceiling, value <= ceiling * (1.0 + 1e-6)

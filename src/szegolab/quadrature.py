@@ -51,6 +51,9 @@ _MAX_ROUNDS = 80
 _FOURIER_BLOCK = 1 << 18
 # nodes fourier_coefficients evaluates at most, over all its rounds
 _FOURIER_MAX_EVALS = 2_000_000
+# integrand evaluations integrate_finite and integrate_left_halfline spend
+# at most; the adaptive loop stops once it has passed them
+_MAX_EVALS = 2_000_000
 
 
 @dataclass
@@ -152,7 +155,7 @@ def _adaptive(f, breakpoints, tol, max_evals):
                             total_err <= tol)
 
 
-def integrate_finite(f, a, b, tol, max_evals=2_000_000, singular_ends=()):
+def integrate_finite(f, a, b, tol, singular_ends=()):
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
     ``singular_ends`` names endpoints ('a' and/or 'b') with an integrable
@@ -168,16 +171,18 @@ def integrate_finite(f, a, b, tol, max_evals=2_000_000, singular_ends=()):
     if "b" in singular_ends:
         pts += [b - width * 10.0 ** (-k) for k in range(1, 9)]
     breakpoints = np.unique(np.asarray(pts, dtype=np.float64))
-    return _adaptive(f, breakpoints, tol, max_evals)
+    return _adaptive(f, breakpoints, tol, _MAX_EVALS)
 
 
-def integrate_left_halfline(f, decay_exponent, tol, max_evals=2_000_000):
+def integrate_left_halfline(f, decay_exponent, tol):
     """Integral of f over (-inf, 0] for f with |f(u)| <= M/(1+|u|)^p, p > 1.
 
     Uses u = -s/(1-s) to map onto [0, 1); the sliver beyond the map's
     resolution is covered by the declared algebraic tail bound, which is
     added to the error estimate; converged means that the total, tail
-    included, is within tol.
+    included, is within tol.  The tail is known first, so the quadrature is
+    asked for what it leaves of tol (all of tol when the tail alone exceeds
+    it; the result is then unconverged).
     """
     p = float(decay_exponent)
     if p <= 1:
@@ -194,7 +199,8 @@ def integrate_left_halfline(f, decay_exponent, tol, max_evals=2_000_000):
                          * (1.0 + np.abs(probes)) ** p))
     tail = 2.0 * m_est / ((p - 1.0) * (1.0 + cap) ** (p - 1.0))
 
-    res = integrate_finite(transformed, 0.0, s_max, tol, max_evals=max_evals)
+    res = integrate_finite(transformed, 0.0, s_max,
+                           tol - tail if tail < tol else tol)
     error = res.abs_error_estimate + tail
     return QuadratureResult(res.value, error, res.evaluations + probes.size,
                             error <= tol)

@@ -5,7 +5,6 @@ log-integral diverging at 0) is certified analytically when a closed form
 is available and reported as a trend otherwise.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -21,11 +20,10 @@ __all__ = [
     "make_tabulated_weight",
     "log_integral",
     "validate_condition_A",
-    "jensen_diagnostic",
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Weight:
     """Weight on (0,1): exp(-c/t), a constant, or monotone-interpolated samples."""
 
@@ -33,7 +31,6 @@ class Weight:
     c: float = 0.0
     v: float = 1.0
     samples: tuple = ()  # ((t, w), ...) for kind="tabulated"
-    _fourier_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -67,20 +64,6 @@ class Weight:
         if self.kind == "constant":
             return {"kind": "constant", "v": self.v}
         return {"kind": "tabulated", "samples": [list(s) for s in self.samples]}
-
-    def to_json(self):
-        return json.dumps(self.descriptor())
-
-    @classmethod
-    def from_descriptor(cls, d):
-        kind = d.get("kind")
-        if kind == "exp":
-            return make_exp_weight(float(d["c"]))
-        if kind == "constant":
-            return make_constant_weight(float(d["v"]))
-        if kind == "tabulated":
-            return make_tabulated_weight([tuple(s) for s in d["samples"]])
-        raise ValueError(f"unknown weight kind {kind!r}")
 
 
 def make_exp_weight(c):
@@ -175,34 +158,3 @@ def validate_condition_A(w, grid_size=64):
         diverges = all(d < 0 for d in drops) and li[-1][1] < li[0][1] - 1.0
     return ConditionAReport(positive, nondecreasing, bounded, diverges,
                             certified, li)
-
-
-def jensen_diagnostic(phi, w, eps, tol=1e-10):
-    """Convexity check: geometric vs arithmetic mean of |phi|^2/w on (eps,1).
-
-    Both sides use the normalized measure dt/(1-eps), so equality holds for
-    constants.  Returns (lhs, rhs) with lhs <= rhs up to tolerance; a phi
-    vanishing on a subinterval drives lhs to 0, which is valid.
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0,1)")
-    length = 1.0 - eps
-
-    def log_integrand(t):
-        a = np.abs(np.asarray(phi(t), dtype=np.complex128))
-        with np.errstate(divide="ignore"):
-            lg = 2.0 * np.log(np.maximum(a, 1e-300)) - np.log(w(t))
-        return lg + 0j
-
-    log_res = integrate_finite(log_integrand, eps, 1.0, tol)
-    require(log_res, "Jensen log part, integral of log(|phi|^2/w)")
-    log_part = log_res.value.real
-    lhs = math.exp(log_part / length) if log_part > -700 * length else 0.0
-
-    def ratio(t):
-        a = np.abs(np.asarray(phi(t), dtype=np.complex128))
-        return a * a / w(t) + 0j
-
-    ratio_res = integrate_finite(ratio, eps, 1.0, tol)
-    require(ratio_res, "Jensen ratio part, integral of |phi|^2/w")
-    return lhs, ratio_res.value.real / length

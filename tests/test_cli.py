@@ -231,6 +231,21 @@ def test_sets_run_and_report(tmp_path, capsys):
     assert "verdict: converges" in capsys.readouterr().out
 
 
+def test_trigpoly_probe_run_and_report(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {
+        "kind": "probe", "weight": {"kind": "exp", "c": 0.5},
+        "gamma": {"generator": "power", "rho": 3, "count": 10},
+        "target": {"kind": "trigpoly", "coeffs": {"2": [1.0, 0.0]}},
+        "N_list": [5, 10]})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert main(["report", str(out / "manifest.json")]) == 0
+    text = capsys.readouterr().out
+    assert f"min residual ratio: {summary['min_ratio']:.6g}" in text
+    assert "annihilator" not in text
+
+
 @pytest.mark.parametrize("content", [
     b'[1, 2]',
     b'{"kind": "sets", "outputs": []}',

@@ -7,8 +7,7 @@ import pytest
 
 from szegolab import deep_zero, quadrature
 from szegolab.deep_zero import (SINGULARITY_DELTA, DeepZeroSeries, decay_fit,
-                                estimate_envelope_constants, eval_F,
-                                eval_F_prime, eval_h, eval_h_raw,
+                                eval_F, eval_F_prime, eval_h, eval_h_raw,
                                 eval_H_integral, eval_H_series,
                                 membership_check, series_coefficients)
 from szegolab.weights import make_constant_weight, make_exp_weight
@@ -212,24 +211,6 @@ def test_decay_fit(s20):
 def test_decay_fit_needs_points(s20):
     with pytest.raises(ValueError):
         decay_fit(s20, np.array([0.1, 0.2]))
-
-
-def test_envelope_constants():
-    xs = np.array([x for x in np.linspace(-80, 80, 33) if
-                   min(abs(abs(x) - (2 * m + 1) ** 2) for m in range(5)) > 0.1])
-    grid = [(x, 0.0) for x in xs] + [(0.0, y) for y in np.linspace(1, 50, 12)]
-    grid += [(x, -4.0) for x in np.linspace(-20, 20, 9)]
-    rep = estimate_envelope_constants(np.array(grid))
-    assert rep.c_amplitude > 0
-    assert rep.max_ratio_upper <= 1.0 + 1e-9
-    # the amplitude constant is fitted on the upper half-plane only, so the
-    # lower-half ratio is bounded but not normalized to 1
-    assert rep.max_ratio_lower is not None and rep.max_ratio_lower < 100.0
-
-
-def test_envelope_rejects_singular_grid():
-    with pytest.raises(ValueError):
-        estimate_envelope_constants(np.array([(9.0, 0.0)]))
 
 
 def test_membership_parseval(s20):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,11 +64,14 @@ def test_halfline_converged_counts_the_tail():
     # int_{-inf}^0 (1+|u|)^-1.5 du = 2; beyond the map's reach the algebraic
     # tail bound is about 4e-6, and converged must cover it too
     f = lambda u: 1.0 / (1.0 + np.abs(u)) ** 1.5 + 0j
-    loose = integrate_left_halfline(f, 1.5, 1e-4)
-    assert loose.converged
-    assert abs(loose.value - 2.0) <= loose.abs_error_estimate
-    tight = integrate_left_halfline(f, 1.5, 1e-5)
-    assert tight.abs_error_estimate > 1e-5 and not tight.converged
+    for tol in (1e-4, 3e-5, 1e-5):
+        res = integrate_left_halfline(f, 1.5, tol)
+        assert res.converged
+        assert res.abs_error_estimate <= tol
+        assert abs(res.value - 2.0) <= res.abs_error_estimate
+    # a tol below the tail alone cannot be met
+    tight = integrate_left_halfline(f, 1.5, 2e-6)
+    assert tight.abs_error_estimate > 2e-6 and not tight.converged
 
 
 def test_halfline_jump_envelope_closed_form():
@@ -231,3 +237,42 @@ def test_fourier_coefficients_invalid_input():
             fourier_coefficients(f, freqs, 1e-8)
     with pytest.raises(ValueError):
         fourier_coefficients(f, np.arange(4), 1e-8, breakpoints=(0.5, 0.5))
+
+
+QUADRATURE_ENTRY_POINTS = {"integrate_finite", "oscillatory_integral",
+                           "integrate_left_halfline", "fourier_coefficients"}
+
+
+def unchecked_quadrature_callers(package_dir):
+    """Top-level functions and methods of the package's modules, quadrature
+    itself aside, that call a quadrature entry point but neither call
+    require, read .converged nor build a QuadratureResult; nested defs count
+    for the function that encloses them."""
+    found = []
+    for path in sorted(Path(package_dir).glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        units = [(node.name, node) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+        units += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for name, unit in units:
+            called, reads_converged = set(), False
+            for node in ast.walk(unit):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called.add(func.id if isinstance(func, ast.Name)
+                               else getattr(func, "attr", None))
+                elif isinstance(node, ast.Attribute):
+                    reads_converged |= node.attr == "converged"
+            if (called & QUADRATURE_ENTRY_POINTS and not reads_converged
+                    and not called & {"require", "QuadratureResult"}):
+                found.append(f"{path.name}:{name}")
+    return found
+
+
+def test_every_quadrature_result_is_checked():
+    # no unconverged integral is used silently: each caller checks its result
+    assert unchecked_quadrature_callers(Path(quadrature.__file__).parent) == []
