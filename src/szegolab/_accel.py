@@ -52,16 +52,19 @@ def interior_log_product(z, gammas):
 
 
 def sine_series(t, coeffs, freqs):
-    """Partial sum  sum_k coeffs[k]*sin(2*pi*freqs[k]*t)  on an array of t."""
+    """Partial sum  sum_k coeffs[k]*sin(2*pi*freqs[k]*t)  on an array of t.
+
+    Each point's terms are summed along its own row, so its value does not
+    depend on the other points of the call.
+    """
     t = np.ascontiguousarray(t, dtype=np.float64)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     out = np.empty(t.size, dtype=np.float64)
-    # a one-row block would be a dot product, which rounds differently from
-    # the matrix-vector product; it joins the block before it
-    starts = list(range(0, max(t.size - 1, 1), _SINE_BLOCK_ROWS))
-    for lo, hi in zip(starts, starts[1:] + [t.size]):
+    for lo in range(0, t.size, _SINE_BLOCK_ROWS):
+        hi = lo + _SINE_BLOCK_ROWS
         ph = np.multiply.outer(2.0 * np.pi * t[lo:hi], freqs)
         np.sin(ph, out=ph)
-        np.matmul(ph, coeffs, out=out[lo:hi])
+        ph *= coeffs
+        ph.sum(axis=1, out=out[lo:hi])
     return out

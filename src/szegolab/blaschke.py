@@ -94,7 +94,9 @@ def eval_phi(ann, z):
     Returns (values, multiplicative_error_bound); the bound is
     exp(tail) - 1 for the dropped-factor tail at the largest |z| queried.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    z = np.asarray(z, dtype=np.complex128)
+    scalar = z.ndim == 0
+    z = np.atleast_1d(z)
     if np.any((z.imag == 0) & (z.real <= 0)):
         raise ValueError("phi is evaluated off the cut (-inf, 0]; "
                          "use eval_phi_boundary on the slit")
@@ -104,9 +106,7 @@ def eval_phi(ann, z):
     vals = pref * np.exp(logs)
     vals[np.isneginf(logs.real)] = 0.0
     bound = math.expm1(ann.tail_bound(float(np.max(np.abs(z)))))
-    if z.size == 1:
-        return vals[0], bound
-    return vals, bound
+    return (vals[0] if scalar else vals), bound
 
 
 def eval_phi_boundary(ann, t):
@@ -115,13 +115,11 @@ def eval_phi_boundary(ann, t):
     The dropped factors are unimodular on the slit, so the modulus is
     exact; only the phase carries the tail bound.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    t = np.asarray(t, dtype=np.float64)
     if np.any(t > 0):
         raise ValueError("boundary values live on t <= 0")
-    vals = boundary_product(-t, ann.retained)
-    if t.size == 1:
-        return vals[0]
-    return vals
+    vals = boundary_product(-np.atleast_1d(t), ann.retained)
+    return vals[0] if t.ndim == 0 else vals
 
 
 def g_l1_norm(j, tol=1e-8):

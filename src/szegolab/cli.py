@@ -270,14 +270,11 @@ def _run_sets(fset, condition_B, out, summary):
 
 
 def _build_weights(cfg, tol, summary):
-    weight = _weight(cfg.section("weight"), summary)
-    grid_size = cfg.get("grid_size", int, 64, ok=lambda n: n >= 16,
-                        need="an integer >= 16")
-    return partial(_run_weights, weight, grid_size)
+    return partial(_run_weights, _weight(cfg.section("weight"), summary))
 
 
-def _run_weights(weight, grid_size, out, summary):
-    report = validate_condition_A(weight, grid_size)
+def _run_weights(weight, out, summary):
+    report = validate_condition_A(weight)
     summary["positive"] = report.positive
     summary["nondecreasing"] = report.nondecreasing
     summary["bounded"] = report.bounded
@@ -311,7 +308,7 @@ def _build_blaschke(cfg, tol, summary):
 def _run_blaschke(j, t_scan, z_points, identity_tol, cauchy_tol, out,
                   summary):
     ann = j.annihilator
-    pp = np.atleast_1d(eval_phi_boundary(ann, t_scan))
+    pp = eval_phi_boundary(ann, t_scan)
     g = j(t_scan)
     bound = j.envelope(t_scan)
     files = [_write_csv(out / "boundary_scan.csv",
@@ -419,15 +416,6 @@ def _build_experiment(config):
         "SZEGO_TOL", _real, tol, **_POSITIVE)
     summary = {}
     return tol, _BUILDERS[kind](cfg, tol, summary), summary
-
-
-def validate_config(config):
-    """[] when the config builds, else [the first problem found]."""
-    try:
-        _build_experiment(config)
-    except ConfigError as exc:
-        return [str(exc)]
-    return []
 
 
 def _build_file(config_path):

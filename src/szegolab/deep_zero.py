@@ -1,9 +1,11 @@
 """Lacunary sine series with a deep zero at the origin.
 
 Everything is built from the meromorphic function
-``e^{i pi z} sin(pi z) / (F(z) F(-z))`` with ``F(w) = cos(pi sqrt(w)/2)``
-evaluated as an entire function of w, so no branch choices enter.  Its
-removable singularities at +-(2k+1)^2 carry the series coefficients; the
+``h(z) = e^{i pi z} sin(pi z) / (F(z) F(-z))`` with ``F(w) = cos(pi sqrt(w)/2)``,
+an entire function of w: cos is even, so which root sqrt(w) takes does not
+enter, and eval_F evaluates the cosine alone.  The removable singularities
+of h at +-(2k+1)^2 carry the series coefficients, whose values have the
+closed form h((2k+1)^2) = (-1)^(k+1) 4(2k+1)/cosh(pi(2k+1)/2); the
 resulting odd-square sine series decays like exp(-c/t) near 0 and 1.
 """
 
@@ -17,7 +19,6 @@ from .quadrature import (QuadratureResult, integrate_finite,
                          oscillatory_integral, require)
 
 __all__ = [
-    "SERIES_SWITCHOVER",
     "SINGULARITY_DELTA",
     "eval_F",
     "eval_F_prime",
@@ -32,37 +33,16 @@ __all__ = [
     "membership_check",
 ]
 
-SERIES_SWITCHOVER = 25.0   # |w| below which the power series is used
 SINGULARITY_DELTA = 1e-4   # radius of the local-quotient rule
-_QUARTER_PI_SQ = math.pi ** 2 / 4.0
-
-
-def _F_series(w):
-    # sum (-1)^n (pi^2/4)^n w^n/(2n)!; 40 terms cover |w| <= ~40 to ~1e-16
-    out = np.ones_like(w)
-    term = np.ones_like(w)
-    for n in range(40):
-        term = term * (-_QUARTER_PI_SQ) * w / ((2 * n + 1) * (2 * n + 2))
-        out = out + term
-    return out
 
 
 def eval_F(w):
     """cos(pi sqrt(w)/2) as an entire function of w."""
     w = np.asarray(w, dtype=np.complex128)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.empty(w.shape, dtype=np.complex128)
-    small = np.abs(w) <= SERIES_SWITCHOVER
-    if small.any():
-        out[small] = _F_series(w[small])
-    if (~small).any():
-        # far out on the negative axis cosh(pi sqrt|w|/2) overflows to inf,
-        # its correct IEEE limit: the quotients that divide by it (the
-        # series coefficients among them) underflow to +-0 as they should
-        with np.errstate(over="ignore"):
-            out[~small] = np.cos(0.5 * np.pi * np.sqrt(w[~small]))
-    return out[0] if scalar else out
+    # far out on the negative axis cosh(pi sqrt|w|/2) overflows to inf, its
+    # correct IEEE limit: the quotients that divide by it underflow to +-0
+    with np.errstate(over="ignore"):
+        return np.cos(0.5 * np.pi * np.sqrt(w))
 
 
 def eval_F_prime(w):
@@ -82,7 +62,7 @@ def _cmul(a, b):
     """Complex product in real arithmetic.  numpy's complex array multiply
     may fuse multiply and add and then rounds differently from its scalar
     multiply; this rounds as the scalar one does, so the local rule's values
-    (the series coefficients among them) equal a per-point evaluation."""
+    equal a per-point evaluation."""
     return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag
                                                        + a.imag * b.real)
 
@@ -134,16 +114,14 @@ def eval_h(z, delta=SINGULARITY_DELTA):
 
 
 def series_coefficients(k_min, M):
-    """[h((2k+1)^2)] for k = k_min..M, real values via the local rule."""
+    """[h((2k+1)^2)] for k = k_min..M: (-1)^(k+1) 4(2k+1)/cosh(pi(2k+1)/2).
+    From k = 226 on, cosh overflows to inf and the coefficient is +-0."""
     if M < k_min:
         raise ValueError("M must be >= k_min")
-    n0 = np.array([(2 * k + 1) ** 2 for k in range(k_min, M + 1)], dtype=np.float64)
-    vals = eval_h(n0.astype(np.complex128))
-    vals = np.atleast_1d(vals)
-    resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if resid > 1e-12:
-        raise ArithmeticError(f"coefficient imaginary residue {resid:.2e} too large")
-    return vals.real.copy()
+    k = np.arange(k_min, M + 1)
+    n = 2.0 * k + 1.0
+    with np.errstate(over="ignore"):
+        return np.where(k % 2, 4.0, -4.0) * n / np.cosh(0.5 * np.pi * n)
 
 
 def _coeff_envelope(k):

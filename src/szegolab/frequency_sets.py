@@ -78,21 +78,6 @@ class FrequencySet:
         lines += [repr(e) for e in self.elements]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text):
-        generator = "explicit"
-        elems = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "generator:" in line:
-                    generator = line.split("generator:", 1)[1].strip()
-                continue
-            elems.append(float(line))
-        return cls(tuple(elems), generator=generator, count_limit=len(elems))
-
 
 @dataclass
 class SparsityReport:

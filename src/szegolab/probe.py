@@ -27,7 +27,7 @@ the tolerance raises ArithmeticError.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,7 +173,6 @@ class ResidualRecord:
     residual: float
     target_norm: float
     cond_estimate: float
-    coefficients: np.ndarray = field(repr=False, default=None)
 
     @property
     def ratio(self):
@@ -193,9 +192,9 @@ def _prefix_residuals(target, freqs, w, floor, tol, sizes):
 
     One target norm, one floored Gram matrix A and one Cholesky factor L
     serve every prefix: A[:n,:n] and L[:n,:n] belong to freqs[:n], so with
-    y = L^-1 b the projection has squared norm sum |y[:n]|^2 and
-    coefficients solving L[:n,:n]^H c = y[:n].
-    Returns (norm, [(residual, coeffs, cond) for each n]).
+    y = L^-1 b the projection has squared norm sum |y[:n]|^2.
+    Returns (norm, [(residual, cond) for each n], L, y); the projection
+    onto freqs[:n] has the coefficients c solving L[:n,:n]^H c = y[:n].
     """
     f = np.array(freqs, dtype=np.int64)
     # one coefficient vector covers every lag among the curve's and the
@@ -220,9 +219,8 @@ def _prefix_residuals(target, freqs, w, floor, tol, sizes):
     rows = []
     for n in sizes:
         res_sq = min(max(norm_sq - float(proj[n]), 0.0), norm_sq)
-        coeffs = np.linalg.solve(L[:n, :n].conj().T, y[:n])
-        rows.append((math.sqrt(res_sq), coeffs, _hermitian_cond(A[:n, :n])))
-    return math.sqrt(max(norm_sq, 0.0)), rows
+        rows.append((math.sqrt(res_sq), _hermitian_cond(A[:n, :n])))
+    return math.sqrt(max(norm_sq, 0.0)), rows, L, y
 
 
 def weighted_residual(target, freqs, w, floor=None, tol=1e-12):
@@ -234,9 +232,9 @@ def weighted_residual(target, freqs, w, floor=None, tol=1e-12):
     Returns (residual, coefficients, norm, cond).
     """
     freqs = list(freqs)
-    norm, [(res, coeffs, cond)] = _prefix_residuals(
+    norm, [(res, cond)], L, y = _prefix_residuals(
         target, freqs, w, floor, tol, [len(freqs)])
-    return res, coeffs, norm, cond
+    return res, np.linalg.solve(L.conj().T, y), norm, cond
 
 
 @dataclass
@@ -272,8 +270,8 @@ def residual_curve(config, N_list):
     # complements in [1, N] are prefixes of the complement at the largest N
     sizes = [len(complement_in_range(config.gamma, N)) for N in N_list]
     freqs = complement_in_range(config.gamma, N_list[-1])
-    norm, rows = _prefix_residuals(config.target, freqs, config.weight,
-                                   config.floor, config.tol, sizes)
-    records = [ResidualRecord(N, res, norm, cond, coeffs)
-               for N, (res, coeffs, cond) in zip(N_list, rows)]
+    norm, rows, _, _ = _prefix_residuals(config.target, freqs, config.weight,
+                                         config.floor, config.tol, sizes)
+    records = [ResidualRecord(N, res, norm, cond)
+               for N, (res, cond) in zip(N_list, rows)]
     return ResidualCurve(records, config.digest())

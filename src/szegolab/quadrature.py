@@ -49,10 +49,9 @@ _MAX_ROUNDS = 80
 # fourier_coefficients: 2**18 entries take 4 MB, and with _gk15's temporaries
 # a block stays near 12 MB whatever the number of frequencies
 _FOURIER_BLOCK = 1 << 18
-# nodes fourier_coefficients evaluates at most, over all its rounds
-_FOURIER_MAX_EVALS = 2_000_000
-# integrand evaluations integrate_finite and integrate_left_halfline spend
-# at most; the adaptive loop stops once it has passed them
+# integrand evaluations one integral spends at most: integrate_finite and
+# integrate_left_halfline stop their adaptive loop once past it, and
+# fourier_coefficients halves no panels that would take it beyond
 _MAX_EVALS = 2_000_000
 
 
@@ -67,14 +66,6 @@ class QuadratureResult:
     abs_error_estimate: float
     evaluations: int
     converged: bool
-
-    def __add__(self, other):
-        return QuadratureResult(
-            self.value + other.value,
-            self.abs_error_estimate + other.abs_error_estimate,
-            self.evaluations + other.evaluations,
-            self.converged and other.converged,
-        )
 
 
 def require(res, what):
@@ -237,7 +228,7 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
     every frequency is within its share of tol (tol times its width over the
     span), so the kept panels' errors sum to at most tol at every frequency;
     the others are halved and evaluated again, until every panel is kept, or
-    a halving would take the nodes evaluated beyond _FOURIER_MAX_EVALS, or
+    a halving would take the nodes evaluated beyond _MAX_EVALS, or
     the panels reach the width floor.
 
     Returns a QuadratureResult whose value and abs_error_estimate are arrays
@@ -276,7 +267,7 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
             split[rows] = bad
         evals += mid.size * _XK.size
         n_split = int(split.sum())
-        if not n_split or evals + 2 * n_split * _XK.size > _FOURIER_MAX_EVALS:
+        if not n_split or evals + 2 * n_split * _XK.size > _MAX_EVALS:
             values += rest_values
             errors += rest_errors
             return QuadratureResult(values, errors, evals,

@@ -1,8 +1,9 @@
 """Weights on (0,1) with a deep right-hand zero at the origin.
 
 The divergent-log-integral condition (positive, nondecreasing, bounded,
-log-integral diverging at 0) is certified analytically when a closed form
-is available and reported as a trend otherwise.
+log-integral diverging at 0) is read from the weight's definition; the
+divergence is certified analytically when a closed form is available and
+reported as a trend otherwise.
 """
 
 import math
@@ -115,44 +116,37 @@ class ConditionAReport:
                 and self.log_integral_diverges)
 
 
-def validate_condition_A(w, grid_size=64):
+def validate_condition_A(w):
     """Check positivity, monotonicity, boundedness and the divergence trend.
 
-    Divergence of the log integral is certified only for kinds with a
-    closed form (linear-in-ln(1/eps) minorant); otherwise the report says
-    whether the truncated integrals decrease without apparent bound.
+    The first three are read from the weight's definition: exp(-c/t) is
+    positive, and nondecreasing and bounded iff c >= 0; a constant or
+    tabulated weight is linear between its breakpoints, so its values there
+    decide them.  Divergence of the log integral is certified only for the
+    exp kind, whose closed form -c*ln(1/eps) is linear in ln(1/eps);
+    otherwise the report says whether the truncated integrals decrease
+    without apparent bound.
     """
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
-    # geometric grid refined toward 0
-    grid = np.concatenate([np.geomspace(1e-8, 0.1, grid_size // 2),
-                           np.linspace(0.1, 1.0, grid_size // 2)])
-    vals = w(grid)
-    positive = bool(np.all(vals > 0)) if w.kind != "exp" else True
     if w.kind == "exp":
-        # exp(-c/t) underflows near 0 but is positive on (0,1) by construction
-        positive = bool(np.all(vals[grid > 1e-3] > 0))
-    nondecreasing = bool(np.all(np.diff(vals) >= -1e-15 * np.abs(vals[:-1])))
-    bounded = bool(np.all(np.isfinite(vals)))
+        positive, nondecreasing, bounded = True, w.c >= 0, w.c >= 0
+    else:
+        vals = w(np.array(w.breakpoints))
+        positive = bool(np.all(vals > 0))
+        nondecreasing = bool(np.all(np.diff(vals) >= 0))
+        bounded = bool(np.all(np.isfinite(vals)))
 
-    eps_list = [10.0 ** (-k) for k in range(2, 9)]
     li = []
-    for eps in eps_list:
-        closed = w.log_closed_form(eps)
-        if closed is not None:
-            li.append((eps, closed))
-        else:
-            try:
-                li.append((eps, log_integral(w, eps)))
-            except (ArithmeticError, FloatingPointError):
-                break
+    for eps in (10.0 ** (-k) for k in range(2, 9)):
+        try:
+            li.append((eps, log_integral(w, eps)))
+        except ArithmeticError:
+            break
 
-    certified = False
+    certified = w.kind == "exp"
     diverges = False
-    if w.kind == "exp":
+    if certified:
         # closed form -c*ln(1/eps) is an exact linear minorant in ln(1/eps)
-        certified = True
-        diverges = True
+        diverges = w.c > 0
     elif len(li) >= 2:
         drops = [li[i + 1][1] - li[i][1] for i in range(len(li) - 1)]
         diverges = all(d < 0 for d in drops) and li[-1][1] < li[0][1] - 1.0

@@ -78,6 +78,15 @@ def test_boundary_zero_at_origin(ann):
     assert eval_phi_boundary(ann, 0.0) == 0.0
 
 
+def test_scalar_only_for_a_scalar_argument(ann):
+    """A 0-d argument gives a scalar, a one-element array an array."""
+    assert np.ndim(eval_phi_boundary(ann, -1.0)) == 0
+    assert eval_phi_boundary(ann, np.array([-1.0])).shape == (1,)
+    assert np.ndim(eval_phi(ann, 1j)[0]) == 0
+    vals, _ = eval_phi(ann, np.array([1j]))
+    assert vals.shape == (1,)
+
+
 def test_jump_support_and_purity(ann, jump):
     g = jump(np.array([1.0, 0.0, -0.5, -1.0]))
     assert g[0] == 0.0

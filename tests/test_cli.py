@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from szegolab import deep_zero, quadrature
-from szegolab.cli import main, validate_config
+from szegolab.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -39,11 +39,13 @@ def test_validate_bad_rho(tmp_path):
     assert main(["validate", cfg]) == 2
 
 
-def test_validate_names_the_field():
-    problems = validate_config(
-        {"kind": "sets", "gamma": {"generator": "power", "rho": 0.5,
-                                   "count": 5}})
-    assert any("rho" in p for p in problems)
+def test_validate_names_the_field(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json",
+                 {"kind": "sets",
+                  "gamma": {"generator": "power", "rho": 0.5, "count": 5}})
+    assert main(["validate", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gamma") and "rho" in err
 
 
 PROBE_TRIGPOLY = {"kind": "probe", "weight": {"kind": "exp", "c": 1.0},
@@ -70,14 +72,12 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
     ({**BLASCHKE_CONFIG, "gamma": POWER_SQUARES}, "gamma"),
     ({**BLASCHKE_CONFIG, "K": "x"}, "K"),
     ({**BLASCHKE_CONFIG, "z_points": [[1]]}, "z_points"),
-    ({**WEIGHTS_CONFIG, "grid_size": 4}, "grid_size"),
     ({**WEIGHTS_CONFIG, "weight": {"kind": "constant"}}, "weight.v"),
     ({"kind": "sets", "gamma": {"generator": "blocks", "starts": [1, "x"],
                                 "lengths": [2, 3]}}, "gamma.starts"),
     ({"kind": "sets", "gamma": POWER_SQUARES,
       "condition_B": {"x_grid": [1000], "thin": True}}, "condition_B.C"),
     ({**PROBE_CONFIG, "N_list": [0, 10]}, "N_list"),
-    ({**WEIGHTS_CONFIG, "grid_size": "x"}, "grid_size"),
     ({**WEIGHTS_CONFIG, "weight": {"kind": "constant", "v": -1}}, "weight.v"),
     ({**WEIGHTS_CONFIG, "weight": {"kind": "tabulated",
                                    "samples": [[0.5, 1.0]]}},
@@ -108,8 +108,8 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
 ], ids=["rho-not-a-number", "top-level-list", "trigpoly-without-coeffs",
         "coeff-key", "N_list-entry", "tol", "t_min", "weight-not-object",
         "blaschke-divergent-gamma", "K-not-a-number", "z_points-entry",
-        "grid_size-too-small", "constant-without-v", "blocks-starts-entry",
-        "condition_B-without-C", "N_list-zero", "grid_size-not-a-number",
+        "constant-without-v", "blocks-starts-entry",
+        "condition_B-without-C", "N_list-zero",
         "constant-v-negative", "tabulated-one-sample", "factor-not-a-number",
         "points-not-a-number", "points-too-few", "elements-entry",
         "condition_B-C-not-a-number", "target-M-not-a-number",
@@ -268,6 +268,25 @@ def test_weights_run(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["passed"] is True
+
+
+def test_weights_run_exp_weight_underflowing_near_0(tmp_path):
+    """exp(-2/t) underflows for t below 2.7e-3 and is positive all the same."""
+    cfg = _write(tmp_path, "c.json",
+                 {"kind": "weights", "weight": {"kind": "exp", "c": 2.0}})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["positive"] is True and summary["passed"] is True
+
+
+def test_blaschke_run_one_point_scan(tmp_path):
+    cfg = _write(tmp_path, "c.json",
+                 {**BLASCHKE_CONFIG, "t_scan": [-1.0], "z_points": []})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    lines = (out / "boundary_scan.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("-1,")
 
 
 def test_deepzero_run_negative_slope(tmp_path):

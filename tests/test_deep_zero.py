@@ -29,15 +29,19 @@ def test_F_zeros_at_odd_squares():
         assert abs(eval_F(float((2 * m + 1) ** 2))) < 1e-10
 
 
-def test_F_series_vs_direct_on_switchover_annulus():
-    # compare against mpmath cos(pi sqrt(w)/2) at complex points near |w|=25
+def test_F_matches_mpmath_on_the_disc_of_radius_30():
+    """cos(pi sqrt(w)/2) within 1e-14 of a 40-digit mpmath value, relative
+    to max(|F|, 1), at random complex and real points with |w| <= 30."""
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        r = rng.uniform(20, 30)
-        th = rng.uniform(-np.pi, np.pi)
-        w = r * np.exp(1j * th)
-        ref = complex(mpmath.cos(mpmath.pi * mpmath.sqrt(complex(w)) / 2))
-        assert abs(eval_F(w) - ref) < 1e-12 * max(abs(ref), 1.0)
+    w = rng.uniform(-30.0, 30.0, 2000) + 1j * rng.uniform(-30.0, 30.0, 2000)
+    w = np.concatenate([w[np.abs(w) <= 30.0], rng.uniform(-30.0, 30.0, 300),
+                        [0.0, 1.0, 9.0, 25.0, -25.0, 25j, -25j, -30.0]])
+    got = eval_F(w)
+    with mpmath.workdps(40):
+        ref = np.array([complex(mpmath.cos(
+            mpmath.pi * mpmath.sqrt(mpmath.mpc(v.real, v.imag)) / 2))
+            for v in w])
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0))
 
 
 def test_F_prime_finite_difference():

@@ -1,37 +1,42 @@
 """The numpy kernels against one-shot products and exact zeros."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 
 from szegolab import _accel
 
 
 def test_sine_series_blocks_match_one_shot_product():
-    """The blocked numpy kernel equals the one-shot (points x terms) product
-    bit for bit: with a block count that is not whole, on no points, and
-    where the last block would hold one row (four draws, since a one-row
-    product rounds differently from the one-shot product only at random).
-    BLAS runs on one thread, so the one-shot product is one matrix-vector
-    call whose rounding does not depend on a thread split."""
-    code = (
-        "import numpy as np\n"
-        "from szegolab import _accel\n"
-        "rng = np.random.default_rng(5)\n"
-        "coeffs = rng.normal(size=21)\n"
-        "freqs = (2.0 * np.arange(21) + 1.0) ** 2\n"
-        "for n in (100003, 0) + (_accel._SINE_BLOCK_ROWS + 1,) * 4:\n"
-        "    t = rng.uniform(0.0, 1.0, n)\n"
-        "    ref = np.sin(2.0 * np.pi * t[:, None] * freqs[None, :]) @ coeffs\n"
-        "    got = _accel.sine_series(t, coeffs, freqs)\n"
-        "    assert got.shape == ref.shape == (n,)\n"
-        "    assert np.array_equal(got, ref), n\n"
-    )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    """The blocked kernel equals the one-shot (points x terms) row sum bit
+    for bit: with a block count that is not whole, on no points, and where
+    the last block holds one row."""
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=21)
+    freqs = (2.0 * np.arange(21) + 1.0) ** 2
+    for n in (100003, 0, _accel._SINE_BLOCK_ROWS + 1):
+        t = rng.uniform(0.0, 1.0, n)
+        ref = (np.sin(2.0 * np.pi * t[:, None] * freqs[None, :])
+               * coeffs).sum(axis=1)
+        got = _accel.sine_series(t, coeffs, freqs)
+        assert got.shape == ref.shape == (n,)
+        assert np.array_equal(got, ref), n
+
+
+def test_sine_series_value_does_not_depend_on_the_batch():
+    """A point's value has the same bits alone, in a shifted batch and in
+    any split of the batch, for short and long series."""
+    rng = np.random.default_rng(9)
+    t = rng.uniform(0.0, 1.0, 70001)
+    for M in (7, 20, 40):
+        coeffs = rng.normal(size=M + 1)
+        freqs = (2.0 * np.arange(M + 1) + 1.0) ** 2
+        full = _accel.sine_series(t, coeffs, freqs)
+        for i in (0, 1, 2, 12345, 70000):
+            assert _accel.sine_series(t[i:i + 1], coeffs, freqs)[0] == full[i]
+        assert np.array_equal(_accel.sine_series(t[3:], coeffs, freqs),
+                              full[3:])
+        parts = [_accel.sine_series(t[lo:hi], coeffs, freqs)
+                 for lo, hi in ((0, 1), (1, 3), (3, 8), (8, t.size))]
+        assert np.array_equal(np.concatenate(parts), full)
 
 
 def test_exact_zero_marker():

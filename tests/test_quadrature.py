@@ -200,7 +200,7 @@ def test_fourier_coefficients_breakpoints_at_kinks():
 
 
 def test_fourier_coefficients_stop_at_max_evals(monkeypatch):
-    monkeypatch.setattr(quadrature, "_FOURIER_MAX_EVALS", 100)
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 100)
     f = lambda t: np.exp(-1.0 / np.maximum(t, 1e-300)) + 0j
     res = fourier_coefficients(f, np.arange(4), 1e-14)
     assert not res.converged

@@ -90,3 +90,31 @@ def test_weight_is_an_immutable_value():
     assert w == make_exp_weight(1.5)
     assert all(isinstance(getattr(w, f.name), (str, float, tuple))
                for f in dataclasses.fields(w))
+
+
+def test_condition_A_sees_a_dip_between_samples():
+    """A dip narrower than any sampling grid's spacing is still a dip."""
+    w = make_tabulated_weight([(0.1, 1.0), (0.5, 2.0), (0.5001, 1.5),
+                               (0.5002, 2.5), (0.6, 3.0), (1.0, 3.0)])
+    rep = validate_condition_A(w)
+    assert rep.positive and rep.bounded
+    assert not rep.nondecreasing
+
+
+def test_condition_A_reads_a_tabulated_weight_on_the_unit_interval():
+    """Only the part of the interpolant over [0, 1] counts: a fall after a
+    last sample beyond 1 does not, a fall toward one inside (0, 1) does."""
+    inside = make_tabulated_weight([(0.5, 1.0), (1.0, 2.0), (1.5, 0.5)])
+    assert validate_condition_A(inside).nondecreasing
+    spilling = make_tabulated_weight([(0.5, 1.0), (0.9, 2.0), (1.5, 0.5)])
+    assert not validate_condition_A(spilling).nondecreasing
+
+
+def test_condition_A_exp_positive_where_it_underflows():
+    """exp(-2/t) underflows to 0 for t below about 2.7e-3, yet the weight is
+    positive on (0, 1)."""
+    w = make_exp_weight(2.0)
+    assert w(np.array([1e-3]))[0] == 0.0
+    rep = validate_condition_A(w)
+    assert rep.positive and rep.nondecreasing and rep.bounded
+    assert rep.passed
