@@ -115,13 +115,15 @@ def _one_of(*choices):
 class _Spec:
     """One JSON object of a config, read a field at a time: each read
     converts and checks the field, or raises a ConfigError that names it
-    by its dotted path."""
+    by its dotted path.  The spec remembers what was read, so the fields
+    no read reached can be named (unread)."""
 
     def __init__(self, obj, path):
         if not isinstance(obj, dict):
             raise ConfigError(f"{path or 'config'} must be a JSON object, "
                               f"got {obj!r}")
         self.obj, self.path = obj, path
+        self.read, self.sections = set(), []
 
     def field(self, key):
         return f"{self.path}.{key}" if self.path else key
@@ -130,6 +132,7 @@ class _Spec:
         """convert(field) when ok accepts it; default when the field is
         absent or null.  need says what the field must be."""
         name = self.field(key)
+        self.read.add(key)
         raw = self.obj.get(key)
         if raw is None:
             if default is _REQUIRED:
@@ -147,7 +150,17 @@ class _Spec:
 
     def section(self, key, default=_REQUIRED):
         """The JSON object at key, as a _Spec."""
-        return self.get(key, partial(_Spec, path=self.field(key)), default)
+        spec = self.get(key, partial(_Spec, path=self.field(key)), default)
+        if isinstance(spec, _Spec):
+            self.sections.append(spec)
+        return spec
+
+    def unread(self):
+        """Dotted paths of the fields that no read reached, in this object
+        and in the sections read from it."""
+        yield from (self.field(k) for k in self.obj if k not in self.read)
+        for spec in self.sections:
+            yield from spec.unread()
 
 
 def _make(field, make, *args):
@@ -406,7 +419,8 @@ def _build_experiment(config):
     Returns (tol, run, summary): run(out, summary) writes the artifacts to
     the directory out and returns ([their paths], within_tol); summary holds
     what the build has found already.  Raises ConfigError naming the first
-    field that is missing, mistyped or out of range.
+    field that is missing, mistyped or out of range, or every field that
+    the build of its kind does not read.
     """
     cfg = _Spec(config, "")
     kind = cfg.get("kind", str, **_one_of(*_BUILDERS))
@@ -415,7 +429,12 @@ def _build_experiment(config):
     tol = _Spec({"SZEGO_TOL": os.environ.get("SZEGO_TOL")}, "").get(
         "SZEGO_TOL", _real, tol, **_POSITIVE)
     summary = {}
-    return tol, _BUILDERS[kind](cfg, tol, summary), summary
+    run = _BUILDERS[kind](cfg, tol, summary)
+    unread = list(cfg.unread())
+    if unread:
+        raise ConfigError(f"unknown field {', '.join(unread)} "
+                          f"in a {kind} config")
+    return tol, run, summary
 
 
 def _build_file(config_path):

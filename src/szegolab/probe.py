@@ -7,10 +7,13 @@ solve carries an explicit eigenvalue floor and a condition estimate.
 
 The complements of a residual curve are nested prefixes of one frequency
 list, and the floor does not depend on N, so each curve computes the target
-norm, the Gram matrix A (floor on the diagonal) and its Cholesky factor L
-once, at the largest N.  The Gram matrix of every shorter prefix is a
-leading block A[:n,:n], whose Cholesky factor is L[:n,:n]; with y = L^-1 b
-the squared projection norm is the partial sum of |y|^2 up to n.  The
+norm and one Cholesky factorization, at the largest N: of the Gram matrix A
+(floor on the diagonal) bordered by the inner products b,
+[[A, b], [b^H, c]].  The Gram matrix of every shorter prefix is a leading
+block A[:n,:n], whose Cholesky factor is the leading block L[:n,:n]; the
+factor's last row holds conj(y) with y = L^-1 b, so no triangular solve is
+needed, and the squared projection norm is the partial sum of |y|^2 up to
+n.  The corner c only keeps the bordered matrix positive definite.  The
 condition estimate is lambda_max/lambda_min of the floored leading block.
 
 A curve computes one vector w-hat(0..K) of the weight's Fourier
@@ -20,8 +23,9 @@ helper.  One batched quadrature computes the whole vector
 (quadrature.fourier_coefficients): w is sampled once on a composite
 Gauss-Kronrod 7/15 rule with panels no wider than half a period of lag K,
 split at the weight's breakpoints and halved where they miss their share of
-the tolerance, and each lag gets its own error estimate; a lag that misses
-the tolerance raises ArithmeticError.
+the tolerance.  Each block of panels takes one matrix product with the lag
+table, and each lag gets an error estimate that is never below QUADPACK's;
+a lag that misses the tolerance raises ArithmeticError.
 """
 
 import hashlib
@@ -126,9 +130,11 @@ class TrigPolyTarget:
     def norm_sq(self, what, w=None, tol=None):
         """||f||_w^2 = sum over n, l of a_n conj(a_l) w-hat(l - n), summed
         left to right in row order rather than by numpy's pairwise sum;
-        w and tol are not read."""
+        w and tol are not read.  Amplitudes too large give inf or nan,
+        which the residual curve rejects."""
         a = np.array(list(self.coeffs.values()))
-        terms = np.outer(a, a.conj()) * _gram(np.array(self.freqs), what).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.outer(a, a.conj()) * _gram(np.array(self.freqs), what).T
         return float(sum(terms.ravel().tolist()).real)
 
     def digest_data(self):
@@ -180,21 +186,24 @@ class ResidualRecord:
 
 
 def _hermitian_cond(A):
-    """2-norm condition number of a Hermitian matrix; 1.0 when empty."""
+    """2-norm condition number of a Hermitian matrix; 1.0 when empty, inf
+    when singular."""
     if not len(A):
         return 1.0
     ev = np.abs(np.linalg.eigvalsh(A))
-    return float(ev.max() / ev.min())
+    return float(ev.max() / ev.min()) if ev.min() > 0 else math.inf
 
 
 def _prefix_residuals(target, freqs, w, floor, tol, sizes):
     """Distances from the target to the spans of freqs[:n], n in sizes.
 
-    One target norm, one floored Gram matrix A and one Cholesky factor L
-    serve every prefix: A[:n,:n] and L[:n,:n] belong to freqs[:n], so with
-    y = L^-1 b the projection has squared norm sum |y[:n]|^2.
+    One target norm and one Cholesky factor of the floored Gram matrix A
+    bordered by b serve every prefix: A[:n,:n] and L[:n,:n] belong to
+    freqs[:n], and the bordered factor's last row is [y^H, d] with
+    y = L^-1 b, so the projection has squared norm sum |y[:n]|^2.
     Returns (norm, [(residual, cond) for each n], L, y); the projection
     onto freqs[:n] has the coefficients c solving L[:n,:n]^H c = y[:n].
+    A norm or projection that is not finite raises ArithmeticError.
     """
     f = np.array(freqs, dtype=np.int64)
     # one coefficient vector covers every lag among the curve's and the
@@ -203,24 +212,36 @@ def _prefix_residuals(target, freqs, w, floor, tol, sizes):
     lags = np.concatenate([f, np.array(target.freqs, dtype=np.int64)])
     what = weight_fourier_coeffs(w, _max_lag(lags), tol)
     norm_sq = target.norm_sq(what, w, tol)
+    if not math.isfinite(norm_sq):
+        raise ArithmeticError(f"target norm^2 is not finite ({norm_sq})")
     b = target.inner(f, what)
-    A = _gram(f, what)
+    n = f.size
+    M = np.empty((n + 1, n + 1), dtype=np.complex128)
+    A = M[:n, :n]
+    A[...] = _gram(f, what)
     if floor is None:
         floor = 1e-10 * what[0].real
     A[np.diag_indices_from(A)] += floor
+    M[:n, n] = b
+    M[n, :n] = b.conj()
+    # the corner only has to exceed |y|^2, and y does not depend on it
+    M[n, n] = np.finfo(np.float64).max
     try:
-        L = np.linalg.cholesky(A)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             f"Gram factorization failed at floor={floor:.3e}, "
             f"cond estimate {_hermitian_cond(A):.3e}") from exc
-    y = np.linalg.solve(L, b)
-    proj = np.concatenate(([0.0], np.cumsum(np.abs(y) ** 2)))
+    y = L[n, :n].conj()
+    with np.errstate(over="ignore"):
+        proj = np.concatenate(([0.0], np.cumsum(np.abs(y) ** 2)))
+    if not np.isfinite(proj[-1]):
+        raise ArithmeticError(f"projection norm^2 is not finite ({proj[-1]})")
     rows = []
-    for n in sizes:
-        res_sq = min(max(norm_sq - float(proj[n]), 0.0), norm_sq)
-        rows.append((math.sqrt(res_sq), _hermitian_cond(A[:n, :n])))
-    return math.sqrt(max(norm_sq, 0.0)), rows, L, y
+    for k in sizes:
+        res_sq = min(max(norm_sq - float(proj[k]), 0.0), norm_sq)
+        rows.append((math.sqrt(res_sq), _hermitian_cond(A[:k, :k])))
+    return math.sqrt(max(norm_sq, 0.0)), rows, L[:n, :n], y
 
 
 def weighted_residual(target, freqs, w, floor=None, tol=1e-12):

@@ -43,12 +43,18 @@ _WG_HALF = (0.129484966168869693270611432679082,
 _XK = np.array([-x for x in _XK_POS] + [0.0] + list(_XK_POS[::-1]))
 _WK = np.array(_WK_HALF + _WK_HALF[-2::-1])
 _WG = np.array(_WG_HALF + _WG_HALF[-2::-1])
+# the Gauss weights on the 15 Kronrod nodes, and the Kronrod weights times
+# sgn(x), which sum to zero
+_WG15 = np.zeros(_XK.size)
+_WG15[1::2] = _WG
+_WK_ODD = _WK * np.sign(_XK)
 
 _MAX_ROUNDS = 80
-# complex entries in one (panels x frequencies x nodes) block of
-# fourier_coefficients: 2**18 entries take 4 MB, and with _gk15's temporaries
-# a block stays near 12 MB whatever the number of frequencies
-_FOURIER_BLOCK = 1 << 18
+# complex entries in one block's (panels x 3 frequencies) product in
+# fourier_coefficients: 2**16 entries take 1 MB, and with the block's other
+# (panels x frequencies) arrays a block stays near 3 MB whatever the number
+# of frequencies
+_FOURIER_BLOCK = 1 << 16
 # integrand evaluations one integral spends at most: integrate_finite and
 # integrate_left_halfline stop their adaptive loop once past it, and
 # fourier_coefficients halves no panels that would take it beyond
@@ -77,6 +83,19 @@ def require(res, what):
             f"(error {res.abs_error_estimate:.2e})")
 
 
+def _scaled(raw, resasc):
+    """QUADPACK's error estimate from the raw |K - G| and resasc, the
+    Kronrod-weighted deviation from the panel mean: raw |K-G| is optimistic
+    on unresolved panels, so it is rescaled to
+    resasc * min(1, (200 raw / resasc)^1.5), or raw where resasc is 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(resasc > 0,
+                        resasc * np.minimum(1.0, (200.0 * raw
+                                                  / np.maximum(resasc, 1e-300))
+                                            ** 1.5),
+                        raw)
+
+
 def _gk15(y, half):
     """Kronrod values and error estimates of panels sampled at the 15 nodes.
 
@@ -85,17 +104,9 @@ def _gk15(y, half):
     """
     vk = np.einsum("...j,j->...", y, _WK) * half
     vg = np.einsum("...j,j->...", y[..., 1::2], _WG) * half
-    raw = np.abs(vk - vg)
-    # rescale as in QUADPACK: raw |K-G| is optimistic on unresolved panels
     mean = vk / (2.0 * half)
     resasc = np.einsum("...j,j->...", np.abs(y - mean[..., None]), _WK) * half
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scaled = np.where(resasc > 0,
-                          resasc * np.minimum(1.0, (200.0 * raw
-                                                    / np.maximum(resasc, 1e-300))
-                                              ** 1.5),
-                          raw)
-    return vk, scaled
+    return vk, _scaled(np.abs(vk - vg), resasc)
 
 
 def _eval_panels(f, lo, hi):
@@ -223,13 +234,22 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
     On a panel with midpoint m and half-width h, exp(-2 pi i nu t) is
     exp(-2 pi i nu m) times the table exp(-2 pi i nu h x_j) that all panels
     of width 2h share; the first factor has modulus one, so each panel's
-    Kronrod-Gauss error (scaled as in QUADPACK) needs only the table, and
-    the phase enters only the value sum.  A panel is kept when its error at
-    every frequency is within its share of tol (tol times its width over the
-    span), so the kept panels' errors sum to at most tol at every frequency;
-    the others are halved and evaluated again, until every panel is kept, or
-    a halving would take the nodes evaluated beyond _MAX_EVALS, or
-    the panels reach the width floor.
+    error needs only the table, and the phase enters only the value sum.
+    One matrix product per block of panels, samples (panels x 15 nodes)
+    times the table under three rows of weights, gives at every frequency
+    the Kronrod sum K, the Gauss sum G and the antisymmetric sum A of the
+    Kronrod weights times sgn(x_j); no (panel x frequency x node) array is
+    formed.  Those weights sum to zero, so A is the same sum taken about the
+    panel mean, and |A| is at most QUADPACK's resasc.  The error is
+    QUADPACK's rescaling of raw = |K - G| with max(|A|, 200 raw) in place of
+    resasc: the rescaled error is largest at resasc = 200 raw and falls
+    beyond it, so this error is never below QUADPACK's.
+
+    A panel is kept when its error at every frequency is within its share
+    of tol (tol times its width over the span), so the kept panels' errors
+    sum to at most tol at every frequency; the others are halved and
+    evaluated again, until every panel is kept, or a halving would take the
+    nodes evaluated beyond _MAX_EVALS, or the panels reach the width floor.
 
     Returns a QuadratureResult whose value and abs_error_estimate are arrays
     over freqs; converged means that every frequency met tol.  The Fourier
@@ -281,14 +301,25 @@ def _fourier_panels(f, freqs, mid, half):
     """Yield (panel indices, values, errors) over blocks of panels, each row
     a panel's Kronrod value of f(t) exp(-2 pi i nu t) and its error, one
     column per frequency nu."""
-    rows = max(1, _FOURIER_BLOCK // (_XK.size * freqs.size))
+    nf = freqs.size
+    rows = max(1, _FOURIER_BLOCK // (3 * nf))
     for h in np.unique(half):
-        table = np.exp(-2j * np.pi * h * np.outer(freqs, _XK))
+        # Kronrod, Gauss and antisymmetric Kronrod rows of weights times the
+        # table, one product per block gives all three sums
+        table = np.exp(-2j * np.pi * h * np.outer(_XK, freqs))
+        weights = np.concatenate([table * _WK[:, None], table * _WG15[:, None],
+                                  table * _WK_ODD[:, None]], axis=1)
         same = np.flatnonzero(half == h)
         for p0 in range(0, same.size, rows):
             idx = same[p0:p0 + rows]
             x = mid[idx, None] + h * _XK
             y = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
-            vk, err = _gk15(y[:, None, :] * table, h)
+            sums = (y @ weights) * h
+            vk = sums[:, :nf]
+            raw = np.abs(vk - sums[:, nf:2 * nf])
+            # |antisymmetric sum| <= QUADPACK's resasc, and the rescaled error
+            # only falls as resasc grows beyond 200 raw
+            err = _scaled(raw, np.maximum(np.abs(sums[:, 2 * nf:]),
+                                          200.0 * raw))
             phase = np.exp(-2j * np.pi * np.outer(mid[idx], freqs))
             yield idx, phase * vk, err

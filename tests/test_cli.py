@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,50 @@ def test_unconverged_membership_exits_3(tmp_path, capsys, monkeypatch):
     assert "numeric failure" in err and "did not converge" in err
     assert "Traceback" not in err
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+@pytest.mark.parametrize("config, field", [
+    ({**DEEPZERO_CONFIG, "membrship": True}, "membrship"),
+    ({**WEIGHTS_CONFIG, "weight": {"kind": "exp", "c": 1.0, "M": 20}},
+     "weight.M"),
+    ({"kind": "sets", "gamma": {"generator": "power", "rho": 3, "count": 5,
+                                "elements": [1, 2]}}, "gamma.elements"),
+    ({**WEIGHTS_CONFIG, "grid_size": 64}, "grid_size"),
+], ids=["misspelled-flag", "field-of-another-weight-kind",
+        "field-of-another-generator", "removed-field"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_unread_field_exits_2_naming_it(tmp_path, capsys, config, field,
+                                        command):
+    cfg = _write(tmp_path, "c.json", config)
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, cfg, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unknown field {field} ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"kind": "probe", "weight": {"kind": "exp", "c": 1.0},
+      "gamma": {"generator": "power", "rho": 3, "count": 10},
+      "target": {"kind": "trigpoly", "coeffs": {"2": [1e300, 0]}},
+      "N_list": [20]}, "target norm^2 is not finite"),
+    # w = exp(-1e300/t) is 0 in double precision: the Gram matrix and its
+    # floor vanish, and the condition estimate is inf, not 0/0
+    ({"kind": "probe", "weight": {"kind": "exp", "c": 1e300},
+      "gamma": {"generator": "power", "rho": 3, "count": 10},
+      "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
+      "N_list": [20]}, "cond estimate inf"),
+], ids=["target-norm-overflows", "weight-underflows-to-zero"])
+def test_probe_numeric_failure_exits_3_without_warning(tmp_path, capsys,
+                                                       config, message):
+    cfg = _write(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and message in err
+    assert not (out / "residuals.csv").exists()
 
 
 def test_manifest_written_before_data(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,27 @@ def test_coefficient_vector_does_not_depend_on_what_was_asked_before():
     assert np.array_equal(again, fresh)
     again[:] = 0.0                      # the caller owns the vector
     assert np.array_equal(weight_fourier_coeffs(w, 399, tol), fresh)
+
+
+def test_fourier_coeffs_bench_weight_evaluation_count():
+    # the companion weight of the probe benchmarks: one round of 2K panels
+    # on [0, 1], none halved
+    res = fourier_coefficients(make_exp_weight(0.465), np.arange(800), 1e-13)
+    assert res.converged
+    assert res.evaluations == 23_970
+
+
+def test_fourier_coeffs_memory_stays_below_the_panel_lag_node_tensor():
+    w = make_exp_weight(0.465)
+    tracemalloc.start()
+    try:
+        weight_fourier_coeffs(w, 799, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # blocks of the explicit (panel x lag x node) tensor peaked at 11.7 MiB
+    # on this call
+    assert peak <= 11.7 * 2 ** 20
 
 
 def test_gram_identity_for_unit_weight():
@@ -232,6 +254,21 @@ def test_residual_curve_factors_once(companion, monkeypatch):
                       target=target, tol=1e-13)
     residual_curve(cfg, [20, 40, 80])
     assert calls == {"norm_sq": 1, "cholesky": 1}
+
+
+def test_bordered_factor_last_row_solves_the_gram_system(companion):
+    target = TrigPolyTarget({0: 1.0, 2: 0.5j, 9: -0.25})
+    freqs = complement_in_range(gen_power_set(3, 50), 300)
+    norm, [(res, _)], L, y = probe._prefix_residuals(
+        target, freqs, companion, None, 1e-13, [len(freqs)])
+    f = np.array(freqs)
+    what = weight_fourier_coeffs(companion, int(f.max()), 1e-13)
+    b = target.inner(f, what)
+    A = probe._gram(f, what) + 1e-10 * what[0].real * np.eye(f.size)
+    assert np.allclose(L @ L.conj().T, A, rtol=0, atol=1e-14)
+    assert np.abs(L @ y - b).max() <= 1e-14 * np.abs(b).max()
+    proj = np.vdot(b, np.linalg.solve(A, b)).real
+    assert abs(res ** 2 - (norm ** 2 - proj)) <= 8 * EPS * norm ** 2
 
 
 def test_residual_curve_one_batched_coefficient_quadrature(companion,

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import szegolab.quadrature as quadrature
+from szegolab.blaschke import BlaschkeAnnihilator, JumpFunction
+from szegolab.frequency_sets import gen_power_set
 from szegolab.quadrature import (_WG, _WK, _XK, QuadratureResult,
                                  fourier_coefficients, integrate_finite,
                                  integrate_left_halfline,
@@ -237,6 +239,60 @@ def test_fourier_coefficients_invalid_input():
             fourier_coefficients(f, freqs, 1e-8)
     with pytest.raises(ValueError):
         fourier_coefficients(f, np.arange(4), 1e-8, breakpoints=(0.5, 0.5))
+
+
+def _quadpack_panel_errors(f, freqs, mid, half):
+    """raw |K-G|, QUADPACK's rescaled error and the rounding level of each
+    (panel, frequency), from the explicit (panel x frequency x node) tensor
+    of samples times exp(-2 pi i nu h x_j) and QUADPACK's exact resasc."""
+    h = half[:, None]
+    x = mid[:, None] + h * _XK
+    y = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
+    z = y[:, None, :] * np.exp(-2j * np.pi * h[..., None]
+                               * freqs[None, :, None] * _XK)
+    vk = (z * _WK).sum(axis=-1) * h
+    vg = (z[..., 1::2] * _WG).sum(axis=-1) * h
+    raw = np.abs(vk - vg)
+    resasc = (np.abs(z - (vk / (2 * h))[..., None]) * _WK).sum(axis=-1) * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where(resasc > 0,
+                       resasc * np.minimum(1.0, (200 * raw / resasc) ** 1.5),
+                       raw)
+    # below the smallest normal number rounding is absolute
+    noise = (np.finfo(float).eps * (np.abs(y) * _WK).sum(axis=-1)[:, None] * h
+             + np.finfo(float).tiny)
+    return raw, err, noise
+
+
+def _oracle_case(name):
+    """(integrand, frequencies, panel edges) of an oracle case.  The panels
+    have many widths, most of them too wide for their frequencies, so that
+    |K-G| stands well above rounding on many (panel, frequency) pairs."""
+    if name == "jump":
+        return (JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 20))),
+                -np.linspace(0.05, 0.6, 12), np.linspace(-200.0, 0.0, 65))
+    if name == "complex":
+        return (lambda t: np.exp(2j * np.pi * 3.3 * t) * np.sqrt(t + 0.01),
+                np.linspace(-7.5, 7.5, 31), np.linspace(0.0, 1.0, 9))
+    c = float(name.removeprefix("exp c="))
+    return (lambda t: np.exp(-c / np.maximum(t, 1e-300)), np.arange(41.0),
+            np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 40)]))
+
+
+@pytest.mark.parametrize("name", [f"exp c={c}" for c in
+                                  (1e-4, 1e-3, 1e-2, 0.1, 0.465, 1.0, 5.0)]
+                         + ["jump", "complex"])
+def test_fourier_panel_errors_never_below_quadpack(name):
+    f, freqs, edges = _oracle_case(name)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    raw, quadpack, noise = _quadpack_panel_errors(f, freqs, mid, half)
+    err = np.empty(raw.shape)
+    for idx, _, errs in quadrature._fourier_panels(f, freqs, mid, half):
+        err[idx] = errs
+    above = raw > 1e3 * noise
+    assert above.sum() >= 0.1 * above.size
+    # the bound holds in exact arithmetic; the two routes round differently
+    assert np.all(err[above] >= quadpack[above] * (1 - 1e-12))
 
 
 QUADRATURE_ENTRY_POINTS = {"integrate_finite", "oscillatory_integral",
