@@ -2,11 +2,7 @@
 
 import numpy as np
 
-__all__ = [
-    "boundary_product",
-    "interior_log_product",
-    "sine_series",
-]
+__all__ = ["boundary_product", "interior_log_product", "sine_series"]
 
 _SINE_BLOCK_ROWS = 1 << 15   # rows of t per (rows x terms) phase block
 _PHASE_BLOCK = 1 << 17        # entries of one (points x gammas) arctan block

@@ -19,17 +19,10 @@ from .frequency_sets import FrequencySet, sqrt_sum_diagnostic
 from .quadrature import (QuadratureResult, fourier_coefficients,
                          integrate_left_halfline, oscillatory_integral, require)
 
-__all__ = [
-    "BlaschkeAnnihilator",
-    "JumpFunction",
-    "eval_phi",
-    "eval_phi_boundary",
-    "g_l1_norm",
-    "gamma_vanishing_residual",
-    "cauchy_identity_residual",
-    "compute_G",
-    "convolution_identity_residual",
-]
+__all__ = ["BlaschkeAnnihilator", "JumpFunction", "eval_phi",
+           "eval_phi_boundary", "g_l1_norm", "gamma_vanishing_residual",
+           "cauchy_identity_residual", "compute_G",
+           "convolution_identity_residual"]
 
 
 @dataclass(frozen=True)

@@ -288,12 +288,9 @@ def _build_weights(cfg, tol, summary):
 
 def _run_weights(weight, out, summary):
     report = validate_condition_A(weight)
-    summary["positive"] = report.positive
-    summary["nondecreasing"] = report.nondecreasing
-    summary["bounded"] = report.bounded
-    summary["log_integral_diverges"] = report.log_integral_diverges
-    summary["divergence_certified"] = report.divergence_certified
-    summary["passed"] = report.passed
+    summary.update((k, getattr(report, k)) for k in (
+        "positive", "nondecreasing", "bounded", "log_integral_diverges",
+        "divergence_certified", "passed"))
     return [_write_csv(out / "log_integrals.csv", ["eps", "log_integral"],
                        report.log_integral_values)], True
 
@@ -381,29 +378,28 @@ def _build_probe(cfg, tol, summary):
     weight = _weight(cfg.section("weight"), summary)
     gamma = _frequency_set(cfg.section("gamma"))
     target = _target(cfg.section("target"))
-    floor = cfg.get("floor", _real, None, ok=lambda x: x >= 0,
-                    need="a non-negative number")
     N_list = cfg.get("N_list", _each(int),
                      ok=lambda ns: len(ns) > 0 and ns[0] >= 1
                      and all(a < b for a, b in zip(ns, ns[1:])),
                      need="a non-empty increasing list of positive integers")
     config = ProbeConfig(weight=weight, gamma=gamma, target=target,
-                         floor=floor, tol=min(tol, 1e-10))
+                         tol=min(tol, 1e-10))
     return partial(_run_probe, config, N_list)
 
 
 def _run_probe(config, N_list, out, summary):
     curve = residual_curve(config, N_list)
-    rows = [(r.N, r.residual, r.target_norm, r.ratio, r.cond_estimate)
-            for r in curve.records]
+    rows = [(r.N, r.residual, r.target_norm, r.ratio, r.cond_estimate,
+             r.residual_error) for r in curve.records]
     files = [_write_csv(
-        out / "residuals.csv",
-        ["N", "residual", "target_norm", "ratio", "cond_estimate"], rows)]
+        out / "residuals.csv", ["N", "residual", "target_norm", "ratio",
+                                "cond_estimate", "residual_error"], rows)]
     ratios = [r.ratio for r in curve.records]
-    summary["config_digest"] = curve.config_digest
-    summary["min_ratio"] = min(ratios)
-    summary["max_ratio"] = max(ratios)
-    summary["final_residual"] = curve.records[-1].residual
+    summary.update(config_digest=curve.config_digest, min_ratio=min(ratios),
+                   max_ratio=max(ratios),
+                   final_residual=curve.records[-1].residual,
+                   max_residual_error=max(r[-1] for r in rows),
+                   final_cond_estimate=curve.records[-1].cond_estimate)
     return files, True
 
 
@@ -523,6 +519,8 @@ def _report_lines(manifest):
     if kind == "probe" and "min_ratio" in s:
         lines.append(f"min residual ratio: {s['min_ratio']:.6g}")
         lines.append(f"final residual: {s['final_residual']:.6g}")
+        lines.append(f"max residual error: {s['max_residual_error']:.6g}")
+        lines.append(f"final cond estimate: {s['final_cond_estimate']:.6g}")
     if kind == "sets" and "verdict" in s:
         gen = s.get("generator", "")
         lines.append(f"{gen} verdict: {s['verdict']}")

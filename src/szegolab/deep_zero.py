@@ -18,20 +18,10 @@ from ._accel import sine_series
 from .quadrature import (QuadratureResult, integrate_finite,
                          oscillatory_integral, require)
 
-__all__ = [
-    "SINGULARITY_DELTA",
-    "eval_F",
-    "eval_F_prime",
-    "eval_h",
-    "eval_h_raw",
-    "series_coefficients",
-    "DeepZeroSeries",
-    "eval_H_series",
-    "eval_H_integral",
-    "DecayFit",
-    "decay_fit",
-    "membership_check",
-]
+__all__ = ["SINGULARITY_DELTA", "eval_F", "eval_F_prime", "eval_h",
+           "eval_h_raw", "series_coefficients", "DeepZeroSeries",
+           "eval_H_series", "eval_H_integral", "DecayFit", "decay_fit",
+           "membership_check"]
 
 SINGULARITY_DELTA = 1e-4   # radius of the local-quotient rule
 

@@ -11,18 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "FrequencySet",
-    "SparsityReport",
-    "ConditionBReport",
-    "gen_power_set",
-    "gen_interval_blocks",
-    "sqrt_sum_diagnostic",
-    "condition_B_check",
-    "thin_to_condition_B",
-    "complement_in_range",
-    "primes_upto",
-]
+__all__ = ["FrequencySet", "SparsityReport", "ConditionBReport",
+           "gen_power_set", "gen_interval_blocks", "sqrt_sum_diagnostic",
+           "condition_B_check", "thin_to_condition_B", "complement_in_range",
+           "primes_upto"]
 
 
 def primes_upto(n):

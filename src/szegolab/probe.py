@@ -1,36 +1,38 @@
-"""Completeness experiments in weighted L2: project targets onto truncated
-exponential systems and track the residual as the frequency cutoff grows.
+"""Completeness experiments in weighted L2: the distance from a target to
+the span of exponentials e_k, k in a kept set, and residual curves in the
+truncation order N, by the discrete Szegő recursion (Reichel, Ammar &
+Gragg, Math. Comp. 1991; Simon, "Orthogonal Polynomials on the Unit
+Circle", 2005).  Frequencies are shifted so the smallest (or 0) is 0, an
+isometry, and become degrees <= N' in z = e^{2 pi i t}.
 
-The Gram matrix of exponentials is Toeplitz in the Fourier coefficients of
-the weight; deep-zero weights make the system nearly dependent, so the
-solve carries an explicit eigenvalue floor and a condition estimate.
+w dt is sampled once: masses mu_j = omega_j w(t_j) at z_j = e^{2 pi i t_j},
+from a composite Gauss-Legendre rule split at w's breakpoints.  The monic
+orthogonal polynomials run as vectors over the nodes, O(M) per degree:
+a = <z Phi_n, Phi*_n> / ||Phi*_n||^2, Phi_{n+1} = z Phi_n - a Phi*_n,
+Phi*_{n+1} = Phi*_n - conj(a) z Phi_n, and on coefficient vectors, which
+give B[s, k], the coefficient of z^s in the orthonormal phi_k, for the rows
+s a solve reads.  A step with ||Phi*_n||^2 zero or not finite raises.
 
-The complements of a residual curve are nested prefixes of one frequency
-list, and the floor does not depend on N, so each curve computes the target
-norm and one Cholesky factorization, at the largest N: of the Gram matrix A
-(floor on the diagonal) bordered by the inner products b,
-[[A, b], [b^H, c]].  The Gram matrix of every shorter prefix is a leading
-block A[:n,:n], whose Cholesky factor is the leading block L[:n,:n]; the
-factor's last row holds conj(y) with y = L^-1 b, so no triangular solve is
-needed, and the squared projection norm is the partial sum of |y|^2 up to
-n.  The corner c only keeps the bordered matrix positive definite.  The
-condition estimate is lambda_max/lambda_min of the floored leading block.
+With S = [0, N'] minus the kept set, p = sum c_k phi_k has ||p|| = ||c||
+and p-hat_S = B_S c.  So a trig target has residual^2 =
+f-hat_S^H (B_S B_S^H)^-1 f-hat_S, from one SVD of B_S (B B^H would square
+its condition number), exactly 0 in the span.  An annihilator keeps its
+exact inner products b, nonzero on T in the kept set: residual^2 =
+||Phi||^2 - b_T^H R^-1 b_T, R = ((B' B'^H)^-1)_TT with B' on the rows S
+and T.  No Gram matrix of exponentials and no regularization (floor) enter.
 
-A curve computes one vector w-hat(0..K) of the weight's Fourier
-coefficients and passes it to the target (norm and inner products) and to
-the Gram matrix, which read it through one conjugate-symmetric indexing
-helper.  One batched quadrature computes the whole vector
-(quadrature.fourier_coefficients): w is sampled once on a composite
-Gauss-Kronrod 7/15 rule with panels no wider than half a period of lag K,
-split at the weight's breakpoints and halved where they miss their share of
-the tolerance.  Each block of panels takes one matrix product with the lag
-table, and each lag gets an error estimate that is never below QUADPACK's;
-a lag that misses the tolerance raises ArithmeticError.
+One recursion per rule at the largest N' serves a curve's nested kept
+sets.  Of two rules of different sizes (_RULES) the larger gives the
+values; residual_error is their disagreement, plus the norm's quadrature
+error where the residual reads the norm.  cond_estimate is
+sigma_max/sigma_min of the block solved.  A value that is not finite, or
+a residual_error above the target norm, raises ArithmeticError.
 """
 
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,27 +41,20 @@ from .deep_zero import membership_check
 from .frequency_sets import complement_in_range
 from .quadrature import fourier_coefficients
 
-__all__ = [
-    "weight_fourier_coeff",
-    "weight_fourier_coeffs",
-    "gram_matrix",
-    "TrigPolyTarget",
-    "AnnihilatorTarget",
-    "weighted_residual",
-    "ProbeConfig",
-    "ResidualCurve",
-    "residual_curve",
-]
+__all__ = ["weight_fourier_coeff", "weight_fourier_coeffs", "gram_matrix",
+           "TrigPolyTarget", "AnnihilatorTarget", "weighted_residual",
+           "ProbeConfig", "ResidualCurve", "residual_curve"]
+
+# (a, b, order): about a*N' + b nodes on [0, 1] in panels of `order` nodes,
+# so a node sees under pi/a radians of e^{2 pi i N' t}, which such a panel
+# integrates to rounding
+_RULES = ((2.5, 20, 64), (3.0, 40, 80))
 
 
 def weight_fourier_coeffs(w, K, tol=1e-12):
-    """The weight's Fourier coefficients w-hat(0..K) as a fresh vector.
-
-    A constant weight has them in closed form.  Otherwise one batched
-    quadrature (fourier_coefficients) samples w once per node, with w's
-    breakpoints as panel edges, and a lag whose error estimate exceeds tol
-    raises.
-    """
+    """The weight's Fourier coefficients w-hat(0..K) as a fresh vector, in
+    closed form for a constant weight, else from one batched quadrature
+    split at w's breakpoints; a lag whose error exceeds tol raises."""
     K = int(K)
     if w.kind == "constant":
         what = np.zeros(K + 1, dtype=np.complex128)
@@ -111,31 +106,30 @@ def gram_matrix(freqs, w, tol=1e-12):
 
 class TrigPolyTarget:
     """Target given by explicit exponential coefficients {freq: amplitude};
-    all weighted inner products reduce to weight Fourier coefficients."""
+    its distance to a span depends on its amplitudes off the span."""
 
     def __init__(self, coeffs):
         self.coeffs = {int(k): complex(v) for k, v in coeffs.items()}
 
     @property
     def freqs(self):
-        """The target's own frequencies; a curve's coefficient vector
-        reaches every lag between them and the curve's frequencies."""
+        """The target's own frequencies, whose lags its norm reads."""
         return list(self.coeffs)
 
-    def inner(self, freqs, what):
-        """<f, e_m>_w = sum_n a_n w-hat(m - n) for every m in freqs."""
-        m = np.asarray(freqs, dtype=np.int64)
-        return sum(a * _at_lags(what, m - n) for n, a in self.coeffs.items())
+    def at(self, freqs):
+        """The amplitudes at the int array freqs, 0 off the target."""
+        return np.array([self.coeffs.get(int(k), 0j) for k in freqs],
+                        dtype=np.complex128)
 
-    def norm_sq(self, what, w=None, tol=None):
-        """||f||_w^2 = sum over n, l of a_n conj(a_l) w-hat(l - n), summed
-        left to right in row order rather than by numpy's pairwise sum;
-        w and tol are not read.  Amplitudes too large give inf or nan,
-        which the residual curve rejects."""
+    def norm_sq(self, what, w=None, tol=0.0):
+        """(||f||_w^2, error): the sum of a_n conj(a_l) w-hat(l - n) left to
+        right in row order, and tol (sum |a_n|)^2 for coefficients each
+        within tol.  Too large amplitudes give inf or nan."""
         a = np.array(list(self.coeffs.values()))
         with np.errstate(over="ignore", invalid="ignore"):
             terms = np.outer(a, a.conj()) * _gram(np.array(self.freqs), what).T
-        return float(sum(terms.ravel().tolist()).real)
+            error = tol * np.abs(a).sum() ** 2
+        return float(sum(terms.ravel().tolist()).real), float(error)
 
     def digest_data(self):
         return {"kind": "trigpoly",
@@ -148,7 +142,7 @@ class AnnihilatorTarget:
     inner product against exponentials, which become plain coefficients
     of H: the series coefficient on +-(odd square), zero elsewhere."""
 
-    # no own frequencies: the inner products read no weight coefficients
+    # no own frequencies: the norm reads no weight coefficients
     freqs = ()
 
     def __init__(self, series):
@@ -156,17 +150,16 @@ class AnnihilatorTarget:
         self._spectrum = {int(f): complex(c)
                           for f, c in zip(series.freqs, series.coeffs)}
 
-    def inner(self, freqs, what=None):
-        """<Phi, e_m>_w for every m in freqs; what is not read."""
+    def inner(self, freqs):
+        """<Phi, e_m>_w for every m in freqs, whatever the weight."""
         m = np.asarray(freqs, dtype=np.int64)
         c = np.array([self._spectrum.get(int(k), 0.0j) for k in np.abs(m)],
                      dtype=np.complex128)
         return np.where(m > 0, c, np.where(m < 0, -c, 0.0j))
 
     def norm_sq(self, what, w, tol):
-        """||Phi||_w^2 = int |H|^2 / w, by membership_check."""
-        value, _ = membership_check(self.series, w, tol)
-        return value
+        """(||Phi||_w^2, its error) = int |H|^2 / w, by membership_check."""
+        return membership_check(self.series, w, tol)
 
     def digest_data(self):
         return {"kind": "annihilator", "k_min": self.series.k_min,
@@ -179,83 +172,134 @@ class ResidualRecord:
     residual: float
     target_norm: float
     cond_estimate: float
+    residual_error: float
 
     @property
     def ratio(self):
         return self.residual / self.target_norm if self.target_norm else 0.0
 
 
-def _hermitian_cond(A):
-    """2-norm condition number of a Hermitian matrix; 1.0 when empty, inf
-    when singular."""
-    if not len(A):
-        return 1.0
-    ev = np.abs(np.linalg.eigvalsh(A))
-    return float(ev.max() / ev.min()) if ev.min() > 0 else math.inf
+def _measure(w, n, rule):
+    """Points z_j and root masses sqrt(omega_j w(t_j)) of the composite
+    Gauss-Legendre rule (a, b, order) for degree n: equal panels of `order`
+    nodes on each piece between w's breakpoints, about a*n + b in all."""
+    a, b, order = rule
+    x, wx = np.polynomial.legendre.leggauss(order)
+    edges = np.concatenate([np.linspace(lo, hi, math.ceil(
+        (a * n + b) * (hi - lo) / order), endpoint=False) for lo, hi in
+        zip(w.breakpoints, w.breakpoints[1:])] + [[w.breakpoints[-1]]])
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    return np.exp(2j * np.pi * t), np.sqrt((half * wx).ravel() * w(t))
 
 
-def _prefix_residuals(target, freqs, w, floor, tol, sizes):
-    """Distances from the target to the spans of freqs[:n], n in sizes.
+def _szego(z, root_mu, n, rows):
+    """The Szegő recursion to degree n for masses root_mu**2 at the points
+    z, whose node vectors carry the factor root_mu.  Returns (d2, B):
+    d2[k] = ||Phi*_k||^2, the squared distance from 1 to span{z..z^k}, and
+    B[i, k] the coefficient of z^rows[i] in the orthonormal phi_k."""
+    phi, phis = root_mu.astype(np.complex128), root_mu.astype(np.complex128)
+    coef = np.zeros(n + 1, dtype=np.complex128)
+    coef[0] = 1.0
+    d2, B = np.empty(n + 1), np.empty((len(rows), n + 1), dtype=np.complex128)
+    for k in range(n + 1):
+        d2[k] = d = float(np.vdot(phis, phis).real)
+        if not 0.0 < d < math.inf:
+            raise ArithmeticError(
+                f"Szego recursion: ||Phi*_n||^2 = {d} at n={k}")
+        B[:, k] = coef[rows]
+        if k < n:
+            zp = z * phi
+            a = complex(np.vdot(phis, zp)) / d
+            # Phi*_k has the coefficients of Phi_k reversed and conjugated
+            star = a * coef[k::-1].conj()
+            coef[1:k + 2] = coef[:k + 1]
+            coef[0] = 0.0
+            coef[:k + 1] -= star
+            phi = zp - a * phis
+            phis -= a.conjugate() * zp
+    B /= np.sqrt(d2)
+    if not np.isfinite(B).all():
+        raise ArithmeticError("Szego recursion: coefficients not finite")
+    return d2, B
 
-    One target norm and one Cholesky factor of the floored Gram matrix A
-    bordered by b serve every prefix: A[:n,:n] and L[:n,:n] belong to
-    freqs[:n], and the bordered factor's last row is [y^H, d] with
-    y = L^-1 b, so the projection has squared norm sum |y[:n]|^2.
-    Returns (norm, [(residual, cond) for each n], L, y); the projection
-    onto freqs[:n] has the coefficients c solving L[:n,:n]^H c = y[:n].
-    A norm or projection that is not finite raises ArithmeticError.
-    """
-    f = np.array(freqs, dtype=np.int64)
-    # one coefficient vector covers every lag among the curve's and the
-    # target's frequencies; the Gram matrix waits until the target's norm
-    # quadrature has finished
-    lags = np.concatenate([f, np.array(target.freqs, dtype=np.int64)])
-    what = weight_fourier_coeffs(w, _max_lag(lags), tol)
-    norm_sq = target.norm_sq(what, w, tol)
+
+def _residuals(target, kept_sets, w, tol, coefficients=False):
+    """Distances from the target to the spans of kept_sets, lists of
+    distinct frequencies, each a prefix of the last.  Returns (norm,
+    [(residual, residual_error, cond) for each set], the projection's
+    coefficients on the last set when asked: they need every row of B)."""
+    F = np.array(target.freqs, dtype=np.int64)
+    what = weight_fourier_coeffs(w, _max_lag(F), tol) if F.size else None
+    norm_sq, norm_err = target.norm_sq(what, w, tol)
     if not math.isfinite(norm_sq):
         raise ArithmeticError(f"target norm^2 is not finite ({norm_sq})")
-    b = target.inner(f, what)
-    n = f.size
-    M = np.empty((n + 1, n + 1), dtype=np.complex128)
-    A = M[:n, :n]
-    A[...] = _gram(f, what)
-    if floor is None:
-        floor = 1e-10 * what[0].real
-    A[np.diag_indices_from(A)] += floor
-    M[:n, n] = b
-    M[n, :n] = b.conj()
-    # the corner only has to exceed |y|^2, and y does not depend on it
-    M[n, n] = np.finfo(np.float64).max
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            f"Gram factorization failed at floor={floor:.3e}, "
-            f"cond estimate {_hermitian_cond(A):.3e}") from exc
-    y = L[n, :n].conj()
-    with np.errstate(over="ignore"):
-        proj = np.concatenate(([0.0], np.cumsum(np.abs(y) ** 2)))
-    if not np.isfinite(proj[-1]):
-        raise ArithmeticError(f"projection norm^2 is not finite ({proj[-1]})")
-    rows = []
-    for k in sizes:
-        res_sq = min(max(norm_sq - float(proj[k]), 0.0), norm_sq)
-        rows.append((math.sqrt(res_sq), _hermitian_cond(A[:k, :k])))
-    return math.sqrt(max(norm_sq, 0.0)), rows, L[:n, :n], y
+    norm = math.sqrt(max(norm_sq, 0.0))
+    top = np.array(kept_sets[-1], dtype=np.int64)
+    lo = min(0, F.min(initial=0), top.min(initial=0))
+    trig = isinstance(target, TrigPolyTarget)
+    b = np.zeros(top.size) if trig else target.inner(top)
+    # per set: degree n, rows R (S and T), T's place in R, b_T, f-hat_R, and
+    # residual^2 before the solve (the norm, unless a trig target has a span)
+    blocks = []
+    for size in map(len, kept_sets):
+        kept, on_T = top[:size] - lo, b[:size] != 0
+        n = max(0, F.max(initial=0), top[:size].max(initial=0)) - lo
+        R = np.union1d(np.setdiff1d(np.arange(n + 1), kept), kept[on_T])
+        solves = trig and size > 0
+        blocks.append((n, R, np.searchsorted(R, kept[on_T]), b[:size][on_T],
+                       target.at(R + lo) if solves else np.zeros(R.size),
+                       0.0 if solves else norm_sq))
+    n_max = blocks[-1][0]
+    rows = (np.arange(n_max + 1) if coefficients
+            else np.unique(np.concatenate([blk[1] for blk in blocks])))
+    values = []
+    for rule in _RULES:
+        _, B = _szego(*_measure(w, n_max, rule), n_max, rows)
+        values.append([])
+        for n, R, tpos, b_t, f, base in blocks:
+            U, s, Vh = np.linalg.svd(B[np.searchsorted(rows, R), :n + 1],
+                                     full_matrices=False)
+            if not s[-1] > 0.0:
+                raise ArithmeticError(f"singular constraint block at n={n}")
+            # y: coordinates of the least-norm p with p-hat_R = f; with
+            # G = U[tpos] / s, G G^H = ((B B^H)^-1)_TT
+            y, G = (U.conj().T @ f) / s, U[tpos] / s
+            gamma = np.linalg.solve(G @ G.conj().T, b_t)
+            res_sq = base + np.vdot(y, y).real - np.vdot(b_t, gamma).real
+            values[-1].append((math.sqrt(min(max(res_sq, 0.0), norm_sq)),
+                               float(s[0] / s[-1])))
+    out = []
+    for size, (other, _), (res, cond), blk in zip(map(len, kept_sets),
+                                                   *values, blocks):
+        error = abs(res - other)
+        if blk[-1]:
+            # the residual reads the norm, and so its quadrature error
+            error += res - math.sqrt(max(res * res - norm_err, 0.0))
+        if not (math.isfinite(res) and math.isfinite(cond) and error <= norm):
+            raise ArithmeticError(
+                f"residual {res:.3e} +- {error:.3e} against the target norm "
+                f"{norm:.3e} at {size} frequencies, cond {cond:.3e}")
+        out.append((res, error, cond))
+    if not coefficients:
+        return norm, out, None
+    # p, less the projection of an annihilator, in the monomial basis
+    p = B[:, :n_max + 1] @ (Vh.conj().T @ (y - G.conj().T @ gamma))
+    return norm, out, (target.at(top) if trig else 0.0) - p[top - lo]
 
 
 def weighted_residual(target, freqs, w, floor=None, tol=1e-12):
-    """Distance from the target to the span of the given exponentials.
-
-    residual^2 = ||f||_w^2 - b^H (G + floor I)^(-1) b, clamped to
-    [0, ||f||_w^2]; Cholesky is the (deterministic) factorization, and a
-    failure even with the floor raises with the condition estimate.
-    Returns (residual, coefficients, norm, cond).
-    """
-    freqs = list(freqs)
-    norm, [(res, cond)], L, y = _prefix_residuals(
-        target, freqs, w, floor, tol, [len(freqs)])
-    return res, np.linalg.solve(L.conj().T, y), norm, cond
+    """(residual, coefficients of the projection on each of freqs, norm,
+    cond) of the target against the span of the exponentials e_f; floor
+    may only be None or 0, since the solve needs no regularization."""
+    if floor is not None and floor != 0:
+        raise ValueError(f"floor must be None or 0, got {floor!r}")
+    freqs = [int(f) for f in freqs]
+    if len(set(freqs)) != len(freqs):
+        raise ValueError("frequencies must be distinct")
+    norm, [(res, _, cond)], coeffs = _residuals(target, [freqs], w, tol,
+                                                coefficients=True)
+    return res, coeffs, norm, cond
 
 
 @dataclass
@@ -263,14 +307,12 @@ class ProbeConfig:
     weight: object
     gamma: object          # FrequencySet of removed frequencies
     target: object
-    floor: float | None = None
     tol: float = 1e-12
 
     def digest(self):
         data = {"weight": self.weight.descriptor(),
                 "gamma": list(self.gamma.elements),
-                "target": self.target.digest_data(),
-                "floor": self.floor, "tol": self.tol}
+                "target": self.target.digest_data(), "tol": self.tol}
         return hashlib.sha256(
             json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -282,17 +324,16 @@ class ResidualCurve:
 
 
 def residual_curve(config, N_list):
-    """weighted_residual over nested complements (N increasing), from one
-    factorization at the largest N."""
+    """weighted_residual over the nested complements in [1, N], N
+    increasing, from one recursion per rule at the largest N."""
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be increasing")
     if not N_list:
         return ResidualCurve([], config.digest())
-    # complements in [1, N] are prefixes of the complement at the largest N
-    sizes = [len(complement_in_range(config.gamma, N)) for N in N_list]
-    freqs = complement_in_range(config.gamma, N_list[-1])
-    norm, rows, _, _ = _prefix_residuals(config.target, freqs, config.weight,
-                                         config.floor, config.tol, sizes)
-    records = [ResidualRecord(N, res, norm, cond)
-               for N, (res, cond) in zip(N_list, rows)]
-    return ResidualCurve(records, config.digest())
+    kept = complement_in_range(config.gamma, N_list[-1])
+    norm, rows, _ = _residuals(config.target,
+                               [kept[:bisect_right(kept, N)] for N in N_list],
+                               config.weight, config.tol)
+    return ResidualCurve([ResidualRecord(N, res, norm, cond, error)
+                          for N, (res, error, cond) in zip(N_list, rows)],
+                         config.digest())

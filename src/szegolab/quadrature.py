@@ -10,14 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "QuadratureResult",
-    "fourier_coefficients",
-    "integrate_finite",
-    "integrate_left_halfline",
-    "oscillatory_integral",
-    "require",
-]
+__all__ = ["QuadratureResult", "fourier_coefficients", "integrate_finite",
+           "integrate_left_halfline", "oscillatory_integral", "require"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the QUADPACK qk15
 # abscissae and weights (Piessens et al., 1983), to full double precision.

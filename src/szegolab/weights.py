@@ -13,15 +13,9 @@ import numpy as np
 
 from .quadrature import integrate_finite, require
 
-__all__ = [
-    "Weight",
-    "ConditionAReport",
-    "make_exp_weight",
-    "make_constant_weight",
-    "make_tabulated_weight",
-    "log_integral",
-    "validate_condition_A",
-]
+__all__ = ["Weight", "ConditionAReport", "make_exp_weight",
+           "make_constant_weight", "make_tabulated_weight", "log_integral",
+           "validate_condition_A"]
 
 
 @dataclass(frozen=True)
@@ -68,9 +62,11 @@ class Weight:
 
 
 def make_exp_weight(c):
-    """w(t) = exp(-c/t); log-integral over (eps,1) is -c*ln(1/eps)."""
+    """w(t) = exp(-c/t), refused where exp(-c) == 0: w would be 0 on [0, 1]."""
     if c <= 0:
         raise ValueError("c must be positive")
+    if math.exp(-c) == 0.0:
+        raise ValueError(f"exp(-c/t) underflows to 0 on [0, 1] at c={c!r}")
     return Weight(kind="exp", c=float(c))
 
 

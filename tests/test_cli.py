@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -106,6 +108,12 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
       "condition_B": {"C": 3.0, "x_grid": [1000], "thin": "yes"}},
      "condition_B.thin"),
     ({**WEIGHTS_CONFIG, "weight": {"kind": "exp", "c": math.nan}}, "weight.c"),
+    # exp(-1e300/t) is 0 in double precision on all of [0, 1]
+    ({**WEIGHTS_CONFIG, "weight": {"kind": "exp", "c": 1e300}}, "weight.c"),
+    ({"kind": "probe", "weight": {"kind": "exp", "c": 1e300},
+      "gamma": {"generator": "power", "rho": 3, "count": 10},
+      "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
+      "N_list": [20]}, "weight.c"),
 ], ids=["rho-not-a-number", "top-level-list", "trigpoly-without-coeffs",
         "coeff-key", "N_list-entry", "tol", "t_min", "weight-not-object",
         "blaschke-divergent-gamma", "K-not-a-number", "z_points-entry",
@@ -117,7 +125,7 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
         "identity_tol-not-a-number", "t_max-below-t_min", "empty-gamma",
         "t_scan-above-0", "z_points-on-cut", "floor-negative",
         "k_min-negative", "thin-not-a-flag",
-        "c-not-finite"])
+        "c-not-finite", "weights-c-underflows", "probe-c-underflows"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, config, field,
                                             command):
@@ -247,6 +255,41 @@ def test_trigpoly_probe_run_and_report(tmp_path, capsys):
     assert "annihilator" not in text
 
 
+def test_probe_report_prints_worst_error_and_final_cond(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {
+        "kind": "probe", "weight": {"kind": "exp", "c": 0.5},
+        "gamma": {"generator": "power", "rho": 3, "count": 10},
+        "target": {"kind": "trigpoly", "coeffs": {"0": 1.0}},
+        "N_list": [5, 10, 20]})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "residuals.csv").read_text().splitlines()
+    assert header == ("N,residual,target_norm,ratio,cond_estimate,"
+                      "residual_error")
+    rows = [[float(v) for v in row.split(",")] for row in rows]
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["max_residual_error"] == max(r[5] for r in rows) > 0
+    assert summary["final_cond_estimate"] == rows[-1][4] > 1
+    assert main(["report", str(out / "manifest.json")]) == 0
+    text = capsys.readouterr().out
+    assert f"max residual error: {summary['max_residual_error']:.6g}" in text
+    assert (f"final cond estimate: {summary['final_cond_estimate']:.6g}"
+            in text)
+
+
+def test_runtime_imports_no_test_oracle():
+    """scipy and mpmath serve the tests only; the package and its CLI do
+    not import them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, szegolab, szegolab.cli; print(sorted(m for m in "
+            "('scipy', 'mpmath') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("content", [
     b'[1, 2]',
     b'{"kind": "sets", "outputs": []}',
@@ -338,8 +381,9 @@ def test_unconverged_membership_exits_3(tmp_path, capsys, monkeypatch):
     ({"kind": "sets", "gamma": {"generator": "power", "rho": 3, "count": 5,
                                 "elements": [1, 2]}}, "gamma.elements"),
     ({**WEIGHTS_CONFIG, "grid_size": 64}, "grid_size"),
+    ({**PROBE_CONFIG, "floor": 0}, "floor"),
 ], ids=["misspelled-flag", "field-of-another-weight-kind",
-        "field-of-another-generator", "removed-field"])
+        "field-of-another-generator", "removed-field", "removed-floor"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_unread_field_exits_2_naming_it(tmp_path, capsys, config, field,
                                         command):
@@ -356,13 +400,7 @@ def test_unread_field_exits_2_naming_it(tmp_path, capsys, config, field,
       "gamma": {"generator": "power", "rho": 3, "count": 10},
       "target": {"kind": "trigpoly", "coeffs": {"2": [1e300, 0]}},
       "N_list": [20]}, "target norm^2 is not finite"),
-    # w = exp(-1e300/t) is 0 in double precision: the Gram matrix and its
-    # floor vanish, and the condition estimate is inf, not 0/0
-    ({"kind": "probe", "weight": {"kind": "exp", "c": 1e300},
-      "gamma": {"generator": "power", "rho": 3, "count": 10},
-      "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
-      "N_list": [20]}, "cond estimate inf"),
-], ids=["target-norm-overflows", "weight-underflows-to-zero"])
+], ids=["target-norm-overflows"])
 def test_probe_numeric_failure_exits_3_without_warning(tmp_path, capsys,
                                                        config, message):
     cfg = _write(tmp_path, "c.json", config)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from szegolab.deep_zero import DeepZeroSeries, decay_fit, eval_H_series
+from szegolab.deep_zero import (DeepZeroSeries, decay_fit, eval_H_series,
+                                membership_check)
 import szegolab.probe as probe
 import szegolab.quadrature as quadrature
 from szegolab.frequency_sets import (FrequencySet, complement_in_range,
@@ -235,44 +236,138 @@ def test_residual_curve_matches_per_N_solves(s20, companion, rho, count,
         assert coeffs.shape == (len(freqs),)
 
 
-def test_residual_curve_factors_once(companion, monkeypatch):
+def test_residual_curve_one_norm_and_two_recursions(companion, monkeypatch):
     target = TrigPolyTarget({2: 1.0, 3: 0.5})
-    calls = {"norm_sq": 0, "cholesky": 0}
-    norm_sq, cholesky = target.norm_sq, np.linalg.cholesky
+    calls = {"norm_sq": 0, "szego": 0}
+    norm_sq, szego = target.norm_sq, probe._szego
 
     def count_norm_sq(*args, **kwargs):
         calls["norm_sq"] += 1
         return norm_sq(*args, **kwargs)
 
-    def count_cholesky(*args, **kwargs):
-        calls["cholesky"] += 1
-        return cholesky(*args, **kwargs)
+    def count_szego(*args, **kwargs):
+        calls["szego"] += 1
+        return szego(*args, **kwargs)
 
     monkeypatch.setattr(target, "norm_sq", count_norm_sq)
-    monkeypatch.setattr(np.linalg, "cholesky", count_cholesky)
+    monkeypatch.setattr(probe, "_szego", count_szego)
     cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 50),
                       target=target, tol=1e-13)
     residual_curve(cfg, [20, 40, 80])
-    assert calls == {"norm_sq": 1, "cholesky": 1}
+    # one recursion per rule at the largest N, none per N
+    assert calls == {"norm_sq": 1, "szego": len(probe._RULES)}
 
 
-def test_bordered_factor_last_row_solves_the_gram_system(companion):
-    target = TrigPolyTarget({0: 1.0, 2: 0.5j, 9: -0.25})
-    freqs = complement_in_range(gen_power_set(3, 50), 300)
-    norm, [(res, _)], L, y = probe._prefix_residuals(
-        target, freqs, companion, None, 1e-13, [len(freqs)])
-    f = np.array(freqs)
-    what = weight_fourier_coeffs(companion, int(f.max()), 1e-13)
-    b = target.inner(f, what)
-    A = probe._gram(f, what) + 1e-10 * what[0].real * np.eye(f.size)
-    assert np.allclose(L @ L.conj().T, A, rtol=0, atol=1e-14)
-    assert np.abs(L @ y - b).max() <= 1e-14 * np.abs(b).max()
-    proj = np.vdot(b, np.linalg.solve(A, b)).real
-    assert abs(res ** 2 - (norm ** 2 - proj)) <= 8 * EPS * norm ** 2
+def test_szego_recursion_gives_orthonormal_polynomials(companion):
+    n = 60
+    z, root_mu = probe._measure(companion, n, probe._RULES[0])
+    d2, B = probe._szego(z, root_mu, n, np.arange(n + 1))
+    # phi_k at the nodes, scaled by sqrt(mu): an orthonormal system
+    V = root_mu[:, None] * z[:, None] ** np.arange(n + 1)
+    P = V @ B
+    assert np.abs(P.conj().T @ P - np.eye(n + 1)).max() <= 1e-11
+    assert np.allclose(np.diag(B), 1.0 / np.sqrt(d2), rtol=1e-13, atol=0)
+    # d2[k]: squared distance from 1 to span{z..z^k} in the same measure
+    for k in (1, 7, n):
+        c = np.linalg.lstsq(V[:, 1:k + 1], root_mu, rcond=None)[0]
+        ref = np.linalg.norm(root_mu - V[:, 1:k + 1] @ c) ** 2
+        assert d2[k] == pytest.approx(ref, rel=1e-11)
 
 
-def test_residual_curve_one_batched_coefficient_quadrature(companion,
-                                                           monkeypatch):
+def test_szego_zero_masses_raise_naming_the_step():
+    z = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 16, endpoint=False))
+    with pytest.raises(ArithmeticError, match=r"Phi\*_n\|\|\^2 = 0.0 at n=0"):
+        probe._szego(z, np.zeros(16), 5, np.arange(1))
+
+
+class _TrigPolyWeight:
+    """|1 - a e^{2 pi i t}|^2, whose Toeplitz determinants are known."""
+    breakpoints = (0.0, 1.0)
+
+    def __init__(self, a):
+        self.a = a
+
+    def __call__(self, t):
+        return 1.0 + self.a ** 2 - 2.0 * self.a * np.cos(2.0 * np.pi * t)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.99])
+def test_szego_distances_match_the_trig_poly_weight(a):
+    N = 1000
+    d2, _ = probe._szego(*probe._measure(_TrigPolyWeight(a), N,
+                                         probe._RULES[0]), N, np.arange(1))
+    n = np.arange(N + 1)
+    # D_{n+1} / D_n for the Toeplitz determinants of |1 - a z|^2
+    exact = (1.0 - a ** (2 * n + 4)) / (1.0 - a ** (2 * n + 2))
+    assert np.abs(d2 / exact - 1.0).max() <= 1e-12
+
+
+def _dense_residual(w, n_max, kept, target_values):
+    """Least squares by SVD on the sqrt(mu)-scaled samples of the larger
+    rule, which gives the curve's values."""
+    z, root_mu = probe._measure(w, n_max, probe._RULES[-1])
+    V = root_mu[:, None] * z[:, None] ** np.asarray(kept)
+    y = root_mu * target_values(z)
+    c = np.linalg.lstsq(V, y, rcond=None)[0]
+    return np.linalg.norm(y - V @ c)
+
+
+@pytest.mark.parametrize("rho, count", [(3, 50), (2, 100)],
+                         ids=["cubes", "squares"])
+def test_residual_curve_matches_dense_least_squares(companion, rho, count):
+    gamma = gen_power_set(rho, count)
+    N_list = [50, 100, 200, 400]
+    cfg = ProbeConfig(weight=companion, gamma=gamma,
+                      target=TrigPolyTarget({0: 1.0}), tol=1e-13)
+    curve = residual_curve(cfg, N_list)
+    kept = complement_in_range(gamma, N_list[-1])
+    for rec in curve.records:
+        freqs = [k for k in kept if k <= rec.N]
+        ref = _dense_residual(companion, max(kept), freqs,
+                              lambda z: np.ones_like(z))
+        assert rec.residual == pytest.approx(ref, rel=1e-6)
+        assert rec.residual_error <= 1e-9 * rec.residual
+
+
+def test_annihilator_drop_matches_dense_schur_complement(s20, companion):
+    target = AnnihilatorTarget(s20)
+    freqs = complement_in_range(gen_power_set(2, 100), 300)
+    res0, _, norm, _ = weighted_residual(target, freqs, companion, tol=1e-13)
+    res9, coeffs, _, _ = weighted_residual(target, sorted(freqs + [9]),
+                                           companion, tol=1e-13)
+    assert res0 == norm
+    # the Schur complement of e_9 in the unfloored Gram matrix of the same
+    # samples: the squared distance from e_9 to the rest of the span
+    schur = _dense_residual(companion, max(freqs), freqs,
+                            lambda z: z ** 9) ** 2
+    predicted = abs(target.inner([9])[0]) ** 2 / schur
+    assert res0 ** 2 - res9 ** 2 == pytest.approx(predicted, rel=1e-6)
+    # the projection is c e_9 plus the part of e_9's projection on the
+    # rest that cancels it, with c = b_9 / schur
+    assert coeffs[sorted(freqs + [9]).index(9)] == pytest.approx(
+        target.inner([9])[0] / schur, rel=1e-6)
+
+
+def test_annihilator_residual_error_is_the_norm_error(s20, companion):
+    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(2, 100),
+                      target=AnnihilatorTarget(s20), tol=1e-13)
+    norm_sq, err = membership_check(s20, companion, 1e-13)
+    norm = math.sqrt(norm_sq)
+    for rec in residual_curve(cfg, [50, 100]).records:
+        assert rec.residual == rec.target_norm == norm
+        assert rec.residual_error == norm - math.sqrt(norm_sq - err)
+
+
+def test_weighted_residual_refuses_a_floor():
+    w = make_constant_weight(1.0)
+    f = TrigPolyTarget({1: 1.0})
+    assert weighted_residual(f, [1], w, floor=0)[0] == 0.0
+    with pytest.raises(ValueError, match="floor"):
+        weighted_residual(f, [1], w, floor=1e-10)
+
+
+def test_residual_curve_coefficient_quadrature_reads_only_target_lags(
+        companion, s20, monkeypatch):
     asked = []
 
     def spy(f, freqs, *args, **kwargs):
@@ -286,19 +381,23 @@ def test_residual_curve_one_batched_coefficient_quadrature(companion,
                       tol=1e-13)
     residual_curve(cfg, [50, 200])
     assert len(asked) == 1
-    assert np.array_equal(asked[0], np.arange(201))
+    assert np.array_equal(asked[0], np.arange(6))
+    # an annihilator's norm and inner products read no weight coefficient
+    cfg.target = AnnihilatorTarget(s20)
+    residual_curve(cfg, [50, 200])
+    assert len(asked) == 1
 
 
 def test_trigpoly_inner_products_index_the_vector():
     what = np.array([2.0, 0.5 + 0.25j, -0.125j, 0.0625 + 0.5j])
     f = TrigPolyTarget({2: 1.0, 4: 1j})
-    # <f, e_m>_w = sum_n a_n w-hat(m - n), w-hat(-k) = conj(w-hat(k))
-    expected = [np.conj(what[1]) + 1j * np.conj(what[3]),
-                what[1] + 1j * np.conj(what[1]),
-                what[3] + 1j * what[1]]
-    assert np.array_equal(f.inner([1, 3, 5], what), expected)
+    # ||f||_w^2 = sum a_n conj(a_l) w-hat(l - n), w-hat(-k) = conj(w-hat(k))
+    assert np.array_equal(f.at([1, 2, 3, 4]), [0.0, 1.0, 0.0, 1j])
     norm = 2.0 + 2.0 + 2.0 * (np.conj(1j) * what[2]).real
-    assert f.norm_sq(what) == pytest.approx(norm, rel=1e-15)
+    value, error = f.norm_sq(what, tol=1e-13)
+    assert value == pytest.approx(norm, rel=1e-15)
+    # each coefficient within tol: |a_2| + |a_4| = 2
+    assert error == pytest.approx(4e-13, rel=1e-15)
 
 
 def test_gram_unsorted_with_negative_frequencies(companion):
@@ -317,8 +416,14 @@ def test_residual_curve_empty_first_complement(companion):
                       target=target, tol=1e-13)
     first, second = residual_curve(cfg, [3, 10]).records
     assert first.residual == first.target_norm > 0
-    assert first.cond_estimate == 1.0
     assert second.residual < first.residual
+    # sigma_max/sigma_min of the solved block: with no frequency kept it
+    # has every row 0..5 of the target's range, from the recursion to the
+    # curve's largest degree, 10
+    _, B = probe._szego(*probe._measure(companion, 10, probe._RULES[-1]),
+                        10, np.arange(6))
+    s = np.linalg.svd(B[:, :6], compute_uv=False)
+    assert first.cond_estimate == pytest.approx(s[0] / s[-1], rel=1e-12)
 
 
 def test_annihilator_flat_curve(s20, companion):
