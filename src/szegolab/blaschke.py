@@ -216,9 +216,11 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
     form that uses the vanishing of the Cauchy transform on the set.
     The direct route gets G from one compute_G call per round of its outer
     quadrature, and carries G's largest error (times t) in its error
-    estimate.  A route whose quadrature does not converge raises
-    ArithmeticError naming it.  Returns a dict with the route values, their
-    error estimates and the max pairwise discrepancy.
+    estimate.  G is not smooth at s = 0, so the outer panels are seeded
+    with the geometric mesh toward that end besides the quarter periods;
+    one or two rounds then suffice.  A route whose quadrature does not
+    converge raises ArithmeticError naming it.  Returns a dict with the
+    route values, their error estimates and the max pairwise discrepancy.
     """
     if not 0 < t <= 2:
         raise ValueError("t must lie in (0, 2]")
@@ -234,7 +236,7 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
 
     direct_res = oscillatory_integral(
         lambda s: np.exp(2j * np.pi * q * (t - s)) * g_of(s), q, 0.0, t,
-        tol * 0.5, max_evals=30_000)
+        tol * 0.5, max_evals=30_000, singular_ends=("a",))
     require(direct_res, "convolution route direct")
     direct = direct_res.value
     direct_err = direct_res.abs_error_estimate + g_err * t

@@ -156,21 +156,50 @@ def _h_abs_tail(X):
     return 2.0 * 16.0 * math.exp(-a * R) * poly
 
 
-def eval_H_integral(t, tol=1e-8, X=200.0):
+def _sin_over_FF(x):
+    """sin(pi x)/(F(x) F(-x)) for real x >= 0, where F(x) F(-x) is
+    cos(pi sqrt(x)/2) cosh(pi sqrt(x)/2): real, and h(x) = e^{i pi x} times
+    it.  Within SINGULARITY_DELTA of an odd square k^2 (k = round(sqrt x)
+    odd) eval_h's first-order local quotient rule gives
+    4k (-1)^((k-1)/2) (1 + (x - k^2)/(4k^2)) / cosh(pi sqrt(x)/2)."""
+    x = np.asarray(x, dtype=np.float64)
+    r = np.sqrt(x)
+    with np.errstate(over="ignore"):
+        ch = np.cosh(0.5 * np.pi * r)
+    out = np.sin(np.pi * x) / (np.cos(0.5 * np.pi * r) * ch)
+    k = np.round(r)
+    near = (k % 2 == 1) & (np.abs(x - k * k) < SINGULARITY_DELTA)
+    k = k[near]
+    out[near] = (np.where(k % 4 == 1, 4.0, -4.0) * k
+                 * (1.0 + (x[near] - k * k) / (4.0 * k * k)) / ch[near])
+    return out
+
+
+def eval_H_integral(t, tol=1e-8):
     """Fourier-integral route for the series values.
 
-    Integrates e^{-2 pi i t x} h(x) over [-X, X] and negates (the transform
+    Minus the integral of e^{-2 pi i t x} h(x) over [-X, X] (the transform
     of h is supported in (0,1) and equals minus the sine series in the
-    orientation fixed by eval_H_series).  Returns a QuadratureResult whose
-    error includes the analytic |h| tail beyond X.
+    orientation fixed by eval_H_series).  h(-x) = -conj h(x) folds it onto
+    the half-line: -2i times the real integral of
+    sin(pi (1 - 2t) x) sin(pi x)/(F(x) F(-x)) over [0, X].  X is the
+    smallest integer from 200 up whose analytic |h| tail beyond X is at most
+    tol/2; the quadrature gets the rest of tol, and converged means that the
+    total error, tail included, is within tol.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     t = float(t)
+    X = 200.0
+    while _h_abs_tail(X) > 0.5 * tol:
+        X += 1.0
+    tail = _h_abs_tail(X)
     res = oscillatory_integral(
-        lambda x: np.exp(-2j * np.pi * t * x) * eval_h(x), abs(t) + 1.0,
-        -X, X, tol)
-    return QuadratureResult(-res.value,
-                            res.abs_error_estimate + _h_abs_tail(X),
-                            res.evaluations, res.converged)
+        lambda x: np.sin(np.pi * (1.0 - 2.0 * t) * x) * _sin_over_FF(x),
+        abs(t) + 1.0, 0.0, X, 0.5 * (tol - tail))
+    error = 2.0 * res.abs_error_estimate + tail
+    return QuadratureResult(-2j * res.value.real, error, res.evaluations,
+                            error <= tol)
 
 
 @dataclass

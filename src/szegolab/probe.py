@@ -29,6 +29,7 @@ sigma_max/sigma_min of the block solved.  A value that is not finite, or
 a residual_error above the target norm, raises ArithmeticError.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -179,12 +180,20 @@ class ResidualRecord:
         return self.residual / self.target_norm if self.target_norm else 0.0
 
 
+@functools.cache
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights, computed once per order, read-only."""
+    x, wx = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = wx.flags.writeable = False
+    return x, wx
+
+
 def _measure(w, n, rule):
     """Points z_j and root masses sqrt(omega_j w(t_j)) of the composite
     Gauss-Legendre rule (a, b, order) for degree n: equal panels of `order`
     nodes on each piece between w's breakpoints, about a*n + b in all."""
     a, b, order = rule
-    x, wx = np.polynomial.legendre.leggauss(order)
+    x, wx = _leggauss(order)
     edges = np.concatenate([np.linspace(lo, hi, math.ceil(
         (a * n + b) * (hi - lo) / order), endpoint=False) for lo, hi in
         zip(w.breakpoints, w.breakpoints[1:])] + [[w.breakpoints[-1]]])

@@ -151,6 +151,21 @@ def _adaptive(f, breakpoints, tol, max_evals):
                             total_err <= tol)
 
 
+def _seed_mesh(a, b, n_panels, singular_ends):
+    """Breakpoints of n_panels equal panels on [a, b], with geometric points
+    at 10^-1 .. 10^-8 of the width from each endpoint named in
+    singular_ends ('a' and/or 'b')."""
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    width = b - a
+    pts = []
+    if "a" in singular_ends:
+        pts += [a + width * 10.0 ** (-k) for k in range(1, 9)]
+    if "b" in singular_ends:
+        pts += [b - width * 10.0 ** (-k) for k in range(1, 9)]
+    return np.unique(np.concatenate([np.linspace(a, b, n_panels + 1), pts]))
+
+
 def integrate_finite(f, a, b, tol, singular_ends=()):
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
@@ -158,16 +173,7 @@ def integrate_finite(f, a, b, tol, singular_ends=()):
     singularity; those get a geometric seed mesh refined toward the
     endpoint before adaptivity takes over.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    pts = [a, b]
-    width = b - a
-    if "a" in singular_ends:
-        pts += [a + width * 10.0 ** (-k) for k in range(1, 9)]
-    if "b" in singular_ends:
-        pts += [b - width * 10.0 ** (-k) for k in range(1, 9)]
-    breakpoints = np.unique(np.asarray(pts, dtype=np.float64))
-    return _adaptive(f, breakpoints, tol, _MAX_EVALS)
+    return _adaptive(f, _seed_mesh(a, b, 1, singular_ends), tol, _MAX_EVALS)
 
 
 def integrate_left_halfline(f, decay_exponent, tol):
@@ -202,20 +208,21 @@ def integrate_left_halfline(f, decay_exponent, tol):
                             error <= tol)
 
 
-def oscillatory_integral(f, omega, a, b, tol, max_evals=2_000_000):
+def oscillatory_integral(f, omega, a, b, tol, max_evals=2_000_000,
+                         singular_ends=()):
     """As integrate_finite, seeding panels no wider than a quarter period.
 
     ``f`` is the full integrand (envelope times oscillation); ``omega`` is
     the dominant cycles-per-unit frequency used only for the panel cap.
+    ``singular_ends`` adds integrate_finite's geometric seed mesh toward
+    the endpoints it names, for an f that is singular or not smooth there.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
     n_panels = 1
     if omega:
         n_panels = int(np.ceil((b - a) * 4.0 * abs(omega)))
         n_panels = min(max(n_panels, 1), max_evals // 15)
-    breakpoints = np.linspace(a, b, n_panels + 1)
-    return _adaptive(f, breakpoints, tol, max_evals)
+    return _adaptive(f, _seed_mesh(a, b, n_panels, singular_ends), tol,
+                     max_evals)
 
 
 def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):

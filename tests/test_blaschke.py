@@ -272,6 +272,26 @@ def test_convolution_samples_the_jump_once_per_round(jump, monkeypatch):
     assert spy.points < 500_000
 
 
+def test_convolution_one_G_batch_per_check(jump, monkeypatch):
+    """The outer mesh seeded toward s = 0, where G is not smooth, leaves at
+    most one refinement round: at most two compute_G calls per criterion-4
+    check."""
+    calls = []
+    compute = blaschke.compute_G
+
+    def counted(j, s, tol):
+        calls.append(np.size(s))
+        return compute(j, s, tol)
+
+    monkeypatch.setattr(blaschke, "compute_G", counted)
+    for q in (1.0, 0.0, -1.0):
+        for t in (0.25, 1.0):
+            calls.clear()
+            out = convolution_identity_residual(jump, q, t, 1e-3)
+            assert out["max_discrepancy"] < 1e-3
+            assert 1 <= len(calls) <= 2, (q, t, calls)
+
+
 @pytest.mark.parametrize("route", ["direct", "difference_form", "reduced"])
 def test_convolution_raises_on_an_unconverged_route(jump, monkeypatch, route):
     name = ("oscillatory_integral" if route == "direct"

@@ -157,6 +157,44 @@ def test_eval_h_matches_the_loop_bit_for_bit():
         assert eval_h(zi) == _eval_h_loop(zi)[0]
 
 
+def test_real_kernel_matches_eval_h():
+    """e^{i pi x} sin(pi x)/(F(x)F(-x)) from the real kernel equals eval_h
+    within 2e-15 of max(|h|, 1) on a dense grid of [0, 400] and at, inside
+    and just outside the local rule's radius around every odd square up to
+    41^2; for x < 0 through h(-x) = -conj h(x)."""
+    d = SINGULARITY_DELTA
+    sq = (2.0 * np.arange(21) + 1.0) ** 2
+    x = np.concatenate([np.linspace(0.0, 400.0, 200_001)]
+                       + [sq + e for e in (0.0, 0.99 * d, -0.99 * d, d, -d,
+                                           1e-13, -1e-13)])
+    k = deep_zero._sin_over_FF(x)
+    assert k.dtype == np.float64
+    got = np.exp(1j * np.pi * x) * k
+    for ref, val in ((eval_h(x), got), (eval_h(-x), -np.conj(got))):
+        assert np.all(np.abs(val - ref) <= 2e-15 * np.maximum(np.abs(ref), 1.0))
+
+
+def test_real_kernel_matches_mpmath():
+    """Against 40-digit mpmath at the double x, away from the odd squares
+    and at them, where the limit is 4k(-1)^((k-1)/2)/cosh(pi k/2)."""
+    x = [0.3, 2.5, 7.77, 16.2, 50.5, 120.25, 300.1, 1.0, 9.0, 25.0]
+    got = deep_zero._sin_over_FF(np.array(x))
+    with mpmath.workdps(40):
+        ref = []
+        for v in x:
+            r = mpmath.sqrt(mpmath.mpf(v))
+            if v in (1.0, 9.0, 25.0):
+                k = int(r)
+                ref.append(float(4 * k * (-1) ** ((k - 1) // 2)
+                                 / mpmath.cosh(mpmath.pi * k / 2)))
+            else:
+                a = mpmath.pi * r / 2
+                ref.append(float(mpmath.sin(mpmath.pi * mpmath.mpf(v))
+                                 / (mpmath.cos(a) * mpmath.cosh(a))))
+    ref = np.array(ref)
+    assert np.all(np.abs(got - ref) <= 2e-15 * np.maximum(np.abs(ref), 1.0))
+
+
 def test_coefficients_quiet_and_finite_for_large_M():
     # from k = 226 on, cosh(pi(2k+1)/2) overflows to inf and the coefficient
     # underflows to 0, its correct limit; neither may warn
@@ -193,6 +231,17 @@ def test_H_two_route_agreement(s20):
         res = eval_H_integral(t, 1e-8)
         allowed = res.abs_error_estimate + s20.truncation_bound
         assert abs(series_val - res.value) <= allowed
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_H_integral_error_budget_holds_tail_included(s20, tol):
+    """X is chosen so that the analytic |h| tail fits in tol: the route
+    converges with its whole error within tol, and the series agrees."""
+    for t in (0.1, 0.3):
+        res = eval_H_integral(t, tol)
+        assert res.converged and res.abs_error_estimate <= tol
+        gap = abs(eval_H_series(s20, t) - res.value)
+        assert gap <= res.abs_error_estimate + s20.truncation_bound
 
 
 def test_H_integral_vanishes_outside_support():

@@ -45,6 +45,21 @@ def test_sine_orthonormality():
     assert abs(res.value - 0.5) < 1e-12
 
 
+def test_oscillatory_singular_end_matches_integrate_finite():
+    """With the seed mesh toward a sqrt(s) endpoint the integral matches
+    integrate_finite's within both error estimates, and scipy's quad."""
+    f = lambda s: np.sqrt(s) * np.exp(2j * np.pi * s)
+    osc = oscillatory_integral(f, 1.0, 0.0, 1.0, 1e-10, singular_ends=("a",))
+    fin = integrate_finite(f, 0.0, 1.0, 1e-10, singular_ends=("a",))
+    assert osc.converged and fin.converged
+    assert abs(osc.value - fin.value) <= (osc.abs_error_estimate
+                                          + fin.abs_error_estimate)
+    ref = complex(*(quad(lambda s: np.sqrt(s) * part(2 * np.pi * s), 0, 1,
+                         epsabs=1e-13, limit=200)[0]
+                    for part in (np.cos, np.sin)))
+    assert abs(osc.value - ref) <= 1e-10
+
+
 def test_halfline_exponential():
     res = integrate_left_halfline(lambda u: np.exp(u) + 0j, 2.0, 1e-10)
     assert abs(res.value - 1.0) < 1e-8
