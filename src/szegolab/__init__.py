@@ -22,7 +22,7 @@ from .probe import (AnnihilatorTarget, ProbeConfig, ResidualCurve,
                     TrigPolyTarget, gram_matrix, residual_curve,
                     weight_fourier_coeff, weighted_residual)
 from .quadrature import (QuadratureResult, integrate_finite,
-                         integrate_left_halfline, oscillatory_integral)
+                         integrate_left_halfline)
 from .weights import (Weight, log_integral, make_exp_weight,
                       make_constant_weight, make_tabulated_weight,
                       validate_condition_A)
@@ -43,7 +43,6 @@ __all__ = [
     "gram_matrix", "residual_curve", "weight_fourier_coeff",
     "weighted_residual",
     "QuadratureResult", "integrate_finite", "integrate_left_halfline",
-    "oscillatory_integral",
     "Weight", "log_integral", "make_exp_weight",
     "make_constant_weight", "make_tabulated_weight", "validate_condition_A",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 from ._accel import boundary_product, interior_log_product
 from .frequency_sets import FrequencySet, sqrt_sum_diagnostic
 from .quadrature import (QuadratureResult, fourier_coefficients,
-                         integrate_left_halfline, oscillatory_integral, require)
+                         integrate_finite, integrate_left_halfline, require)
 
 __all__ = ["BlaschkeAnnihilator", "JumpFunction", "eval_phi",
            "eval_phi_boundary", "g_l1_norm", "gamma_vanishing_residual",
@@ -215,12 +215,13 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
     half-line form; and, for q among the retained frequencies, the reduced
     form that uses the vanishing of the Cauchy transform on the set.
     The direct route gets G from one compute_G call per round of its outer
-    quadrature, and carries G's largest error (times t) in its error
-    estimate.  G is not smooth at s = 0, so the outer panels are seeded
-    with the geometric mesh toward that end besides the quarter periods;
-    one or two rounds then suffice.  A route whose quadrature does not
-    converge raises ArithmeticError naming it.  Returns a dict with the
-    route values, their error estimates and the max pairwise discrepancy.
+    quadrature (integrate_finite with omega = q), and carries G's largest
+    error (times t) in its error estimate.  G is not smooth at s = 0, so
+    the outer panels are seeded with the geometric mesh toward that end
+    (singular_ends) besides the quarter periods of q; one or two rounds
+    then suffice.  A route whose quadrature does not converge raises
+    ArithmeticError naming it.  Returns a dict with the route values, their
+    error estimates and the max pairwise discrepancy.
     """
     if not 0 < t <= 2:
         raise ValueError("t must lie in (0, 2]")
@@ -234,9 +235,9 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
         g_err = max(g_err, float(res.abs_error_estimate.max()))
         return res.value
 
-    direct_res = oscillatory_integral(
-        lambda s: np.exp(2j * np.pi * q * (t - s)) * g_of(s), q, 0.0, t,
-        tol * 0.5, max_evals=30_000, singular_ends=("a",))
+    direct_res = integrate_finite(
+        lambda s: np.exp(2j * np.pi * q * (t - s)) * g_of(s), 0.0, t,
+        tol * 0.5, singular_ends=("a",), omega=q, max_evals=30_000)
     require(direct_res, "convolution route direct")
     direct = direct_res.value
     direct_err = direct_res.abs_error_estimate + g_err * t

@@ -233,13 +233,16 @@ def _target(spec):
     coeffs = spec.section("coeffs")
     if not coeffs.obj:
         raise ConfigError(f"{coeffs.path} is empty")
-    amplitudes = {}
+    amplitudes, keys = {}, {}
     for key in coeffs.obj:
         try:
             freq = int(key)
         except ValueError:
             raise ConfigError(f"{coeffs.path} key must be an integer, "
                               f"got {key!r}") from None
+        if keys.setdefault(freq, key) != key:
+            raise ConfigError(f"{coeffs.path} keys {keys[freq]!r} and {key!r} "
+                              f"name the same frequency {freq}")
         amplitudes[freq] = coeffs.get(key, _complex)
     return TrigPolyTarget(amplitudes)
 

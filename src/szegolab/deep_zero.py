@@ -7,6 +7,8 @@ enter, and eval_F evaluates the cosine alone.  The removable singularities
 of h at +-(2k+1)^2 carry the series coefficients, whose values have the
 closed form h((2k+1)^2) = (-1)^(k+1) 4(2k+1)/cosh(pi(2k+1)/2); the
 resulting odd-square sine series decays like exp(-c/t) near 0 and 1.
+One odd kernel, sin(pi u)/(F(u) F(-u)) for Re u >= 0, evaluates those
+singularities: eval_h folds h onto it, and eval_H_integral integrates it.
 """
 
 import math
@@ -15,15 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import sine_series
-from .quadrature import (QuadratureResult, integrate_finite,
-                         oscillatory_integral, require)
+from .quadrature import QuadratureResult, integrate_finite, require
 
-__all__ = ["SINGULARITY_DELTA", "eval_F", "eval_F_prime", "eval_h",
+__all__ = ["SINGULARITY_DELTA", "eval_F", "eval_h",
            "eval_h_raw", "series_coefficients", "DeepZeroSeries",
            "eval_H_series", "eval_H_integral", "DecayFit", "decay_fit",
            "membership_check"]
 
 SINGULARITY_DELTA = 1e-4   # radius of the local-quotient rule
+_GROWTH_GRID = 256         # samples of membership_check's blow-up test
 
 
 def eval_F(w):
@@ -35,72 +37,51 @@ def eval_F(w):
         return np.cos(0.5 * np.pi * np.sqrt(w))
 
 
-def eval_F_prime(w):
-    """d/dw of cos(pi sqrt(w)/2): -pi sin(pi sqrt(w)/2)/(4 sqrt(w))."""
-    w = np.asarray(w, dtype=np.complex128)
-    r = np.sqrt(w)
-    return -np.pi * np.sin(0.5 * np.pi * r) / (4.0 * r)
-
-
 def eval_h_raw(z):
-    """The defining quotient, no singularity handling (oracle/internal)."""
+    """The defining quotient, no singularity handling (a test oracle)."""
     z = np.asarray(z, dtype=np.complex128)
     return np.exp(1j * np.pi * z) * np.sin(np.pi * z) / (eval_F(z) * eval_F(-z))
 
 
 def _cmul(a, b):
-    """Complex product in real arithmetic.  numpy's complex array multiply
-    may fuse multiply and add and then rounds differently from its scalar
-    multiply; this rounds as the scalar one does, so the local rule's values
-    equal a per-point evaluation."""
+    """Product in real arithmetic.  numpy's complex array multiply may fuse
+    multiply and add and then rounds differently from its scalar multiply;
+    this rounds as the scalar one does, so a point's value is the same
+    alone or in a batch.  Real operands multiply as they are."""
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return a * b
     return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag
                                                        + a.imag * b.real)
 
 
-def _local_ratio(u, n0):
-    """First-order value of sin(pi u)/F(u) near the odd squares n0."""
-    ratio0 = (np.pi * np.cos(np.pi * n0)
-              / eval_F_prime(n0.astype(np.complex128)))
-    return _cmul(ratio0, 1.0 + (u - n0) / (4.0 * n0))
+def _sin_over_FF(u):
+    """sin(pi u)/(F(u) F(-u)) for Re u >= 0, where F(-u) is
+    cosh(pi sqrt(u)/2) (i sqrt(u) is a root of -u): real for real u, which
+    stays float64, and h(u) = e^{i pi u} times it.  The removable
+    singularities are the odd squares k^2, k = round(Re sqrt u); within
+    SINGULARITY_DELTA of one the first-order local quotient rule gives
+    4k (-1)^((k-1)/2) (1 + (u - k^2)/(4k^2)) / cosh(pi sqrt(u)/2)."""
+    u = np.asarray(u, dtype=complex if np.iscomplexobj(u) else float)
+    r = np.sqrt(u)
+    with np.errstate(over="ignore"):
+        ch = np.cosh(0.5 * np.pi * r)
+    out = np.asarray(np.sin(np.pi * u) / _cmul(np.cos(0.5 * np.pi * r), ch))
+    k = np.round(r.real)
+    near = (k % 2 == 1) & (np.abs(u - k * k) < SINGULARITY_DELTA)
+    k = k[near]
+    out[near] = (np.where(k % 4 == 1, 4.0, -4.0) * k
+                 * (1.0 + (u[near] - k * k) / (4.0 * k * k)) / ch[near])
+    return out
 
 
-def _nearest_odd_square(x):
-    """Nearest (2m+1)^2 >= 1 to each nonnegative real x, as floats.  A tie
-    goes to (2m+1)^2 with m = round((sqrt(x) - 1)/2), then to the smaller."""
-    x = np.asarray(x, dtype=np.float64)
-    m = np.maximum(np.round((np.sqrt(np.maximum(x, 0.0)) - 1.0) / 2.0), 0.0)
-    best = (2.0 * m + 1.0) ** 2
-    for n in (np.where(m >= 1, (2.0 * m - 1.0) ** 2, np.inf),
-              (2.0 * m + 3.0) ** 2):
-        best = np.where(np.abs(x - n) < np.abs(x - best), n, best)
-    return best
-
-
-def eval_h(z, delta=SINGULARITY_DELTA):
-    """h with removable singularities at +-(2m+1)^2 evaluated by the
-    first-order local quotient rule inside a delta-neighborhood."""
+def eval_h(z):
+    """h(z) = s e^{i pi z} K(s z), with s the sign of Re z and K the odd
+    kernel _sin_over_FF, which alone evaluates the removable singularities
+    at +-(2m+1)^2 (by the first-order local quotient rule)."""
     z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty(z.shape, dtype=np.complex128)
-    handled = np.zeros(z.shape, dtype=bool)
-    # sign +1: zero of F(z), replace sin(pi z)/F(z); sign -1: zero of F(-z),
-    # where sin(pi z) = -sin(pi u).  A point near both takes the first.
-    for sign in (1.0, -1.0):
-        u = sign * z
-        n0 = _nearest_odd_square(u.real)
-        near = ~handled & (u.real >= 0.5) & (np.abs(u - n0) < delta)
-        if near.any():
-            zs = z[near]
-            ratio = _local_ratio(u[near], n0[near])
-            val = (_cmul(np.exp(1j * np.pi * zs), ratio)
-                   / eval_F(-zs if sign > 0 else zs))
-            out[near] = val if sign > 0 else -val
-            handled |= near
-    rest = ~handled
-    if rest.any():
-        out[rest] = eval_h_raw(z[rest])
-    return out[0] if scalar else out
+    neg = z.real < 0
+    out = _cmul(np.exp(1j * np.pi * z), _sin_over_FF(np.where(neg, -z, z)))
+    return np.where(neg, -out, out)[()]
 
 
 def series_coefficients(k_min, M):
@@ -156,25 +137,6 @@ def _h_abs_tail(X):
     return 2.0 * 16.0 * math.exp(-a * R) * poly
 
 
-def _sin_over_FF(x):
-    """sin(pi x)/(F(x) F(-x)) for real x >= 0, where F(x) F(-x) is
-    cos(pi sqrt(x)/2) cosh(pi sqrt(x)/2): real, and h(x) = e^{i pi x} times
-    it.  Within SINGULARITY_DELTA of an odd square k^2 (k = round(sqrt x)
-    odd) eval_h's first-order local quotient rule gives
-    4k (-1)^((k-1)/2) (1 + (x - k^2)/(4k^2)) / cosh(pi sqrt(x)/2)."""
-    x = np.asarray(x, dtype=np.float64)
-    r = np.sqrt(x)
-    with np.errstate(over="ignore"):
-        ch = np.cosh(0.5 * np.pi * r)
-    out = np.sin(np.pi * x) / (np.cos(0.5 * np.pi * r) * ch)
-    k = np.round(r)
-    near = (k % 2 == 1) & (np.abs(x - k * k) < SINGULARITY_DELTA)
-    k = k[near]
-    out[near] = (np.where(k % 4 == 1, 4.0, -4.0) * k
-                 * (1.0 + (x[near] - k * k) / (4.0 * k * k)) / ch[near])
-    return out
-
-
 def eval_H_integral(t, tol=1e-8):
     """Fourier-integral route for the series values.
 
@@ -194,9 +156,9 @@ def eval_H_integral(t, tol=1e-8):
     while _h_abs_tail(X) > 0.5 * tol:
         X += 1.0
     tail = _h_abs_tail(X)
-    res = oscillatory_integral(
+    res = integrate_finite(
         lambda x: np.sin(np.pi * (1.0 - 2.0 * t) * x) * _sin_over_FF(x),
-        abs(t) + 1.0, 0.0, X, 0.5 * (tol - tail))
+        0.0, X, 0.5 * (tol - tail), omega=abs(t) + 1.0)
     error = 2.0 * res.abs_error_estimate + tail
     return QuadratureResult(-2j * res.value.real, error, res.evaluations,
                             error <= tol)
@@ -212,7 +174,10 @@ class DecayFit:
 
 
 def decay_fit(series, t_grid, abscissa="inv_t"):
-    """Least-squares line of log|H(t)| against 1/t (or 1/(1-t) near t=1)."""
+    """Least-squares line of log|H(t)| against 1/t (abscissa "inv_t") or
+    1/(1-t) near t=1 ("inv_1mt")."""
+    if abscissa not in ("inv_t", "inv_1mt"):
+        raise ValueError(f"abscissa {abscissa!r} is not 'inv_t' or 'inv_1mt'")
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size < 8:
         raise ValueError("need at least 8 grid points")
@@ -230,7 +195,7 @@ def decay_fit(series, t_grid, abscissa="inv_t"):
                     correlation=corr, n_used=int(keep.sum()), abscissa=abscissa)
 
 
-def membership_check(series, w, tol=1e-8, grid_points=256):
+def membership_check(series, w, tol=1e-8):
     """Weighted energy  int_0^1 |H(t)|^2 / w(t) dt  with blow-up detection.
 
     The partial sum of the series is trustworthy only down to the
@@ -283,7 +248,7 @@ def membership_check(series, w, tol=1e-8, grid_points=256):
         sliver = (fit.c1 ** 2 * math.exp(-2.0 * fit.c2 / t_cut)
                   * inv_w_max * t_cut)
 
-    grid = np.geomspace(t_cut, 1.0 - 1e-6, grid_points)
+    grid = np.geomspace(t_cut, 1.0 - 1e-6, _GROWTH_GRID)
     gv = np.abs(integrand(grid))
     head = gv[:8]
     if np.all(np.diff(head) < 0) and head[0] > 100.0 * max(np.max(gv[8:]), 1.0):

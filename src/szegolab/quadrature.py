@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["QuadratureResult", "fourier_coefficients", "integrate_finite",
-           "integrate_left_halfline", "oscillatory_integral", "require"]
+           "integrate_left_halfline", "require"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the QUADPACK qk15
 # abscissae and weights (Piessens et al., 1983), to full double precision.
@@ -151,29 +151,30 @@ def _adaptive(f, breakpoints, tol, max_evals):
                             total_err <= tol)
 
 
-def _seed_mesh(a, b, n_panels, singular_ends):
-    """Breakpoints of n_panels equal panels on [a, b], with geometric points
-    at 10^-1 .. 10^-8 of the width from each endpoint named in
-    singular_ends ('a' and/or 'b')."""
+def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0,
+                     max_evals=_MAX_EVALS):
+    """Adaptive integral of f over [a, b] to absolute tolerance tol.
+
+    The seed mesh has equal panels no wider than a quarter period of
+    ``omega``, the dominant frequency of an oscillatory f in cycles per
+    unit (one panel when omega is 0, at most max_evals/15), and geometric
+    points at 10^-1 .. 10^-8 of the width from each endpoint named in
+    ``singular_ends`` ('a' and/or 'b'), where f is singular or not smooth.
+    Adaptivity then takes over, and stops once past max_evals integrand
+    evaluations.
+    """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     width = b - a
+    quarters = int(np.ceil(width * 4.0 * abs(omega)))
     pts = []
     if "a" in singular_ends:
         pts += [a + width * 10.0 ** (-k) for k in range(1, 9)]
     if "b" in singular_ends:
         pts += [b - width * 10.0 ** (-k) for k in range(1, 9)]
-    return np.unique(np.concatenate([np.linspace(a, b, n_panels + 1), pts]))
-
-
-def integrate_finite(f, a, b, tol, singular_ends=()):
-    """Adaptive integral of f over [a, b] to absolute tolerance tol.
-
-    ``singular_ends`` names endpoints ('a' and/or 'b') with an integrable
-    singularity; those get a geometric seed mesh refined toward the
-    endpoint before adaptivity takes over.
-    """
-    return _adaptive(f, _seed_mesh(a, b, 1, singular_ends), tol, _MAX_EVALS)
+    seeds = np.linspace(a, b, max(min(quarters, max_evals // 15), 1) + 1)
+    return _adaptive(f, np.unique(np.concatenate([seeds, pts])), tol,
+                     max_evals)
 
 
 def integrate_left_halfline(f, decay_exponent, tol):
@@ -206,23 +207,6 @@ def integrate_left_halfline(f, decay_exponent, tol):
     error = res.abs_error_estimate + tail
     return QuadratureResult(res.value, error, res.evaluations + probes.size,
                             error <= tol)
-
-
-def oscillatory_integral(f, omega, a, b, tol, max_evals=2_000_000,
-                         singular_ends=()):
-    """As integrate_finite, seeding panels no wider than a quarter period.
-
-    ``f`` is the full integrand (envelope times oscillation); ``omega`` is
-    the dominant cycles-per-unit frequency used only for the panel cap.
-    ``singular_ends`` adds integrate_finite's geometric seed mesh toward
-    the endpoints it names, for an f that is singular or not smooth there.
-    """
-    n_panels = 1
-    if omega:
-        n_panels = int(np.ceil((b - a) * 4.0 * abs(omega)))
-        n_panels = min(max(n_panels, 1), max_evals // 15)
-    return _adaptive(f, _seed_mesh(a, b, n_panels, singular_ends), tol,
-                     max_evals)
 
 
 def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):

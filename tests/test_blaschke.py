@@ -9,7 +9,7 @@ from szegolab.blaschke import (BlaschkeAnnihilator, JumpFunction,
                                eval_phi_boundary, g_l1_norm,
                                gamma_vanishing_residual)
 from szegolab.frequency_sets import FrequencySet, gen_power_set
-from szegolab.quadrature import QuadratureResult, oscillatory_integral
+from szegolab.quadrature import QuadratureResult, integrate_finite
 
 
 @pytest.fixture(scope="module")
@@ -191,13 +191,13 @@ def _G_per_s(j, s, tol):
     the same interval, with the same tail and integration-by-parts terms."""
     if abs(s) < 0.05:
         T = 4.0e4
-        res = oscillatory_integral(lambda u: j(u) * np.exp(2j * np.pi * s * u),
-                                   s, -T, 0.0, tol)
+        res = integrate_finite(lambda u: j(u) * np.exp(2j * np.pi * s * u),
+                               -T, 0.0, tol, omega=s)
         tail = 2.0 * (1 / (1 + T) - 1 / (1 + T) ** 2 + 1 / (3 * (1 + T) ** 3))
         return res.value, res.abs_error_estimate + tail, res.converged
     T = 200.0
-    res = oscillatory_integral(lambda u: j(u) * np.exp(2j * np.pi * s * u),
-                               s, -T, 0.0, tol)
+    res = integrate_finite(lambda u: j(u) * np.exp(2j * np.pi * s * u),
+                           -T, 0.0, tol, omega=s)
     c = 2j * np.pi * s
     h = 1e-3
     g0, gm, gp = j(np.array([-T, -T - h, -T + h]))
@@ -294,7 +294,7 @@ def test_convolution_one_G_batch_per_check(jump, monkeypatch):
 
 @pytest.mark.parametrize("route", ["direct", "difference_form", "reduced"])
 def test_convolution_raises_on_an_unconverged_route(jump, monkeypatch, route):
-    name = ("oscillatory_integral" if route == "direct"
+    name = ("integrate_finite" if route == "direct"
             else "integrate_left_halfline")
     real = getattr(blaschke, name)
     seen = []

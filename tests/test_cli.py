@@ -67,6 +67,13 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
     (PROBE_TRIGPOLY, "target.coeffs"),
     ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {"x": 1}}},
      "target.coeffs key"),
+    # keys naming one frequency would keep only the last amplitude
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
+                                   "coeffs": {"3": 1.0, "03": 5.0}}},
+     "target.coeffs keys '3' and '03'"),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
+                                   "coeffs": {"3": 1.0, "+3": 5.0}}},
+     "target.coeffs keys '3' and '+3'"),
     ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
       "N_list": [10, "abc"]}, "N_list"),
     ({**SETS_CONFIG, "tol": "abc"}, "tol"),
@@ -115,7 +122,8 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
       "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
       "N_list": [20]}, "weight.c"),
 ], ids=["rho-not-a-number", "top-level-list", "trigpoly-without-coeffs",
-        "coeff-key", "N_list-entry", "tol", "t_min", "weight-not-object",
+        "coeff-key", "coeff-keys-03", "coeff-keys-+3", "N_list-entry", "tol",
+        "t_min", "weight-not-object",
         "blaschke-divergent-gamma", "K-not-a-number", "z_points-entry",
         "constant-without-v", "blocks-starts-entry",
         "condition_B-without-C", "N_list-zero",

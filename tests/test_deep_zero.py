@@ -7,7 +7,7 @@ import pytest
 
 from szegolab import deep_zero, quadrature
 from szegolab.deep_zero import (SINGULARITY_DELTA, DeepZeroSeries, decay_fit,
-                                eval_F, eval_F_prime, eval_h, eval_h_raw,
+                                eval_F, eval_h, eval_h_raw,
                                 eval_H_integral, eval_H_series,
                                 membership_check, series_coefficients)
 from szegolab.weights import make_constant_weight, make_exp_weight
@@ -42,13 +42,6 @@ def test_F_matches_mpmath_on_the_disc_of_radius_30():
             mpmath.pi * mpmath.sqrt(mpmath.mpc(v.real, v.imag)) / 2))
             for v in w])
     assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0))
-
-
-def test_F_prime_finite_difference():
-    for w in (2.0, -3.0, 5 + 1j):
-        h = 1e-6
-        fd = (eval_F(w + h) - eval_F(w - h)) / (2 * h)
-        assert abs(eval_F_prime(w) - fd) < 1e-7
 
 
 def test_h_integer_zeros():
@@ -99,44 +92,29 @@ def _nearest_odd_square_loop(x):
     return min(candidates, key=lambda n: abs(x - n))
 
 
-def _local_ratio_loop(u, n0):
-    ratio0 = np.pi * np.cos(np.pi * n0) / eval_F_prime(complex(n0))
-    return ratio0 * (1.0 + (u - n0) / (4.0 * n0))
-
-
-def _eval_h_loop(z, delta=SINGULARITY_DELTA):
+def _eval_h_loop(z):
     """eval_h as a per-point loop with scalar arithmetic: the oracle for the
-    vectorized singularity test and local quotient rule."""
+    vectorized sign fold, singularity test and kernel.  With s the sign of
+    Re z and u = s z, h(z) = s e^{i pi z} K(u), where K(u) is
+    sin(pi u)/(cos(pi r/2) cosh(pi r/2)), r = sqrt(u), or within
+    SINGULARITY_DELTA of the nearest odd square k^2 the local rule
+    4k (-1)^((k-1)/2) (1 + (u - k^2)/(4k^2)) / cosh(pi r/2)."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     out = np.empty(z.shape, dtype=np.complex128)
-    handled = np.zeros(z.shape, dtype=bool)
     for i, zi in enumerate(z):
-        for sign in (1.0, -1.0):
-            u = sign * zi
-            if u.real < 0.5:
-                continue
-            n0 = _nearest_odd_square_loop(u.real)
-            if abs(u - n0) >= delta:
-                continue
-            e = np.exp(1j * np.pi * zi)
-            if sign > 0:
-                val = e * _local_ratio_loop(u, n0) / eval_F(-zi)
-            else:
-                val = -e * _local_ratio_loop(u, n0) / eval_F(zi)
-            out[i] = val
-            handled[i] = True
-            break
-    out[~handled] = eval_h_raw(z[~handled])
+        u = -zi if zi.real < 0 else zi
+        r = np.sqrt(u)
+        ch = np.cosh(0.5 * np.pi * r)
+        n0 = _nearest_odd_square_loop(u.real)
+        if abs(u - n0) < SINGULARITY_DELTA:
+            k = math.isqrt(n0)
+            lim = (4.0 if k % 4 == 1 else -4.0) * k
+            kernel = lim * (1.0 + (u - n0) / (4.0 * n0)) / ch
+        else:
+            kernel = np.sin(np.pi * u) / (np.cos(0.5 * np.pi * r) * ch)
+        val = np.exp(1j * np.pi * zi) * kernel
+        out[i] = -val if zi.real < 0 else val
     return out
-
-
-def test_nearest_odd_square_matches_the_loop():
-    odd = 2.0 * np.arange(40) + 1.0
-    ties = 0.5 * (odd[:-1] ** 2 + odd[1:] ** 2)      # equally near two squares
-    x = np.concatenate([np.arange(0.0, 3000.0, 0.25), ties, ties + 1e-9,
-                        odd ** 2, [-3.0, 1e-300]])
-    got = deep_zero._nearest_odd_square(x)
-    assert got.tolist() == [_nearest_odd_square_loop(v) for v in x]
 
 
 def test_eval_h_matches_the_loop_bit_for_bit():
@@ -193,6 +171,57 @@ def test_real_kernel_matches_mpmath():
                                  / (mpmath.cos(a) * mpmath.cosh(a))))
     ref = np.array(ref)
     assert np.all(np.abs(got - ref) <= 2e-15 * np.maximum(np.abs(ref), 1.0))
+
+
+def _h_mpmath(z):
+    """h(z) at 40 digits, at the double z."""
+    with mpmath.workdps(40):
+        w = mpmath.mpc(z.real, z.imag)
+        F = lambda v: mpmath.cos(mpmath.pi * mpmath.sqrt(v) / 2)
+        return complex(mpmath.exp(1j * mpmath.pi * w) * mpmath.sin(mpmath.pi * w)
+                       / (F(w) * F(-w)))
+
+
+def test_eval_h_complex_path_matches_mpmath():
+    """Off the real axis, and at least 0.05 from the odd squares, eval_h is
+    within 1e-13 of 40-digit mpmath relative to max(|h|, 1): on the disc of
+    radius 30 and in the strip |Im z| <= 2 out to |Re z| = 60."""
+    rng = np.random.default_rng(23)
+    z = np.concatenate([
+        rng.uniform(-30.0, 30.0, 600) + 1j * rng.uniform(-30.0, 30.0, 600),
+        rng.uniform(-60.0, 60.0, 200) + 1j * rng.uniform(-2.0, 2.0, 200)])
+    odd_sq = (2.0 * np.arange(4) + 1.0) ** 2
+    gap = np.abs(np.abs(z.real)[:, None] - odd_sq + 1j * z.imag[:, None])
+    z = z[((np.abs(z) <= 30.0) | (np.abs(z.imag) <= 2.0))
+          & (np.abs(z.imag) >= 1e-3) & (gap.min(axis=1) >= 0.05)]
+    assert z.size > 500
+    got = eval_h(z)
+    ref = np.array([_h_mpmath(v) for v in z])
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0))
+
+
+def test_eval_h_local_rule_within_its_second_order_bound():
+    """Within SINGULARITY_DELTA of +-k^2, k odd, eval_h takes the first
+    order of sin(pi u)/F(u) about k^2.  With e = u - k^2 that quotient is
+    L (1 + e/(4k^2) + c2 e^2 + O(e^3)), c2 = -pi^2/6 + pi^2/(96k^2)
+    - 1/(16k^4) (from sin(pi e) and the Taylor series of sqrt(k^2 + e)),
+    and |c2| < pi^2/6 for every odd k.  So |eval_h - h| is at most
+    (pi^2/6)|e|^2 |h|, times 1.01 for the O(e^3) terms and for
+    1/|1 + e/(4k^2)|, plus 1e-13 max(|h|, 1) of rounding.  The error is
+    the dropped term: at least 0.9 of (pi^2/6)|e|^2 |h| at every point,
+    which the raw quotient's rounding error (about 2k^2 eps/|e|) is not."""
+    rng = np.random.default_rng(29)
+    k2 = (2.0 * np.arange(8) + 1.0) ** 2
+    e = SINGULARITY_DELTA * np.array([0.3, 0.7, 0.99])[:, None] * np.exp(
+        2j * np.pi * rng.random((3, k2.size)))
+    z = np.concatenate([(k2 + e).ravel(), (-(k2 + e)).ravel()])
+    got = eval_h(z)
+    ref = np.array([_h_mpmath(v) for v in z])
+    size = np.abs(np.concatenate([e.ravel(), e.ravel()]))
+    drop = math.pi ** 2 / 6 * size ** 2 * np.abs(ref)
+    err = np.abs(got - ref)
+    assert np.all(err <= 1.01 * drop + 1e-13 * np.maximum(np.abs(ref), 1.0))
+    assert np.all(err >= 0.9 * drop)
 
 
 def test_coefficients_quiet_and_finite_for_large_M():
@@ -264,6 +293,15 @@ def test_decay_fit(s20):
 def test_decay_fit_needs_points(s20):
     with pytest.raises(ValueError):
         decay_fit(s20, np.array([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("abscissa", ["inv_1-t", "1/t", ""])
+def test_decay_fit_rejects_an_unknown_abscissa(s20, abscissa):
+    """Only "inv_t" and "inv_1mt" name an abscissa; any other name raises
+    and names both, instead of fitting against 1/(1-t)."""
+    grid = 1.0 - 1.0 / np.linspace(5.0, 50.0, 20)
+    with pytest.raises(ValueError, match="'inv_t' or 'inv_1mt'"):
+        decay_fit(s20, grid, abscissa=abscissa)
 
 
 def test_membership_parseval(s20):

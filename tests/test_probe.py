@@ -14,7 +14,7 @@ from szegolab.frequency_sets import (FrequencySet, complement_in_range,
 from szegolab.probe import (AnnihilatorTarget, ProbeConfig, TrigPolyTarget,
                             gram_matrix, residual_curve, weight_fourier_coeff,
                             weight_fourier_coeffs, weighted_residual)
-from szegolab.quadrature import fourier_coefficients, oscillatory_integral
+from szegolab.quadrature import fourier_coefficients, integrate_finite
 from szegolab.weights import (make_constant_weight, make_exp_weight,
                               make_tabulated_weight)
 
@@ -57,8 +57,8 @@ def test_fourier_coeff_conjugate_symmetry():
 
 
 def _per_lag(w, k, tol):
-    return oscillatory_integral(lambda t: w(t) * np.exp(-2j * np.pi * k * t),
-                                k, 0.0, 1.0, tol)
+    return integrate_finite(lambda t: w(t) * np.exp(-2j * np.pi * k * t),
+                            0.0, 1.0, tol, omega=k)
 
 
 @pytest.mark.parametrize("K", [0, 1, 17, 799])
@@ -441,9 +441,9 @@ def test_annihilator_inner_products(s20):
     b = AnnihilatorTarget(s20).inner(ms)
     top = float(np.max(s20.freqs))
     for m, value in zip(ms, b):
-        res = oscillatory_integral(
+        res = integrate_finite(
             lambda t: eval_H_series(s20, t) * np.exp(-2j * np.pi * m * t),
-            max(top, abs(m)), 0.0, 1.0, 1e-9)
+            0.0, 1.0, 1e-9, omega=max(top, abs(m)))
         assert res.converged
         assert abs(value - res.value) < 1e-7
     assert b[0] == 0.0                  # no frequency-2 component

@@ -11,8 +11,7 @@ from szegolab.blaschke import BlaschkeAnnihilator, JumpFunction
 from szegolab.frequency_sets import gen_power_set
 from szegolab.quadrature import (_WG, _WK, _XK, QuadratureResult,
                                  fourier_coefficients, integrate_finite,
-                                 integrate_left_halfline,
-                                 oscillatory_integral, require)
+                                 integrate_left_halfline, require)
 
 
 def test_gk15_constants_full_precision():
@@ -41,15 +40,17 @@ def test_deep_zero_integrand_self_convergence():
 
 def test_sine_orthonormality():
     f = lambda t: np.sin(2 * np.pi * 9 * t) ** 2 + 0j
-    res = oscillatory_integral(f, 9.0, 0.0, 1.0, 1e-12)
+    res = integrate_finite(f, 0.0, 1.0, 1e-12, omega=9.0)
     assert abs(res.value - 0.5) < 1e-12
 
 
 def test_oscillatory_singular_end_matches_integrate_finite():
-    """With the seed mesh toward a sqrt(s) endpoint the integral matches
-    integrate_finite's within both error estimates, and scipy's quad."""
+    """With quarter-period panels and the seed mesh toward a sqrt(s)
+    endpoint the integral matches the one seeded toward the endpoint alone
+    within both error estimates, and scipy's quad."""
     f = lambda s: np.sqrt(s) * np.exp(2j * np.pi * s)
-    osc = oscillatory_integral(f, 1.0, 0.0, 1.0, 1e-10, singular_ends=("a",))
+    osc = integrate_finite(f, 0.0, 1.0, 1e-10, singular_ends=("a",),
+                           omega=1.0)
     fin = integrate_finite(f, 0.0, 1.0, 1e-10, singular_ends=("a",))
     assert osc.converged and fin.converged
     assert abs(osc.value - fin.value) <= (osc.abs_error_estimate
@@ -115,20 +116,20 @@ def test_halfline_matches_manual_substitution():
 
 
 def test_oscillatory_full_periods():
-    res = oscillatory_integral(lambda t: np.exp(-2j * np.pi * 3 * t), 3.0,
-                               0.0, 1.0, 1e-12)
+    res = integrate_finite(lambda t: np.exp(-2j * np.pi * 3 * t), 0.0, 1.0,
+                           1e-12, omega=3.0)
     assert abs(res.value) < 1e-12
 
 
 def test_oscillatory_zero_frequency():
-    res = oscillatory_integral(lambda t: np.ones_like(t) + 0j, 0.0, 0.0, 1.0,
-                               1e-12)
+    res = integrate_finite(lambda t: np.ones_like(t) + 0j, 0.0, 1.0, 1e-12,
+                           omega=0.0)
     assert abs(res.value - 1.0) < 1e-12
 
 
 def test_oscillatory_integration_by_parts():
-    res = oscillatory_integral(lambda t: t * np.exp(-2j * np.pi * t), 1.0,
-                               0.0, 1.0, 1e-12)
+    res = integrate_finite(lambda t: t * np.exp(-2j * np.pi * t), 0.0, 1.0,
+                           1e-12, omega=1.0)
     assert abs(res.value - 1j / (2 * np.pi)) < 1e-11
 
 
@@ -211,8 +212,8 @@ def test_fourier_coefficients_breakpoints_at_kinks():
     res = fourier_coefficients(f, np.arange(26), 1e-12, breakpoints=kinks)
     assert res.converged
     for k in (0, 1, 7, 25):
-        ref = oscillatory_integral(lambda t: f(t) * np.exp(-2j * np.pi * k * t),
-                                   k, 0.0, 1.0, 1e-12)
+        ref = integrate_finite(lambda t: f(t) * np.exp(-2j * np.pi * k * t),
+                               0.0, 1.0, 1e-12, omega=k)
         assert abs(res.value[k] - ref.value) <= 1e-12
 
 
@@ -310,8 +311,10 @@ def test_fourier_panel_errors_never_below_quadpack(name):
     assert np.all(err[above] >= quadpack[above] * (1 - 1e-12))
 
 
-QUADRATURE_ENTRY_POINTS = {"integrate_finite", "oscillatory_integral",
-                           "integrate_left_halfline", "fourier_coefficients"}
+# every integral the quadrature module offers: what it exports, less the
+# result type and the check itself
+QUADRATURE_ENTRY_POINTS = set(quadrature.__all__) - {"QuadratureResult",
+                                                     "require"}
 
 
 def unchecked_quadrature_callers(package_dir):
@@ -347,3 +350,35 @@ def unchecked_quadrature_callers(package_dir):
 def test_every_quadrature_result_is_checked():
     # no unconverged integral is used silently: each caller checks its result
     assert unchecked_quadrature_callers(Path(quadrature.__file__).parent) == []
+
+
+PLANTED = """\
+from .quadrature import integrate_finite, integrate_left_halfline
+
+
+def unchecked(f):
+    return integrate_finite(f, 0.0, 1.0, 1e-8).value
+
+
+def checked(f):
+    res = integrate_finite(f, 0.0, 1.0, 1e-8, omega=3.0)
+    return res.value if res.converged else None
+
+
+class Planted:
+    def method(self, f):
+        def inner(u):
+            return integrate_left_halfline(f, 2.0, 1e-8)
+        return inner(0.0).value
+"""
+
+
+def test_quadrature_checker_flags_a_planted_unchecked_caller(tmp_path):
+    """The checker finds a function and a method (through a nested def)
+    that use a result without reading converged, and passes the one that
+    reads it; the entry points include every integrator exported."""
+    (tmp_path / "planted.py").write_text(PLANTED, encoding="utf-8")
+    assert unchecked_quadrature_callers(tmp_path) == [
+        "planted.py:unchecked", "planted.py:Planted.method"]
+    assert {"integrate_finite", "integrate_left_halfline",
+            "fourier_coefficients"} <= QUADRATURE_ENTRY_POINTS
