@@ -50,6 +50,38 @@ class ConfigError(Exception):
     """A config field that is missing, mistyped or out of range."""
 
 
+class _Repeated(str):
+    """The dotted path of a key that a JSON object names twice; it stands
+    in for that object while a config is parsed (json.loads alone would
+    keep the last value without a word)."""
+
+
+def _repeat_in(value):
+    """The dotted path of a repeated key in a value parsed with
+    _no_repeats, or None; list items are named by their index."""
+    if isinstance(value, _Repeated):
+        return value
+    for i, item in enumerate(value if isinstance(value, list) else ()):
+        path = _repeat_in(item)
+        if path is not None:
+            return f"{i}.{path}"
+    return None
+
+
+def _no_repeats(pairs):
+    """object_pairs_hook of json.loads: the object as a dict, or, when it
+    or a value in it names a key twice, that key's path as a _Repeated."""
+    seen = set()
+    for key, value in pairs:
+        if key in seen:
+            return _Repeated(key)
+        seen.add(key)
+        below = _repeat_in(value)
+        if below is not None:
+            return _Repeated(f"{key}.{below}")
+    return dict(pairs)
+
+
 def _write_text(path, text):
     path.write_text(text, encoding="utf-8")
     return path
@@ -440,7 +472,11 @@ def _build_file(config_path):
     """(config, _build_experiment(config)) for a config file; None once the
     config error is printed."""
     try:
-        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        config = json.loads(Path(config_path).read_text(encoding="utf-8"),
+                            object_pairs_hook=_no_repeats)
+        repeated = _repeat_in(config)
+        if repeated is not None:
+            raise ConfigError(f"repeated key {repeated}")
         return config, _build_experiment(config)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError,
             ConfigError) as exc:

@@ -60,17 +60,26 @@ def _sin_over_FF(u):
     stays float64, and h(u) = e^{i pi u} times it.  The removable
     singularities are the odd squares k^2, k = round(Re sqrt u); within
     SINGULARITY_DELTA of one the first-order local quotient rule gives
-    4k (-1)^((k-1)/2) (1 + (u - k^2)/(4k^2)) / cosh(pi sqrt(u)/2)."""
+    4k (-1)^((k-1)/2) (1 + (u - k^2)/(4k^2)) / cosh(pi sqrt(u)/2).
+    Where the cosh overflows, from |u| of about 2e5 on, the value is 0, as
+    h underflows there."""
     u = np.asarray(u, dtype=complex if np.iscomplexobj(u) else float)
     r = np.sqrt(u)
     with np.errstate(over="ignore"):
         ch = np.cosh(0.5 * np.pi * r)
-    out = np.asarray(np.sin(np.pi * u) / _cmul(np.cos(0.5 * np.pi * r), ch))
+    # a real quotient by inf rounds to +-0, but the complex product with
+    # inf + 0j would form inf * 0 = nan
+    huge = np.isinf(ch) if np.iscomplexobj(ch) else None
+    den = _cmul(np.cos(0.5 * np.pi * r),
+                ch if huge is None else np.where(huge, 1.0, ch))
+    out = np.asarray(np.sin(np.pi * u) / den)
     k = np.round(r.real)
     near = (k % 2 == 1) & (np.abs(u - k * k) < SINGULARITY_DELTA)
     k = k[near]
     out[near] = (np.where(k % 4 == 1, 4.0, -4.0) * k
                  * (1.0 + (u[near] - k * k) / (4.0 * k * k)) / ch[near])
+    if huge is not None:
+        out[huge] = 0.0
     return out
 
 

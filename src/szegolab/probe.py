@@ -7,9 +7,11 @@ isometry, and become degrees <= N' in z = e^{2 pi i t}.
 
 w dt is sampled once: masses mu_j = omega_j w(t_j) at z_j = e^{2 pi i t_j},
 from a composite Gauss-Legendre rule split at w's breakpoints.  The monic
-orthogonal polynomials run as vectors over the nodes, O(M) per degree:
-a = <z Phi_n, Phi*_n> / ||Phi*_n||^2, Phi_{n+1} = z Phi_n - a Phi*_n,
-Phi*_{n+1} = Phi*_n - conj(a) z Phi_n, and on coefficient vectors, which
+orthogonal polynomials obey a = <z Phi_n, Phi*_n> / ||Phi*_n||^2,
+Phi_{n+1} = z Phi_n - a Phi*_n, Phi*_{n+1} = Phi*_n - conj(a) z Phi_n.  On
+|z| = 1, Phi*_n = z^n conj(Phi_n), so one reflected vector over the nodes,
+z^{-floor(n/2)} Phi_n, carries both, O(M) per degree.  The coefficients run
+in one fixed buffer, where multiplying by z moves the start of Phi_n, and
 give B[s, k], the coefficient of z^s in the orthonormal phi_k, for the rows
 s a solve reads.  A step with ||Phi*_n||^2 zero or not finite raises.
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .deep_zero import membership_check
 from .frequency_sets import complement_in_range
-from .quadrature import fourier_coefficients
+from .quadrature import _distinct, fourier_coefficients
 
 __all__ = ["weight_fourier_coeff", "weight_fourier_coeffs", "gram_matrix",
            "TrigPolyTarget", "AnnihilatorTarget", "weighted_residual",
@@ -93,7 +95,7 @@ def _max_lag(freqs):
 def _gram(freqs, what):
     """G[m][n] = <e_n, e_m>_w = w-hat(freqs[m] - freqs[n]), freqs an int
     array of distinct frequencies."""
-    if np.unique(freqs).size != freqs.size:
+    if _distinct(freqs).size != freqs.size:
         raise ValueError("frequencies must be distinct")
     return _at_lags(what, freqs[:, None] - freqs[None, :])
 
@@ -204,29 +206,44 @@ def _measure(w, n, rule):
 
 def _szego(z, root_mu, n, rows):
     """The Szegő recursion to degree n for masses root_mu**2 at the points
-    z, whose node vectors carry the factor root_mu.  Returns (d2, B):
-    d2[k] = ||Phi*_k||^2, the squared distance from 1 to span{z..z^k}, and
-    B[i, k] the coefficient of z^rows[i] in the orthonormal phi_k."""
-    phi, phis = root_mu.astype(np.complex128), root_mu.astype(np.complex128)
-    coef = np.zeros(n + 1, dtype=np.complex128)
-    coef[0] = 1.0
+    z on the unit circle, whose node vectors carry the factor root_mu.
+    Returns (d2, B): d2[k] = ||Phi*_k||^2, the squared distance from 1 to
+    span{z..z^k}, and B[i, k] the coefficient of z^rows[i] in the
+    orthonormal phi_k."""
+    # On |z| = 1, Phi*_k = z^k conj(Phi_k), so the one reflected vector
+    # y = z^-floor(k/2) Phi_k root_mu carries both, ||Phi*_k||^2 = ||y||^2,
+    # and with u = y at odd k, u = z y at even k: a = sum u y / ||y||^2 and
+    # y <- u - a conj(y), where a conj(y) is a real 2x2 map of y's (re, im)
+    # pairs.  The nodes enter as given: with a half-angle root s of z in
+    # their place, s^2 is off z by a rounding, and the a's lose a digit.
+    y, x = root_mu.astype(np.complex128), np.empty(z.size, np.complex128)
+    y_flat = y.view(np.float64)
+    y_pairs, x_pairs = y_flat.reshape(-1, 2), x.view(np.float64).reshape(-1, 2)
+    ay, turn = np.empty_like(y_pairs), np.empty((2, 2))
+    # coefficient j of Phi_k sits at buf[n - k + j]: z Phi_k is Phi_k one
+    # place to the left, and the zeros right of buf[n] are its absent terms
+    buf, star = np.zeros(2 * n + 1, np.complex128), np.empty(n + 1, np.complex128)
+    buf[n] = 1.0
     d2, B = np.empty(n + 1), np.empty((len(rows), n + 1), dtype=np.complex128)
     for k in range(n + 1):
-        d2[k] = d = float(np.vdot(phis, phis).real)
+        d2[k] = d = float(np.dot(y_flat, y_flat))
         if not 0.0 < d < math.inf:
             raise ArithmeticError(
                 f"Szego recursion: ||Phi*_n||^2 = {d} at n={k}")
-        B[:, k] = coef[rows]
+        lo = n - k
+        B[:, k] = buf[lo:lo + n + 1][rows]
         if k < n:
-            zp = z * phi
-            a = complex(np.vdot(phis, zp)) / d
+            u, u_pairs = ((y, y_pairs) if k % 2
+                          else (np.multiply(z, y, out=x), x_pairs))
+            a = complex(np.dot(u, y)) / d
+            turn[:] = (a.real, a.imag), (a.imag, -a.real)
+            np.matmul(y_pairs, turn, out=ay)
+            np.subtract(u_pairs, ay, out=y_pairs)
             # Phi*_k has the coefficients of Phi_k reversed and conjugated
-            star = a * coef[k::-1].conj()
-            coef[1:k + 2] = coef[:k + 1]
-            coef[0] = 0.0
-            coef[:k + 1] -= star
-            phi = zp - a * phis
-            phis -= a.conjugate() * zp
+            st = star[:k + 1]
+            np.conjugate(buf[lo:n + 1][::-1], out=st)
+            st *= a
+            buf[lo - 1:n] -= st
     B /= np.sqrt(d2)
     if not np.isfinite(B).all():
         raise ArithmeticError("Szego recursion: coefficients not finite")
@@ -251,17 +268,20 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
     # per set: degree n, rows R (S and T), T's place in R, b_T, f-hat_R, and
     # residual^2 before the solve (the norm, unless a trig target has a span)
     blocks = []
+    n_max = max(0, F.max(initial=0), top.max(initial=0)) - lo
+    read = np.zeros(n_max + 1, dtype=bool)
     for size in map(len, kept_sets):
         kept, on_T = top[:size] - lo, b[:size] != 0
         n = max(0, F.max(initial=0), top[:size].max(initial=0)) - lo
-        R = np.union1d(np.setdiff1d(np.arange(n + 1), kept), kept[on_T])
+        in_R = np.ones(n + 1, dtype=bool)
+        in_R[kept[~on_T]] = False
+        R = np.flatnonzero(in_R)
+        read[R] = True
         solves = trig and size > 0
         blocks.append((n, R, np.searchsorted(R, kept[on_T]), b[:size][on_T],
                        target.at(R + lo) if solves else np.zeros(R.size),
                        0.0 if solves else norm_sq))
-    n_max = blocks[-1][0]
-    rows = (np.arange(n_max + 1) if coefficients
-            else np.unique(np.concatenate([blk[1] for blk in blocks])))
+    rows = np.arange(n_max + 1) if coefficients else np.flatnonzero(read)
     values = []
     for rule in _RULES:
         _, B = _szego(*_measure(w, n_max, rule), n_max, rows)

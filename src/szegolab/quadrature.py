@@ -77,6 +77,13 @@ def require(res, what):
             f"(error {res.abs_error_estimate:.2e})")
 
 
+def _distinct(x):
+    """The distinct values of x in increasing order, as np.unique gives
+    them, which in numpy 2.4 imports numpy.ma on first use."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _scaled(raw, resasc):
     """QUADPACK's error estimate from the raw |K - G| and resasc, the
     Kronrod-weighted deviation from the panel mean: raw |K-G| is optimistic
@@ -173,7 +180,7 @@ def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0,
     if "b" in singular_ends:
         pts += [b - width * 10.0 ** (-k) for k in range(1, 9)]
     seeds = np.linspace(a, b, max(min(quarters, max_evals // 15), 1) + 1)
-    return _adaptive(f, np.unique(np.concatenate([seeds, pts])), tol,
+    return _adaptive(f, _distinct(np.concatenate([seeds, pts])), tol,
                      max_evals)
 
 
@@ -288,7 +295,7 @@ def _fourier_panels(f, freqs, mid, half):
     column per frequency nu."""
     nf = freqs.size
     rows = max(1, _FOURIER_BLOCK // (3 * nf))
-    for h in np.unique(half):
+    for h in _distinct(half):
         # Kronrod, Gauss and antisymmetric Kronrod rows of weights times the
         # table, one product per block gives all three sums
         table = np.exp(-2j * np.pi * h * np.outer(_XK, freqs))

@@ -403,6 +403,61 @@ def test_unread_field_exits_2_naming_it(tmp_path, capsys, config, field,
     assert not (tmp_path / "out").exists()
 
 
+_SQUARES_PROBE_TEXT = (
+    '{"kind": "probe", "weight": {"kind": "companion", "factor": 0.9, '
+    '"M": 20%s}, "gamma": {"generator": "power", "rho": 2, "count": 100}, '
+    '"target": {"kind": "%s"%s}, "N_list": [20]}')
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"kind": "weights", "weight": {"kind": "exp", "c": 1.0}, '
+     '"kind": "sets"}', "kind"),
+    (_SQUARES_PROBE_TEXT % (', "M": 40', "annihilator", ', "M": 20'),
+     "weight.M"),
+    (_SQUARES_PROBE_TEXT % ("", "trigpoly", ', "coeffs": {"3": 1, "3": 5}'),
+     "target.coeffs.3"),
+    ('{"kind": "sets", "gamma": {"generator": "power", "rho": 3, '
+     '"count": 5}, "tags": [1, {"a": 1, "a": 2}]}', "tags.1.a"),
+], ids=["top-level", "nested", "nested-twice", "in-a-list"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_repeated_key_exits_2_naming_its_path(tmp_path, capsys, text, key,
+                                              command):
+    """json.loads alone keeps the last of two equal keys without a word."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text, encoding="utf-8")
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(cfg), *extra]) == 2
+    assert capsys.readouterr().err == f"config error: repeated key {key}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_probe_path_leaves_numpy_ma_unloaded(tmp_path):
+    """np.unique, union1d and setdiff1d import numpy.ma on first use in
+    numpy 2.4; a probe run, squares or trig-poly cubes, needs none of them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    bare = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    if bare.stdout.strip() != "False":
+        pytest.skip("import numpy alone loads numpy.ma")
+    cubes = _write(tmp_path, "cubes.json", {
+        "kind": "probe", "weight": {"kind": "companion", "factor": 0.9},
+        "gamma": {"generator": "power", "rho": 3, "count": 10},
+        "target": {"kind": "trigpoly", "coeffs": {"2": 1, "5": [0.5, 0.5]}},
+        "N_list": [50, 100]})
+    code = ("import sys; from szegolab.cli import main; "
+            f"codes = [main(['run', c, '--out', {str(tmp_path)!r} + '/' + n]) "
+            f"for n, c in (('squares', {str(CONFIGS / 'probe.json')!r}), "
+            f"('cubes', {cubes!r}))]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 @pytest.mark.parametrize("config, message", [
     ({"kind": "probe", "weight": {"kind": "exp", "c": 1.0},
       "gamma": {"generator": "power", "rho": 3, "count": 10},

@@ -182,6 +182,25 @@ def _h_mpmath(z):
                        / (F(w) * F(-w)))
 
 
+def test_eval_h_underflows_to_zero_far_out():
+    """Past |z| of about 2e5 cosh(pi sqrt|z|/2) overflows to inf.  There
+    eval_h gives 0, the underflowed value of h, whose modulus at 40 digits
+    is below the smallest subnormal double, and no warning."""
+    z = np.array([1e6, -1e6, 2.5e5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eval_h(z)
+        kernel = deep_zero._sin_over_FF(np.abs(z))
+    assert np.all(got == 0) and np.all(kernel == 0)
+    with mpmath.workdps(40):
+        F = lambda v: mpmath.cos(mpmath.pi * mpmath.sqrt(v) / 2)
+        for v in z:
+            w = mpmath.mpf(v)
+            h = (mpmath.exp(1j * mpmath.pi * w) * mpmath.sin(mpmath.pi * w)
+                 / (F(w) * F(-w)))
+            assert abs(h) < mpmath.mpf("5e-324")
+
+
 def test_eval_h_complex_path_matches_mpmath():
     """Off the real axis, and at least 0.05 from the odd squares, eval_h is
     within 1e-13 of 40-digit mpmath relative to max(|h|, 1): on the disc of

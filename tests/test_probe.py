@@ -280,6 +280,58 @@ def test_szego_zero_masses_raise_naming_the_step():
         probe._szego(z, np.zeros(16), 5, np.arange(1))
 
 
+def _szego_two_vectors(z, root_mu, n, rows, dtype=np.complex128):
+    """The recursion on the two node vectors Phi_k and Phi*_k and a shifted
+    coefficient vector, as the probe ran it before the reflected vector;
+    dtype np.clongdouble runs it in extended precision."""
+    z, phi = z.astype(dtype), root_mu.astype(dtype)
+    phis = phi.copy()
+    coef = np.zeros(n + 1, dtype=dtype)
+    coef[0] = 1.0
+    d2, B = np.empty(n + 1, phi.real.dtype), np.empty((len(rows), n + 1), dtype)
+    for k in range(n + 1):
+        d2[k] = d = np.vdot(phis, phis).real
+        B[:, k] = coef[rows]
+        if k < n:
+            zp = z * phi
+            a = np.vdot(phis, zp) / d
+            star = a * coef[k::-1].conj()
+            coef[1:k + 2] = coef[:k + 1]
+            coef[0] = 0.0
+            coef[:k + 1] -= star
+            phi = zp - a * phis
+            phis -= np.conj(a) * zp
+    return d2, B / np.sqrt(d2)
+
+
+@pytest.mark.parametrize("rule", probe._RULES)
+@pytest.mark.parametrize("n", [60, 800])
+def test_szego_matches_the_two_vector_recursion(companion, rule, n):
+    z, root_mu = probe._measure(companion, n, rule)
+    rows = np.arange(n + 1)
+    d2, B = probe._szego(z, root_mu, n, rows)
+    d2_ref, B_ref = _szego_two_vectors(z, root_mu, n, rows)
+    assert np.abs(d2 / d2_ref - 1.0).max() <= 1e-13
+    assert np.abs(B - B_ref).max() <= 1e-12 * np.abs(B_ref).max()
+
+
+def test_szego_takes_the_nodes_as_given(companion):
+    """The Verblunsky coefficients a_k = -Phi_{k+1}(0) at N = 800 within
+    1e-15 of the two-vector recursion in extended precision.  Run on a
+    half-angle root s of z, whose s^2 is off z by a rounding, the reflected
+    vector missed them by 3.8e-15."""
+    n = 800
+    z, root_mu = probe._measure(companion, n, probe._RULES[-1])
+    rows = np.arange(1)
+
+    def verblunsky(d2, B):
+        return -B[0, 1:] * np.sqrt(d2[1:])
+
+    ref = verblunsky(*_szego_two_vectors(z, root_mu, n, rows, np.clongdouble))
+    got = verblunsky(*probe._szego(z, root_mu, n, rows))
+    assert np.abs(got - ref).max() <= 1e-15
+
+
 class _TrigPolyWeight:
     """|1 - a e^{2 pi i t}|^2, whose Toeplitz determinants are known."""
     breakpoints = (0.0, 1.0)
