@@ -9,6 +9,7 @@ separately.  On the slit every dropped factor is unimodular, so boundary
 moduli carry no truncation error at all.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from ._accel import boundary_product, interior_log_product
 from .frequency_sets import FrequencySet, sqrt_sum_diagnostic
-from .quadrature import (QuadratureResult, fourier_coefficients,
+from .quadrature import (_XK, QuadratureResult, _fourier_mesh,
+                         _fourier_refine, fourier_coefficients,
                          integrate_finite, integrate_left_halfline, require)
 
 __all__ = ["BlaschkeAnnihilator", "JumpFunction", "eval_phi",
@@ -153,29 +155,61 @@ def _g_abs_tail(T):
     return 2.0 * (1.0 / a - 1.0 / a ** 2 + 1.0 / (3.0 * a ** 3))
 
 
+# compute_G's small-|s| branch: |s| below _S_SMALL, on [-_T_SMALL, 0]
+_S_SMALL = 0.05
+_T_SMALL = 4.0e4
+_SMALL_EDGES = np.array([-_T_SMALL, 0.0])
+_SAMPLE_PANELS = 256
+
+
+@functools.lru_cache(maxsize=2)
+def _small_s_samples(j):
+    """Im j at the nodes of the small-|s| branch's seed panels, one row per
+    panel, read-only.  The jump is purely imaginary and a pure function of
+    its annihilator (a JumpFunction hashes by value), so these are computed
+    once per jump; a float64 array of 4000 x 15 takes 0.5 MB."""
+    mid, half = _fourier_mesh(_SMALL_EDGES, _S_SMALL)
+    x = mid[:, None] + half[:, None] * _XK
+    y = np.empty(x.shape)
+    # in blocks of panels, as fourier_coefficients samples: the jump's
+    # temporaries per point stay small
+    for p0 in range(0, x.shape[0], _SAMPLE_PANELS):
+        block = x[p0:p0 + _SAMPLE_PANELS]
+        y[p0:p0 + _SAMPLE_PANELS] = np.asarray(
+            j(block.ravel())).imag.reshape(block.shape)
+    y.flags.writeable = False
+    return y
+
+
 def compute_G(j, s, tol=1e-6):
     """Fourier transform of the jump: int_{-inf}^0 e^{2 pi i s u} g(u) du,
     for a scalar s or every s of a 1-d array.
 
-    Each branch is one batched quadrature (fourier_coefficients at the
-    frequencies -s) that samples g once for all of its s.  Small |s|: direct
-    integral on [-T, 0] with the algebraic envelope tail added to the error.
-    Larger |s|: moderate T plus two integration-by-parts boundary terms at
-    u = -T, with the remainder estimated from a finite-difference second
-    derivative of g.  converged is per s: the total error, tail or
-    remainder included, is within tol.  A scalar s gives scalar fields.
+    Each branch is one batched quadrature at the frequencies -s.  Small
+    |s| (below 0.05): direct integral on [-T, 0] with the algebraic
+    envelope tail added to the error; its seed panels are the ones the
+    bound 0.05 asks for, whatever the call's s, and the jump's values on
+    them are sampled once per jump and kept (for the last two jumps), so a
+    call samples only the panels it splits.  Larger |s|: moderate T plus two
+    integration-by-parts boundary terms at u = -T, with the remainder
+    estimated from a finite-difference second derivative of g; one
+    fourier_coefficients call samples g once for all of its s.  converged
+    is per s: the total error, tail or remainder included, is within tol.
+    evaluations counts the nodes both rules used, kept samples included.
+    A scalar s gives scalar fields.
     """
     s_in = np.asarray(s, dtype=np.float64)
     s = np.atleast_1d(s_in)
     value = np.empty(s.size, dtype=np.complex128)
     error = np.empty(s.size)
     evals = 0
-    small = np.abs(s) < 0.05
+    small = np.abs(s) < _S_SMALL
     if small.any():
-        T = 4.0e4
-        res = fourier_coefficients(j, -s[small], tol, (-T, 0.0))
+        res = _fourier_refine(j, -s[small], tol, _SMALL_EDGES,
+                              *_fourier_mesh(_SMALL_EDGES, _S_SMALL),
+                              samples=1j * _small_s_samples(j))
         value[small] = res.value
-        error[small] = res.abs_error_estimate + _g_abs_tail(T)
+        error[small] = res.abs_error_estimate + _g_abs_tail(_T_SMALL)
         evals += res.evaluations
     if not small.all():
         T = 200.0

@@ -12,6 +12,7 @@ singularities: eval_h folds h onto it, and eval_H_integral integrates it.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,20 @@ def _h_abs_tail(X):
     return 2.0 * 16.0 * math.exp(-a * R) * poly
 
 
+def _h_cut(tol):
+    """The smallest integer X from 200 up with _h_abs_tail(X) <= tol/2.
+    The tail falls strictly in X (its derivative in R = sqrt X is a
+    positive constant times -e^{-pi R/2} (R^2 + 2R)), so doubling finds an
+    X that fits and bisection over the integers below it the smallest."""
+    def fits(X):
+        return _h_abs_tail(X) <= 0.5 * tol
+
+    hi = 200
+    while not fits(hi):
+        hi *= 2
+    return float(bisect_left(range(200, hi + 1), True, key=fits) + 200)
+
+
 def eval_H_integral(t, tol=1e-8):
     """Fourier-integral route for the series values.
 
@@ -153,21 +168,22 @@ def eval_H_integral(t, tol=1e-8):
     of h is supported in (0,1) and equals minus the sine series in the
     orientation fixed by eval_H_series).  h(-x) = -conj h(x) folds it onto
     the half-line: -2i times the real integral of
-    sin(pi (1 - 2t) x) sin(pi x)/(F(x) F(-x)) over [0, X].  X is the
-    smallest integer from 200 up whose analytic |h| tail beyond X is at most
-    tol/2; the quadrature gets the rest of tol, and converged means that the
-    total error, tail included, is within tol.
+    sin(pi (1 - 2t) x) sin(pi x)/(F(x) F(-x)) over [0, X], whose panels are
+    seeded at a quarter period of its top frequency, max(|t|, |1 - t|)
+    cycles per unit (the product of the two sines is a sum of cosines at
+    frequencies |t| and |1 - t|).  X is the smallest integer from 200 up
+    whose analytic |h| tail beyond X is at most tol/2; the quadrature gets
+    the rest of tol, and converged means that the total error, tail
+    included, is within tol.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     t = float(t)
-    X = 200.0
-    while _h_abs_tail(X) > 0.5 * tol:
-        X += 1.0
+    X = _h_cut(tol)
     tail = _h_abs_tail(X)
     res = integrate_finite(
         lambda x: np.sin(np.pi * (1.0 - 2.0 * t) * x) * _sin_over_FF(x),
-        0.0, X, 0.5 * (tol - tail), omega=abs(t) + 1.0)
+        0.0, X, 0.5 * (tol - tail), omega=max(abs(t), abs(1.0 - t)))
     error = 2.0 * res.abs_error_estimate + tail
     return QuadratureResult(-2j * res.value.real, error, res.evaluations,
                             error <= tol)

@@ -97,6 +97,20 @@ def _scaled(raw, resasc):
                         raw)
 
 
+def _rescale(raw, resasc):
+    """_scaled(raw, max(resasc, 200 raw)) in place, in the arrays given,
+    with fewer passes: with r = 200 raw, resasc (r/resasc)^1.5 is
+    r sqrt(r/resasc), where min(1, .) never binds, since resasc >= r.  The
+    smallest subnormal floor only meets resasc = r = 0, where it gives 0."""
+    raw *= 200.0
+    np.maximum(resasc, raw, out=resasc)
+    np.maximum(resasc, np.finfo(np.float64).smallest_subnormal, out=resasc)
+    np.divide(raw, resasc, out=resasc)
+    np.sqrt(resasc, out=resasc)
+    resasc *= raw
+    return resasc
+
+
 def _gk15(y, half):
     """Kronrod values and error estimates of panels sampled at the 15 nodes.
 
@@ -222,20 +236,22 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
 
     One composite Gauss-Kronrod 7/15 rule serves every frequency, so f is
     sampled once per node.  Each interval between consecutive breakpoints
-    starts as equal panels no wider than half a period of the largest |nu|.
-    On a panel with midpoint m and half-width h, exp(-2 pi i nu t) is
-    exp(-2 pi i nu m) times the table exp(-2 pi i nu h x_j) that all panels
-    of width 2h share; the first factor has modulus one, so each panel's
-    error needs only the table, and the phase enters only the value sum.
-    One matrix product per block of panels, samples (panels x 15 nodes)
-    times the table under three rows of weights, gives at every frequency
-    the Kronrod sum K, the Gauss sum G and the antisymmetric sum A of the
-    Kronrod weights times sgn(x_j); no (panel x frequency x node) array is
-    formed.  Those weights sum to zero, so A is the same sum taken about the
-    panel mean, and |A| is at most QUADPACK's resasc.  The error is
-    QUADPACK's rescaling of raw = |K - G| with max(|A|, 200 raw) in place of
-    resasc: the rescaled error is largest at resasc = 200 raw and falls
-    beyond it, so this error is never below QUADPACK's.
+    starts as equal panels no wider than half a period of the largest |nu|
+    (_fourier_mesh); _fourier_refine, which blaschke.compute_G also drives
+    from samples it keeps, evaluates and refines them.  On a panel with
+    midpoint m and half-width h, exp(-2 pi i nu t) is exp(-2 pi i nu m)
+    times the table exp(-2 pi i nu h x_j) that all panels of width 2h
+    share; the first factor has modulus one, so each panel's error needs
+    only the table, and the phase enters only the value sum.  One matrix
+    product per block of panels, samples (panels x 15 nodes) times the
+    table under three rows of weights, gives at every frequency the Kronrod
+    sum K, the Gauss sum G and the antisymmetric sum A of the Kronrod
+    weights times sgn(x_j); no (panel x frequency x node) array is formed.
+    Those weights sum to zero, so A is the same sum taken about the panel
+    mean, and |A| is at most QUADPACK's resasc.  The error is QUADPACK's
+    rescaling of raw = |K - G| with max(|A|, 200 raw) in place of resasc:
+    the rescaled error is largest at resasc = 200 raw and falls beyond it,
+    so this error is never below QUADPACK's.
 
     A panel is kept when its error at every frequency is within its share
     of tol (tol times its width over the span), so the kept panels' errors
@@ -244,22 +260,37 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
     nodes evaluated beyond _MAX_EVALS, or the panels reach the width floor.
 
     Returns a QuadratureResult whose value and abs_error_estimate are arrays
-    over freqs; converged means that every frequency met tol.  The Fourier
-    coefficients of f on [0, 1] are freqs = np.arange(K + 1).
+    over freqs, and whose evaluations count the rule's nodes; converged
+    means that every frequency met tol.  The Fourier coefficients of f on
+    [0, 1] are freqs = np.arange(K + 1).
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     edges = np.asarray(breakpoints, dtype=np.float64)
-    widths = np.diff(edges)
     if (freqs.ndim != 1 or not freqs.size or not np.all(np.isfinite(freqs))
-            or edges.size < 2 or not np.all(widths > 0)):
+            or edges.size < 2 or not np.all(np.diff(edges) > 0)):
         raise ValueError(f"need a nonempty 1-d array of finite frequencies "
                          f"and increasing breakpoints, got {freqs.size} "
                          f"frequencies, breakpoints {breakpoints}")
-    counts = np.maximum(np.ceil(widths * 2 * np.abs(freqs).max()),
-                        1).astype(np.int64)
-    half = np.repeat(0.5 * widths / counts, counts)
+    return _fourier_refine(f, freqs, tol, edges,
+                           *_fourier_mesh(edges, np.abs(freqs).max()))
+
+
+def _fourier_mesh(edges, nu_max):
+    """Midpoints and half-widths of the seed panels: each interval between
+    consecutive edges in equal panels no wider than half a period of
+    nu_max (one panel when nu_max is 0)."""
+    widths = np.diff(edges)
+    counts = np.maximum(np.ceil(widths * 2 * nu_max), 1).astype(np.int64)
     mid = np.concatenate([a + h * (2.0 * np.arange(n) + 1.0) for a, h, n
                           in zip(edges[:-1], 0.5 * widths / counts, counts)])
+    return mid, np.repeat(0.5 * widths / counts, counts)
+
+
+def _fourier_refine(f, freqs, tol, edges, mid, half, samples=None):
+    """fourier_coefficients' adaptive loop from the panels (mid, half) on
+    the span of edges.  samples, when given, holds f at the first round's
+    nodes, mid[:, None] + half[:, None] * _XK, so that round samples
+    nothing; the panels it splits are sampled fresh."""
     share = tol / (edges[-1] - edges[0])            # of tol per unit width
     min_half = 0.5e-14 * max(edges[-1] - edges[0], np.abs(edges).max())
     values = np.zeros(freqs.size, dtype=np.complex128)
@@ -269,11 +300,13 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
         rest_values = np.zeros_like(values)
         rest_errors = np.zeros_like(errors)
         split = np.zeros(mid.size, dtype=bool)
-        for rows, vals, errs in _fourier_panels(f, freqs, mid, half):
+        for rows, vals, errs in _fourier_panels(f, freqs, mid, half, samples):
             bad = ((errs.max(axis=1) > share * 2.0 * half[rows])
                    & (half[rows] > min_half))
-            values += vals[~bad].sum(axis=0)
-            errors += errs[~bad].sum(axis=0)
+            # the kept panels, nearly all of a block, summed by one product
+            keep = (~bad).astype(np.float64)
+            values += (keep @ vals.view(np.float64)).view(np.complex128)
+            errors += keep @ errs
             rest_values += vals[bad].sum(axis=0)
             rest_errors += errs[bad].sum(axis=0)
             split[rows] = bad
@@ -287,12 +320,14 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
         quarter = 0.5 * half[split]
         mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
         half = np.concatenate([quarter, quarter])
+        samples = None
 
 
-def _fourier_panels(f, freqs, mid, half):
+def _fourier_panels(f, freqs, mid, half, samples=None):
     """Yield (panel indices, values, errors) over blocks of panels, each row
     a panel's Kronrod value of f(t) exp(-2 pi i nu t) and its error, one
-    column per frequency nu."""
+    column per frequency nu.  samples, when given, holds f at the panels'
+    nodes, one row per panel, and f is not called."""
     nf = freqs.size
     rows = max(1, _FOURIER_BLOCK // (3 * nf))
     for h in _distinct(half):
@@ -304,14 +339,19 @@ def _fourier_panels(f, freqs, mid, half):
         same = np.flatnonzero(half == h)
         for p0 in range(0, same.size, rows):
             idx = same[p0:p0 + rows]
-            x = mid[idx, None] + h * _XK
-            y = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
-            sums = (y @ weights) * h
+            if samples is None:
+                x = mid[idx, None] + h * _XK
+                y = np.asarray(f(x.ravel()),
+                               dtype=np.complex128).reshape(x.shape)
+            else:
+                y = samples[idx]
+            sums = y @ weights
+            sums *= h
             vk = sums[:, :nf]
-            raw = np.abs(vk - sums[:, nf:2 * nf])
             # |antisymmetric sum| <= QUADPACK's resasc, and the rescaled error
             # only falls as resasc grows beyond 200 raw
-            err = _scaled(raw, np.maximum(np.abs(sums[:, 2 * nf:]),
-                                          200.0 * raw))
+            err = _rescale(np.abs(vk - sums[:, nf:2 * nf]),
+                           np.abs(sums[:, 2 * nf:]))
             phase = np.exp(-2j * np.pi * np.outer(mid[idx], freqs))
-            yield idx, phase * vk, err
+            phase *= vk
+            yield idx, phase, err

@@ -8,6 +8,7 @@ from szegolab.blaschke import (BlaschkeAnnihilator, JumpFunction,
                                convolution_identity_residual, eval_phi,
                                eval_phi_boundary, g_l1_norm,
                                gamma_vanishing_residual)
+from szegolab.deep_zero import eval_H_integral
 from szegolab.frequency_sets import FrequencySet, gen_power_set
 from szegolab.quadrature import QuadratureResult, integrate_finite
 
@@ -255,6 +256,53 @@ class _CountingJump:
     def __call__(self, t):
         self.points += np.size(t)
         return self.j(t)
+
+
+# the small-|s| branch's seed: 4000 panels of 15 nodes on [-4e4, 0]
+SMALL_S_SEED_NODES = 4000 * 15
+
+
+def test_G_is_the_same_from_a_cold_and_a_warm_jump(jump):
+    """The samples a jump keeps give the values a cold jump computes, bit
+    for bit, and a jump equal by value shares them (criterion 14)."""
+    s = np.array([0.0, 0.0123, -0.0499, 0.05, 0.3, -2.0])
+    blaschke._small_s_samples.cache_clear()
+    cold = compute_G(jump, s, 1e-6)
+    for res in (compute_G(jump, s, 1e-6),
+                compute_G(JumpFunction(jump.annihilator), s, 1e-6),
+                compute_G(_CountingJump(jump), s, 1e-6)):
+        assert np.array_equal(res.value, cold.value)
+        assert np.array_equal(res.abs_error_estimate, cold.abs_error_estimate)
+        assert np.array_equal(res.converged, cold.converged)
+        assert res.evaluations == cold.evaluations
+    assert blaschke._small_s_samples.cache_info().hits == 2
+
+
+def test_second_small_s_call_samples_only_its_split_panels(jump):
+    spy = _CountingJump(jump)
+    first = compute_G(spy, np.array([0.0, 0.02, -0.04]), 5e-5)
+    # the seed's nodes and the split panels', all sampled once
+    assert spy.points == first.evaluations > SMALL_S_SEED_NODES
+    spy.points = 0
+    second = compute_G(spy, np.array([0.01, -0.03, 0.045]), 5e-5)
+    assert second.evaluations > SMALL_S_SEED_NODES
+    assert spy.points == second.evaluations - SMALL_S_SEED_NODES
+
+
+def test_route_check_cost_budget(jump):
+    """Criterion 4's six convolution checks sample the jump at 115,163
+    points (715,178 before the jump's samples were kept), and the three H
+    checks of test_H_two_route_agreement take 44,160 evaluations (86,400
+    before the H route was seeded at its integrand's top frequency); each
+    budget is about 20% above its count."""
+    spy = _CountingJump(jump)
+    for q in (1.0, 0.0, -1.0):
+        for t in (0.25, 1.0):
+            convolution_identity_residual(spy, q, t, 1e-3)
+    assert spy.points <= 138_000
+    evaluations = sum(eval_H_integral(t, 1e-8).evaluations
+                      for t in (0.1, 0.5, 0.9))
+    assert evaluations <= 53_000
 
 
 def test_convolution_samples_the_jump_once_per_round(jump, monkeypatch):

@@ -281,6 +281,30 @@ def test_H_two_route_agreement(s20):
         assert abs(series_val - res.value) <= allowed
 
 
+@pytest.mark.parametrize("tol, X", [(1e-2, 200.0), (1e-6, 217.0),
+                                    (1e-8, 320.0), (1e-10, 441.0)])
+def test_H_cut_is_the_smallest_integer_that_fits(tol, X):
+    """The bisection finds the X the old upward search by ones found: the
+    smallest integer from 200 up whose |h| tail is at most tol/2."""
+    assert deep_zero._h_cut(tol) == X
+    assert deep_zero._h_abs_tail(X) <= 0.5 * tol
+    assert X == 200.0 or deep_zero._h_abs_tail(X - 1.0) > 0.5 * tol
+
+
+def test_H_integral_within_its_bound_inside_and_outside_the_support(s20):
+    """Seeded at a quarter period of max(|t|, |1 - t|), the route still
+    meets its declared bound; the transform of h vanishes off (0, 1),
+    where the periodic series does not."""
+    for t in (-0.5, 0.05, 0.5, 0.95, 1.3):
+        res = eval_H_integral(t, 1e-8)
+        assert res.converged
+        expected = eval_H_series(s20, t) if 0 < t < 1 else 0.0
+        assert (abs(expected - res.value)
+                <= res.abs_error_estimate + s20.truncation_bound)
+    # omega 0.5 on [0, 320]: 640 quarter periods (28,800 nodes at omega 1.5)
+    assert eval_H_integral(0.5, 1e-8).evaluations == 9_600
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
 def test_H_integral_error_budget_holds_tail_included(s20, tol):
     """X is chosen so that the analytic |h| tail fits in tol: the route

@@ -381,6 +381,33 @@ def test_residual_curve_matches_dense_least_squares(companion, rho, count):
         assert rec.residual_error <= 1e-9 * rec.residual
 
 
+@pytest.mark.parametrize("coeffs", [{1: 1.0},
+                                    {8: 1.0, 27: 0.5 + 0.25j, 11: 0.75j}],
+                         ids=["e1", "three-terms"])
+def test_residual_error_covers_a_rotation_of_the_nodes(companion, coeffs,
+                                                       monkeypatch):
+    """Rotating every node by +-2.2e-16 rad, one rounding of z, moves each
+    residual of the curve by at most its residual_error, whose rounding
+    term 4 cond eps norm covers it (without it, e_1 moved 1.9e-12 at
+    N = 800 against a residual_error of 7.1e-14)."""
+    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 50),
+                      target=TrigPolyTarget(coeffs), tol=1e-13)
+    N_list = [50, 100, 200, 400, 800]
+    base = residual_curve(cfg, N_list).records
+    measure = probe._measure
+    rng = np.random.default_rng(3)
+
+    def rotated(w, n, rule):
+        z, root_mu = measure(w, n, rule)
+        return z * np.exp(2.2e-16j * rng.choice([-1.0, 1.0], z.size)), root_mu
+
+    monkeypatch.setattr(probe, "_measure", rotated)
+    for rec, moved in zip(base, residual_curve(cfg, N_list).records):
+        rounding = 4 * rec.cond_estimate * EPS * rec.target_norm
+        assert rec.residual_error >= rounding
+        assert abs(moved.residual - rec.residual) <= rec.residual_error
+
+
 def test_annihilator_drop_matches_dense_schur_complement(s20, companion):
     target = AnnihilatorTarget(s20)
     freqs = complement_in_range(gen_power_set(2, 100), 300)

@@ -311,6 +311,19 @@ def test_fourier_panel_errors_never_below_quadpack(name):
     assert np.all(err[above] >= quadpack[above] * (1 - 1e-12))
 
 
+def test_fourier_rescale_is_quadpacks_with_the_antisymmetric_bound():
+    """_rescale's r sqrt(r / max(resasc, r)), r = 200 raw, is
+    _scaled(raw, max(resasc, 200 raw)) to rounding, zeros included."""
+    rng = np.random.default_rng(11)
+    raw, resasc = 10.0 ** rng.uniform(-90.0, 90.0, (2, 20_000))
+    raw[rng.random(raw.size) < 0.1] = 0.0
+    resasc[rng.random(resasc.size) < 0.1] = 0.0
+    want = quadrature._scaled(raw, np.maximum(resasc, 200.0 * raw))
+    got = quadrature._rescale(raw.copy(), resasc.copy())
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 # every integral the quadrature module offers: what it exports, less the
 # result type and the check itself
 QUADRATURE_ENTRY_POINTS = set(quadrature.__all__) - {"QuadratureResult",

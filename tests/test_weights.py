@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -44,6 +45,30 @@ def test_log_integral_quadrature_matches_closed_form():
         w = make_exp_weight(c)
         closed = w.log_closed_form(eps)
         assert abs(closed - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 0.02, 0.2, 0.45])
+def test_log_integral_tabulated_closed_form_matches_mpmath(eps):
+    """Flat below the first sample, a zero-slope piece, a piece of slope
+    about 3e-11, kinks, and a last sample beyond 1; mpmath integrates the
+    same interpolant piece by piece at 40 digits."""
+    samples = [(0.03, 0.2), (0.3, 0.2), (0.37, 0.5), (0.4, 0.5 + 1e-12),
+               (0.61, 0.55), (0.9, 1.2), (1.4, 0.7)]
+    w = make_tabulated_weight(samples)
+    with mpmath.workdps(40):
+        ts = [mpmath.mpf(t) for t, _ in samples]
+        ws = [mpmath.mpf(v) for _, v in samples]
+
+        def log_w(t):
+            if t <= ts[0]:
+                return mpmath.log(ws[0])
+            i = max(k for k in range(len(ts) - 1) if ts[k] <= t)
+            return mpmath.log(ws[i] + (ws[i + 1] - ws[i]) * (t - ts[i])
+                              / (ts[i + 1] - ts[i]))
+
+        knots = [mpmath.mpf(eps)] + [t for t in ts if eps < t < 1] + [1]
+        ref = mpmath.quad(log_w, knots)
+    assert abs(log_integral(w, eps) - float(ref)) < 1e-13
 
 
 def test_condition_A_exp_passes():
