@@ -14,7 +14,6 @@ digests, so interrupted runs are identifiable.
 """
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
@@ -100,10 +99,20 @@ def _write_json(path, obj):
 
 
 def _real(v):
+    """A finite JSON number: not a string, not a boolean."""
+    if isinstance(v, (str, bool)):
+        raise TypeError(v)
     x = float(v)
     if not math.isfinite(x):
         raise ValueError(v)
     return x
+
+
+def _integer(v):
+    """A JSON integer: not 10.0 or 10.9, not a boolean."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(v)
+    return v
 
 
 def _flag(v):
@@ -114,10 +123,7 @@ def _flag(v):
 
 def _complex(v):
     """A trigpoly amplitude: a number, or [re, im]."""
-    z = complex(*map(_real, v)) if isinstance(v, list) else complex(v)
-    if not cmath.isfinite(z):
-        raise ValueError(v)
-    return z
+    return complex(*map(_real, v if isinstance(v, list) else [v]))
 
 
 def _pair(v):
@@ -135,8 +141,8 @@ def _each(convert):
     return each
 
 
-_NEED = {_real: "a finite number", int: "an integer", _flag: "true or false",
-         _complex: "a number or [re, im]"}
+_NEED = {_real: "a finite number", _integer: "an integer",
+         _flag: "true or false", _complex: "a number or [re, im]"}
 _POSITIVE = {"ok": lambda x: x > 0, "need": "a positive number"}
 
 
@@ -211,11 +217,12 @@ def _frequency_set(spec):
     numbers = {"convert": _each(_real), "need": "a list of numbers"}
     if gen == "power":
         fset = _make(spec.path, gen_power_set, spec.get("rho", _real),
-                     spec.get("count", int))
+                     spec.get("count", _integer))
     elif gen == "blocks":
+        integers = {"convert": _each(_integer), "need": "a list of integers"}
         fset = _make(spec.path, gen_interval_blocks,
-                     spec.get("starts", **numbers),
-                     spec.get("lengths", **numbers))
+                     spec.get("starts", **integers),
+                     spec.get("lengths", **integers))
     else:
         elements = spec.get("elements", **numbers)
         fset = _make(spec.field("elements"), FrequencySet, tuple(elements),
@@ -227,10 +234,10 @@ def _frequency_set(spec):
 
 def _series(spec):
     """The deep-zero series of terms k_min..M that a section describes."""
-    k_min = spec.get("k_min", int, 0, ok=lambda k: k >= 0,
+    k_min = spec.get("k_min", _integer, 0, ok=lambda k: k >= 0,
                      need="a non-negative integer")
     return _make(spec.field("M"), DeepZeroSeries.build, k_min,
-                 spec.get("M", int, 20))
+                 spec.get("M", _integer, 20))
 
 
 def _companion(series, factor, summary):
@@ -332,7 +339,7 @@ def _run_weights(weight, out, summary):
 
 def _build_blaschke(cfg, tol, summary):
     gamma = _frequency_set(cfg.section("gamma"))
-    K = cfg.get("K", int, len(gamma), ok=lambda k: 0 <= k <= len(gamma),
+    K = cfg.get("K", _integer, len(gamma), ok=lambda k: 0 <= k <= len(gamma),
                 need=f"an integer in [0, {len(gamma)}]")
     jump = JumpFunction(_make("gamma", BlaschkeAnnihilator, gamma, K))
     t_scan = cfg.get("t_scan", _each(_real), -np.geomspace(1e-3, 1e3, 25),
@@ -377,7 +384,7 @@ def _build_deepzero(cfg, tol, summary):
                     need="a number in (0, 1)")
     t_max = cfg.get("t_max", _real, 0.2, ok=lambda t: t_min < t < 1,
                     need="a number in (t_min, 1)")
-    points = cfg.get("points", int, 20, ok=lambda n: n >= 8,
+    points = cfg.get("points", _integer, 20, ok=lambda n: n >= 8,
                      need="an integer >= 8")
     # grid uniform in 1/t so the decay fit weights the deep-zero range evenly
     t_grid = 1.0 / np.linspace(1.0 / t_max, 1.0 / t_min, points)[::-1]
@@ -413,7 +420,7 @@ def _build_probe(cfg, tol, summary):
     weight = _weight(cfg.section("weight"), summary)
     gamma = _frequency_set(cfg.section("gamma"))
     target = _target(cfg.section("target"))
-    N_list = cfg.get("N_list", _each(int),
+    N_list = cfg.get("N_list", _each(_integer),
                      ok=lambda ns: len(ns) > 0 and ns[0] >= 1
                      and all(a < b for a, b in zip(ns, ns[1:])),
                      need="a non-empty increasing list of positive integers")
@@ -456,9 +463,9 @@ def _build_experiment(config):
     cfg = _Spec(config, "")
     kind = cfg.get("kind", str, **_one_of(*_BUILDERS))
     tol = cfg.get("tol", _real, 1e-8, **_POSITIVE)
-    # SZEGO_TOL, when set, overrides the config's tol
+    # SZEGO_TOL, a string when set, overrides the config's tol
     tol = _Spec({"SZEGO_TOL": os.environ.get("SZEGO_TOL")}, "").get(
-        "SZEGO_TOL", _real, tol, **_POSITIVE)
+        "SZEGO_TOL", lambda v: _real(float(v)), tol, **_POSITIVE)
     summary = {}
     run = _BUILDERS[kind](cfg, tol, summary)
     unread = list(cfg.unread())
@@ -523,8 +530,8 @@ def run_experiment(config_path, out_dir):
 
 def emit_report(manifest_path):
     """Print a manifest's summary; a file that is not a readable manifest
-    (UTF-8 JSON object, summary and outputs objects, fields of the types
-    run writes) exits 2."""
+    (UTF-8 JSON object, summary and outputs objects, scalar summary values,
+    string digests) exits 2."""
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
         lines = _report_lines(manifest)
@@ -542,33 +549,16 @@ def _report_lines(manifest):
     outputs = manifest.get("outputs", {})
     if not (isinstance(s, dict) and isinstance(outputs, dict)):
         raise TypeError("'summary' and 'outputs' must be JSON objects")
-    kind = manifest.get("kind", "?")
-    lines = [f"experiment kind: {kind}",
+    lines = [f"experiment kind: {manifest.get('kind', '?')}",
              f"status: {manifest.get('status', '?')}"]
-    if kind == "blaschke" and "max_identity_residual" in s:
-        verdict = "PASS" if s.get("identity_passed") else "FAIL"
-        lines.append(
-            "max Cauchy-identity relative residual: "
-            f"{s['max_identity_residual']:.6g} "
-            f"(tol {s.get('identity_tol', 1e-4):g}): {verdict}")
-    if kind == "deepzero" and "c2" in s:
-        lines.append(f"deep-zero fit: c1={s['c1']:.6g} c2={s['c2']:.6g} "
-                     f"correlation={s['correlation']:.6g} "
-                     f"(M={s['M']}, k_min={s['k_min']})")
-    if kind == "probe" and "min_ratio" in s:
-        lines.append(f"min residual ratio: {s['min_ratio']:.6g}")
-        lines.append(f"final residual: {s['final_residual']:.6g}")
-        lines.append(f"max residual error: {s['max_residual_error']:.6g}")
-        lines.append(f"final cond estimate: {s['final_cond_estimate']:.6g}")
-    if kind == "sets" and "verdict" in s:
-        gen = s.get("generator", "")
-        lines.append(f"{gen} verdict: {s['verdict']}")
-        if "condition_B_passed" in s:
-            lines.append("condition-B check: "
-                         + ("PASS" if s["condition_B_passed"] else "FAIL"))
-    if kind == "weights" and "passed" in s:
-        lines.append("deep-zero weight conditions: "
-                     + ("PASS" if s["passed"] else "FAIL"))
+    for key, value in sorted(s.items()):
+        if isinstance(value, (dict, list)):
+            raise TypeError(f"summary {key} is not a scalar: {value!r}")
+        if isinstance(value, float):
+            value = "%.6g" % value
+        elif not isinstance(value, str):
+            value = json.dumps(value)      # true, false, null, an integer
+        lines.append(f"{key}: {value}")
     for name, digest in sorted(outputs.items()):
         lines.append(f"output {name} sha256={digest[:16]}...")
     return lines

@@ -20,10 +20,9 @@ import numpy as np
 from ._accel import sine_series
 from .quadrature import QuadratureResult, integrate_finite, require
 
-__all__ = ["SINGULARITY_DELTA", "eval_F", "eval_h",
-           "eval_h_raw", "series_coefficients", "DeepZeroSeries",
-           "eval_H_series", "eval_H_integral", "DecayFit", "decay_fit",
-           "membership_check"]
+__all__ = ["SINGULARITY_DELTA", "eval_F", "eval_h", "series_coefficients",
+           "DeepZeroSeries", "eval_H_series", "eval_H_integral", "DecayFit",
+           "decay_fit", "membership_check"]
 
 SINGULARITY_DELTA = 1e-4   # radius of the local-quotient rule
 _GROWTH_GRID = 256         # samples of membership_check's blow-up test
@@ -36,12 +35,6 @@ def eval_F(w):
     # correct IEEE limit: the quotients that divide by it underflow to +-0
     with np.errstate(over="ignore"):
         return np.cos(0.5 * np.pi * np.sqrt(w))
-
-
-def eval_h_raw(z):
-    """The defining quotient, no singularity handling (a test oracle)."""
-    z = np.asarray(z, dtype=np.complex128)
-    return np.exp(1j * np.pi * z) * np.sin(np.pi * z) / (eval_F(z) * eval_F(-z))
 
 
 def _cmul(a, b):

@@ -100,13 +100,18 @@ def gen_power_set(rho, count):
 
 
 def gen_interval_blocks(block_starts, block_lengths):
-    """Union of integer intervals [s_m, s_m + L_m]; blocks must be disjoint."""
+    """Union of integer intervals [s_m, s_m + L_m], L_m >= 0; blocks must be
+    disjoint."""
     if len(block_starts) != len(block_lengths):
         raise ValueError("starts and lengths must have equal length")
     blocks = sorted(zip(block_starts, block_lengths))
     elems = []
     prev_end = -math.inf
     for s, length in blocks:
+        if not (float(s).is_integer() and float(length).is_integer()
+                and length >= 0):
+            raise ValueError(f"block at {s} of length {length} is not an "
+                             "integer interval (length >= 0)")
         if s <= prev_end:
             raise ValueError(f"block starting at {s} overlaps its predecessor")
         elems.extend(range(int(s), int(s) + int(length) + 1))

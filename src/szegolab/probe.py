@@ -24,13 +24,17 @@ exact inner products b, nonzero on T in the kept set: residual^2 =
 and T.  No Gram matrix of exponentials and no regularization (floor) enter.
 
 One recursion per rule at the largest N' serves a curve's nested kept
-sets.  Of two rules of different sizes (_RULES) the larger gives the
-values; residual_error is their disagreement, plus the norm's quadrature
-error where the residual reads the norm, plus 4 cond eps norm for the
-rounding of the recursion and the solve where it reads a solve.
-cond_estimate is sigma_max/sigma_min of the block solved.  A value that is
-not finite, or a residual_error above the target norm, raises
-ArithmeticError.
+sets.  A trig target's ||f||^2 is summed on each rule's own nodes, as
+sum_j mu_j |f(z_j)|^2, so its norm and its residuals come from one
+discrete measure; an annihilator's is int |H|^2 / w from membership_check.
+Of two rules of different sizes (_RULES) the larger gives the values;
+residual_error is their disagreement, plus the annihilator norm's
+quadrature error where the residual reads that norm, plus 4 cond eps norm
+for the rounding of the recursion and the solve where it reads a solve.
+The disagreement is reported, not a bound: two rules that are both off
+can agree.  cond_estimate is sigma_max/sigma_min of the block solved.  A
+value that is not finite, or a residual_error above the target norm,
+raises ArithmeticError.
 """
 
 import functools
@@ -51,8 +55,9 @@ __all__ = ["weight_fourier_coeff", "weight_fourier_coeffs", "gram_matrix",
            "ProbeConfig", "ResidualCurve", "residual_curve"]
 
 # (a, b, order): about a*N' + b nodes on [0, 1] in panels of `order` nodes,
-# so a node sees under pi/a radians of e^{2 pi i N' t}, which such a panel
-# integrates to rounding
+# so a node sees under pi/a radians of e^{2 pi i N' t}; at c = 1 the first
+# rule's d_N^2 is off by 8.5e-4 (relative) at N = 6400, where the second is
+# exact, and residual_error, their disagreement, shows it
 _RULES = ((2.5, 20, 64), (3.0, 40, 80))
 # residual_error's rounding term is _ROUNDING * cond * eps * norm: rotating
 # every node by +-2.2e-16 rad (one rounding of z) moved the residuals of
@@ -94,24 +99,15 @@ def weight_fourier_coeff(w, k, tol=1e-12):
     return complex(_at_lags(weight_fourier_coeffs(w, abs(k), tol), [k])[0])
 
 
-def _max_lag(freqs):
-    """Largest lag between two of the int array freqs; 0 when empty."""
-    return int(np.ptp(freqs)) if freqs.size else 0
-
-
-def _gram(freqs, what):
-    """G[m][n] = <e_n, e_m>_w = w-hat(freqs[m] - freqs[n]), freqs an int
-    array of distinct frequencies."""
-    if _distinct(freqs).size != freqs.size:
-        raise ValueError("frequencies must be distinct")
-    return _at_lags(what, freqs[:, None] - freqs[None, :])
-
-
 def gram_matrix(freqs, w, tol=1e-12):
     """Hermitian Toeplitz Gram matrix of the exponentials e_f, f in freqs,
-    indexed from one coefficient vector."""
+    G[m][n] = <e_n, e_m>_w = w-hat(f_m - f_n), indexed from one coefficient
+    vector."""
     f = np.array(list(freqs), dtype=np.int64)
-    return _gram(f, weight_fourier_coeffs(w, _max_lag(f), tol))
+    if _distinct(f).size != f.size:
+        raise ValueError("frequencies must be distinct")
+    what = weight_fourier_coeffs(w, np.ptp(f) if f.size else 0, tol)
+    return _at_lags(what, f[:, None] - f[None, :])
 
 
 class TrigPolyTarget:
@@ -121,25 +117,10 @@ class TrigPolyTarget:
     def __init__(self, coeffs):
         self.coeffs = {int(k): complex(v) for k, v in coeffs.items()}
 
-    @property
-    def freqs(self):
-        """The target's own frequencies, whose lags its norm reads."""
-        return list(self.coeffs)
-
     def at(self, freqs):
         """The amplitudes at the int array freqs, 0 off the target."""
         return np.array([self.coeffs.get(int(k), 0j) for k in freqs],
                         dtype=np.complex128)
-
-    def norm_sq(self, what, w=None, tol=0.0):
-        """(||f||_w^2, error): the sum of a_n conj(a_l) w-hat(l - n) left to
-        right in row order, and tol (sum |a_n|)^2 for coefficients each
-        within tol.  Too large amplitudes give inf or nan."""
-        a = np.array(list(self.coeffs.values()))
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.outer(a, a.conj()) * _gram(np.array(self.freqs), what).T
-            error = tol * np.abs(a).sum() ** 2
-        return float(sum(terms.ravel().tolist()).real), float(error)
 
     def digest_data(self):
         return {"kind": "trigpoly",
@@ -150,10 +131,8 @@ class TrigPolyTarget:
 class AnnihilatorTarget:
     """Phi = H/w for a deep-zero series H; the weight cancels in every
     inner product against exponentials, which become plain coefficients
-    of H: the series coefficient on +-(odd square), zero elsewhere."""
-
-    # no own frequencies: the norm reads no weight coefficients
-    freqs = ()
+    of H: the series coefficient on +-(odd square), zero elsewhere.  Its
+    norm int |H|^2 / w comes from membership_check."""
 
     def __init__(self, series):
         self.series = series
@@ -166,10 +145,6 @@ class AnnihilatorTarget:
         c = np.array([self._spectrum.get(int(k), 0.0j) for k in np.abs(m)],
                      dtype=np.complex128)
         return np.where(m > 0, c, np.where(m < 0, -c, 0.0j))
-
-    def norm_sq(self, what, w, tol):
-        """(||Phi||_w^2, its error) = int |H|^2 / w, by membership_check."""
-        return membership_check(self.series, w, tol)
 
     def digest_data(self):
         return {"kind": "annihilator", "k_min": self.series.k_min,
@@ -262,18 +237,16 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
     distinct frequencies, each a prefix of the last.  Returns (norm,
     [(residual, residual_error, cond) for each set], the projection's
     coefficients on the last set when asked: they need every row of B)."""
-    F = np.array(target.freqs, dtype=np.int64)
-    what = weight_fourier_coeffs(w, _max_lag(F), tol) if F.size else None
-    norm_sq, norm_err = target.norm_sq(what, w, tol)
-    if not math.isfinite(norm_sq):
-        raise ArithmeticError(f"target norm^2 is not finite ({norm_sq})")
-    norm = math.sqrt(max(norm_sq, 0.0))
+    trig = isinstance(target, TrigPolyTarget)
+    F = np.array(list(target.coeffs) if trig else [], dtype=np.int64)
+    # a trig target's norm is summed on each rule's nodes below
+    norm_sq, norm_err = ((0.0, 0.0) if trig
+                         else membership_check(target.series, w, tol))
     top = np.array(kept_sets[-1], dtype=np.int64)
     lo = min(0, F.min(initial=0), top.min(initial=0))
-    trig = isinstance(target, TrigPolyTarget)
     b = np.zeros(top.size) if trig else target.inner(top)
     # per set: degree n, rows R (S and T), T's place in R, b_T, f-hat_R, and
-    # residual^2 before the solve (the norm, unless a trig target has a span)
+    # whether residual^2 starts from the norm: all but a trig target's spans
     blocks = []
     n_max = max(0, F.max(initial=0), top.max(initial=0)) - lo
     read = np.zeros(n_max + 1, dtype=bool)
@@ -287,13 +260,21 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
         solves = trig and size > 0
         blocks.append((n, R, np.searchsorted(R, kept[on_T]), b[:size][on_T],
                        target.at(R + lo) if solves else np.zeros(R.size),
-                       0.0 if solves else norm_sq))
+                       not solves))
     rows = np.arange(n_max + 1) if coefficients else np.flatnonzero(read)
     values = []
     for rule in _RULES:
-        _, B = _szego(*_measure(w, n_max, rule), n_max, rows)
+        z, root_mu = _measure(w, n_max, rule)
+        if trig:
+            with np.errstate(over="ignore", invalid="ignore"):
+                f_z = root_mu * sum(a * z ** k
+                                    for k, a in target.coeffs.items())
+                norm_sq = float(np.vdot(f_z, f_z).real)
+        if not math.isfinite(norm_sq):
+            raise ArithmeticError(f"target norm^2 is not finite ({norm_sq})")
+        _, B = _szego(z, root_mu, n_max, rows)
         values.append([])
-        for n, R, tpos, b_t, f, base in blocks:
+        for n, R, tpos, b_t, f, reads_norm in blocks:
             U, s, Vh = np.linalg.svd(B[np.searchsorted(rows, R), :n + 1],
                                      full_matrices=False)
             if not s[-1] > 0.0:
@@ -302,18 +283,20 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
             # G = U[tpos] / s, G G^H = ((B B^H)^-1)_TT
             y, G = (U.conj().T @ f) / s, U[tpos] / s
             gamma = np.linalg.solve(G @ G.conj().T, b_t)
-            res_sq = base + np.vdot(y, y).real - np.vdot(b_t, gamma).real
+            res_sq = ((norm_sq if reads_norm else 0.0) + np.vdot(y, y).real
+                      - np.vdot(b_t, gamma).real)
             values[-1].append((math.sqrt(min(max(res_sq, 0.0), norm_sq)),
                                float(s[0] / s[-1])))
-    out = []
-    for size, (other, _), (res, cond), (*_, b_t, _, base) in zip(
+    norm, out = math.sqrt(max(norm_sq, 0.0)), []
+    for size, (other, _), (res, cond), (*_, b_t, _, reads_norm) in zip(
             map(len, kept_sets), *values, blocks):
         error = abs(res - other)
-        if not base or b_t.size:
+        if not reads_norm or b_t.size:
             # the residual is read off a solve with B: its rounding
             error += _ROUNDING * cond * _EPS * norm
-        if base:
-            # the residual reads the norm, and so its quadrature error
+        if reads_norm:
+            # the residual reads the norm, and so an annihilator norm's
+            # quadrature error (0 for a trig target's)
             error += res - math.sqrt(max(res * res - norm_err, 0.0))
         if not (math.isfinite(res) and math.isfinite(cond) and error <= norm):
             raise ArithmeticError(

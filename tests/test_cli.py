@@ -121,6 +121,37 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
       "gamma": {"generator": "power", "rho": 3, "count": 10},
       "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
       "N_list": [20]}, "weight.c"),
+    # numbers are JSON numbers: no strings or booleans, and integer fields
+    # take no fractions
+    ({"kind": "sets", "gamma": {"generator": "power", "rho": 3,
+                                "count": 10.9}}, "gamma.count"),
+    ({"kind": "sets", "gamma": {"generator": "power", "rho": "3",
+                                "count": 10}}, "gamma.rho"),
+    ({**SETS_CONFIG, "tol": "1e-8"}, "tol"),
+    ({**SETS_CONFIG, "tol": True}, "tol"),
+    ({**PROBE_CONFIG, "target": {"kind": "annihilator", "M": True}},
+     "target.M"),
+    ({**DEEPZERO_CONFIG, "k_min": 1.0}, "k_min"),
+    ({**DEEPZERO_CONFIG, "points": 20.5}, "points"),
+    ({**BLASCHKE_CONFIG, "K": False}, "K"),
+    ({**PROBE_CONFIG, "N_list": [10, 20.0]}, "N_list"),
+    ({**WEIGHTS_CONFIG, "weight": {"kind": "exp", "c": "1.0"}}, "weight.c"),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
+                                   "coeffs": {"2": "1+2j"}}},
+     "target.coeffs.2"),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
+                                   "coeffs": {"2": True}}},
+     "target.coeffs.2"),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
+                                   "coeffs": {"2": ["1", 0]}}},
+     "target.coeffs.2"),
+    # interval blocks are integer intervals
+    ({"kind": "sets", "gamma": {"generator": "blocks", "starts": [1.5, 10],
+                                "lengths": [2, 1]}}, "gamma.starts"),
+    ({"kind": "sets", "gamma": {"generator": "blocks", "starts": [1, 10],
+                                "lengths": [2, 0.9]}}, "gamma.lengths"),
+    ({"kind": "sets", "gamma": {"generator": "blocks", "starts": [5],
+                                "lengths": [-3]}}, "gamma: block"),
 ], ids=["rho-not-a-number", "top-level-list", "trigpoly-without-coeffs",
         "coeff-key", "coeff-keys-03", "coeff-keys-+3", "N_list-entry", "tol",
         "t_min", "weight-not-object",
@@ -133,7 +164,12 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
         "identity_tol-not-a-number", "t_max-below-t_min", "empty-gamma",
         "t_scan-above-0", "z_points-on-cut", "floor-negative",
         "k_min-negative", "thin-not-a-flag",
-        "c-not-finite", "weights-c-underflows", "probe-c-underflows"])
+        "c-not-finite", "weights-c-underflows", "probe-c-underflows",
+        "count-fraction", "rho-string", "tol-string", "tol-bool", "M-bool",
+        "k_min-float", "points-fraction", "K-bool", "N_list-float",
+        "c-string", "amplitude-string", "amplitude-bool",
+        "amplitude-part-string", "blocks-start-fraction",
+        "blocks-length-fraction", "blocks-length-negative"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, config, field,
                                             command):
@@ -244,8 +280,11 @@ def test_sets_run_and_report(tmp_path, capsys):
     assert manifest["status"] == "complete"
     assert manifest["summary"]["verdict"] == "converges"
     assert set(manifest["outputs"]) == {"set.txt", "sqrt_sums.csv"}
+    capsys.readouterr()
     assert main(["report", str(out / "manifest.json")]) == 0
-    assert "verdict: converges" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "verdict: converges" in text
+    assert "generator: power(rho=3.0, count=50)" in text
 
 
 def test_trigpoly_probe_run_and_report(tmp_path, capsys):
@@ -259,7 +298,7 @@ def test_trigpoly_probe_run_and_report(tmp_path, capsys):
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert main(["report", str(out / "manifest.json")]) == 0
     text = capsys.readouterr().out
-    assert f"min residual ratio: {summary['min_ratio']:.6g}" in text
+    assert f"min_ratio: {summary['min_ratio']:.6g}" in text
     assert "annihilator" not in text
 
 
@@ -278,11 +317,17 @@ def test_probe_report_prints_worst_error_and_final_cond(tmp_path, capsys):
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["max_residual_error"] == max(r[5] for r in rows) > 0
     assert summary["final_cond_estimate"] == rows[-1][4] > 1
+    capsys.readouterr()
     assert main(["report", str(out / "manifest.json")]) == 0
     text = capsys.readouterr().out
-    assert f"max residual error: {summary['max_residual_error']:.6g}" in text
-    assert (f"final cond estimate: {summary['final_cond_estimate']:.6g}"
-            in text)
+    # every summary scalar, sorted by key, floats as %.6g
+    lines = text.splitlines()
+    assert lines[2:2 + len(summary)] == [
+        f"{k}: {v:.6g}" if isinstance(v, float) else f"{k}: {v}"
+        for k, v in sorted(summary.items())]
+    assert f"max_residual_error: {summary['max_residual_error']:.6g}" in lines
+    assert (f"final_cond_estimate: {summary['final_cond_estimate']:.6g}"
+            in lines)
 
 
 def test_runtime_imports_no_test_oracle():
@@ -303,8 +348,8 @@ def test_runtime_imports_no_test_oracle():
     b'{"kind": "sets", "outputs": []}',
     b'{"kind": "sets", "summary": {"verdict": "\xff"}}',
     b'{"kind": "sets", "outputs": {"set.txt": 5}}',
-    b'{"kind": "deepzero", "summary": {"c2": 1.0}}',
-], ids=["list", "outputs-list", "not-utf8", "digest-number", "missing-field"])
+    b'{"kind": "deepzero", "summary": {"c2": [1.0]}}',
+], ids=["list", "outputs-list", "not-utf8", "digest-number", "nested-value"])
 def test_report_malformed_manifest_exits_2(tmp_path, capsys, content):
     path = tmp_path / "manifest.json"
     path.write_bytes(content)

@@ -7,8 +7,7 @@ import pytest
 
 from szegolab import deep_zero, quadrature
 from szegolab.deep_zero import (SINGULARITY_DELTA, DeepZeroSeries, decay_fit,
-                                eval_F, eval_h, eval_h_raw,
-                                eval_H_integral, eval_H_series,
+                                eval_F, eval_h, eval_H_integral, eval_H_series,
                                 membership_check, series_coefficients)
 from szegolab.weights import make_constant_weight, make_exp_weight
 
@@ -75,6 +74,12 @@ def test_h_offset_consistency():
 def test_h_odd_conjugate_symmetry():
     for x in (2.3, 5.7, 11.2):
         assert abs(eval_h(complex(-x)) + np.conj(eval_h(complex(x)))) < 1e-10
+
+
+def eval_h_raw(z):
+    """The defining quotient, no singularity handling."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.exp(1j * np.pi * z) * np.sin(np.pi * z) / (eval_F(z) * eval_F(-z))
 
 
 def test_h_raw_agrees_off_singularities():

@@ -114,8 +114,19 @@ def test_interval_blocks():
     s = gen_interval_blocks([2, 4, 8], [1, 2, 3])
     assert s.elements == (2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 9.0, 10.0, 11.0)
     assert gen_interval_blocks([10], [0]).elements == (10.0,)
+    assert gen_interval_blocks([2.0], [1.0]).elements == (2.0, 3.0)
     with pytest.raises(ValueError):
         gen_interval_blocks([2, 3], [2, 1])
+
+
+@pytest.mark.parametrize("starts, lengths", [
+    ([1.5, 10], [2, 0.9]), ([5], [-3]), ([2], [0.5]), ([math.nan], [1]),
+    ([4], [math.inf])])
+def test_interval_blocks_must_be_integer_intervals(starts, lengths):
+    # int() would turn the first into {1, 2, 3, 10}; a negative length
+    # would give the empty set
+    with pytest.raises(ValueError, match="not an integer interval"):
+        gen_interval_blocks(starts, lengths)
 
 
 def test_block_psi_sum_converges():

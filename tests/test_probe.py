@@ -236,26 +236,40 @@ def test_residual_curve_matches_per_N_solves(s20, companion, rho, count,
         assert coeffs.shape == (len(freqs),)
 
 
-def test_residual_curve_one_norm_and_two_recursions(companion, monkeypatch):
-    target = TrigPolyTarget({2: 1.0, 3: 0.5})
-    calls = {"norm_sq": 0, "szego": 0}
-    norm_sq, szego = target.norm_sq, probe._szego
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
 
-    def count_norm_sq(*args, **kwargs):
-        calls["norm_sq"] += 1
-        return norm_sq(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
 
-    def count_szego(*args, **kwargs):
-        calls["szego"] += 1
-        return szego(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
 
-    monkeypatch.setattr(target, "norm_sq", count_norm_sq)
-    monkeypatch.setattr(probe, "_szego", count_szego)
+
+@pytest.mark.parametrize("target", ["trigpoly", "annihilator"])
+def test_residual_curve_reads_no_weight_coefficient(s20, companion, target,
+                                                    monkeypatch):
+    calls = {}
+    for module in (probe, quadrature):
+        _count_calls(monkeypatch, module, "fourier_coefficients", calls)
+    _count_calls(monkeypatch, probe, "_szego", calls)
+    _count_calls(monkeypatch, probe, "membership_check", calls)
+    trig = target == "trigpoly"
+    target = (TrigPolyTarget({-3: 1.0, 2: 0.5, 5: 0.25}) if trig
+              else AnnihilatorTarget(s20))
     cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 50),
                       target=target, tol=1e-13)
     residual_curve(cfg, [20, 40, 80])
-    # one recursion per rule at the largest N, none per N
-    assert calls == {"norm_sq": 1, "szego": len(probe._RULES)}
+    # one recursion per rule at the largest N, none per N; a trig norm is
+    # summed on the rules' nodes, an annihilator's integrated once
+    expected = {"_szego": len(probe._RULES)}
+    if not trig:
+        expected["membership_check"] = 1
+    assert calls == expected
+    calls.clear()
+    weighted_residual(target, complement_in_range(gen_power_set(3, 50), 40),
+                      companion, tol=1e-13)
+    assert "fourier_coefficients" not in calls
 
 
 def test_szego_recursion_gives_orthonormal_polynomials(companion):
@@ -445,38 +459,31 @@ def test_weighted_residual_refuses_a_floor():
         weighted_residual(f, [1], w, floor=1e-10)
 
 
-def test_residual_curve_coefficient_quadrature_reads_only_target_lags(
-        companion, s20, monkeypatch):
-    asked = []
-
-    def spy(f, freqs, *args, **kwargs):
-        asked.append(np.array(freqs))
-        return fourier_coefficients(f, freqs, *args, **kwargs)
-
-    monkeypatch.setattr(probe, "fourier_coefficients", spy)
-    # the target's frequency 0 lies below the complement's, which start at 2
-    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 50),
-                      target=TrigPolyTarget({0: 1.0, 3: 0.5, 5: 0.25}),
-                      tol=1e-13)
-    residual_curve(cfg, [50, 200])
-    assert len(asked) == 1
-    assert np.array_equal(asked[0], np.arange(6))
-    # an annihilator's norm and inner products read no weight coefficient
-    cfg.target = AnnihilatorTarget(s20)
-    residual_curve(cfg, [50, 200])
-    assert len(asked) == 1
+_NORM_TARGETS = [{2: 1.0, 5: 0.3, 9: -0.7j}, {0: 1.0},
+                 {-3: 1.0, 2: 0.5, 8: 0.2 + 0.1j}, {1: 0.25j, 27: 2.0}]
 
 
-def test_trigpoly_inner_products_index_the_vector():
-    what = np.array([2.0, 0.5 + 0.25j, -0.125j, 0.0625 + 0.5j])
-    f = TrigPolyTarget({2: 1.0, 4: 1j})
-    # ||f||_w^2 = sum a_n conj(a_l) w-hat(l - n), w-hat(-k) = conj(w-hat(k))
-    assert np.array_equal(f.at([1, 2, 3, 4]), [0.0, 1.0, 0.0, 1j])
-    norm = 2.0 + 2.0 + 2.0 * (np.conj(1j) * what[2]).real
-    value, error = f.norm_sq(what, tol=1e-13)
-    assert value == pytest.approx(norm, rel=1e-15)
-    # each coefficient within tol: |a_2| + |a_4| = 2
-    assert error == pytest.approx(4e-13, rel=1e-15)
+@pytest.mark.parametrize("weight", ["exp", "companion", "constant",
+                                    "tabulated"])
+def test_trig_target_norm_matches_the_gram_form(companion, weight):
+    w = {"exp": make_exp_weight(1.0), "companion": companion,
+         "constant": make_constant_weight(2.5),
+         "tabulated": make_tabulated_weight([(0.13, 0.2), (0.37, 0.5),
+                                             (0.61, 0.55), (0.87, 1.0)])
+         }[weight]
+    for coeffs in _NORM_TARGETS:
+        target = TrigPolyTarget(coeffs)
+        freqs = list(coeffs)
+        assert np.array_equal(target.at([1, *freqs, 30]),
+                              [coeffs.get(1, 0.0), *coeffs.values(), 0.0])
+        # ||f||_w^2 = sum a_n conj(a_l) w-hat(l - n) = a^H G a
+        a = target.at(freqs)
+        oracle = math.sqrt(np.vdot(a, gram_matrix(freqs, w, 1e-13) @ a).real)
+        for N in (50, 800):
+            cfg = ProbeConfig(weight=w, gamma=gen_power_set(3, 20),
+                              target=target, tol=1e-13)
+            norm = residual_curve(cfg, [N]).records[0].target_norm
+            assert norm == pytest.approx(oracle, rel=1e-14, abs=0)
 
 
 def test_gram_unsorted_with_negative_frequencies(companion):
