@@ -165,10 +165,10 @@ _SAMPLE_PANELS = 256
 @functools.lru_cache(maxsize=2)
 def _small_s_samples(j):
     """Im j at the nodes of the small-|s| branch's seed panels, one row per
-    panel, read-only.  The jump is purely imaginary and a pure function of
-    its annihilator (a JumpFunction hashes by value), so these are computed
-    once per jump; a float64 array of 4000 x 15 takes 0.5 MB."""
-    mid, half = _fourier_mesh(_SMALL_EDGES, _S_SMALL)
+    panel, read-only: compute_G's real samples of the purely imaginary jump,
+    a pure function of its annihilator (a JumpFunction hashes by value), so
+    computed once per jump; a float64 array of 4000 x 15 takes 0.5 MB."""
+    mid, half, _ = _fourier_mesh(_SMALL_EDGES, _S_SMALL)
     x = mid[:, None] + half[:, None] * _XK
     y = np.empty(x.shape)
     # in blocks of panels, as fourier_coefficients samples: the jump's
@@ -186,11 +186,11 @@ def compute_G(j, s, tol=1e-6):
     for a scalar s or every s of a 1-d array.
 
     Each branch is one batched quadrature at the frequencies -s.  Small
-    |s| (below 0.05): direct integral on [-T, 0] with the algebraic
-    envelope tail added to the error; its seed panels are the ones the
-    bound 0.05 asks for, whatever the call's s, and the jump's values on
-    them are sampled once per jump and kept (for the last two jumps), so a
-    call samples only the panels it splits.  Larger |s|: moderate T plus two
+    |s| (below 0.05): i times the integral of Im j on [-T, 0], with the
+    algebraic envelope tail added to the error; its seed panels are the
+    ones the bound 0.05 asks for, whatever the call's s, and Im j on them
+    is sampled once per jump and kept (for the last two jumps), so a call
+    samples only the panels it splits.  Larger |s|: moderate T plus two
     integration-by-parts boundary terms at u = -T, with the remainder
     estimated from a finite-difference second derivative of g; one
     fourier_coefficients call samples g once for all of its s.  converged
@@ -205,10 +205,9 @@ def compute_G(j, s, tol=1e-6):
     evals = 0
     small = np.abs(s) < _S_SMALL
     if small.any():
-        res = _fourier_refine(j, -s[small], tol, _SMALL_EDGES,
-                              *_fourier_mesh(_SMALL_EDGES, _S_SMALL),
-                              samples=1j * _small_s_samples(j))
-        value[small] = res.value
+        res = _fourier_refine(lambda t: j(t).imag, -s[small], tol,
+                              _SMALL_EDGES, _S_SMALL, _small_s_samples(j))
+        value[small] = 1j * res.value
         error[small] = res.abs_error_estimate + _g_abs_tail(_T_SMALL)
         evals += res.evaluations
     if not small.all():

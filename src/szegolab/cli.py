@@ -123,7 +123,7 @@ def _flag(v):
 
 def _complex(v):
     """A trigpoly amplitude: a number, or [re, im]."""
-    return complex(*map(_real, v if isinstance(v, list) else [v]))
+    return complex(*_pair(v)) if isinstance(v, list) else complex(_real(v))
 
 
 def _pair(v):

@@ -270,6 +270,13 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
                 f_z = root_mu * sum(a * z ** k
                                     for k, a in target.coeffs.items())
                 norm_sq = float(np.vdot(f_z, f_z).real)
+                # its rounding: z_j^k is off by at most 3.1 |k| eps (measured
+                # for |k| <= 800), the products and the n-term sum add (n + 2)
+                # eps, so norm^2 is off by at most eps (2 A norm sqrt(sum mu)
+                # + M norm^2) on M nodes, A = sum_k (4 |k| + n + 2) |a_k|
+                norm_err = _EPS * (z.size * norm_sq + 2.0 * math.sqrt(
+                    root_mu @ root_mu * norm_sq) * float(
+                        (4 * np.abs(F) + F.size + 2) @ np.abs(target.at(F))))
         if not math.isfinite(norm_sq):
             raise ArithmeticError(f"target norm^2 is not finite ({norm_sq})")
         _, B = _szego(z, root_mu, n_max, rows)
@@ -295,8 +302,8 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
             # the residual is read off a solve with B: its rounding
             error += _ROUNDING * cond * _EPS * norm
         if reads_norm:
-            # the residual reads the norm, and so an annihilator norm's
-            # quadrature error (0 for a trig target's)
+            # the residual reads the norm, and so its error: an annihilator
+            # norm's quadrature error, a trig target's rounding
             error += res - math.sqrt(max(res * res - norm_err, 0.0))
         if not (math.isfinite(res) and math.isfinite(cond) and error <= norm):
             raise ArithmeticError(

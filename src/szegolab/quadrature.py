@@ -37,17 +37,16 @@ _WG_HALF = (0.129484966168869693270611432679082,
 _XK = np.array([-x for x in _XK_POS] + [0.0] + list(_XK_POS[::-1]))
 _WK = np.array(_WK_HALF + _WK_HALF[-2::-1])
 _WG = np.array(_WG_HALF + _WG_HALF[-2::-1])
-# the Gauss weights on the 15 Kronrod nodes, and the Kronrod weights times
-# sgn(x), which sum to zero
-_WG15 = np.zeros(_XK.size)
-_WG15[1::2] = _WG
-_WK_ODD = _WK * np.sign(_XK)
+# fourier_coefficients' rows of weights on the 15 nodes: Kronrod's, Kronrod's
+# less Gauss's, and Kronrod's times sgn(x), which sum to zero
+_W3 = np.array([_WK, _WK, _WK * np.sign(_XK)])
+_W3[1, 1::2] -= _WG
 
 _MAX_ROUNDS = 80
 # complex entries in one block's (panels x 3 frequencies) product in
-# fourier_coefficients: 2**16 entries take 1 MB, and with the block's other
-# (panels x frequencies) arrays a block stays near 3 MB whatever the number
-# of frequencies
+# fourier_coefficients: 2**16 entries take 1 MB; with the block's other
+# (panels x frequencies) arrays and a run's step table, a third of that, a
+# block stays near 3 MB whatever the number of frequencies
 _FOURIER_BLOCK = 1 << 16
 # integrand evaluations one integral spends at most: integrate_finite and
 # integrate_left_halfline stop their adaptive loop once past it, and
@@ -239,14 +238,15 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
     starts as equal panels no wider than half a period of the largest |nu|
     (_fourier_mesh); _fourier_refine, which blaschke.compute_G also drives
     from samples it keeps, evaluates and refines them.  On a panel with
-    midpoint m and half-width h, exp(-2 pi i nu t) is exp(-2 pi i nu m)
-    times the table exp(-2 pi i nu h x_j) that all panels of width 2h
-    share; the first factor has modulus one, so each panel's error needs
-    only the table, and the phase enters only the value sum.  One matrix
-    product per block of panels, samples (panels x 15 nodes) times the
-    table under three rows of weights, gives at every frequency the Kronrod
-    sum K, the Gauss sum G and the antisymmetric sum A of the Kronrod
-    weights times sgn(x_j); no (panel x frequency x node) array is formed.
+    midpoint m and half-width h, exp(-2 pi i nu t) is the phase
+    exp(-2 pi i nu m) times the table exp(-2 pi i nu h x_j) that all panels
+    of width 2h share, so each panel's error needs only the table.  Seed
+    panels step by 2h, so a block's phases are its first row's times a step
+    table exp(-2 pi i nu 2h r); a split panel's phase is one exp.  One
+    matrix product per block, samples (panels x 15 nodes) times the table
+    under three rows of weights (over the table's (re, im) pairs for real
+    samples), gives the Kronrod sum K, the difference K - G from the Gauss
+    sum and the antisymmetric sum A of the Kronrod weights times sgn(x_j).
     Those weights sum to zero, so A is the same sum taken about the panel
     mean, and |A| is at most QUADPACK's resasc.  The error is QUADPACK's
     rescaling of raw = |K - G| with max(|A|, 200 raw) in place of resasc:
@@ -271,26 +271,27 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
         raise ValueError(f"need a nonempty 1-d array of finite frequencies "
                          f"and increasing breakpoints, got {freqs.size} "
                          f"frequencies, breakpoints {breakpoints}")
-    return _fourier_refine(f, freqs, tol, edges,
-                           *_fourier_mesh(edges, np.abs(freqs).max()))
+    return _fourier_refine(f, freqs, tol, edges, np.abs(freqs).max())
 
 
 def _fourier_mesh(edges, nu_max):
-    """Midpoints and half-widths of the seed panels: each interval between
-    consecutive edges in equal panels no wider than half a period of
-    nu_max (one panel when nu_max is 0)."""
+    """Midpoints, half-widths and runs of the seed panels: each interval
+    between consecutive edges in equal panels no wider than half a period
+    of nu_max (one panel when nu_max is 0), its panels' indices one run."""
     widths = np.diff(edges)
     counts = np.maximum(np.ceil(widths * 2 * nu_max), 1).astype(np.int64)
     mid = np.concatenate([a + h * (2.0 * np.arange(n) + 1.0) for a, h, n
                           in zip(edges[:-1], 0.5 * widths / counts, counts)])
-    return mid, np.repeat(0.5 * widths / counts, counts)
+    return (mid, np.repeat(0.5 * widths / counts, counts),
+            [np.arange(e - n, e) for e, n in zip(np.cumsum(counts), counts)])
 
 
-def _fourier_refine(f, freqs, tol, edges, mid, half, samples=None):
-    """fourier_coefficients' adaptive loop from the panels (mid, half) on
-    the span of edges.  samples, when given, holds f at the first round's
-    nodes, mid[:, None] + half[:, None] * _XK, so that round samples
+def _fourier_refine(f, freqs, tol, edges, nu_max, samples=None):
+    """fourier_coefficients' adaptive loop from the seed panels
+    _fourier_mesh(edges, nu_max).  samples, when given, holds f at their
+    nodes, mid[:, None] + half[:, None] * _XK, so the first round samples
     nothing; the panels it splits are sampled fresh."""
+    mid, half, runs = _fourier_mesh(edges, nu_max)
     share = tol / (edges[-1] - edges[0])            # of tol per unit width
     min_half = 0.5e-14 * max(edges[-1] - edges[0], np.abs(edges).max())
     values = np.zeros(freqs.size, dtype=np.complex128)
@@ -300,7 +301,8 @@ def _fourier_refine(f, freqs, tol, edges, mid, half, samples=None):
         rest_values = np.zeros_like(values)
         rest_errors = np.zeros_like(errors)
         split = np.zeros(mid.size, dtype=bool)
-        for rows, vals, errs in _fourier_panels(f, freqs, mid, half, samples):
+        for rows, vals, errs in _fourier_panels(f, freqs, mid, half, runs,
+                                                samples):
             bad = ((errs.max(axis=1) > share * 2.0 * half[rows])
                    & (half[rows] > min_half))
             # the kept panels, nearly all of a block, summed by one product
@@ -320,38 +322,45 @@ def _fourier_refine(f, freqs, tol, edges, mid, half, samples=None):
         quarter = 0.5 * half[split]
         mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
         half = np.concatenate([quarter, quarter])
-        samples = None
+        samples = runs = None
 
 
-def _fourier_panels(f, freqs, mid, half, samples=None):
+def _phase(cycles):
+    """exp(-2 pi i cycles), rounding as cycles does, not as 2 pi cycles."""
+    return np.exp(-2j * np.pi * (cycles - np.round(cycles)))
+
+
+def _fourier_panels(f, freqs, mid, half, runs=None, samples=None):
     """Yield (panel indices, values, errors) over blocks of panels, each row
     a panel's Kronrod value of f(t) exp(-2 pi i nu t) and its error, one
-    column per frequency nu.  samples, when given, holds f at the panels'
-    nodes, one row per panel, and f is not called."""
+    column per frequency nu, by runs of panels of one half-width h whose
+    midpoints step by 2h (else by half-width).  samples, when given, holds
+    f at the panels' nodes, one row per panel, and f is not called."""
     nf = freqs.size
     rows = max(1, _FOURIER_BLOCK // (3 * nf))
-    for h in _distinct(half):
-        # Kronrod, Gauss and antisymmetric Kronrod rows of weights times the
-        # table, one product per block gives all three sums
-        table = np.exp(-2j * np.pi * h * np.outer(_XK, freqs))
-        weights = np.concatenate([table * _WK[:, None], table * _WG15[:, None],
-                                  table * _WK_ODD[:, None]], axis=1)
-        same = np.flatnonzero(half == h)
-        for p0 in range(0, same.size, rows):
-            idx = same[p0:p0 + rows]
-            if samples is None:
-                x = mid[idx, None] + h * _XK
-                y = np.asarray(f(x.ravel()),
-                               dtype=np.complex128).reshape(x.shape)
-            else:
-                y = samples[idx]
-            sums = y @ weights
-            sums *= h
-            vk = sums[:, :nf]
+    for run in runs or [np.flatnonzero(half == h) for h in _distinct(half)]:
+        h = half[run[0]]
+        # the table at the nodes x >= 0, its conjugate at -x, under the
+        # rows of weights of K, K - G and A, times h
+        right = _phase(h * np.outer(_XK[7:], freqs))
+        weights = np.hstack(h * _W3[:, :, None] * np.concatenate(
+            [right[:0:-1].conj(), right]))
+        if runs:
+            kronrod = weights[:, :nf].copy()
+            step = _phase(np.outer(2.0 * h * np.arange(min(rows, run.size)),
+                                   freqs))
+        for p0 in range(0, run.size, rows):
+            idx = run[p0:p0 + rows]
+            if runs:
+                # the block's first phase, carried by the Kronrod weights
+                weights[:, :nf] = kronrod * _phase(mid[idx[0]] * freqs)
+            y = samples[idx] if samples is not None else np.asarray(
+                f((mid[idx, None] + h * _XK).ravel())).reshape(-1, _XK.size)
+            sums = ((y @ weights.view(np.float64)).view(np.complex128)
+                    if np.isrealobj(y) else y @ weights)
             # |antisymmetric sum| <= QUADPACK's resasc, and the rescaled error
             # only falls as resasc grows beyond 200 raw
-            err = _rescale(np.abs(vk - sums[:, nf:2 * nf]),
+            err = _rescale(np.abs(sums[:, nf:2 * nf]),
                            np.abs(sums[:, 2 * nf:]))
-            phase = np.exp(-2j * np.pi * np.outer(mid[idx], freqs))
-            phase *= vk
-            yield idx, phase, err
+            yield idx, sums[:, :nf] * (step[:idx.size] if runs else _phase(
+                np.outer(mid[idx], freqs))), err

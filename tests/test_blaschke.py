@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from szegolab import blaschke
+from szegolab import blaschke, quadrature
 from szegolab.blaschke import (BlaschkeAnnihilator, JumpFunction,
                                cauchy_identity_residual, compute_G,
                                convolution_identity_residual, eval_phi,
@@ -287,6 +287,79 @@ def test_second_small_s_call_samples_only_its_split_panels(jump):
     second = compute_G(spy, np.array([0.01, -0.03, 0.045]), 5e-5)
     assert second.evaluations > SMALL_S_SEED_NODES
     assert spy.points == second.evaluations - SMALL_S_SEED_NODES
+
+
+def _G_direct(j, s, tol, monkeypatch):
+    """compute_G's value, error and evaluations from fresh complex samples
+    of j and a direct exp for every phase, the runs taken out of every seed
+    mesh: the small-|s| branch as fourier_coefficients' loop on the same
+    seed panels, the others by compute_G."""
+    mesh = quadrature._fourier_mesh
+    s = np.atleast_1d(s)
+    small = np.abs(s) < 0.05
+    value, error, evals = np.empty(s.size, complex), np.empty(s.size), 0
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_fourier_mesh",
+                  lambda edges, nu: (*mesh(edges, nu)[:2], None))
+        if small.any():
+            res = quadrature._fourier_refine(j, -s[small], tol,
+                                             np.array([-4.0e4, 0.0]), 0.05)
+            value[small] = res.value
+            error[small] = (res.abs_error_estimate
+                            + blaschke._g_abs_tail(4.0e4))
+            evals += res.evaluations
+        if not small.all():
+            res = compute_G(j, s[~small], tol)
+            value[~small], error[~small] = res.value, res.abs_error_estimate
+            evals += res.evaluations
+    return value, error, evals
+
+
+@pytest.mark.parametrize("s", [np.linspace(-0.0499, 0.0499, 41),
+                               np.array([0.0, 0.0123, -0.0499, 0.05, 0.3,
+                                         -2.0, 4.5]),
+                               -0.031],
+                         ids=["small", "mixed", "scalar"])
+def test_G_matches_the_direct_exp_route(jump, s, monkeypatch):
+    """The step-table phases and the real product for the jump's imaginary
+    part give G within 1e-13 of fresh complex samples and direct exps,
+    with the same panels split and so the same evaluations."""
+    tol = 5e-5
+    res = compute_G(jump, s, tol)
+    value, error, evals = _G_direct(jump, s, tol, monkeypatch)
+    assert np.ndim(res.converged) == np.ndim(s)
+    assert np.abs(res.value - value).max() <= 1e-13
+    assert np.array_equal(np.atleast_1d(res.converged), error <= tol)
+    assert res.evaluations == evals
+
+
+class _CountingNumpy:
+    """numpy, counting the entries of every complex exp it takes."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        out = np.exp(x, *args, **kwargs)
+        if np.iscomplexobj(out):
+            self.entries += out.size
+        return out
+
+
+def test_small_s_G_takes_a_tenth_of_the_panel_phase_exps(jump, monkeypatch):
+    """One small-|s| call, 101 frequencies on the 4000 seed panels, takes
+    no complex exp per (panel, frequency): the seed round's phases are a
+    step table's rows times one row per block, and only the split panels'
+    phases are direct (404,000 entries and more before)."""
+    s = np.linspace(-0.0499, 0.0499, 101)
+    compute_G(jump, s, 5e-5)                # the jump's samples, kept
+    counting = _CountingNumpy()
+    monkeypatch.setattr(quadrature, "np", counting)
+    compute_G(jump, s, 5e-5)
+    assert 0 < counting.entries <= 4000 * s.size // 10
 
 
 def test_route_check_cost_budget(jump):

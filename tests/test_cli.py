@@ -152,6 +152,16 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
                                 "lengths": [2, 0.9]}}, "gamma.lengths"),
     ({"kind": "sets", "gamma": {"generator": "blocks", "starts": [5],
                                 "lengths": [-3]}}, "gamma: block"),
+    # an amplitude list is [re, im], no shorter or longer
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
+                                   "coeffs": {"2": [], "3": 1}}},
+     "target.coeffs.2"),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
+                                   "coeffs": {"2": 1, "3": [0.5]}}},
+     "target.coeffs.3"),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
+                                   "coeffs": {"2": [1, 2, 3]}}},
+     "target.coeffs.2"),
 ], ids=["rho-not-a-number", "top-level-list", "trigpoly-without-coeffs",
         "coeff-key", "coeff-keys-03", "coeff-keys-+3", "N_list-entry", "tol",
         "t_min", "weight-not-object",
@@ -169,7 +179,8 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
         "k_min-float", "points-fraction", "K-bool", "N_list-float",
         "c-string", "amplitude-string", "amplitude-bool",
         "amplitude-part-string", "blocks-start-fraction",
-        "blocks-length-fraction", "blocks-length-negative"])
+        "blocks-length-fraction", "blocks-length-negative",
+        "amplitude-empty", "amplitude-one-part", "amplitude-three-parts"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, config, field,
                                             command):

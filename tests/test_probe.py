@@ -512,6 +512,19 @@ def test_residual_curve_empty_first_complement(companion):
     assert first.cond_estimate == pytest.approx(s[0] / s[-1], rel=1e-12)
 
 
+def test_empty_span_residual_error_has_a_rounding_floor():
+    """With nothing kept, a trig target's residual is its norm, whose only
+    error used to be the two rules' disagreement, 0 when both round the
+    node sum to the same double; the node sum's rounding bound is a floor."""
+    w = make_exp_weight(1.0)
+    cfg = ProbeConfig(weight=w, gamma=FrequencySet((1,)),
+                      target=TrigPolyTarget({1: 1.0}), tol=1e-13)
+    [record] = residual_curve(cfg, [1]).records
+    assert record.residual == record.target_norm > 0
+    # eps (2 A sqrt(w-hat(0)) norm + M norm^2) / (2 norm), A = 4 + 1 + 2
+    assert 1e-15 < record.residual_error < 1e-14
+
+
 def test_annihilator_flat_curve(s20, companion):
     cfg = ProbeConfig(weight=companion, gamma=gen_power_set(2, 100),
                       target=AnnihilatorTarget(s20), tol=1e-13)

@@ -280,35 +280,78 @@ def _quadpack_panel_errors(f, freqs, mid, half):
     return raw, err, noise
 
 
+def _panels(edges):
+    """(mid, half, runs) of the panels between edges, given no runs."""
+    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges), None
+
+
 def _oracle_case(name):
-    """(integrand, frequencies, panel edges) of an oracle case.  The panels
-    have many widths, most of them too wide for their frequencies, so that
-    |K-G| stands well above rounding on many (panel, frequency) pairs."""
+    """(integrand, frequencies, panels (mid, half, runs)) of an oracle case.
+    The panels of the first cases have many widths, most of them too wide
+    for their frequencies, so that |K-G| stands well above rounding on many
+    (panel, frequency) pairs.  The seed cases take _fourier_mesh's equal
+    panels and their runs, and a real integrand: the jump's imaginary part
+    on compute_G's small-|s| span, an exp weight on [0, 1]."""
+    if name == "seed jump":
+        jump = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 20)))
+        # away from nu = 0: there |A| tends to resasc on a panel where the
+        # jump is monotone, the two estimates agree in exact arithmetic,
+        # and the rounding of raw decides (2e-3 apart at raw = 1e3 noise)
+        return (lambda t: jump(t).imag, -np.linspace(0.005, 0.0499, 10),
+                quadrature._fourier_mesh(np.array([-4e4, 0.0]), 0.05))
+    if name == "seed exp c=1.0":
+        return (lambda t: np.exp(-1.0 / np.maximum(t, 1e-300)),
+                np.arange(41.0),
+                quadrature._fourier_mesh(np.array([0.0, 1.0]), 40.0))
     if name == "jump":
         return (JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 20))),
-                -np.linspace(0.05, 0.6, 12), np.linspace(-200.0, 0.0, 65))
+                -np.linspace(0.05, 0.6, 12),
+                _panels(np.linspace(-200.0, 0.0, 65)))
     if name == "complex":
         return (lambda t: np.exp(2j * np.pi * 3.3 * t) * np.sqrt(t + 0.01),
-                np.linspace(-7.5, 7.5, 31), np.linspace(0.0, 1.0, 9))
+                np.linspace(-7.5, 7.5, 31), _panels(np.linspace(0.0, 1.0, 9)))
     c = float(name.removeprefix("exp c="))
     return (lambda t: np.exp(-c / np.maximum(t, 1e-300)), np.arange(41.0),
-            np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 40)]))
+            _panels(np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 40)])))
 
 
 @pytest.mark.parametrize("name", [f"exp c={c}" for c in
                                   (1e-4, 1e-3, 1e-2, 0.1, 0.465, 1.0, 5.0)]
-                         + ["jump", "complex"])
+                         + ["jump", "complex", "seed jump", "seed exp c=1.0"])
 def test_fourier_panel_errors_never_below_quadpack(name):
-    f, freqs, edges = _oracle_case(name)
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    f, freqs, (mid, half, runs) = _oracle_case(name)
     raw, quadpack, noise = _quadpack_panel_errors(f, freqs, mid, half)
     err = np.empty(raw.shape)
-    for idx, _, errs in quadrature._fourier_panels(f, freqs, mid, half):
+    for idx, _, errs in quadrature._fourier_panels(f, freqs, mid, half,
+                                                   runs):
         err[idx] = errs
     above = raw > 1e3 * noise
     assert above.sum() >= 0.1 * above.size
     # the bound holds in exact arithmetic; the two routes round differently
     assert np.all(err[above] >= quadpack[above] * (1 - 1e-12))
+
+
+def test_seed_phases_from_the_step_table():
+    """On compute_G's small-|s| seed mesh, 4000 panels on [-4e4, 0], the
+    seed round's phases, a step table times each block's first row, are
+    exp(-2 pi i nu m) within 1e-12.  The reference takes nu m to within
+    half a cycle exactly (m times nu's leading 30 bits is exact), as
+    np.exp of the rounded -2 pi i nu m, up to 1.3e4 rad, is itself off by
+    up to 2e-12."""
+    mid, half, runs = quadrature._fourier_mesh(np.array([-4e4, 0.0]), 0.05)
+    assert [run.size for run in runs] == [4000] and np.all(half == 5.0)
+    freqs = np.linspace(-0.0499, 0.0499, 101)
+    vals = np.empty((mid.size, freqs.size), dtype=np.complex128)
+    for idx, v, _ in quadrature._fourier_panels(np.ones_like, freqs, mid,
+                                                half, runs):
+        vals[idx] = v
+    # f = 1: every panel's Kronrod sum is the same
+    vk = 5.0 * np.exp(-2j * np.pi * 5.0 * np.outer(freqs, _XK)) @ _WK
+    lead = np.round(freqs * 2.0 ** 30) / 2.0 ** 30
+    cycles = np.outer(mid, lead)
+    want = np.exp(-2j * np.pi * (cycles - np.round(cycles)
+                                 + np.outer(mid, freqs - lead)))
+    assert np.abs(vals / vk - want).max() <= 1e-12
 
 
 def test_fourier_rescale_is_quadpacks_with_the_antisymmetric_bound():
