@@ -28,8 +28,10 @@ import numpy as np
 from . import __version__
 from .blaschke import (BlaschkeAnnihilator, JumpFunction,
                        cauchy_identity_residual, eval_phi_boundary)
-from .deep_zero import DeepZeroSeries, decay_fit, eval_H_series, membership_check
-from .frequency_sets import (FrequencySet, condition_B_check, gen_interval_blocks,
+from .deep_zero import (ENVELOPE_GRID, DeepZeroSeries, decay_fit,
+                        eval_H_series, membership_check)
+from .frequency_sets import (FrequencySet, complement_in_range,
+                             condition_B_check, gen_interval_blocks,
                              gen_power_set, sqrt_sum_diagnostic,
                              thin_to_condition_B)
 from .probe import (AnnihilatorTarget, ProbeConfig, TrigPolyTarget,
@@ -49,36 +51,24 @@ class ConfigError(Exception):
     """A config field that is missing, mistyped or out of range."""
 
 
-class _Repeated(str):
-    """The dotted path of a key that a JSON object names twice; it stands
-    in for that object while a config is parsed (json.loads alone would
-    keep the last value without a word)."""
+class _Pairs(tuple):
+    """A JSON object's (key, value) pairs, a repeated key kept."""
 
 
-def _repeat_in(value):
-    """The dotted path of a repeated key in a value parsed with
-    _no_repeats, or None; list items are named by their index."""
-    if isinstance(value, _Repeated):
+def _object(value, path=""):
+    """value with its _Pairs made dicts; the first key in document order
+    that an object names twice raises a ConfigError naming its dotted path,
+    where list items are named by their index."""
+    if isinstance(value, list):
+        return [_object(item, f"{path}{i}.") for i, item in enumerate(value)]
+    if not isinstance(value, _Pairs):
         return value
-    for i, item in enumerate(value if isinstance(value, list) else ()):
-        path = _repeat_in(item)
-        if path is not None:
-            return f"{i}.{path}"
-    return None
-
-
-def _no_repeats(pairs):
-    """object_pairs_hook of json.loads: the object as a dict, or, when it
-    or a value in it names a key twice, that key's path as a _Repeated."""
-    seen = set()
-    for key, value in pairs:
-        if key in seen:
-            return _Repeated(key)
-        seen.add(key)
-        below = _repeat_in(value)
-        if below is not None:
-            return _Repeated(f"{key}.{below}")
-    return dict(pairs)
+    obj = {}
+    for key, item in value:
+        if key in obj:
+            raise ConfigError(f"repeated key {path}{key}")
+        obj[key] = _object(item, f"{path}{key}.")
+    return obj
 
 
 def _write_text(path, text):
@@ -242,7 +232,7 @@ def _series(spec):
 
 def _companion(series, factor, summary):
     """exp weight tied to the fitted decay rate of a deep-zero series."""
-    fit = decay_fit(series, 1.0 / np.linspace(5.0, 50.0, 20))
+    fit = decay_fit(series, ENVELOPE_GRID)
     summary["companion_c2_fit"] = fit.c2
     return make_exp_weight(2.0 * factor * fit.c2)
 
@@ -332,7 +322,7 @@ def _run_weights(weight, out, summary):
     report = validate_condition_A(weight)
     summary.update((k, getattr(report, k)) for k in (
         "positive", "nondecreasing", "bounded", "log_integral_diverges",
-        "divergence_certified", "passed"))
+        "passed"))
     return [_write_csv(out / "log_integrals.csv", ["eps", "log_integral"],
                        report.log_integral_values)], True
 
@@ -419,6 +409,7 @@ def _run_deepzero(series, t_grid, weight, membership_tol, out, summary):
 def _build_probe(cfg, tol, summary):
     weight = _weight(cfg.section("weight"), summary)
     gamma = _frequency_set(cfg.section("gamma"))
+    _make("gamma", complement_in_range, gamma, 1)   # gamma holds integers
     target = _target(cfg.section("target"))
     N_list = cfg.get("N_list", _each(_integer),
                      ok=lambda ns: len(ns) > 0 and ns[0] >= 1
@@ -437,8 +428,7 @@ def _run_probe(config, N_list, out, summary):
         out / "residuals.csv", ["N", "residual", "target_norm", "ratio",
                                 "cond_estimate", "residual_error"], rows)]
     ratios = [r.ratio for r in curve.records]
-    summary.update(config_digest=curve.config_digest, min_ratio=min(ratios),
-                   max_ratio=max(ratios),
+    summary.update(min_ratio=min(ratios), max_ratio=max(ratios),
                    final_residual=curve.records[-1].residual,
                    max_residual_error=max(r[-1] for r in rows),
                    final_cond_estimate=curve.records[-1].cond_estimate)
@@ -479,11 +469,8 @@ def _build_file(config_path):
     """(config, _build_experiment(config)) for a config file; None once the
     config error is printed."""
     try:
-        config = json.loads(Path(config_path).read_text(encoding="utf-8"),
-                            object_pairs_hook=_no_repeats)
-        repeated = _repeat_in(config)
-        if repeated is not None:
-            raise ConfigError(f"repeated key {repeated}")
+        text = Path(config_path).read_text(encoding="utf-8")
+        config = _object(json.loads(text, object_pairs_hook=_Pairs))
         return config, _build_experiment(config)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError,
             ConfigError) as exc:

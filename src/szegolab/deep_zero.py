@@ -20,12 +20,14 @@ import numpy as np
 from ._accel import sine_series
 from .quadrature import QuadratureResult, integrate_finite, require
 
-__all__ = ["SINGULARITY_DELTA", "eval_F", "eval_h", "series_coefficients",
-           "DeepZeroSeries", "eval_H_series", "eval_H_integral", "DecayFit",
-           "decay_fit", "membership_check"]
+__all__ = ["SINGULARITY_DELTA", "ENVELOPE_GRID", "eval_F", "eval_h",
+           "series_coefficients", "DeepZeroSeries", "eval_H_series",
+           "eval_H_integral", "DecayFit", "decay_fit", "membership_check"]
 
 SINGULARITY_DELTA = 1e-4   # radius of the local-quotient rule
 _GROWTH_GRID = 256         # samples of membership_check's blow-up test
+# decay-fit grid, uniform in 1/t, of membership_check and the companion weight
+ENVELOPE_GRID = tuple(1.0 / np.linspace(5.0, 50.0, 20))
 
 
 def eval_F(w):
@@ -237,7 +239,7 @@ def membership_check(series, w, tol=1e-8):
 
     scale = 2.0 * float(np.sum(np.abs(series.coeffs)))
     noise_floor = 64.0 * np.finfo(np.float64).eps * scale
-    fit = decay_fit(series, 1.0 / np.linspace(5.0, 50.0, 20))
+    fit = decay_fit(series, ENVELOPE_GRID)
     # point where the envelope falls to 10x the cancellation noise
     t_cut = fit.c2 / math.log(10.0 * fit.c1 / noise_floor)
     t_cut = min(max(t_cut, 1e-4), 0.05)

@@ -194,8 +194,11 @@ def thin_to_condition_B(fset, C):
 
 
 def complement_in_range(fset, N):
-    """Sorted integers in [1, N] not in the set."""
+    """Sorted integers in [1, N] not in the set, which holds integers."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    removed = {int(e) for e in fset.elements if float(e).is_integer()}
+    fraction = next((e for e in fset.elements if not e.is_integer()), None)
+    if fraction is not None:
+        raise ValueError(f"frequencies must be integers, got {fraction!r}")
+    removed = {int(e) for e in fset.elements}
     return [n for n in range(1, N + 1) if n not in removed]

@@ -38,8 +38,6 @@ raises ArithmeticError.
 """
 
 import functools
-import hashlib
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -122,11 +120,6 @@ class TrigPolyTarget:
         return np.array([self.coeffs.get(int(k), 0j) for k in freqs],
                         dtype=np.complex128)
 
-    def digest_data(self):
-        return {"kind": "trigpoly",
-                "coeffs": {str(k): [v.real, v.imag]
-                           for k, v in sorted(self.coeffs.items())}}
-
 
 class AnnihilatorTarget:
     """Phi = H/w for a deep-zero series H; the weight cancels in every
@@ -145,10 +138,6 @@ class AnnihilatorTarget:
         c = np.array([self._spectrum.get(int(k), 0.0j) for k in np.abs(m)],
                      dtype=np.complex128)
         return np.where(m > 0, c, np.where(m < 0, -c, 0.0j))
-
-    def digest_data(self):
-        return {"kind": "annihilator", "k_min": self.series.k_min,
-                "M": self.series.M}
 
 
 @dataclass
@@ -338,18 +327,10 @@ class ProbeConfig:
     target: object
     tol: float = 1e-12
 
-    def digest(self):
-        data = {"weight": self.weight.descriptor(),
-                "gamma": list(self.gamma.elements),
-                "target": self.target.digest_data(), "tol": self.tol}
-        return hashlib.sha256(
-            json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
-
 
 @dataclass
 class ResidualCurve:
     records: list
-    config_digest: str
 
 
 def residual_curve(config, N_list):
@@ -358,11 +339,10 @@ def residual_curve(config, N_list):
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be increasing")
     if not N_list:
-        return ResidualCurve([], config.digest())
+        return ResidualCurve([])
     kept = complement_in_range(config.gamma, N_list[-1])
     norm, rows, _ = _residuals(config.target,
                                [kept[:bisect_right(kept, N)] for N in N_list],
                                config.weight, config.tol)
     return ResidualCurve([ResidualRecord(N, res, norm, cond, error)
-                          for N, (res, error, cond) in zip(N_list, rows)],
-                         config.digest())
+                          for N, (res, error, cond) in zip(N_list, rows)])

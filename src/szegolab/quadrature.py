@@ -251,7 +251,8 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
     mean, and |A| is at most QUADPACK's resasc.  The error is QUADPACK's
     rescaling of raw = |K - G| with max(|A|, 200 raw) in place of resasc:
     the rescaled error is largest at resasc = 200 raw and falls beyond it,
-    so this error is never below QUADPACK's.
+    so this error is never below QUADPACK's, up to rounding where |A|
+    tends to resasc (nu near 0 on a panel where f is monotone).
 
     A panel is kept when its error at every frequency is within its share
     of tol (tol times its width over the span), so the kept panels' errors

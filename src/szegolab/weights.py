@@ -2,9 +2,9 @@
 
 The divergent-log-integral condition (positive, nondecreasing, bounded,
 log-integral diverging at 0) is read from the weight's definition.  The
-truncated log integrals are closed forms for every kind; the divergence is
-certified analytically for exp(-c/t), whose closed form is linear in
-ln(1/eps), and reported as a trend otherwise.
+truncated log integrals are closed forms for every kind, and they decide
+the divergence: -c ln(1/eps) diverges for exp(-c/t) with c > 0, while a
+constant or tabulated weight, at least its smallest value, has a finite one.
 """
 
 import math
@@ -41,33 +41,7 @@ class Weight:
     def breakpoints(self):
         """Edges of the pieces of (0,1) on which w is smooth: 0, the sample
         abscissae inside (0,1) where a tabulated weight has its kinks, 1."""
-        inner = sorted({t for t, _ in self.samples if 0.0 < t < 1.0})
-        return (0.0, *inner, 1.0)
-
-    def log_closed_form(self, eps):
-        """Closed-form integral of log w over (eps, 1).  A tabulated weight
-        is linear between eps, its abscissae inside (eps, 1) and 1 (flat
-        beyond its samples), and a linear piece from u to v = u (1 + x)
-        over a width d has the integral d (log u + (1 + x) log1p(x)/x - 1),
-        d log u when x = 0."""
-        if self.kind == "exp":
-            return -self.c * math.log(1.0 / eps)
-        if self.kind == "constant":
-            return (1.0 - eps) * math.log(self.v)
-        knots = [eps, *(t for t, _ in self.samples if eps < t < 1.0), 1.0]
-        total = []
-        for a, b, u, v in zip(knots, knots[1:], self(knots), self(knots[1:])):
-            x = (v - u) / u
-            total.append((b - a) * (math.log(u) + (
-                (1.0 + x) * math.log1p(x) / x - 1.0 if x else 0.0)))
-        return math.fsum(total)
-
-    def descriptor(self):
-        if self.kind == "exp":
-            return {"kind": "exp", "c": self.c}
-        if self.kind == "constant":
-            return {"kind": "constant", "v": self.v}
-        return {"kind": "tabulated", "samples": [list(s) for s in self.samples]}
+        return (0.0, *(t for t, _ in self.samples if 0.0 < t < 1.0), 1.0)
 
 
 def make_exp_weight(c):
@@ -89,16 +63,33 @@ def make_tabulated_weight(samples):
     samples = tuple(sorted((float(t), float(w)) for t, w in samples))
     if len(samples) < 2:
         raise ValueError("need at least two samples")
+    repeated = [a for (a, _), (b, _) in zip(samples, samples[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"abscissa {repeated[0]!r} is sampled twice")
     if any(w <= 0 for _, w in samples):
         raise ValueError("tabulated weight must be positive")
     return Weight(kind="tabulated", samples=samples)
 
 
 def log_integral(w, eps):
-    """Integral of log w over (eps, 1), in closed form for every kind."""
+    """Integral of log w over (eps, 1), in closed form for every kind.  A
+    tabulated weight is linear between eps, its abscissae inside (eps, 1)
+    and 1 (flat beyond its samples), and a linear piece from u to
+    v = u (1 + x) over a width d has the integral
+    d (log u + (1 + x) log1p(x)/x - 1), d log u when x = 0."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    return w.log_closed_form(eps)
+    if w.kind == "exp":
+        return -w.c * math.log(1.0 / eps)
+    if w.kind == "constant":
+        return (1.0 - eps) * math.log(w.v)
+    knots = [eps, *(t for t, _ in w.samples if eps < t < 1.0), 1.0]
+    total = []
+    for a, b, u, v in zip(knots, knots[1:], w(knots), w(knots[1:])):
+        x = (v - u) / u
+        total.append((b - a) * (math.log(u) + (
+            (1.0 + x) * math.log1p(x) / x - 1.0 if x else 0.0)))
+    return math.fsum(total)
 
 
 @dataclass
@@ -107,7 +98,6 @@ class ConditionAReport:
     nondecreasing: bool
     bounded: bool
     log_integral_diverges: bool
-    divergence_certified: bool
     log_integral_values: list = field(default_factory=list)  # (eps, value)
 
     @property
@@ -117,15 +107,13 @@ class ConditionAReport:
 
 
 def validate_condition_A(w):
-    """Check positivity, monotonicity, boundedness and the divergence trend.
+    """Check positivity, monotonicity, boundedness and divergence.
 
     The first three are read from the weight's definition: exp(-c/t) is
     positive, and nondecreasing and bounded iff c >= 0; a constant or
     tabulated weight is linear between its breakpoints, so its values there
-    decide them.  Divergence of the log integral is certified only for the
-    exp kind, whose closed form -c*ln(1/eps) is linear in ln(1/eps);
-    otherwise the report says whether the truncated integrals decrease
-    without apparent bound.
+    decide them.  The log integral's closed forms decide the last: it
+    diverges exactly for exp(-c/t) with c > 0.
     """
     if w.kind == "exp":
         positive, nondecreasing, bounded = True, w.c >= 0, w.c >= 0
@@ -134,17 +122,7 @@ def validate_condition_A(w):
         positive = bool(np.all(vals > 0))
         nondecreasing = bool(np.all(np.diff(vals) >= 0))
         bounded = bool(np.all(np.isfinite(vals)))
-
     li = [(eps, log_integral(w, eps))
           for eps in (10.0 ** (-k) for k in range(2, 9))]
-
-    certified = w.kind == "exp"
-    diverges = False
-    if certified:
-        # closed form -c*ln(1/eps) is an exact linear minorant in ln(1/eps)
-        diverges = w.c > 0
-    elif len(li) >= 2:
-        drops = [li[i + 1][1] - li[i][1] for i in range(len(li) - 1)]
-        diverges = all(d < 0 for d in drops) and li[-1][1] < li[0][1] - 1.0
-    return ConditionAReport(positive, nondecreasing, bounded, diverges,
-                            certified, li)
+    return ConditionAReport(positive, nondecreasing, bounded,
+                            w.kind == "exp" and w.c > 0, li)

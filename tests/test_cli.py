@@ -8,9 +8,9 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from szegolab import deep_zero, quadrature
+from szegolab import cli, deep_zero, quadrature
 from szegolab.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -162,6 +162,14 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
     ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
                                    "coeffs": {"2": [1, 2, 3]}}},
      "target.coeffs.2"),
+    # np.interp reads one of two values at an abscissa, the breakpoints the
+    # other
+    ({**WEIGHTS_CONFIG, "weight": {"kind": "tabulated", "samples": [
+        [0, 1], [0.5, 0.1], [0.5, 2], [1, 3]]}}, "weight.samples"),
+    # a probe removes integers: 2.5 and 3.7 would remove nothing
+    ({**PROBE_TRIGPOLY, "gamma": {"generator": "explicit",
+                                  "elements": [2.5, 3.7]},
+      "target": {"kind": "trigpoly", "coeffs": {"10": 1}}}, "gamma"),
 ], ids=["rho-not-a-number", "top-level-list", "trigpoly-without-coeffs",
         "coeff-key", "coeff-keys-03", "coeff-keys-+3", "N_list-entry", "tol",
         "t_min", "weight-not-object",
@@ -180,7 +188,8 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
         "c-string", "amplitude-string", "amplitude-bool",
         "amplitude-part-string", "blocks-start-fraction",
         "blocks-length-fraction", "blocks-length-negative",
-        "amplitude-empty", "amplitude-one-part", "amplitude-three-parts"])
+        "amplitude-empty", "amplitude-one-part", "amplitude-three-parts",
+        "tabulated-abscissa-twice", "probe-gamma-fractions"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, config, field,
                                             command):
@@ -485,6 +494,65 @@ def test_repeated_key_exits_2_naming_its_path(tmp_path, capsys, text, key,
     assert main([command, str(cfg), *extra]) == 2
     assert capsys.readouterr().err == f"config error: repeated key {key}\n"
     assert not (tmp_path / "out").exists()
+
+
+_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+
+
+def _objects(value, path=()):
+    """Paths of the objects in value, list items named by their index."""
+    if isinstance(value, dict):
+        yield path
+    items = value.items() if isinstance(value, dict) else enumerate(
+        value if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _objects(item, path + (str(key),))
+
+
+def _dumps(value, at, key, path=()):
+    """JSON text of value, whose object at the path at names key twice."""
+    if isinstance(value, list):
+        return "[" + ", ".join(_dumps(item, at, key, path + (str(i),))
+                               for i, item in enumerate(value)) + "]"
+    if not isinstance(value, dict):
+        return json.dumps(value)
+    pairs = [(k, _dumps(v, at, key, path + (k,))) for k, v in value.items()]
+    if path == at:
+        pairs[len(pairs) // 2:len(pairs) // 2] = [(key, "1"), (key, "2")]
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_TREES)
+def test_object_of_json_without_repeats_is_json_loads(tree):
+    text = json.dumps(tree)
+    assert cli._object(json.loads(text, object_pairs_hook=cli._Pairs)) == (
+        json.loads(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_TREES.filter(lambda t: isinstance(t, (dict, list))),
+       data=st.data())
+def test_object_names_a_planted_repeat_by_its_path(tree, data):
+    at = data.draw(st.sampled_from(list(_objects(tree)) or [None]))
+    assume(at is not None)
+    key = data.draw(st.text(max_size=3).filter(
+        lambda k: k not in _at(tree, at)))
+    with pytest.raises(cli.ConfigError) as exc:
+        cli._object(json.loads(_dumps(tree, at, key),
+                               object_pairs_hook=cli._Pairs))
+    assert str(exc.value) == "repeated key " + ".".join(at + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[int(key) if isinstance(value, list) else key]
+    return value
 
 
 def test_probe_path_leaves_numpy_ma_unloaded(tmp_path):

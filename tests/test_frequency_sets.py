@@ -145,6 +145,14 @@ def test_complement_examples():
         n for n in range(1, 31) if n not in (1, 8, 27)]
 
 
+def test_complement_refuses_fractional_frequencies():
+    """Nothing in [1, N] equals 2.5 or 3.7, so skipping them would remove
+    nothing without a word."""
+    with pytest.raises(ValueError, match="integers"):
+        complement_in_range(FrequencySet((2.5, 3.7)), 10)
+    assert complement_in_range(FrequencySet((2.0, 3.0)), 4) == [1, 4]
+
+
 def test_text_roundtrip():
     """to_text writes a generator comment, then one element a line in repr
     form, which reads back to the same float."""

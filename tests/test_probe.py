@@ -549,12 +549,3 @@ def test_annihilator_inner_products(s20):
     assert b[1] == 0.0                  # even square also annihilated
     assert b[2] == s20.coeffs[1]        # odd square carries the coefficient
     assert b[4] == -s20.coeffs[1]
-
-
-def test_probe_config_digest_stable(companion, s20):
-    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(2, 10),
-                      target=AnnihilatorTarget(s20))
-    assert cfg.digest() == cfg.digest()
-    cfg2 = ProbeConfig(weight=companion, gamma=gen_power_set(2, 11),
-                       target=AnnihilatorTarget(s20))
-    assert cfg.digest() != cfg2.digest()

@@ -43,7 +43,7 @@ def test_log_integral_quadrature_matches_closed_form():
         num, err = quad(lambda t: -c / t, eps, 1.0)
         assert abs(num - ref) < 1e-8 * abs(ref)
         w = make_exp_weight(c)
-        closed = w.log_closed_form(eps)
+        closed = log_integral(w, eps)
         assert abs(closed - ref) < 1e-12 * abs(ref)
 
 
@@ -74,8 +74,29 @@ def test_log_integral_tabulated_closed_form_matches_mpmath(eps):
 def test_condition_A_exp_passes():
     rep = validate_condition_A(make_exp_weight(1.0))
     assert rep.positive and rep.nondecreasing and rep.bounded
-    assert rep.log_integral_diverges and rep.divergence_certified
+    assert rep.log_integral_diverges
     assert rep.passed
+
+
+def test_condition_A_tabulated_weight_bounded_below_converges():
+    """A weight at least 1e-50 on (0, 1) has a finite log integral, however
+    far its truncations fall: (1/2 - eps) ln(1e-50) - 1/2 at eps, about
+    -58.06 at eps = 1e-8."""
+    w = make_tabulated_weight([(0.5, 1e-50), (1.0, 1.0)])
+    rep = validate_condition_A(w)
+    assert rep.positive and rep.nondecreasing and rep.bounded
+    assert not rep.log_integral_diverges
+    assert not rep.passed
+    eps, value = rep.log_integral_values[-1]
+    assert eps == 1e-8
+    assert abs(value - ((0.5 - eps) * math.log(1e-50) - 0.5)) < 1e-12
+
+
+def test_tabulated_weight_refuses_an_abscissa_sampled_twice():
+    """Two values at t = 0.5 would make a jump that np.interp does not
+    evaluate and the breakpoints do not see."""
+    with pytest.raises(ValueError, match="0.5"):
+        make_tabulated_weight([(0, 1), (0.5, 0.1), (0.5, 2), (1, 3)])
 
 
 def test_condition_A_constant_fails_divergence():
@@ -98,14 +119,6 @@ def test_inverse_weight_nonincreasing():
         if rep.nondecreasing:
             inv = 1.0 / np.maximum(w(grid), 1e-300)
             assert np.all(np.diff(inv) <= 1e-9 * inv[:-1])
-
-
-def test_descriptor_shape():
-    assert make_exp_weight(1.0).descriptor() == {"kind": "exp", "c": 1.0}
-    assert make_constant_weight(0.7).descriptor() == {"kind": "constant",
-                                                      "v": 0.7}
-    assert make_tabulated_weight([(0.9, 0.8), (0.1, 0.2)]).descriptor() == {
-        "kind": "tabulated", "samples": [[0.1, 0.2], [0.9, 0.8]]}
 
 
 def test_weight_is_an_immutable_value():
