@@ -158,7 +158,8 @@ def _g_abs_tail(T):
 # compute_G's small-|s| branch: |s| below _S_SMALL, on [-_T_SMALL, 0]
 _S_SMALL = 0.05
 _T_SMALL = 4.0e4
-_SMALL_EDGES = np.array([-_T_SMALL, 0.0])
+# its seed, _fourier_mesh's (edges, nu_max): panels one period of _S_SMALL
+_SMALL_SEED = (np.array([-_T_SMALL, 0.0]), 0.5 * _S_SMALL)
 _SAMPLE_PANELS = 256
 
 
@@ -167,8 +168,8 @@ def _small_s_samples(j):
     """Im j at the nodes of the small-|s| branch's seed panels, one row per
     panel, read-only: compute_G's real samples of the purely imaginary jump,
     a pure function of its annihilator (a JumpFunction hashes by value), so
-    computed once per jump; a float64 array of 4000 x 15 takes 0.5 MB."""
-    mid, half, _ = _fourier_mesh(_SMALL_EDGES, _S_SMALL)
+    computed once per jump; a float64 array of 2000 x 15 takes 0.24 MB."""
+    mid, half, _ = _fourier_mesh(*_SMALL_SEED)
     x = mid[:, None] + half[:, None] * _XK
     y = np.empty(x.shape)
     # in blocks of panels, as fourier_coefficients samples: the jump's
@@ -187,8 +188,9 @@ def compute_G(j, s, tol=1e-6):
 
     Each branch is one batched quadrature at the frequencies -s.  Small
     |s| (below 0.05): i times the integral of Im j on [-T, 0], with the
-    algebraic envelope tail added to the error; its seed panels are the
-    ones the bound 0.05 asks for, whatever the call's s, and Im j on them
+    algebraic envelope tail, 5e-5, added to the error; its seed panels are
+    one period of 0.05 wide, whatever the call's s (the quadrature's part
+    of the error stays over 2000 times below the tail), and Im j on them
     is sampled once per jump and kept (for the last two jumps), so a call
     samples only the panels it splits.  Larger |s|: moderate T plus two
     integration-by-parts boundary terms at u = -T, with the remainder
@@ -206,7 +208,7 @@ def compute_G(j, s, tol=1e-6):
     small = np.abs(s) < _S_SMALL
     if small.any():
         res = _fourier_refine(lambda t: j(t).imag, -s[small], tol,
-                              _SMALL_EDGES, _S_SMALL, _small_s_samples(j))
+                              *_SMALL_SEED, _small_s_samples(j))
         value[small] = 1j * res.value
         error[small] = res.abs_error_estimate + _g_abs_tail(_T_SMALL)
         evals += res.evaluations

@@ -11,6 +11,7 @@ One odd kernel, sin(pi u)/(F(u) F(-u)) for Re u >= 0, evaluates those
 singularities: eval_h folds h onto it, and eval_H_integral integrates it.
 """
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import sine_series
-from .quadrature import QuadratureResult, integrate_finite, require
+from .quadrature import (_MAX_EVALS, QuadratureResult, _adaptive, _nodes,
+                         integrate_finite, require)
 
 __all__ = ["SINGULARITY_DELTA", "ENVELOPE_GRID", "eval_F", "eval_h",
            "series_coefficients", "DeepZeroSeries", "eval_H_series",
@@ -156,6 +158,17 @@ def _h_cut(tol):
     return float(bisect_left(range(200, hi + 1), True, key=fits) + 200)
 
 
+@functools.lru_cache(maxsize=2)
+def _kernel_table(X, panels):
+    """The edges of [0, X] in equal panels and the t-free H kernel at their
+    nodes, one row per panel, read-only, kept for the last two meshes (at
+    tol 1e-8, 640 x 15 nodes take 77 kB)."""
+    edges = np.linspace(0.0, X, panels + 1)
+    kernel = _sin_over_FF(_nodes(edges[:-1], edges[1:]))
+    edges.flags.writeable = kernel.flags.writeable = False
+    return edges, kernel
+
+
 def eval_H_integral(t, tol=1e-8):
     """Fourier-integral route for the series values.
 
@@ -163,22 +176,25 @@ def eval_H_integral(t, tol=1e-8):
     of h is supported in (0,1) and equals minus the sine series in the
     orientation fixed by eval_H_series).  h(-x) = -conj h(x) folds it onto
     the half-line: -2i times the real integral of
-    sin(pi (1 - 2t) x) sin(pi x)/(F(x) F(-x)) over [0, X], whose panels are
-    seeded at a quarter period of its top frequency, max(|t|, |1 - t|)
-    cycles per unit (the product of the two sines is a sum of cosines at
-    frequencies |t| and |1 - t|).  X is the smallest integer from 200 up
-    whose analytic |h| tail beyond X is at most tol/2; the quadrature gets
-    the rest of tol, and converged means that the total error, tail
-    included, is within tol.
-    """
+    sin(pi (1 - 2t) x) sin(pi x)/(F(x) F(-x)) over [0, X], a sum of cosines
+    at frequencies |t| and |1 - t|, seeded at half periods of
+    max(|t|, |1 - t|, 1): every t in [0, 1] shares one mesh of 2X panels,
+    on which the kernel comes from _kernel_table, so a call samples the
+    kernel only on the panels it splits.  X is the smallest integer from
+    200 up whose analytic |h| tail beyond X is at most tol/2; the
+    quadrature gets the rest of tol, and converged means that the total
+    error, tail included, is within tol."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     t = float(t)
     X = _h_cut(tol)
     tail = _h_abs_tail(X)
-    res = integrate_finite(
-        lambda x: np.sin(np.pi * (1.0 - 2.0 * t) * x) * _sin_over_FF(x),
-        0.0, X, 0.5 * (tol - tail), omega=max(abs(t), abs(1.0 - t)))
+    panels = math.ceil(2.0 * X * max(abs(t), abs(1.0 - t), 1.0))
+    edges, kernel = _kernel_table(X, min(panels, _MAX_EVALS // 15))
+    w = np.pi * (1.0 - 2.0 * t)
+    res = _adaptive(lambda x: np.sin(w * x) * _sin_over_FF(x), edges,
+                    0.5 * (tol - tail), _MAX_EVALS,
+                    np.sin(w * _nodes(edges[:-1], edges[1:])) * kernel)
     error = 2.0 * res.abs_error_estimate + tail
     return QuadratureResult(-2j * res.value.real, error, res.evaluations,
                             error <= tol)

@@ -123,19 +123,26 @@ def _gk15(y, half):
     return vk, _scaled(np.abs(vk - vg), resasc)
 
 
-def _eval_panels(f, lo, hi):
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _XK[None, :]
-    y = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
-    vk, err = _gk15(y, half)
-    return vk, err, x.size
+def _nodes(lo, hi):
+    """The 15 nodes of each panel [lo, hi], one row per panel."""
+    return 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _XK
 
 
-def _adaptive(f, breakpoints, tol, max_evals):
+def _eval_panels(f, lo, hi, samples=None):
+    if samples is None:
+        x = _nodes(lo, hi)
+        samples = np.asarray(f(x.ravel())).reshape(x.shape)
+    y = np.asarray(samples, dtype=np.complex128)
+    vk, err = _gk15(y, 0.5 * (hi - lo))
+    return vk, err, y.size
+
+
+def _adaptive(f, breakpoints, tol, max_evals, samples=None):
+    """integrate_finite's loop; samples, when given, holds f at the seed
+    panels' _nodes, so f is called only on the panels split."""
     lo = np.asarray(breakpoints[:-1], dtype=np.float64)
     hi = np.asarray(breakpoints[1:], dtype=np.float64)
-    val, err, n = _eval_panels(f, lo, hi)
+    val, err, n = _eval_panels(f, lo, hi, samples)
     evals = n
     span = float(hi[-1] - lo[0])
     min_width = 1e-14 * max(span, abs(hi[-1]), abs(lo[0]))

@@ -258,8 +258,9 @@ class _CountingJump:
         return self.j(t)
 
 
-# the small-|s| branch's seed: 4000 panels of 15 nodes on [-4e4, 0]
-SMALL_S_SEED_NODES = 4000 * 15
+# the small-|s| branch's seed: its panels of 15 nodes on [-4e4, 0]
+SMALL_S_SEED_NODES = (quadrature._fourier_mesh(*blaschke._SMALL_SEED)[0].size
+                      * 15)
 
 
 def test_G_is_the_same_from_a_cold_and_a_warm_jump(jump):
@@ -303,7 +304,7 @@ def _G_direct(j, s, tol, monkeypatch):
                   lambda edges, nu: (*mesh(edges, nu)[:2], None))
         if small.any():
             res = quadrature._fourier_refine(j, -s[small], tol,
-                                             np.array([-4.0e4, 0.0]), 0.05)
+                                             *blaschke._SMALL_SEED)
             value[small] = res.value
             error[small] = (res.abs_error_estimate
                             + blaschke._g_abs_tail(4.0e4))
@@ -333,6 +334,24 @@ def test_G_matches_the_direct_exp_route(jump, s, monkeypatch):
     assert res.evaluations == evals
 
 
+@pytest.mark.parametrize("tol", [5e-5, 1e-6])
+def test_period_wide_small_s_seed_keeps_the_tail_dominant(jump, tol):
+    """The small-|s| seed, panels one period of 0.05 wide, gives G within
+    1e-13 of the half-period seed's, and the quadrature's part of its error
+    stays within 1e-3 of the envelope tail beyond 4e4, which sets the
+    branch's error."""
+    edges, nu = blaschke._SMALL_SEED
+    mesh = quadrature._fourier_mesh
+    assert mesh(edges, 0.05)[0].size == 2 * mesh(edges, nu)[0].size
+    s = np.concatenate([np.linspace(-0.0499, 0.0499, 41), [0.0123, -0.031]])
+    res = compute_G(jump, s, tol)
+    half = quadrature._fourier_refine(lambda u: jump(u).imag, -s, tol,
+                                      edges, 0.05)
+    assert np.abs(res.value - 1j * half.value).max() <= 1e-13
+    tail = blaschke._g_abs_tail(4.0e4)
+    assert np.all(res.abs_error_estimate - tail <= 1e-3 * tail)
+
+
 class _CountingNumpy:
     """numpy, counting the entries of every complex exp it takes."""
 
@@ -350,10 +369,11 @@ class _CountingNumpy:
 
 
 def test_small_s_G_takes_a_tenth_of_the_panel_phase_exps(jump, monkeypatch):
-    """One small-|s| call, 101 frequencies on the 4000 seed panels, takes
-    no complex exp per (panel, frequency): the seed round's phases are a
-    step table's rows times one row per block, and only the split panels'
-    phases are direct (404,000 entries and more before)."""
+    """One small-|s| call, 101 frequencies on the seed panels, takes no
+    complex exp per (panel, frequency): the seed round's phases are a step
+    table's rows times one row per block, and only the split panels'
+    phases are direct.  The budget is a tenth of the 404,000 entries that
+    direct exps took on the half-period seed of 4000 panels."""
     s = np.linspace(-0.0499, 0.0499, 101)
     compute_G(jump, s, 5e-5)                # the jump's samples, kept
     counting = _CountingNumpy()
@@ -363,19 +383,20 @@ def test_small_s_G_takes_a_tenth_of_the_panel_phase_exps(jump, monkeypatch):
 
 
 def test_route_check_cost_budget(jump):
-    """Criterion 4's six convolution checks sample the jump at 115,163
-    points (715,178 before the jump's samples were kept), and the three H
-    checks of test_H_two_route_agreement take 44,160 evaluations (86,400
-    before the H route was seeded at its integrand's top frequency); each
-    budget is about 20% above its count."""
+    """Criterion 4's six convolution checks sample the jump at 85,883
+    points (115,163 on the half-period small-|s| seed, 715,178 before the
+    jump's samples were kept), and the three H checks of
+    test_H_two_route_agreement take 28,800 evaluations (44,160 on
+    quarter-period panels of the integrand's top frequency, 86,400 before
+    that); each budget is about 20% above its count."""
     spy = _CountingJump(jump)
     for q in (1.0, 0.0, -1.0):
         for t in (0.25, 1.0):
             convolution_identity_residual(spy, q, t, 1e-3)
-    assert spy.points <= 138_000
+    assert spy.points <= 103_000
     evaluations = sum(eval_H_integral(t, 1e-8).evaluations
                       for t in (0.1, 0.5, 0.9))
-    assert evaluations <= 53_000
+    assert evaluations <= 34_500
 
 
 def test_convolution_samples_the_jump_once_per_round(jump, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from szegolab import deep_zero, quadrature
+from szegolab.quadrature import integrate_finite
 from szegolab.deep_zero import (SINGULARITY_DELTA, DeepZeroSeries, decay_fit,
                                 eval_F, eval_h, eval_H_integral, eval_H_series,
                                 membership_check, series_coefficients)
@@ -297,7 +298,7 @@ def test_H_cut_is_the_smallest_integer_that_fits(tol, X):
 
 
 def test_H_integral_within_its_bound_inside_and_outside_the_support(s20):
-    """Seeded at a quarter period of max(|t|, |1 - t|), the route still
+    """Seeded at half a period of max(|t|, |1 - t|, 1), the route still
     meets its declared bound; the transform of h vanishes off (0, 1),
     where the periodic series does not."""
     for t in (-0.5, 0.05, 0.5, 0.95, 1.3):
@@ -306,8 +307,60 @@ def test_H_integral_within_its_bound_inside_and_outside_the_support(s20):
         expected = eval_H_series(s20, t) if 0 < t < 1 else 0.0
         assert (abs(expected - res.value)
                 <= res.abs_error_estimate + s20.truncation_bound)
-    # omega 0.5 on [0, 320]: 640 quarter periods (28,800 nodes at omega 1.5)
+    # [0, 320] in 640 half periods of 1 (960 of 1.5, 14,400 nodes, at t -0.5)
     assert eval_H_integral(0.5, 1e-8).evaluations == 9_600
+
+
+_sin_over_FF = deep_zero._sin_over_FF
+
+
+class _CountingKernel:
+    """deep_zero._sin_over_FF, counting the points it is sampled at."""
+
+    def __init__(self):
+        self.points = 0
+
+    def __call__(self, u):
+        self.points += np.size(u)
+        return _sin_over_FF(u)
+
+
+def test_H_integral_reads_the_kernel_from_one_table(monkeypatch):
+    """Every t in [0, 1] shares the 640 seed panels of [0, 320], on which
+    the t-free kernel is sampled once and kept: a call at another t
+    samples it only on the panels it splits.  t = 1.3 and t = -0.5 get
+    their own meshes, and tables."""
+    deep_zero._kernel_table.cache_clear()
+    spy = _CountingKernel()
+    monkeypatch.setattr(deep_zero, "_sin_over_FF", spy)
+    first = eval_H_integral(0.1, 1e-8)
+    assert spy.points == first.evaluations >= 640 * 15
+    for t in (0.3, 0.5, 0.95):
+        spy.points = 0
+        res = eval_H_integral(t, 1e-8)
+        assert spy.points == res.evaluations - 640 * 15
+    for t, panels in ((1.3, 832), (-0.5, 960)):
+        spy.points = 0
+        res = eval_H_integral(t, 1e-8)
+        assert spy.points == res.evaluations >= panels * 15
+        assert res.converged
+    assert deep_zero._kernel_table.cache_info().hits == 3
+
+
+@pytest.mark.parametrize("t", [-0.5, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95,
+                               1.3])
+def test_H_integral_matches_the_quarter_period_route(t):
+    """The half-period mesh and the kept kernel give the value of the
+    route seeded at a quarter period of max(|t|, |1 - t|) through
+    integrate_finite, within 1e-11, at tol 1e-8."""
+    res = eval_H_integral(t, 1e-8)
+    X = deep_zero._h_cut(1e-8)
+    ref = integrate_finite(
+        lambda x: np.sin(np.pi * (1.0 - 2.0 * t) * x) * _sin_over_FF(x),
+        0.0, X, 0.5 * (1e-8 - deep_zero._h_abs_tail(X)),
+        omega=max(abs(t), abs(1.0 - t)))
+    assert ref.converged and res.converged
+    assert abs(res.value - (-2j * ref.value.real)) <= 1e-11
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
@@ -327,7 +380,7 @@ def test_H_integral_vanishes_outside_support():
 
 
 def test_decay_fit(s20):
-    grid = 1.0 / np.linspace(5.0, 50.0, 20)
+    grid = np.asarray(deep_zero.ENVELOPE_GRID)
     fit = decay_fit(s20, grid)
     assert fit.c2 > 0
     assert abs(fit.correlation) > 0.99
@@ -347,7 +400,7 @@ def test_decay_fit_needs_points(s20):
 def test_decay_fit_rejects_an_unknown_abscissa(s20, abscissa):
     """Only "inv_t" and "inv_1mt" name an abscissa; any other name raises
     and names both, instead of fitting against 1/(1-t)."""
-    grid = 1.0 - 1.0 / np.linspace(5.0, 50.0, 20)
+    grid = 1.0 - np.asarray(deep_zero.ENVELOPE_GRID)
     with pytest.raises(ValueError, match="'inv_t' or 'inv_1mt'"):
         decay_fit(s20, grid, abscissa=abscissa)
 
@@ -360,7 +413,7 @@ def test_membership_parseval(s20):
 
 
 def _companion(series, factor):
-    fit = decay_fit(series, 1.0 / np.linspace(5.0, 50.0, 20))
+    fit = decay_fit(series, deep_zero.ENVELOPE_GRID)
     return make_exp_weight(2.0 * factor * fit.c2)
 
 

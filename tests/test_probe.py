@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from szegolab.deep_zero import (DeepZeroSeries, decay_fit, eval_H_series,
-                                membership_check)
+from szegolab.deep_zero import (ENVELOPE_GRID, DeepZeroSeries, decay_fit,
+                                eval_H_series, membership_check)
 import szegolab.probe as probe
 import szegolab.quadrature as quadrature
 from szegolab.frequency_sets import (FrequencySet, complement_in_range,
@@ -29,7 +29,7 @@ def s20():
 
 @pytest.fixture(scope="module")
 def companion(s20):
-    fit = decay_fit(s20, 1.0 / np.linspace(5.0, 50.0, 20))
+    fit = decay_fit(s20, ENVELOPE_GRID)
     return make_exp_weight(2.0 * 0.9 * fit.c2)
 
 

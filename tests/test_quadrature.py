@@ -169,6 +169,25 @@ def test_determinism():
     assert r1.abs_error_estimate == r2.abs_error_estimate
 
 
+def test_adaptive_from_samples_samples_only_the_split_panels():
+    """Samples of f at the seed panels' nodes give the result that sampling
+    f gives, bit for bit, and f is called only on the panels split."""
+    points = []
+
+    def f(t):
+        points.append(t.size)
+        return np.exp(-t * t) * np.cos(10 * t)
+
+    edges = np.linspace(-3.0, 3.0, 5)
+    fresh = quadrature._adaptive(f, edges, 1e-10, 10_000)
+    assert sum(points) == fresh.evaluations > 4 * 15
+    samples = f(quadrature._nodes(edges[:-1], edges[1:]))
+    points.clear()
+    seeded = quadrature._adaptive(f, edges, 1e-10, 10_000, samples)
+    assert seeded == fresh and seeded.converged
+    assert sum(points) == seeded.evaluations - 4 * 15
+
+
 def test_invalid_interval():
     with pytest.raises(ValueError):
         integrate_finite(lambda t: t + 0j, 1.0, 0.0, 1e-8)
@@ -332,7 +351,8 @@ def test_fourier_panel_errors_never_below_quadpack(name):
 
 
 def test_seed_phases_from_the_step_table():
-    """On compute_G's small-|s| seed mesh, 4000 panels on [-4e4, 0], the
+    """On a mesh of 4000 panels on [-4e4, 0], compute_G's small-|s| span
+    at half periods of 0.05 (its seed is half as many panels), the
     seed round's phases, a step table times each block's first row, are
     exp(-2 pi i nu m) within 1e-12.  The reference takes nu m to within
     half a cycle exactly (m times nu's leading 30 bits is exact), as
