@@ -17,9 +17,9 @@ import numpy as np
 
 from ._accel import boundary_product, interior_log_product
 from .frequency_sets import FrequencySet, sqrt_sum_diagnostic
-from .quadrature import (_XK, QuadratureResult, _fourier_mesh,
-                         _fourier_refine, fourier_coefficients,
-                         integrate_finite, integrate_left_halfline, require)
+from .quadrature import (QuadratureResult, _fourier_refine, _seed_samples,
+                         fourier_coefficients, integrate_finite,
+                         integrate_left_halfline, require)
 
 __all__ = ["BlaschkeAnnihilator", "JumpFunction", "eval_phi",
            "eval_phi_boundary", "g_l1_norm", "gamma_vanishing_residual",
@@ -158,28 +158,17 @@ def _g_abs_tail(T):
 # compute_G's small-|s| branch: |s| below _S_SMALL, on [-_T_SMALL, 0]
 _S_SMALL = 0.05
 _T_SMALL = 4.0e4
-# its seed, _fourier_mesh's (edges, nu_max): panels one period of _S_SMALL
+# its seed, _fourier_refine's (edges, nu_max): panels one period of _S_SMALL
 _SMALL_SEED = (np.array([-_T_SMALL, 0.0]), 0.5 * _S_SMALL)
-_SAMPLE_PANELS = 256
 
 
 @functools.lru_cache(maxsize=2)
 def _small_s_samples(j):
-    """Im j at the nodes of the small-|s| branch's seed panels, one row per
-    panel, read-only: compute_G's real samples of the purely imaginary jump,
-    a pure function of its annihilator (a JumpFunction hashes by value), so
-    computed once per jump; a float64 array of 2000 x 15 takes 0.24 MB."""
-    mid, half, _ = _fourier_mesh(*_SMALL_SEED)
-    x = mid[:, None] + half[:, None] * _XK
-    y = np.empty(x.shape)
-    # in blocks of panels, as fourier_coefficients samples: the jump's
-    # temporaries per point stay small
-    for p0 in range(0, x.shape[0], _SAMPLE_PANELS):
-        block = x[p0:p0 + _SAMPLE_PANELS]
-        y[p0:p0 + _SAMPLE_PANELS] = np.asarray(
-            j(block.ravel())).imag.reshape(block.shape)
-    y.flags.writeable = False
-    return y
+    """Im j on the small-|s| branch's seed, kept: compute_G's real samples
+    of the purely imaginary jump, a pure function of its annihilator (a
+    JumpFunction hashes by value), so computed once per jump; 2000 x 15
+    nodes take 0.24 MB."""
+    return _seed_samples(lambda t: j(t).imag, *_SMALL_SEED)
 
 
 def compute_G(j, s, tol=1e-6):

@@ -5,8 +5,7 @@ Subcommands:
   szego-lab validate <config.json>
   szego-lab report <manifest.json>
 
-Exit codes: 0 success, 2 configuration error, 3 tolerance failure.  The
-environment variable SZEGO_TOL overrides the default quadrature tolerance.
+Exit codes: 0 success, 2 configuration error, 3 tolerance failure.
 `validate` runs the build step of `run`, which reads every config field and
 builds the run's objects before anything is written.  A manifest is written
 (status "incomplete") before any data file and finalized with sha256
@@ -17,7 +16,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from functools import partial
@@ -453,9 +451,6 @@ def _build_experiment(config):
     cfg = _Spec(config, "")
     kind = cfg.get("kind", str, **_one_of(*_BUILDERS))
     tol = cfg.get("tol", _real, 1e-8, **_POSITIVE)
-    # SZEGO_TOL, a string when set, overrides the config's tol
-    tol = _Spec({"SZEGO_TOL": os.environ.get("SZEGO_TOL")}, "").get(
-        "SZEGO_TOL", lambda v: _real(float(v)), tol, **_POSITIVE)
     summary = {}
     run = _BUILDERS[kind](cfg, tol, summary)
     unread = list(cfg.unread())

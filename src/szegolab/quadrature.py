@@ -48,6 +48,7 @@ _MAX_ROUNDS = 80
 # (panels x frequencies) arrays and a run's step table, a third of that, a
 # block stays near 3 MB whatever the number of frequencies
 _FOURIER_BLOCK = 1 << 16
+_SAMPLE_PANELS = 256   # panels _seed_samples samples at a time
 # integrand evaluations one integral spends at most: integrate_finite and
 # integrate_left_halfline stop their adaptive loop once past it, and
 # fourier_coefficients halves no panels that would take it beyond
@@ -123,29 +124,39 @@ def _gk15(y, half):
     return vk, _scaled(np.abs(vk - vg), resasc)
 
 
-def _nodes(lo, hi):
-    """The 15 nodes of each panel [lo, hi], one row per panel."""
-    return 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _XK
-
-
-def _eval_panels(f, lo, hi, samples=None):
-    if samples is None:
-        x = _nodes(lo, hi)
-        samples = np.asarray(f(x.ravel())).reshape(x.shape)
-    y = np.asarray(samples, dtype=np.complex128)
+def _eval_panels(f, lo, hi):
+    x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _XK
+    y = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
     vk, err = _gk15(y, 0.5 * (hi - lo))
     return vk, err, y.size
 
 
-def _adaptive(f, breakpoints, tol, max_evals, samples=None):
-    """integrate_finite's loop; samples, when given, holds f at the seed
-    panels' _nodes, so f is called only on the panels split."""
-    lo = np.asarray(breakpoints[:-1], dtype=np.float64)
-    hi = np.asarray(breakpoints[1:], dtype=np.float64)
-    val, err, n = _eval_panels(f, lo, hi, samples)
-    evals = n
-    span = float(hi[-1] - lo[0])
-    min_width = 1e-14 * max(span, abs(hi[-1]), abs(lo[0]))
+def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0,
+                     max_evals=_MAX_EVALS):
+    """Adaptive integral of f over [a, b] to absolute tolerance tol.
+
+    The seed mesh has equal panels no wider than a quarter period of
+    ``omega``, the dominant frequency of an oscillatory f in cycles per
+    unit (one panel when omega is 0, at most max_evals/15), and geometric
+    points at 10^-1 .. 10^-8 of the width from each endpoint named in
+    ``singular_ends`` ('a' and/or 'b'), where f is singular or not smooth.
+    Adaptivity then takes over, and stops once past max_evals integrand
+    evaluations.
+    """
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    width = b - a
+    quarters = int(np.ceil(width * 4.0 * abs(omega)))
+    pts = []
+    if "a" in singular_ends:
+        pts += [a + width * 10.0 ** (-k) for k in range(1, 9)]
+    if "b" in singular_ends:
+        pts += [b - width * 10.0 ** (-k) for k in range(1, 9)]
+    seeds = np.linspace(a, b, max(min(quarters, max_evals // 15), 1) + 1)
+    edges = _distinct(np.concatenate([seeds, pts]))
+    lo, hi = edges[:-1], edges[1:]
+    val, err, evals = _eval_panels(f, lo, hi)
+    min_width = 1e-14 * max(width, abs(b), abs(a))
 
     for _ in range(_MAX_ROUNDS):
         total = err.sum()
@@ -176,32 +187,6 @@ def _adaptive(f, breakpoints, tol, max_evals, samples=None):
     total_err = float(err.sum())
     return QuadratureResult(complex(val[order].sum()), total_err, evals,
                             total_err <= tol)
-
-
-def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0,
-                     max_evals=_MAX_EVALS):
-    """Adaptive integral of f over [a, b] to absolute tolerance tol.
-
-    The seed mesh has equal panels no wider than a quarter period of
-    ``omega``, the dominant frequency of an oscillatory f in cycles per
-    unit (one panel when omega is 0, at most max_evals/15), and geometric
-    points at 10^-1 .. 10^-8 of the width from each endpoint named in
-    ``singular_ends`` ('a' and/or 'b'), where f is singular or not smooth.
-    Adaptivity then takes over, and stops once past max_evals integrand
-    evaluations.
-    """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    width = b - a
-    quarters = int(np.ceil(width * 4.0 * abs(omega)))
-    pts = []
-    if "a" in singular_ends:
-        pts += [a + width * 10.0 ** (-k) for k in range(1, 9)]
-    if "b" in singular_ends:
-        pts += [b - width * 10.0 ** (-k) for k in range(1, 9)]
-    seeds = np.linspace(a, b, max(min(quarters, max_evals // 15), 1) + 1)
-    return _adaptive(f, _distinct(np.concatenate([seeds, pts])), tol,
-                     max_evals)
 
 
 def integrate_left_halfline(f, decay_exponent, tol):
@@ -243,8 +228,9 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
     One composite Gauss-Kronrod 7/15 rule serves every frequency, so f is
     sampled once per node.  Each interval between consecutive breakpoints
     starts as equal panels no wider than half a period of the largest |nu|
-    (_fourier_mesh); _fourier_refine, which blaschke.compute_G also drives
-    from samples it keeps, evaluates and refines them.  On a panel with
+    (_fourier_mesh); _fourier_refine, which blaschke.compute_G and
+    deep_zero.eval_H_integral also drive from the _seed_samples they keep,
+    evaluates and refines them.  On a panel with
     midpoint m and half-width h, exp(-2 pi i nu t) is the phase
     exp(-2 pi i nu m) times the table exp(-2 pi i nu h x_j) that all panels
     of width 2h share, so each panel's error needs only the table.  Seed
@@ -294,10 +280,26 @@ def _fourier_mesh(edges, nu_max):
             [np.arange(e - n, e) for e, n in zip(np.cumsum(counts), counts)])
 
 
+def _seed_samples(f, edges, nu_max):
+    """A real f at the nodes of the seed panels _fourier_mesh(edges,
+    nu_max), one row per panel, as _fourier_refine takes them: sampled in
+    blocks of panels, so f's temporaries stay small, into a C-contiguous
+    float64 array, read-only so that a caller can keep it."""
+    mid, half, _ = _fourier_mesh(edges, nu_max)
+    y = np.empty((mid.size, _XK.size))
+    for p0 in range(0, mid.size, _SAMPLE_PANELS):
+        rows = slice(p0, p0 + _SAMPLE_PANELS)
+        x = mid[rows, None] + half[rows, None] * _XK
+        y[rows] = np.asarray(f(x.ravel())).reshape(x.shape)
+    y.flags.writeable = False
+    return y
+
+
 def _fourier_refine(f, freqs, tol, edges, nu_max, samples=None):
     """fourier_coefficients' adaptive loop from the seed panels
     _fourier_mesh(edges, nu_max).  samples, when given, holds f at their
-    nodes, mid[:, None] + half[:, None] * _XK, so the first round samples
+    nodes, as _seed_samples(f, edges, nu_max) gives them (the H kernel for
+    eval_H_integral, Im j for compute_G), so the first round samples
     nothing; the panels it splits are sampled fresh."""
     mid, half, runs = _fourier_mesh(edges, nu_max)
     share = tol / (edges[-1] - edges[0])            # of tol per unit width

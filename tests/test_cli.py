@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from szegolab import cli, deep_zero, quadrature
 from szegolab.cli import main
@@ -202,21 +202,9 @@ def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, config, field,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "validate"])
-def test_bad_env_tolerance_exits_2(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("SZEGO_TOL", "abc")
-    cfg = _write(tmp_path, "c.json", SETS_CONFIG)
-    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
-    assert main([command, cfg, *extra]) == 2
-    err = capsys.readouterr().err
-    assert "config error: SZEGO_TOL" in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
                          ids=lambda p: p.name)
-def test_shipped_config_validates(path, monkeypatch):
-    monkeypatch.delenv("SZEGO_TOL", raising=False)
+def test_shipped_config_validates(path):
     assert main(["validate", str(path)]) == 0
 
 
@@ -252,14 +240,12 @@ def _mutate(config, path, value, delete):
 
 @pytest.mark.parametrize("name", ["sets", "weights", "blaschke", "deepzero",
                                   "probe"])
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_mutated_config_exits_0_2_or_3(name, monkeypatch, data):
+def test_mutated_config_exits_0_2_or_3(name, data):
     """A config with one field deleted or replaced by any JSON value
     validates with exit 0 or 2; sets and weights, which are cheap to run,
     also run with exit 0, 2 or 3, and exit 2 exactly when validate does."""
-    monkeypatch.delenv("SZEGO_TOL", raising=False)
     config = json.loads((CONFIGS / f"{name}.json").read_text())
     path = data.draw(st.sampled_from(list(_field_paths(config))))
     _mutate(config, path, data.draw(_JSON_VALUES), data.draw(st.booleans()))
@@ -437,7 +423,6 @@ def test_unconverged_membership_exits_3(tmp_path, capsys, monkeypatch):
         return quadrature.QuadratureResult(res.value, res.abs_error_estimate,
                                            res.evaluations, False)
 
-    monkeypatch.delenv("SZEGO_TOL", raising=False)
     monkeypatch.setattr(deep_zero, "integrate_finite", unconverged)
     out = tmp_path / "out"
     assert main(["run", str(CONFIGS / "probe.json"), "--out", str(out)]) == 3
@@ -609,15 +594,6 @@ def test_manifest_written_before_data(tmp_path):
     out = tmp_path / "out"
     main(["run", cfg, "--out", str(out)])
     assert (out / "manifest.json").exists()
-
-
-def test_env_tolerance_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("SZEGO_TOL", "1e-5")
-    cfg = _write(tmp_path, "c.json", SETS_CONFIG)
-    out = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["tolerance"] == 1e-5
 
 
 def test_csv_determinism(tmp_path):

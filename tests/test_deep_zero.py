@@ -104,7 +104,8 @@ def _eval_h_loop(z):
     Re z and u = s z, h(z) = s e^{i pi z} K(u), where K(u) is
     sin(pi u)/(cos(pi r/2) cosh(pi r/2)), r = sqrt(u), or within
     SINGULARITY_DELTA of the nearest odd square k^2 the local rule
-    4k (-1)^((k-1)/2) (1 + (u - k^2)/(4k^2)) / cosh(pi r/2)."""
+    4k (-1)^((k-1)/2) (1 + e/(4k^2) + c2 e^2) / cosh(pi r/2), e = u - k^2,
+    c2 = -pi^2 (16k^2 - 1)/(96k^2) - 1/(16k^4)."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     out = np.empty(z.shape, dtype=np.complex128)
     for i, zi in enumerate(z):
@@ -115,7 +116,10 @@ def _eval_h_loop(z):
         if abs(u - n0) < SINGULARITY_DELTA:
             k = math.isqrt(n0)
             lim = (4.0 if k % 4 == 1 else -4.0) * k
-            kernel = lim * (1.0 + (u - n0) / (4.0 * n0)) / ch
+            c2 = (-np.pi ** 2 * (16 * n0 - 1) / (96 * n0)
+                  - 1 / (16 * n0 * n0))
+            e = u - n0
+            kernel = lim * (1.0 + e / (4.0 * n0) + c2 * (e * e)) / ch
         else:
             kernel = np.sin(np.pi * u) / (np.cos(0.5 * np.pi * r) * ch)
         val = np.exp(1j * np.pi * zi) * kernel
@@ -226,15 +230,14 @@ def test_eval_h_complex_path_matches_mpmath():
 
 
 def test_eval_h_local_rule_within_its_second_order_bound():
-    """Within SINGULARITY_DELTA of +-k^2, k odd, eval_h takes the first
+    """Within SINGULARITY_DELTA of +-k^2, k odd, eval_h takes the second
     order of sin(pi u)/F(u) about k^2.  With e = u - k^2 that quotient is
-    L (1 + e/(4k^2) + c2 e^2 + O(e^3)), c2 = -pi^2/6 + pi^2/(96k^2)
-    - 1/(16k^4) (from sin(pi e) and the Taylor series of sqrt(k^2 + e)),
-    and |c2| < pi^2/6 for every odd k.  So |eval_h - h| is at most
-    (pi^2/6)|e|^2 |h|, times 1.01 for the O(e^3) terms and for
-    1/|1 + e/(4k^2)|, plus 1e-13 max(|h|, 1) of rounding.  The error is
-    the dropped term: at least 0.9 of (pi^2/6)|e|^2 |h| at every point,
-    which the raw quotient's rounding error (about 2k^2 eps/|e|) is not."""
+    L (1 + e/(4k^2) + c2 e^2 + c3 e^3 + O(e^4)), c2 = -pi^2/6
+    + pi^2/(96k^2) - 1/(16k^4) (from sin(pi e) and the Taylor series of
+    sqrt(k^2 + e)), and |c3| is at most 0.406 (k = 1) and falls with k
+    (0.046 at k = 3, a sympy series).  So |eval_h - h| is at most
+    0.41 |e|^3 |h|, times 1.01 for the O(e^4) terms and for
+    1/|1 + e/(4k^2) + c2 e^2|, plus 1e-13 max(|h|, 1) of rounding."""
     rng = np.random.default_rng(29)
     k2 = (2.0 * np.arange(8) + 1.0) ** 2
     e = SINGULARITY_DELTA * np.array([0.3, 0.7, 0.99])[:, None] * np.exp(
@@ -243,10 +246,9 @@ def test_eval_h_local_rule_within_its_second_order_bound():
     got = eval_h(z)
     ref = np.array([_h_mpmath(v) for v in z])
     size = np.abs(np.concatenate([e.ravel(), e.ravel()]))
-    drop = math.pi ** 2 / 6 * size ** 2 * np.abs(ref)
     err = np.abs(got - ref)
-    assert np.all(err <= 1.01 * drop + 1e-13 * np.maximum(np.abs(ref), 1.0))
-    assert np.all(err >= 0.9 * drop)
+    assert np.all(err <= 1.01 * 0.41 * size ** 3 * np.abs(ref)
+                  + 1e-13 * np.maximum(np.abs(ref), 1.0))
 
 
 def test_coefficients_quiet_and_finite_for_large_M():

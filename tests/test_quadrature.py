@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import szegolab.quadrature as quadrature
+from szegolab import blaschke, deep_zero
 from szegolab.blaschke import BlaschkeAnnihilator, JumpFunction
 from szegolab.frequency_sets import gen_power_set
 from szegolab.quadrature import (_WG, _WK, _XK, QuadratureResult,
@@ -169,23 +170,84 @@ def test_determinism():
     assert r1.abs_error_estimate == r2.abs_error_estimate
 
 
-def test_adaptive_from_samples_samples_only_the_split_panels():
-    """Samples of f at the seed panels' nodes give the result that sampling
-    f gives, bit for bit, and f is called only on the panels split."""
-    points = []
+class _Counting:
+    """f, counting the points it is sampled at."""
 
-    def f(t):
-        points.append(t.size)
-        return np.exp(-t * t) * np.cos(10 * t)
+    def __init__(self, f):
+        self.f, self.points = f, 0
 
-    edges = np.linspace(-3.0, 3.0, 5)
-    fresh = quadrature._adaptive(f, edges, 1e-10, 10_000)
-    assert sum(points) == fresh.evaluations > 4 * 15
-    samples = f(quadrature._nodes(edges[:-1], edges[1:]))
-    points.clear()
-    seeded = quadrature._adaptive(f, edges, 1e-10, 10_000, samples)
-    assert seeded == fresh and seeded.converged
-    assert sum(points) == seeded.evaluations - 4 * 15
+    def __call__(self, t):
+        self.points += np.size(t)
+        return self.f(t)
+
+
+def _kept_sample_cases():
+    """(f, frequencies, tol, edges, nu_max) of the two routes that keep
+    samples: the H kernel at t = 0.1 and t = 1.3 as eval_H_integral takes
+    it at tol 1e-14, where both split panels, and Im j of the cubes' jump
+    on compute_G's small-|s| seed at tol 5e-5."""
+    X = deep_zero._h_cut(1e-14)
+    tol = 0.5 * (1e-14 - deep_zero._h_abs_tail(X))
+    jump = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 50)))
+    s = np.array([0.0, 0.02, -0.04])
+    return [(deep_zero._sin_over_FF, np.array([0.5 - t]), tol,
+             np.array([0.0, X]), max(abs(t), abs(1.0 - t), 1.0))
+            for t in (0.1, 1.3)] + [
+        (lambda u: jump(u).imag, -s, 5e-5, *blaschke._SMALL_SEED)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["H0.1", "H1.3", "G"])
+def test_fourier_refine_from_seed_samples_samples_only_the_split_panels(
+        case):
+    """_fourier_refine fed _seed_samples gives the result that sampling f
+    gives, bit for bit, and calls f only on the panels it splits; the kept
+    samples are a C-contiguous float64 array that cannot be written."""
+    f, freqs, tol, edges, nu_max = _kept_sample_cases()[case]
+    spy = _Counting(f)
+    fresh = quadrature._fourier_refine(spy, freqs, tol, edges, nu_max)
+    assert spy.points == fresh.evaluations
+    samples = quadrature._seed_samples(f, edges, nu_max)
+    assert samples.dtype == np.float64 and samples.shape[1] == 15
+    assert samples.flags.c_contiguous and not samples.flags.writeable
+    spy.points = 0
+    seeded = quadrature._fourier_refine(spy, freqs, tol, edges, nu_max,
+                                        samples)
+    for got, want in ((seeded.value, fresh.value),
+                      (seeded.abs_error_estimate, fresh.abs_error_estimate)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert (seeded.evaluations, seeded.converged) == (fresh.evaluations,
+                                                      fresh.converged)
+    assert 0 < spy.points == seeded.evaluations - samples.size
+
+
+# the node layout's private names: only quadrature may use them
+NODE_LAYOUT = {"_XK", "_nodes", "_fourier_mesh", "_eval_panels", "_adaptive"}
+
+
+def node_layout_importers(package_dir):
+    """Modules of the package, quadrature aside, that import one of
+    quadrature's node-layout names, as "module:name"."""
+    found = []
+    for path in sorted(Path(package_dir).glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "quadrature"):
+                found += [f"{path.stem}:{alias.name}" for alias in node.names
+                          if alias.name in NODE_LAYOUT]
+    return found
+
+
+def test_only_quadrature_knows_the_node_layout(tmp_path):
+    """No module but quadrature imports the nodes or the panel loops, so
+    a kept table is always quadrature's own _seed_samples; the check finds
+    a planted import."""
+    assert node_layout_importers(Path(quadrature.__file__).parent) == []
+    (tmp_path / "planted.py").write_text(
+        "from .quadrature import _XK, _fourier_refine\n"
+        "from szegolab.quadrature import _nodes\n", encoding="utf-8")
+    assert node_layout_importers(tmp_path) == ["planted:_XK", "planted:_nodes"]
 
 
 def test_invalid_interval():
