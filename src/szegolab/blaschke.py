@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import boundary_product, interior_log_product
 from .frequency_sets import FrequencySet, sqrt_sum_diagnostic
 from .quadrature import (QuadratureResult, _fourier_refine, _seed_samples,
                          fourier_coefficients, integrate_finite,
@@ -25,6 +24,8 @@ __all__ = ["BlaschkeAnnihilator", "JumpFunction", "eval_phi",
            "eval_phi_boundary", "g_l1_norm", "gamma_vanishing_residual",
            "cauchy_identity_residual", "compute_G",
            "convolution_identity_residual"]
+
+_PHASE_BLOCK = 1 << 17        # entries of one (points x gammas) arctan block
 
 
 @dataclass(frozen=True)
@@ -51,15 +52,37 @@ class BlaschkeAnnihilator:
     def retained(self):
         return self.gamma.array[: self.K]
 
-    @property
-    def dropped_sqrt_sum(self):
-        arr = self.gamma.array[self.K:]
-        return float(np.sum(1.0 / np.sqrt(arr))) if arr.size else 0.0
-
     def tail_bound(self, z):
         """Bound on the dropped log-product: 2*sqrt|z| * sum over dropped
         gamma of gamma^(-1/2)."""
-        return 2.0 * math.sqrt(abs(z)) * self.dropped_sqrt_sum
+        dropped = float(np.sum(1.0 / np.sqrt(self.gamma.array[self.K:])))
+        return 2.0 * math.sqrt(abs(z)) * dropped
+
+
+def boundary_product(tau, gammas):
+    """phi_+ on the slit: tau^2/(1+i sqrt(tau))^8 * prod (1-i r)/(1+i r).
+
+    tau = |t| for t <= 0; the prefactor is the limit of z^2/(1+sqrt z)^8
+    from the upper side, where z^2 -> t^2 > 0.  It is evaluated in phase
+    form: (1+i sqrt(tau))^8 = (1+tau)^4 exp(8i arctan sqrt(tau)), and each
+    factor, with r = sqrt(tau/g), is exp(-2i arctan r), so
+    phi_+ = tau^2/(1+tau)^4 * exp(-i(8 arctan sqrt(tau) + 2 sum arctan r)):
+    real arctangents, summed in blocks of points that stay in cache, and
+    one complex exponential per point.
+    """
+    tau = np.ascontiguousarray(tau, dtype=np.float64)
+    inv_root = 1.0 / np.sqrt(np.ascontiguousarray(gammas, dtype=np.float64))
+    root = np.sqrt(tau)
+    arcs = np.zeros(tau.size)
+    rows = max(1, _PHASE_BLOCK // max(inv_root.size, 1))
+    buf = np.empty((min(rows, tau.size), inv_root.size))
+    for lo in range(0, tau.size, rows):
+        block = buf[:min(rows, tau.size - lo)]
+        np.multiply.outer(root[lo:lo + rows], inv_root, out=block)
+        np.arctan(block, out=block)
+        block.sum(axis=1, out=arcs[lo:lo + rows])
+    phase = 8.0 * np.arctan(root) + 2.0 * arcs
+    return (tau * tau) / (1.0 + tau) ** 4 * np.exp(-1j * phase)
 
 
 @dataclass(frozen=True)
@@ -84,7 +107,8 @@ class JumpFunction:
 
 
 def eval_phi(ann, z):
-    """phi at points of the slit plane.
+    """phi at points of the slit plane, from the sum of log((1-r)/(1+r)),
+    r = sqrt(z/g), over the retained g; where some 1 - r is 0, phi is 0.
 
     Returns (values, multiplicative_error_bound); the bound is
     exp(tail) - 1 for the dropped-factor tail at the largest |z| queried.
@@ -97,9 +121,12 @@ def eval_phi(ann, z):
                          "use eval_phi_boundary on the slit")
     sz = np.sqrt(z)
     pref = z * z / (1.0 + sz) ** 8
-    logs = interior_log_product(z, ann.retained) if ann.K else np.zeros_like(z)
+    r = np.sqrt(z[:, None] / ann.retained)
+    num = 1.0 - r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(num / (1.0 + r)).sum(axis=1)
     vals = pref * np.exp(logs)
-    vals[np.isneginf(logs.real)] = 0.0
+    vals[np.any(num == 0, axis=1)] = 0.0
     bound = math.expm1(ann.tail_bound(float(np.max(np.abs(z)))))
     return (vals[0] if scalar else vals), bound
 

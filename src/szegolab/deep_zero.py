@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import sine_series
 from .quadrature import (_MAX_EVALS, QuadratureResult, _fourier_refine,
                          _seed_samples, integrate_finite, require)
 
@@ -28,6 +27,7 @@ __all__ = ["SINGULARITY_DELTA", "ENVELOPE_GRID", "eval_F", "eval_h",
 
 SINGULARITY_DELTA = 1e-4   # radius of the local-quotient rule
 _GROWTH_GRID = 256         # samples of membership_check's blow-up test
+_SINE_BLOCK_ROWS = 1 << 15  # rows of t per block of eval_H_series
 # decay-fit grid, uniform in 1/t, of membership_check and the companion weight
 ENVELOPE_GRID = tuple(1.0 / np.linspace(5.0, 50.0, 20))
 
@@ -134,10 +134,20 @@ class DeepZeroSeries:
 
 
 def eval_H_series(series, t):
-    """Series value at t (purely imaginary for real t); periodic, period 1."""
+    """Series value at t (purely imaginary for real t); periodic, period 1.
+    Each point's terms are summed along its own row, in blocks of rows of
+    t, so its value does not depend on the other points of the call."""
     t = np.asarray(t, dtype=np.float64)
     scalar = t.ndim == 0
-    vals = 2j * sine_series(np.atleast_1d(t), series.coeffs, series.freqs)
+    t = np.atleast_1d(t)
+    out = np.empty(t.size, dtype=np.float64)
+    for lo in range(0, t.size, _SINE_BLOCK_ROWS):
+        hi = lo + _SINE_BLOCK_ROWS
+        ph = np.multiply.outer(2.0 * np.pi * t[lo:hi], series.freqs)
+        np.sin(ph, out=ph)
+        ph *= series.coeffs
+        ph.sum(axis=1, out=out[lo:hi])
+    vals = 2j * out
     return vals[0] if scalar else vals
 
 

@@ -1,8 +1,9 @@
 """Removed-frequency sets: power-law and interval-block generators plus
 sparsity/counting diagnostics.
 
-A set here is always a finite increasing list of positive frequencies
-together with generator metadata; analytic tail estimates attached to the
+A set here stores a finite increasing list of positive frequencies with
+generator metadata.  A power set stands for its whole infinite set, which
+complement_in_range removes; analytic tail estimates attached to the
 generator are what turn finite partial sums into certified verdicts.
 """
 
@@ -53,17 +54,6 @@ class FrequencySet:
     @property
     def array(self):
         return np.asarray(self.elements, dtype=np.float64)
-
-    def sqrt_sum_tail(self):
-        """Analytic bound on sum of gamma^(-1/2) past the generated range.
-
-        Available for power generators with rho > 2 (integral comparison);
-        None means no certified tail.
-        """
-        if self.rho is not None and self.rho > 2:
-            k = self.count_limit
-            return k ** (1.0 - self.rho / 2.0) / (self.rho / 2.0 - 1.0)
-        return None
 
     def to_text(self):
         lines = [f"# generator: {self.generator}"]
@@ -137,11 +127,12 @@ def sqrt_sum_diagnostic(fset):
         + [arr.size]))
     partial = [(int(k), float(sums[k - 1])) for k in checkpoints]
 
-    tail = fset.sqrt_sum_tail()
-    if tail is not None:
+    rho = fset.rho
+    if rho is not None and rho > 2:
+        tail = fset.count_limit ** (1.0 - rho / 2.0) / (rho / 2.0 - 1.0)
         return SparsityReport(partial, tail, "converges",
                               note="integral comparison tail bound")
-    if fset.rho is not None and fset.rho <= 2:
+    if rho is not None:
         # floor(k^rho) <= k^rho, so 1/sqrt(floor(k^rho)) >= k^(-rho/2) and
         # the minorant sum k^(-rho/2) diverges for rho <= 2.
         return SparsityReport(partial, None, "diverges",
@@ -194,11 +185,16 @@ def thin_to_condition_B(fset, C):
 
 
 def complement_in_range(fset, N):
-    """Sorted integers in [1, N] not in the set, which holds integers."""
+    """Sorted integers in [1, N] not in the set, which holds integers.  A
+    power set is all of {floor(k^rho) : k >= 1}, past count_limit too."""
     if N < 1:
         raise ValueError("N must be >= 1")
     fraction = next((e for e in fset.elements if not e.is_integer()), None)
     if fraction is not None:
         raise ValueError(f"frequencies must be integers, got {fraction!r}")
     removed = {int(e) for e in fset.elements}
+    k = fset.count_limit + 1
+    while fset.rho is not None and (v := math.floor(k ** fset.rho)) <= N:
+        removed.add(v)
+        k += 1
     return [n for n in range(1, N + 1) if n not in removed]

@@ -111,24 +111,17 @@ def _rescale(raw, resasc):
     return resasc
 
 
-def _gk15(y, half):
-    """Kronrod values and error estimates of panels sampled at the 15 nodes.
-
-    ``y`` holds the samples on its last axis; ``half`` is the panel
-    half-width, broadcast against the other axes.
-    """
+def _eval_panels(f, lo, hi):
+    """Kronrod values, error estimates and sample count of f on the panels
+    [lo, hi], each sampled at the 15 nodes."""
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi)[:, None] + half[:, None] * _XK
+    y = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
     vk = np.einsum("...j,j->...", y, _WK) * half
     vg = np.einsum("...j,j->...", y[..., 1::2], _WG) * half
     mean = vk / (2.0 * half)
     resasc = np.einsum("...j,j->...", np.abs(y - mean[..., None]), _WK) * half
-    return vk, _scaled(np.abs(vk - vg), resasc)
-
-
-def _eval_panels(f, lo, hi):
-    x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _XK
-    y = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
-    vk, err = _gk15(y, 0.5 * (hi - lo))
-    return vk, err, y.size
+    return vk, _scaled(np.abs(vk - vg), resasc), y.size
 
 
 def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0,

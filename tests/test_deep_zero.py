@@ -281,6 +281,45 @@ def test_H_series_basic_identities(s20):
     assert abs(v.real) < 1e-13  # purely imaginary on the real line
 
 
+def _sine_sum(t, coeffs, freqs):
+    """sum_k coeffs[k] sin(2 pi freqs[k] t) through eval_H_series."""
+    series = DeepZeroSeries(0, coeffs.size - 1, coeffs, freqs, 0.0)
+    return (eval_H_series(series, t) / 2j).real
+
+
+def test_sine_series_blocks_match_one_shot_product():
+    """The blocked sum equals the one-shot (points x terms) row sum bit
+    for bit: with a block count that is not whole, on no points, and where
+    the last block holds one row."""
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=21)
+    freqs = (2.0 * np.arange(21) + 1.0) ** 2
+    for n in (100003, 0, deep_zero._SINE_BLOCK_ROWS + 1):
+        t = rng.uniform(0.0, 1.0, n)
+        ref = (np.sin(2.0 * np.pi * t[:, None] * freqs[None, :])
+               * coeffs).sum(axis=1)
+        got = _sine_sum(t, coeffs, freqs)
+        assert got.shape == ref.shape == (n,)
+        assert np.array_equal(got, ref), n
+
+
+def test_sine_series_value_does_not_depend_on_the_batch():
+    """A point's value has the same bits alone, in a shifted batch and in
+    any split of the batch, for short and long series."""
+    rng = np.random.default_rng(9)
+    t = rng.uniform(0.0, 1.0, 70001)
+    for M in (7, 20, 40):
+        coeffs = rng.normal(size=M + 1)
+        freqs = (2.0 * np.arange(M + 1) + 1.0) ** 2
+        full = _sine_sum(t, coeffs, freqs)
+        for i in (0, 1, 2, 12345, 70000):
+            assert _sine_sum(t[i:i + 1], coeffs, freqs)[0] == full[i]
+        assert np.array_equal(_sine_sum(t[3:], coeffs, freqs), full[3:])
+        parts = [_sine_sum(t[lo:hi], coeffs, freqs)
+                 for lo, hi in ((0, 1), (1, 3), (3, 8), (8, t.size))]
+        assert np.array_equal(np.concatenate(parts), full)
+
+
 def test_H_two_route_agreement(s20):
     for t in (0.1, 0.5, 0.9):
         series_val = eval_H_series(s20, t)

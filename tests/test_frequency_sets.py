@@ -145,6 +145,14 @@ def test_complement_examples():
         n for n in range(1, 31) if n not in (1, 8, 27)]
 
 
+def test_complement_removes_a_power_set_past_its_count():
+    """The cubes stored to count 3 are {1, 8, 27}; 64 and 125 lie below
+    N = 200 all the same."""
+    comp = complement_in_range(gen_power_set(3, 3), 200)
+    assert 64 not in comp and 125 not in comp
+    assert comp == complement_in_range(gen_power_set(3, 5), 200)
+
+
 def test_complement_refuses_fractional_frequencies():
     """Nothing in [1, N] equals 2.5 or 3.7, so skipping them would remove
     nothing without a word."""
@@ -175,6 +183,8 @@ def test_invariants_rejected():
 def test_complement_partition(rho, count, N):
     s = gen_power_set(rho, count)
     comp = complement_in_range(s, N)
-    inside = {int(e) for e in s.elements if e <= N}
+    # the whole power set, past count too
+    inside = {v for v in (math.floor(k ** rho) for k in range(1, N + 1))
+              if v <= N}
     assert set(comp) | inside == set(range(1, N + 1))
     assert set(comp) & inside == set()

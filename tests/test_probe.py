@@ -212,6 +212,17 @@ def test_residual_curve_requires_increasing_N(companion):
         residual_curve(cfg, [50, 50])
 
 
+def test_residual_curve_removes_a_power_set_past_its_count():
+    """Cubes stored to count 3 or 5 are the same set to the probe: 64 and
+    125 leave the span at N = 200 either way."""
+    weight = make_exp_weight(1.0)
+    curves = [residual_curve(ProbeConfig(weight=weight,
+                                         gamma=gen_power_set(3, count),
+                                         target=TrigPolyTarget({0: 1.0})),
+                             [50, 200]).records for count in (3, 5)]
+    assert curves[0] == curves[1]
+
+
 @pytest.mark.parametrize("rho, count, target, N_list", [
     (2, 100, "annihilator", [50, 100]),
     (3, 50, {2: 1.0, 3: 0.5, 5: 0.25}, [20, 40, 80]),
