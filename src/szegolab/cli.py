@@ -349,12 +349,11 @@ def _run_blaschke(j, t_scan, z_points, identity_tol, cauchy_tol, out,
                   summary):
     ann = j.annihilator
     pp = eval_phi_boundary(ann, t_scan)
-    g = j(t_scan)
     bound = j.envelope(t_scan)
     files = [_write_csv(out / "boundary_scan.csv",
                         ["t", "re_phi_plus", "im_phi_plus", "abs_g", "bound"],
-                        [(t, p.real, p.imag, abs(gv), b)
-                         for t, p, gv, b in zip(t_scan, pp, g, bound)])]
+                        [(t, p.real, p.imag, 2.0 * abs(p.imag), b)
+                         for t, p, b in zip(t_scan, pp, bound)])]
     rows = [(x, y, cauchy_identity_residual(ann, j, complex(x, y), cauchy_tol))
             for x, y in z_points]
     files.append(_write_csv(out / "identity_scan.csv",

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (_MAX_EVALS, QuadratureResult, _fourier_refine,
-                         _seed_samples, integrate_finite, require)
+from .quadrature import (QuadratureResult, _fourier_refine, _seed_samples,
+                         integrate_finite, require)
 
 __all__ = ["SINGULARITY_DELTA", "ENVELOPE_GRID", "eval_F", "eval_h",
            "series_coefficients", "DeepZeroSeries", "eval_H_series",
@@ -188,19 +188,18 @@ def eval_H_integral(t, tol=1e-8):
     orientation fixed by eval_H_series).  h(-x) = -conj h(x) folds it onto
     the half-line: -2i times the real integral of sin(pi (1 - 2t) x) K(x)
     over [0, X], K(x) = sin(pi x)/(F(x) F(-x)), which is minus the
-    imaginary part of K's Fourier coefficient at nu = 1/2 - t.  Its seed
-    panels are half periods of max(|t|, |1 - t|, 1), at most _MAX_EVALS/15
-    of them: every t in [0, 1] shares one mesh of 2X panels, on which K
-    comes from _kernel_table, so a call samples K only on the panels it
-    splits.  X is the smallest integer from 200 up whose analytic |h| tail
-    beyond X is at most tol/2; the quadrature gets the rest of tol, and
-    converged means that the total error, tail included, is within tol."""
+    imaginary part of K's Fourier coefficient at nu = 1/2 - t.  Its seed panels
+    are half periods of max(|t|, |1 - t|, 1): every t in [0, 1] shares one mesh
+    of 2X panels, on which K comes from _kernel_table, so a call samples only
+    the panels it splits.  X is the smallest integer from 200 up whose analytic
+    |h| tail beyond X is at most tol/2; the quadrature gets the rest of tol,
+    and converged means that the total error, tail included, is within tol."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     t = float(t)
     X = _h_cut(tol)
     tail = _h_abs_tail(X)
-    nu_max = min(max(abs(t), abs(1.0 - t), 1.0), _MAX_EVALS // 15 / (2 * X))
+    nu_max = max(abs(t), abs(1.0 - t), 1.0)
     res = _fourier_refine(_sin_over_FF, np.array([0.5 - t]),
                           0.5 * (tol - tail), np.array([0.0, X]), nu_max,
                           _kernel_table(X, nu_max))
@@ -214,8 +213,6 @@ class DecayFit:
     c1: float
     c2: float
     correlation: float
-    n_used: int
-    abscissa: str = "inv_t"
 
 
 def decay_fit(series, t_grid, abscissa="inv_t"):
@@ -236,8 +233,7 @@ def decay_fit(series, t_grid, abscissa="inv_t"):
     A = np.vstack([x, np.ones_like(x)]).T
     (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
     corr = float(np.corrcoef(x, y)[0, 1])
-    return DecayFit(c1=float(np.exp(intercept)), c2=float(-slope),
-                    correlation=corr, n_used=int(keep.sum()), abscissa=abscissa)
+    return DecayFit(float(np.exp(intercept)), float(-slope), corr)
 
 
 def membership_check(series, w, tol=1e-8):

@@ -8,7 +8,7 @@ generator are what turn finite partial sums into certified verdicts.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -172,10 +172,8 @@ def thin_to_condition_B(fset, C):
     if fset.rho is None:
         raise ValueError("thinning requires a power-generated set")
     if fset.rho > 2:
-        out = FrequencySet(fset.elements,
-                           generator=fset.generator + " (no-op: rho>2 already sparse)",
-                           count_limit=fset.count_limit, rho=fset.rho)
-        return out
+        return replace(
+            fset, generator=fset.generator + " (no-op: rho>2 already sparse)")
     keep = {math.floor(p ** fset.rho) for p in primes_upto(fset.count_limit)}
     elems = tuple(e for e in fset.elements if e in keep)
     return FrequencySet(

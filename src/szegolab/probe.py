@@ -46,7 +46,7 @@ import numpy as np
 
 from .deep_zero import membership_check
 from .frequency_sets import complement_in_range
-from .quadrature import _distinct, fourier_coefficients
+from .quadrature import fourier_coefficients
 
 __all__ = ["weight_fourier_coeff", "weight_fourier_coeffs", "gram_matrix",
            "TrigPolyTarget", "AnnihilatorTarget", "weighted_residual",
@@ -102,7 +102,7 @@ def gram_matrix(freqs, w, tol=1e-12):
     G[m][n] = <e_n, e_m>_w = w-hat(f_m - f_n), indexed from one coefficient
     vector."""
     f = np.array(list(freqs), dtype=np.int64)
-    if _distinct(f).size != f.size:
+    if len(set(f)) != f.size:
         raise ValueError("frequencies must be distinct")
     what = weight_fourier_coeffs(w, np.ptp(f) if f.size else 0, tol)
     return _at_lags(what, f[:, None] - f[None, :])

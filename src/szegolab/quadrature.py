@@ -220,10 +220,10 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
 
     One composite Gauss-Kronrod 7/15 rule serves every frequency, so f is
     sampled once per node.  Each interval between consecutive breakpoints
-    starts as equal panels no wider than half a period of the largest |nu|
-    (_fourier_mesh); _fourier_refine, which blaschke.compute_G and
-    deep_zero.eval_H_integral also drive from the _seed_samples they keep,
-    evaluates and refines them.  On a panel with
+    starts as equal panels no wider than half a period of the largest |nu|,
+    capped at _MAX_EVALS/15 panels in all (_fourier_mesh); _fourier_refine,
+    which blaschke.compute_G and deep_zero.eval_H_integral also drive from
+    the _seed_samples they keep, evaluates and refines them.  On a panel with
     midpoint m and half-width h, exp(-2 pi i nu t) is the phase
     exp(-2 pi i nu m) times the table exp(-2 pi i nu h x_j) that all panels
     of width 2h share, so each panel's error needs only the table.  Seed
@@ -263,9 +263,11 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
 
 def _fourier_mesh(edges, nu_max):
     """Midpoints, half-widths and runs of the seed panels: each interval
-    between consecutive edges in equal panels no wider than half a period
-    of nu_max (one panel when nu_max is 0), its panels' indices one run."""
+    between edges in equal panels no wider than half a period of nu_max, or
+    _MAX_EVALS/15 panels over the span if fewer (ceil adds at most one per
+    interval), one panel at nu_max 0, its panels' indices one run."""
     widths = np.diff(edges)
+    nu_max = min(nu_max, _MAX_EVALS // _XK.size / (2 * (edges[-1] - edges[0])))
     counts = np.maximum(np.ceil(widths * 2 * nu_max), 1).astype(np.int64)
     mid = np.concatenate([a + h * (2.0 * np.arange(n) + 1.0) for a, h, n
                           in zip(edges[:-1], 0.5 * widths / counts, counts)])

@@ -1,0 +1,41 @@
+import ast
+from pathlib import Path
+
+import szegolab
+
+
+def undeclared_exports(package_dir):
+    """Names in a module's __all__ that the module does not bind at its top
+    level by a def, a class or an assignment (an import only re-exports a
+    name declared elsewhere), as "module:name"."""
+    found = []
+    for path in sorted(Path(package_dir).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound, exported = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = {n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)}
+                bound |= names
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+        found += [f"{path.stem}:{name}" for name in exported
+                  if name not in bound]
+    return found
+
+
+def test_each_public_name_is_declared_once(tmp_path):
+    """Every module's __all__ lists only names the module itself declares,
+    so a public name is imported from the one module that defines it; the
+    check finds a planted re-export."""
+    assert undeclared_exports(Path(szegolab.__file__).parent) == []
+    (tmp_path / "planted.py").write_text(
+        "from .quadrature import integrate_finite\n"
+        "LIMIT = 1\n"
+        "__all__ = ['LIMIT', 'integrate_finite']\n", encoding="utf-8")
+    assert undeclared_exports(tmp_path) == ["planted:integrate_finite"]

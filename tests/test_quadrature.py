@@ -221,7 +221,8 @@ def test_fourier_refine_from_seed_samples_samples_only_the_split_panels(
 
 
 # the node layout's private names: only quadrature may use them
-NODE_LAYOUT = {"_XK", "_nodes", "_fourier_mesh", "_eval_panels", "_adaptive"}
+NODE_LAYOUT = {"_XK", "_nodes", "_fourier_mesh", "_eval_panels", "_adaptive",
+               "_MAX_EVALS", "_distinct"}
 
 
 def node_layout_importers(package_dir):
@@ -248,6 +249,16 @@ def test_only_quadrature_knows_the_node_layout(tmp_path):
         "from .quadrature import _XK, _fourier_refine\n"
         "from szegolab.quadrature import _nodes\n", encoding="utf-8")
     assert node_layout_importers(tmp_path) == ["planted:_XK", "planted:_nodes"]
+
+
+def test_fourier_seed_round_keeps_to_the_evaluation_budget(monkeypatch):
+    """The seed mesh holds at most _MAX_EVALS/15 panels, so even the first
+    round stays within the budget: 21 frequencies on [0, 1] would seed 40
+    half-period panels, 600 nodes, against a budget of 150."""
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 150)
+    res = fourier_coefficients(lambda t: np.exp(-1 / np.maximum(t, 1e-300)),
+                               np.arange(21), 1e-12)
+    assert res.evaluations <= 150
 
 
 def test_invalid_interval():
