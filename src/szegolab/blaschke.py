@@ -33,19 +33,16 @@ class BlaschkeAnnihilator:
     """Truncated product z^2/(1+sqrt z)^8 * prod (1-sqrt(z/g))/(1+sqrt(z/g))."""
 
     gamma: FrequencySet
-    K: int
+    K: int | None = None
 
-    def __init__(self, gamma, K=None):
-        if len(gamma) > 0:
-            report = sqrt_sum_diagnostic(gamma)
-            if report.verdict == "diverges":
-                raise ValueError(
-                    "frequency set has divergent sqrt-sum; product would not converge")
-        if K is None:
-            K = len(gamma)
-        if not 0 <= K <= len(gamma):
-            raise ValueError(f"K must lie in [0, {len(gamma)}]")
-        object.__setattr__(self, "gamma", gamma)
+    def __post_init__(self):
+        n = len(self.gamma)
+        if n > 0 and sqrt_sum_diagnostic(self.gamma).verdict == "diverges":
+            raise ValueError(
+                "frequency set has divergent sqrt-sum; product would not converge")
+        K = n if self.K is None else self.K
+        if not 0 <= K <= n:
+            raise ValueError(f"K must lie in [0, {n}]")
         object.__setattr__(self, "K", int(K))
 
     @property

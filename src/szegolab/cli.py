@@ -213,8 +213,7 @@ def _frequency_set(spec):
                      spec.get("lengths", **integers))
     else:
         elements = spec.get("elements", **numbers)
-        fset = _make(spec.field("elements"), FrequencySet, tuple(elements),
-                     "explicit", len(elements))
+        fset = _make(spec.field("elements"), FrequencySet, tuple(elements))
     if not len(fset):
         raise ConfigError(f"{spec.path} is empty")
     return fset

@@ -2,13 +2,14 @@
 sparsity/counting diagnostics.
 
 A set here stores a finite increasing list of positive frequencies with
-generator metadata.  A power set stands for its whole infinite set, which
+generator metadata.  A power set stores its first `count` elements, so its
+len is its count, and stands for its whole infinite set, which
 complement_in_range removes; analytic tail estimates attached to the
 generator are what turn finite partial sums into certified verdicts.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,14 +37,13 @@ class FrequencySet:
 
     elements: tuple
     generator: str = "explicit"
-    count_limit: int = 0
     # generator parameters, populated by the constructors below
     rho: float | None = None
 
     def __post_init__(self):
         elems = tuple(float(e) for e in self.elements)
-        if any(e <= 0 for e in elems):
-            raise ValueError("all frequencies must be positive")
+        if not all(0 < e < math.inf for e in elems):
+            raise ValueError("all frequencies must be positive and finite")
         if any(b <= a for a, b in zip(elems, elems[1:])):
             raise ValueError("frequencies must be strictly increasing")
         object.__setattr__(self, "elements", elems)
@@ -73,20 +73,23 @@ class SparsityReport:
 
 @dataclass
 class ConditionBReport:
-    points: list = field(default_factory=list)  # (x, count, bound, ok)
-    passed: bool = True
+    points: list  # (x, count, bound, ok)
+
+    @property
+    def passed(self):
+        return all(ok for *_, ok in self.points)
 
 
 def gen_power_set(rho, count):
-    """{floor(k^rho) : 1 <= k <= count}, duplicates removed."""
+    """{floor(k^rho) : 1 <= k <= count}, in k order: for rho > 1 the
+    values are distinct, as (k+1)^rho - k^rho > 1."""
     if rho <= 1:
         raise ValueError("rho must exceed 1 for a uniformly discrete set")
     if count < 1:
         raise ValueError("count must be positive")
-    vals = sorted({math.floor(k ** rho) for k in range(1, count + 1)})
-    return FrequencySet(tuple(float(v) for v in vals),
-                        generator=f"power(rho={rho}, count={count})",
-                        count_limit=count, rho=float(rho))
+    return FrequencySet(
+        tuple(float(math.floor(k ** rho)) for k in range(1, count + 1)),
+        generator=f"power(rho={rho}, count={count})", rho=float(rho))
 
 
 def gen_interval_blocks(block_starts, block_lengths):
@@ -108,7 +111,7 @@ def gen_interval_blocks(block_starts, block_lengths):
         prev_end = s + length
     spec = ",".join(f"[{int(s)}+{int(l)}]" for s, l in blocks)
     return FrequencySet(tuple(float(e) for e in elems),
-                        generator=f"blocks({spec})", count_limit=len(elems))
+                        generator=f"blocks({spec})")
 
 
 def sqrt_sum_diagnostic(fset):
@@ -129,7 +132,7 @@ def sqrt_sum_diagnostic(fset):
 
     rho = fset.rho
     if rho is not None and rho > 2:
-        tail = fset.count_limit ** (1.0 - rho / 2.0) / (rho / 2.0 - 1.0)
+        tail = len(fset) ** (1.0 - rho / 2.0) / (rho / 2.0 - 1.0)
         return SparsityReport(partial, tail, "converges",
                               note="integral comparison tail bound")
     if rho is not None:
@@ -149,16 +152,14 @@ def condition_B_check(fset, C, x_grid):
     if C <= 0:
         raise ValueError("C must be positive")
     arr = fset.array
-    report = ConditionBReport()
+    points = []
     for x in x_grid:
         if x <= math.e:
             raise ValueError(f"grid point {x} must exceed e")
         count = int(np.count_nonzero(arr <= x))
         bound = C * math.sqrt(x) / math.log(x)
-        ok = count <= bound
-        report.points.append((float(x), count, bound, ok))
-        report.passed = report.passed and ok
-    return report
+        points.append((float(x), count, bound, count <= bound))
+    return ConditionBReport(points)
 
 
 def thin_to_condition_B(fset, C):
@@ -174,24 +175,21 @@ def thin_to_condition_B(fset, C):
     if fset.rho > 2:
         return replace(
             fset, generator=fset.generator + " (no-op: rho>2 already sparse)")
-    keep = {math.floor(p ** fset.rho) for p in primes_upto(fset.count_limit)}
-    elems = tuple(e for e in fset.elements if e in keep)
-    return FrequencySet(
-        elems,
-        generator=f"prime-thinned {fset.generator}",
-        count_limit=len(elems))
+    keep = {math.floor(p ** fset.rho) for p in primes_upto(len(fset))}
+    return FrequencySet(tuple(e for e in fset.elements if e in keep),
+                        generator=f"prime-thinned {fset.generator}")
 
 
 def complement_in_range(fset, N):
     """Sorted integers in [1, N] not in the set, which holds integers.  A
-    power set is all of {floor(k^rho) : k >= 1}, past count_limit too."""
+    power set is all of {floor(k^rho) : k >= 1}, past len(fset) too."""
     if N < 1:
         raise ValueError("N must be >= 1")
     fraction = next((e for e in fset.elements if not e.is_integer()), None)
     if fraction is not None:
         raise ValueError(f"frequencies must be integers, got {fraction!r}")
     removed = {int(e) for e in fset.elements}
-    k = fset.count_limit + 1
+    k = len(fset) + 1
     while fset.rho is not None and (v := math.floor(k ** fset.rho)) <= N:
         removed.add(v)
         k += 1

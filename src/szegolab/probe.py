@@ -66,12 +66,13 @@ _EPS = np.finfo(np.float64).eps
 
 def weight_fourier_coeffs(w, K, tol=1e-12):
     """The weight's Fourier coefficients w-hat(0..K) as a fresh vector, in
-    closed form for a constant weight, else from one batched quadrature
-    split at w's breakpoints; a lag whose error exceeds tol raises."""
+    closed form for a tabulated weight whose samples are all equal (it is
+    that constant on [0, 1]), else from one batched quadrature split at w's
+    breakpoints; a lag whose error exceeds tol raises."""
     K = int(K)
-    if w.kind == "constant":
+    if w.kind == "tabulated" and len({v for _, v in w.samples}) == 1:
         what = np.zeros(K + 1, dtype=np.complex128)
-        what[0] = w.v
+        what[0] = w.samples[0][1]
         return what
     res = fourier_coefficients(w, np.arange(K + 1), tol, w.breakpoints)
     if not res.converged:

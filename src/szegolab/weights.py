@@ -1,10 +1,12 @@
 """Weights on (0,1) with a deep right-hand zero at the origin.
 
 The divergent-log-integral condition (positive, nondecreasing, bounded,
-log-integral diverging at 0) is read from the weight's definition.  The
-truncated log integrals are closed forms for every kind, and they decide
-the divergence: -c ln(1/eps) diverges for exp(-c/t) with c > 0, while a
-constant or tabulated weight, at least its smallest value, has a finite one.
+log-integral diverging at 0) is read from the weight's definition.  A
+weight is exp(-c/t) or tabulated; a constant weight is a tabulated one with
+two equal samples.  The truncated log integrals are closed forms for both
+kinds, and they decide the divergence: -c ln(1/eps) diverges for exp(-c/t)
+with c > 0, while a tabulated weight, at least its smallest value, has a
+finite one.
 """
 
 import math
@@ -19,11 +21,10 @@ __all__ = ["Weight", "ConditionAReport", "make_exp_weight",
 
 @dataclass(frozen=True)
 class Weight:
-    """Weight on (0,1): exp(-c/t), a constant, or monotone-interpolated samples."""
+    """Weight on (0,1): exp(-c/t), or linearly interpolated samples."""
 
-    kind: str  # "exp" | "constant" | "tabulated"
+    kind: str  # "exp" | "tabulated"
     c: float = 0.0
-    v: float = 1.0
     samples: tuple = ()  # ((t, w), ...) for kind="tabulated"
 
     def __call__(self, t):
@@ -31,8 +32,6 @@ class Weight:
         if self.kind == "exp":
             with np.errstate(divide="ignore", over="ignore"):
                 return np.where(t > 0, np.exp(-self.c / np.maximum(t, 1e-300)), 0.0)
-        if self.kind == "constant":
-            return np.full_like(t, self.v)
         ts = np.array([s[0] for s in self.samples])
         ws = np.array([s[1] for s in self.samples])
         return np.interp(t, ts, ws)
@@ -46,7 +45,7 @@ class Weight:
 
 def make_exp_weight(c):
     """w(t) = exp(-c/t), refused where exp(-c) == 0: w would be 0 on [0, 1]."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     if math.exp(-c) == 0.0:
         raise ValueError(f"exp(-c/t) underflows to 0 on [0, 1] at c={c!r}")
@@ -54,9 +53,8 @@ def make_exp_weight(c):
 
 
 def make_constant_weight(v):
-    if v <= 0:
-        raise ValueError("constant weight must be positive")
-    return Weight(kind="constant", v=float(v))
+    """w(t) = v, as the tabulated weight with two equal samples."""
+    return make_tabulated_weight([(0.0, v), (1.0, v)])
 
 
 def make_tabulated_weight(samples):
@@ -66,8 +64,8 @@ def make_tabulated_weight(samples):
     repeated = [a for (a, _), (b, _) in zip(samples, samples[1:]) if a == b]
     if repeated:
         raise ValueError(f"abscissa {repeated[0]!r} is sampled twice")
-    if any(w <= 0 for _, w in samples):
-        raise ValueError("tabulated weight must be positive")
+    if not all(math.isfinite(t) and 0 < w < math.inf for t, w in samples):
+        raise ValueError("weight values must be positive and finite")
     return Weight(kind="tabulated", samples=samples)
 
 
@@ -81,8 +79,6 @@ def log_integral(w, eps):
         raise ValueError("eps must lie in (0,1)")
     if w.kind == "exp":
         return -w.c * math.log(1.0 / eps)
-    if w.kind == "constant":
-        return (1.0 - eps) * math.log(w.v)
     knots = [eps, *(t for t, _ in w.samples if eps < t < 1.0), 1.0]
     total = []
     for a, b, u, v in zip(knots, knots[1:], w(knots), w(knots[1:])):
@@ -110,10 +106,10 @@ def validate_condition_A(w):
     """Check positivity, monotonicity, boundedness and divergence.
 
     The first three are read from the weight's definition: exp(-c/t) is
-    positive, and nondecreasing and bounded iff c >= 0; a constant or
-    tabulated weight is linear between its breakpoints, so its values there
-    decide them.  The log integral's closed forms decide the last: it
-    diverges exactly for exp(-c/t) with c > 0.
+    positive, and nondecreasing and bounded iff c >= 0; a tabulated weight
+    is linear between its breakpoints, so its values there decide them.
+    The log integral's closed forms decide the last: it diverges exactly
+    for exp(-c/t) with c > 0.
     """
     if w.kind == "exp":
         positive, nondecreasing, bounded = True, w.c >= 0, w.c >= 0

@@ -131,6 +131,16 @@ def test_off_set_residual_is_the_product_value(ann, jump, q):
     assert abs(resid - expected) <= err + expected * bound
 
 
+def test_annihilator_K_defaults_to_the_whole_set():
+    cubes = gen_power_set(3, 5)
+    whole = BlaschkeAnnihilator(cubes)
+    assert whole == BlaschkeAnnihilator(cubes, 5)
+    assert hash(whole) == hash(BlaschkeAnnihilator(cubes, K=5))
+    assert whole.K == 5 and BlaschkeAnnihilator(cubes, K=0).K == 0
+    with pytest.raises(ValueError, match=r"K must lie in \[0, 5\]"):
+        BlaschkeAnnihilator(cubes, 6)
+
+
 def test_gamma_vanishing_empty_product_rejected():
     ann0 = BlaschkeAnnihilator(FrequencySet((1.0,)), K=0)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from szegolab.frequency_sets import (FrequencySet, complement_in_range,
-                                     condition_B_check, gen_interval_blocks,
-                                     gen_power_set, primes_upto,
-                                     sqrt_sum_diagnostic, thin_to_condition_B)
+from szegolab.frequency_sets import (ConditionBReport, FrequencySet,
+                                     complement_in_range, condition_B_check,
+                                     gen_interval_blocks, gen_power_set,
+                                     primes_upto, sqrt_sum_diagnostic,
+                                     thin_to_condition_B)
 
 
 def test_power_set_small_cases():
@@ -188,3 +190,43 @@ def test_complement_partition(rho, count, N):
               if v <= N}
     assert set(comp) | inside == set(range(1, N + 1))
     assert set(comp) & inside == set()
+
+
+def test_a_set_stores_its_length_once():
+    """len is the only count a set has: a power set stores its first count
+    elements, in k order."""
+    assert [f.name for f in dataclasses.fields(FrequencySet)] == [
+        "elements", "generator", "rho"]
+    for rho, count in [(1.01, 300), (1.5, 200), (2, 100), (3, 50)]:
+        s = gen_power_set(rho, count)
+        assert len(s) == count
+        assert s.elements == tuple(float(math.floor(k ** rho))
+                                   for k in range(1, count + 1))
+
+
+def test_explicit_power_set_tail_is_the_generated_one():
+    cubes = FrequencySet((1.0, 8.0, 27.0), rho=3.0)
+    assert (sqrt_sum_diagnostic(cubes).tail_bound
+            == sqrt_sum_diagnostic(gen_power_set(3, 3)).tail_bound)
+
+
+def test_explicit_power_set_thins_as_the_generated_one():
+    squares = FrequencySet(tuple(float(k * k) for k in range(1, 101)),
+                           rho=2.0)
+    thinned = thin_to_condition_B(squares, 3.0)
+    assert thinned.elements == thin_to_condition_B(
+        gen_power_set(2, 100), 3.0).elements
+    assert len(thinned) == 25
+
+
+def test_condition_B_passed_is_read_off_its_points():
+    assert ConditionBReport([]).passed
+    assert ConditionBReport([(10.0, 1, 2.0, True)]).passed
+    assert not ConditionBReport([(10.0, 1, 2.0, True),
+                                 (20.0, 5, 3.0, False)]).passed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_frequencies_must_be_finite(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        FrequencySet((1.0, bad, 3.0))

@@ -93,6 +93,14 @@ def test_fourier_coeffs_constant_weight_exact():
     assert np.all(vec[1:] == 0.0)
 
 
+def test_fourier_coeffs_flat_tabulated_weight_exact():
+    """Interpolation is flat beyond the samples, so equal samples anywhere
+    in [0, 1] make a constant weight."""
+    vec = weight_fourier_coeffs(make_tabulated_weight([(0.2, 3.0),
+                                                       (0.7, 3.0)]), 5)
+    assert vec.tolist() == [3, 0, 0, 0, 0, 0]
+
+
 def test_fourier_coeffs_unconverged_lag_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_EVALS", 100)
     with pytest.raises(ArithmeticError, match=r"k=\d+ reached only"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from szegolab.weights import (log_integral, make_constant_weight,
+from szegolab.weights import (Weight, log_integral, make_constant_weight,
                               make_exp_weight, make_tabulated_weight,
                               validate_condition_A)
 
@@ -156,3 +156,27 @@ def test_condition_A_exp_positive_where_it_underflows():
     rep = validate_condition_A(w)
     assert rep.positive and rep.nondecreasing and rep.bounded
     assert rep.passed
+
+
+def test_a_weight_stores_each_fact_once():
+    assert [f.name for f in dataclasses.fields(Weight)] == [
+        "kind", "c", "samples"]
+
+
+def test_constant_weight_is_two_equal_samples():
+    w = make_constant_weight(2.5)
+    assert w == make_tabulated_weight([(0, 2.5), (1, 2.5)])
+    assert np.all(w(np.array([0.0, 1e-300, 0.3, 1.0, 1.5])) == 2.5)
+    assert log_integral(w, 0.3) == (1.0 - 0.3) * math.log(2.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_refuse_values_that_are_not_finite(bad):
+    with pytest.raises(ValueError):
+        make_exp_weight(bad)
+    with pytest.raises(ValueError):
+        make_constant_weight(bad)
+    with pytest.raises(ValueError):
+        make_tabulated_weight([(0.1, bad), (0.9, 1.0)])
+    with pytest.raises(ValueError):
+        make_tabulated_weight([(bad, 1.0), (0.9, 1.0)])
