@@ -14,7 +14,7 @@ singularities: eval_h folds h onto it, and eval_H_integral integrates it.
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,22 +115,26 @@ def _coeff_envelope(k):
 
 @dataclass(frozen=True)
 class DeepZeroSeries:
-    """Truncated odd-square sine series 2i * sum c_k sin(2 pi (2k+1)^2 t)."""
+    """Odd-square sine series 2i * sum c_k sin(2 pi (2k+1)^2 t), k = k_min..M.
+    Its terms and the bound on those past M follow from (k_min, M), which
+    alone equality and hash compare."""
 
-    k_min: int
-    M: int
-    coeffs: np.ndarray
-    freqs: np.ndarray
-    truncation_bound: float
+    k_min: int = 0
+    M: int = 20
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    freqs: np.ndarray = field(init=False, repr=False, compare=False)
+    truncation_bound: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        put = functools.partial(object.__setattr__, self)
+        put("coeffs", series_coefficients(self.k_min, self.M))
+        put("freqs", (2.0 * np.arange(self.k_min, self.M + 1) + 1.0) ** 2)
+        ks = np.arange(self.M + 1, self.M + 400)
+        put("truncation_bound", float(np.sum(2.0 * _coeff_envelope(ks))))
 
     @classmethod
     def build(cls, k_min=0, M=20):
-        coeffs = series_coefficients(k_min, M)
-        freqs = np.array([(2 * k + 1) ** 2 for k in range(k_min, M + 1)],
-                         dtype=np.float64)
-        ks = np.arange(M + 1, M + 400)
-        tail = float(np.sum(2.0 * _coeff_envelope(ks)))
-        return cls(k_min, M, coeffs, freqs, tail)
+        return cls(k_min, M)
 
 
 def eval_H_series(series, t):
@@ -245,7 +249,8 @@ def membership_check(series, w, tol=1e-8):
     that floor the integrand is pure noise which 1/w would amplify.  The
     numerical integral therefore stops at that crossing and the true
     contribution of the remaining sliver is bounded analytically from the
-    envelope; an envelope that 1/w outruns means genuine non-membership.
+    envelope and sup 1/w (at a knot for a tabulated weight); an envelope
+    that 1/w outruns means genuine non-membership.
 
     The package's quadrature rule: a caller asks for no finer a tolerance
     than its dominant analytic error term, and an integral that still does
@@ -255,9 +260,6 @@ def membership_check(series, w, tol=1e-8):
     estimate, while the returned error, quadrature error plus sliver
     bound, would not improve.  Returns (value, error).
     """
-    if series.coeffs.size == 0:
-        return 0.0, 0.0
-
     scale = 2.0 * float(np.sum(np.abs(series.coeffs)))
     noise_floor = 64.0 * np.finfo(np.float64).eps * scale
     fit = decay_fit(series, ENVELOPE_GRID)
@@ -284,8 +286,10 @@ def membership_check(series, w, tol=1e-8):
                 f"not slower than the series envelope 2*c2={2 * fit.c2:.4g}")
         sliver = fit.c1 ** 2 * math.exp(rate / t_cut) * t_cut
     else:
+        # 1/w is convex between knots, so its sup on (0, t_cut] is at one
+        knots = [0.0, *(t for t, _ in w.samples if 0 < t < t_cut), t_cut]
         inv_w_max = float(np.max(np.exp(np.minimum(log_inv_w(
-            np.geomspace(1e-8, t_cut, 32)), 700.0))))
+            np.array(knots)), 700.0))))
         sliver = (fit.c1 ** 2 * math.exp(-2.0 * fit.c2 / t_cut)
                   * inv_w_max * t_cut)
 

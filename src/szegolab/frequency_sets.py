@@ -2,10 +2,10 @@
 sparsity/counting diagnostics.
 
 A set here stores a finite increasing list of positive frequencies with
-generator metadata.  A power set stores its first `count` elements, so its
-len is its count, and stands for its whole infinite set, which
-complement_in_range removes; analytic tail estimates attached to the
-generator are what turn finite partial sums into certified verdicts.
+generator metadata.  A set that carries rho holds floor(k^rho) for
+k = 1..len, rho > 1, and stands for its whole infinite set, which
+complement_in_range removes; analytic tail estimates attached to rho are
+what turn finite partial sums into certified verdicts.
 """
 
 import math
@@ -37,11 +37,15 @@ class FrequencySet:
 
     elements: tuple
     generator: str = "explicit"
-    # generator parameters, populated by the constructors below
+    # exponent of a power set: the elements are floor(k^rho), k = 1..len
     rho: float | None = None
 
     def __post_init__(self):
         elems = tuple(float(e) for e in self.elements)
+        if self.rho is not None and not self.rho > 1:
+            raise ValueError("rho must exceed 1 for a uniformly discrete set")
+        if self.rho is not None and elems != _powers(self.rho, len(elems)):
+            raise ValueError("elements are not floor(k^rho), k = 1..len")
         if not all(0 < e < math.inf for e in elems):
             raise ValueError("all frequencies must be positive and finite")
         if any(b <= a for a, b in zip(elems, elems[1:])):
@@ -80,16 +84,18 @@ class ConditionBReport:
         return all(ok for *_, ok in self.points)
 
 
-def gen_power_set(rho, count):
-    """{floor(k^rho) : 1 <= k <= count}, in k order: for rho > 1 the
+def _powers(rho, count):
+    """floor(k^rho) for k = 1..count, as floats in k order: for rho > 1 the
     values are distinct, as (k+1)^rho - k^rho > 1."""
-    if rho <= 1:
-        raise ValueError("rho must exceed 1 for a uniformly discrete set")
+    return tuple(float(math.floor(k ** rho)) for k in range(1, count + 1))
+
+
+def gen_power_set(rho, count):
+    """{floor(k^rho) : 1 <= k <= count}; FrequencySet refuses rho <= 1."""
     if count < 1:
         raise ValueError("count must be positive")
-    return FrequencySet(
-        tuple(float(math.floor(k ** rho)) for k in range(1, count + 1)),
-        generator=f"power(rho={rho}, count={count})", rho=float(rho))
+    return FrequencySet(_powers(rho, count), rho=float(rho),
+                        generator=f"power(rho={rho}, count={count})")
 
 
 def gen_interval_blocks(block_starts, block_lengths):
@@ -165,19 +171,19 @@ def condition_B_check(fset, C, x_grid):
 def thin_to_condition_B(fset, C):
     """Prime-index subset of a power(rho<=2) set; no-op for rho > 2.
 
-    Keeping floor(k^rho) for prime k makes the counting function grow like
-    pi(x^(1/rho)) ~ rho*x^(1/rho)/log(x), which for rho <= 2 sits under
-    C*sqrt(x)/log(x) on the generated range while sum 1/sqrt(floor(k^rho))
-    over prime k still diverges (for rho = 2 it is sum 1/p, Mertens).
+    Keeping the element floor(p^rho) for prime p makes the counting
+    function grow like pi(x^(1/rho)) ~ rho*x^(1/rho)/log(x), while
+    sum 1/sqrt(floor(p^rho)) still diverges (for rho = 2 it is sum 1/p,
+    Mertens).  C is unread: condition_B_check tests C*sqrt(x)/log(x).
     """
     if fset.rho is None:
         raise ValueError("thinning requires a power-generated set")
     if fset.rho > 2:
         return replace(
             fset, generator=fset.generator + " (no-op: rho>2 already sparse)")
-    keep = {math.floor(p ** fset.rho) for p in primes_upto(len(fset))}
-    return FrequencySet(tuple(e for e in fset.elements if e in keep),
-                        generator=f"prime-thinned {fset.generator}")
+    return FrequencySet(
+        tuple(fset.elements[p - 1] for p in primes_upto(len(fset))),
+        generator=f"prime-thinned {fset.generator}")
 
 
 def complement_in_range(fset, N):

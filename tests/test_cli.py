@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -206,6 +207,49 @@ def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, config, field,
                          ids=lambda p: p.name)
 def test_shipped_config_validates(path):
     assert main(["validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_config_runs_end_to_end(path, tmp_path, capsys):
+    """A shipped config runs to exit 0 and status "complete"; the manifest
+    digests are the sha256 of the artifacts, a second run writes the same
+    bytes, and report prints one line per summary key."""
+    first, second = tmp_path / "a", tmp_path / "b"
+    for out in (first, second):
+        assert main(["run", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    outputs = manifest["outputs"]
+    assert sorted(p.name for p in first.iterdir()) == sorted(
+        [*outputs, "manifest.json"])
+    for name, digest in outputs.items():
+        data = (first / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert (second / name).read_bytes() == data
+    capsys.readouterr()
+    assert main(["report", str(first / "manifest.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = manifest["summary"]
+    assert [line.split(": ")[0] for line in lines[2:2 + len(summary)]] == (
+        sorted(summary))
+    assert len(lines) == 2 + len(summary) + len(outputs)
+    if path.stem == "sets":
+        assert "condition_B_passed: true" in lines
+        assert "tail_bound: null" in lines
+
+
+def test_identity_tolerance_miss_exits_3_complete(tmp_path, capsys):
+    """A blaschke run whose Cauchy residuals miss identity_tol writes its
+    artifacts, status "complete", and exits 3."""
+    config = json.loads((CONFIGS / "blaschke.json").read_text())
+    cfg = _write(tmp_path, "c.json", {**config, "identity_tol": 1e-30})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    assert manifest["summary"]["identity_passed"] is False
+    assert "tolerance not met" in capsys.readouterr().err
 
 
 def _field_paths(obj, prefix=()):

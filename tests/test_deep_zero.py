@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import types
 import warnings
 
 import mpmath
@@ -10,7 +13,8 @@ from szegolab.quadrature import integrate_finite
 from szegolab.deep_zero import (SINGULARITY_DELTA, DeepZeroSeries, decay_fit,
                                 eval_F, eval_h, eval_H_integral, eval_H_series,
                                 membership_check, series_coefficients)
-from szegolab.weights import make_constant_weight, make_exp_weight
+from szegolab.weights import (make_constant_weight, make_exp_weight,
+                              make_tabulated_weight)
 
 
 @pytest.fixture(scope="module")
@@ -282,8 +286,9 @@ def test_H_series_basic_identities(s20):
 
 
 def _sine_sum(t, coeffs, freqs):
-    """sum_k coeffs[k] sin(2 pi freqs[k] t) through eval_H_series."""
-    series = DeepZeroSeries(0, coeffs.size - 1, coeffs, freqs, 0.0)
+    """sum_k coeffs[k] sin(2 pi freqs[k] t) through eval_H_series, which
+    reads a series' coeffs and freqs alone."""
+    series = types.SimpleNamespace(coeffs=coeffs, freqs=freqs)
     return (eval_H_series(series, t) / 2j).real
 
 
@@ -480,9 +485,62 @@ def test_membership_incompatible_weight_raises(s20):
         membership_check(s20, make_exp_weight(1.0), 1e-8)
 
 
-def test_membership_empty_series():
-    empty = DeepZeroSeries(0, -1, np.array([]), np.array([]), 0.0)
-    assert membership_check(empty, make_constant_weight(1.0)) == (0.0, 0.0)
+def test_a_series_has_at_least_one_term():
+    with pytest.raises(ValueError, match="M must be >= k_min"):
+        DeepZeroSeries(0, -1)
+
+
+def test_a_series_is_its_k_min_and_M():
+    """(k_min, M) are the only init fields, and equality, hash and repr
+    read them alone."""
+    assert [f.name for f in dataclasses.fields(DeepZeroSeries)
+            if f.init] == ["k_min", "M"]
+    assert DeepZeroSeries.build(0, 20) == DeepZeroSeries(0, 20)
+    assert hash(DeepZeroSeries.build(0, 20)) == hash(DeepZeroSeries())
+    assert DeepZeroSeries(1, 20) != DeepZeroSeries(0, 20)
+    assert repr(DeepZeroSeries(3, 40)) == "DeepZeroSeries(k_min=3, M=40)"
+
+
+@pytest.mark.parametrize("k_min, M, head, digest, bound", [
+    (0, 3, [-1.5941472613535468, 0.21558158717702408, -0.01552812581695527,
+            0.0009394437650922598],
+     "c67a40d0398aaa3861740a3d9e410c1b", 0.00011020245211544819),
+    (1, 5, [0.21558158717702408, -0.01552812581695527, 0.0009394437650922598,
+            -5.2196202115085756e-05, 2.756847392300026e-06],
+     "a9658fb187df40c39b9b20c8ba4a3d36", 2.963531006217646e-07),
+    (3, 20, [0.0009394437650922598, -5.2196202115085756e-05],
+     "b54adfb8f2520fc4f57b1816d4080812", 3.338822721287868e-27),
+    (0, 300, [-1.5941472613535468], "4a286550f0b627a108de274951c2a149", 0.0),
+])
+def test_series_terms_keep_their_bits(k_min, M, head, digest, bound):
+    """coeffs, freqs and truncation_bound as an earlier build computed
+    them: the leading coefficients and the sha256 of all of them (float64,
+    little-endian), the odd squares, and the dropped terms' bound."""
+    s = DeepZeroSeries.build(k_min, M)
+    assert s.coeffs[:len(head)].tolist() == head
+    assert hashlib.sha256(
+        s.coeffs.astype("<f8").tobytes()).hexdigest()[:32] == digest
+    assert s.freqs.dtype == np.float64
+    assert s.freqs.tolist() == [float((2 * k + 1) ** 2)
+                                for k in range(k_min, M + 1)]
+    assert s.truncation_bound == bound
+
+
+def test_membership_sliver_reads_the_weight_at_its_knots(s20):
+    """A tabulated weight dips to 1e-60 at t = 0.002, inside the sliver
+    (0, t_cut) that the quadrature leaves to the bound; the dip is 4e-6
+    wide, so a fixed sampling of the sliver (32 geometric points) misses
+    it.  1/w is convex between knots, so the bound reads sup 1/w at the
+    knots and covers the integrand at the dip: the error is at least the
+    trapezoid value of the sampled |H|^2/w over the dip on 200,001 points
+    (4.4e14, most of it from the node at the bottom)."""
+    w = make_tabulated_weight([(0.0, 1.0), (0.001998, 1.0), (0.002, 1e-60),
+                               (0.002002, 1.0), (1.0, 1.0)])
+    t = np.linspace(0.001998, 0.002002, 200_001)
+    dip = np.trapezoid(np.abs(eval_H_series(s20, t)) ** 2 / w(t), t)
+    value, err = membership_check(s20, w, 1e-8)
+    assert dip > 1e14
+    assert np.isfinite(value) and err >= dip
 
 
 @pytest.mark.parametrize("factor", [0.9, 0.95, 0.99])

@@ -206,6 +206,7 @@ def test_a_set_stores_its_length_once():
 
 def test_explicit_power_set_tail_is_the_generated_one():
     cubes = FrequencySet((1.0, 8.0, 27.0), rho=3.0)
+    assert cubes.elements == gen_power_set(3, 3).elements
     assert (sqrt_sum_diagnostic(cubes).tail_bound
             == sqrt_sum_diagnostic(gen_power_set(3, 3)).tail_bound)
 
@@ -230,3 +231,20 @@ def test_condition_B_passed_is_read_off_its_points():
 def test_frequencies_must_be_finite(bad):
     with pytest.raises(ValueError, match="positive and finite"):
         FrequencySet((1.0, bad, 3.0))
+
+
+def test_a_set_with_rho_holds_its_powers():
+    """rho generates the elements: a set whose elements are not
+    floor(k^rho), k = 1..len, is refused, so no verdict, tail or
+    complement can follow from a rho that the elements contradict."""
+    with pytest.raises(ValueError, match="floor"):
+        FrequencySet((2.0, 3.0, 5.0), rho=3.0)
+    with pytest.raises(ValueError, match="floor"):
+        FrequencySet((1.0, 8.0), rho=2.0)
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, -2.0, math.nan])
+def test_a_set_with_rho_needs_rho_above_1(rho):
+    with pytest.raises(ValueError, match="rho must exceed 1 for a uniformly "
+                                         "discrete set"):
+        FrequencySet((1.0,), rho=rho)
