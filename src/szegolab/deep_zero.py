@@ -247,10 +247,9 @@ def membership_check(series, w, tol=1e-8):
     floating-point cancellation floor (about eps times the coefficient
     l1 mass); below the crossing point of the fitted decay envelope with
     that floor the integrand is pure noise which 1/w would amplify.  The
-    numerical integral therefore stops at that crossing and the true
-    contribution of the remaining sliver is bounded analytically from the
-    envelope and sup 1/w (at a knot for a tabulated weight); an envelope
-    that 1/w outruns means genuine non-membership.
+    numerical integral therefore stops at that crossing, t_cut; on the
+    sliver (0, t_cut) |H| is bounded by the envelope where the fit shows
+    a deep zero (c2 > 0, |correlation| > 0.99), else by the l1 mass.
 
     The package's quadrature rule: a caller asks for no finer a tolerance
     than its dominant analytic error term, and an integral that still does
@@ -267,39 +266,21 @@ def membership_check(series, w, tol=1e-8):
     t_cut = fit.c2 / math.log(10.0 * fit.c1 / noise_floor)
     t_cut = min(max(t_cut, 1e-4), 0.05)
 
-    def log_inv_w(t):
-        if w.kind == "exp":
-            return w.c / t
-        return -np.log(w(t))
-
     def integrand(t):
         a = np.abs(eval_H_series(series, t))
-        expo = 2.0 * np.log(np.maximum(a, 1e-300)) + log_inv_w(t)
+        expo = 2.0 * np.log(np.maximum(a, 1e-300)) - w.log(t)
         return np.where(a > 1e-300, np.exp(np.minimum(expo, 700.0)), 0.0) + 0j
 
-    # sliver (0, t_cut): true integrand is bounded by the envelope ratio
-    if w.kind == "exp":
-        rate = w.c - 2.0 * fit.c2
-        if rate >= 0:
-            raise ArithmeticError(
-                f"integrand unbounded near t=0: weight decay c={w.c:.4g} is "
-                f"not slower than the series envelope 2*c2={2 * fit.c2:.4g}")
-        sliver = fit.c1 ** 2 * math.exp(rate / t_cut) * t_cut
-    else:
-        # 1/w is convex between knots, so its sup on (0, t_cut] is at one
-        knots = [0.0, *(t for t, _ in w.samples if 0 < t < t_cut), t_cut]
-        inv_w_max = float(np.max(np.exp(np.minimum(log_inv_w(
-            np.array(knots)), 700.0))))
-        sliver = (fit.c1 ** 2 * math.exp(-2.0 * fit.c2 / t_cut)
-                  * inv_w_max * t_cut)
+    deep = fit.c2 > 0 and abs(fit.correlation) > 0.99
+    bound, rate = (fit.c1, 2.0 * fit.c2) if deep else (scale, 0.0)
+    sliver = bound ** 2 * w.mean_bound(rate, t_cut) * t_cut
 
     grid = np.geomspace(t_cut, 1.0 - 1e-6, _GROWTH_GRID)
     gv = np.abs(integrand(grid))
     head = gv[:8]
     if np.all(np.diff(head) < 0) and head[0] > 100.0 * max(np.max(gv[8:]), 1.0):
-        raise ArithmeticError(
-            f"integrand grows without bound toward t={grid[0]:.3e} "
-            f"(value {head[0]:.3e})")
+        raise ArithmeticError(f"integrand grows without bound toward "
+                              f"t={grid[0]:.3e} (value {head[0]:.3e})")
 
     res = integrate_finite(integrand, t_cut, 1.0, max(tol, 1e-3 * sliver),
                            singular_ends=("a", "b"))

@@ -195,8 +195,7 @@ def complement_in_range(fset, N):
     if fraction is not None:
         raise ValueError(f"frequencies must be integers, got {fraction!r}")
     removed = {int(e) for e in fset.elements}
-    k = len(fset) + 1
-    while fset.rho is not None and (v := math.floor(k ** fset.rho)) <= N:
-        removed.add(v)
-        k += 1
+    if fset.rho is not None:  # floor(k^rho) <= N iff k < (N + 1)^(1/rho)
+        k = math.ceil((N + 1) ** (1 / fset.rho))
+        removed.update(map(int, _powers(fset.rho, k)))
     return [n for n in range(1, N + 1) if n not in removed]

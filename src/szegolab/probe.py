@@ -70,7 +70,7 @@ def weight_fourier_coeffs(w, K, tol=1e-12):
     that constant on [0, 1]), else from one batched quadrature split at w's
     breakpoints; a lag whose error exceeds tol raises."""
     K = int(K)
-    if w.kind == "tabulated" and len({v for _, v in w.samples}) == 1:
+    if len({v for _, v in w.samples}) == 1:
         what = np.zeros(K + 1, dtype=np.complex128)
         what[0] = w.samples[0][1]
         return what

@@ -32,15 +32,41 @@ class Weight:
         if self.kind == "exp":
             with np.errstate(divide="ignore", over="ignore"):
                 return np.where(t > 0, np.exp(-self.c / np.maximum(t, 1e-300)), 0.0)
-        ts = np.array([s[0] for s in self.samples])
-        ws = np.array([s[1] for s in self.samples])
-        return np.interp(t, ts, ws)
+        return np.interp(t, *np.array(self.samples).T)
 
     @property
     def breakpoints(self):
         """Edges of the pieces of (0,1) on which w is smooth: 0, the sample
         abscissae inside (0,1) where a tabulated weight has its kinks, 1."""
         return (0.0, *(t for t, _ in self.samples if 0.0 < t < 1.0), 1.0)
+
+    def _pieces(self, lo, hi):
+        """(a, b, u, x) for the pieces [a, b] between lo, the abscissae inside
+        (lo, hi) and hi: w is linear on each (flat beyond its samples), with
+        the ends u and u (1 + x), x >= 0, in either order."""
+        knots = [lo, *(t for t, _ in self.samples if lo < t < hi), hi]
+        for a, b, *ends in zip(knots, knots[1:], self(knots), self(knots[1:])):
+            u, v = sorted(ends)
+            yield a, b, u, (v - u) / u
+
+    def log(self, t):
+        """log w(t) for t > 0; -c/t for exp(-c/t), finite where w underflows."""
+        return -self.c / t if self.kind == "exp" else np.log(self(t))
+
+    def mean_bound(self, rate, t_cut):
+        """A bound on the mean of e^(-rate/t)/w(t) over (0, t_cut], rate >= 0.
+        For exp(-c/t) it is the value at t_cut, the largest, when c < rate;
+        otherwise the function is unbounded near 0.  On a tabulated weight's
+        piece [a, b], e^(-rate/t) is at most e^(-rate/b), and 1/w from u to
+        u (1 + x) integrates to (b - a) log1p(x)/(u x), (b - a)/u if x = 0."""
+        if self.kind == "exp":
+            if self.c >= rate:
+                raise ArithmeticError(f"integrand unbounded near t=0: weight "
+                                      f"decay c={self.c:.4g} >= rate {rate:.4g}")
+            return math.exp((self.c - rate) / t_cut)
+        return math.fsum(math.exp(-rate / b) * (b - a) * (
+            math.log1p(x) / (u * x) if x else 1.0 / u)
+            for a, b, u, x in self._pieces(0.0, t_cut)) / t_cut
 
 
 def make_exp_weight(c):
@@ -70,22 +96,16 @@ def make_tabulated_weight(samples):
 
 
 def log_integral(w, eps):
-    """Integral of log w over (eps, 1), in closed form for every kind.  A
-    tabulated weight is linear between eps, its abscissae inside (eps, 1)
-    and 1 (flat beyond its samples), and a linear piece from u to
-    v = u (1 + x) over a width d has the integral
-    d (log u + (1 + x) log1p(x)/x - 1), d log u when x = 0."""
+    """Integral of log w over (eps, 1), in closed form for every kind: over
+    a tabulated weight's piece [a, b] with ends u and u (1 + x), it is
+    (b - a)(log u + (1 + x) log1p(x)/x - 1), (b - a) log u when x = 0."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     if w.kind == "exp":
         return -w.c * math.log(1.0 / eps)
-    knots = [eps, *(t for t, _ in w.samples if eps < t < 1.0), 1.0]
-    total = []
-    for a, b, u, v in zip(knots, knots[1:], w(knots), w(knots[1:])):
-        x = (v - u) / u
-        total.append((b - a) * (math.log(u) + (
-            (1.0 + x) * math.log1p(x) / x - 1.0 if x else 0.0)))
-    return math.fsum(total)
+    return math.fsum((b - a) * (math.log(u) + (
+        (1.0 + x) * math.log1p(x) / x - 1.0 if x else 0.0))
+        for a, b, u, x in w._pieces(eps, 1.0))
 
 
 @dataclass

@@ -529,3 +529,13 @@ def test_boundary_product_phase_form_matches_product_form():
     got = blaschke.boundary_product(tau, np.array([]))
     ref = tau ** 2 / (1.0 + 1j * np.sqrt(tau)) ** 8
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_boundary_values_live_on_the_slit(ann):
+    with pytest.raises(ValueError, match="t <= 0"):
+        eval_phi_boundary(ann, [-1.0, 0.5])
+
+
+def test_cauchy_identity_refuses_a_large_z(ann, jump):
+    with pytest.raises(ValueError, match="moderate"):
+        cauchy_identity_residual(ann, jump, 2e3j)

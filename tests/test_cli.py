@@ -171,6 +171,10 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
     ({**PROBE_TRIGPOLY, "gamma": {"generator": "explicit",
                                   "elements": [2.5, 3.7]},
       "target": {"kind": "trigpoly", "coeffs": {"10": 1}}}, "gamma"),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
+      "N_list": 50}, "N_list"),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {}}},
+     "target.coeffs"),
 ], ids=["rho-not-a-number", "top-level-list", "trigpoly-without-coeffs",
         "coeff-key", "coeff-keys-03", "coeff-keys-+3", "N_list-entry", "tol",
         "t_min", "weight-not-object",
@@ -190,7 +194,8 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
         "amplitude-part-string", "blocks-start-fraction",
         "blocks-length-fraction", "blocks-length-negative",
         "amplitude-empty", "amplitude-one-part", "amplitude-three-parts",
-        "tabulated-abscissa-twice", "probe-gamma-fractions"])
+        "tabulated-abscissa-twice", "probe-gamma-fractions",
+        "N_list-not-a-list", "coeffs-empty"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, config, field,
                                             command):

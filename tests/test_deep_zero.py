@@ -10,8 +10,9 @@ import pytest
 
 from szegolab import deep_zero, quadrature
 from szegolab.quadrature import integrate_finite
-from szegolab.deep_zero import (SINGULARITY_DELTA, DeepZeroSeries, decay_fit,
-                                eval_F, eval_h, eval_H_integral, eval_H_series,
+from szegolab.deep_zero import (ENVELOPE_GRID, SINGULARITY_DELTA,
+                                DeepZeroSeries, decay_fit, eval_F, eval_h,
+                                eval_H_integral, eval_H_series,
                                 membership_check, series_coefficients)
 from szegolab.weights import (make_constant_weight, make_exp_weight,
                               make_tabulated_weight)
@@ -526,21 +527,54 @@ def test_series_terms_keep_their_bits(k_min, M, head, digest, bound):
     assert s.truncation_bound == bound
 
 
-def test_membership_sliver_reads_the_weight_at_its_knots(s20):
+def test_membership_dip_inside_the_sliver_adds_its_share_alone(s20):
     """A tabulated weight dips to 1e-60 at t = 0.002, inside the sliver
-    (0, t_cut) that the quadrature leaves to the bound; the dip is 4e-6
-    wide, so a fixed sampling of the sliver (32 geometric points) misses
-    it.  1/w is convex between knots, so the bound reads sup 1/w at the
-    knots and covers the integrand at the dip: the error is at least the
-    trapezoid value of the sampled |H|^2/w over the dip on 200,001 points
-    (4.4e14, most of it from the node at the bottom)."""
+    (0, t_cut ~ 0.0037) that the quadrature leaves to the bound.  There
+    the envelope is 3e-28 and the computed |H| rounding noise, so the
+    dip's share, the envelope squared over w summed piece by piece, is
+    about 1e-58: value and error are those of w = 1."""
     w = make_tabulated_weight([(0.0, 1.0), (0.001998, 1.0), (0.002, 1e-60),
                                (0.002002, 1.0), (1.0, 1.0)])
-    t = np.linspace(0.001998, 0.002002, 200_001)
-    dip = np.trapezoid(np.abs(eval_H_series(s20, t)) ** 2 / w(t), t)
     value, err = membership_check(s20, w, 1e-8)
-    assert dip > 1e14
-    assert np.isfinite(value) and err >= dip
+    flat_value, flat_err = membership_check(s20, make_constant_weight(1.0),
+                                            1e-8)
+    assert value == flat_value
+    assert flat_err <= err < 1e-9
+
+
+def _parseval(k_min, M):
+    """int_0^1 |H|^2 = 2 sum c_k^2 at 40 digits."""
+    with mpmath.workdps(40):
+        return float(2 * mpmath.fsum(
+            (4 * (2 * k + 1) / mpmath.cosh(mpmath.pi * (2 * k + 1) / 2)) ** 2
+            for k in range(k_min, M + 1)))
+
+
+@pytest.mark.parametrize("k_min, M, tol", [(1, 20, 1e-8), (2, 12, 1e-13)])
+def test_membership_without_a_deep_zero_bounds_the_sliver_by_the_l1_mass(
+        k_min, M, tol):
+    """Without the k = 0 term the fit shows no deep zero (c2 = -0.016 at
+    (1, 20), correlation -0.17 at (2, 12)), so the envelope bounds nothing
+    on the sliver; the l1 mass does.  The error covers the exact value at
+    w = 1 and stays small, and an exp weight is unbounded against it."""
+    s = DeepZeroSeries(k_min, M)
+    fit = decay_fit(s, ENVELOPE_GRID)
+    assert not (fit.c2 > 0 and abs(fit.correlation) > 0.99)
+    value, err = membership_check(s, make_constant_weight(1.0), tol)
+    assert abs(value - _parseval(k_min, M)) <= err < 1e-4
+    with pytest.raises(ArithmeticError, match="unbounded near t=0"):
+        membership_check(s, make_exp_weight(0.01), tol)
+
+
+def test_H_integral_refuses_a_tolerance_that_is_not_positive():
+    with pytest.raises(ValueError, match="tol"):
+        eval_H_integral(0.1, tol=0.0)
+
+
+def test_decay_fit_needs_four_points_off_zero(s20):
+    """H(0) = 0 exactly, so eight points at t = 0 leave none to fit."""
+    with pytest.raises(ValueError, match="fewer than 4"):
+        decay_fit(s20, np.zeros(8))
 
 
 @pytest.mark.parametrize("factor", [0.9, 0.95, 0.99])

@@ -248,3 +248,37 @@ def test_a_set_with_rho_needs_rho_above_1(rho):
     with pytest.raises(ValueError, match="rho must exceed 1 for a uniformly "
                                          "discrete set"):
         FrequencySet((1.0,), rho=rho)
+
+
+@pytest.mark.parametrize("rho", [1.01, 1.1, 1.5, 1.9, 2, 2.0, 2.5, 3, 3.7])
+def test_complement_extends_a_power_set_by_its_rule(rho):
+    """The removed powers past len(fset) are floor(k^rho) for k up to
+    (N + 1)^(1/rho); k counts up until floor(k^rho) passes N, as an
+    oracle, and gives the same complement."""
+    for count in (1, 2, 3, 10, 100):
+        fset = gen_power_set(rho, count)
+        for N in (1, 2, 7, 8, 9, 100, 1000, 5000):
+            removed, k = set(fset.elements), 1
+            while math.floor(k ** rho) <= N:
+                removed.add(math.floor(k ** rho))
+                k += 1
+            assert complement_in_range(fset, N) == [
+                n for n in range(1, N + 1) if n not in removed]
+
+
+def test_primes_upto_1_is_empty():
+    assert primes_upto(1) == []
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: gen_power_set(2, 0), "count"),
+    (lambda: gen_interval_blocks([1, 5], [2]), "equal length"),
+    (lambda: sqrt_sum_diagnostic(FrequencySet(())), "empty"),
+    (lambda: condition_B_check(gen_power_set(3, 5), 0, [10.0]), "C"),
+    (lambda: thin_to_condition_B(FrequencySet((1, 4, 9)), 1.0), "power"),
+    (lambda: complement_in_range(gen_power_set(2, 5), 0), "N"),
+], ids=["count-0", "blocks-lengths", "empty-set", "C-0", "thin-explicit",
+        "N-0"])
+def test_refused_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -568,3 +568,29 @@ def test_annihilator_inner_products(s20):
     assert b[1] == 0.0                  # even square also annihilated
     assert b[2] == s20.coeffs[1]        # odd square carries the coefficient
     assert b[4] == -s20.coeffs[1]
+
+
+def test_weighted_residual_refuses_a_repeated_frequency():
+    with pytest.raises(ValueError, match="distinct"):
+        weighted_residual(TrigPolyTarget({1: 1.0}), [1, 2, 1],
+                          make_constant_weight(1.0))
+
+
+def test_residual_curve_of_no_N_has_no_records(companion):
+    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 10),
+                      target=TrigPolyTarget({2: 1.0}))
+    assert residual_curve(cfg, []).records == []
+
+
+def test_annihilator_without_a_deep_zero_has_an_honest_norm_error():
+    """Squares removed, w = 1, the series from k = 1: its decay fit shows
+    no deep zero, and the target norm's error covers the exact norm
+    sqrt(2 sum c_k^2) = 0.305671158952896 (40-digit Parseval)."""
+    cfg = ProbeConfig(weight=make_constant_weight(1.0),
+                      gamma=gen_power_set(2, 100),
+                      target=AnnihilatorTarget(DeepZeroSeries(1, 20)),
+                      tol=1e-13)
+    for rec in residual_curve(cfg, [50, 100]).records:
+        assert rec.residual == rec.target_norm
+        assert abs(rec.target_norm - 0.305671158952896) <= rec.residual_error
+        assert rec.residual_error < 1e-4

@@ -1,14 +1,22 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import szegolab.weights as weights
 from szegolab.weights import (Weight, log_integral, make_constant_weight,
                               make_exp_weight, make_tabulated_weight,
                               validate_condition_A)
+
+EPS = np.finfo(float).eps
+# dips to 1e-60 over 4e-6 around t = 0.002
+DIP = make_tabulated_weight([(0.0, 1.0), (0.001998, 1.0), (0.002, 1e-60),
+                             (0.002002, 1.0), (1.0, 1.0)])
 
 
 def test_exp_weight_values():
@@ -180,3 +188,101 @@ def test_constructors_refuse_values_that_are_not_finite(bad):
         make_tabulated_weight([(0.1, bad), (0.9, 1.0)])
     with pytest.raises(ValueError):
         make_tabulated_weight([(bad, 1.0), (0.9, 1.0)])
+
+
+def kind_readers(package_dir):
+    """Attributes named kind that modules of the package, weights aside,
+    read, as "module:line"."""
+    found = []
+    for path in sorted(Path(package_dir).glob("*.py")):
+        if path.name == "weights.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.stem}:{node.lineno}" for node in sorted(
+            (n for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and n.attr == "kind"), key=lambda n: n.lineno)]
+    return found
+
+
+def test_only_weights_reads_a_weight_kind(tmp_path):
+    """A weight answers for its log, its sliver bound and its values, so
+    no module but weights branches on its kind; a config's "kind" key and
+    a kind= keyword are not attribute reads.  The check finds a planted
+    read."""
+    assert kind_readers(Path(weights.__file__).parent) == []
+    (tmp_path / "planted.py").write_text(
+        "def f(w, spec, a):\n"
+        "    a.sort(kind='stable')\n"
+        "    if spec.get('kind') == spec['kind']:\n"
+        "        return w.kind\n", encoding="utf-8")
+    assert kind_readers(tmp_path) == ["planted:4"]
+
+
+def test_log_is_finite_where_the_weight_underflows():
+    w = make_exp_weight(2.0)
+    t = np.array([1e-3, 0.5])
+    assert w(t)[0] == 0.0
+    assert np.array_equal(w.log(t), -2.0 / t)
+    tab = make_tabulated_weight([(0.0, 0.5), (0.3, 1.0), (1.0, 2.0)])
+    assert np.array_equal(tab.log(t), np.log(tab(t)))
+
+
+def test_exp_mean_bound_is_the_value_at_t_cut():
+    """e^(-rate/t)/w(t) = e^((c - rate)/t) grows in t for c < rate and is
+    unbounded near 0 otherwise, rate 0 included."""
+    w = make_exp_weight(0.1)
+    assert w.mean_bound(0.3, 0.01) == math.exp((0.1 - 0.3) / 0.01)
+    for rate in (0.1, 0.05, 0.0):
+        with pytest.raises(ArithmeticError, match="unbounded near t=0"):
+            w.mean_bound(rate, 0.01)
+
+
+def _mpmath_mean(w, rate, t_cut):
+    """Mean of e^(-rate/t)/w(t) over (0, t_cut] by mpmath.quad on each
+    piece between knots, in the distance s from the piece's end where w is
+    smaller, so that a deep dip keeps its digits."""
+    knots = [0.0, *(t for t, _ in w.samples if 0 < t < t_cut), t_cut]
+    total = 0
+    for a, b in zip(knots, knots[1:]):
+        wa, wb = w(np.array([a, b]))
+        L = mpmath.mpf(b) - mpmath.mpf(a)
+        u, v = mpmath.mpf(min(wa, wb)), mpmath.mpf(max(wa, wb))
+        end, sign = (mpmath.mpf(a), 1) if wa <= wb else (mpmath.mpf(b), -1)
+        splits = [L * mpmath.mpf(10) ** -k for k in range(64, 0, -8)]
+        total += mpmath.quad(lambda s: mpmath.exp(-rate / (end + sign * s))
+                             / (u + (v - u) * s / L), [0, *splits, L])
+    return total / t_cut
+
+
+@pytest.mark.parametrize("rate, t_cut", [(0.262, 0.00373), (0.0, 1e-4),
+                                         (0.05, 0.01)])
+@pytest.mark.parametrize("w", [
+    DIP, make_tabulated_weight([(0.0, 0.5), (0.001, 0.2), (0.003, 1.0),
+                                (1.0, 2.0)]),
+    make_constant_weight(2.5)], ids=["dip", "knots", "constant"])
+def test_mean_bound_covers_the_mpmath_mean(w, rate, t_cut):
+    """At rate 0 a linear piece's integral is exact, so the bound may sit
+    rounding below the mean (an ulp for the knotted weight); 4 eps allows
+    that and no more."""
+    with mpmath.workdps(30):
+        ref = _mpmath_mean(w, rate, t_cut)
+    assert w.mean_bound(rate, t_cut) >= float(ref) * (1.0 - 4 * EPS)
+
+
+def test_log_integral_over_a_deep_dip_matches_mpmath():
+    """A piece falling from 1 to 1e-60 has x = -1 in floating point from
+    its left end; from its smaller end the closed form stays finite."""
+    with mpmath.workdps(30):
+        ref = 0
+        for a, b in [(0.001998, 0.002), (0.002, 0.002002)]:
+            L = mpmath.mpf(b) - mpmath.mpf(a)
+            splits = [L * mpmath.mpf(10) ** -k for k in range(64, 0, -8)]
+            ref += mpmath.quad(lambda s: mpmath.log(1e-60 + (1 - 1e-60) * s
+                                                    / L), [0, *splits, L])
+    assert abs(log_integral(DIP, 1e-3) - float(ref)) < 1e-15
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_log_integral_refuses_eps_outside_0_1(eps):
+    with pytest.raises(ValueError, match="eps"):
+        log_integral(make_exp_weight(1.0), eps)
