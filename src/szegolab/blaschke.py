@@ -116,8 +116,7 @@ def eval_phi(ann, z):
     if np.any((z.imag == 0) & (z.real <= 0)):
         raise ValueError("phi is evaluated off the cut (-inf, 0]; "
                          "use eval_phi_boundary on the slit")
-    sz = np.sqrt(z)
-    pref = z * z / (1.0 + sz) ** 8
+    pref = z * z / (1.0 + np.sqrt(z)) ** 8
     r = np.sqrt(z[:, None] / ann.retained)
     num = 1.0 - r
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,8 +168,7 @@ def cauchy_identity_residual(ann, j, z, tol=1e-6):
     res = integrate_left_halfline(lambda u: j(u) / (u - z), 2.0, tol)
     require(res, f"Cauchy integral of g at z={z}")
     cauchy = res.value / (2j * np.pi)
-    floor = 1e-14
-    return abs(phi_val - cauchy) / (abs(phi_val) + floor)
+    return abs(phi_val - cauchy) / (abs(phi_val) + 1e-14)
 
 
 def _g_abs_tail(T):
@@ -251,9 +249,8 @@ def _exp_diff_quotient(u, q, t):
     num = (-2.0 * np.sin(b / 2.0) ** 2 + 1j * np.sin(b)) * np.exp(2j * np.pi * q * t)
     d = u - q
     safe = np.abs(d) > 1e-300
-    out = np.where(safe, num / np.where(safe, d, 1.0),
-                   2j * np.pi * t * np.exp(2j * np.pi * q * t))
-    return out
+    return np.where(safe, num / np.where(safe, d, 1.0),
+                    2j * np.pi * t * np.exp(2j * np.pi * q * t))
 
 
 def convolution_identity_residual(j, q, t, tol=1e-3):
@@ -264,18 +261,19 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
     form that uses the vanishing of the Cauchy transform on the set.
     The direct route gets G from one compute_G call per round of its outer
     quadrature (integrate_finite with omega = q), and carries G's largest
-    error (times t) in its error estimate.  G is not smooth at s = 0, so
-    the outer panels are seeded with the geometric mesh toward that end
-    (singular_ends) besides the quarter periods of q; one or two rounds
-    then suffice.  A route whose quadrature does not converge raises
-    ArithmeticError naming it.  Returns a dict with the route values, their
-    error estimates and the max pairwise discrepancy.
+    error (times t) in its error estimate.  Besides the quarter periods of
+    q, its outer panels are seeded where G is not smooth: by decades toward
+    s = 0 down to the outer tol (singular_ends), and at compute_G's branch
+    point 0.05, where G switches route.  Below 0.05, G turns a cycle per
+    factor 3.5 in s, ever faster toward 0, so a point at 0.02 keeps the
+    panel under 0.05 within a cycle.  One G batch then serves a check, two
+    for q = 0 past t = 0.3 (its second samples only s above 0.05).  A route whose quadrature does not converge
+    raises ArithmeticError naming it.  Returns a dict with the route values,
+    their error estimates and the max pairwise discrepancy.
     """
     if not 0 < t <= 2:
         raise ValueError("t must lie in (0, 2]")
-    q = float(q)
-
-    g_err = 0.0
+    q, g_err = float(q), 0.0
 
     def g_of(s_arr):
         nonlocal g_err
@@ -283,21 +281,19 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
         g_err = max(g_err, float(res.abs_error_estimate.max()))
         return res.value
 
-    direct_res = integrate_finite(
+    direct = integrate_finite(
         lambda s: np.exp(2j * np.pi * q * (t - s)) * g_of(s), 0.0, t,
-        tol * 0.5, singular_ends=("a",), omega=q, max_evals=30_000)
-    require(direct_res, "convolution route direct")
-    direct = direct_res.value
-    direct_err = direct_res.abs_error_estimate + g_err * t
-
-    diff_res = integrate_left_halfline(
+        tol * 0.5, singular_ends=("a",), omega=q,
+        points=(_S_SMALL, 0.4 * _S_SMALL), max_evals=30_000)
+    require(direct, "convolution route direct")
+    diff = integrate_left_halfline(
         lambda u: _exp_diff_quotient(u, q, t) * j(u), 2.0, tol * 0.1)
-    require(diff_res, "convolution route difference_form")
-    difference_form = diff_res.value / (2j * np.pi)
+    require(diff, "convolution route difference_form")
 
-    values = {"direct": direct, "difference_form": difference_form}
-    errors = {"direct": direct_err,
-              "difference_form": diff_res.abs_error_estimate}
+    values = {"direct": direct.value,
+              "difference_form": diff.value / (2j * np.pi)}
+    errors = {"direct": direct.abs_error_estimate + g_err * t,
+              "difference_form": diff.abs_error_estimate}
     if np.any(np.isclose(j.annihilator.retained, q)):
         red_res = integrate_left_halfline(
             lambda u: np.exp(2j * np.pi * u * t) / (u - q) * j(u), 2.0, tol * 0.1)

@@ -185,13 +185,10 @@ def _szego(z, root_mu, n, rows):
     # On |z| = 1, Phi*_k = z^k conj(Phi_k), so the one reflected vector
     # y = z^-floor(k/2) Phi_k root_mu carries both, ||Phi*_k||^2 = ||y||^2,
     # and with u = y at odd k, u = z y at even k: a = sum u y / ||y||^2 and
-    # y <- u - a conj(y), where a conj(y) is a real 2x2 map of y's (re, im)
-    # pairs.  The nodes enter as given: with a half-angle root s of z in
-    # their place, s^2 is off z by a rounding, and the a's lose a digit.
-    y, x = root_mu.astype(np.complex128), np.empty(z.size, np.complex128)
+    # y <- u - a conj(y).  The nodes enter as given: with a half-angle root s
+    # of z in their place, s^2 is off z by a rounding, and a loses a digit.
+    y, x, c = root_mu.astype(np.complex128), *np.empty((2, z.size), complex)
     y_flat = y.view(np.float64)
-    y_pairs, x_pairs = y_flat.reshape(-1, 2), x.view(np.float64).reshape(-1, 2)
-    ay, turn = np.empty_like(y_pairs), np.empty((2, 2))
     # coefficient j of Phi_k sits at buf[n - k + j]: z Phi_k is Phi_k one
     # place to the left, and the zeros right of buf[n] are its absent terms
     buf, star = np.zeros(2 * n + 1, np.complex128), np.empty(n + 1, np.complex128)
@@ -205,12 +202,11 @@ def _szego(z, root_mu, n, rows):
         lo = n - k
         B[:, k] = buf[lo:lo + n + 1][rows]
         if k < n:
-            u, u_pairs = ((y, y_pairs) if k % 2
-                          else (np.multiply(z, y, out=x), x_pairs))
+            u = y if k % 2 else np.multiply(z, y, out=x)
             a = complex(np.dot(u, y)) / d
-            turn[:] = (a.real, a.imag), (a.imag, -a.real)
-            np.matmul(y_pairs, turn, out=ay)
-            np.subtract(u_pairs, ay, out=y_pairs)
+            np.conjugate(y, out=c)
+            c *= a
+            np.subtract(u, c, out=y)
             # Phi*_k has the coefficients of Phi_k reversed and conjugated
             st = star[:k + 1]
             np.conjugate(buf[lo:n + 1][::-1], out=st)

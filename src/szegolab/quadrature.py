@@ -124,15 +124,18 @@ def _eval_panels(f, lo, hi):
     return vk, _scaled(np.abs(vk - vg), resasc), y.size
 
 
-def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0,
+def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0, points=(),
                      max_evals=_MAX_EVALS):
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
     The seed mesh has equal panels no wider than a quarter period of
     ``omega``, the dominant frequency of an oscillatory f in cycles per
-    unit (one panel when omega is 0, at most max_evals/15), and geometric
-    points at 10^-1 .. 10^-8 of the width from each endpoint named in
+    unit (one panel when omega is 0, at most max_evals/15), breakpoints at
+    the ``points`` inside (a, b), where f is only piecewise smooth, and
+    points at 10^-1, 10^-2, ... of the width from each endpoint named in
     ``singular_ends`` ('a' and/or 'b'), where f is singular or not smooth.
+    The decades go down to the last one not below tol, as a panel narrower
+    than tol holds less than tol of an f of order 1, and to 10^-8 at most.
     Adaptivity then takes over, and stops once past max_evals integrand
     evaluations.
     """
@@ -140,11 +143,12 @@ def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0,
         raise ValueError(f"need a < b, got [{a}, {b}]")
     width = b - a
     quarters = int(np.ceil(width * 4.0 * abs(omega)))
-    pts = []
+    steps = [d for d in (width * 10.0 ** -k for k in range(1, 9)) if d >= tol]
+    pts = [p for p in points if a < p < b]
     if "a" in singular_ends:
-        pts += [a + width * 10.0 ** (-k) for k in range(1, 9)]
+        pts += [a + d for d in steps]
     if "b" in singular_ends:
-        pts += [b - width * 10.0 ** (-k) for k in range(1, 9)]
+        pts += [b - d for d in steps]
     seeds = np.linspace(a, b, max(min(quarters, max_evals // 15), 1) + 1)
     edges = _distinct(np.concatenate([seeds, pts]))
     lo, hi = edges[:-1], edges[1:]
@@ -152,8 +156,7 @@ def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0,
     min_width = 1e-14 * max(width, abs(b), abs(a))
 
     for _ in range(_MAX_ROUNDS):
-        total = err.sum()
-        if total <= tol or evals >= max_evals:
+        if err.sum() <= tol or evals >= max_evals:
             break
         splittable = (hi - lo) > min_width
         if not splittable.any():
@@ -166,13 +169,11 @@ def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0,
             pick[worst] = True
         keep = ~pick
         mid = 0.5 * (lo[pick] + hi[pick])
-        new_lo = np.concatenate([lo[keep], lo[pick], mid])
-        new_hi = np.concatenate([hi[keep], mid, hi[pick]])
-        new_val, new_err, n = _eval_panels(f, new_lo[len(lo[keep]):],
-                                           new_hi[len(lo[keep]):])
+        lo = np.concatenate([lo[keep], lo[pick], mid])
+        hi = np.concatenate([hi[keep], mid, hi[pick]])
+        new = slice(int(keep.sum()), None)
+        new_val, new_err, n = _eval_panels(f, lo[new], hi[new])
         evals += n
-        lo = new_lo
-        hi = new_hi
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
 
@@ -185,12 +186,14 @@ def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0,
 def integrate_left_halfline(f, decay_exponent, tol):
     """Integral of f over (-inf, 0] for f with |f(u)| <= M/(1+|u|)^p, p > 1.
 
-    Uses u = -s/(1-s) to map onto [0, 1); the sliver beyond the map's
-    resolution is covered by the declared algebraic tail bound, which is
-    added to the error estimate; converged means that the total, tail
-    included, is within tol.  The tail is known first, so the quadrature is
-    asked for what it leaves of tol (all of tol when the tail alone exceeds
-    it; the result is then unconverged).
+    Uses u = -s/(1-s) to map onto [0, 1), seeded toward both ends as
+    integrate_finite's singular_ends: s -> 0 is u -> 0, where every jump
+    integrand has its |u|^(5/2) edge, and s -> 1 is the end of the map.
+    The sliver beyond the map's resolution is covered by the declared
+    algebraic tail bound, which is added to the error estimate; converged
+    means that the total, tail included, is within tol.  The tail is known
+    first, so the quadrature is asked for what it leaves of tol (all of tol
+    when the tail alone exceeds it; the result is then unconverged).
     """
     p = float(decay_exponent)
     if p <= 1:
@@ -208,7 +211,8 @@ def integrate_left_halfline(f, decay_exponent, tol):
     tail = 2.0 * m_est / ((p - 1.0) * (1.0 + cap) ** (p - 1.0))
 
     res = integrate_finite(transformed, 0.0, s_max,
-                           tol - tail if tail < tol else tol)
+                           tol - tail if tail < tol else tol,
+                           singular_ends=("a", "b"))
     error = res.abs_error_estimate + tail
     return QuadratureResult(res.value, error, res.evaluations + probes.size,
                             error <= tol)

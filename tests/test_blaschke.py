@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -393,8 +396,9 @@ def test_small_s_G_takes_a_tenth_of_the_panel_phase_exps(jump, monkeypatch):
 
 
 def test_route_check_cost_budget(jump):
-    """Criterion 4's six convolution checks sample the jump at 85,883
-    points (115,163 on the half-period small-|s| seed, 715,178 before the
+    """Criterion 4's six convolution checks sample the jump at 89,348
+    points (85,883 before the half-line integrals were seeded toward both
+    ends, 115,163 on the half-period small-|s| seed, 715,178 before the
     jump's samples were kept), and the three H checks of
     test_H_two_route_agreement take 28,800 evaluations (44,160 on
     quarter-period panels of the integrand's top frequency, 86,400 before
@@ -407,6 +411,54 @@ def test_route_check_cost_budget(jump):
     evaluations = sum(eval_H_integral(t, 1e-8).evaluations
                       for t in (0.1, 0.5, 0.9))
     assert evaluations <= 34_500
+
+
+def _config_z_points():
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "blaschke.json").read_text(encoding="utf-8"))
+    return [complex(x, y) for x, y in cfg["z_points"]]
+
+
+def test_route_check_round_budgets(ann, jump, monkeypatch):
+    """Seeded where their integrands are not smooth, criterion 4's six
+    convolution checks make 7 compute_G calls (12 before), and the five
+    Cauchy checks of configs/blaschke.json, at its tol of 1e-8, 22
+    integrate_finite rounds (75 before); each budget is about 20% above
+    its count."""
+    calls = {"compute_G": 0, "_eval_panels": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(blaschke, "compute_G")
+    count(quadrature, "_eval_panels")
+    for q in (1.0, 0.0, -1.0):
+        for t in (0.25, 1.0):
+            convolution_identity_residual(jump, q, t, 1e-3)
+    assert calls["compute_G"] <= 8
+    calls["_eval_panels"] = 0
+    for z in _config_z_points():
+        cauchy_identity_residual(ann, jump, z, 1e-8)
+    assert calls["_eval_panels"] <= 26
+
+
+def test_cauchy_identity_at_the_config_points(ann, jump):
+    """Seeded toward u = 0, the jump's |u|^(5/2) edge, the Cauchy integral
+    matches phi to 2.2e-13 at the config's points (2.5e-7 before)."""
+    assert max(cauchy_identity_residual(ann, jump, z, 1e-8)
+               for z in _config_z_points()) <= 1e-11
+
+
+def test_cauchy_transform_vanishes_on_the_set(ann, jump):
+    """At criterion 3's tol the Cauchy transform of g is at most 1.3e-15 on
+    every retained frequency (4.9e-8 before the edge was seeded)."""
+    assert max(gamma_vanishing_residual(jump, g, 1e-8)[0]
+               for g in ann.retained) <= 1e-14
 
 
 def test_convolution_samples_the_jump_once_per_round(jump, monkeypatch):

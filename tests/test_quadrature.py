@@ -62,6 +62,49 @@ def test_oscillatory_singular_end_matches_integrate_finite():
     assert abs(osc.value - ref) <= 1e-10
 
 
+def _seed_edges(monkeypatch, call):
+    """The seed's panel edges in the one integrate_finite that call makes:
+    the first round's panels, which cover the interval in order."""
+    rounds, real = [], quadrature._eval_panels
+
+    def recording(f, lo, hi):
+        rounds.append(np.append(lo, hi[-1]))
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", recording)
+    call()
+    return rounds[0]
+
+
+@pytest.mark.parametrize("tol, decades", [(5e-4, 3), (1e-10, 8)])
+def test_singular_end_seed_stops_at_tol(monkeypatch, tol, decades):
+    """The seed's decades toward a singular end go down to the last width
+    not below tol, and to 10^-8 at most: a panel narrower than tol holds
+    less than tol of an f of order 1."""
+    edges = _seed_edges(monkeypatch, lambda: integrate_finite(
+        lambda t: np.sqrt(t) + 0j, 0.0, 1.0, tol, singular_ends=("a",)))
+    assert np.array_equal(edges, [0.0, *(10.0 ** -k for k in range(
+        decades, 0, -1)), 1.0])
+
+
+def test_seed_breaks_at_the_points_inside_the_interval(monkeypatch):
+    edges = _seed_edges(monkeypatch, lambda: integrate_finite(
+        lambda t: np.abs(t - 0.3) + 0j, 0.0, 1.0, 1e-10,
+        points=(-1.0, 0.0, 0.3, 1.0, 2.0)))
+    assert np.array_equal(edges, [0.0, 0.3, 1.0])
+
+
+def test_halfline_seeds_both_ends_of_its_map(monkeypatch):
+    """s -> 0 is u -> 0, where a jump integrand has its edge, and s -> 1 is
+    the end of the map: both get the decades down to tol."""
+    edges = _seed_edges(monkeypatch, lambda: integrate_left_halfline(
+        lambda u: np.exp(u) + 0j, 2.0, 1e-4))
+    s_max = 1.0 - 1e-12
+    steps = [s_max * 10.0 ** -k for k in range(1, 4)]
+    assert np.array_equal(edges, sorted([0.0, *steps, s_max,
+                                         *(s_max - d for d in steps)]))
+
+
 def test_halfline_exponential():
     res = integrate_left_halfline(lambda u: np.exp(u) + 0j, 2.0, 1e-10)
     assert abs(res.value - 1.0) < 1e-8

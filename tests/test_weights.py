@@ -13,7 +13,6 @@ from szegolab.weights import (Weight, log_integral, make_constant_weight,
                               make_exp_weight, make_tabulated_weight,
                               validate_condition_A)
 
-EPS = np.finfo(float).eps
 # dips to 1e-60 over 4e-6 around t = 0.002
 DIP = make_tabulated_weight([(0.0, 1.0), (0.001998, 1.0), (0.002, 1e-60),
                              (0.002002, 1.0), (1.0, 1.0)])
@@ -261,12 +260,12 @@ def _mpmath_mean(w, rate, t_cut):
                                 (1.0, 2.0)]),
     make_constant_weight(2.5)], ids=["dip", "knots", "constant"])
 def test_mean_bound_covers_the_mpmath_mean(w, rate, t_cut):
-    """At rate 0 a linear piece's integral is exact, so the bound may sit
-    rounding below the mean (an ulp for the knotted weight); 4 eps allows
-    that and no more."""
+    """The bound is rounded up, so it covers the mean itself, at rate 0
+    too, where a linear piece's integral is exact and its rounding alone
+    put the knotted weight's bound an ulp below the mean."""
     with mpmath.workdps(30):
         ref = _mpmath_mean(w, rate, t_cut)
-    assert w.mean_bound(rate, t_cut) >= float(ref) * (1.0 - 4 * EPS)
+    assert w.mean_bound(rate, t_cut) >= ref
 
 
 def test_log_integral_over_a_deep_dip_matches_mpmath():
