@@ -23,18 +23,20 @@ exact inner products b, nonzero on T in the kept set: residual^2 =
 ||Phi||^2 - b_T^H R^-1 b_T, R = ((B' B'^H)^-1)_TT with B' on the rows S
 and T.  No Gram matrix of exponentials and no regularization (floor) enter.
 
-One recursion per rule at the largest N' serves a curve's nested kept
-sets.  A trig target's ||f||^2 is summed on each rule's own nodes, as
-sum_j mu_j |f(z_j)|^2, so its norm and its residuals come from one
-discrete measure; an annihilator's is int |H|^2 / w from membership_check.
-Of two rules of different sizes (_RULES) the larger gives the values;
-residual_error is their disagreement, plus the annihilator norm's
-quadrature error where the residual reads that norm, plus 4 cond eps norm
-for the rounding of the recursion and the solve where it reads a solve.
-The disagreement is reported, not a bound: two rules that are both off
-can agree.  cond_estimate is sigma_max/sigma_min of the block solved.  A
-value that is not finite, or a residual_error above the target norm,
-raises ArithmeticError.
+At most one recursion per rule, at the largest N', serves a curve's nested
+kept sets.  A trig target's ||f||^2 is summed on each rule's own nodes, as
+sum_j mu_j |f(z_j)|^2, so its norm and its residuals come from one discrete
+measure; an annihilator's is int |H|^2 / w from membership_check.  Of two
+rules of different sizes (_RULES) the larger gives the values and
+cond_estimate, sigma_max/sigma_min of its block; residual_error is their
+disagreement (reported, not a bound: two rules both off can agree), plus
+the norm's error (an annihilator's quadrature, a trig target's rounding)
+where the residual reads the norm, plus 4 cond eps norm for the rounding of
+the recursion and the solve where it reads a solve.  The smaller rule
+recurses, solves and checks blocks for singularity only if some solve has
+data, f-hat_R or b_T: with none, y = 0 and gamma is empty, each residual is
+the rule's norm or 0 exactly, and the rules differ only in the norm.
+Non-finite values or a residual_error above the norm raise ArithmeticError.
 """
 
 import functools
@@ -222,33 +224,30 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
     """Distances from the target to the spans of kept_sets, lists of
     distinct frequencies, each a prefix of the last.  Returns (norm,
     [(residual, residual_error, cond) for each set], the projection's
-    coefficients on the last set when asked: they need every row of B)."""
+    coefficients on the last set when asked: they need every row of B).
+    Only where some solve has data does the smaller rule recurse and solve."""
     trig = isinstance(target, TrigPolyTarget)
     F = np.array(list(target.coeffs) if trig else [], dtype=np.int64)
-    # a trig target's norm is summed on each rule's nodes below
     norm_sq, norm_err = ((0.0, 0.0) if trig
                          else membership_check(target.series, w, tol))
     top = np.array(kept_sets[-1], dtype=np.int64)
     lo = min(0, F.min(initial=0), top.min(initial=0))
     b = np.zeros(top.size) if trig else target.inner(top)
+    n_max = max(0, F.max(initial=0), top.max(initial=0)) - lo
     # per set: degree n, rows R (S and T), T's place in R, b_T, f-hat_R, and
     # whether residual^2 starts from the norm: all but a trig target's spans
-    blocks = []
-    n_max = max(0, F.max(initial=0), top.max(initial=0)) - lo
-    read = np.zeros(n_max + 1, dtype=bool)
+    blocks, read = [], np.zeros(n_max + 1, dtype=bool)
     for size in map(len, kept_sets):
         kept, on_T = top[:size] - lo, b[:size] != 0
         n = max(0, F.max(initial=0), top[:size].max(initial=0)) - lo
-        in_R = np.ones(n + 1, dtype=bool)
-        in_R[kept[~on_T]] = False
-        R = np.flatnonzero(in_R)
+        R = np.delete(np.arange(n + 1), kept[~on_T])
         read[R] = True
         solves = trig and size > 0
         blocks.append((n, R, np.searchsorted(R, kept[on_T]), b[:size][on_T],
                        target.at(R + lo) if solves else np.zeros(R.size),
                        not solves))
     rows = np.arange(n_max + 1) if coefficients else np.flatnonzero(read)
-    values = []
+    values, reads_B = [], any(f.any() or b_t.size for *_, b_t, f, _ in blocks)
     for rule in _RULES:
         z, root_mu = _measure(w, n_max, rule)
         if trig:
@@ -265,6 +264,10 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
                         (4 * np.abs(F) + F.size + 2) @ np.abs(target.at(F))))
         if not math.isfinite(norm_sq):
             raise ArithmeticError(f"target norm^2 is not finite ({norm_sq})")
+        if not (reads_B or rule is _RULES[-1]):
+            values.append([(math.sqrt(norm_sq) if r else 0.0, None)
+                           for *_, r in blocks])
+            continue
         _, B = _szego(z, root_mu, n_max, rows)
         values.append([])
         for n, R, tpos, b_t, f, reads_norm in blocks:
@@ -285,11 +288,8 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
             map(len, kept_sets), *values, blocks):
         error = abs(res - other)
         if not reads_norm or b_t.size:
-            # the residual is read off a solve with B: its rounding
             error += _ROUNDING * cond * _EPS * norm
         if reads_norm:
-            # the residual reads the norm, and so its error: an annihilator
-            # norm's quadrature error, a trig target's rounding
             error += res - math.sqrt(max(res * res - norm_err, 0.0))
         if not (math.isfinite(res) and math.isfinite(cond) and error <= norm):
             raise ArithmeticError(
@@ -332,7 +332,7 @@ class ResidualCurve:
 
 def residual_curve(config, N_list):
     """weighted_residual over the nested complements in [1, N], N
-    increasing, from one recursion per rule at the largest N."""
+    increasing, from at most one recursion per rule at the largest N."""
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be increasing")
     if not N_list:

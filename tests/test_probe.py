@@ -279,8 +279,10 @@ def test_residual_curve_reads_no_weight_coefficient(s20, companion, target,
     cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 50),
                       target=target, tol=1e-13)
     residual_curve(cfg, [20, 40, 80])
-    # one recursion per rule at the largest N, none per N; a trig norm is
-    # summed on the rules' nodes, an annihilator's integrated once
+    # both targets read B, the trig one off the span (-3 is never kept),
+    # the annihilator on T (the odd squares kept): so one recursion per rule
+    # at the largest N, none per N; a trig norm is summed on the rules'
+    # nodes, an annihilator's integrated once
     expected = {"_szego": len(probe._RULES)}
     if not trig:
         expected["membership_check"] = 1
@@ -289,6 +291,105 @@ def test_residual_curve_reads_no_weight_coefficient(s20, companion, target,
     weighted_residual(target, complement_in_range(gen_power_set(3, 50), 40),
                       companion, tol=1e-13)
     assert "fourier_coefficients" not in calls
+
+
+_IN_SPAN = {2: 1.0, 5: 0.5 + 0.25j, 11: 0.75j}
+
+
+@pytest.mark.parametrize("rho, target, recursions", [
+    (2, "annihilator", 1),
+    (3, _IN_SPAN, 1),
+    (3, {0: 1.0}, len(probe._RULES)),
+    (3, "annihilator", len(probe._RULES)),
+], ids=["squares-annihilator", "cubes-in-span", "cubes-e0",
+        "cubes-annihilator"])
+def test_smaller_rule_recurses_only_where_a_solve_has_data(
+        s20, companion, rho, target, recursions, monkeypatch):
+    """The squares' annihilator has no inner product on a kept frequency,
+    and the in-span target no amplitude off the span: no solve has data,
+    so only the last rule recurses.  e_0 is never kept, and the cubes keep
+    odd squares, where the annihilator's inner products are not 0."""
+    calls = {}
+    _count_calls(monkeypatch, probe, "_szego", calls)
+    target = (AnnihilatorTarget(s20) if target == "annihilator"
+              else TrigPolyTarget(target))
+    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(rho, 100),
+                      target=target, tol=1e-13)
+    residual_curve(cfg, [20, 50, 100])
+    assert calls == {"_szego": recursions}
+
+
+def _node_norm(w, n_max, rule, target):
+    """A trig target's norm^2 summed on one rule's nodes, and its rounding
+    bound, in the probe's order of operations."""
+    z, root_mu = probe._measure(w, n_max, rule)
+    f_z = root_mu * sum(a * z ** k for k, a in target.coeffs.items())
+    norm_sq = float(np.vdot(f_z, f_z).real)
+    F = np.array(list(target.coeffs))
+    A = float((4 * np.abs(F) + F.size + 2) @ np.abs(target.at(F)))
+    return norm_sq, EPS * (z.size * norm_sq + 2.0 * math.sqrt(
+        root_mu @ root_mu * norm_sq) * A)
+
+
+def _block_cond(w, n_max, kept, n):
+    """sigma_max/sigma_min of the last rule's block for the kept set with
+    no inner product on it: the rows 0..n off the set, degrees 0..n."""
+    rows = np.array([r for r in range(n + 1) if r not in set(kept)])
+    _, B = probe._szego(*probe._measure(w, n_max, probe._RULES[-1]), n_max,
+                        rows)
+    s = np.linalg.svd(B[:, :n + 1], full_matrices=False)[1]
+    return float(s[0] / s[-1])
+
+
+def test_unread_trig_curves_take_their_records_in_closed_form(companion):
+    """Trig curves whose solves have no data, pinned to parts computed
+    here: the residual is the norm, or 0 in the span; cond_estimate is the
+    last rule's; residual_error is the norm's error or the rounding term,
+    plus, for an empty kept set, the rules' disagreement on the norm, from
+    the smaller rule's own node sum."""
+    # nothing kept at N = 3; 5 and 7 kept at N = 10
+    gamma, target = FrequencySet((1, 2, 3)), TrigPolyTarget({5: 0.5, 7: 1.0})
+    cfg = ProbeConfig(weight=companion, gamma=gamma, target=target, tol=1e-13)
+    first, second = residual_curve(cfg, [3, 10]).records
+    norm_sq, err = _node_norm(companion, 10, probe._RULES[-1], target)
+    smaller_sq, _ = _node_norm(companion, 10, probe._RULES[0], target)
+    norm = math.sqrt(norm_sq)
+    assert first.residual == first.target_norm == second.target_norm == norm
+    assert first.cond_estimate == _block_cond(companion, 10, [], 7)
+    assert first.residual_error == (abs(norm - math.sqrt(smaller_sq))
+                                    + norm - math.sqrt(norm * norm - err))
+    assert second.residual == 0.0
+    cond = _block_cond(companion, 10, range(4, 11), 10)
+    assert second.cond_estimate == cond
+    assert second.residual_error == 0.0 + 4.0 * cond * EPS * norm
+
+    cubes = gen_power_set(3, 50)
+    target = TrigPolyTarget(_IN_SPAN)
+    cfg = ProbeConfig(weight=companion, gamma=cubes, target=target, tol=1e-13)
+    norm = math.sqrt(_node_norm(companion, 80, probe._RULES[-1], target)[0])
+    for rec in residual_curve(cfg, [20, 40, 80]).records:
+        kept = complement_in_range(cubes, rec.N)
+        cond = _block_cond(companion, 80, kept, max(kept))
+        assert (rec.residual, rec.target_norm) == (0.0, norm)
+        assert rec.cond_estimate == cond
+        assert rec.residual_error == 4.0 * cond * EPS * norm
+
+
+def test_weighted_residual_of_an_in_span_target(companion, monkeypatch):
+    """One recursion, a residual of 0 and the target's own amplitudes as
+    the projection's coefficients, all exact."""
+    calls = {}
+    _count_calls(monkeypatch, probe, "_szego", calls)
+    target = TrigPolyTarget(_IN_SPAN)
+    freqs = complement_in_range(gen_power_set(3, 50), 40)
+    res, coeffs, norm, cond = weighted_residual(target, freqs, companion,
+                                                tol=1e-13)
+    assert calls == {"_szego": 1}
+    assert res == 0.0
+    assert np.array_equal(coeffs, target.at(freqs))
+    assert norm == math.sqrt(
+        _node_norm(companion, 40, probe._RULES[-1], target)[0])
+    assert cond == _block_cond(companion, 40, freqs, 40)
 
 
 def test_szego_recursion_gives_orthonormal_polynomials(companion):
@@ -461,13 +562,20 @@ def test_annihilator_drop_matches_dense_schur_complement(s20, companion):
 
 
 def test_annihilator_residual_error_is_the_norm_error(s20, companion):
-    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(2, 100),
+    """No kept frequency is on T, so no solve has data: the residual is the
+    norm, and cond_estimate is the last rule's, whose recursion alone ran."""
+    squares = gen_power_set(2, 100)
+    cfg = ProbeConfig(weight=companion, gamma=squares,
                       target=AnnihilatorTarget(s20), tol=1e-13)
     norm_sq, err = membership_check(s20, companion, 1e-13)
     norm = math.sqrt(norm_sq)
+    n_max = max(complement_in_range(squares, 100))
     for rec in residual_curve(cfg, [50, 100]).records:
+        kept = complement_in_range(squares, rec.N)
         assert rec.residual == rec.target_norm == norm
         assert rec.residual_error == norm - math.sqrt(norm_sq - err)
+        assert rec.cond_estimate == _block_cond(companion, n_max, kept,
+                                                max(kept))
 
 
 def test_weighted_residual_refuses_a_floor():
