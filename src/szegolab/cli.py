@@ -290,10 +290,8 @@ def _build_sets(cfg, tol, summary):
 
 def _run_sets(fset, condition_B, out, summary):
     report = sqrt_sum_diagnostic(fset)
-    summary["verdict"] = report.verdict
-    summary["note"] = report.note
-    summary["tail_bound"] = report.tail_bound
-    summary["generator"] = fset.generator
+    summary.update(((k, getattr(report, k)) for k in (
+        "verdict", "note", "tail_bound")), generator=fset.generator)
     files = [_write_text(out / "set.txt", fset.to_text()),
              _write_csv(out / "sqrt_sums.csv", ["K", "partial_sqrt_sum"],
                         report.partial_sqrt_sums)]
@@ -358,9 +356,8 @@ def _run_blaschke(j, t_scan, z_points, identity_tol, cauchy_tol, out,
     files.append(_write_csv(out / "identity_scan.csv",
                             ["z_re", "z_im", "residual"], rows))
     max_resid = max((r for _, _, r in rows), default=0.0)
-    summary["max_identity_residual"] = max_resid
-    summary["identity_tol"] = identity_tol
-    summary["identity_passed"] = max_resid < identity_tol
+    summary.update(max_identity_residual=max_resid, identity_tol=identity_tol,
+                   identity_passed=max_resid < identity_tol)
     return files, summary["identity_passed"]
 
 
@@ -396,8 +393,7 @@ def _run_deepzero(series, t_grid, weight, membership_tol, out, summary):
     summary["fit_passed"] = ok
     if weight is not None:
         value, err = membership_check(series, weight, membership_tol)
-        summary["membership_value"] = value
-        summary["membership_error"] = err
+        summary.update(membership_value=value, membership_error=err)
         ok = ok and np.isfinite(value)
     return files, ok
 

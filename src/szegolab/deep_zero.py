@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import (QuadratureResult, _fourier_refine, _seed_samples,
-                         integrate_finite, require)
+from .quadrature import (QuadratureResult, _fourier_refine, _seed_cap,
+                         _seed_samples, integrate_finite, require)
 
 __all__ = ["SINGULARITY_DELTA", "ENVELOPE_GRID", "eval_F", "eval_h",
            "series_coefficients", "DeepZeroSeries", "eval_H_series",
@@ -195,15 +195,17 @@ def eval_H_integral(t, tol=1e-8):
     imaginary part of K's Fourier coefficient at nu = 1/2 - t.  Its seed panels
     are half periods of max(|t|, |1 - t|, 1): every t in [0, 1] shares one mesh
     of 2X panels, on which K comes from _kernel_table, so a call samples only
-    the panels it splits.  X is the smallest integer from 200 up whose analytic
+    the panels it splits; a t past _seed_cap (|t| above about 208 at tol 1e-8)
+    raises ValueError.  X is the smallest integer from 200 up whose analytic
     |h| tail beyond X is at most tol/2; the quadrature gets the rest of tol,
     and converged means that the total error, tail included, is within tol."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    t = float(t)
-    X = _h_cut(tol)
-    tail = _h_abs_tail(X)
-    nu_max = max(abs(t), abs(1.0 - t), 1.0)
+    t, X = float(t), _h_cut(tol)
+    tail, nu_max = _h_abs_tail(X), max(abs(t), abs(1.0 - t), 1.0)
+    if nu_max > (cap := _seed_cap((0.0, X))):
+        raise ValueError(f"t={t} is past the seed cap: at tol {tol:g}, "
+                         f"max(|t|, |1 - t|) must be at most {cap:.6g}")
     res = _fourier_refine(_sin_over_FF, np.array([0.5 - t]),
                           0.5 * (tol - tail), np.array([0.0, X]), nu_max,
                           _kernel_table(X, nu_max))

@@ -104,8 +104,7 @@ def gen_interval_blocks(block_starts, block_lengths):
     if len(block_starts) != len(block_lengths):
         raise ValueError("starts and lengths must have equal length")
     blocks = sorted(zip(block_starts, block_lengths))
-    elems = []
-    prev_end = -math.inf
+    elems, prev_end = [], -math.inf
     for s, length in blocks:
         if not (float(s).is_integer() and float(length).is_integer()
                 and length >= 0):
@@ -131,9 +130,8 @@ def sqrt_sum_diagnostic(fset):
     if arr.size == 0:
         raise ValueError("empty frequency set")
     sums = np.cumsum(1.0 / np.sqrt(arr))
-    checkpoints = sorted(set(
-        [2 ** i for i in range(int(math.log2(arr.size)) + 1) if 2 ** i <= arr.size]
-        + [arr.size]))
+    checkpoints = sorted({2 ** i for i in range(arr.size.bit_length())}
+                         | {arr.size})
     partial = [(int(k), float(sums[k - 1])) for k in checkpoints]
 
     rho = fset.rho

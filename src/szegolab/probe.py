@@ -33,9 +33,9 @@ disagreement (reported, not a bound: two rules both off can agree), plus
 the norm's error (an annihilator's quadrature, a trig target's rounding)
 where the residual reads the norm, plus 4 cond eps norm for the rounding of
 the recursion and the solve where it reads a solve.  The smaller rule
-recurses, solves and checks blocks for singularity only if some solve has
-data, f-hat_R or b_T: with none, y = 0 and gamma is empty, each residual is
-the rule's norm or 0 exactly, and the rules differ only in the norm.
+runs, in full, only where two rules can disagree: where some solve has
+data, f-hat_R or b_T, or a trig target's residual is its norm.  Elsewhere
+y = 0, gamma is empty, each residual is the norm or 0 and one rule runs.
 Non-finite values or a residual_error above the norm raise ArithmeticError.
 """
 
@@ -225,7 +225,7 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
     distinct frequencies, each a prefix of the last.  Returns (norm,
     [(residual, residual_error, cond) for each set], the projection's
     coefficients on the last set when asked: they need every row of B).
-    Only where some solve has data does the smaller rule recurse and solve."""
+    The smaller rule runs, in full, only where two rules can disagree."""
     trig = isinstance(target, TrigPolyTarget)
     F = np.array(list(target.coeffs) if trig else [], dtype=np.int64)
     norm_sq, norm_err = ((0.0, 0.0) if trig
@@ -247,8 +247,11 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
                        target.at(R + lo) if solves else np.zeros(R.size),
                        not solves))
     rows = np.arange(n_max + 1) if coefficients else np.flatnonzero(read)
-    values, reads_B = [], any(f.any() or b_t.size for *_, b_t, f, _ in blocks)
-    for rule in _RULES:
+    # two rules can disagree only where a solve has data or a trig residual
+    # is its norm, summed on each rule's own nodes; elsewhere the last serves
+    values, disagree = [], any(f.any() or b_t.size or trig and r
+                               for *_, b_t, f, r in blocks)
+    for rule in _RULES if disagree else _RULES[-1:]:
         z, root_mu = _measure(w, n_max, rule)
         if trig:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -264,10 +267,6 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
                         (4 * np.abs(F) + F.size + 2) @ np.abs(target.at(F))))
         if not math.isfinite(norm_sq):
             raise ArithmeticError(f"target norm^2 is not finite ({norm_sq})")
-        if not (reads_B or rule is _RULES[-1]):
-            values.append([(math.sqrt(norm_sq) if r else 0.0, None)
-                           for *_, r in blocks])
-            continue
         _, B = _szego(z, root_mu, n_max, rows)
         values.append([])
         for n, R, tpos, b_t, f, reads_norm in blocks:
@@ -285,7 +284,7 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
                                float(s[0] / s[-1])))
     norm, out = math.sqrt(max(norm_sq, 0.0)), []
     for size, (other, _), (res, cond), (*_, b_t, _, reads_norm) in zip(
-            map(len, kept_sets), *values, blocks):
+            map(len, kept_sets), values[0], values[-1], blocks):
         error = abs(res - other)
         if not reads_norm or b_t.size:
             error += _ROUNDING * cond * _EPS * norm

@@ -265,13 +265,18 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
     return _fourier_refine(f, freqs, tol, edges, np.abs(freqs).max())
 
 
+def _seed_cap(edges):
+    """The largest nu_max whose half periods _fourier_mesh seeds in full."""
+    return _MAX_EVALS // _XK.size / (2 * (edges[-1] - edges[0]))
+
+
 def _fourier_mesh(edges, nu_max):
     """Midpoints, half-widths and runs of the seed panels: each interval
     between edges in equal panels no wider than half a period of nu_max, or
     _MAX_EVALS/15 panels over the span if fewer (ceil adds at most one per
     interval), one panel at nu_max 0, its panels' indices one run."""
     widths = np.diff(edges)
-    nu_max = min(nu_max, _MAX_EVALS // _XK.size / (2 * (edges[-1] - edges[0])))
+    nu_max = min(nu_max, _seed_cap(edges))
     counts = np.maximum(np.ceil(widths * 2 * nu_max), 1).astype(np.int64)
     mid = np.concatenate([a + h * (2.0 * np.arange(n) + 1.0) for a, h, n
                           in zip(edges[:-1], 0.5 * widths / counts, counts)])

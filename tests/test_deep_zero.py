@@ -421,15 +421,15 @@ def test_H_integral_error_budget_holds_tail_included(s20, tol):
         assert gap <= res.abs_error_estimate + s20.truncation_bound
 
 
-def test_H_integral_where_the_seed_cap_binds_keeps_its_bits():
-    """At t = 500 half periods of 500 on [0, 320] would be 320,000 panels;
-    the seed is capped at _MAX_EVALS/15 panels, and the result is the one
-    pinned from the run that capped the seed in eval_H_integral itself."""
-    res = eval_H_integral(500.0, 1e-8)
-    deep_zero._kernel_table.cache_clear()   # a 16 MB table
-    assert res.value == -3.421407107773172e-15j
-    assert res.abs_error_estimate == 6.91696920102313e-07
-    assert (res.evaluations, res.converged) == (1_999_995, False)
+def test_H_integral_past_the_seed_cap_raises(monkeypatch):
+    """At t = 500 half periods of 500 on [0, 320] would be 320,000 panels,
+    past the _MAX_EVALS/15 panels a seed may hold: a capped seed would
+    spend the whole budget on an unconverged value, so the call raises,
+    naming t and the cap, 208.333 at tol 1e-8, before it samples anything."""
+    monkeypatch.setattr(deep_zero, "_kernel_table", None)
+    for t in (500.0, -500.0):
+        with pytest.raises(ValueError, match=rf"t={t} .* at most 208\.333"):
+            eval_H_integral(t, 1e-8)
 
 
 def test_H_integral_vanishes_outside_support():

@@ -279,10 +279,10 @@ def test_residual_curve_reads_no_weight_coefficient(s20, companion, target,
     cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 50),
                       target=target, tol=1e-13)
     residual_curve(cfg, [20, 40, 80])
-    # both targets read B, the trig one off the span (-3 is never kept),
-    # the annihilator on T (the odd squares kept): so one recursion per rule
-    # at the largest N, none per N; a trig norm is summed on the rules'
-    # nodes, an annihilator's integrated once
+    # both targets' solves have data, the trig one off the span (-3 is
+    # never kept), the annihilator on T (the odd squares kept): so every
+    # rule runs, one recursion each at the largest N, none per N; a trig
+    # norm is summed on the rules' nodes, an annihilator's integrated once
     expected = {"_szego": len(probe._RULES)}
     if not trig:
         expected["membership_check"] = 1
@@ -296,27 +296,47 @@ def test_residual_curve_reads_no_weight_coefficient(s20, companion, target,
 _IN_SPAN = {2: 1.0, 5: 0.5 + 0.25j, 11: 0.75j}
 
 
-@pytest.mark.parametrize("rho, target, recursions", [
-    (2, "annihilator", 1),
-    (3, _IN_SPAN, 1),
-    (3, {0: 1.0}, len(probe._RULES)),
-    (3, "annihilator", len(probe._RULES)),
+# an in-span target whose first kept set is empty: nothing kept at N = 5,
+# all of it kept from N = 20; its records (N, residual, target_norm,
+# cond_estimate, residual_error) as the closed-form residuals of a
+# half-run smaller rule gave them: running that rule in full keeps them
+_EMPTY_FIRST = {6: 1.0, 9: 0.5 + 0.25j, 13: 0.75j}
+_EMPTY_FIRST_RECORDS = [
+    (5, 1.0362870505067887, 1.0362870505067887, 3.8453137608013805,
+     3.441691376337985e-14),
+    (20, 0.0, 1.0362870505067887, 3.096255602744903, 2.8498177916912537e-15),
+    (40, 0.0, 1.0362870505067887, 3.744299877612528, 3.446282793703418e-15)]
+
+
+@pytest.mark.parametrize("gamma, target, N_list, runs", [
+    (gen_power_set(2, 100), "annihilator", [20, 50, 100], 1),
+    (gen_power_set(3, 100), _IN_SPAN, [20, 50, 100], 1),
+    (gen_power_set(3, 100), {0: 1.0}, [20, 50, 100], len(probe._RULES)),
+    (gen_power_set(3, 100), "annihilator", [20, 50, 100], len(probe._RULES)),
+    (FrequencySet((1, 2, 3, 4, 5)), _EMPTY_FIRST, [5, 20, 40],
+     len(probe._RULES)),
 ], ids=["squares-annihilator", "cubes-in-span", "cubes-e0",
-        "cubes-annihilator"])
+        "cubes-annihilator", "in-span-empty-first"])
 def test_smaller_rule_recurses_only_where_a_solve_has_data(
-        s20, companion, rho, target, recursions, monkeypatch):
-    """The squares' annihilator has no inner product on a kept frequency,
-    and the in-span target no amplitude off the span: no solve has data,
-    so only the last rule recurses.  e_0 is never kept, and the cubes keep
-    odd squares, where the annihilator's inner products are not 0."""
-    calls = {}
+        s20, companion, gamma, target, N_list, runs, monkeypatch):
+    """A rule runs in full, measured and recursed, or not at all; the
+    smaller one runs only where two rules can disagree.  The squares'
+    annihilator has no inner product on a kept frequency, and the in-span
+    target no amplitude off the span: no solve has data, so only the last
+    rule runs.  e_0 is never kept, the cubes keep odd squares, where the
+    annihilator's inner products are not 0, and an empty kept set's trig
+    residual is the norm, which each rule sums on its own nodes."""
+    calls, pinned = {}, target is _EMPTY_FIRST
+    _count_calls(monkeypatch, probe, "_measure", calls)
     _count_calls(monkeypatch, probe, "_szego", calls)
     target = (AnnihilatorTarget(s20) if target == "annihilator"
               else TrigPolyTarget(target))
-    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(rho, 100),
-                      target=target, tol=1e-13)
-    residual_curve(cfg, [20, 50, 100])
-    assert calls == {"_szego": recursions}
+    cfg = ProbeConfig(weight=companion, gamma=gamma, target=target, tol=1e-13)
+    records = residual_curve(cfg, N_list).records
+    assert calls == {"_measure": runs, "_szego": runs}
+    if pinned:
+        assert [(r.N, r.residual, r.target_norm, r.cond_estimate,
+                 r.residual_error) for r in records] == _EMPTY_FIRST_RECORDS
 
 
 def _node_norm(w, n_max, rule, target):
