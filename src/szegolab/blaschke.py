@@ -9,16 +9,14 @@ separately.  On the slit every dropped factor is unimodular, so boundary
 moduli carry no truncation error at all.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frequency_sets import FrequencySet, sqrt_sum_diagnostic
-from .quadrature import (QuadratureResult, _fourier_refine, _seed_samples,
-                         fourier_coefficients, integrate_finite,
-                         integrate_left_halfline, require)
+from .quadrature import (QuadratureResult, fourier_coefficients,
+                         integrate_finite, integrate_left_halfline, require)
 
 __all__ = ["BlaschkeAnnihilator", "JumpFunction", "eval_phi",
            "eval_phi_boundary", "g_l1_norm", "gamma_vanishing_residual",
@@ -180,17 +178,18 @@ def _g_abs_tail(T):
 # compute_G's small-|s| branch: |s| below _S_SMALL, on [-_T_SMALL, 0]
 _S_SMALL = 0.05
 _T_SMALL = 4.0e4
-# its seed, _fourier_refine's (edges, nu_max): panels one period of _S_SMALL
-_SMALL_SEED = (np.array([-_T_SMALL, 0.0]), 0.5 * _S_SMALL)
+# its seed (breakpoints, nu_max): panels one period of _S_SMALL wide
+_SMALL_SEED = ((-_T_SMALL, 0.0), 0.5 * _S_SMALL)
 
 
-@functools.lru_cache(maxsize=2)
-def _small_s_samples(j):
-    """Im j on the small-|s| branch's seed, kept: compute_G's real samples
-    of the purely imaginary jump, a pure function of its annihilator (a
-    JumpFunction hashes by value), so computed once per jump; 2000 x 15
-    nodes take 0.24 MB."""
-    return _seed_samples(lambda t: j(t).imag, *_SMALL_SEED)
+@dataclass(frozen=True)
+class _ImagPart:
+    """Im f, equal for equal f: equal jumps share their kept samples."""
+
+    f: object
+
+    def __call__(self, t):
+        return self.f(t).imag
 
 
 def compute_G(j, s, tol=1e-6):
@@ -202,14 +201,14 @@ def compute_G(j, s, tol=1e-6):
     algebraic envelope tail, 5e-5, added to the error; its seed panels are
     one period of 0.05 wide, whatever the call's s (the quadrature's part
     of the error stays over 2000 times below the tail), and Im j on them
-    is sampled once per jump and kept (for the last two jumps), so a call
-    samples only the panels it splits.  Larger |s|: moderate T plus two
-    integration-by-parts boundary terms at u = -T, with the remainder
-    estimated from a finite-difference second derivative of g; one
-    fourier_coefficients call samples g once for all of its s.  converged
-    is per s: the total error, tail or remainder included, is within tol.
-    evaluations counts the nodes both rules used, kept samples included.
-    A scalar s gives scalar fields.
+    is sampled once per jump and kept by the quadrature (with its last
+    three other seeds), so a call samples only the panels it splits.
+    Larger |s|: moderate T plus two integration-by-parts boundary terms at
+    u = -T, with the remainder estimated from a finite-difference second
+    derivative of g; one fourier_coefficients call samples g once for all
+    of its s.  converged is per s: the total error, tail or remainder
+    included, is within tol.  evaluations counts the nodes both rules used,
+    kept samples included.  A scalar s gives scalar fields.
     """
     s_in = np.asarray(s, dtype=np.float64)
     s = np.atleast_1d(s_in)
@@ -218,8 +217,8 @@ def compute_G(j, s, tol=1e-6):
     evals = 0
     small = np.abs(s) < _S_SMALL
     if small.any():
-        res = _fourier_refine(lambda t: j(t).imag, -s[small], tol,
-                              *_SMALL_SEED, _small_s_samples(j))
+        res = fourier_coefficients(_ImagPart(j), -s[small], tol,
+                                   *_SMALL_SEED, keep=True)
         value[small] = 1j * res.value
         error[small] = res.abs_error_estimate + _g_abs_tail(_T_SMALL)
         evals += res.evaluations

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import (QuadratureResult, _fourier_refine, _seed_cap,
-                         _seed_samples, integrate_finite, require)
+from .quadrature import (QuadratureResult, _seed_cap, fourier_coefficients,
+                         integrate_finite, require)
 
 __all__ = ["SINGULARITY_DELTA", "ENVELOPE_GRID", "eval_F", "eval_h",
            "series_coefficients", "DeepZeroSeries", "eval_H_series",
@@ -177,13 +177,6 @@ def _h_cut(tol):
     return float(bisect_left(range(200, hi + 1), True, key=fits) + 200)
 
 
-@functools.lru_cache(maxsize=2)
-def _kernel_table(X, nu_max):
-    """The t-free H kernel on eval_H_integral's seed panels of [0, X], kept
-    for the last two meshes (at tol 1e-8, 640 x 15 nodes take 77 kB)."""
-    return _seed_samples(_sin_over_FF, (0.0, X), nu_max)
-
-
 def eval_H_integral(t, tol=1e-8):
     """Fourier-integral route for the series values.
 
@@ -194,7 +187,7 @@ def eval_H_integral(t, tol=1e-8):
     over [0, X], K(x) = sin(pi x)/(F(x) F(-x)), which is minus the
     imaginary part of K's Fourier coefficient at nu = 1/2 - t.  Its seed panels
     are half periods of max(|t|, |1 - t|, 1): every t in [0, 1] shares one mesh
-    of 2X panels, on which K comes from _kernel_table, so a call samples only
+    of 2X panels, on which the quadrature keeps K, so a call samples only
     the panels it splits; a t past _seed_cap (|t| above about 208 at tol 1e-8)
     raises ValueError.  X is the smallest integer from 200 up whose analytic
     |h| tail beyond X is at most tol/2; the quadrature gets the rest of tol,
@@ -206,9 +199,8 @@ def eval_H_integral(t, tol=1e-8):
     if nu_max > (cap := _seed_cap((0.0, X))):
         raise ValueError(f"t={t} is past the seed cap: at tol {tol:g}, "
                          f"max(|t|, |1 - t|) must be at most {cap:.6g}")
-    res = _fourier_refine(_sin_over_FF, np.array([0.5 - t]),
-                          0.5 * (tol - tail), np.array([0.0, X]), nu_max,
-                          _kernel_table(X, nu_max))
+    res = fourier_coefficients(_sin_over_FF, np.array([0.5 - t]),
+                               0.5 * (tol - tail), (0.0, X), nu_max, keep=True)
     error = 2.0 * float(res.abs_error_estimate[0]) + tail
     return QuadratureResult(2j * res.value[0].imag, error, res.evaluations,
                             error <= tol)

@@ -220,6 +220,15 @@ def _szego(z, root_mu, n, rows):
     return d2, B
 
 
+def _recurse(w, n, rows, rules):
+    """Per rule of rules, its measure's points z and root masses
+    (_measure) and the Szegő recursion's d2 and B on rows to degree n
+    (_szego): yields (z, root_mu, d2, B)."""
+    for rule in rules:
+        z, root_mu = _measure(w, n, rule)
+        yield (z, root_mu, *_szego(z, root_mu, n, rows))
+
+
 def _residuals(target, kept_sets, w, tol, coefficients=False):
     """Distances from the target to the spans of kept_sets, lists of
     distinct frequencies, each a prefix of the last.  Returns (norm,
@@ -251,8 +260,8 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
     # is its norm, summed on each rule's own nodes; elsewhere the last serves
     values, disagree = [], any(f.any() or b_t.size or trig and r
                                for *_, b_t, f, r in blocks)
-    for rule in _RULES if disagree else _RULES[-1:]:
-        z, root_mu = _measure(w, n_max, rule)
+    for z, root_mu, _, B in _recurse(w, n_max, rows,
+                                     _RULES if disagree else _RULES[-1:]):
         if trig:
             with np.errstate(over="ignore", invalid="ignore"):
                 f_z = root_mu * sum(a * z ** k
@@ -267,7 +276,6 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
                         (4 * np.abs(F) + F.size + 2) @ np.abs(target.at(F))))
         if not math.isfinite(norm_sq):
             raise ArithmeticError(f"target norm^2 is not finite ({norm_sq})")
-        _, B = _szego(z, root_mu, n_max, rows)
         values.append([])
         for n, R, tpos, b_t, f, reads_norm in blocks:
             U, s, Vh = np.linalg.svd(B[np.searchsorted(rows, R), :n + 1],

@@ -6,6 +6,7 @@ bookkeeping is deterministic (ties broken by position, final summation in
 left-to-right order), so repeated runs are bit-identical.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,21 +219,25 @@ def integrate_left_halfline(f, decay_exponent, tol):
                             error <= tol)
 
 
-def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
+def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None,
+                         keep=False):
     """Integrals of f(t) exp(-2 pi i nu t) over the breakpoints' span, for
     every real frequency nu in the 1-d array freqs.
 
     One composite Gauss-Kronrod 7/15 rule serves every frequency, so f is
     sampled once per node.  Each interval between consecutive breakpoints
-    starts as equal panels no wider than half a period of the largest |nu|,
-    capped at _MAX_EVALS/15 panels in all (_fourier_mesh); _fourier_refine,
-    which blaschke.compute_G and deep_zero.eval_H_integral also drive from
-    the _seed_samples they keep, evaluates and refines them.  On a panel with
-    midpoint m and half-width h, exp(-2 pi i nu t) is the phase
-    exp(-2 pi i nu m) times the table exp(-2 pi i nu h x_j) that all panels
-    of width 2h share, so each panel's error needs only the table.  Seed
-    panels step by 2h, so a block's phases are its first row's times a step
-    table exp(-2 pi i nu 2h r); a split panel's phase is one exp.  One
+    starts as equal panels no wider than half a period of nu_max (by
+    default the largest |nu|), capped at _MAX_EVALS/15 panels in all
+    (_fourier_mesh).  With keep, f is hashable and real (complex samples
+    raise TypeError), and _seed_samples keeps its samples on those seed
+    panels for the last four (f, breakpoints, nu_max), so a repeat samples
+    only the panels it splits (compute_G keeps Im j, eval_H_integral the H
+    kernel).  On a panel with midpoint m and half-width h,
+    exp(-2 pi i nu t) is the phase exp(-2 pi i nu m) times the table
+    exp(-2 pi i nu h x_j) that all panels of width 2h share, so each
+    panel's error needs only the table.  Seed panels step by 2h, so a
+    block's phases are its first row's times a step table
+    exp(-2 pi i nu 2h r); a split panel's phase is one exp.  One
     matrix product per block, samples (panels x 15 nodes) times the table
     under three rows of weights (over the table's (re, im) pairs for real
     samples), gives the Kronrod sum K, the difference K - G from the Gauss
@@ -251,9 +256,9 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
     nodes evaluated beyond _MAX_EVALS, or the panels reach the width floor.
 
     Returns a QuadratureResult whose value and abs_error_estimate are arrays
-    over freqs, and whose evaluations count the rule's nodes; converged
-    means that every frequency met tol.  The Fourier coefficients of f on
-    [0, 1] are freqs = np.arange(K + 1).
+    over freqs, and whose evaluations count the rule's nodes, kept samples
+    included; converged means that every frequency met tol.  The Fourier
+    coefficients of f on [0, 1] are freqs = np.arange(K + 1).
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     edges = np.asarray(breakpoints, dtype=np.float64)
@@ -262,7 +267,40 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0)):
         raise ValueError(f"need a nonempty 1-d array of finite frequencies "
                          f"and increasing breakpoints, got {freqs.size} "
                          f"frequencies, breakpoints {breakpoints}")
-    return _fourier_refine(f, freqs, tol, edges, np.abs(freqs).max())
+    nu_max = np.abs(freqs).max() if nu_max is None else nu_max
+    samples = _seed_samples(f, tuple(edges), nu_max) if keep else None
+    mid, half, runs = _fourier_mesh(edges, nu_max)
+    share = tol / (edges[-1] - edges[0])            # of tol per unit width
+    min_half = 0.5e-14 * max(edges[-1] - edges[0], np.abs(edges).max())
+    values = np.zeros(freqs.size, dtype=np.complex128)
+    errors = np.zeros(freqs.size)
+    evals = 0
+    while True:
+        rest_values = np.zeros_like(values)
+        rest_errors = np.zeros_like(errors)
+        split = np.zeros(mid.size, dtype=bool)
+        for rows, vals, errs in _fourier_panels(f, freqs, mid, half, runs,
+                                                samples):
+            bad = ((errs.max(axis=1) > share * 2.0 * half[rows])
+                   & (half[rows] > min_half))
+            # the kept panels, nearly all of a block, summed by one product
+            good = (~bad).astype(np.float64)
+            values += (good @ vals.view(np.float64)).view(np.complex128)
+            errors += good @ errs
+            rest_values += vals[bad].sum(axis=0)
+            rest_errors += errs[bad].sum(axis=0)
+            split[rows] = bad
+        evals += mid.size * _XK.size
+        n_split = int(split.sum())
+        if not n_split or evals + 2 * n_split * _XK.size > _MAX_EVALS:
+            values += rest_values
+            errors += rest_errors
+            return QuadratureResult(values, errors, evals,
+                                    bool(errors.max() <= tol))
+        quarter = 0.5 * half[split]
+        mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
+        half = np.concatenate([quarter, quarter])
+        samples = runs = None
 
 
 def _seed_cap(edges):
@@ -284,59 +322,20 @@ def _fourier_mesh(edges, nu_max):
             [np.arange(e - n, e) for e, n in zip(np.cumsum(counts), counts)])
 
 
+@functools.lru_cache(maxsize=4)
 def _seed_samples(f, edges, nu_max):
     """A real f at the nodes of the seed panels _fourier_mesh(edges,
-    nu_max), one row per panel, as _fourier_refine takes them: sampled in
-    blocks of panels, so f's temporaries stay small, into a C-contiguous
-    float64 array, read-only so that a caller can keep it."""
+    nu_max), one row per panel, kept for fourier_coefficients' last four
+    keep calls (complex samples raise TypeError): sampled in blocks, so f's
+    temporaries stay small, into a read-only C-contiguous float64 array."""
     mid, half, _ = _fourier_mesh(edges, nu_max)
     y = np.empty((mid.size, _XK.size))
     for p0 in range(0, mid.size, _SAMPLE_PANELS):
         rows = slice(p0, p0 + _SAMPLE_PANELS)
         x = mid[rows, None] + half[rows, None] * _XK
-        y[rows] = np.asarray(f(x.ravel())).reshape(x.shape)
+        np.copyto(y[rows], np.asarray(f(x.ravel())).reshape(x.shape))
     y.flags.writeable = False
     return y
-
-
-def _fourier_refine(f, freqs, tol, edges, nu_max, samples=None):
-    """fourier_coefficients' adaptive loop from the seed panels
-    _fourier_mesh(edges, nu_max).  samples, when given, holds f at their
-    nodes, as _seed_samples(f, edges, nu_max) gives them (the H kernel for
-    eval_H_integral, Im j for compute_G), so the first round samples
-    nothing; the panels it splits are sampled fresh."""
-    mid, half, runs = _fourier_mesh(edges, nu_max)
-    share = tol / (edges[-1] - edges[0])            # of tol per unit width
-    min_half = 0.5e-14 * max(edges[-1] - edges[0], np.abs(edges).max())
-    values = np.zeros(freqs.size, dtype=np.complex128)
-    errors = np.zeros(freqs.size)
-    evals = 0
-    while True:
-        rest_values = np.zeros_like(values)
-        rest_errors = np.zeros_like(errors)
-        split = np.zeros(mid.size, dtype=bool)
-        for rows, vals, errs in _fourier_panels(f, freqs, mid, half, runs,
-                                                samples):
-            bad = ((errs.max(axis=1) > share * 2.0 * half[rows])
-                   & (half[rows] > min_half))
-            # the kept panels, nearly all of a block, summed by one product
-            keep = (~bad).astype(np.float64)
-            values += (keep @ vals.view(np.float64)).view(np.complex128)
-            errors += keep @ errs
-            rest_values += vals[bad].sum(axis=0)
-            rest_errors += errs[bad].sum(axis=0)
-            split[rows] = bad
-        evals += mid.size * _XK.size
-        n_split = int(split.sum())
-        if not n_split or evals + 2 * n_split * _XK.size > _MAX_EVALS:
-            values += rest_values
-            errors += rest_errors
-            return QuadratureResult(values, errors, evals,
-                                    bool(errors.max() <= tol))
-        quarter = 0.5 * half[split]
-        mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
-        half = np.concatenate([quarter, quarter])
-        samples = runs = None
 
 
 def _phase(cycles):

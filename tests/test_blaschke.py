@@ -13,7 +13,8 @@ from szegolab.blaschke import (BlaschkeAnnihilator, JumpFunction,
                                gamma_vanishing_residual)
 from szegolab.deep_zero import eval_H_integral
 from szegolab.frequency_sets import FrequencySet, gen_power_set
-from szegolab.quadrature import QuadratureResult, integrate_finite
+from szegolab.quadrature import (QuadratureResult, fourier_coefficients,
+                                 integrate_finite)
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +281,7 @@ def test_G_is_the_same_from_a_cold_and_a_warm_jump(jump):
     """The samples a jump keeps give the values a cold jump computes, bit
     for bit, and a jump equal by value shares them (criterion 14)."""
     s = np.array([0.0, 0.0123, -0.0499, 0.05, 0.3, -2.0])
-    blaschke._small_s_samples.cache_clear()
+    quadrature._seed_samples.cache_clear()
     cold = compute_G(jump, s, 1e-6)
     for res in (compute_G(jump, s, 1e-6),
                 compute_G(JumpFunction(jump.annihilator), s, 1e-6),
@@ -289,7 +290,7 @@ def test_G_is_the_same_from_a_cold_and_a_warm_jump(jump):
         assert np.array_equal(res.abs_error_estimate, cold.abs_error_estimate)
         assert np.array_equal(res.converged, cold.converged)
         assert res.evaluations == cold.evaluations
-    assert blaschke._small_s_samples.cache_info().hits == 2
+    assert quadrature._seed_samples.cache_info().hits == 2
 
 
 def test_second_small_s_call_samples_only_its_split_panels(jump):
@@ -316,8 +317,8 @@ def _G_direct(j, s, tol, monkeypatch):
         m.setattr(quadrature, "_fourier_mesh",
                   lambda edges, nu: (*mesh(edges, nu)[:2], None))
         if small.any():
-            res = quadrature._fourier_refine(j, -s[small], tol,
-                                             *blaschke._SMALL_SEED)
+            res = fourier_coefficients(j, -s[small], tol,
+                                       *blaschke._SMALL_SEED)
             value[small] = res.value
             error[small] = (res.abs_error_estimate
                             + blaschke._g_abs_tail(4.0e4))
@@ -358,8 +359,8 @@ def test_period_wide_small_s_seed_keeps_the_tail_dominant(jump, tol):
     assert mesh(edges, 0.05)[0].size == 2 * mesh(edges, nu)[0].size
     s = np.concatenate([np.linspace(-0.0499, 0.0499, 41), [0.0123, -0.031]])
     res = compute_G(jump, s, tol)
-    half = quadrature._fourier_refine(lambda u: jump(u).imag, -s, tol,
-                                      edges, 0.05)
+    half = fourier_coefficients(lambda u: jump(u).imag, -s, tol, edges,
+                                0.05)
     assert np.abs(res.value - 1j * half.value).max() <= 1e-13
     tail = blaschke._g_abs_tail(4.0e4)
     assert np.all(res.abs_error_estimate - tail <= 1e-3 * tail)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -632,6 +633,38 @@ def test_probe_numeric_failure_exits_3_without_warning(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "numeric failure" in err and message in err
     assert not (out / "residuals.csv").exists()
+
+
+# exp(-1/t), cubes removed: the kept spans' constraint block conditions
+# near 3e17 at N = 1600, where 4 cond eps norm alone exceeds the norm
+WALL_CONFIG = {"kind": "probe", "weight": {"kind": "exp", "c": 1.0},
+               "gamma": {"generator": "power", "rho": 3, "count": 50},
+               "target": {"kind": "trigpoly", "coeffs": {"0": 1}},
+               "N_list": [800, 1600]}
+
+
+def test_probe_past_the_conditioning_wall_exits_3(tmp_path, capsys):
+    """At N = 1600 the residual's error exceeds the target norm, so the run
+    exits 3 naming both, writes no residuals and warns nothing, while
+    N = 800 alone (cond 3e12) runs.  Past the wall the residual and cond
+    are rounding and move with the BLAS thread count (3.937e-03 and
+    3.453e+17 on two threads, 3.703e-03 and 1.449e+17 on one), so only
+    their sizes are checked."""
+    cfg = _write(tmp_path, "wall.json", WALL_CONFIG)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", str(out)]) == 3
+    found = re.search(
+        r"numeric failure: residual (\S+) \+- (\S+) against the target "
+        r"norm 3\.854e-01 at 1589 frequencies, cond (\S+)",
+        capsys.readouterr().err)
+    assert found and float(found[2]) > 0.3854 and float(found[3]) > 1e16
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert not (out / "residuals.csv").exists()
+    below = _write(tmp_path, "below.json", {**WALL_CONFIG, "N_list": [800]})
+    assert main(["run", below, "--out", str(tmp_path / "below")]) == 0
 
 
 def test_manifest_written_before_data(tmp_path):

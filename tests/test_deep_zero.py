@@ -377,7 +377,7 @@ def test_H_integral_reads_the_kernel_from_one_table(monkeypatch):
     the t-free kernel is sampled once and kept: a call at another t
     samples it only on the panels it splits.  t = 1.3 and t = -0.5 get
     their own meshes, and tables."""
-    deep_zero._kernel_table.cache_clear()
+    quadrature._seed_samples.cache_clear()
     spy = _CountingKernel()
     monkeypatch.setattr(deep_zero, "_sin_over_FF", spy)
     first = eval_H_integral(0.1, 1e-8)
@@ -391,7 +391,7 @@ def test_H_integral_reads_the_kernel_from_one_table(monkeypatch):
         res = eval_H_integral(t, 1e-8)
         assert spy.points == res.evaluations >= panels * 15
         assert res.converged
-    assert deep_zero._kernel_table.cache_info().hits == 3
+    assert quadrature._seed_samples.cache_info().hits == 3
 
 
 @pytest.mark.parametrize("t", [-0.5, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95,
@@ -426,7 +426,7 @@ def test_H_integral_past_the_seed_cap_raises(monkeypatch):
     past the _MAX_EVALS/15 panels a seed may hold: a capped seed would
     spend the whole budget on an unconverged value, so the call raises,
     naming t and the cap, 208.333 at tol 1e-8, before it samples anything."""
-    monkeypatch.setattr(deep_zero, "_kernel_table", None)
+    monkeypatch.setattr(quadrature, "_seed_samples", None)
     for t in (500.0, -500.0):
         with pytest.raises(ValueError, match=rf"t={t} .* at most 208\.333"):
             eval_H_integral(t, 1e-8)
@@ -483,6 +483,21 @@ def test_membership_companion_weight(s20):
 
 def test_membership_incompatible_weight_raises(s20):
     with pytest.raises(ArithmeticError):
+        membership_check(s20, make_exp_weight(1.0), 1e-8)
+
+
+def test_membership_growth_grid_catches_an_overstated_decay(s20,
+                                                             monkeypatch):
+    """Against exp(-1/t) the series' fitted decay, c2 = 0.1311, leaves the
+    sliver unbounded.  Should the fit report c2 = 0.6, the sliver bound is
+    finite and the cut moves out to t = 0.0171, where |H|^2/w still grows
+    toward it: the growth grid sees that and raises before any quadrature."""
+    fit = deep_zero.decay_fit
+    monkeypatch.setattr(deep_zero, "decay_fit",
+                        lambda *args: dataclasses.replace(fit(*args), c2=0.6))
+    monkeypatch.setattr(deep_zero, "integrate_finite", None)
+    with pytest.raises(ArithmeticError,
+                       match=r"grows without bound toward t=1\.708e-02"):
         membership_check(s20, make_exp_weight(1.0), 1e-8)
 
 

@@ -213,6 +213,20 @@ def test_determinism():
     assert r1.abs_error_estimate == r2.abs_error_estimate
 
 
+def test_step_below_the_rounding_floor_splits_the_worst_panel_left():
+    """A unit step at 0.3 on [0, 1] at tol 1e-15: the panel holding the
+    step is halved down to the width floor, where its error, 3.3e-15,
+    still exceeds tol.  Then no panel that can be split has an error above
+    its share of tol, so each round halves the worst of them alone (their
+    errors are rounding, near 1e-18) until the rounds run out.  The result
+    is unconverged, with the value within its error estimate."""
+    res = integrate_finite(lambda t: (t >= 0.3) + 0j, 0.0, 1.0, 1e-15)
+    assert not res.converged
+    assert abs(res.value - 0.7) <= res.abs_error_estimate < 1e-14
+    # 33 of the 80 rounds split one panel each (30 nodes)
+    assert res.evaluations == 2655
+
+
 class _Counting:
     """f, counting the points it is sampled at."""
 
@@ -225,47 +239,58 @@ class _Counting:
 
 
 def _kept_sample_cases():
-    """(f, frequencies, tol, edges, nu_max) of the two routes that keep
-    samples: the H kernel at t = 0.1 and t = 1.3 as eval_H_integral takes
+    """(f, frequencies, tol, breakpoints, nu_max) of the two routes that
+    keep samples: the H kernel at t = 0.1 and t = 1.3 as eval_H_integral takes
     it at tol 1e-14, where both split panels, and Im j of the cubes' jump
     on compute_G's small-|s| seed at tol 5e-5."""
     X = deep_zero._h_cut(1e-14)
     tol = 0.5 * (1e-14 - deep_zero._h_abs_tail(X))
     jump = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 50)))
     s = np.array([0.0, 0.02, -0.04])
-    return [(deep_zero._sin_over_FF, np.array([0.5 - t]), tol,
-             np.array([0.0, X]), max(abs(t), abs(1.0 - t), 1.0))
+    return [(deep_zero._sin_over_FF, np.array([0.5 - t]), tol, (0.0, X),
+             max(abs(t), abs(1.0 - t), 1.0))
             for t in (0.1, 1.3)] + [
         (lambda u: jump(u).imag, -s, 5e-5, *blaschke._SMALL_SEED)]
 
 
 @pytest.mark.parametrize("case", range(3), ids=["H0.1", "H1.3", "G"])
-def test_fourier_refine_from_seed_samples_samples_only_the_split_panels(
+def test_fourier_coefficients_keeps_the_seed_and_samples_only_split_panels(
         case):
-    """_fourier_refine fed _seed_samples gives the result that sampling f
-    gives, bit for bit, and calls f only on the panels it splits; the kept
-    samples are a C-contiguous float64 array that cannot be written."""
+    """fourier_coefficients with keep gives the result that sampling f
+    gives, bit for bit: its first call samples the seed panels, a repeat
+    calls f only on the panels it splits; the kept samples are a
+    C-contiguous float64 array that cannot be written."""
     f, freqs, tol, edges, nu_max = _kept_sample_cases()[case]
     spy = _Counting(f)
-    fresh = quadrature._fourier_refine(spy, freqs, tol, edges, nu_max)
+    fresh = fourier_coefficients(spy, freqs, tol, edges, nu_max)
     assert spy.points == fresh.evaluations
     samples = quadrature._seed_samples(f, edges, nu_max)
     assert samples.dtype == np.float64 and samples.shape[1] == 15
     assert samples.flags.c_contiguous and not samples.flags.writeable
-    spy.points = 0
-    seeded = quadrature._fourier_refine(spy, freqs, tol, edges, nu_max,
-                                        samples)
-    for got, want in ((seeded.value, fresh.value),
-                      (seeded.abs_error_estimate, fresh.abs_error_estimate)):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert (seeded.evaluations, seeded.converged) == (fresh.evaluations,
-                                                      fresh.converged)
-    assert 0 < spy.points == seeded.evaluations - samples.size
+    for sampled in (fresh.evaluations, fresh.evaluations - samples.size):
+        spy.points = 0
+        seeded = fourier_coefficients(spy, freqs, tol, edges, nu_max,
+                                      keep=True)
+        for got, want in ((seeded.value, fresh.value),
+                          (seeded.abs_error_estimate,
+                           fresh.abs_error_estimate)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert (seeded.evaluations, seeded.converged) == (fresh.evaluations,
+                                                          fresh.converged)
+        assert 0 < spy.points == sampled
+
+
+def test_fourier_coefficients_keep_refuses_a_complex_f():
+    """Kept samples are real: a complex f raises TypeError, where casting
+    would drop its imaginary part (e^{6 pi i t} would give 0.5 at nu = 3)."""
+    with pytest.raises(TypeError, match="complex128"):
+        fourier_coefficients(lambda t: np.exp(6j * np.pi * t), np.arange(21),
+                             1e-10, keep=True)
 
 
 # the node layout's private names: only quadrature may use them
 NODE_LAYOUT = {"_XK", "_nodes", "_fourier_mesh", "_eval_panels", "_adaptive",
-               "_MAX_EVALS", "_distinct"}
+               "_MAX_EVALS", "_distinct", "_seed_samples"}
 
 
 def node_layout_importers(package_dir):
@@ -289,9 +314,10 @@ def test_only_quadrature_knows_the_node_layout(tmp_path):
     a planted import."""
     assert node_layout_importers(Path(quadrature.__file__).parent) == []
     (tmp_path / "planted.py").write_text(
-        "from .quadrature import _XK, _fourier_refine\n"
+        "from .quadrature import _XK, _seed_cap, _seed_samples\n"
         "from szegolab.quadrature import _nodes\n", encoding="utf-8")
-    assert node_layout_importers(tmp_path) == ["planted:_XK", "planted:_nodes"]
+    assert node_layout_importers(tmp_path) == [
+        "planted:_XK", "planted:_seed_samples", "planted:_nodes"]
 
 
 def test_fourier_seed_round_keeps_to_the_evaluation_budget(monkeypatch):
