@@ -16,26 +16,24 @@ give B[s, k], the coefficient of z^s in the orthonormal phi_k, for the rows
 s a solve reads.  A step with ||Phi*_n||^2 zero or not finite raises.
 
 With S = [0, N'] minus the kept set, p = sum c_k phi_k has ||p|| = ||c||
-and p-hat_S = B_S c.  So a trig target has residual^2 =
-f-hat_S^H (B_S B_S^H)^-1 f-hat_S, from one SVD of B_S (B B^H would square
-its condition number), exactly 0 in the span.  An annihilator keeps its
-exact inner products b, nonzero on T in the kept set: residual^2 =
-||Phi||^2 - b_T^H R^-1 b_T, R = ((B' B'^H)^-1)_TT with B' on the rows S
-and T.  No Gram matrix of exponentials and no regularization (floor) enter.
+and p-hat_S = B_S c.  A span's rows R are S, plus an annihilator's T,
+with the data rows D (f-hat_S's support, or T) last.  One QR B_R^H = Q T
+holds D's rows projected off the others in T_DD, T_DD^H T_DD =
+[((B_R B_R^H)^-1)_DD]^-1, so residual^2 is ||T_DD^-H f-hat_D||^2 for a
+trig target (0 in the span) and ||Phi||^2 - ||T_DD b_T||^2 for an
+annihilator, whose exact inner products b are nonzero on T in the kept
+set.  Neither reads cond(B_R), and no Gram matrix or floor enters.
 
 At most one recursion per rule, at the largest N', serves a curve's nested
 kept sets.  A trig target's ||f||^2 is summed on each rule's own nodes, as
 sum_j mu_j |f(z_j)|^2, so its norm and its residuals come from one discrete
 measure; an annihilator's is int |H|^2 / w from membership_check.  Of two
 rules of different sizes (_RULES) the larger gives the values and
-cond_estimate, sigma_max/sigma_min of its block; residual_error is their
-disagreement (reported, not a bound: two rules both off can agree), plus
-the norm's error (an annihilator's quadrature, a trig target's rounding)
-where the residual reads the norm, plus 4 cond eps norm for the rounding of
-the recursion and the solve where it reads a solve.  The smaller rule
-runs, in full, only where two rules can disagree: where some solve has
-data, f-hat_R or b_T, or a trig target's residual is its norm.  Elsewhere
-y = 0, gamma is empty, each residual is the norm or 0 and one rule runs.
+cond_estimate, sigma_max/sigma_min of B_R read off T; residual_error is
+their disagreement (reported, not a bound: two rules both off can agree),
+plus the norm's error where the residual reads the norm, plus n eps norm
+at degree n for rounding where it reads a solve.  The smaller rule runs,
+in full, only where some block has data or a trig residual is its norm.
 Non-finite values or a residual_error above the norm raise ArithmeticError.
 """
 
@@ -59,10 +57,10 @@ __all__ = ["weight_fourier_coeff", "weight_fourier_coeffs", "gram_matrix",
 # rule's d_N^2 is off by 8.5e-4 (relative) at N = 6400, where the second is
 # exact, and residual_error, their disagreement, shows it
 _RULES = ((2.5, 20, 64), (3.0, 40, 80))
-# residual_error's rounding term is _ROUNDING * cond * eps * norm: rotating
-# every node by +-2.2e-16 rad (one rounding of z) moved the residuals of
-# trig targets, cubes removed, N <= 800, by at most 1.01 cond eps norm
-_ROUNDING = 4.0
+# residual_error's rounding term, _ROUNDING n eps norm at degree n: +-1 ulp
+# rotations of every node moved trig targets' residuals, cubes removed, by
+# at most 0.069 n eps norm (N <= 800 companion, N <= 6400 c = 0.236 and 1)
+_ROUNDING = 1.0
 _EPS = np.finfo(np.float64).eps
 
 
@@ -233,8 +231,7 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
     """Distances from the target to the spans of kept_sets, lists of
     distinct frequencies, each a prefix of the last.  Returns (norm,
     [(residual, residual_error, cond) for each set], the projection's
-    coefficients on the last set when asked: they need every row of B).
-    The smaller rule runs, in full, only where two rules can disagree."""
+    coefficients on the last set when asked: they need every row of B)."""
     trig = isinstance(target, TrigPolyTarget)
     F = np.array(list(target.coeffs) if trig else [], dtype=np.int64)
     norm_sq, norm_err = ((0.0, 0.0) if trig
@@ -243,23 +240,25 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
     lo = min(0, F.min(initial=0), top.min(initial=0))
     b = np.zeros(top.size) if trig else target.inner(top)
     n_max = max(0, F.max(initial=0), top.max(initial=0)) - lo
-    # per set: degree n, rows R (S and T), T's place in R, b_T, f-hat_R, and
-    # whether residual^2 starts from the norm: all but a trig target's spans
+    # per set: degree n, rows R (S, then the data rows D: f-hat_S's support,
+    # or T), D's place in R, f-hat_D or b_T, and whether residual^2 starts
+    # from the norm: all but a trig target's spans (its empty set has no D)
     blocks, read = [], np.zeros(n_max + 1, dtype=bool)
     for size in map(len, kept_sets):
         kept, on_T = top[:size] - lo, b[:size] != 0
         n = max(0, F.max(initial=0), top[:size].max(initial=0)) - lo
-        R = np.delete(np.arange(n + 1), kept[~on_T])
+        S = np.delete(np.arange(n + 1), kept)
+        f = target.at(S + lo) if trig and size else np.zeros(S.size)
+        R = np.concatenate([S[f == 0], S[f != 0], kept[on_T]])
+        data = np.concatenate([f[f != 0], b[:size][on_T]])
         read[R] = True
-        solves = trig and size > 0
-        blocks.append((n, R, np.searchsorted(R, kept[on_T]), b[:size][on_T],
-                       target.at(R + lo) if solves else np.zeros(R.size),
-                       not solves))
+        blocks.append((n, R, slice(R.size - data.size, None), data,
+                       not trig or not size))
     rows = np.arange(n_max + 1) if coefficients else np.flatnonzero(read)
-    # two rules can disagree only where a solve has data or a trig residual
+    # two rules can disagree only where a block has data or a trig residual
     # is its norm, summed on each rule's own nodes; elsewhere the last serves
-    values, disagree = [], any(f.any() or b_t.size or trig and r
-                               for *_, b_t, f, r in blocks)
+    values, disagree = [], any(data.size or trig and reads_norm
+                               for *_, data, reads_norm in blocks)
     for z, root_mu, _, B in _recurse(w, n_max, rows,
                                      _RULES if disagree else _RULES[-1:]):
         if trig:
@@ -277,25 +276,26 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
         if not math.isfinite(norm_sq):
             raise ArithmeticError(f"target norm^2 is not finite ({norm_sq})")
         values.append([])
-        for n, R, tpos, b_t, f, reads_norm in blocks:
-            U, s, Vh = np.linalg.svd(B[np.searchsorted(rows, R), :n + 1],
-                                     full_matrices=False)
+        for n, R, D, data, reads_norm in blocks:
+            # B_R^H = Q T: with D last, T_DD = T[D, D] holds D's rows projected
+            # off the others; |x| is a trig residual, x = T_DD^-H f-hat_D, or
+            # x = T_DD b_T, which an annihilator's residual^2 leaves off norm^2
+            Q, T = np.linalg.qr(B[np.searchsorted(rows, R), :n + 1].conj().T)
+            s = np.linalg.svd(T, compute_uv=False) if R.size else [1.0]
             if not s[-1] > 0.0:
                 raise ArithmeticError(f"singular constraint block at n={n}")
-            # y: coordinates of the least-norm p with p-hat_R = f; with
-            # G = U[tpos] / s, G G^H = ((B B^H)^-1)_TT
-            y, G = (U.conj().T @ f) / s, U[tpos] / s
-            gamma = np.linalg.solve(G @ G.conj().T, b_t)
-            res_sq = ((norm_sq if reads_norm else 0.0) + np.vdot(y, y).real
-                      - np.vdot(b_t, gamma).real)
+            x = (T[D, D] @ data if reads_norm
+                 else np.linalg.solve(T[D, D].conj().T, data))
+            x_sq = np.vdot(x, x).real
+            res_sq = norm_sq - x_sq if reads_norm else x_sq
             values[-1].append((math.sqrt(min(max(res_sq, 0.0), norm_sq)),
                                float(s[0] / s[-1])))
     norm, out = math.sqrt(max(norm_sq, 0.0)), []
-    for size, (other, _), (res, cond), (*_, b_t, _, reads_norm) in zip(
+    for size, (other, _), (res, cond), (n, *_, data, reads_norm) in zip(
             map(len, kept_sets), values[0], values[-1], blocks):
         error = abs(res - other)
-        if not reads_norm or b_t.size:
-            error += _ROUNDING * cond * _EPS * norm
+        if not reads_norm or data.size:
+            error += _ROUNDING * n * _EPS * norm
         if reads_norm:
             error += res - math.sqrt(max(res * res - norm_err, 0.0))
         if not (math.isfinite(res) and math.isfinite(cond) and error <= norm):
@@ -305,9 +305,9 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
         out.append((res, error, cond))
     if not coefficients:
         return norm, out, None
-    # p, less the projection of an annihilator, in the monomial basis
-    p = B[:, :n_max + 1] @ (Vh.conj().T @ (y - G.conj().T @ gamma))
-    return norm, out, (target.at(top) if trig else 0.0) - p[top - lo]
+    # B Q_D x: the least-norm p with p-hat_R = f-hat_R, or Phi's projection
+    q = B[:, :n_max + 1] @ (Q[:, D] @ x)
+    return norm, out, (target.at(top) - q[top - lo]) if trig else q[top - lo]
 
 
 def weighted_residual(target, freqs, w, floor=None, tol=1e-12):

@@ -137,8 +137,9 @@ def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0, points=(),
     ``singular_ends`` ('a' and/or 'b'), where f is singular or not smooth.
     The decades go down to the last one not below tol, as a panel narrower
     than tol holds less than tol of an f of order 1, and to 10^-8 at most.
-    Adaptivity then takes over, and stops once past max_evals integrand
-    evaluations.
+    Adaptivity then halves each panel wider than the width floor whose
+    error is above its share of tol, and stops when none is left, or once
+    past max_evals integrand evaluations.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -159,15 +160,10 @@ def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0, points=(),
     for _ in range(_MAX_ROUNDS):
         if err.sum() <= tol or evals >= max_evals:
             break
-        splittable = (hi - lo) > min_width
-        if not splittable.any():
-            break
         thresh = max(tol / (2.0 * len(lo)), 0.0)
-        pick = splittable & (err > thresh)
+        pick = ((hi - lo) > min_width) & (err > thresh)
         if not pick.any():
-            worst = np.where(splittable)[0][np.argmax(err[splittable])]
-            pick = np.zeros(len(lo), dtype=bool)
-            pick[worst] = True
+            break
         keep = ~pick
         mid = 0.5 * (lo[pick] + hi[pick])
         lo = np.concatenate([lo[keep], lo[pick], mid])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from szegolab import cli, deep_zero, quadrature
+from szegolab import cli, deep_zero, probe, quadrature
 from szegolab.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -635,21 +635,36 @@ def test_probe_numeric_failure_exits_3_without_warning(tmp_path, capsys,
     assert not (out / "residuals.csv").exists()
 
 
-# exp(-1/t), cubes removed: the kept spans' constraint block conditions
-# near 3e17 at N = 1600, where 4 cond eps norm alone exceeds the norm
+# exp(-1/t), cubes removed: the removed rows' block conditions near 2.5e18
+# at N = 1600, where the solve by one SVD of the block gave a rounding term
+# 4 cond eps norm above the norm, and the run exited 3
 WALL_CONFIG = {"kind": "probe", "weight": {"kind": "exp", "c": 1.0},
                "gamma": {"generator": "power", "rho": 3, "count": 50},
                "target": {"kind": "trigpoly", "coeffs": {"0": 1}},
                "N_list": [800, 1600]}
 
 
-def test_probe_past_the_conditioning_wall_exits_3(tmp_path, capsys):
-    """At N = 1600 the residual's error exceeds the target norm, so the run
-    exits 3 naming both, writes no residuals and warns nothing, while
-    N = 800 alone (cond 3e12) runs.  Past the wall the residual and cond
-    are rounding and move with the BLAS thread count (3.937e-03 and
-    3.453e+17 on two threads, 3.703e-03 and 1.449e+17 on one), so only
-    their sizes are checked."""
+def test_probe_past_the_old_conditioning_wall_exits_0(tmp_path):
+    """The distance reads only the target's row projected off the other
+    removed rows, well conditioned: N = 1600 has a value with a small
+    error."""
+    cfg = _write(tmp_path, "wall.json", WALL_CONFIG)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", str(out)]) == 0
+    rows = (out / "residuals.csv").read_text().splitlines()[1:]
+    N, residual, _, _, _, error = map(float, rows[-1].split(","))
+    assert N == 1600 and abs(residual - 0.312777360079) <= 1e-10
+    assert error <= 1e-10
+
+
+def test_probe_error_above_the_norm_exits_3(tmp_path, capsys, monkeypatch):
+    """A residual_error above the target norm is a numeric failure: the run
+    exits 3 naming both, writes no residuals and warns nothing.  Both
+    rules' residuals lie in [0, norm], so their disagreement alone never
+    exceeds the norm: the rounding term is planted large."""
+    monkeypatch.setattr(probe, "_ROUNDING", 1e20)
     cfg = _write(tmp_path, "wall.json", WALL_CONFIG)
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -657,14 +672,12 @@ def test_probe_past_the_conditioning_wall_exits_3(tmp_path, capsys):
         assert main(["run", cfg, "--out", str(out)]) == 3
     found = re.search(
         r"numeric failure: residual (\S+) \+- (\S+) against the target "
-        r"norm 3\.854e-01 at 1589 frequencies, cond (\S+)",
+        r"norm 3\.854e-01 at 791 frequencies, cond \S+",
         capsys.readouterr().err)
-    assert found and float(found[2]) > 0.3854 and float(found[3]) > 1e16
+    assert found and float(found[2]) > 0.3854
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert not (out / "residuals.csv").exists()
-    below = _write(tmp_path, "below.json", {**WALL_CONFIG, "N_list": [800]})
-    assert main(["run", below, "--out", str(tmp_path / "below")]) == 0
 
 
 def test_manifest_written_before_data(tmp_path):

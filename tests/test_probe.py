@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,7 +251,7 @@ def test_residual_curve_matches_per_N_solves(s20, companion, rho, count,
         res, coeffs, norm, cond = weighted_residual(target, freqs, companion,
                                                     tol=1e-13)
         # each solve computes its own coefficient vector, whose length (and
-        # so its last bits) follows its N; residual^2 = norm^2 - |y|^2 then
+        # so its last bits) follows its N; residual^2 = norm^2 - |x|^2 then
         # agrees to the cancellation floor of that difference
         assert rec.target_norm == pytest.approx(norm, rel=4 * EPS)
         assert abs(rec.residual ** 2 - res ** 2) <= 8 * EPS * norm ** 2
@@ -299,13 +303,15 @@ _IN_SPAN = {2: 1.0, 5: 0.5 + 0.25j, 11: 0.75j}
 # an in-span target whose first kept set is empty: nothing kept at N = 5,
 # all of it kept from N = 20; its records (N, residual, target_norm,
 # cond_estimate, residual_error) as the closed-form residuals of a
-# half-run smaller rule gave them: running that rule in full keeps them
+# half-run smaller rule gave them: running that rule in full keeps them.
+# cond_estimate is read off the block's QR, and the spans' residual_error
+# is the rounding term n eps norm, n = 20 and 40
 _EMPTY_FIRST = {6: 1.0, 9: 0.5 + 0.25j, 13: 0.75j}
 _EMPTY_FIRST_RECORDS = [
-    (5, 1.0362870505067887, 1.0362870505067887, 3.8453137608013805,
+    (5, 1.0362870505067887, 1.0362870505067887, 3.8453137608013757,
      3.441691376337985e-14),
-    (20, 0.0, 1.0362870505067887, 3.096255602744903, 2.8498177916912537e-15),
-    (40, 0.0, 1.0362870505067887, 3.744299877612528, 3.446282793703418e-15)]
+    (20, 0.0, 1.0362870505067887, 3.0962556027449026, 4.602038974374117e-15),
+    (40, 0.0, 1.0362870505067887, 3.744299877612523, 9.204077948748235e-15)]
 
 
 @pytest.mark.parametrize("gamma, target, N_list, runs", [
@@ -353,11 +359,13 @@ def _node_norm(w, n_max, rule, target):
 
 def _block_cond(w, n_max, kept, n):
     """sigma_max/sigma_min of the last rule's block for the kept set with
-    no inner product on it: the rows 0..n off the set, degrees 0..n."""
+    no inner product on it, the rows 0..n off the set, degrees 0..n: read
+    off the triangular factor of its QR, as the probe reads it."""
     rows = np.array([r for r in range(n + 1) if r not in set(kept)])
     _, B = probe._szego(*probe._measure(w, n_max, probe._RULES[-1]), n_max,
                         rows)
-    s = np.linalg.svd(B[:, :n + 1], full_matrices=False)[1]
+    T = np.linalg.qr(B[:, :n + 1].conj().T)[1]
+    s = np.linalg.svd(T, compute_uv=False)
     return float(s[0] / s[-1])
 
 
@@ -381,7 +389,7 @@ def test_unread_trig_curves_take_their_records_in_closed_form(companion):
     assert second.residual == 0.0
     cond = _block_cond(companion, 10, range(4, 11), 10)
     assert second.cond_estimate == cond
-    assert second.residual_error == 0.0 + 4.0 * cond * EPS * norm
+    assert second.residual_error == 0.0 + probe._ROUNDING * 10 * EPS * norm
 
     cubes = gen_power_set(3, 50)
     target = TrigPolyTarget(_IN_SPAN)
@@ -392,7 +400,7 @@ def test_unread_trig_curves_take_their_records_in_closed_form(companion):
         cond = _block_cond(companion, 80, kept, max(kept))
         assert (rec.residual, rec.target_norm) == (0.0, norm)
         assert rec.cond_estimate == cond
-        assert rec.residual_error == 4.0 * cond * EPS * norm
+        assert rec.residual_error == probe._ROUNDING * max(kept) * EPS * norm
 
 
 def test_weighted_residual_of_an_in_span_target(companion, monkeypatch):
@@ -541,9 +549,8 @@ def test_residual_curve_matches_dense_least_squares(companion, rho, count):
 def test_residual_error_covers_a_rotation_of_the_nodes(companion, coeffs,
                                                        monkeypatch):
     """Rotating every node by +-2.2e-16 rad, one rounding of z, moves each
-    residual of the curve by at most its residual_error, whose rounding
-    term 4 cond eps norm covers it (without it, e_1 moved 1.9e-12 at
-    N = 800 against a residual_error of 7.1e-14)."""
+    residual of the curve by at most the rounding term n eps norm of its
+    residual_error (by at most 0.027 n eps norm, on this seed)."""
     cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 50),
                       target=TrigPolyTarget(coeffs), tol=1e-13)
     N_list = [50, 100, 200, 400, 800]
@@ -556,10 +563,92 @@ def test_residual_error_covers_a_rotation_of_the_nodes(companion, coeffs,
         return z * np.exp(2.2e-16j * rng.choice([-1.0, 1.0], z.size)), root_mu
 
     monkeypatch.setattr(probe, "_measure", rotated)
+    kept = complement_in_range(cfg.gamma, N_list[-1])
     for rec, moved in zip(base, residual_curve(cfg, N_list).records):
-        rounding = 4 * rec.cond_estimate * EPS * rec.target_norm
+        n = max(max(k for k in kept if k <= rec.N), *coeffs)
+        rounding = probe._ROUNDING * n * EPS * rec.target_norm
+        assert abs(moved.residual - rec.residual) <= rounding
         assert rec.residual_error >= rounding
-        assert abs(moved.residual - rec.residual) <= rec.residual_error
+
+
+def test_residual_curve_holds_past_the_old_conditioning_wall():
+    """c = 1, cubes removed, e_0: the removed rows' block conditions near
+    2.5e18 at N = 1600, yet the distance is the data row projected off the
+    others, well conditioned.  The values are those of a long-double
+    recursion with a 30-digit mpmath solve."""
+    cfg = ProbeConfig(weight=make_exp_weight(1.0), gamma=gen_power_set(3, 50),
+                      target=TrigPolyTarget({0: 1.0}), tol=1e-13)
+    records = residual_curve(cfg, [1600, 3200]).records
+    for rec, value in zip(records, (0.312777360079, 0.307718463510)):
+        assert abs(rec.residual - value) <= 1e-10
+        assert rec.residual_error <= 1e-10
+
+
+# (N, residual, residual_error) of the solve by one SVD of the whole block,
+# which the QR of the block with its data rows last replaced
+_SVD_ROUTE = {
+    "e1": [(50, 0.6463233355982747, 3.3133019149398187e-15),
+           (100, 0.6430837413328737, 1.0863020905963278e-14),
+           (200, 0.6402063615821344, 8.279712606394716e-14),
+           (400, 0.6378959442690741, 1.7847871744142401e-12),
+           (800, 0.6357858595834193, 1.4855060011473148e-10)],
+    "four-terms": [(100, 0.33681236045383306, 1.3400979931010602e-12),
+                   (200, 0.3302292819587597, 1.23961263509923e-10),
+                   (400, 0.32425316815322236, 1.0726180215072069e-07),
+                   (800, 0.31851754209067723, 0.0012538781306044005)],
+    "annihilator": [(100, 4.022632169000006, 3.676351382823009e-05),
+                    (200, 4.022187723752915, 3.676757681292815e-05),
+                    (400, 4.021837048549055, 3.6770798095329606e-05),
+                    (800, 4.021513658119737, 3.677517750326738e-05)]}
+
+
+@pytest.mark.parametrize("kind", list(_SVD_ROUTE))
+def test_residuals_lie_inside_the_svd_route_error_bars(s20, companion,
+                                                       kind):
+    """Cubes removed: e_1 on the companion weight, four terms at c = 1 and
+    the cubes' annihilator (data on T) on the companion weight."""
+    weight, target = {
+        "e1": (companion, TrigPolyTarget({1: 1.0})),
+        "four-terms": (make_exp_weight(1.0), TrigPolyTarget(
+            {0: 1.0, 8: 0.5j, 27: 0.3, 64: -0.2})),
+        "annihilator": (companion, AnnihilatorTarget(s20))}[kind]
+    cfg = ProbeConfig(weight=weight, gamma=gen_power_set(3, 50),
+                      target=target, tol=1e-13)
+    N_list = [N for N, *_ in _SVD_ROUTE[kind]]
+    for rec, (_, value, error) in zip(residual_curve(cfg, N_list).records,
+                                      _SVD_ROUTE[kind]):
+        assert abs(rec.residual - value) <= error
+
+
+def test_residual_does_not_move_with_the_blas_thread_count():
+    """c = 1, cubes removed, e_0 at N = 800: the SVD route's value moved
+    in its sixth digit between one and two BLAS threads."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from szegolab.probe import ProbeConfig, TrigPolyTarget, "
+            "residual_curve; from szegolab.frequency_sets import "
+            "gen_power_set; from szegolab.weights import make_exp_weight; "
+            "print(repr(residual_curve(ProbeConfig(make_exp_weight(1.0), "
+            "gen_power_set(3, 50), TrigPolyTarget({0: 1.0}), 1e-13), [800])"
+            ".records[0].residual))")
+    values = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        values.append(float(out.stdout))
+    assert abs(values[0] - values[1]) <= 1e-13
+
+
+def test_weighted_residual_with_no_row_removed():
+    """The kept set covers every degree of the target's range, so no row
+    is removed: the target is in the span, with its own amplitudes."""
+    target = TrigPolyTarget({1: 1.0})
+    res, coeffs, norm, cond = weighted_residual(target, [0, 1, 2],
+                                                make_exp_weight(0.5))
+    assert (res, cond) == (0.0, 1.0) and norm > 0
+    assert np.array_equal(coeffs, target.at([0, 1, 2]))
 
 
 def test_annihilator_drop_matches_dense_schur_complement(s20, companion):
