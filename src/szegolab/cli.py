@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -540,21 +540,24 @@ def _report_lines(manifest):
     return lines
 
 
-def main(argv=None):
+@cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="szego-lab",
         description="weighted-completeness experiments: annihilator products, "
                     "deep-zero series, projection probes")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run an experiment from a JSON config")
-    p_run.add_argument("config")
-    p_run.add_argument("--out", required=True)
-    p_val = sub.add_parser("validate", help="check a config without running")
-    p_val.add_argument("config")
-    p_rep = sub.add_parser("report", help="summarize a finished run")
-    p_rep.add_argument("manifest")
-    args = parser.parse_args(argv)
+    for name, arg, text in (
+            ("run", "config", "run an experiment from a JSON config"),
+            ("validate", "config", "check a config without running"),
+            ("report", "manifest", "summarize a finished run")):
+        sub.add_parser(name, help=text).add_argument(arg)
+    sub.choices["run"].add_argument("--out", required=True)
+    return parser
 
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return run_experiment(args.config, args.out)
     if args.command == "validate":

@@ -41,6 +41,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from importlib.resources import files
 
 import numpy as np
 
@@ -156,8 +157,13 @@ class ResidualRecord:
 
 @functools.cache
 def _leggauss(order):
-    """Gauss-Legendre nodes and weights, computed once per order, read-only."""
-    x, wx = np.polynomial.legendre.leggauss(order)
+    """numpy's leggauss(order) bit for bit, read-only, from its stored half."""
+    with files(__package__).joinpath("gauss_legendre.txt").open() as f:
+        half = np.array([[float.fromhex(v) for v in line.split()[1:]]
+                         for line in f if line.split()[:1] == [str(order)]])
+    if order < 1 or len(half) != (order + 1) // 2:
+        raise ValueError(f"no stored Gauss-Legendre rule of order {order}")
+    x, wx = np.concatenate([half[::-1][:order // 2] * [-1, 1], half]).T.copy()
     x.flags.writeable = wx.flags.writeable = False
     return x, wx
 
@@ -219,11 +225,8 @@ def _szego(z, root_mu, n, rows):
 
 
 def _recurse(w, n, rows, rules):
-    """Per rule of rules, its measure's points z and root masses
-    (_measure) and the Szegő recursion's d2 and B on rows to degree n
-    (_szego): yields (z, root_mu, d2, B)."""
-    for rule in rules:
-        z, root_mu = _measure(w, n, rule)
+    """Yields (z, root_mu) of _measure and (d2, B) of _szego per rule."""
+    for z, root_mu in (_measure(w, n, rule) for rule in rules):
         yield (z, root_mu, *_szego(z, root_mu, n, rows))
 
 

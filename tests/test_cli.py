@@ -617,6 +617,50 @@ def test_probe_path_leaves_numpy_ma_unloaded(tmp_path):
     assert out.stdout.splitlines()[-1] == "[0, 0] False"
 
 
+def test_probe_run_loads_no_numpy_polynomial(tmp_path):
+    """The probe's Gauss-Legendre rules are stored bits, so a probe run
+    neither imports numpy.polynomial nor solves its eigenproblem."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys; from szegolab.cli import main; "
+            f"code = main(['run', {str(CONFIGS / 'probe.json')!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]); print(code, sorted(m for m in "
+            "sys.modules if m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    """validate, run, report, a config error and a usage error, in one
+    process, answer as each does after a fresh parser build."""
+    cfg = _write(tmp_path, "c.json", SETS_CONFIG)
+    bad = _write(tmp_path, "bad.json", {"kind": "sets"})
+    out = str(tmp_path / "out")
+    argvs = [["validate", cfg], ["run", cfg, "--out", out],
+             ["report", out + "/manifest.json"], ["validate", bad],
+             ["run", cfg]]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit {exc.code}"
+        return code, *capsys.readouterr()
+
+    cli._parser.cache_clear()
+    in_one_process = [call(argv) for argv in argvs]
+    assert cli._parser.cache_info().misses == 1
+    separate = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        separate.append(call(argv))
+    assert in_one_process == separate
+    assert [code for code, *_ in separate] == [0, 0, 0, 2, "SystemExit 2"]
+    assert "the following arguments are required: --out" in separate[-1][2]
+
+
 @pytest.mark.parametrize("config, message", [
     ({"kind": "probe", "weight": {"kind": "exp", "c": 1.0},
       "gamma": {"generator": "power", "rho": 3, "count": 10},

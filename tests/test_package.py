@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import szegolab
@@ -39,3 +41,18 @@ def test_each_public_name_is_declared_once(tmp_path):
         "LIMIT = 1\n"
         "__all__ = ['LIMIT', 'integrate_finite']\n", encoding="utf-8")
     assert undeclared_exports(tmp_path) == ["planted:integrate_finite"]
+
+
+def test_build_ships_the_stored_gauss_legendre_rules(tmp_path):
+    """setuptools' build_py, offline, puts the probe's node rules in the
+    built package; egg_info and the build are kept in tmp_path."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import setuptools; setuptools.setup()",
+         "egg_info", "--egg-base", str(tmp_path),
+         "build_py", "--build-lib", str(tmp_path / "lib")],
+        cwd=root, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    built = tmp_path / "lib" / "szegolab" / "gauss_legendre.txt"
+    assert built.read_bytes() == (
+        Path(szegolab.__file__).with_name("gauss_legendre.txt").read_bytes())

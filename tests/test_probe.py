@@ -420,6 +420,51 @@ def test_weighted_residual_of_an_in_span_target(companion, monkeypatch):
     assert cond == _block_cond(companion, 40, freqs, 40)
 
 
+_ORDERS = sorted({order for *_, order in probe._RULES})
+_GAUSS_LEGENDRE_HEADER = """\
+# Gauss-Legendre rules on [-1, 1] for szegolab.probe._leggauss: per line an
+# order, a node x >= 0 and its weight, as float.hex, bit for bit what
+# numpy.polynomial.legendre.leggauss(order) gives (Golub & Welsch, Math. Comp.
+# 1969, plus one Newton step, then symmetrized): the node -x has the same
+# weight.  tests/test_probe.py rebuilds this text and prints it on a mismatch.
+"""
+
+
+def _gauss_legendre_text(orders):
+    """The text of gauss_legendre.txt for orders, from numpy's leggauss."""
+    lines = []
+    for order in orders:
+        x, w = np.polynomial.legendre.leggauss(order)
+        lines += [f"{order} {a.hex()} {b.hex()}\n"
+                  for a, b in zip(x[order // 2:], w[order // 2:])]
+    return _GAUSS_LEGENDRE_HEADER + "".join(lines)
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_stored_gauss_legendre_rule_is_numpys(order):
+    x, w = probe._leggauss(order)
+    x_np, w_np = np.polynomial.legendre.leggauss(order)
+    assert x.tobytes() == x_np.tobytes() and w.tobytes() == w_np.tobytes()
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
+@pytest.mark.parametrize("order", [0, 1, 63, 65, 81])
+def test_unstored_gauss_legendre_order_raises(order):
+    with pytest.raises(ValueError, match=f"order {order}$"):
+        probe._leggauss(order)
+
+
+def test_stored_gauss_legendre_file_rebuilds():
+    """The stored bits are numpy's here; a new order in _RULES, or a numpy
+    whose leggauss rounds otherwise, fails with the text to store."""
+    path = Path(probe.__file__).with_name("gauss_legendre.txt")
+    text = _gauss_legendre_text(_ORDERS)
+    assert path.read_text(encoding="ascii") == text, (
+        f"store this text in {path.name}:\n{text}")
+
+
 def test_szego_recursion_gives_orthonormal_polynomials(companion):
     n = 60
     z, root_mu = probe._measure(companion, n, probe._RULES[0])
