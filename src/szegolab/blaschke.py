@@ -77,7 +77,16 @@ def boundary_product(tau, gammas):
         np.arctan(block, out=block)
         block.sum(axis=1, out=arcs[lo:lo + rows])
     phase = 8.0 * np.arctan(root) + 2.0 * arcs
-    return (tau * tau) / (1.0 + tau) ** 4 * np.exp(-1j * phase)
+    return _slit_modulus(tau) * np.exp(-1j * phase)
+
+
+def _slit_modulus(tau, factor=1.0):
+    """factor tau^2/(1+tau)^4, tau >= 0, as factor (1+tau)^-2 where
+    (1+tau)^4 overflows; factor first, so 2 t t/(1+|t|)^4 keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = (1.0 + tau) ** 4
+        return np.where(np.isinf(den), factor * (1.0 + tau) ** -2.0,
+                        factor * tau * tau / den)
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,7 @@ class JumpFunction:
     def envelope(self, t):
         """|g| bound 2 t^2/(1+|t|)^4 (absolute-value reading of the slit modulus)."""
         t = np.asarray(t, dtype=np.float64)
-        return np.where(t <= 0, 2.0 * t * t / (1.0 + np.abs(t)) ** 4, 0.0)
+        return np.where(t <= 0, _slit_modulus(np.abs(t), 2.0), 0.0)
 
 
 def eval_phi(ann, z):
@@ -139,7 +148,7 @@ def eval_phi_boundary(ann, t):
 
 
 def g_l1_norm(j, tol=1e-8):
-    res = integrate_left_halfline(lambda u: np.abs(j(u)) + 0j, 2.0, tol)
+    res = integrate_left_halfline(lambda u: np.abs(j(u)) + 0j, tol)
     require(res, "L1 norm of g")
     return res.value.real, res.abs_error_estimate
 
@@ -152,7 +161,7 @@ def gamma_vanishing_residual(j, gamma_value, tol=1e-6):
     retained = j.annihilator.retained
     if retained.size == 0:
         raise ValueError("empty product has no vanishing frequencies")
-    res = integrate_left_halfline(lambda u: j(u) / (u - gamma_value), 2.0, tol)
+    res = integrate_left_halfline(lambda u: j(u) / (u - gamma_value), tol)
     require(res, f"Cauchy transform of g at {gamma_value}")
     return abs(res.value), res.abs_error_estimate
 
@@ -163,7 +172,7 @@ def cauchy_identity_residual(ann, j, z, tol=1e-6):
     if abs(z) > 1e3:
         raise ValueError("identity is checked at moderate |z| (<= 1e3)")
     phi_val, _ = eval_phi(ann, z)
-    res = integrate_left_halfline(lambda u: j(u) / (u - z), 2.0, tol)
+    res = integrate_left_halfline(lambda u: j(u) / (u - z), tol)
     require(res, f"Cauchy integral of g at z={z}")
     cauchy = res.value / (2j * np.pi)
     return abs(phi_val - cauchy) / (abs(phi_val) + 1e-14)
@@ -201,15 +210,15 @@ def compute_G(j, s, tol=1e-6):
     algebraic envelope tail, 5e-5, added to the error; its seed panels are
     one period of 0.05 wide, whatever the call's s (the quadrature's part
     of the error stays over 2000 times below the tail), and Im j on them
-    is sampled once per jump and kept by the quadrature (with its last
-    three other seeds), so a call samples only the panels it splits.
-    Larger |s|: moderate T plus two integration-by-parts boundary terms at
-    u = -T, with the remainder estimated from a finite-difference second
-    derivative of g; one fourier_coefficients call samples g once for all
-    of its s.  converged is per s: the total error, tail or remainder
-    included, is within tol.  evaluations counts the nodes both rules used,
-    kept samples included.  A scalar s gives scalar fields.
-    """
+    is sampled once per jump and kept by the quadrature, so a call samples
+    only the panels it splits.  Larger |s|: moderate T plus two
+    integration-by-parts boundary terms at u = -T, with the remainder
+    estimated from a finite-difference second derivative of g; one
+    fourier_coefficients call samples g once for all of its s, and an |s|
+    past the seed cap, 333.333, raises ValueError before g is sampled.
+    converged is per s: the total error, tail or remainder included, is
+    within tol.  evaluations counts the nodes both rules used, kept samples
+    included.  A scalar s gives scalar fields."""
     s_in = np.asarray(s, dtype=np.float64)
     s = np.atleast_1d(s_in)
     value = np.empty(s.size, dtype=np.complex128)
@@ -217,8 +226,7 @@ def compute_G(j, s, tol=1e-6):
     evals = 0
     small = np.abs(s) < _S_SMALL
     if small.any():
-        res = fourier_coefficients(_ImagPart(j), -s[small], tol,
-                                   *_SMALL_SEED, keep=True)
+        res = fourier_coefficients(_ImagPart(j), -s[small], tol, *_SMALL_SEED)
         value[small] = 1j * res.value
         error[small] = res.abs_error_estimate + _g_abs_tail(_T_SMALL)
         evals += res.evaluations
@@ -286,7 +294,7 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
         points=(_S_SMALL, 0.4 * _S_SMALL), max_evals=30_000)
     require(direct, "convolution route direct")
     diff = integrate_left_halfline(
-        lambda u: _exp_diff_quotient(u, q, t) * j(u), 2.0, tol * 0.1)
+        lambda u: _exp_diff_quotient(u, q, t) * j(u), tol * 0.1)
     require(diff, "convolution route difference_form")
 
     values = {"direct": direct.value,
@@ -295,7 +303,7 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
               "difference_form": diff.abs_error_estimate}
     if np.any(np.isclose(j.annihilator.retained, q)):
         red_res = integrate_left_halfline(
-            lambda u: np.exp(2j * np.pi * u * t) / (u - q) * j(u), 2.0, tol * 0.1)
+            lambda u: np.exp(2j * np.pi * u * t) / (u - q) * j(u), tol * 0.1)
         require(red_res, "convolution route reduced")
         values["reduced"] = red_res.value / (2j * np.pi)
         errors["reduced"] = red_res.abs_error_estimate

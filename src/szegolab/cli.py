@@ -42,6 +42,7 @@ EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
 
 _COMPANION_FACTOR = 0.9   # default weight.factor; deepzero membership uses it
+_MAX_SIZE = 100_000   # cap on count, blocks' length, points, N, |frequency|
 _REQUIRED = object()
 
 
@@ -205,12 +206,15 @@ def _frequency_set(spec):
     numbers = {"convert": _each(_real), "need": "a list of numbers"}
     if gen == "power":
         fset = _make(spec.path, gen_power_set, spec.get("rho", _real),
-                     spec.get("count", _integer))
+                     spec.get("count", _integer, ok=lambda n: n <= _MAX_SIZE,
+                              need=f"an integer at most {_MAX_SIZE}"))
     elif gen == "blocks":
         integers = {"convert": _each(_integer), "need": "a list of integers"}
         fset = _make(spec.path, gen_interval_blocks,
                      spec.get("starts", **integers),
-                     spec.get("lengths", **integers))
+                     spec.get("lengths", _each(_integer),
+                              ok=lambda ls: sum(map(abs, ls)) <= _MAX_SIZE,
+                              need=f"integers of total at most {_MAX_SIZE}"))
     else:
         elements = spec.get("elements", **numbers)
         fset = _make(spec.field("elements"), FrequencySet, tuple(elements))
@@ -224,7 +228,8 @@ def _series(spec):
     k_min = spec.get("k_min", _integer, 0, ok=lambda k: k >= 0,
                      need="a non-negative integer")
     return _make(spec.field("M"), DeepZeroSeries.build, k_min,
-                 spec.get("M", _integer, 20))
+                 spec.get("M", _integer, 20, ok=lambda m: m <= 1000,
+                          need="an integer at most 1000"))
 
 
 def _companion(series, factor, summary):
@@ -263,9 +268,11 @@ def _target(spec):
     for key in coeffs.obj:
         try:
             freq = int(key)
+            if abs(freq) > _MAX_SIZE:
+                raise ValueError(key)
         except ValueError:
-            raise ConfigError(f"{coeffs.path} key must be an integer, "
-                              f"got {key!r}") from None
+            raise ConfigError(f"{coeffs.path} key must be an integer of size "
+                              f"at most {_MAX_SIZE}, got {key!r}") from None
         if keys.setdefault(freq, key) != key:
             raise ConfigError(f"{coeffs.path} keys {keys[freq]!r} and {key!r} "
                               f"name the same frequency {freq}")
@@ -367,8 +374,8 @@ def _build_deepzero(cfg, tol, summary):
                     need="a number in (0, 1)")
     t_max = cfg.get("t_max", _real, 0.2, ok=lambda t: t_min < t < 1,
                     need="a number in (t_min, 1)")
-    points = cfg.get("points", _integer, 20, ok=lambda n: n >= 8,
-                     need="an integer >= 8")
+    points = cfg.get("points", _integer, 20, ok=lambda n: 8 <= n <= _MAX_SIZE,
+                     need=f"an integer in [8, {_MAX_SIZE}]")
     # grid uniform in 1/t so the decay fit weights the deep-zero range evenly
     t_grid = 1.0 / np.linspace(1.0 / t_max, 1.0 / t_min, points)[::-1]
     weight = None
@@ -404,9 +411,9 @@ def _build_probe(cfg, tol, summary):
     _make("gamma", complement_in_range, gamma, 1)   # gamma holds integers
     target = _target(cfg.section("target"))
     N_list = cfg.get("N_list", _each(_integer),
-                     ok=lambda ns: len(ns) > 0 and ns[0] >= 1
+                     ok=lambda ns: ns and 1 <= ns[0] and ns[-1] <= _MAX_SIZE
                      and all(a < b for a, b in zip(ns, ns[1:])),
-                     need="a non-empty increasing list of positive integers")
+                     need=f"a non-empty increasing list in [1, {_MAX_SIZE}]")
     config = ProbeConfig(weight=weight, gamma=gamma, target=target,
                          tol=min(tol, 1e-10))
     return partial(_run_probe, config, N_list)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import (QuadratureResult, _seed_cap, fourier_coefficients,
+from .quadrature import (QuadratureResult, fourier_coefficients,
                          integrate_finite, require)
 
 __all__ = ["SINGULARITY_DELTA", "ENVELOPE_GRID", "eval_F", "eval_h",
@@ -185,22 +185,20 @@ def eval_H_integral(t, tol=1e-8):
     orientation fixed by eval_H_series).  h(-x) = -conj h(x) folds it onto
     the half-line: -2i times the real integral of sin(pi (1 - 2t) x) K(x)
     over [0, X], K(x) = sin(pi x)/(F(x) F(-x)), which is minus the
-    imaginary part of K's Fourier coefficient at nu = 1/2 - t.  Its seed panels
-    are half periods of max(|t|, |1 - t|, 1): every t in [0, 1] shares one mesh
-    of 2X panels, on which the quadrature keeps K, so a call samples only
-    the panels it splits; a t past _seed_cap (|t| above about 208 at tol 1e-8)
-    raises ValueError.  X is the smallest integer from 200 up whose analytic
-    |h| tail beyond X is at most tol/2; the quadrature gets the rest of tol,
-    and converged means that the total error, tail included, is within tol."""
+    imaginary part of K's Fourier coefficient at nu = 1/2 - t.  Its seed
+    panels are half periods of max(|t|, |1 - t|, 1): every t in [0, 1]
+    shares one mesh of 2X panels, on which the quadrature keeps K, so a call
+    samples only the panels it splits; where max(|t|, |1 - t|) passes the
+    seed cap (208.333 at tol 1e-8) the call raises ValueError up front.  X
+    is the smallest integer from 200 up whose analytic |h| tail beyond X is
+    at most tol/2; the quadrature gets the rest of tol, and converged means
+    that the total error, tail included, is within tol."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     t, X = float(t), _h_cut(tol)
     tail, nu_max = _h_abs_tail(X), max(abs(t), abs(1.0 - t), 1.0)
-    if nu_max > (cap := _seed_cap((0.0, X))):
-        raise ValueError(f"t={t} is past the seed cap: at tol {tol:g}, "
-                         f"max(|t|, |1 - t|) must be at most {cap:.6g}")
     res = fourier_coefficients(_sin_over_FF, np.array([0.5 - t]),
-                               0.5 * (tol - tail), (0.0, X), nu_max, keep=True)
+                               0.5 * (tol - tail), (0.0, X), nu_max)
     error = 2.0 * float(res.abs_error_estimate[0]) + tail
     return QuadratureResult(2j * res.value[0].imag, error, res.evaluations,
                             error <= tol)

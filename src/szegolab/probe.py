@@ -67,9 +67,9 @@ _EPS = np.finfo(np.float64).eps
 
 def weight_fourier_coeffs(w, K, tol=1e-12):
     """The weight's Fourier coefficients w-hat(0..K) as a fresh vector, in
-    closed form for a tabulated weight whose samples are all equal (it is
-    that constant on [0, 1]), else from one batched quadrature split at w's
-    breakpoints; a lag whose error exceeds tol raises."""
+    closed form for a tabulated weight of equal samples (a constant), else
+    from one batched quadrature split at w's breakpoints; a lag whose error
+    exceeds tol raises, and K past the seed cap, 66666, raises ValueError."""
     K = int(K)
     if len({v for _, v in w.samples}) == 1:
         what = np.zeros(K + 1, dtype=np.complex128)
@@ -258,6 +258,9 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
         blocks.append((n, R, slice(R.size - data.size, None), data,
                        not trig or not size))
     rows = np.arange(n_max + 1) if coefficients else np.flatnonzero(read)
+    if rows.size * (n_max + 1) > 1 << 26:       # B would take over 1 GiB
+        raise ArithmeticError(f"{rows.size} x {n_max + 1} coefficients: "
+                              f"the block B is capped at 2**26 entries")
     # two rules can disagree only where a block has data or a trig residual
     # is its norm, summed on each rule's own nodes; elsewhere the last serves
     values, disagree = [], any(data.size or trig and reads_norm

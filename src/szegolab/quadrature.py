@@ -52,7 +52,7 @@ _FOURIER_BLOCK = 1 << 16
 _SAMPLE_PANELS = 256   # panels _seed_samples samples at a time
 # integrand evaluations one integral spends at most: integrate_finite and
 # integrate_left_halfline stop their adaptive loop once past it, and
-# fourier_coefficients halves no panels that would take it beyond
+# fourier_coefficients refuses seeds and halvings that would pass it
 _MAX_EVALS = 2_000_000
 
 
@@ -180,21 +180,18 @@ def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0, points=(),
                             total_err <= tol)
 
 
-def integrate_left_halfline(f, decay_exponent, tol):
-    """Integral of f over (-inf, 0] for f with |f(u)| <= M/(1+|u|)^p, p > 1.
+def integrate_left_halfline(f, tol):
+    """Integral of f over (-inf, 0] for f with |f(u)| <= M/(1+|u|)^2.
 
     Uses u = -s/(1-s) to map onto [0, 1), seeded toward both ends as
     integrate_finite's singular_ends: s -> 0 is u -> 0, where every jump
     integrand has its |u|^(5/2) edge, and s -> 1 is the end of the map.
-    The sliver beyond the map's resolution is covered by the declared
-    algebraic tail bound, which is added to the error estimate; converged
+    The sliver beyond the map's resolution is covered by the tail bound of
+    that decay, every jump integrand's, added to the error estimate; converged
     means that the total, tail included, is within tol.  The tail is known
     first, so the quadrature is asked for what it leaves of tol (all of tol
     when the tail alone exceeds it; the result is then unconverged).
     """
-    p = float(decay_exponent)
-    if p <= 1:
-        raise ValueError("decay_exponent must exceed 1")
     s_max = 1.0 - 1e-12
     cap = s_max / (1.0 - s_max)
 
@@ -204,8 +201,8 @@ def integrate_left_halfline(f, decay_exponent, tol):
 
     probes = np.array([-cap, -0.5 * cap, -0.1 * cap, -1e-2 * cap])
     m_est = float(np.max(np.abs(np.asarray(f(probes), dtype=np.complex128))
-                         * (1.0 + np.abs(probes)) ** p))
-    tail = 2.0 * m_est / ((p - 1.0) * (1.0 + cap) ** (p - 1.0))
+                         * (1.0 + np.abs(probes)) ** 2))
+    tail = 2.0 * m_est / (1.0 + cap)
 
     res = integrate_finite(transformed, 0.0, s_max,
                            tol - tail if tail < tol else tol,
@@ -215,27 +212,24 @@ def integrate_left_halfline(f, decay_exponent, tol):
                             error <= tol)
 
 
-def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None,
-                         keep=False):
+def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None):
     """Integrals of f(t) exp(-2 pi i nu t) over the breakpoints' span, for
     every real frequency nu in the 1-d array freqs.
 
     One composite Gauss-Kronrod 7/15 rule serves every frequency, so f is
     sampled once per node.  Each interval between consecutive breakpoints
     starts as equal panels no wider than half a period of nu_max (by
-    default the largest |nu|), capped at _MAX_EVALS/15 panels in all
-    (_fourier_mesh).  With keep, f is hashable and real (complex samples
-    raise TypeError), and _seed_samples keeps its samples on those seed
-    panels for the last four (f, breakpoints, nu_max), so a repeat samples
-    only the panels it splits (compute_G keeps Im j, eval_H_integral the H
-    kernel).  On a panel with midpoint m and half-width h,
-    exp(-2 pi i nu t) is the phase exp(-2 pi i nu m) times the table
-    exp(-2 pi i nu h x_j) that all panels of width 2h share, so each
-    panel's error needs only the table.  Seed panels step by 2h, so a
-    block's phases are its first row's times a step table
-    exp(-2 pi i nu 2h r); a split panel's phase is one exp.  One
-    matrix product per block, samples (panels x 15 nodes) times the table
-    under three rows of weights (over the table's (re, im) pairs for real
+    default the largest |nu|); a seed past _seed_cap raises ValueError
+    before f is sampled.  A given nu_max is a kept seed: f is hashable and
+    real (complex samples raise TypeError), and _seed_samples keeps its
+    samples for the last four (f, breakpoints, nu_max), so a repeat samples
+    only the panels it splits.  On a panel with midpoint m and half-width
+    h, exp(-2 pi i nu t) is the phase exp(-2 pi i nu m) times the table
+    exp(-2 pi i nu h x_j) that all panels of width 2h share; seed panels
+    step by 2h, so a block's phases are its first row's times a step table
+    exp(-2 pi i nu 2h r), and a split panel's phase is one exp.  One matrix
+    product per block, samples (panels x 15 nodes) times the table under
+    three rows of weights (over the table's (re, im) pairs for real
     samples), gives the Kronrod sum K, the difference K - G from the Gauss
     sum and the antisymmetric sum A of the Kronrod weights times sgn(x_j).
     Those weights sum to zero, so A is the same sum taken about the panel
@@ -248,8 +242,8 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None,
     A panel is kept when its error at every frequency is within its share
     of tol (tol times its width over the span), so the kept panels' errors
     sum to at most tol at every frequency; the others are halved and
-    evaluated again, until every panel is kept, or a halving would take the
-    nodes evaluated beyond _MAX_EVALS, or the panels reach the width floor.
+    evaluated again, until every panel is kept, a halving would pass
+    _MAX_EVALS, or the panels reach the width floor.
 
     Returns a QuadratureResult whose value and abs_error_estimate are arrays
     over freqs, and whose evaluations count the rule's nodes, kept samples
@@ -263,8 +257,10 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None,
         raise ValueError(f"need a nonempty 1-d array of finite frequencies "
                          f"and increasing breakpoints, got {freqs.size} "
                          f"frequencies, breakpoints {breakpoints}")
-    nu_max = np.abs(freqs).max() if nu_max is None else nu_max
-    samples = _seed_samples(f, tuple(edges), nu_max) if keep else None
+    if nu_max is None:
+        samples, nu_max = None, np.abs(freqs).max()
+    else:
+        samples = _seed_samples(f, tuple(edges), nu_max)
     mid, half, runs = _fourier_mesh(edges, nu_max)
     share = tol / (edges[-1] - edges[0])            # of tol per unit width
     min_half = 0.5e-14 * max(edges[-1] - edges[0], np.abs(edges).max())
@@ -300,17 +296,18 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None,
 
 
 def _seed_cap(edges):
-    """The largest nu_max whose half periods _fourier_mesh seeds in full."""
+    """The largest nu_max whose half periods fit in _MAX_EVALS/15 panels."""
     return _MAX_EVALS // _XK.size / (2 * (edges[-1] - edges[0]))
 
 
 def _fourier_mesh(edges, nu_max):
     """Midpoints, half-widths and runs of the seed panels: each interval
-    between edges in equal panels no wider than half a period of nu_max, or
-    _MAX_EVALS/15 panels over the span if fewer (ceil adds at most one per
-    interval), one panel at nu_max 0, its panels' indices one run."""
+    between edges in equal panels no wider than half a period of nu_max
+    (ceil adds at most one per interval), one panel at nu_max 0, its
+    panels' indices one run.  A nu_max past _seed_cap raises ValueError."""
+    if nu_max > (cap := _seed_cap(edges)):
+        raise ValueError(f"nu_max {nu_max:g} is past the seed cap {cap:.6g}")
     widths = np.diff(edges)
-    nu_max = min(nu_max, _seed_cap(edges))
     counts = np.maximum(np.ceil(widths * 2 * nu_max), 1).astype(np.int64)
     mid = np.concatenate([a + h * (2.0 * np.arange(n) + 1.0) for a, h, n
                           in zip(edges[:-1], 0.5 * widths / counts, counts)])
@@ -322,7 +319,7 @@ def _fourier_mesh(edges, nu_max):
 def _seed_samples(f, edges, nu_max):
     """A real f at the nodes of the seed panels _fourier_mesh(edges,
     nu_max), one row per panel, kept for fourier_coefficients' last four
-    keep calls (complex samples raise TypeError): sampled in blocks, so f's
+    seeds (complex samples raise TypeError): sampled in blocks, so f's
     temporaries stay small, into a read-only C-contiguous float64 array."""
     mid, half, _ = _fourier_mesh(edges, nu_max)
     y = np.empty((mid.size, _XK.size))

@@ -307,8 +307,8 @@ def test_second_small_s_call_samples_only_its_split_panels(jump):
 def _G_direct(j, s, tol, monkeypatch):
     """compute_G's value, error and evaluations from fresh complex samples
     of j and a direct exp for every phase, the runs taken out of every seed
-    mesh: the small-|s| branch as fourier_coefficients' loop on the same
-    seed panels, the others by compute_G."""
+    mesh and no seed kept: the small-|s| branch as fourier_coefficients'
+    loop on the same seed panels, the others by compute_G."""
     mesh = quadrature._fourier_mesh
     s = np.atleast_1d(s)
     small = np.abs(s) < 0.05
@@ -316,6 +316,7 @@ def _G_direct(j, s, tol, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_fourier_mesh",
                   lambda edges, nu: (*mesh(edges, nu)[:2], None))
+        m.setattr(quadrature, "_seed_samples", lambda *seed: None)
         if small.any():
             res = fourier_coefficients(j, -s[small], tol,
                                        *blaschke._SMALL_SEED)
@@ -582,6 +583,29 @@ def test_boundary_product_phase_form_matches_product_form():
     got = blaschke.boundary_product(tau, np.array([]))
     ref = tau ** 2 / (1.0 + 1j * np.sqrt(tau)) ** 8
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("t, modulus", [(-1e80, 1e-160), (-1e200, 0.0)])
+def test_far_slit_values_are_finite(jump, t, modulus):
+    """Past |t| = 1.2e77 (1+|t|)^4 overflows: the slit modulus is then
+    (1+|t|)^-2, 1e-160 at t = -1e80 and 0 at t = -1e200, where it
+    underflows, in boundary_product and in the envelope, with no warning
+    (a numpy warning from the package is an error here)."""
+    pp = blaschke.boundary_product(np.array([-t]), jump.annihilator.retained)
+    assert abs(abs(pp[0]) - modulus) <= 1e-15 * modulus
+    assert jump.envelope(np.array([t]))[0] == 2.0 * modulus
+    assert jump(np.array([t]))[0].imag == 2.0 * pp[0].imag
+
+
+def test_slit_modulus_keeps_its_bits_below_the_overflow():
+    """Up to where (1+|t|)^4 overflows, the envelope and the modulus of
+    boundary_product are tau^2/(1+tau)^4, as computed directly, bit for
+    bit."""
+    tau = np.concatenate([[0.0], np.geomspace(1e-300, 1.15e77, 2001)])
+    direct = tau * tau / (1.0 + tau) ** 4
+    assert np.array_equal(blaschke._slit_modulus(tau), direct)
+    env = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 5))).envelope(-tau)
+    assert np.array_equal(env, 2.0 * tau * tau / (1.0 + tau) ** 4)
 
 
 def test_boundary_values_live_on_the_slit(ann):

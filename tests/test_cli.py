@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -743,3 +744,106 @@ def test_csv_determinism(tmp_path):
     b1 = (out1 / "deepzero_scan.csv").read_bytes()
     b2 = (out2 / "deepzero_scan.csv").read_bytes()
     assert b1 == b2
+
+
+def _in_capped_child(code):
+    """Run python code in a child process with szegolab on its path and its
+    address space capped at 1 GiB, so a size cap that stopped working
+    fails the test with a MemoryError instead of exhausting the host."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          preexec_fn=cap_memory, capture_output=True,
+                          text=True, timeout=120)
+
+
+# one field of each kind past its cap, and the same field at its cap
+OVERSIZE = [
+    ({"kind": "sets", "gamma": {"generator": "power", "rho": 2,
+                                "count": 10 ** 12}},
+     "gamma.count", ("gamma", "count"), 100_000),
+    ({"kind": "sets", "gamma": {"generator": "blocks",
+                                "starts": [1, 200_000],
+                                "lengths": [10 ** 10, 2]}},
+     "gamma.lengths", ("gamma", "lengths"), [99_995, 2]),
+    ({**DEEPZERO_CONFIG, "points": 10 ** 10}, "points", ("points",),
+     100_000),
+    ({**DEEPZERO_CONFIG, "M": 10 ** 10}, "M", ("M",), 1000),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
+                                   "coeffs": {str(10 ** 11): 1}}},
+     "target.coeffs key", ("target", "coeffs"), {"-100000": 1}),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
+      "N_list": [10, 10 ** 9]}, "N_list", ("N_list",), [10, 100_000]),
+]
+
+
+def test_oversize_fields_exit_2_at_validate(tmp_path):
+    """Each field past its size cap (10^5; M 1000) makes validate exit 2
+    naming the field and its cap, without a traceback and within a 1 GiB
+    address space; the same field at its cap validates."""
+    paths, fields = [], []
+    for i, (config, field, path, at_cap) in enumerate(OVERSIZE):
+        capped = json.loads(json.dumps(config))
+        _at(capped, path[:-1])[path[-1]] = at_cap
+        paths += [_write(tmp_path, f"over{i}.json", config),
+                  _write(tmp_path, f"at{i}.json", capped)]
+        fields.append(field)
+    out = _in_capped_child(
+        "from szegolab.cli import main; "
+        f"print([main(['validate', p]) for p in {paths!r}])")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == str([2, 0] * len(OVERSIZE))
+    errors = out.stderr.splitlines()
+    assert len(errors) == len(OVERSIZE)
+    for err, field, (_, _, _, at_cap) in zip(errors, fields, OVERSIZE):
+        assert err.startswith(f"config error: {field} must be")
+        assert ("1000," if field == "M" else "100000") in err
+
+
+def test_probe_past_the_coefficient_cap_exits_3(tmp_path):
+    """A probe within every size cap whose coefficient block would hold
+    more than 2^26 entries (1 GiB) exits 3 before the recursion allocates
+    it: 9000 frequencies removed below N = 9100 leave 9002 x 9101.  In the
+    library, weighted_residual on range(1, 8200) refuses 8200 x 8200."""
+    cfg = _write(tmp_path, "c.json", {
+        **PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {"0": 1}},
+        "gamma": {"generator": "blocks", "starts": [1], "lengths": [9000]},
+        "N_list": [9100]})
+    out = _in_capped_child(
+        "from szegolab.cli import main\n"
+        "from szegolab.probe import TrigPolyTarget, weighted_residual\n"
+        "from szegolab.weights import make_exp_weight\n"
+        f"print(main(['run', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+        "try:\n"
+        "    weighted_residual(TrigPolyTarget({0: 1}), range(1, 8200),\n"
+        "                      make_exp_weight(1.0))\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == [
+        "3", "8200 x 8200 coefficients: the block B is capped at 2**26 "
+        "entries"]
+    assert "numeric failure: 9002 x 9101 coefficients" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_far_t_scan_writes_finite_rows(tmp_path):
+    """t_scan far out on the slit, past where (1+|t|)^4 overflows, runs
+    with no warning and writes finite rows: 0 where the modulus
+    underflows (-1e308, -1e200), 2e-160 as the bound at -1e80."""
+    cfg = _write(tmp_path, "c.json", {
+        **BLASCHKE_CONFIG, "t_scan": [-1e308, -1e200, -1e80, -1e100, -1],
+        "z_points": []})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "boundary_scan.csv").read_text().splitlines()[1:]]
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+    assert [row[4] for row in rows] == ["0", "0", "2e-200", "2e-160",
+                                        "0.125"]
+    assert all(float(v) == 0 for row in rows[:2] for v in row[1:])

@@ -425,11 +425,14 @@ def test_H_integral_past_the_seed_cap_raises(monkeypatch):
     """At t = 500 half periods of 500 on [0, 320] would be 320,000 panels,
     past the _MAX_EVALS/15 panels a seed may hold: a capped seed would
     spend the whole budget on an unconverged value, so the call raises,
-    naming t and the cap, 208.333 at tol 1e-8, before it samples anything."""
-    monkeypatch.setattr(quadrature, "_seed_samples", None)
+    naming the cap, 208.333 at tol 1e-8, before it samples anything."""
+    kernel = _CountingKernel()
+    monkeypatch.setattr(deep_zero, "_sin_over_FF", kernel)
     for t in (500.0, -500.0):
-        with pytest.raises(ValueError, match=rf"t={t} .* at most 208\.333"):
+        with pytest.raises(ValueError,
+                           match=r"nu_max 50\d is past the seed cap 208\.333"):
             eval_H_integral(t, 1e-8)
+    assert kernel.points == 0
 
 
 def test_H_integral_vanishes_outside_support():

@@ -45,7 +45,9 @@ def test_each_public_name_is_declared_once(tmp_path):
 
 def test_build_ships_the_stored_gauss_legendre_rules(tmp_path):
     """setuptools' build_py, offline, puts the probe's node rules in the
-    built package; egg_info and the build are kept in tmp_path."""
+    built package, and egg_info reads the version from the one place it is
+    declared, szegolab.__version__; egg_info and the build are kept in
+    tmp_path."""
     root = Path(__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-c", "import setuptools; setuptools.setup()",
@@ -56,3 +58,6 @@ def test_build_ships_the_stored_gauss_legendre_rules(tmp_path):
     built = tmp_path / "lib" / "szegolab" / "gauss_legendre.txt"
     assert built.read_bytes() == (
         Path(szegolab.__file__).with_name("gauss_legendre.txt").read_bytes())
+    pkg_info = (tmp_path / "szegolab.egg-info" / "PKG-INFO").read_text(
+        encoding="utf-8").splitlines()
+    assert f"Version: {szegolab.__version__}" in pkg_info

@@ -106,9 +106,15 @@ def test_fourier_coeffs_flat_tabulated_weight_exact():
 
 
 def test_fourier_coeffs_unconverged_lag_raises(monkeypatch):
+    """A budget of 100 evaluations seeds lags up to 3 on [0, 1] (6 panels)
+    and halves none: the unconverged lag raises ArithmeticError.  Lag 4
+    needs more seed panels than the budget holds, and raises ValueError
+    before the weight is sampled."""
     monkeypatch.setattr(quadrature, "_MAX_EVALS", 100)
     with pytest.raises(ArithmeticError, match=r"k=\d+ reached only"):
-        weight_fourier_coeffs(make_exp_weight(1.0), 5, 1e-12)
+        weight_fourier_coeffs(make_exp_weight(1.0), 3, 1e-12)
+    with pytest.raises(ValueError, match=r"nu_max 4 is past the seed cap 3$"):
+        weight_fourier_coeffs(make_exp_weight(1.0), 4, 1e-12)
 
 
 def test_coefficient_vector_does_not_depend_on_what_was_asked_before():

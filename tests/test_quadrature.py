@@ -98,7 +98,7 @@ def test_halfline_seeds_both_ends_of_its_map(monkeypatch):
     """s -> 0 is u -> 0, where a jump integrand has its edge, and s -> 1 is
     the end of the map: both get the decades down to tol."""
     edges = _seed_edges(monkeypatch, lambda: integrate_left_halfline(
-        lambda u: np.exp(u) + 0j, 2.0, 1e-4))
+        lambda u: np.exp(u) + 0j, 1e-4))
     s_max = 1.0 - 1e-12
     steps = [s_max * 10.0 ** -k for k in range(1, 4)]
     assert np.array_equal(edges, sorted([0.0, *steps, s_max,
@@ -106,13 +106,13 @@ def test_halfline_seeds_both_ends_of_its_map(monkeypatch):
 
 
 def test_halfline_exponential():
-    res = integrate_left_halfline(lambda u: np.exp(u) + 0j, 2.0, 1e-10)
+    res = integrate_left_halfline(lambda u: np.exp(u) + 0j, 1e-10)
     assert abs(res.value - 1.0) < 1e-8
 
 
 def test_halfline_algebraic():
     res = integrate_left_halfline(lambda u: 1.0 / (1 + np.abs(u)) ** 2 + 0j,
-                                  2.0, 1e-10)
+                                  1e-10)
     assert abs(res.value - 1.0) < 1e-8
 
 
@@ -123,24 +123,24 @@ def test_require_names_the_integral_and_its_error():
 
 
 def test_halfline_converged_counts_the_tail():
-    # int_{-inf}^0 (1+|u|)^-1.5 du = 2; beyond the map's reach the algebraic
-    # tail bound is about 4e-6, and converged must cover it too
-    f = lambda u: 1.0 / (1.0 + np.abs(u)) ** 1.5 + 0j
+    # int_{-inf}^0 1e6 (1+|u|)^-2 du = 1e6; beyond the map's reach the
+    # algebraic tail bound is about 2e-6, and converged must cover it too
+    f = lambda u: 1e6 / (1.0 + np.abs(u)) ** 2 + 0j
     for tol in (1e-4, 3e-5, 1e-5):
-        res = integrate_left_halfline(f, 1.5, tol)
+        res = integrate_left_halfline(f, tol)
         assert res.converged
         assert res.abs_error_estimate <= tol
-        assert abs(res.value - 2.0) <= res.abs_error_estimate
+        assert abs(res.value - 1e6) <= res.abs_error_estimate
     # a tol below the tail alone cannot be met
-    tight = integrate_left_halfline(f, 1.5, 2e-6)
-    assert tight.abs_error_estimate > 2e-6 and not tight.converged
+    tight = integrate_left_halfline(f, 1e-6)
+    assert tight.abs_error_estimate > 1e-6 and not tight.converged
 
 
 def test_halfline_jump_envelope_closed_form():
     # int_{-inf}^0 2u^2/(1+|u|)^4 du: antiderivative of 2v^2/(1+v)^4 on [0,inf)
     # is -2/(1+v) + 2/(1+v)^2 - 2/(3(1+v)^3), total 2 - 1 + ... = 2/3 at inf
     f = lambda u: 2.0 * u * u / (1.0 + np.abs(u)) ** 4 + 0j
-    res = integrate_left_halfline(f, 2.0, 1e-10)
+    res = integrate_left_halfline(f, 1e-10)
     exact = 2.0 - 2.0 + 2.0 / 3.0  # limits of the antiderivative
     assert abs(res.value - exact) < 1e-7
     ref, _ = quad(lambda v: 2 * v * v / (1 + v) ** 4, 0, np.inf)
@@ -148,10 +148,10 @@ def test_halfline_jump_envelope_closed_form():
 
 
 def test_halfline_matches_manual_substitution():
-    for f, p in [(lambda u: np.exp(u) + 0j, 2.0),
-                 (lambda u: 1.0 / (1 + np.abs(u)) ** 3 + 0j, 3.0),
-                 (lambda u: np.cos(u) / (1 + np.abs(u)) ** 2 + 0j, 2.0)]:
-        direct = integrate_left_halfline(f, p, 1e-9)
+    for f in [lambda u: np.exp(u) + 0j,
+              lambda u: 1.0 / (1 + np.abs(u)) ** 3 + 0j,
+              lambda u: np.cos(u) / (1 + np.abs(u)) ** 2 + 0j]:
+        direct = integrate_left_halfline(f, 1e-9)
         manual = integrate_finite(
             lambda s: np.asarray(f(-s / (1 - s)), dtype=np.complex128)
             / (1 - s) ** 2, 0.0, 1.0 - 1e-12, 1e-9)
@@ -253,42 +253,46 @@ def _kept_sample_cases():
 
 @pytest.mark.parametrize("case", range(3), ids=["H0.1", "H1.3", "G"])
 def test_fourier_coefficients_keeps_the_seed_and_samples_only_split_panels(
-        case):
-    """fourier_coefficients with keep gives the result that sampling f
-    gives, bit for bit: its first call samples the seed panels, a repeat
-    calls f only on the panels it splits; the kept samples are a
-    C-contiguous float64 array that cannot be written."""
+        case, monkeypatch):
+    """fourier_coefficients with a given nu_max keeps its seed and gives
+    the result that sampling f gives, bit for bit: its first call samples
+    the seed panels, a repeat calls f only on the panels it splits; the
+    kept samples are a C-contiguous float64 array that cannot be written."""
     f, freqs, tol, edges, nu_max = _kept_sample_cases()[case]
     spy = _Counting(f)
-    fresh = fourier_coefficients(spy, freqs, tol, edges, nu_max)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_seed_samples", lambda *seed: None)
+        fresh = fourier_coefficients(spy, freqs, tol, edges, nu_max)
     assert spy.points == fresh.evaluations
-    samples = quadrature._seed_samples(f, edges, nu_max)
-    assert samples.dtype == np.float64 and samples.shape[1] == 15
-    assert samples.flags.c_contiguous and not samples.flags.writeable
-    for sampled in (fresh.evaluations, fresh.evaluations - samples.size):
+    quadrature._seed_samples.cache_clear()
+    for first in (True, False):
         spy.points = 0
-        seeded = fourier_coefficients(spy, freqs, tol, edges, nu_max,
-                                      keep=True)
+        seeded = fourier_coefficients(spy, freqs, tol, edges, nu_max)
+        samples = quadrature._seed_samples(spy, edges, nu_max)
         for got, want in ((seeded.value, fresh.value),
                           (seeded.abs_error_estimate,
                            fresh.abs_error_estimate)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert (seeded.evaluations, seeded.converged) == (fresh.evaluations,
                                                           fresh.converged)
+        sampled = fresh.evaluations - (0 if first else samples.size)
         assert 0 < spy.points == sampled
+    assert samples.dtype == np.float64 and samples.shape[1] == 15
+    assert samples.flags.c_contiguous and not samples.flags.writeable
 
 
 def test_fourier_coefficients_keep_refuses_a_complex_f():
-    """Kept samples are real: a complex f raises TypeError, where casting
-    would drop its imaginary part (e^{6 pi i t} would give 0.5 at nu = 3)."""
+    """Kept samples are real: with a given nu_max a complex f raises
+    TypeError, where casting would drop its imaginary part (e^{6 pi i t}
+    would give 0.5 at nu = 3)."""
     with pytest.raises(TypeError, match="complex128"):
         fourier_coefficients(lambda t: np.exp(6j * np.pi * t), np.arange(21),
-                             1e-10, keep=True)
+                             1e-10, (0.0, 1.0), 20.0)
 
 
 # the node layout's private names: only quadrature may use them
-NODE_LAYOUT = {"_XK", "_nodes", "_fourier_mesh", "_eval_panels", "_adaptive",
-               "_MAX_EVALS", "_distinct", "_seed_samples"}
+NODE_LAYOUT = {"_XK", "_fourier_mesh", "_eval_panels", "_MAX_EVALS",
+               "_distinct", "_seed_cap", "_seed_samples"}
 
 
 def node_layout_importers(package_dir):
@@ -307,32 +311,39 @@ def node_layout_importers(package_dir):
 
 
 def test_only_quadrature_knows_the_node_layout(tmp_path):
-    """No module but quadrature imports the nodes or the panel loops, so
-    a kept table is always quadrature's own _seed_samples; the check finds
-    a planted import."""
+    """No module but quadrature imports the nodes, the seed budget or the
+    panel loops, so a kept table is always quadrature's own _seed_samples;
+    every name listed exists, and the check finds a planted import."""
     assert node_layout_importers(Path(quadrature.__file__).parent) == []
+    assert all(hasattr(quadrature, name) for name in NODE_LAYOUT)
     (tmp_path / "planted.py").write_text(
-        "from .quadrature import _XK, _seed_cap, _seed_samples\n"
-        "from szegolab.quadrature import _nodes\n", encoding="utf-8")
+        "from .quadrature import _XK, _seed_cap, integrate_finite\n"
+        "from szegolab.quadrature import _seed_samples\n", encoding="utf-8")
     assert node_layout_importers(tmp_path) == [
-        "planted:_XK", "planted:_seed_samples", "planted:_nodes"]
+        "planted:_XK", "planted:_seed_cap", "planted:_seed_samples"]
 
 
 def test_fourier_seed_round_keeps_to_the_evaluation_budget(monkeypatch):
-    """The seed mesh holds at most _MAX_EVALS/15 panels, so even the first
+    """A seed may hold at most _MAX_EVALS/15 panels, so even the first
     round stays within the budget: 21 frequencies on [0, 1] would seed 40
-    half-period panels, 600 nodes, against a budget of 150."""
+    half-period panels, 600 nodes, against a budget of 150.  Such a seed,
+    the default one or a given one, raises ValueError, naming the seed
+    cap, nu_max 5, before f is sampled; a seed at the cap runs."""
     monkeypatch.setattr(quadrature, "_MAX_EVALS", 150)
-    res = fourier_coefficients(lambda t: np.exp(-1 / np.maximum(t, 1e-300)),
-                               np.arange(21), 1e-12)
-    assert res.evaluations <= 150
+    spy = _Counting(lambda t: np.exp(-1 / np.maximum(t, 1e-300)))
+    for nu_max in (None, 20.0):
+        with pytest.raises(ValueError,
+                           match=r"nu_max 20 is past the seed cap 5$"):
+            fourier_coefficients(spy, np.arange(21), 1e-12, (0.0, 1.0),
+                                 nu_max)
+        assert spy.points == 0
+    res = fourier_coefficients(spy, np.arange(6), 1e-12)
+    assert spy.points == res.evaluations == 150
 
 
 def test_invalid_interval():
     with pytest.raises(ValueError):
         integrate_finite(lambda t: t + 0j, 1.0, 0.0, 1e-8)
-    with pytest.raises(ValueError):
-        integrate_left_halfline(lambda u: np.exp(u) + 0j, 0.5, 1e-8)
 
 
 @settings(max_examples=25, deadline=None)
@@ -584,7 +595,7 @@ def checked(f):
 class Planted:
     def method(self, f):
         def inner(u):
-            return integrate_left_halfline(f, 2.0, 1e-8)
+            return integrate_left_halfline(f, 1e-8)
         return inner(0.0).value
 """
 
