@@ -205,17 +205,17 @@ def compute_G(j, s, tol=1e-6):
     """Fourier transform of the jump: int_{-inf}^0 e^{2 pi i s u} g(u) du,
     for a scalar s or every s of a 1-d array.
 
-    Each branch is one batched quadrature at the frequencies -s.  Small
-    |s| (below 0.05): i times the integral of Im j on [-T, 0], with the
-    algebraic envelope tail, 5e-5, added to the error; its seed panels are
-    one period of 0.05 wide, whatever the call's s (the quadrature's part
-    of the error stays over 2000 times below the tail), and Im j on them
-    is sampled once per jump and kept by the quadrature, so a call samples
-    only the panels it splits.  Larger |s|: moderate T plus two
-    integration-by-parts boundary terms at u = -T, with the remainder
-    estimated from a finite-difference second derivative of g; one
-    fourier_coefficients call samples g once for all of its s, and an |s|
-    past the seed cap, 333.333, raises ValueError before g is sampled.
+    The jump is purely imaginary, so each branch is i times one batched
+    quadrature of Im j on [-T, 0] at the frequencies -s.  Small |s| (below
+    0.05): the algebraic envelope tail, 5e-5, is added to the error; the
+    seed panels are one period of 0.05 wide, whatever the call's s (the
+    quadrature's part of the error stays over 2000 times below the tail),
+    and Im j on them is sampled once per jump and kept by the quadrature,
+    so a call samples only the panels it splits.  Larger |s|: moderate T
+    plus two integration-by-parts boundary terms at u = -T, with the
+    remainder estimated from a finite-difference second derivative of g;
+    Im j is sampled once for all of the call's s, and an |s| past the
+    seed cap, 333.333, raises ValueError before it is sampled.
     converged is per s: the total error, tail or remainder included, is
     within tol.  evaluations counts the nodes both rules used, kept samples
     included.  A scalar s gives scalar fields."""
@@ -232,14 +232,14 @@ def compute_G(j, s, tol=1e-6):
         evals += res.evaluations
     if not small.all():
         T = 200.0
-        main = fourier_coefficients(j, -s[~small], tol, (-T, 0.0))
+        main = fourier_coefficients(_ImagPart(j), -s[~small], tol, (-T, 0.0))
         c = 2j * np.pi * s[~small]
         step = 1e-3
         g0, gm, gp = j(np.array([-T, -T - step, -T + step]))
         g1 = (gp - gm) / (2.0 * step)
         g2 = (gp - 2.0 * g0 + gm) / step ** 2
         ect = np.exp(-c * T)
-        value[~small] = main.value + ect * g0 / c - ect * g1 / c ** 2
+        value[~small] = 1j * main.value + ect * g0 / c - ect * g1 / c ** 2
         remainder = abs(g2) * T / 3.0 / np.abs(c) ** 2
         error[~small] = main.abs_error_estimate + remainder
         evals += main.evaluations + 3

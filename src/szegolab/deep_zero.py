@@ -178,7 +178,7 @@ def _h_cut(tol):
 
 
 def eval_H_integral(t, tol=1e-8):
-    """Fourier-integral route for the series values.
+    """Fourier-integral route for the series values at t in [0, 1].
 
     Minus the integral of e^{-2 pi i t x} h(x) over [-X, X] (the transform
     of h is supported in (0,1) and equals minus the sine series in the
@@ -186,19 +186,18 @@ def eval_H_integral(t, tol=1e-8):
     the half-line: -2i times the real integral of sin(pi (1 - 2t) x) K(x)
     over [0, X], K(x) = sin(pi x)/(F(x) F(-x)), which is minus the
     imaginary part of K's Fourier coefficient at nu = 1/2 - t.  Its seed
-    panels are half periods of max(|t|, |1 - t|, 1): every t in [0, 1]
-    shares one mesh of 2X panels, on which the quadrature keeps K, so a call
-    samples only the panels it splits; where max(|t|, |1 - t|) passes the
-    seed cap (208.333 at tol 1e-8) the call raises ValueError up front.  X
-    is the smallest integer from 200 up whose analytic |h| tail beyond X is
-    at most tol/2; the quadrature gets the rest of tol, and converged means
-    that the total error, tail included, is within tol."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    panels are half periods of 1: every t shares one mesh of 2X panels,
+    on which the quadrature keeps K, so a call samples only the panels it
+    splits; a t off [0, 1] raises ValueError before K is sampled.  X is
+    the smallest integer from 200 up whose analytic |h| tail beyond X is
+    at most tol/2; the quadrature gets the rest of tol, and converged
+    means that the total error, tail included, is within tol."""
+    if not (tol > 0 and 0.0 <= t <= 1.0):
+        raise ValueError(f"need tol > 0 and t in [0, 1], got {tol}, {t}")
     t, X = float(t), _h_cut(tol)
-    tail, nu_max = _h_abs_tail(X), max(abs(t), abs(1.0 - t), 1.0)
+    tail = _h_abs_tail(X)
     res = fourier_coefficients(_sin_over_FF, np.array([0.5 - t]),
-                               0.5 * (tol - tail), (0.0, X), nu_max)
+                               0.5 * (tol - tail), (0.0, X), 1.0)
     error = 2.0 * float(res.abs_error_estimate[0]) + tail
     return QuadratureResult(2j * res.value[0].imag, error, res.evaluations,
                             error <= tol)

@@ -1,9 +1,9 @@
 """Deterministic adaptive quadrature on Gauss-Kronrod 7/15 panel pairs.
 
-Integrands are complex-valued and vectorized: they receive a 1-d numpy
-array of abscissae and return an array of the same shape.  All panel
-bookkeeping is deterministic (ties broken by position, final summation in
-left-to-right order), so repeated runs are bit-identical.
+Integrands are vectorized: they take a 1-d numpy array of abscissae and
+return an array of the same shape, real for fourier_coefficients.  All
+panel bookkeeping is deterministic (ties broken by position, final
+summation in left-to-right order), so repeated runs are bit-identical.
 """
 
 import functools
@@ -49,7 +49,7 @@ _MAX_ROUNDS = 80
 # (panels x frequencies) arrays and a run's step table, a third of that, a
 # block stays near 3 MB whatever the number of frequencies
 _FOURIER_BLOCK = 1 << 16
-_SAMPLE_PANELS = 256   # panels _seed_samples samples at a time
+_SAMPLE_PANELS = 256   # panels _sample samples at a time
 # integrand evaluations one integral spends at most: integrate_finite and
 # integrate_left_halfline stop their adaptive loop once past it, and
 # fourier_coefficients refuses seeds and halvings that would pass it
@@ -216,28 +216,28 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None):
     """Integrals of f(t) exp(-2 pi i nu t) over the breakpoints' span, for
     every real frequency nu in the 1-d array freqs.
 
-    One composite Gauss-Kronrod 7/15 rule serves every frequency, so f is
-    sampled once per node.  Each interval between consecutive breakpoints
+    One composite Gauss-Kronrod 7/15 rule serves every frequency, so f,
+    which is real (complex samples raise TypeError), is sampled once per
+    node, by _sample.  Each interval between consecutive breakpoints
     starts as equal panels no wider than half a period of nu_max (by
-    default the largest |nu|); a seed past _seed_cap raises ValueError
-    before f is sampled.  A given nu_max is a kept seed: f is hashable and
-    real (complex samples raise TypeError), and _seed_samples keeps its
-    samples for the last four (f, breakpoints, nu_max), so a repeat samples
-    only the panels it splits.  On a panel with midpoint m and half-width
-    h, exp(-2 pi i nu t) is the phase exp(-2 pi i nu m) times the table
-    exp(-2 pi i nu h x_j) that all panels of width 2h share; seed panels
-    step by 2h, so a block's phases are its first row's times a step table
-    exp(-2 pi i nu 2h r), and a split panel's phase is one exp.  One matrix
-    product per block, samples (panels x 15 nodes) times the table under
-    three rows of weights (over the table's (re, im) pairs for real
-    samples), gives the Kronrod sum K, the difference K - G from the Gauss
-    sum and the antisymmetric sum A of the Kronrod weights times sgn(x_j).
-    Those weights sum to zero, so A is the same sum taken about the panel
-    mean, and |A| is at most QUADPACK's resasc.  The error is QUADPACK's
-    rescaling of raw = |K - G| with max(|A|, 200 raw) in place of resasc:
-    the rescaled error is largest at resasc = 200 raw and falls beyond it,
-    so this error is never below QUADPACK's, up to rounding where |A|
-    tends to resasc (nu near 0 on a panel where f is monotone).
+    default the largest |nu|); a seed past the seed cap raises ValueError
+    before f is sampled.  A given nu_max is a kept seed: f is hashable,
+    and _seed_samples keeps its samples for the last four (f, breakpoints,
+    nu_max), so a repeat samples only the panels it splits.  On a panel
+    with midpoint m and half-width h, exp(-2 pi i nu t) is the phase
+    exp(-2 pi i nu m) times the table exp(-2 pi i nu h x_j) that all
+    panels of width 2h share; seed panels step by 2h, so a block's phases
+    are its first row's times a step table exp(-2 pi i nu 2h r), and a
+    split panel's phase is one exp.  One matrix product per block, samples
+    (panels x 15 nodes) times the (re, im) pairs of the table under three
+    rows of weights, gives the Kronrod sum K, the difference K - G from
+    the Gauss sum and the antisymmetric sum A of the Kronrod weights times
+    sgn(x_j).  Those weights sum to zero, so A is the same sum taken about
+    the panel mean, and |A| is at most QUADPACK's resasc.  The error is
+    QUADPACK's rescaling of raw = |K - G| with max(|A|, 200 raw) in place
+    of resasc: the rescaled error is largest at resasc = 200 raw and falls
+    beyond it, so this error is never below QUADPACK's, up to rounding
+    where |A| tends to resasc (nu near 0 on a panel where f is monotone).
 
     A panel is kept when its error at every frequency is within its share
     of tol (tol times its width over the span), so the kept panels' errors
@@ -257,11 +257,10 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None):
         raise ValueError(f"need a nonempty 1-d array of finite frequencies "
                          f"and increasing breakpoints, got {freqs.size} "
                          f"frequencies, breakpoints {breakpoints}")
-    if nu_max is None:
-        samples, nu_max = None, np.abs(freqs).max()
-    else:
-        samples = _seed_samples(f, tuple(edges), nu_max)
-    mid, half, runs = _fourier_mesh(edges, nu_max)
+    seed = np.abs(freqs).max() if nu_max is None else nu_max
+    mid, half, runs = _fourier_mesh(edges, seed)
+    samples = (_sample(f, mid, half) if nu_max is None
+               else _seed_samples(f, tuple(edges), nu_max))
     share = tol / (edges[-1] - edges[0])            # of tol per unit width
     min_half = 0.5e-14 * max(edges[-1] - edges[0], np.abs(edges).max())
     values = np.zeros(freqs.size, dtype=np.complex128)
@@ -271,8 +270,8 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None):
         rest_values = np.zeros_like(values)
         rest_errors = np.zeros_like(errors)
         split = np.zeros(mid.size, dtype=bool)
-        for rows, vals, errs in _fourier_panels(f, freqs, mid, half, runs,
-                                                samples):
+        for rows, vals, errs in _fourier_panels(freqs, mid, half, samples,
+                                                runs):
             bad = ((errs.max(axis=1) > share * 2.0 * half[rows])
                    & (half[rows] > min_half))
             # the kept panels, nearly all of a block, summed by one product
@@ -292,20 +291,16 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None):
         quarter = 0.5 * half[split]
         mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
         half = np.concatenate([quarter, quarter])
-        samples = runs = None
-
-
-def _seed_cap(edges):
-    """The largest nu_max whose half periods fit in _MAX_EVALS/15 panels."""
-    return _MAX_EVALS // _XK.size / (2 * (edges[-1] - edges[0]))
+        samples, runs = _sample(f, mid, half), None
 
 
 def _fourier_mesh(edges, nu_max):
     """Midpoints, half-widths and runs of the seed panels: each interval
     between edges in equal panels no wider than half a period of nu_max
     (ceil adds at most one per interval), one panel at nu_max 0, its
-    panels' indices one run.  A nu_max past _seed_cap raises ValueError."""
-    if nu_max > (cap := _seed_cap(edges)):
+    panels' indices one run.  A nu_max past the seed cap raises ValueError."""
+    cap = _MAX_EVALS // _XK.size / (2 * (edges[-1] - edges[0]))
+    if nu_max > cap:
         raise ValueError(f"nu_max {nu_max:g} is past the seed cap {cap:.6g}")
     widths = np.diff(edges)
     counts = np.maximum(np.ceil(widths * 2 * nu_max), 1).astype(np.int64)
@@ -315,18 +310,22 @@ def _fourier_mesh(edges, nu_max):
             [np.arange(e - n, e) for e, n in zip(np.cumsum(counts), counts)])
 
 
-@functools.lru_cache(maxsize=4)
-def _seed_samples(f, edges, nu_max):
-    """A real f at the nodes of the seed panels _fourier_mesh(edges,
-    nu_max), one row per panel, kept for fourier_coefficients' last four
-    seeds (complex samples raise TypeError): sampled in blocks, so f's
-    temporaries stay small, into a read-only C-contiguous float64 array."""
-    mid, half, _ = _fourier_mesh(edges, nu_max)
+def _sample(f, mid, half):
+    """A real f at the nodes of the panels (mid, half), one row per panel:
+    sampled in blocks, so f's temporaries stay small, into a C-contiguous
+    float64 array (complex samples raise TypeError)."""
     y = np.empty((mid.size, _XK.size))
     for p0 in range(0, mid.size, _SAMPLE_PANELS):
         rows = slice(p0, p0 + _SAMPLE_PANELS)
         x = mid[rows, None] + half[rows, None] * _XK
         np.copyto(y[rows], np.asarray(f(x.ravel())).reshape(x.shape))
+    return y
+
+
+@functools.lru_cache(maxsize=4)
+def _seed_samples(f, edges, nu_max):
+    """_sample of the seed panels _fourier_mesh(edges, nu_max), read-only."""
+    y = _sample(f, *_fourier_mesh(edges, nu_max)[:2])
     y.flags.writeable = False
     return y
 
@@ -336,12 +335,12 @@ def _phase(cycles):
     return np.exp(-2j * np.pi * (cycles - np.round(cycles)))
 
 
-def _fourier_panels(f, freqs, mid, half, runs=None, samples=None):
+def _fourier_panels(freqs, mid, half, samples, runs=None):
     """Yield (panel indices, values, errors) over blocks of panels, each row
     a panel's Kronrod value of f(t) exp(-2 pi i nu t) and its error, one
-    column per frequency nu, by runs of panels of one half-width h whose
-    midpoints step by 2h (else by half-width).  samples, when given, holds
-    f at the panels' nodes, one row per panel, and f is not called."""
+    column per frequency nu, from samples, f at the panels' nodes, one row
+    per panel, by runs of panels of one half-width h whose midpoints step
+    by 2h (else by half-width)."""
     nf = freqs.size
     rows = max(1, _FOURIER_BLOCK // (3 * nf))
     for run in runs or [np.flatnonzero(half == h) for h in _distinct(half)]:
@@ -360,10 +359,8 @@ def _fourier_panels(f, freqs, mid, half, runs=None, samples=None):
             if runs:
                 # the block's first phase, carried by the Kronrod weights
                 weights[:, :nf] = kronrod * _phase(mid[idx[0]] * freqs)
-            y = samples[idx] if samples is not None else np.asarray(
-                f((mid[idx, None] + h * _XK).ravel())).reshape(-1, _XK.size)
-            sums = ((y @ weights.view(np.float64)).view(np.complex128)
-                    if np.isrealobj(y) else y @ weights)
+            sums = (samples[idx] @ weights.view(np.float64)).view(
+                np.complex128)
             # |antisymmetric sum| <= QUADPACK's resasc, and the rescaled error
             # only falls as resasc grows beyond 200 raw
             err = _rescale(np.abs(sums[:, nf:2 * nf]),

@@ -305,8 +305,8 @@ def test_second_small_s_call_samples_only_its_split_panels(jump):
 
 
 def _G_direct(j, s, tol, monkeypatch):
-    """compute_G's value, error and evaluations from fresh complex samples
-    of j and a direct exp for every phase, the runs taken out of every seed
+    """compute_G's value, error and evaluations from fresh samples of Im j
+    and a direct exp for every phase, the runs taken out of every seed
     mesh and no seed kept: the small-|s| branch as fourier_coefficients'
     loop on the same seed panels, the others by compute_G."""
     mesh = quadrature._fourier_mesh
@@ -316,11 +316,12 @@ def _G_direct(j, s, tol, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_fourier_mesh",
                   lambda edges, nu: (*mesh(edges, nu)[:2], None))
-        m.setattr(quadrature, "_seed_samples", lambda *seed: None)
+        m.setattr(quadrature, "_seed_samples",
+                  quadrature._seed_samples.__wrapped__)
         if small.any():
-            res = fourier_coefficients(j, -s[small], tol,
+            res = fourier_coefficients(lambda u: j(u).imag, -s[small], tol,
                                        *blaschke._SMALL_SEED)
-            value[small] = res.value
+            value[small] = 1j * res.value
             error[small] = (res.abs_error_estimate
                             + blaschke._g_abs_tail(4.0e4))
             evals += res.evaluations
@@ -337,9 +338,9 @@ def _G_direct(j, s, tol, monkeypatch):
                                -0.031],
                          ids=["small", "mixed", "scalar"])
 def test_G_matches_the_direct_exp_route(jump, s, monkeypatch):
-    """The step-table phases and the real product for the jump's imaginary
-    part give G within 1e-13 of fresh complex samples and direct exps,
-    with the same panels split and so the same evaluations."""
+    """The step-table phases and the kept samples of the jump's imaginary
+    part give G within 1e-13 of fresh samples and direct exps, with the
+    same panels split and so the same evaluations."""
     tol = 5e-5
     res = compute_G(jump, s, tol)
     value, error, evals = _G_direct(jump, s, tol, monkeypatch)
@@ -347,6 +348,49 @@ def test_G_matches_the_direct_exp_route(jump, s, monkeypatch):
     assert np.abs(res.value - value).max() <= 1e-13
     assert np.array_equal(np.atleast_1d(res.converged), error <= tol)
     assert res.evaluations == evals
+
+
+# compute_G of the cubes' jump at G_PIN_S, recorded while its large-|s|
+# branch still integrated the complex jump: per tol, the evaluations, the
+# error estimates, converged and the values
+G_PIN_S = np.array([0.01, 0.03, 0.06, 0.2, 0.7, 1.5])
+G_PIN = {
+    5e-5: (39_363,
+           [4.999774772887623e-05, 5.000080067267594e-05,
+            3.9759860280426936e-05, 3.5849447400935584e-06,
+            2.9929057537319175e-07, 7.093581594640416e-08],
+           [True, False, True, True, True, True],
+           [-0.0010361208843863965 - 0.007996680989533954j,
+            -0.02952512172120708 - 0.016371045455570346j,
+            0.0701755566965126 + 0.003105665690897406j,
+            0.07023996619625339 + 0.11611702793605118j,
+            -0.048501884317158885 + 0.05193521671159007j,
+            0.01643595291527499 - 0.009363483249612774j]),
+    1e-6: (39_513,
+           [4.9997589702195863e-05, 4.999776063848666e-05,
+            3.975267013242437e-05, 3.577752614580757e-06,
+            2.9207388357313203e-07, 6.362087977912127e-08],
+           [False, False, False, False, True, True],
+           [-0.0010361208843871336 - 0.007996680989536832j,
+            -0.029525121721195847 - 0.0163710454555776j,
+            0.07017555669651343 + 0.0031056656904264787j,
+            0.07023996619625618 + 0.11611702793558025j,
+            -0.048501884317149094 + 0.05193521671111923j,
+            0.01643595291529597 - 0.009363483250083304j]),
+}
+
+
+@pytest.mark.parametrize("tol", [5e-5, 1e-6])
+def test_G_pinned_across_both_branches(jump, tol):
+    """Both branches integrate Im j and multiply by i: the error
+    estimates, evaluations and converged are those of the complex jump's
+    route bit for bit, and the values agree within 1e-15 relative."""
+    evaluations, errors, converged, values = G_PIN[tol]
+    res = compute_G(jump, G_PIN_S, tol)
+    assert res.evaluations == evaluations
+    assert res.abs_error_estimate.tolist() == errors
+    assert res.converged.tolist() == converged
+    assert np.all(np.abs(res.value - values) <= 1e-15 * np.abs(values))
 
 
 @pytest.mark.parametrize("tol", [5e-5, 1e-6])

@@ -238,7 +238,7 @@ class _Counting:
 
 def _kept_sample_cases():
     """(f, frequencies, tol, breakpoints, nu_max) of the two routes that
-    keep samples: the H kernel at t = 0.1 and t = 1.3 as eval_H_integral takes
+    keep samples: the H kernel at t = 0.1 and t = 1 as eval_H_integral takes
     it at tol 1e-14, where both split panels, and Im j of the cubes' jump
     on compute_G's small-|s| seed at tol 5e-5."""
     X = deep_zero._h_cut(1e-14)
@@ -246,22 +246,23 @@ def _kept_sample_cases():
     jump = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 50)))
     s = np.array([0.0, 0.02, -0.04])
     return [(deep_zero._sin_over_FF, np.array([0.5 - t]), tol, (0.0, X),
-             max(abs(t), abs(1.0 - t), 1.0))
-            for t in (0.1, 1.3)] + [
+             1.0) for t in (0.1, 1.0)] + [
         (lambda u: jump(u).imag, -s, 5e-5, *blaschke._SMALL_SEED)]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["H0.1", "H1.3", "G"])
+@pytest.mark.parametrize("case", range(3), ids=["H0.1", "H1.0", "G"])
 def test_fourier_coefficients_keeps_the_seed_and_samples_only_split_panels(
         case, monkeypatch):
     """fourier_coefficients with a given nu_max keeps its seed and gives
-    the result that sampling f gives, bit for bit: its first call samples
-    the seed panels, a repeat calls f only on the panels it splits; the
-    kept samples are a C-contiguous float64 array that cannot be written."""
+    the result that sampling f afresh gives, bit for bit: its first call
+    samples the seed panels, a repeat calls f only on the panels it splits;
+    the kept samples are a C-contiguous float64 array that cannot be
+    written."""
     f, freqs, tol, edges, nu_max = _kept_sample_cases()[case]
     spy = _Counting(f)
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "_seed_samples", lambda *seed: None)
+        m.setattr(quadrature, "_seed_samples",
+                  quadrature._seed_samples.__wrapped__)
         fresh = fourier_coefficients(spy, freqs, tol, edges, nu_max)
     assert spy.points == fresh.evaluations
     quadrature._seed_samples.cache_clear()
@@ -281,18 +282,22 @@ def test_fourier_coefficients_keeps_the_seed_and_samples_only_split_panels(
     assert samples.flags.c_contiguous and not samples.flags.writeable
 
 
-def test_fourier_coefficients_keep_refuses_a_complex_f():
-    """Kept samples are real: with a given nu_max a complex f raises
-    TypeError, where casting would drop its imaginary part (e^{6 pi i t}
-    would give 0.5 at nu = 3)."""
+@pytest.mark.parametrize("nu_max", [None, 300.0],
+                         ids=["default seed", "kept seed"])
+def test_fourier_coefficients_refuse_a_complex_f(nu_max):
+    """Samples are real: a complex f raises TypeError, with or without a
+    given nu_max, where casting would drop its imaginary part (e^{6 pi i t}
+    would give 0.5 at nu = 3).  The seed holds 600 panels, and f is called
+    on the first block of _SAMPLE_PANELS alone."""
+    spy = _Counting(lambda t: np.exp(6j * np.pi * t))
     with pytest.raises(TypeError, match="complex128"):
-        fourier_coefficients(lambda t: np.exp(6j * np.pi * t), np.arange(21),
-                             1e-10, (0.0, 1.0), 20.0)
+        fourier_coefficients(spy, np.arange(301), 1e-10, (0.0, 1.0), nu_max)
+    assert spy.points == quadrature._SAMPLE_PANELS * 15
 
 
 # the node layout's private names: only quadrature may use them
 NODE_LAYOUT = {"_XK", "_fourier_mesh", "_eval_panels", "_MAX_EVALS",
-               "_distinct", "_seed_cap", "_seed_samples"}
+               "_distinct", "_sample", "_seed_samples"}
 
 
 def node_layout_importers(package_dir):
@@ -317,10 +322,10 @@ def test_only_quadrature_knows_the_node_layout(tmp_path):
     assert node_layout_importers(Path(quadrature.__file__).parent) == []
     assert all(hasattr(quadrature, name) for name in NODE_LAYOUT)
     (tmp_path / "planted.py").write_text(
-        "from .quadrature import _XK, _seed_cap, integrate_finite\n"
+        "from .quadrature import _XK, _sample, integrate_finite\n"
         "from szegolab.quadrature import _seed_samples\n", encoding="utf-8")
     assert node_layout_importers(tmp_path) == [
-        "planted:_XK", "planted:_seed_cap", "planted:_seed_samples"]
+        "planted:_XK", "planted:_sample", "planted:_seed_samples"]
 
 
 def test_fourier_seed_round_keeps_to_the_evaluation_budget(monkeypatch):
@@ -359,7 +364,7 @@ def test_polynomial_oracle(coeffs):
 def test_fourier_coefficients_closed_form():
     # int_0^1 t exp(-2 pi i k t) dt = 1/2 (k = 0), i/(2 pi k) (k >= 1)
     K = 40
-    res = fourier_coefficients(lambda t: t + 0j, np.arange(K + 1), 1e-13)
+    res = fourier_coefficients(lambda t: t, np.arange(K + 1), 1e-13)
     k = np.arange(1, K + 1)
     assert res.converged
     assert res.value.shape == res.abs_error_estimate.shape == (K + 1,)
@@ -368,17 +373,9 @@ def test_fourier_coefficients_closed_form():
     assert np.abs(res.value[1:] - 1j / (2 * np.pi * k)).max() < 1e-13
 
 
-def test_fourier_coefficients_complex_integrand_picks_its_frequency():
-    res = fourier_coefficients(lambda t: np.exp(2j * np.pi * 3 * t),
-                               np.arange(7), 1e-13)
-    expected = np.zeros(7)
-    expected[3] = 1.0
-    assert np.abs(res.value - expected).max() < 1e-13
-
-
 def test_fourier_coefficients_breakpoints_at_kinks():
     kinks = (0.0, 0.3137, 0.5521, 1.0)   # off every panel grid used
-    f = lambda t: np.interp(t, kinks, [1.0, 2.0, 0.5, 1.5]) + 0j
+    f = lambda t: np.interp(t, kinks, [1.0, 2.0, 0.5, 1.5])
     res = fourier_coefficients(f, np.arange(26), 1e-12, breakpoints=kinks)
     assert res.converged
     for k in (0, 1, 7, 25):
@@ -389,7 +386,7 @@ def test_fourier_coefficients_breakpoints_at_kinks():
 
 def test_fourier_coefficients_stop_at_max_evals(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_EVALS", 100)
-    f = lambda t: np.exp(-1.0 / np.maximum(t, 1e-300)) + 0j
+    f = lambda t: np.exp(-1.0 / np.maximum(t, 1e-300))
     res = fourier_coefficients(f, np.arange(4), 1e-14)
     assert not res.converged
     assert res.evaluations == 6 * 15   # one round: 6 panels, none halved
@@ -398,7 +395,7 @@ def test_fourier_coefficients_stop_at_max_evals(monkeypatch):
 
 def test_fourier_coefficients_refine_only_the_boundary_layer():
     # exp(-c/t) turns on within about c of 0; only panels there are halved
-    f = lambda t: np.exp(-1e-4 / np.maximum(t, 1e-300)) + 0j
+    f = lambda t: np.exp(-1e-4 / np.maximum(t, 1e-300))
     res = fourier_coefficients(f, np.arange(18), 1e-12)
     assert res.converged
     assert res.evaluations < 100 * 15
@@ -409,7 +406,7 @@ def test_fourier_coefficients_any_real_frequencies():
     # negative, fractional or zero, on an interval left of the origin
     nu = np.array([-2.5, 0.0, 0.3, 7.25, -0.01])
     a, b = -3.0, 0.5
-    res = fourier_coefficients(lambda t: t + 0j, nu, 1e-13, breakpoints=(a, b))
+    res = fourier_coefficients(lambda t: t, nu, 1e-13, breakpoints=(a, b))
     c = 2j * np.pi * nu[nu != 0]
     prim = lambda t: -np.exp(-c * t) * (c * t + 1.0) / c ** 2
     exact = np.full(nu.size, 0.5 * (b * b - a * a), dtype=np.complex128)
@@ -419,7 +416,7 @@ def test_fourier_coefficients_any_real_frequencies():
 
 
 def test_fourier_coefficients_invalid_input():
-    f = lambda t: t + 0j
+    f = lambda t: t
     for freqs in (3, np.arange(0), np.ones((2, 2)), [0.0, np.nan]):
         with pytest.raises(ValueError):
             fourier_coefficients(f, freqs, 1e-8)
@@ -460,8 +457,9 @@ def _oracle_case(name):
     The panels of the first cases have many widths, most of them too wide
     for their frequencies, so that |K-G| stands well above rounding on many
     (panel, frequency) pairs.  The seed cases take _fourier_mesh's equal
-    panels and their runs, and a real integrand: the jump's imaginary part
-    on compute_G's small-|s| span, an exp weight on [0, 1]."""
+    panels and their runs: the jump's imaginary part on compute_G's
+    small-|s| span, an exp weight on [0, 1].  Every integrand is real, as
+    fourier_coefficients takes them."""
     if name == "seed jump":
         jump = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 20)))
         # away from nu = 0: there |A| tends to resasc on a panel where the
@@ -474,12 +472,9 @@ def _oracle_case(name):
                 np.arange(41.0),
                 quadrature._fourier_mesh(np.array([0.0, 1.0]), 40.0))
     if name == "jump":
-        return (JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 20))),
-                -np.linspace(0.05, 0.6, 12),
+        jump = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 20)))
+        return (lambda t: jump(t).imag, -np.linspace(0.05, 0.6, 12),
                 _panels(np.linspace(-200.0, 0.0, 65)))
-    if name == "complex":
-        return (lambda t: np.exp(2j * np.pi * 3.3 * t) * np.sqrt(t + 0.01),
-                np.linspace(-7.5, 7.5, 31), _panels(np.linspace(0.0, 1.0, 9)))
     c = float(name.removeprefix("exp c="))
     return (lambda t: np.exp(-c / np.maximum(t, 1e-300)), np.arange(41.0),
             _panels(np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 40)])))
@@ -487,13 +482,14 @@ def _oracle_case(name):
 
 @pytest.mark.parametrize("name", [f"exp c={c}" for c in
                                   (1e-4, 1e-3, 1e-2, 0.1, 0.465, 1.0, 5.0)]
-                         + ["jump", "complex", "seed jump", "seed exp c=1.0"])
+                         + ["jump", "seed jump", "seed exp c=1.0"])
 def test_fourier_panel_errors_never_below_quadpack(name):
     f, freqs, (mid, half, runs) = _oracle_case(name)
     raw, quadpack, noise = _quadpack_panel_errors(f, freqs, mid, half)
     err = np.empty(raw.shape)
-    for idx, _, errs in quadrature._fourier_panels(f, freqs, mid, half,
-                                                   runs):
+    samples = quadrature._sample(f, mid, half)
+    for idx, _, errs in quadrature._fourier_panels(freqs, mid, half,
+                                                   samples, runs):
         err[idx] = errs
     above = raw > 1e3 * noise
     assert above.sum() >= 0.1 * above.size
@@ -513,8 +509,8 @@ def test_seed_phases_from_the_step_table():
     assert [run.size for run in runs] == [4000] and np.all(half == 5.0)
     freqs = np.linspace(-0.0499, 0.0499, 101)
     vals = np.empty((mid.size, freqs.size), dtype=np.complex128)
-    for idx, v, _ in quadrature._fourier_panels(np.ones_like, freqs, mid,
-                                                half, runs):
+    for idx, v, _ in quadrature._fourier_panels(
+            freqs, mid, half, np.ones((mid.size, _XK.size)), runs):
         vals[idx] = v
     # f = 1: every panel's Kronrod sum is the same
     vk = 5.0 * np.exp(-2j * np.pi * 5.0 * np.outer(freqs, _XK)) @ _WK
