@@ -212,7 +212,7 @@ class DecayFit:
 
 def decay_fit(series, t_grid, abscissa="inv_t"):
     """Least-squares line of log|H(t)| against 1/t (abscissa "inv_t") or
-    1/(1-t) near t=1 ("inv_1mt")."""
+    1/(1-t) near t=1 ("inv_1mt"), from centered sums over |H| > 1e-300."""
     if abscissa not in ("inv_t", "inv_1mt"):
         raise ValueError(f"abscissa {abscissa!r} is not 'inv_t' or 'inv_1mt'")
     t_grid = np.asarray(t_grid, dtype=np.float64)
@@ -220,15 +220,15 @@ def decay_fit(series, t_grid, abscissa="inv_t"):
         raise ValueError("need at least 8 grid points")
     vals = np.abs(eval_H_series(series, t_grid))
     keep = vals > 1e-300
-    if keep.sum() < 4:
-        raise ValueError("fewer than 4 usable (non-underflowed) points")
-    t = t_grid[keep]
-    x = 1.0 / t if abscissa == "inv_t" else 1.0 / (1.0 - t)
+    x = 1.0 / (t_grid if abscissa == "inv_t" else 1.0 - t_grid)[keep]
+    if x.size < 4 or not x.min() < x.max():
+        raise ValueError("fewer than 4 usable points, or all at one t: no line")
     y = np.log(vals[keep])
-    A = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    corr = float(np.corrcoef(x, y)[0, 1])
-    return DecayFit(float(np.exp(intercept)), float(-slope), corr)
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx, sxy, syy = np.sum(dx * dx), np.sum(dx * dy), np.sum(dy * dy)
+    slope, corr = sxy / sxx, np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+    return DecayFit(float(np.exp(y.mean() - slope * x.mean())), float(-slope),
+                    float(corr))
 
 
 def membership_check(series, w, tol=1e-8):

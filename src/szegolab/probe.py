@@ -286,7 +286,8 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
             # B_R^H = Q T: with D last, T_DD = T[D, D] holds D's rows projected
             # off the others; |x| is a trig residual, x = T_DD^-H f-hat_D, or
             # x = T_DD b_T, which an annihilator's residual^2 leaves off norm^2
-            Q, T = np.linalg.qr(B[np.searchsorted(rows, R), :n + 1].conj().T)
+            A = B[np.searchsorted(rows, R), :n + 1].conj().T
+            T = np.linalg.qr(A, mode="r")
             s = np.linalg.svd(T, compute_uv=False) if R.size else [1.0]
             if not s[-1] > 0.0:
                 raise ArithmeticError(f"singular constraint block at n={n}")
@@ -312,7 +313,7 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
     if not coefficients:
         return norm, out, None
     # B Q_D x: the least-norm p with p-hat_R = f-hat_R, or Phi's projection
-    q = B[:, :n_max + 1] @ (Q[:, D] @ x)
+    q = B[:, :n_max + 1] @ (np.linalg.qr(A)[0][:, D] @ x)
     return norm, out, (target.at(top) - q[top - lo]) if trig else q[top - lo]
 
 

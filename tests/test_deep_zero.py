@@ -442,6 +442,64 @@ def test_decay_fit(s20):
     assert mirror.c2 > 0
 
 
+def _lstsq_fit(series, grid, abscissa):
+    """(c1, c2, correlation) from a least-squares solve of the design
+    matrix [x, 1] and numpy's correlation matrix, the oracle of the
+    closed-form fit."""
+    grid = np.asarray(grid, dtype=np.float64)
+    vals = np.abs(eval_H_series(series, grid))
+    keep = vals > 1e-300
+    t = grid[keep]
+    x = 1.0 / t if abscissa == "inv_t" else 1.0 / (1.0 - t)
+    y = np.log(vals[keep])
+    A = np.vstack([x, np.ones_like(x)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
+    return (float(np.exp(intercept)), float(-slope),
+            float(np.corrcoef(x, y)[0, 1]))
+
+
+_ACCEPTANCE_GRID = 1.0 / np.linspace(5.0, 50.0, 20)
+
+
+@pytest.mark.parametrize("k_min, grid, abscissa", [
+    (0, ENVELOPE_GRID, "inv_t"),
+    (0, _ACCEPTANCE_GRID, "inv_t"),
+    (0, 1.0 - _ACCEPTANCE_GRID, "inv_1mt"),
+    (1, ENVELOPE_GRID, "inv_t"),
+    (0, np.concatenate([np.zeros(5), ENVELOPE_GRID]), "inv_t"),
+], ids=["envelope", "acceptance", "mirror", "no-deep-zero", "underflowed"])
+def test_decay_fit_matches_a_least_squares_solve(k_min, grid, abscissa,
+                                                 monkeypatch):
+    """The line from centered sums is the least-squares line, and its
+    correlation numpy's, to 1e-14 relative: with and without a deep zero
+    (k_min = 1 fits c2 = -0.016), and with points where H(0) = 0 left out.
+    The fit reads nothing of numpy.linalg, nor numpy.corrcoef."""
+    series = DeepZeroSeries(k_min, 20)
+    ref = _lstsq_fit(series, grid, abscissa)
+    no_lapack = types.SimpleNamespace(**{**vars(np), "linalg": None,
+                                         "corrcoef": None})
+    monkeypatch.setattr(deep_zero, "np", no_lapack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = decay_fit(series, grid, abscissa=abscissa)
+    for value, oracle in zip((fit.c1, fit.c2, fit.correlation), ref):
+        assert abs(value - oracle) <= 1e-14 * abs(oracle)
+    if k_min:
+        assert fit.c2 == pytest.approx(-0.016, abs=5e-4)
+
+
+@pytest.mark.parametrize("grid", [
+    np.full(8, 0.1), np.full(10, 0.3),
+    np.concatenate([np.zeros(6), np.full(4, 0.2)]),
+], ids=["eight-equal", "ten-equal", "equal-after-underflow"])
+def test_decay_fit_refuses_a_grid_with_one_usable_abscissa(s20, grid):
+    """Points at one t fit no line: ValueError, and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="all at one t: no line"):
+            decay_fit(s20, grid)
+
+
 def test_decay_fit_needs_points(s20):
     with pytest.raises(ValueError):
         decay_fit(s20, np.array([0.1, 0.2]))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -314,10 +315,10 @@ _IN_SPAN = {2: 1.0, 5: 0.5 + 0.25j, 11: 0.75j}
 # is the rounding term n eps norm, n = 20 and 40
 _EMPTY_FIRST = {6: 1.0, 9: 0.5 + 0.25j, 13: 0.75j}
 _EMPTY_FIRST_RECORDS = [
-    (5, 1.0362870505067887, 1.0362870505067887, 3.8453137608013757,
+    (5, 1.0362870505067887, 1.0362870505067887, 3.8453137608013765,
      3.441691376337985e-14),
     (20, 0.0, 1.0362870505067887, 3.0962556027449026, 4.602038974374117e-15),
-    (40, 0.0, 1.0362870505067887, 3.744299877612523, 9.204077948748235e-15)]
+    (40, 0.0, 1.0362870505067887, 3.744299877612525, 9.204077948748235e-15)]
 
 
 @pytest.mark.parametrize("gamma, target, N_list, runs", [
@@ -424,6 +425,54 @@ def test_weighted_residual_of_an_in_span_target(companion, monkeypatch):
     assert norm == math.sqrt(
         _node_norm(companion, 40, probe._RULES[-1], target)[0])
     assert cond == _block_cond(companion, 40, freqs, 40)
+
+
+def _record_qr_modes(monkeypatch):
+    """The mode of every numpy.linalg.qr call the probe makes."""
+    modes, qr = [], np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        modes.append(mode)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(probe.np.linalg, "qr", recording)
+    return modes
+
+
+@pytest.mark.parametrize("gamma, target", [
+    (gen_power_set(2, 100), "annihilator"),
+    (gen_power_set(3, 100), _IN_SPAN),
+], ids=["squares-annihilator", "cubes-in-span"])
+def test_curve_blocks_factor_R_only(s20, companion, gamma, target,
+                                    monkeypatch):
+    """A curve reads T alone: each of its blocks, one per N on the last
+    rule (no solve has data, so only that rule runs), is factored with
+    mode "r", and no Q is formed."""
+    modes = _record_qr_modes(monkeypatch)
+    target = (AnnihilatorTarget(s20) if target == "annihilator"
+              else TrigPolyTarget(target))
+    cfg = ProbeConfig(weight=companion, gamma=gamma, target=target, tol=1e-13)
+    residual_curve(cfg, [20, 50, 100])
+    assert modes == ["r"] * 3
+
+
+def test_weighted_residual_forms_Q_once(monkeypatch):
+    """weighted_residual factors its block R-only on each rule and forms Q
+    once, from the last rule's block, for the projection's coefficients.
+    The values are those of one reduced QR per block, bit for bit: e_0,
+    cubes removed, on the companion weight exp(-c/t) with c as the
+    lstsq decay fit gave it (0x1.e35369d9eb645p-3)."""
+    modes = _record_qr_modes(monkeypatch)
+    freqs = complement_in_range(gen_power_set(3, 50), 40)
+    res, coeffs, norm, cond = weighted_residual(
+        TrigPolyTarget({0: 1.0}), freqs,
+        make_exp_weight(float.fromhex("0x1.e35369d9eb645p-3")), tol=1e-13)
+    assert modes == ["r"] * len(probe._RULES) + ["reduced"]
+    assert (res, norm, cond) == (0.698419545445141, 0.7298382413787748,
+                                 3.498622484891527)
+    assert coeffs.shape == (len(freqs),)
+    assert hashlib.sha256(coeffs.astype("<c16").tobytes()).hexdigest() == (
+        "4b5f22be30244648d4df8a2b11580f54f1211895fa03a530530d35a69cc12944")
 
 
 _ORDERS = sorted({order for *_, order in probe._RULES})
