@@ -114,12 +114,11 @@ def eval_phi(ann, z):
     """phi at points of the slit plane, from the sum of log((1-r)/(1+r)),
     r = sqrt(z/g), over the retained g; where some 1 - r is 0, phi is 0.
 
-    Returns (values, multiplicative_error_bound); the bound is
-    exp(tail) - 1 for the dropped-factor tail at the largest |z| queried.
+    Returns (values, multiplicative_error_bound): exp(tail) - 1, or inf
+    past 709, for the dropped-factor tail at the largest |z| queried.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
+    scalar = np.ndim(z) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if np.any((z.imag == 0) & (z.real <= 0)):
         raise ValueError("phi is evaluated off the cut (-inf, 0]; "
                          "use eval_phi_boundary on the slit")
@@ -130,7 +129,8 @@ def eval_phi(ann, z):
         logs = np.log(num / (1.0 + r)).sum(axis=1)
     vals = pref * np.exp(logs)
     vals[np.any(num == 0, axis=1)] = 0.0
-    bound = math.expm1(ann.tail_bound(float(np.max(np.abs(z)))))
+    tail = ann.tail_bound(float(np.max(np.abs(z))))
+    bound = math.expm1(tail) if tail <= 709.0 else math.inf
     return (vals[0] if scalar else vals), bound
 
 
@@ -202,8 +202,8 @@ class _ImagPart:
 
 
 def compute_G(j, s, tol=1e-6):
-    """Fourier transform of the jump: int_{-inf}^0 e^{2 pi i s u} g(u) du,
-    for a scalar s or every s of a 1-d array.
+    """Fourier transform of the jump: int_{-inf}^0 e^{2 pi i s u} g(u) du
+    at each s (an array, or one number); the fields are arrays over s.
 
     The jump is purely imaginary, so each branch is i times one batched
     quadrature of Im j on [-T, 0] at the frequencies -s.  Small |s| (below
@@ -215,12 +215,10 @@ def compute_G(j, s, tol=1e-6):
     plus two integration-by-parts boundary terms at u = -T, with the
     remainder estimated from a finite-difference second derivative of g;
     Im j is sampled once for all of the call's s, and an |s| past the
-    seed cap, 333.333, raises ValueError before it is sampled.
-    converged is per s: the total error, tail or remainder included, is
-    within tol.  evaluations counts the nodes both rules used, kept samples
-    included.  A scalar s gives scalar fields."""
-    s_in = np.asarray(s, dtype=np.float64)
-    s = np.atleast_1d(s_in)
+    seed cap, 333.333, raises ValueError before it is sampled.  converged
+    is per s: the total error, tail or remainder included, is within tol;
+    evaluations counts the nodes both rules used, kept samples included."""
+    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     value = np.empty(s.size, dtype=np.complex128)
     error = np.empty(s.size)
     evals = 0
@@ -243,9 +241,6 @@ def compute_G(j, s, tol=1e-6):
         remainder = abs(g2) * T / 3.0 / np.abs(c) ** 2
         error[~small] = main.abs_error_estimate + remainder
         evals += main.evaluations + 3
-    if s_in.ndim == 0:
-        return QuadratureResult(complex(value[0]), float(error[0]), evals,
-                                bool(error[0] <= tol))
     return QuadratureResult(value, error, evals, error <= tol)
 
 

@@ -421,16 +421,15 @@ def _build_probe(cfg, tol, summary):
 
 def _run_probe(config, N_list, out, summary):
     curve = residual_curve(config, N_list)
-    rows = [(r.N, r.residual, r.target_norm, r.ratio, r.cond_estimate,
-             r.residual_error) for r in curve.records]
+    rows = [(r.N, r.residual, r.target_norm, r.ratio, r.residual_error)
+            for r in curve.records]
     files = [_write_csv(
         out / "residuals.csv", ["N", "residual", "target_norm", "ratio",
-                                "cond_estimate", "residual_error"], rows)]
+                                "residual_error"], rows)]
     ratios = [r.ratio for r in curve.records]
     summary.update(min_ratio=min(ratios), max_ratio=max(ratios),
                    final_residual=curve.records[-1].residual,
-                   max_residual_error=max(r[-1] for r in rows),
-                   final_cond_estimate=curve.records[-1].cond_estimate)
+                   max_residual_error=max(r[-1] for r in rows))
     return files, True
 
 

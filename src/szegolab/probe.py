@@ -28,13 +28,13 @@ At most one recursion per rule, at the largest N', serves a curve's nested
 kept sets.  A trig target's ||f||^2 is summed on each rule's own nodes, as
 sum_j mu_j |f(z_j)|^2, so its norm and its residuals come from one discrete
 measure; an annihilator's is int |H|^2 / w from membership_check.  Of two
-rules of different sizes (_RULES) the larger gives the values and
-cond_estimate, sigma_max/sigma_min of B_R read off T; residual_error is
-their disagreement (reported, not a bound: two rules both off can agree),
-plus the norm's error where the residual reads the norm, plus n eps norm
-at degree n for rounding where it reads a solve.  The smaller rule runs,
-in full, only where some block has data or a trig residual is its norm.
-Non-finite values or a residual_error above the norm raise ArithmeticError.
+rules of different sizes (_RULES) the larger gives the values;
+residual_error is their disagreement (reported, not a bound: two rules both
+off can agree), plus the norm's error where the residual reads the norm,
+plus n eps norm at degree n for rounding where it reads a solve.  The
+smaller rule runs, in full, only where some block has data or a trig
+residual is its norm.  A zero or NaN on T's diagonal, non-finite values or
+a residual_error above the norm raise ArithmeticError.
 """
 
 import functools
@@ -147,7 +147,6 @@ class ResidualRecord:
     N: int
     residual: float
     target_norm: float
-    cond_estimate: float
     residual_error: float
 
     @property
@@ -233,7 +232,7 @@ def _recurse(w, n, rows, rules):
 def _residuals(target, kept_sets, w, tol, coefficients=False):
     """Distances from the target to the spans of kept_sets, lists of
     distinct frequencies, each a prefix of the last.  Returns (norm,
-    [(residual, residual_error, cond) for each set], the projection's
+    [(residual, residual_error) for each set], the projection's
     coefficients on the last set when asked: they need every row of B)."""
     trig = isinstance(target, TrigPolyTarget)
     F = np.array(list(target.coeffs) if trig else [], dtype=np.int64)
@@ -288,28 +287,26 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
             # x = T_DD b_T, which an annihilator's residual^2 leaves off norm^2
             A = B[np.searchsorted(rows, R), :n + 1].conj().T
             T = np.linalg.qr(A, mode="r")
-            s = np.linalg.svd(T, compute_uv=False) if R.size else [1.0]
-            if not s[-1] > 0.0:
+            if not np.all(np.abs(T.diagonal()) > 0):
                 raise ArithmeticError(f"singular constraint block at n={n}")
             x = (T[D, D] @ data if reads_norm
                  else np.linalg.solve(T[D, D].conj().T, data))
             x_sq = np.vdot(x, x).real
             res_sq = norm_sq - x_sq if reads_norm else x_sq
-            values[-1].append((math.sqrt(min(max(res_sq, 0.0), norm_sq)),
-                               float(s[0] / s[-1])))
+            values[-1].append(math.sqrt(min(max(res_sq, 0.0), norm_sq)))
     norm, out = math.sqrt(max(norm_sq, 0.0)), []
-    for size, (other, _), (res, cond), (n, *_, data, reads_norm) in zip(
+    for size, other, res, (n, *_, data, reads_norm) in zip(
             map(len, kept_sets), values[0], values[-1], blocks):
         error = abs(res - other)
         if not reads_norm or data.size:
             error += _ROUNDING * n * _EPS * norm
         if reads_norm:
             error += res - math.sqrt(max(res * res - norm_err, 0.0))
-        if not (math.isfinite(res) and math.isfinite(cond) and error <= norm):
+        if not (math.isfinite(res) and error <= norm):
             raise ArithmeticError(
                 f"residual {res:.3e} +- {error:.3e} against the target norm "
-                f"{norm:.3e} at {size} frequencies, cond {cond:.3e}")
-        out.append((res, error, cond))
+                f"{norm:.3e} at {size} frequencies")
+        out.append((res, error))
     if not coefficients:
         return norm, out, None
     # B Q_D x: the least-norm p with p-hat_R = f-hat_R, or Phi's projection
@@ -319,16 +316,16 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
 
 def weighted_residual(target, freqs, w, floor=None, tol=1e-12):
     """(residual, coefficients of the projection on each of freqs, norm,
-    cond) of the target against the span of the exponentials e_f; floor
-    may only be None or 0, since the solve needs no regularization."""
+    residual_error) of the target against the span of the exponentials e_f;
+    floor may only be None or 0, since the solve needs no regularization."""
     if floor is not None and floor != 0:
         raise ValueError(f"floor must be None or 0, got {floor!r}")
     freqs = [int(f) for f in freqs]
     if len(set(freqs)) != len(freqs):
         raise ValueError("frequencies must be distinct")
-    norm, [(res, _, cond)], coeffs = _residuals(target, [freqs], w, tol,
-                                                coefficients=True)
-    return res, coeffs, norm, cond
+    norm, [(res, error)], coeffs = _residuals(target, [freqs], w, tol,
+                                              coefficients=True)
+    return res, coeffs, norm, error
 
 
 @dataclass
@@ -355,5 +352,5 @@ def residual_curve(config, N_list):
     norm, rows, _ = _residuals(config.target,
                                [kept[:bisect_right(kept, N)] for N in N_list],
                                config.weight, config.tol)
-    return ResidualCurve([ResidualRecord(N, res, norm, cond, error)
-                          for N, (res, error, cond) in zip(N_list, rows)])
+    return ResidualCurve([ResidualRecord(N, res, norm, error)
+                          for N, (res, error) in zip(N_list, rows)])

@@ -59,9 +59,8 @@ _MAX_EVALS = 2_000_000
 @dataclass
 class QuadratureResult:
     """Value, error estimate, integrand evaluations and whether the estimate
-    met the tolerance.  fourier_coefficients returns arrays over its
-    frequencies as value and abs_error_estimate, and blaschke.compute_G
-    over its s, converged included."""
+    met the tolerance.  fourier_coefficients gives value and error as arrays
+    over its frequencies; blaschke.compute_G gives converged too, per s."""
 
     value: complex
     abs_error_estimate: float

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from szegolab.blaschke import (BlaschkeAnnihilator, JumpFunction,
                                eval_phi_boundary, g_l1_norm,
                                gamma_vanishing_residual)
 from szegolab.deep_zero import eval_H_integral
-from szegolab.frequency_sets import FrequencySet, gen_power_set
+from szegolab.frequency_sets import (FrequencySet, gen_interval_blocks,
+                                     gen_power_set)
 from szegolab.quadrature import (QuadratureResult, fourier_coefficients,
                                  integrate_finite)
 
@@ -41,6 +43,21 @@ def test_vanishes_on_retained(ann):
     vals, bound = eval_phi(ann, np.array([1.0 + 0j, 8.0 + 0j, 27.0 + 0j]))
     assert np.all(vals == 0)
     assert bound == 0.0  # full product retained
+
+
+def test_error_bound_is_inf_where_its_exp_overflows():
+    """K = 0 of the block [1, 50001] drops a tail 2 sqrt|z| sum g^(-1/2)
+    near 893 at |z| = 1, past exp's range: the bound is inf, and the values,
+    the prefactor alone, are still returned; a tail below 709 keeps
+    exp(tail) - 1."""
+    ann = BlaschkeAnnihilator(gen_interval_blocks([1], [50000]), K=0)
+    z = np.array([1j, 2.0 + 0j])
+    assert ann.tail_bound(2.0) > ann.tail_bound(1.0) > 709
+    vals, bound = eval_phi(ann, z)
+    assert bound == math.inf
+    assert np.array_equal(vals, z * z / (1.0 + np.sqrt(z)) ** 8)
+    assert ann.tail_bound(1e-6) < 709
+    assert eval_phi(ann, 1e-6j)[1] == math.expm1(ann.tail_bound(1e-6))
 
 
 def test_conjugate_symmetry(ann):
@@ -173,14 +190,14 @@ def test_large_z_decay(ann):
 
 def test_G_symmetry_and_bound(jump):
     l1, _ = g_l1_norm(jump, 1e-8)
-    gp = compute_G(jump, 1.0, 1e-6)
-    gm = compute_G(jump, -1.0, 1e-6)
-    assert abs(np.conj(gp.value) + gm.value) < 1e-4
+    gp = compute_G(jump, [1.0], 1e-6).value[0]
+    gm = compute_G(jump, [-1.0], 1e-6).value[0]
+    assert abs(np.conj(gp) + gm) < 1e-4
     for s in (0.0, 1.0, 10.0):
-        r = compute_G(jump, s, 1e-6)
-        assert abs(r.value) <= l1 * (1 + 1e-6)
-    g0 = compute_G(jump, 0.0, 1e-6)
-    assert abs(g0.value.real) < 1e-4  # purely imaginary at s = 0
+        r = compute_G(jump, [s], 1e-6)
+        assert abs(r.value[0]) <= l1 * (1 + 1e-6)
+    g0 = compute_G(jump, [0.0], 1e-6).value[0]
+    assert abs(g0.real) < 1e-4  # purely imaginary at s = 0
 
 
 def test_G_against_scipy(jump):
@@ -193,8 +210,8 @@ def test_G_against_scipy(jump):
 
     ref_re, _ = quad(gamma, 0, np.inf, weight="sin", wvar=2 * np.pi * s)
     ref_im, _ = quad(gamma, 0, np.inf, weight="cos", wvar=2 * np.pi * s)
-    r = compute_G(jump, s, 1e-6)
-    assert abs(r.value - (ref_re + 1j * ref_im)) < 1e-6
+    r = compute_G(jump, [s], 1e-6)
+    assert abs(r.value[0] - (ref_re + 1j * ref_im)) < 1e-6
 
 
 def test_convolution_two_routes_quick(jump):
@@ -237,12 +254,9 @@ def test_batched_G_matches_per_s_route(jump):
         assert gap <= batch.abs_error_estimate[i] + ref_err
         # both quadratures met tol, and the analytic terms are shared
         assert gap <= 2 * tol
-        one = compute_G(jump, float(si), tol)
-        alone = compute_G(jump, np.array([si]), tol)
-        assert isinstance(one.value, complex)
-        assert isinstance(one.converged, bool)
-        assert one.value == alone.value[0]
-        assert one.abs_error_estimate == alone.abs_error_estimate[0]
+        alone = compute_G(jump, [si], tol)
+        assert alone.value.shape == alone.converged.shape == (1,)
+        assert abs(alone.value[0] - ref) <= 2 * tol
 
 
 def test_G_converged_covers_tail_and_remainder(jump):
@@ -255,8 +269,8 @@ def test_G_converged_covers_tail_and_remainder(jump):
         res = compute_G(jump, s, tol)
         assert np.array_equal(res.converged, res.abs_error_estimate <= tol)
     assert not res.converged[:2].any() and res.converged[2:].all()
-    one = compute_G(jump, 0.01, 5e-5)
-    assert one.converged == (one.abs_error_estimate <= 5e-5)
+    one = compute_G(jump, [0.01], 5e-5)
+    assert one.converged[0] == (one.abs_error_estimate[0] <= 5e-5)
 
 
 class _CountingJump:
@@ -340,13 +354,14 @@ def _G_direct(j, s, tol, monkeypatch):
 def test_G_matches_the_direct_exp_route(jump, s, monkeypatch):
     """The step-table phases and the kept samples of the jump's imaginary
     part give G within 1e-13 of fresh samples and direct exps, with the
-    same panels split and so the same evaluations."""
+    same panels split and so the same evaluations; a scalar s counts as
+    one, and gives arrays of one."""
     tol = 5e-5
     res = compute_G(jump, s, tol)
     value, error, evals = _G_direct(jump, s, tol, monkeypatch)
-    assert np.ndim(res.converged) == np.ndim(s)
+    assert res.converged.shape == np.atleast_1d(s).shape
     assert np.abs(res.value - value).max() <= 1e-13
-    assert np.array_equal(np.atleast_1d(res.converged), error <= tol)
+    assert np.array_equal(res.converged, error <= tol)
     assert res.evaluations == evals
 
 

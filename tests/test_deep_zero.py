@@ -65,6 +65,34 @@ def test_h_coefficients_closed_form():
         assert abs(c - ref) < 1e-12 * max(abs(ref), 1e-6)
 
 
+@pytest.mark.parametrize("t", [0.005, 0.01, 0.02])
+def test_deep_zero_follows_its_closed_form(s20, t):
+    """Near 0, H(t)/i = 2 sum c_k sin(2 pi (2k+1)^2 t) is
+    -1/2 t^(-3/2) e^(-pi/(16 t)) (1 + eps(t)), |eps| about 4 e^(-pi/(8 t)):
+    summed in 120-digit mpmath over 120 terms, the relative gap is within
+    twice that (measured 3.1e-34, 3.5e-17 and 5.9e-9).  eval_H_series meets
+    the closed form within its cancellation floor, 64 eps times the sum of
+    its terms' moduli, plus the closed form's own gap and the series'
+    truncation bound."""
+    with mpmath.workdps(120):
+        tt = mpmath.mpf(t)
+        H = 2 * mpmath.fsum(
+            (-1) ** (k + 1) * 4 * (2 * k + 1)
+            / mpmath.cosh(mpmath.pi * (2 * k + 1) / 2)
+            * mpmath.sin(2 * mpmath.pi * (2 * k + 1) ** 2 * tt)
+            for k in range(120))
+        closed = -mpmath.exp(-mpmath.pi / (16 * tt)) / (2 * tt ** 1.5)
+        gap = 2 * 4 * mpmath.exp(-mpmath.pi / (8 * tt))
+        assert abs(H / closed - 1) <= gap
+        closed, gap = float(closed), float(gap)
+    eps = np.finfo(np.float64).eps
+    scale = 2.0 * float(np.abs(s20.coeffs).sum())
+    value = eval_H_series(s20, t)
+    assert value.real == 0.0
+    assert abs(value.imag - closed) <= (64 * eps * scale + gap * abs(closed)
+                                        + s20.truncation_bound)
+
+
 def test_h_offset_consistency():
     for m in (0, 1, 2):
         n0 = (2 * m + 1) ** 2

@@ -255,14 +255,15 @@ def test_residual_curve_matches_per_N_solves(s20, companion, rho, count,
     curve = residual_curve(cfg, N_list)
     for rec in curve.records:
         freqs = complement_in_range(gamma, rec.N)
-        res, coeffs, norm, cond = weighted_residual(target, freqs, companion,
-                                                    tol=1e-13)
+        res, coeffs, norm, error = weighted_residual(target, freqs,
+                                                     companion, tol=1e-13)
         # each solve computes its own coefficient vector, whose length (and
         # so its last bits) follows its N; residual^2 = norm^2 - |x|^2 then
-        # agrees to the cancellation floor of that difference
+        # agrees to the cancellation floor of that difference, and the
+        # residual_error, from the same rules, degree and norm, to its own
         assert rec.target_norm == pytest.approx(norm, rel=4 * EPS)
         assert abs(rec.residual ** 2 - res ** 2) <= 8 * EPS * norm ** 2
-        assert abs(rec.cond_estimate - cond) <= 1e-6 * cond
+        assert abs(rec.residual_error - error) <= 8 * EPS * norm
         assert coeffs.shape == (len(freqs),)
 
 
@@ -309,16 +310,14 @@ _IN_SPAN = {2: 1.0, 5: 0.5 + 0.25j, 11: 0.75j}
 
 # an in-span target whose first kept set is empty: nothing kept at N = 5,
 # all of it kept from N = 20; its records (N, residual, target_norm,
-# cond_estimate, residual_error) as the closed-form residuals of a
-# half-run smaller rule gave them: running that rule in full keeps them.
-# cond_estimate is read off the block's QR, and the spans' residual_error
-# is the rounding term n eps norm, n = 20 and 40
+# residual_error) as the closed-form residuals of a half-run smaller rule
+# gave them: running that rule in full keeps them.  The spans'
+# residual_error is the rounding term n eps norm, n = 20 and 40
 _EMPTY_FIRST = {6: 1.0, 9: 0.5 + 0.25j, 13: 0.75j}
 _EMPTY_FIRST_RECORDS = [
-    (5, 1.0362870505067887, 1.0362870505067887, 3.8453137608013765,
-     3.441691376337985e-14),
-    (20, 0.0, 1.0362870505067887, 3.0962556027449026, 4.602038974374117e-15),
-    (40, 0.0, 1.0362870505067887, 3.744299877612525, 9.204077948748235e-15)]
+    (5, 1.0362870505067887, 1.0362870505067887, 3.441691376337985e-14),
+    (20, 0.0, 1.0362870505067887, 4.602038974374117e-15),
+    (40, 0.0, 1.0362870505067887, 9.204077948748235e-15)]
 
 
 @pytest.mark.parametrize("gamma, target, N_list, runs", [
@@ -348,8 +347,8 @@ def test_smaller_rule_recurses_only_where_a_solve_has_data(
     records = residual_curve(cfg, N_list).records
     assert calls == {"_measure": runs, "_szego": runs}
     if pinned:
-        assert [(r.N, r.residual, r.target_norm, r.cond_estimate,
-                 r.residual_error) for r in records] == _EMPTY_FIRST_RECORDS
+        assert [(r.N, r.residual, r.target_norm, r.residual_error)
+                for r in records] == _EMPTY_FIRST_RECORDS
 
 
 def _node_norm(w, n_max, rule, target):
@@ -364,22 +363,10 @@ def _node_norm(w, n_max, rule, target):
         root_mu @ root_mu * norm_sq) * A)
 
 
-def _block_cond(w, n_max, kept, n):
-    """sigma_max/sigma_min of the last rule's block for the kept set with
-    no inner product on it, the rows 0..n off the set, degrees 0..n: read
-    off the triangular factor of its QR, as the probe reads it."""
-    rows = np.array([r for r in range(n + 1) if r not in set(kept)])
-    _, B = probe._szego(*probe._measure(w, n_max, probe._RULES[-1]), n_max,
-                        rows)
-    T = np.linalg.qr(B[:, :n + 1].conj().T)[1]
-    s = np.linalg.svd(T, compute_uv=False)
-    return float(s[0] / s[-1])
-
-
 def test_unread_trig_curves_take_their_records_in_closed_form(companion):
     """Trig curves whose solves have no data, pinned to parts computed
-    here: the residual is the norm, or 0 in the span; cond_estimate is the
-    last rule's; residual_error is the norm's error or the rounding term,
+    here: the residual is the norm, or 0 in the span; residual_error is
+    the norm's error or the rounding term,
     plus, for an empty kept set, the rules' disagreement on the norm, from
     the smaller rule's own node sum."""
     # nothing kept at N = 3; 5 and 7 kept at N = 10
@@ -390,12 +377,9 @@ def test_unread_trig_curves_take_their_records_in_closed_form(companion):
     smaller_sq, _ = _node_norm(companion, 10, probe._RULES[0], target)
     norm = math.sqrt(norm_sq)
     assert first.residual == first.target_norm == second.target_norm == norm
-    assert first.cond_estimate == _block_cond(companion, 10, [], 7)
     assert first.residual_error == (abs(norm - math.sqrt(smaller_sq))
                                     + norm - math.sqrt(norm * norm - err))
     assert second.residual == 0.0
-    cond = _block_cond(companion, 10, range(4, 11), 10)
-    assert second.cond_estimate == cond
     assert second.residual_error == 0.0 + probe._ROUNDING * 10 * EPS * norm
 
     cubes = gen_power_set(3, 50)
@@ -404,27 +388,26 @@ def test_unread_trig_curves_take_their_records_in_closed_form(companion):
     norm = math.sqrt(_node_norm(companion, 80, probe._RULES[-1], target)[0])
     for rec in residual_curve(cfg, [20, 40, 80]).records:
         kept = complement_in_range(cubes, rec.N)
-        cond = _block_cond(companion, 80, kept, max(kept))
         assert (rec.residual, rec.target_norm) == (0.0, norm)
-        assert rec.cond_estimate == cond
         assert rec.residual_error == probe._ROUNDING * max(kept) * EPS * norm
 
 
 def test_weighted_residual_of_an_in_span_target(companion, monkeypatch):
     """One recursion, a residual of 0 and the target's own amplitudes as
-    the projection's coefficients, all exact."""
+    the projection's coefficients, all exact, and the rounding term
+    n eps norm at degree 40 as the residual_error."""
     calls = {}
     _count_calls(monkeypatch, probe, "_szego", calls)
     target = TrigPolyTarget(_IN_SPAN)
     freqs = complement_in_range(gen_power_set(3, 50), 40)
-    res, coeffs, norm, cond = weighted_residual(target, freqs, companion,
-                                                tol=1e-13)
+    res, coeffs, norm, error = weighted_residual(target, freqs, companion,
+                                                 tol=1e-13)
     assert calls == {"_szego": 1}
     assert res == 0.0
     assert np.array_equal(coeffs, target.at(freqs))
     assert norm == math.sqrt(
         _node_norm(companion, 40, probe._RULES[-1], target)[0])
-    assert cond == _block_cond(companion, 40, freqs, 40)
+    assert error == probe._ROUNDING * 40 * EPS * norm
 
 
 def _record_qr_modes(monkeypatch):
@@ -464,12 +447,12 @@ def test_weighted_residual_forms_Q_once(monkeypatch):
     lstsq decay fit gave it (0x1.e35369d9eb645p-3)."""
     modes = _record_qr_modes(monkeypatch)
     freqs = complement_in_range(gen_power_set(3, 50), 40)
-    res, coeffs, norm, cond = weighted_residual(
+    res, coeffs, norm, error = weighted_residual(
         TrigPolyTarget({0: 1.0}), freqs,
         make_exp_weight(float.fromhex("0x1.e35369d9eb645p-3")), tol=1e-13)
     assert modes == ["r"] * len(probe._RULES) + ["reduced"]
-    assert (res, norm, cond) == (0.698419545445141, 0.7298382413787748,
-                                 3.498622484891527)
+    assert (res, norm, error) == (0.698419545445141, 0.7298382413787748,
+                                  1.458689383840883e-14)
     assert coeffs.shape == (len(freqs),)
     assert hashlib.sha256(coeffs.astype("<c16").tobytes()).hexdigest() == (
         "4b5f22be30244648d4df8a2b11580f54f1211895fa03a530530d35a69cc12944")
@@ -743,12 +726,34 @@ def test_residual_does_not_move_with_the_blas_thread_count():
 
 def test_weighted_residual_with_no_row_removed():
     """The kept set covers every degree of the target's range, so no row
-    is removed: the target is in the span, with its own amplitudes."""
+    is removed: the target is in the span, with its own amplitudes, and
+    the block is empty, so nothing is singular and residual_error is the
+    rounding term at degree 2."""
     target = TrigPolyTarget({1: 1.0})
-    res, coeffs, norm, cond = weighted_residual(target, [0, 1, 2],
-                                                make_exp_weight(0.5))
-    assert (res, cond) == (0.0, 1.0) and norm > 0
+    res, coeffs, norm, error = weighted_residual(target, [0, 1, 2],
+                                                 make_exp_weight(0.5))
+    assert res == 0.0 and norm > 0
+    assert error == probe._ROUNDING * 2 * EPS * norm
     assert np.array_equal(coeffs, target.at([0, 1, 2]))
+
+
+def test_singular_constraint_block_is_refused(companion, monkeypatch):
+    """A removed row with no coefficient in any phi_k leaves a zero on T's
+    diagonal: with B's row for z^0 zeroed, the first block, e_1 with the
+    cubes removed at N = 20, raises, naming its degree."""
+    szego = probe._szego
+
+    def zeroed(z, root_mu, n, rows):
+        d2, B = szego(z, root_mu, n, rows)
+        B[np.searchsorted(rows, 0)] = 0.0
+        return d2, B
+
+    monkeypatch.setattr(probe, "_szego", zeroed)
+    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 50),
+                      target=TrigPolyTarget({1: 1.0}), tol=1e-13)
+    with pytest.raises(ArithmeticError) as info:
+        residual_curve(cfg, [20, 40])
+    assert str(info.value) == "singular constraint block at n=20"
 
 
 def test_annihilator_drop_matches_dense_schur_complement(s20, companion):
@@ -772,19 +777,15 @@ def test_annihilator_drop_matches_dense_schur_complement(s20, companion):
 
 def test_annihilator_residual_error_is_the_norm_error(s20, companion):
     """No kept frequency is on T, so no solve has data: the residual is the
-    norm, and cond_estimate is the last rule's, whose recursion alone ran."""
+    norm, from the last rule, whose recursion alone ran."""
     squares = gen_power_set(2, 100)
     cfg = ProbeConfig(weight=companion, gamma=squares,
                       target=AnnihilatorTarget(s20), tol=1e-13)
     norm_sq, err = membership_check(s20, companion, 1e-13)
     norm = math.sqrt(norm_sq)
-    n_max = max(complement_in_range(squares, 100))
     for rec in residual_curve(cfg, [50, 100]).records:
-        kept = complement_in_range(squares, rec.N)
         assert rec.residual == rec.target_norm == norm
         assert rec.residual_error == norm - math.sqrt(norm_sq - err)
-        assert rec.cond_estimate == _block_cond(companion, n_max, kept,
-                                                max(kept))
 
 
 def test_weighted_residual_refuses_a_floor():
@@ -839,13 +840,6 @@ def test_residual_curve_empty_first_complement(companion):
     first, second = residual_curve(cfg, [3, 10]).records
     assert first.residual == first.target_norm > 0
     assert second.residual < first.residual
-    # sigma_max/sigma_min of the solved block: with no frequency kept it
-    # has every row 0..5 of the target's range, from the recursion to the
-    # curve's largest degree, 10
-    _, B = probe._szego(*probe._measure(companion, 10, probe._RULES[-1]),
-                        10, np.arange(6))
-    s = np.linalg.svd(B[:, :6], compute_uv=False)
-    assert first.cond_estimate == pytest.approx(s[0] / s[-1], rel=1e-12)
 
 
 def test_empty_span_residual_error_has_a_rounding_floor():
