@@ -91,17 +91,18 @@ def _slit_modulus(tau, factor=1.0):
 
 @dataclass(frozen=True)
 class JumpFunction:
-    """g(t) = 2i*Im phi_+(t) for t < 0, zero for t >= 0."""
+    """The jump g = phi_+ - phi_- = 2i*Im phi_+ across the slit, as the real
+    g/i: 2*Im phi_+(t) for t < 0, 0 for t >= 0, as float64; g is i times it."""
 
     annihilator: BlaschkeAnnihilator
 
     def __call__(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        out = np.zeros(t.shape, dtype=np.complex128)
+        out = np.zeros(t.shape)
         neg = t < 0
         if neg.any():
-            pp = boundary_product(-t[neg], self.annihilator.retained)
-            out[neg] = 2j * pp.imag
+            out[neg] = 2.0 * boundary_product(
+                -t[neg], self.annihilator.retained).imag
         return out
 
     def envelope(self, t):
@@ -148,7 +149,7 @@ def eval_phi_boundary(ann, t):
 
 
 def g_l1_norm(j, tol=1e-8):
-    res = integrate_left_halfline(lambda u: np.abs(j(u)) + 0j, tol)
+    res = integrate_left_halfline(lambda u: np.abs(j(u)), tol)
     require(res, "L1 norm of g")
     return res.value.real, res.abs_error_estimate
 
@@ -161,7 +162,8 @@ def gamma_vanishing_residual(j, gamma_value, tol=1e-6):
     retained = j.annihilator.retained
     if retained.size == 0:
         raise ValueError("empty product has no vanishing frequencies")
-    res = integrate_left_halfline(lambda u: j(u) / (u - gamma_value), tol)
+    res = integrate_left_halfline(lambda u: 1j * j(u) / (u - gamma_value),
+                                  tol)
     require(res, f"Cauchy transform of g at {gamma_value}")
     return abs(res.value), res.abs_error_estimate
 
@@ -172,7 +174,7 @@ def cauchy_identity_residual(ann, j, z, tol=1e-6):
     if abs(z) > 1e3:
         raise ValueError("identity is checked at moderate |z| (<= 1e3)")
     phi_val, _ = eval_phi(ann, z)
-    res = integrate_left_halfline(lambda u: j(u) / (u - z), tol)
+    res = integrate_left_halfline(lambda u: 1j * j(u) / (u - z), tol)
     require(res, f"Cauchy integral of g at z={z}")
     cauchy = res.value / (2j * np.pi)
     return abs(phi_val - cauchy) / (abs(phi_val) + 1e-14)
@@ -191,30 +193,20 @@ _T_SMALL = 4.0e4
 _SMALL_SEED = ((-_T_SMALL, 0.0), 0.5 * _S_SMALL)
 
 
-@dataclass(frozen=True)
-class _ImagPart:
-    """Im f, equal for equal f: equal jumps share their kept samples."""
-
-    f: object
-
-    def __call__(self, t):
-        return self.f(t).imag
-
-
 def compute_G(j, s, tol=1e-6):
     """Fourier transform of the jump: int_{-inf}^0 e^{2 pi i s u} g(u) du
     at each s (an array, or one number); the fields are arrays over s.
 
-    The jump is purely imaginary, so each branch is i times one batched
-    quadrature of Im j on [-T, 0] at the frequencies -s.  Small |s| (below
-    0.05): the algebraic envelope tail, 5e-5, is added to the error; the
-    seed panels are one period of 0.05 wide, whatever the call's s (the
-    quadrature's part of the error stays over 2000 times below the tail),
-    and Im j on them is sampled once per jump and kept by the quadrature,
-    so a call samples only the panels it splits.  Larger |s|: moderate T
-    plus two integration-by-parts boundary terms at u = -T, with the
-    remainder estimated from a finite-difference second derivative of g;
-    Im j is sampled once for all of the call's s, and an |s| past the
+    Each branch is i times one batched quadrature of the real j = g/i on
+    [-T, 0] at the frequencies -s.  Small |s| (below 0.05): the algebraic
+    envelope tail, 5e-5, is added to the error; the seed panels are one
+    period of 0.05 wide, whatever the call's s (the quadrature's part of
+    the error stays over 2000 times below the tail), and j on them is
+    sampled once per jump and kept by the quadrature (equal jumps share
+    them), so a call samples only the panels it splits.  Larger |s|:
+    moderate T plus two integration-by-parts boundary terms at u = -T, with
+    the remainder estimated from a finite-difference second derivative of
+    g; j is sampled once for all of the call's s, and an |s| past the
     seed cap, 333.333, raises ValueError before it is sampled.  converged
     is per s: the total error, tail or remainder included, is within tol;
     evaluations counts the nodes both rules used, kept samples included."""
@@ -224,16 +216,16 @@ def compute_G(j, s, tol=1e-6):
     evals = 0
     small = np.abs(s) < _S_SMALL
     if small.any():
-        res = fourier_coefficients(_ImagPart(j), -s[small], tol, *_SMALL_SEED)
+        res = fourier_coefficients(j, -s[small], tol, *_SMALL_SEED)
         value[small] = 1j * res.value
         error[small] = res.abs_error_estimate + _g_abs_tail(_T_SMALL)
         evals += res.evaluations
     if not small.all():
         T = 200.0
-        main = fourier_coefficients(_ImagPart(j), -s[~small], tol, (-T, 0.0))
+        main = fourier_coefficients(j, -s[~small], tol, (-T, 0.0))
         c = 2j * np.pi * s[~small]
         step = 1e-3
-        g0, gm, gp = j(np.array([-T, -T - step, -T + step]))
+        g0, gm, gp = 1j * j(np.array([-T, -T - step, -T + step]))
         g1 = (gp - gm) / (2.0 * step)
         g2 = (gp - 2.0 * g0 + gm) / step ** 2
         ect = np.exp(-c * T)
@@ -289,7 +281,7 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
         points=(_S_SMALL, 0.4 * _S_SMALL), max_evals=30_000)
     require(direct, "convolution route direct")
     diff = integrate_left_halfline(
-        lambda u: _exp_diff_quotient(u, q, t) * j(u), tol * 0.1)
+        lambda u: _exp_diff_quotient(u, q, t) * (1j * j(u)), tol * 0.1)
     require(diff, "convolution route difference_form")
 
     values = {"direct": direct.value,
@@ -298,7 +290,8 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
               "difference_form": diff.abs_error_estimate}
     if np.any(np.isclose(j.annihilator.retained, q)):
         red_res = integrate_left_halfline(
-            lambda u: np.exp(2j * np.pi * u * t) / (u - q) * j(u), tol * 0.1)
+            lambda u: np.exp(2j * np.pi * u * t) / (u - q) * (1j * j(u)),
+            tol * 0.1)
         require(red_res, "convolution route reduced")
         values["reduced"] = red_res.value / (2j * np.pi)
         errors["reduced"] = red_res.abs_error_estimate

@@ -3,7 +3,7 @@
 Everything is built from the meromorphic function
 ``h(z) = e^{i pi z} sin(pi z) / (F(z) F(-z))`` with ``F(w) = cos(pi sqrt(w)/2)``,
 an entire function of w: cos is even, so which root sqrt(w) takes does not
-enter, and eval_F evaluates the cosine alone.  The removable singularities
+enter.  The removable singularities
 of h at +-(2k+1)^2 carry the series coefficients, whose values have the
 closed form h((2k+1)^2) = (-1)^(k+1) 4(2k+1)/cosh(pi(2k+1)/2); the
 resulting odd-square sine series decays like exp(-c/t) near 0 and 1.
@@ -21,24 +21,15 @@ import numpy as np
 from .quadrature import (QuadratureResult, fourier_coefficients,
                          integrate_finite, require)
 
-__all__ = ["SINGULARITY_DELTA", "ENVELOPE_GRID", "eval_F", "eval_h",
+__all__ = ["SINGULARITY_DELTA", "ENVELOPE_GRID", "eval_h",
            "series_coefficients", "DeepZeroSeries", "eval_H_series",
            "eval_H_integral", "DecayFit", "decay_fit", "membership_check"]
 
 SINGULARITY_DELTA = 1e-4   # radius of the local-quotient rule
 _GROWTH_GRID = 256         # samples of membership_check's blow-up test
-_SINE_BLOCK_ROWS = 1 << 15  # rows of t per block of eval_H_series
+_SINE_BLOCK = 1 << 17      # entries of one eval_H_series block, points x terms
 # decay-fit grid, uniform in 1/t, of membership_check and the companion weight
 ENVELOPE_GRID = tuple(1.0 / np.linspace(5.0, 50.0, 20))
-
-
-def eval_F(w):
-    """cos(pi sqrt(w)/2) as an entire function of w."""
-    w = np.asarray(w, dtype=np.complex128)
-    # far out on the negative axis cosh(pi sqrt|w|/2) overflows to inf, its
-    # correct IEEE limit: the quotients that divide by it underflow to +-0
-    with np.errstate(over="ignore"):
-        return np.cos(0.5 * np.pi * np.sqrt(w))
 
 
 def _cmul(a, b):
@@ -139,14 +130,15 @@ class DeepZeroSeries:
 
 def eval_H_series(series, t):
     """Series value at t (purely imaginary for real t); periodic, period 1.
-    Each point's terms are summed along its own row, in blocks of rows of
-    t, so its value does not depend on the other points of the call."""
+    Each point's terms are summed along its own row, in blocks of 2^17
+    entries, so its value does not depend on the other points of the call."""
     t = np.asarray(t, dtype=np.float64)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     out = np.empty(t.size, dtype=np.float64)
-    for lo in range(0, t.size, _SINE_BLOCK_ROWS):
-        hi = lo + _SINE_BLOCK_ROWS
+    rows = max(1, _SINE_BLOCK // series.freqs.size)
+    for lo in range(0, t.size, rows):
+        hi = lo + rows
         ph = np.multiply.outer(2.0 * np.pi * t[lo:hi], series.freqs)
         np.sin(ph, out=ph)
         ph *= series.coeffs
@@ -260,7 +252,7 @@ def membership_check(series, w, tol=1e-8):
     def integrand(t):
         a = np.abs(eval_H_series(series, t))
         expo = 2.0 * np.log(np.maximum(a, 1e-300)) - w.log(t)
-        return np.where(a > 1e-300, np.exp(np.minimum(expo, 700.0)), 0.0) + 0j
+        return np.where(a > 1e-300, np.exp(np.minimum(expo, 700.0)), 0.0)
 
     deep = fit.c2 > 0 and abs(fit.correlation) > 0.99
     bound, rate = (fit.c1, 2.0 * fit.c2) if deep else (scale, 0.0)

@@ -110,10 +110,13 @@ def test_scalar_only_for_a_scalar_argument(ann):
 
 
 def test_jump_support_and_purity(ann, jump):
+    """The jump is purely imaginary: the jump function is the real g/i,
+    2 Im phi_+ on the slit and 0 off it, as float64."""
     g = jump(np.array([1.0, 0.0, -0.5, -1.0]))
+    assert g.dtype == np.float64
     assert g[0] == 0.0
     assert g[1] == 0.0
-    assert abs(g[2].real) == 0.0
+    assert g[2] == 2.0 * eval_phi_boundary(ann, -0.5).imag
     assert abs(g[3]) <= 2.0 / 16.0 + 1e-12
 
 
@@ -201,12 +204,13 @@ def test_G_symmetry_and_bound(jump):
 
 
 def test_G_against_scipy(jump):
-    # g(-tau) = i gamma(tau) with gamma real, so G(s) is the pair of Fourier
-    # integrals of gamma over [0, inf) that QUADPACK's QAWF evaluates
+    # g(-tau) = i gamma(tau), gamma the real jump function at -tau, so G(s)
+    # is the pair of Fourier integrals of gamma over [0, inf) that
+    # QUADPACK's QAWF evaluates
     s = 0.5
 
     def gamma(tau):
-        return jump(np.array([-tau]))[0].imag
+        return jump(np.array([-tau]))[0]
 
     ref_re, _ = quad(gamma, 0, np.inf, weight="sin", wvar=2 * np.pi * s)
     ref_im, _ = quad(gamma, 0, np.inf, weight="cos", wvar=2 * np.pi * s)
@@ -225,16 +229,17 @@ def _G_per_s(j, s, tol):
     the same interval, with the same tail and integration-by-parts terms."""
     if abs(s) < 0.05:
         T = 4.0e4
-        res = integrate_finite(lambda u: j(u) * np.exp(2j * np.pi * s * u),
-                               -T, 0.0, tol, omega=s)
+        res = integrate_finite(
+            lambda u: 1j * j(u) * np.exp(2j * np.pi * s * u), -T, 0.0, tol,
+            omega=s)
         tail = 2.0 * (1 / (1 + T) - 1 / (1 + T) ** 2 + 1 / (3 * (1 + T) ** 3))
         return res.value, res.abs_error_estimate + tail, res.converged
     T = 200.0
-    res = integrate_finite(lambda u: j(u) * np.exp(2j * np.pi * s * u),
+    res = integrate_finite(lambda u: 1j * j(u) * np.exp(2j * np.pi * s * u),
                            -T, 0.0, tol, omega=s)
     c = 2j * np.pi * s
     h = 1e-3
-    g0, gm, gp = j(np.array([-T, -T - h, -T + h]))
+    g0, gm, gp = 1j * j(np.array([-T, -T - h, -T + h]))
     g1 = (gp - gm) / (2 * h)
     g2 = (gp - 2 * g0 + gm) / h ** 2
     corr = np.exp(-c * T) * (g0 / c - g1 / c ** 2)
@@ -319,7 +324,7 @@ def test_second_small_s_call_samples_only_its_split_panels(jump):
 
 
 def _G_direct(j, s, tol, monkeypatch):
-    """compute_G's value, error and evaluations from fresh samples of Im j
+    """compute_G's value, error and evaluations from fresh samples of j
     and a direct exp for every phase, the runs taken out of every seed
     mesh and no seed kept: the small-|s| branch as fourier_coefficients'
     loop on the same seed panels, the others by compute_G."""
@@ -333,7 +338,7 @@ def _G_direct(j, s, tol, monkeypatch):
         m.setattr(quadrature, "_seed_samples",
                   quadrature._seed_samples.__wrapped__)
         if small.any():
-            res = fourier_coefficients(lambda u: j(u).imag, -s[small], tol,
+            res = fourier_coefficients(j, -s[small], tol,
                                        *blaschke._SMALL_SEED)
             value[small] = 1j * res.value
             error[small] = (res.abs_error_estimate
@@ -352,8 +357,8 @@ def _G_direct(j, s, tol, monkeypatch):
                                -0.031],
                          ids=["small", "mixed", "scalar"])
 def test_G_matches_the_direct_exp_route(jump, s, monkeypatch):
-    """The step-table phases and the kept samples of the jump's imaginary
-    part give G within 1e-13 of fresh samples and direct exps, with the
+    """The step-table phases and the kept samples of the real jump
+    function give G within 1e-13 of fresh samples and direct exps, with the
     same panels split and so the same evaluations; a scalar s counts as
     one, and gives arrays of one."""
     tol = 5e-5
@@ -397,7 +402,7 @@ G_PIN = {
 
 @pytest.mark.parametrize("tol", [5e-5, 1e-6])
 def test_G_pinned_across_both_branches(jump, tol):
-    """Both branches integrate Im j and multiply by i: the error
+    """Both branches integrate the real j = g/i and multiply by i: the error
     estimates, evaluations and converged are those of the complex jump's
     route bit for bit, and the values agree within 1e-15 relative."""
     evaluations, errors, converged, values = G_PIN[tol]
@@ -419,8 +424,7 @@ def test_period_wide_small_s_seed_keeps_the_tail_dominant(jump, tol):
     assert mesh(edges, 0.05)[0].size == 2 * mesh(edges, nu)[0].size
     s = np.concatenate([np.linspace(-0.0499, 0.0499, 41), [0.0123, -0.031]])
     res = compute_G(jump, s, tol)
-    half = fourier_coefficients(lambda u: jump(u).imag, -s, tol, edges,
-                                0.05)
+    half = fourier_coefficients(jump, -s, tol, edges, 0.05)
     assert np.abs(res.value - 1j * half.value).max() <= 1e-13
     tail = blaschke._g_abs_tail(4.0e4)
     assert np.all(res.abs_error_estimate - tail <= 1e-3 * tail)
@@ -653,7 +657,7 @@ def test_far_slit_values_are_finite(jump, t, modulus):
     pp = blaschke.boundary_product(np.array([-t]), jump.annihilator.retained)
     assert abs(abs(pp[0]) - modulus) <= 1e-15 * modulus
     assert jump.envelope(np.array([t]))[0] == 2.0 * modulus
-    assert jump(np.array([t]))[0].imag == 2.0 * pp[0].imag
+    assert jump(np.array([t]))[0] == 2.0 * pp[0].imag
 
 
 def test_slit_modulus_keeps_its_bits_below_the_overflow():

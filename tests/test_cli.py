@@ -77,6 +77,10 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
     ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
                                    "coeffs": {"3": 1.0, "+3": 5.0}}},
      "target.coeffs keys '3' and '+3'"),
+    # a frequency past the size cap would size the probe's recursion
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly",
+                                   "coeffs": {"100001": 1.0}}},
+     "target.coeffs key must be an integer of size at most 100000"),
     ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
       "N_list": [10, "abc"]}, "N_list"),
     ({**SETS_CONFIG, "tol": "abc"}, "tol"),
@@ -178,7 +182,8 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
     ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {}}},
      "target.coeffs"),
 ], ids=["rho-not-a-number", "top-level-list", "trigpoly-without-coeffs",
-        "coeff-key", "coeff-keys-03", "coeff-keys-+3", "N_list-entry", "tol",
+        "coeff-key", "coeff-keys-03", "coeff-keys-+3", "coeff-key-past-cap",
+        "N_list-entry", "tol",
         "t_min", "weight-not-object",
         "blaschke-divergent-gamma", "K-not-a-number", "z_points-entry",
         "constant-without-v", "blocks-starts-entry",

@@ -239,15 +239,15 @@ class _Counting:
 def _kept_sample_cases():
     """(f, frequencies, tol, breakpoints, nu_max) of the two routes that
     keep samples: the H kernel at t = 0.1 and t = 1 as eval_H_integral takes
-    it at tol 1e-14, where both split panels, and Im j of the cubes' jump
-    on compute_G's small-|s| seed at tol 5e-5."""
+    it at tol 1e-14, where both split panels, and the cubes' real jump
+    function on compute_G's small-|s| seed at tol 5e-5."""
     X = deep_zero._h_cut(1e-14)
     tol = 0.5 * (1e-14 - deep_zero._h_abs_tail(X))
     jump = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 50)))
     s = np.array([0.0, 0.02, -0.04])
     return [(deep_zero._sin_over_FF, np.array([0.5 - t]), tol, (0.0, X),
              1.0) for t in (0.1, 1.0)] + [
-        (lambda u: jump(u).imag, -s, 5e-5, *blaschke._SMALL_SEED)]
+        (jump, -s, 5e-5, *blaschke._SMALL_SEED)]
 
 
 @pytest.mark.parametrize("case", range(3), ids=["H0.1", "H1.0", "G"])
@@ -457,7 +457,7 @@ def _oracle_case(name):
     The panels of the first cases have many widths, most of them too wide
     for their frequencies, so that |K-G| stands well above rounding on many
     (panel, frequency) pairs.  The seed cases take _fourier_mesh's equal
-    panels and their runs: the jump's imaginary part on compute_G's
+    panels and their runs: the real jump function on compute_G's
     small-|s| span, an exp weight on [0, 1].  Every integrand is real, as
     fourier_coefficients takes them."""
     if name == "seed jump":
@@ -465,7 +465,7 @@ def _oracle_case(name):
         # away from nu = 0: there |A| tends to resasc on a panel where the
         # jump is monotone, the two estimates agree in exact arithmetic,
         # and the rounding of raw decides (2e-3 apart at raw = 1e3 noise)
-        return (lambda t: jump(t).imag, -np.linspace(0.005, 0.0499, 10),
+        return (jump, -np.linspace(0.005, 0.0499, 10),
                 quadrature._fourier_mesh(np.array([-4e4, 0.0]), 0.05))
     if name == "seed exp c=1.0":
         return (lambda t: np.exp(-1.0 / np.maximum(t, 1e-300)),
@@ -473,7 +473,7 @@ def _oracle_case(name):
                 quadrature._fourier_mesh(np.array([0.0, 1.0]), 40.0))
     if name == "jump":
         jump = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 20)))
-        return (lambda t: jump(t).imag, -np.linspace(0.05, 0.6, 12),
+        return (jump, -np.linspace(0.05, 0.6, 12),
                 _panels(np.linspace(-200.0, 0.0, 65)))
     c = float(name.removeprefix("exp c="))
     return (lambda t: np.exp(-c / np.maximum(t, 1e-300)), np.arange(41.0),
