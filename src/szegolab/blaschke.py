@@ -100,9 +100,8 @@ class JumpFunction:
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
         out = np.zeros(t.shape)
         neg = t < 0
-        if neg.any():
-            out[neg] = 2.0 * boundary_product(
-                -t[neg], self.annihilator.retained).imag
+        out[neg] = 2.0 * boundary_product(-t[neg],
+                                          self.annihilator.retained).imag
         return out
 
     def envelope(self, t):
@@ -125,11 +124,9 @@ def eval_phi(ann, z):
                          "use eval_phi_boundary on the slit")
     pref = z * z / (1.0 + np.sqrt(z)) ** 8
     r = np.sqrt(z[:, None] / ann.retained)
-    num = 1.0 - r
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(num / (1.0 + r)).sum(axis=1)
+        logs = np.log((1.0 - r) / (1.0 + r)).sum(axis=1)
     vals = pref * np.exp(logs)
-    vals[np.any(num == 0, axis=1)] = 0.0
     tail = ann.tail_bound(float(np.max(np.abs(z))))
     bound = math.expm1(tail) if tail <= 709.0 else math.inf
     return (vals[0] if scalar else vals), bound

@@ -27,7 +27,7 @@ from . import __version__
 from .blaschke import (BlaschkeAnnihilator, JumpFunction,
                        cauchy_identity_residual, eval_phi_boundary)
 from .deep_zero import (ENVELOPE_GRID, DeepZeroSeries, decay_fit,
-                        eval_H_series, membership_check)
+                        membership_check)
 from .frequency_sets import (FrequencySet, complement_in_range,
                              condition_B_check, gen_interval_blocks,
                              gen_power_set, sqrt_sum_diagnostic,
@@ -382,14 +382,13 @@ def _build_deepzero(cfg, tol, summary):
     if cfg.get("membership", _flag, False):
         weight = _make("membership", _companion, series, _COMPANION_FACTOR,
                        summary)
-    return partial(_run_deepzero, series, t_grid, weight, max(tol, 1e-8))
+    return partial(_run_deepzero, series, t_grid, weight, tol)
 
 
 def _run_deepzero(series, t_grid, weight, membership_tol, out, summary):
-    vals = np.abs(eval_H_series(series, t_grid))
-    rows = [(t, v, np.log(max(v, 1e-300)), 1.0 / t)
-            for t, v in zip(t_grid, vals)]
     fit = decay_fit(series, t_grid)
+    rows = [(t, v, np.log(max(v, 1e-300)), 1.0 / t)
+            for t, v in zip(t_grid, fit.abs_H)]
     fitted = {"c1": fit.c1, "c2": fit.c2, "correlation": fit.correlation,
               "M": series.M, "k_min": series.k_min}
     summary.update(fitted)
@@ -480,12 +479,16 @@ def run_experiment(config_path, out_dir):
     config, (tol, run, summary) = built
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     manifest = {"kind": config["kind"], "parameters": config,
                 "version": __version__, "tolerance": tol,
                 "status": "incomplete", "outputs": {}, "summary": {}}
-    _write_json(manifest_path, manifest)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(manifest_path, manifest)
+    except OSError as exc:
+        print(f"output error: {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     start = time.perf_counter()
     try:

@@ -156,17 +156,11 @@ def _h_abs_tail(X):
 
 
 def _h_cut(tol):
-    """The smallest integer X from 200 up with _h_abs_tail(X) <= tol/2.
-    The tail falls strictly in X (its derivative in R = sqrt X is a
-    positive constant times -e^{-pi R/2} (R^2 + 2R)), so doubling finds an
-    X that fits and bisection over the integers below it the smallest."""
-    def fits(X):
-        return _h_abs_tail(X) <= 0.5 * tol
-
-    hi = 200
-    while not fits(hi):
-        hi *= 2
-    return float(bisect_left(range(200, hi + 1), True, key=fits) + 200)
+    """The smallest integer X from 200 up with _h_abs_tail(X) <= tol/2, by
+    one bisection: the tail falls strictly in X (its derivative in R = sqrt X
+    is -e^{-pi R/2} (R^2 + 2R) times a positive constant) to 0.0 below 2^20."""
+    return float(bisect_left(range(200, 1 << 20), True,
+                             key=lambda X: _h_abs_tail(X) <= 0.5 * tol) + 200)
 
 
 def eval_H_integral(t, tol=1e-8):
@@ -200,6 +194,7 @@ class DecayFit:
     c1: float
     c2: float
     correlation: float
+    abs_H: np.ndarray = field(repr=False, compare=False)   # |H| on the grid
 
 
 def decay_fit(series, t_grid, abscissa="inv_t"):
@@ -220,7 +215,7 @@ def decay_fit(series, t_grid, abscissa="inv_t"):
     sxx, sxy, syy = np.sum(dx * dx), np.sum(dx * dy), np.sum(dy * dy)
     slope, corr = sxy / sxx, np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
     return DecayFit(float(np.exp(y.mean() - slope * x.mean())), float(-slope),
-                    float(corr))
+                    float(corr), vals)
 
 
 def membership_check(series, w, tol=1e-8):

@@ -40,9 +40,16 @@ def test_divergent_set_rejected():
 
 
 def test_vanishes_on_retained(ann):
+    """phi is 0 at a retained g, where the log of its factor is -inf.  At
+    729 numpy's complex division rounds r = sqrt(z/g) to 1 - 1.1e-16, so
+    the factor is not 0 and phi is 1.27e-35."""
     vals, bound = eval_phi(ann, np.array([1.0 + 0j, 8.0 + 0j, 27.0 + 0j]))
     assert np.all(vals == 0)
     assert bound == 0.0  # full product retained
+    vals, _ = eval_phi(ann, ann.retained[:10].astype(np.complex128))
+    expected = np.zeros(10, dtype=np.complex128)
+    expected[8] = 1.2711911422643006e-35 - 1.2454081307827547e-50j
+    assert np.all(vals == expected)
 
 
 def test_error_bound_is_inf_where_its_exp_overflows():
@@ -118,6 +125,8 @@ def test_jump_support_and_purity(ann, jump):
     assert g[1] == 0.0
     assert g[2] == 2.0 * eval_phi_boundary(ann, -0.5).imag
     assert abs(g[3]) <= 2.0 / 16.0 + 1e-12
+    g = jump(np.array([0.0, 0.5, 3.0]))       # no point on the slit
+    assert g.dtype == np.float64 and g.tobytes() == bytes(24)
 
 
 def test_jump_envelope_on_log_grid(jump):

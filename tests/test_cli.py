@@ -512,16 +512,57 @@ def test_blaschke_run_one_point_scan(tmp_path):
     assert len(lines) == 2 and lines[1].startswith("-1,")
 
 
-def test_deepzero_run_negative_slope(tmp_path):
+def test_deepzero_run_negative_slope(tmp_path, monkeypatch):
+    """The scan reads |H| off the decay fit: one series pass, on its grid."""
+    grids = []
+    series_pass = deep_zero.eval_H_series
+
+    def counted(series, t):
+        grids.append(len(t))
+        return series_pass(series, t)
+
+    monkeypatch.setattr(deep_zero, "eval_H_series", counted)
+    monkeypatch.setattr(cli, "eval_H_series", counted, raising=False)
     cfg = _write(tmp_path, "c.json", DEEPZERO_CONFIG)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
+    assert grids == [DEEPZERO_CONFIG["points"]]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["c2"] > 0
     assert summary["correlation"] < -0.99
     csv = (out / "deepzero_scan.csv").read_text().splitlines()
     assert csv[0] == "t,abs_H,log_abs_H,inv_t"
     assert len(csv) == 21
+
+
+def test_deepzero_past_the_overflowing_terms_keeps_its_digests(tmp_path):
+    """From k = 226 on the series' coefficients are +-0; a run to M = 300
+    on 2000 points writes the bytes it wrote when the scan made its own
+    series pass beside the fit's."""
+    cfg = _write(tmp_path, "c.json",
+                 {"kind": "deepzero", "M": 300, "points": 2000})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == {
+        "deepzero_scan.csv":
+            "6d1ab2eb14e7a0fe28708f01281f606033c3190aedfbfbf3efd20182585fd1f6",
+        "summary.json":
+            "5134b9bc75b7ec50f3cac5a072d6f74e511fcac50b762c1c8eb3f28f3cb079f6"}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_path_that_is_not_a_directory_exits_2(tmp_path, capsys, under):
+    """--out naming an existing file, or a path under one, is a bad input:
+    exit 2 with an output error, before anything runs, and no traceback."""
+    cfg = _write(tmp_path, "c.json", SETS_CONFIG)
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = blocker / "out" if under else blocker
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and "Traceback" not in printed.err
+    assert printed.err.startswith(f"output error: {out}: ")
+    assert blocker.read_text() == "x"
 
 
 def test_tolerance_failure_exit_code(tmp_path):

@@ -353,14 +353,20 @@ def test_H_two_route_agreement(s20):
         assert abs(series_val - res.value) <= allowed
 
 
-@pytest.mark.parametrize("tol, X", [(1e-2, 200.0), (1e-6, 217.0),
-                                    (1e-8, 320.0), (1e-10, 441.0)])
+@pytest.mark.parametrize("tol, X", [
+    (1e3, 200.0), (1e-1, 200.0), (1e-2, 200.0), (1e-3, 200.0), (1e-4, 200.0),
+    (1e-5, 200.0), (1e-6, 217.0), (1e-7, 266.0), (1e-8, 320.0),
+    (1e-9, 378.0), (1e-10, 441.0), (1e-11, 509.0), (1e-12, 581.0),
+    (1e-13, 657.0), (1e-14, 738.0), (1e-15, 824.0), (1e-16, 914.0),
+    (5e-324, 225024.0)])
 def test_H_cut_is_the_smallest_integer_that_fits(tol, X):
-    """The bisection finds the X the old upward search by ones found: the
-    smallest integer from 200 up whose |h| tail is at most tol/2."""
-    assert deep_zero._h_cut(tol) == X
-    assert deep_zero._h_abs_tail(X) <= 0.5 * tol
-    assert X == 200.0 or deep_zero._h_abs_tail(X - 1.0) > 0.5 * tol
+    """One bisection over [200, 2^20) finds the X a scan by ones from 200
+    finds: the smallest integer whose |h| tail is at most tol/2.  Half of
+    5e-324 rounds to 0, so there the tail itself must be 0.0."""
+    scan = 200
+    while deep_zero._h_abs_tail(scan) > 0.5 * tol:
+        scan += 1
+    assert deep_zero._h_cut(tol) == scan == X
 
 
 def test_H_integral_within_its_bound_inside_and_outside_the_support(s20):
@@ -495,6 +501,7 @@ def test_decay_fit_matches_a_least_squares_solve(k_min, grid, abscissa,
     The fit reads nothing of numpy.linalg, nor numpy.corrcoef."""
     series = DeepZeroSeries(k_min, 20)
     ref = _lstsq_fit(series, grid, abscissa)
+    abs_H = np.abs(eval_H_series(series, grid)).tobytes()
     no_lapack = types.SimpleNamespace(**{**vars(np), "linalg": None,
                                          "corrcoef": None})
     monkeypatch.setattr(deep_zero, "np", no_lapack)
@@ -503,6 +510,10 @@ def test_decay_fit_matches_a_least_squares_solve(k_min, grid, abscissa,
         fit = decay_fit(series, grid, abscissa=abscissa)
     for value, oracle in zip((fit.c1, fit.c2, fit.correlation), ref):
         assert abs(value - oracle) <= 1e-14 * abs(oracle)
+    # the |H| it fitted, bit for bit, kept out of the fit's repr and eq
+    assert fit.abs_H.tobytes() == abs_H
+    assert fit == dataclasses.replace(fit, abs_H=None)
+    assert "abs_H" not in repr(fit)
     if k_min:
         assert fit.c2 == pytest.approx(-0.016, abs=5e-4)
 
