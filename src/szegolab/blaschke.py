@@ -233,17 +233,6 @@ def compute_G(j, s, tol=1e-6):
     return QuadratureResult(value, error, evals, error <= tol)
 
 
-def _exp_diff_quotient(u, q, t):
-    """(e^{2 pi i u t} - e^{2 pi i q t})/(u - q), stable through u = q."""
-    b = 2.0 * np.pi * (u - q) * t
-    # e^{ib} - 1 = -2 sin^2(b/2) + i sin(b)  (exact, no cancellation)
-    num = (-2.0 * np.sin(b / 2.0) ** 2 + 1j * np.sin(b)) * np.exp(2j * np.pi * q * t)
-    d = u - q
-    safe = np.abs(d) > 1e-300
-    return np.where(safe, num / np.where(safe, d, 1.0),
-                    2j * np.pi * t * np.exp(2j * np.pi * q * t))
-
-
 def convolution_identity_residual(j, q, t, tol=1e-3):
     """Pairwise agreement of the convolution (e_q * G_+)(t) routes.
 
@@ -277,8 +266,11 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
         tol * 0.5, singular_ends=("a",), omega=q,
         points=(_S_SMALL, 0.4 * _S_SMALL), max_evals=30_000)
     require(direct, "convolution route direct")
+    # (e^{2 pi i u t} - e^{2 pi i q t})/(u - q) = 2 pi i t sinc((u - q) t)
+    # e^{i pi (u + q) t}, times g = i j
     diff = integrate_left_halfline(
-        lambda u: _exp_diff_quotient(u, q, t) * (1j * j(u)), tol * 0.1)
+        lambda u: -2.0 * np.pi * t * np.sinc((u - q) * t) * j(u)
+        * np.exp(1j * np.pi * (u + q) * t), tol * 0.1)
     require(diff, "convolution route difference_form")
 
     values = {"direct": direct.value,

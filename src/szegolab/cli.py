@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from contextlib import suppress
 from functools import cache, partial
 from pathlib import Path
 
@@ -472,6 +473,16 @@ def _build_file(config_path):
         return None
 
 
+def _failed(manifest_path, manifest, exc, code, message):
+    """Record exc as a failed run in the manifest, where it can still be
+    written, print message and return the exit code."""
+    manifest.update(status="failed", summary={"error": str(exc)})
+    with suppress(OSError):
+        _write_json(manifest_path, manifest)
+    print(message, file=sys.stderr)
+    return code
+
+
 def run_experiment(config_path, out_dir):
     built = _build_file(config_path)
     if built is None:
@@ -486,26 +497,19 @@ def run_experiment(config_path, out_dir):
     try:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(manifest_path, manifest)
-    except OSError as exc:
-        print(f"output error: {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    start = time.perf_counter()
-    try:
+        start = time.perf_counter()
         files, within_tol = run(out, summary)
-    except (ArithmeticError, ValueError) as exc:
-        manifest["status"] = "failed"
-        manifest["summary"] = {"error": str(exc)}
+        manifest.update(status="complete", summary=summary,
+                        wall_seconds=time.perf_counter() - start,
+                        outputs={p.name: hashlib.sha256(p.read_bytes())
+                                 .hexdigest() for p in sorted(files)})
         _write_json(manifest_path, manifest)
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-
-    manifest["status"] = "complete"
-    manifest["summary"] = summary
-    manifest["wall_seconds"] = time.perf_counter() - start
-    manifest["outputs"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                           for p in sorted(files)}
-    _write_json(manifest_path, manifest)
+    except (ArithmeticError, ValueError) as exc:
+        return _failed(manifest_path, manifest, exc, EXIT_TOLERANCE,
+                       f"numeric failure: {exc}")
+    except OSError as exc:
+        return _failed(manifest_path, manifest, exc, EXIT_CONFIG,
+                       f"output error: {out_dir}: {exc}")
     print(f"wrote {len(files)} artifact(s) to {out}")
     if not within_tol:
         print("tolerance not met; see manifest summary", file=sys.stderr)

@@ -21,11 +21,10 @@ import numpy as np
 from .quadrature import (QuadratureResult, fourier_coefficients,
                          integrate_finite, require)
 
-__all__ = ["SINGULARITY_DELTA", "ENVELOPE_GRID", "eval_h",
+__all__ = ["ENVELOPE_GRID", "eval_h",
            "series_coefficients", "DeepZeroSeries", "eval_H_series",
            "eval_H_integral", "DecayFit", "decay_fit", "membership_check"]
 
-SINGULARITY_DELTA = 1e-4   # radius of the local-quotient rule
 _GROWTH_GRID = 256         # samples of membership_check's blow-up test
 _SINE_BLOCK = 1 << 17      # entries of one eval_H_series block, points x terms
 # decay-fit grid, uniform in 1/t, of membership_check and the companion weight
@@ -46,41 +45,28 @@ def _cmul(a, b):
 def _sin_over_FF(u):
     """sin(pi u)/(F(u) F(-u)) for Re u >= 0, where F(-u) is
     cosh(pi sqrt(u)/2) (i sqrt(u) is a root of -u): real for real u, which
-    stays float64, and h(u) = e^{i pi u} times it.  The removable
-    singularities are the odd squares k^2, k = round(Re sqrt u); within
-    SINGULARITY_DELTA of one, with d = u - k^2, the second-order local
-    quotient rule gives 4k (-1)^((k-1)/2) (1 + d/(4k^2) + c2 d^2) /
-    cosh(pi sqrt(u)/2), c2 = -pi^2 (16k^2 - 1)/(96k^2) - 1/(16k^4), the
-    Taylor coefficient of sin(pi u)/F(u); the d^3 term it drops is at most
-    0.41 |d|^3 relative (k = 1), 4e-13 at the radius.
-    Where the cosh overflows, from |u| of about 2e5 on, the value is 0, as
-    h underflows there."""
+    stays float64, and h(u) = e^{i pi u} times it.  With r = sqrt(u), k the
+    odd integer nearest Re r, d = u - k^2 = (r - k)(r + k) and
+    s = (-1)^((k-1)/2), sin(pi u) = -sin(pi d) and cos(pi r/2) =
+    -s sin(pi (r - k)/2), so the quotient is
+    s 2(r + k) sinc(d) / sinc(d/(2(r + k))) / cosh(pi r/2): neither sinc
+    is 0/0 at the removable singularities u = k^2, and the second is at
+    least 2/pi.  1/cosh(x) = 2e^{-x}/(1 + e^{-2x}) never overflows, and it
+    underflows to 0 from |u| of about 2e5 on, as h does."""
     u = np.asarray(u, dtype=complex if np.iscomplexobj(u) else float)
     r = np.sqrt(u)
-    with np.errstate(over="ignore"):
-        ch = np.cosh(0.5 * np.pi * r)
-    # a real quotient by inf rounds to +-0, but the complex product with
-    # inf + 0j would form inf * 0 = nan
-    huge = np.isinf(ch) if np.iscomplexobj(ch) else None
-    den = _cmul(np.cos(0.5 * np.pi * r),
-                ch if huge is None else np.where(huge, 1.0, ch))
-    out = np.asarray(np.sin(np.pi * u) / den)
-    k = np.round(r.real)
-    near = (k % 2 == 1) & (np.abs(u - k * k) < SINGULARITY_DELTA)
-    k = k[near]
-    n, d = k * k, u[near] - k * k
-    c2 = -np.pi ** 2 * (16.0 * n - 1.0) / (96.0 * n) - 1.0 / (16.0 * n * n)
-    out[near] = (np.where(k % 4 == 1, 4.0, -4.0) * k
-                 * (1.0 + d / (4.0 * n) + c2 * _cmul(d, d)) / ch[near])
-    if huge is not None:
-        out[huge] = 0.0
-    return out
+    k = 2.0 * np.round(0.5 * (r.real - 1.0)) + 1.0
+    d, rk = u - k * k, 2.0 * (r + k)
+    e = np.exp(-0.5 * np.pi * r)
+    sech = 2.0 * e / (1.0 + _cmul(e, e))
+    # s is 1 for k = 1 mod 4 and -1 for k = 3 mod 4
+    return (2.0 - k % 4) * _cmul(_cmul(rk, np.sinc(d) / np.sinc(d / rk)), sech)
 
 
 def eval_h(z):
     """h(z) = s e^{i pi z} K(s z), with s the sign of Re z and K the odd
     kernel _sin_over_FF, which alone evaluates the removable singularities
-    at +-(2m+1)^2 (by the second-order local quotient rule)."""
+    at +-(2m+1)^2 (in closed form, through sinc)."""
     z = np.asarray(z, dtype=np.complex128)
     neg = z.real < 0
     out = _cmul(np.exp(1j * np.pi * z), _sin_over_FF(np.where(neg, -z, z)))

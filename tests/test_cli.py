@@ -565,6 +565,23 @@ def test_out_path_that_is_not_a_directory_exits_2(tmp_path, capsys, under):
     assert blocker.read_text() == "x"
 
 
+@pytest.mark.parametrize("config, artifact", [
+    ("deepzero.json", "deepzero_scan.csv"), ("probe.json", "residuals.csv")])
+def test_artifact_that_cannot_be_written_exits_2(tmp_path, capsys, config,
+                                                 artifact):
+    """An artifact path that is a directory is an output error: exit 2, no
+    traceback, and the manifest records the failed run and its error."""
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert main(["run", str(CONFIGS / config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: {out}: ") and artifact in err
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert artifact in manifest["summary"]["error"]
+
+
 def test_tolerance_failure_exit_code(tmp_path):
     # annihilator target with a weight whose decay outruns the series
     cfg = _write(tmp_path, "c.json", {

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import math
 import tracemalloc
 import types
 import warnings
@@ -11,9 +10,8 @@ import pytest
 
 from szegolab import deep_zero, quadrature
 from szegolab.quadrature import integrate_finite
-from szegolab.deep_zero import (ENVELOPE_GRID, SINGULARITY_DELTA,
-                                DeepZeroSeries, decay_fit, eval_h,
-                                eval_H_integral, eval_H_series,
+from szegolab.deep_zero import (ENVELOPE_GRID, DeepZeroSeries, decay_fit,
+                                eval_h, eval_H_integral, eval_H_series,
                                 membership_check, series_coefficients)
 from szegolab.weights import (make_constant_weight, make_exp_weight,
                               make_tabulated_weight)
@@ -98,40 +96,24 @@ def test_h_raw_agrees_off_singularities():
     assert np.allclose(eval_h(z), eval_h_raw(z), rtol=1e-12, atol=1e-14)
 
 
-def _nearest_odd_square_loop(x):
-    r = math.sqrt(max(x, 0.0))
-    m = max(int(round((r - 1.0) / 2.0)), 0)
-    candidates = [(2 * m + 1) ** 2]
-    if m >= 1:
-        candidates.append((2 * m - 1) ** 2)
-    candidates.append((2 * m + 3) ** 2)
-    return min(candidates, key=lambda n: abs(x - n))
-
-
 def _eval_h_loop(z):
     """eval_h as a per-point loop with scalar arithmetic: the oracle for the
-    vectorized sign fold, singularity test and kernel.  With s the sign of
-    Re z and u = s z, h(z) = s e^{i pi z} K(u), where K(u) is
-    sin(pi u)/(cos(pi r/2) cosh(pi r/2)), r = sqrt(u), or within
-    SINGULARITY_DELTA of the nearest odd square k^2 the local rule
-    4k (-1)^((k-1)/2) (1 + e/(4k^2) + c2 e^2) / cosh(pi r/2), e = u - k^2,
-    c2 = -pi^2 (16k^2 - 1)/(96k^2) - 1/(16k^4)."""
+    vectorized sign fold and kernel.  With s the sign of Re z and u = s z,
+    h(z) = s e^{i pi z} K(u), where, with r = sqrt(u), k the odd integer
+    nearest Re r and d = u - k^2, K(u) is
+    (-1)^((k-1)/2) 2(r + k) sinc(d) / sinc(d/(2(r + k))) / cosh(pi r/2),
+    and 1/cosh(x) is taken as 2e^{-x}/(1 + e^{-2x})."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     out = np.empty(z.shape, dtype=np.complex128)
     for i, zi in enumerate(z):
         u = -zi if zi.real < 0 else zi
         r = np.sqrt(u)
-        ch = np.cosh(0.5 * np.pi * r)
-        n0 = _nearest_odd_square_loop(u.real)
-        if abs(u - n0) < SINGULARITY_DELTA:
-            k = math.isqrt(n0)
-            lim = (4.0 if k % 4 == 1 else -4.0) * k
-            c2 = (-np.pi ** 2 * (16 * n0 - 1) / (96 * n0)
-                  - 1 / (16 * n0 * n0))
-            e = u - n0
-            kernel = lim * (1.0 + e / (4.0 * n0) + c2 * (e * e)) / ch
-        else:
-            kernel = np.sin(np.pi * u) / (np.cos(0.5 * np.pi * r) * ch)
+        k = 2 * int(np.round((r.real - 1.0) / 2.0)) + 1
+        d, rk = u - k * k, 2.0 * (r + k)
+        e = np.exp(-0.5 * np.pi * r)
+        sech = 2.0 * e / (1.0 + e * e)
+        sign = 1.0 if k % 4 == 1 else -1.0
+        kernel = sign * (rk * (np.sinc(d) / np.sinc(d / rk)) * sech)
         val = np.exp(1j * np.pi * zi) * kernel
         out[i] = -val if zi.real < 0 else val
     return out
@@ -143,7 +125,7 @@ def test_eval_h_matches_the_loop_bit_for_bit():
     z = rng.uniform(-250.0, 250.0, n) + 1j * np.where(
         rng.random(n) < 0.3, rng.normal(0.0, 0.5, n), 0.0)
     sq = (2.0 * np.arange(16) + 1.0) ** 2
-    d = SINGULARITY_DELTA
+    d = 1e-4
     offsets = (0.0, 0.5 * d, -0.99999 * d, d, -d, 0.3j * d,
                0.6 * d + 0.7j * d, 1e-13)
     near = np.concatenate([s * sq + e for s in (1.0, -1.0) for e in offsets])
@@ -157,10 +139,10 @@ def test_eval_h_matches_the_loop_bit_for_bit():
 
 def test_real_kernel_matches_eval_h():
     """e^{i pi x} sin(pi x)/(F(x)F(-x)) from the real kernel equals eval_h
-    within 2e-15 of max(|h|, 1) on a dense grid of [0, 400] and at, inside
-    and just outside the local rule's radius around every odd square up to
-    41^2; for x < 0 through h(-x) = -conj h(x)."""
-    d = SINGULARITY_DELTA
+    within 2e-15 of max(|h|, 1) on a dense grid of [0, 400], and at every
+    odd square up to 41^2 and at offsets from it up to and just past 1e-4;
+    for x < 0 through h(-x) = -conj h(x)."""
+    d = 1e-4
     sq = (2.0 * np.arange(21) + 1.0) ** 2
     x = np.concatenate([np.linspace(0.0, 400.0, 200_001)]
                        + [sq + e for e in (0.0, 0.99 * d, -0.99 * d, d, -d,
@@ -173,9 +155,12 @@ def test_real_kernel_matches_eval_h():
 
 
 def test_real_kernel_matches_mpmath():
-    """Against 40-digit mpmath at the double x, away from the odd squares
-    and at them, where the limit is 4k(-1)^((k-1)/2)/cosh(pi k/2)."""
-    x = [0.3, 2.5, 7.77, 16.2, 50.5, 120.25, 300.1, 1.0, 9.0, 25.0]
+    """Against 40-digit mpmath at the double x, away from the odd squares,
+    at them, where the limit is 4k(-1)^((k-1)/2)/cosh(pi k/2), and between
+    1e-4 and 1e-2 from them, where the plain quotient sin(pi x)/(F(x)F(-x))
+    loses up to 2e-12 of max(|K|, 1) to cancellation."""
+    x = [0.3, 2.5, 7.77, 16.2, 50.5, 120.25, 300.1, 1.0, 9.0, 25.0,
+         1.000101, 0.999899, 9.001, 25.01, 49 - 1e-3, 121 + 1e-2, 1521.000101]
     got = deep_zero._sin_over_FF(np.array(x))
     with mpmath.workdps(40):
         ref = []
@@ -239,26 +224,18 @@ def test_eval_h_complex_path_matches_mpmath():
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0))
 
 
-def test_eval_h_local_rule_within_its_second_order_bound():
-    """Within SINGULARITY_DELTA of +-k^2, k odd, eval_h takes the second
-    order of sin(pi u)/F(u) about k^2.  With e = u - k^2 that quotient is
-    L (1 + e/(4k^2) + c2 e^2 + c3 e^3 + O(e^4)), c2 = -pi^2/6
-    + pi^2/(96k^2) - 1/(16k^4) (from sin(pi e) and the Taylor series of
-    sqrt(k^2 + e)), and |c3| is at most 0.406 (k = 1) and falls with k
-    (0.046 at k = 3, a sympy series).  So |eval_h - h| is at most
-    0.41 |e|^3 |h|, times 1.01 for the O(e^4) terms and for
-    1/|1 + e/(4k^2) + c2 e^2|, plus 1e-13 max(|h|, 1) of rounding."""
+def test_eval_h_is_exact_near_the_odd_squares():
+    """Within 1e-4 of +-k^2, k odd, at complex offsets, eval_h is within
+    1e-13 max(|h|, 1) of 40-digit mpmath: the sinc form has no 0/0 to
+    cancel there, and no truncated expansion."""
     rng = np.random.default_rng(29)
     k2 = (2.0 * np.arange(8) + 1.0) ** 2
-    e = SINGULARITY_DELTA * np.array([0.3, 0.7, 0.99])[:, None] * np.exp(
+    e = 1e-4 * np.array([0.3, 0.7, 0.99])[:, None] * np.exp(
         2j * np.pi * rng.random((3, k2.size)))
     z = np.concatenate([(k2 + e).ravel(), (-(k2 + e)).ravel()])
     got = eval_h(z)
     ref = np.array([_h_mpmath(v) for v in z])
-    size = np.abs(np.concatenate([e.ravel(), e.ravel()]))
-    err = np.abs(got - ref)
-    assert np.all(err <= 1.01 * 0.41 * size ** 3 * np.abs(ref)
-                  + 1e-13 * np.maximum(np.abs(ref), 1.0))
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0))
 
 
 def test_coefficients_quiet_and_finite_for_large_M():

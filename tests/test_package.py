@@ -43,6 +43,15 @@ def test_each_public_name_is_declared_once(tmp_path):
     assert undeclared_exports(tmp_path) == ["planted:integrate_finite"]
 
 
+def test_src_keeps_its_line_budget():
+    """The package's modules hold at most 2250 lines together (ROADMAP
+    item 6): a change that adds lines pays for them inside the budget."""
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in Path(szegolab.__file__).parent.glob("*.py"))
+    assert lines <= 2250, (f"src/szegolab/*.py holds {lines} lines, over "
+                           f"the 2250-line budget of ROADMAP item 6")
+
+
 def test_build_ships_the_stored_gauss_legendre_rules(tmp_path):
     """setuptools' build_py, offline, puts the probe's node rules in the
     built package, and egg_info reads the version from the one place it is
