@@ -3,10 +3,10 @@
 Everything is built from the meromorphic function
 ``h(z) = e^{i pi z} sin(pi z) / (F(z) F(-z))`` with ``F(w) = cos(pi sqrt(w)/2)``,
 an entire function of w: cos is even, so which root sqrt(w) takes does not
-enter.  The removable singularities
-of h at +-(2k+1)^2 carry the series coefficients, whose values have the
-closed form h((2k+1)^2) = (-1)^(k+1) 4(2k+1)/cosh(pi(2k+1)/2); the
-resulting odd-square sine series decays like exp(-c/t) near 0 and 1.
+enter.  The removable singularities of h at +-(2k+1)^2 carry the series
+coefficients, whose values have the closed form h((2k+1)^2) =
+(-1)^(k+1) 4(2k+1)/cosh(pi(2k+1)/2); the resulting odd-square sine series H
+decays like t^{-3/2} e^{-pi/(16t)} near 0, 1/2 and 1, a theta sum's term.
 One odd kernel, sin(pi u)/(F(u) F(-u)) for Re u >= 0, evaluates those
 singularities: eval_h folds h onto it, and eval_H_integral integrates it.
 """
@@ -25,10 +25,15 @@ __all__ = ["ENVELOPE_GRID", "eval_h",
            "series_coefficients", "DeepZeroSeries", "eval_H_series",
            "eval_H_integral", "DecayFit", "decay_fit", "membership_check"]
 
-_GROWTH_GRID = 256         # samples of membership_check's blow-up test
 _SINE_BLOCK = 1 << 17      # entries of one eval_H_series block, points x terms
-# decay-fit grid, uniform in 1/t, of membership_check and the companion weight
+# decay-fit grid, uniform in 1/t, of the companion weight and the deep-zero fit
 ENVELOPE_GRID = tuple(1.0 / np.linspace(5.0, 50.0, 20))
+_DUAL_T = 0.1          # largest t at which membership_check reads theta sums
+# the theta sum's z = a + bi (b > |a|, a + b odd) whose terms reach 2^-60 of
+# the leading one, z = i, at _DUAL_T: 28 of them
+_A, _B, _SIGN = np.array([(a, b, (-1) ** a * (2 - (a == 0)))  # a, -a paired
+    for b in range(1, 16) for a in range(b) if (a + b) % 2 and math.hypot(a, b)
+    * math.exp(-np.pi * (b * b - a * a - 1) / (16 * _DUAL_T)) > 2 ** -60]).T
 
 
 def _cmul(a, b):
@@ -204,49 +209,61 @@ def decay_fit(series, t_grid, abscissa="inv_t"):
                     float(corr), vals)
 
 
+def _theta_dual(t):
+    """(L, S) with H(t) = -i e^{-L} S for k_min = 0 and 0 < t <= _DUAL_T,
+    from H(t)/i = -1/2 t^{-3/2} sum (-1)^a (-iz) e^{pi z^2/(16t)} over
+    z = a + bi, b > |a|, a + b odd: a numerical finding, to 76-80 digits,
+    not yet proven.  With x = pi/(16t), e^{-L} = e^{-x} t^{-3/2}/2 is the
+    term z = i, and S = 1 + O(e^{-pi/(8t)}) sums the terms relative to it,
+    so nothing underflows."""
+    x = np.pi / (16.0 * t[:, None])
+    ph = 2.0 * _A * _B * x
+    S = _SIGN * np.exp(
+        -(_B * _B - _A * _A - 1.0) * x) * (_B * np.cos(ph) + _A * np.sin(ph))
+    return x[:, 0] + 1.5 * np.log(t) + math.log(2.0), S.sum(axis=1)
+
+
 def membership_check(series, w, tol=1e-8):
-    """Weighted energy  int_0^1 |H(t)|^2 / w(t) dt  with blow-up detection.
+    """Weighted energy  int_0^1 |H(t)|^2 / w(t) dt  of the infinite series
+    from k_min: M truncates the series route only, which sums k <= 20 at
+    least, where the dropped terms are below 1e-26.
 
-    The partial sum of the series is trustworthy only down to the
-    floating-point cancellation floor (about eps times the coefficient
-    l1 mass); below the crossing point of the fitted decay envelope with
-    that floor the integrand is pure noise which 1/w would amplify.  The
-    numerical integral therefore stops at that crossing, t_cut; on the
-    sliver (0, t_cut) |H| is bounded by the envelope where the fit shows
-    a deep zero (c2 > 0, |correlation| > 0.99), else by the l1 mass.
-
-    The package's quadrature rule: a caller asks for no finer a tolerance
-    than its dominant analytic error term, and an integral that still does
-    not converge raises ArithmeticError (the CLI exits 3).  Here that
-    tolerance is max(tol, 1e-3 * sliver bound); a finer request only
-    chases the integrand's rounding floor, which stalls the error
-    estimate, while the returned error, quadrature error plus sliver
-    bound, would not improve.  Returns (value, error).
+    Near 0, |H|^2 ~ t^-3 e^{-pi/(8t)}/4 for k_min = 0 and |H| ~ t for
+    k_min >= 1, so exp(-c/t) with c >= pi/8, or c > 0 for k_min >= 1,
+    raises ArithmeticError before any quadrature.  As |H(t)| =
+    |H(1/2 - t)| = |H(t - 1/2)|, the integral runs over (0, 1/4] with 1/w
+    summed at t, 1/2 - t, 1/2 + t and 1 - t, and panel edges at _DUAL_T and
+    w's folded breakpoints.  For k_min = 0, |H| below _DUAL_T is the theta
+    sum's, each term one exponent (the series reads rounding noise there),
+    and the routes must meet at _DUAL_T within 64 eps times the l1 mass
+    plus the truncation bound.  A miss, or an integral unconverged at tol,
+    raises ArithmeticError (the CLI exits 3).  Returns (value, error).
     """
-    scale = 2.0 * float(np.sum(np.abs(series.coeffs)))
-    noise_floor = 64.0 * np.finfo(np.float64).eps * scale
-    fit = decay_fit(series, ENVELOPE_GRID)
-    # point where the envelope falls to 10x the cancellation noise
-    t_cut = fit.c2 / math.log(10.0 * fit.c1 / noise_floor)
-    t_cut = min(max(t_cut, 1e-4), 0.05)
+    series = DeepZeroSeries(series.k_min, max(series.M, 20))
+    dual = series.k_min == 0
+    if (w.c >= np.pi / 8.0) if dual else (w.c > 0.0):
+        raise ArithmeticError(f"weighted energy of H diverges at t=0 against "
+                              f"exp(-{w.c:.4g}/t) for k_min={series.k_min}")
+    if dual:
+        L, S = _theta_dual(np.array([_DUAL_T]))
+        gap = abs(eval_H_series(series, _DUAL_T).imag + np.exp(-L[0]) * S[0])
+        if not gap <= (128.0 * np.finfo(np.float64).eps * np.sum(
+                np.abs(series.coeffs)) + series.truncation_bound):
+            raise ArithmeticError(f"theta sum and series differ by "
+                                  f"{gap:.3e} at t={_DUAL_T}")
 
     def integrand(t):
-        a = np.abs(eval_H_series(series, t))
-        expo = 2.0 * np.log(np.maximum(a, 1e-300)) - w.log(t)
-        return np.where(a > 1e-300, np.exp(np.minimum(expo, 700.0)), 0.0)
+        near = (t <= _DUAL_T) & dual
+        log_abs = np.empty_like(t)
+        L, S = _theta_dual(t[near])
+        log_abs[near] = np.log(np.abs(S)) - L
+        with np.errstate(divide="ignore"):
+            log_abs[~near] = np.log(np.abs(eval_H_series(series, t[~near])))
+        return sum(np.exp(2.0 * log_abs - w.log(s))
+                   for s in (t, 0.5 - t, 0.5 + t, 1.0 - t))
 
-    deep = fit.c2 > 0 and abs(fit.correlation) > 0.99
-    bound, rate = (fit.c1, 2.0 * fit.c2) if deep else (scale, 0.0)
-    sliver = bound ** 2 * w.mean_bound(rate, t_cut) * t_cut
-
-    grid = np.geomspace(t_cut, 1.0 - 1e-6, _GROWTH_GRID)
-    gv = np.abs(integrand(grid))
-    head = gv[:8]
-    if np.all(np.diff(head) < 0) and head[0] > 100.0 * max(np.max(gv[8:]), 1.0):
-        raise ArithmeticError(f"integrand grows without bound toward "
-                              f"t={grid[0]:.3e} (value {head[0]:.3e})")
-
-    res = integrate_finite(integrand, t_cut, 1.0, max(tol, 1e-3 * sliver),
-                           singular_ends=("a", "b"))
-    require(res, f"weighted energy of H on ({t_cut:.3g}, 1)")
-    return res.value.real, res.abs_error_estimate + sliver
+    folded = (min(b, 1.0 - b, abs(0.5 - b)) for b in w.breakpoints)
+    res = integrate_finite(integrand, 0.0, 0.25, tol,
+                           points=(_DUAL_T, *folded))
+    require(res, "weighted energy of H on (0, 1)")
+    return res.value.real, res.abs_error_estimate

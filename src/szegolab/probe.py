@@ -300,8 +300,9 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
         error = abs(res - other)
         if not reads_norm or data.size:
             error += _ROUNDING * n * _EPS * norm
-        if reads_norm:
-            error += res - math.sqrt(max(res * res - norm_err, 0.0))
+        if reads_norm:   # res - sqrt(res^2 - norm_err), without cancelling
+            gap = res * res - norm_err
+            error += norm_err / (res + math.sqrt(gap)) if gap > 0 else res
         if not (math.isfinite(res) and error <= norm):
             raise ArithmeticError(
                 f"residual {res:.3e} +- {error:.3e} against the target norm "

@@ -53,25 +53,6 @@ class Weight:
         """log w(t) for t > 0; -c/t for exp(-c/t), finite where w underflows."""
         return -self.c / t if self.kind == "exp" else np.log(self(t))
 
-    def mean_bound(self, rate, t_cut):
-        """A bound on the mean of e^(-rate/t)/w(t) over (0, t_cut], rate >= 0.
-        For exp(-c/t) it is the value at t_cut, the largest, when c < rate;
-        otherwise the function is unbounded near 0.  On a tabulated weight's
-        piece [a, b], e^(-rate/t) is at most e^(-rate/b), and 1/w from u to
-        u (1 + x) integrates to (b - a) log1p(x)/(u x), (b - a)/u if x = 0,
-        rounded up by (16 + rate/b) eps, over its own rounding error,
-        (7 + rate/(2b)) eps, and the sum's and division's, eps/2 each; a
-        term is 0 only where e^(-rate/b) underflows."""
-        if self.kind == "exp":
-            if self.c >= rate:
-                raise ArithmeticError(f"integrand unbounded near t=0: weight "
-                                      f"decay c={self.c:.4g} >= rate {rate:.4g}")
-            return math.exp((self.c - rate) / t_cut)
-        return math.fsum(math.exp(-rate / b) * (b - a) * (
-            math.log1p(x) / (u * x) if x else 1.0 / u)
-            * (1.0 + (16.0 + rate / b) * math.ulp(1.0))
-            for a, b, u, x in self._pieces(0.0, t_cut)) / t_cut
-
 
 def make_exp_weight(c):
     """w(t) = exp(-c/t), refused where exp(-c) == 0: w would be 0 on [0, 1]."""

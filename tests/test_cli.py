@@ -267,7 +267,7 @@ CONFIG_DIGESTS = {
             "979a72004fe26b5cd514771a21028e87b4b2a0145d5fcb6d44c0ef791fa5e00e"},
     "probe": {
         "residuals.csv":
-            "093b1c10210da5081220ed510ebba437da7283525413250db12bebff02b90c4e"},
+            "e2e1e63b041c69ef53949e98197d1351f188575e57175732acdbc0f92bc0a6bb"},
     "sets": {
         "condition_B.csv":
             "d7ce8248d17ae9062bbf017e6b7c8ed791c08ba541c8d2e694b3afd6e89d6e18",

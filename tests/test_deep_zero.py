@@ -66,6 +66,44 @@ def test_deep_zero_follows_its_closed_form(s20, t):
                                         + s20.truncation_bound)
 
 
+def test_theta_sum_is_the_series_in_mpmath():
+    """H(t)/i = -1/2 t^(-3/2) sum (-1)^a (-iz) e^(pi z^2/(16 t)) over
+    z = a + bi with b > |a| and a + b odd, at 50 digits against the series
+    summed to |c_k| < 1e-55, at six t in (0, 1/2]: the two agree to 1e-30
+    relative.  z = a + bi is p = b - a and q = b + a, both odd, and the
+    sum keeps the terms with e^(-pi pq/(16 t)) above 1e-50."""
+    with mpmath.workdps(50):
+        for t in (mpmath.mpf(1) / 77, mpmath.mpf(1) / 40, mpmath.mpf(1) / 13,
+                  mpmath.mpf("0.137"), mpmath.mpf("0.3"), mpmath.mpf("0.45")):
+            series = 2 * mpmath.fsum(
+                (-1) ** (k + 1) * 4 * (2 * k + 1)
+                / mpmath.cosh(mpmath.pi * (2 * k + 1) / 2)
+                * mpmath.sin(2 * mpmath.pi * (2 * k + 1) ** 2 * t)
+                for k in range(45))
+            top = int(50 * mpmath.log(10) * 16 * t / mpmath.pi)
+            zs = (mpmath.mpc((q - p) // 2, (q + p) // 2)
+                  for p in range(1, top + 1, 2)
+                  for q in range(1, top // p + 1, 2))
+            dual = -mpmath.fsum((-1) ** int(z.real) * -1j * z
+                                * mpmath.exp(mpmath.pi * z * z / (16 * t))
+                                for z in zs) / (2 * t ** 1.5)
+            assert abs(dual.imag) < 1e-45
+            assert abs(dual.real / series - 1) < 1e-30, t
+
+
+@pytest.mark.parametrize("t", [0.01, 0.02, 0.05, 0.1])
+def test_theta_dual_is_the_series_in_float64(s20, t):
+    """The 28 terms z of the theta sum at t <= 0.1, a and -a paired, meet
+    eval_H_series within its cancellation floor, 64 eps times the sum of
+    its terms' moduli; far below, S is exactly 1 and nothing underflows."""
+    assert int(np.sum(np.where(deep_zero._A > 0, 2, 1))) == 28
+    L, S = deep_zero._theta_dual(np.array([t, 1e-4, 1e-300]))
+    scale = 2.0 * float(np.abs(s20.coeffs).sum())
+    assert abs(-np.exp(-L[0]) * S[0] - eval_H_series(s20, t).imag) <= (
+        64 * np.finfo(np.float64).eps * scale)
+    assert S[1:].tolist() == [1.0, 1.0] and np.all(np.isfinite(L))
+
+
 def test_h_offset_consistency():
     for m in (0, 1, 2):
         n0 = (2 * m + 1) ** 2
@@ -528,6 +566,17 @@ def test_membership_parseval(s20):
     assert abs(value - ref) <= err + 1e-8 * ref
 
 
+@pytest.mark.parametrize("M", [3, 5])
+def test_membership_is_the_infinite_series_at_every_M(s20, M):
+    """The theta sum near 0 is the infinite series', so the series route
+    takes terms up to k = 20 at least: a short series has the membership
+    of the long one, not a mix of the two (at M = 3 the mix was 2.8e-6
+    off Parseval's value with an error of 2.7e-14)."""
+    w = make_constant_weight(1.0)
+    assert (membership_check(DeepZeroSeries(0, M), w, 1e-12)
+            == membership_check(s20, w, 1e-12))
+
+
 def _companion(series, factor):
     fit = decay_fit(series, deep_zero.ENVELOPE_GRID)
     return make_exp_weight(2.0 * factor * fit.c2)
@@ -546,17 +595,16 @@ def test_membership_incompatible_weight_raises(s20):
 
 def test_membership_growth_grid_catches_an_overstated_decay(s20,
                                                              monkeypatch):
-    """Against exp(-1/t) the series' fitted decay, c2 = 0.1311, leaves the
-    sliver unbounded.  Should the fit report c2 = 0.6, the sliver bound is
-    finite and the cut moves out to t = 0.0171, where |H|^2/w still grows
-    toward it: the growth grid sees that and raises before any quadrature."""
-    fit = deep_zero.decay_fit
-    monkeypatch.setattr(deep_zero, "decay_fit",
-                        lambda *args: dataclasses.replace(fit(*args), c2=0.6))
+    """Divergence is decided from the weight's rate before any quadrature
+    (integrate_finite is None here): |H|^2 ~ t^-3 e^(-pi/(8t))/4 near 0
+    diverges against exp(-c/t) at c = pi/8 and c = 1, and a series without
+    its k = 0 term, |H| ~ t, against every c > 0."""
     monkeypatch.setattr(deep_zero, "integrate_finite", None)
-    with pytest.raises(ArithmeticError,
-                       match=r"grows without bound toward t=1\.708e-02"):
-        membership_check(s20, make_exp_weight(1.0), 1e-8)
+    for series, c in [(s20, np.pi / 8), (s20, 1.0),
+                      (DeepZeroSeries(1, 20), 0.01)]:
+        with pytest.raises(ArithmeticError, match=rf"diverges at t=0 .* "
+                           rf"for k_min={series.k_min}$"):
+            membership_check(series, make_exp_weight(c), 1e-8)
 
 
 def test_a_series_has_at_least_one_term():
@@ -601,18 +649,45 @@ def test_series_terms_keep_their_bits(k_min, M, head, digest, bound):
 
 
 def test_membership_dip_inside_the_sliver_adds_its_share_alone(s20):
-    """A tabulated weight dips to 1e-60 at t = 0.002, inside the sliver
-    (0, t_cut ~ 0.0037) that the quadrature leaves to the bound.  There
-    the envelope is 3e-28 and the computed |H| rounding noise, so the
-    dip's share, the envelope squared over w summed piece by piece, is
-    about 1e-58: value and error are those of w = 1."""
+    """A tabulated weight dips to 1e-60 at t = 0.002, where the series
+    reads rounding noise of about 5e-18, which the dip would blow up to
+    2e25; the theta sum gives |H| = 1.3e-39 there, so the dip's share is
+    about 1e-81 and the value is w = 1's, Parseval's 2 sum c_k^2, within
+    the error."""
     w = make_tabulated_weight([(0.0, 1.0), (0.001998, 1.0), (0.002, 1e-60),
                                (0.002002, 1.0), (1.0, 1.0)])
     value, err = membership_check(s20, w, 1e-8)
-    flat_value, flat_err = membership_check(s20, make_constant_weight(1.0),
-                                            1e-8)
-    assert value == flat_value
-    assert flat_err <= err < 1e-9
+    assert abs(value - _parseval(0, 20)) <= err < 1e-9
+
+
+def _dip_share(center, depth=1e-6, width=1e-6):
+    """int |H|^2 (1/w - 1) over a dip of w, linear from 1 at
+    center +- width to depth at center: |H(center)|^2 at 30 digits times
+    2 width (log(1/depth)/(1 - depth) - 1).  The dip is even about its
+    center, so the slope of |H|^2 drops out, and its curvature, below 2.4e4
+    by the coefficients' sums, adds at most 2.4e4 width^3 log(1/depth),
+    below 4e-13."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(center)
+        H = 2 * mpmath.fsum((-1) ** (k + 1) * 4 * (2 * k + 1)
+                            / mpmath.cosh(mpmath.pi * (2 * k + 1) / 2)
+                            * mpmath.sin(2 * mpmath.pi * (2 * k + 1) ** 2 * t)
+                            for k in range(30))
+        return float(H * H * 2 * width * (mpmath.log(1 / mpmath.mpf(depth))
+                                          / (1 - mpmath.mpf(depth)) - 1))
+
+
+def test_membership_sees_a_tabulated_weights_narrow_dips(s20):
+    """Dips of w = 1 to 1e-6 over t = 0.3 +- 1e-6 and 0.6 +- 1e-6 add
+    3.04e-4 and 1.16e-4 to the flat value.  Their folded breakpoints are
+    panel edges, so the quadrature meets them; without those edges it
+    returns the flat value."""
+    w = make_tabulated_weight([(0.0, 1.0), (1.0, 1.0)] + [
+        (c + dt, v) for c in (0.3, 0.6)
+        for dt, v in [(-1e-6, 1.0), (0.0, 1e-6), (1e-6, 1.0)]])
+    value, err = membership_check(s20, w, 1e-8)
+    ref = _parseval(0, 20) + _dip_share(0.3) + _dip_share(0.6)
+    assert abs(value - ref) <= err < 1e-8
 
 
 def _parseval(k_min, M):
@@ -626,16 +701,13 @@ def _parseval(k_min, M):
 @pytest.mark.parametrize("k_min, M, tol", [(1, 20, 1e-8), (2, 12, 1e-13)])
 def test_membership_without_a_deep_zero_bounds_the_sliver_by_the_l1_mass(
         k_min, M, tol):
-    """Without the k = 0 term the fit shows no deep zero (c2 = -0.016 at
-    (1, 20), correlation -0.17 at (2, 12)), so the envelope bounds nothing
-    on the sliver; the l1 mass does.  The error covers the exact value at
-    w = 1 and stays small, and an exp weight is unbounded against it."""
+    """Without the k = 0 term, |H| ~ t near 0: the series serves on all of
+    (0, 1), and at w = 1 the value is Parseval's within an error at most
+    tol, while every exp weight diverges against it."""
     s = DeepZeroSeries(k_min, M)
-    fit = decay_fit(s, ENVELOPE_GRID)
-    assert not (fit.c2 > 0 and abs(fit.correlation) > 0.99)
     value, err = membership_check(s, make_constant_weight(1.0), tol)
-    assert abs(value - _parseval(k_min, M)) <= err < 1e-4
-    with pytest.raises(ArithmeticError, match="unbounded near t=0"):
+    assert abs(value - _parseval(k_min, M)) <= err <= tol
+    with pytest.raises(ArithmeticError, match="diverges at t=0"):
         membership_check(s, make_exp_weight(0.01), tol)
 
 
@@ -652,29 +724,70 @@ def test_decay_fit_needs_four_points_off_zero(s20):
 
 @pytest.mark.parametrize("factor", [0.9, 0.95, 0.99])
 def test_membership_converges_at_the_sliver_tolerance(s20, monkeypatch, factor):
-    """At tol=1e-13 the integrand's rounding floor is out of reach; the
-    quadrature asks for what the sliver bound allows and converges fast.
-    A reference at tol 1e-7 on the same integrand agrees within both
-    quadrature error estimates."""
+    """The quadrature gets the caller's tol, 1e-13, and converges in one
+    integral over (0, 1/4] of at most 3000 evaluations.  A reference at
+    tol 1e-7 on the same integrand agrees within both error estimates, and
+    so does the value at tol 1e-8."""
     calls = []
 
     def recording(f, a, b, tol, **kw):
         res = quadrature.integrate_finite(f, a, b, tol, **kw)
         ref = quadrature.integrate_finite(f, a, b, 1e-7, **kw)
-        calls.append((res, ref))
+        calls.append((a, b, tol, res, ref))
         return res
 
     monkeypatch.setattr(deep_zero, "integrate_finite", recording)
     w = _companion(s20, factor)
     value, err = membership_check(s20, w, 1e-13)
-    (res, ref), = calls
-    assert res.converged and res.evaluations <= 20_000
+    (a, b, tol, res, ref), = calls
+    assert (a, b, tol) == (0.0, 0.25, 1e-13)
+    assert res.converged and res.evaluations <= 3000
     assert ref.converged
     assert abs(res.value - ref.value) <= (res.abs_error_estimate
                                           + ref.abs_error_estimate)
-    assert value == res.value.real
-    coarse, _ = membership_check(s20, w, 1e-8)
-    assert abs(value - coarse) <= err
+    assert (value, err) == (res.value.real, res.abs_error_estimate)
+    coarse, coarse_err = membership_check(s20, w, 1e-8)
+    assert abs(value - coarse) <= err + coarse_err
+
+
+# int_0^1 |H|^2 exp(c/t) dt by mpmath at 90 and 110 digits, the series summed
+# over 80 and 95 terms, folded onto [7e-4, 1/4] and [1e-3, 1/4] as
+# membership_check folds it (the rest is below 1e-30), for the deepzero
+# config's c = 2 * 0.9 * c2 = 0.23599894233977833 and for c = 0.3
+_MPMATH_MEMBERSHIP = {0.9: 16.335030961927506, 0.3: 36.30906744123298}
+
+
+@pytest.mark.parametrize("tol, bound", [(1e-8, 1e-9), (1e-13, 1e-13)])
+def test_membership_of_the_deepzero_config_is_the_mpmath_value(s20, tol,
+                                                              bound):
+    w = _companion(s20, 0.9)
+    assert w.c == 0.23599894233977833
+    value, err = membership_check(s20, w, tol)
+    assert abs(value - _MPMATH_MEMBERSHIP[0.9]) <= err <= bound
+
+
+def test_membership_is_finite_below_pi_over_8(s20):
+    """c = 0.3 lies above the fitted rate 2 c2 = 0.262 and below pi/8, the
+    exact one: the integral is finite and meets mpmath's."""
+    value, err = membership_check(s20, make_exp_weight(0.3), 1e-10)
+    assert abs(value - _MPMATH_MEMBERSHIP[0.3]) <= err < 1e-11
+
+
+def test_membership_checks_the_theta_sum_against_the_series(s20,
+                                                            monkeypatch):
+    """The two routes of |H| meet at t = 0.1: a theta sum off by 1e-12
+    relative there raises before any quadrature."""
+    dual = deep_zero._theta_dual
+
+    def off(t):
+        L, S = dual(t)
+        return L, S * (1 + 1e-12)
+
+    monkeypatch.setattr(deep_zero, "_theta_dual", off)
+    monkeypatch.setattr(deep_zero, "integrate_finite", None)
+    with pytest.raises(ArithmeticError,
+                       match=r"theta sum and series differ by 2\.1\d*e-12"):
+        membership_check(s20, _companion(s20, 0.9), 1e-8)
 
 
 def test_membership_unconverged_raises(s20, monkeypatch):

@@ -315,7 +315,7 @@ _IN_SPAN = {2: 1.0, 5: 0.5 + 0.25j, 11: 0.75j}
 # residual_error is the rounding term n eps norm, n = 20 and 40
 _EMPTY_FIRST = {6: 1.0, 9: 0.5 + 0.25j, 13: 0.75j}
 _EMPTY_FIRST_RECORDS = [
-    (5, 1.0362870505067887, 1.0362870505067887, 3.441691376337985e-14),
+    (5, 1.0362870505067887, 1.0362870505067887, 3.4416143056007824e-14),
     (20, 0.0, 1.0362870505067887, 4.602038974374117e-15),
     (40, 0.0, 1.0362870505067887, 9.204077948748235e-15)]
 
@@ -366,7 +366,8 @@ def _node_norm(w, n_max, rule, target):
 def test_unread_trig_curves_take_their_records_in_closed_form(companion):
     """Trig curves whose solves have no data, pinned to parts computed
     here: the residual is the norm, or 0 in the span; residual_error is
-    the norm's error or the rounding term,
+    the norm's error, norm - sqrt(norm^2 - err) in the form that does not
+    cancel, or the rounding term,
     plus, for an empty kept set, the rules' disagreement on the norm, from
     the smaller rule's own node sum."""
     # nothing kept at N = 3; 5 and 7 kept at N = 10
@@ -378,7 +379,8 @@ def test_unread_trig_curves_take_their_records_in_closed_form(companion):
     norm = math.sqrt(norm_sq)
     assert first.residual == first.target_norm == second.target_norm == norm
     assert first.residual_error == (abs(norm - math.sqrt(smaller_sq))
-                                    + norm - math.sqrt(norm * norm - err))
+                                    + err / (norm + math.sqrt(norm * norm
+                                                              - err)))
     assert second.residual == 0.0
     assert second.residual_error == 0.0 + probe._ROUNDING * 10 * EPS * norm
 
@@ -777,7 +779,9 @@ def test_annihilator_drop_matches_dense_schur_complement(s20, companion):
 
 def test_annihilator_residual_error_is_the_norm_error(s20, companion):
     """No kept frequency is on T, so no solve has data: the residual is the
-    norm, from the last rule, whose recursion alone ran."""
+    norm, from the last rule, whose recursion alone ran.  Its error is the
+    norm's, norm - sqrt(norm^2 - err) in the form that does not cancel:
+    err is about an ulp of norm^2, and the difference itself reads 0."""
     squares = gen_power_set(2, 100)
     cfg = ProbeConfig(weight=companion, gamma=squares,
                       target=AnnihilatorTarget(s20), tol=1e-13)
@@ -785,7 +789,8 @@ def test_annihilator_residual_error_is_the_norm_error(s20, companion):
     norm = math.sqrt(norm_sq)
     for rec in residual_curve(cfg, [50, 100]).records:
         assert rec.residual == rec.target_norm == norm
-        assert rec.residual_error == norm - math.sqrt(norm_sq - err)
+        assert rec.residual_error == err / (norm + math.sqrt(norm * norm
+                                                             - err)) > 0.0
 
 
 def test_weighted_residual_refuses_a_floor():

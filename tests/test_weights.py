@@ -204,11 +204,12 @@ def kind_readers(package_dir):
 
 
 def test_only_weights_reads_a_weight_kind(tmp_path):
-    """A weight answers for its log, its sliver bound and its values, so
+    """A weight answers for its log, its rate c and its values, so
     no module but weights branches on its kind; a config's "kind" key and
     a kind= keyword are not attribute reads.  The check finds a planted
     read."""
     assert kind_readers(Path(weights.__file__).parent) == []
+    assert DIP.c == make_constant_weight(2.0).c == 0.0
     (tmp_path / "planted.py").write_text(
         "def f(w, spec, a):\n"
         "    a.sort(kind='stable')\n"
@@ -224,48 +225,6 @@ def test_log_is_finite_where_the_weight_underflows():
     assert np.array_equal(w.log(t), -2.0 / t)
     tab = make_tabulated_weight([(0.0, 0.5), (0.3, 1.0), (1.0, 2.0)])
     assert np.array_equal(tab.log(t), np.log(tab(t)))
-
-
-def test_exp_mean_bound_is_the_value_at_t_cut():
-    """e^(-rate/t)/w(t) = e^((c - rate)/t) grows in t for c < rate and is
-    unbounded near 0 otherwise, rate 0 included."""
-    w = make_exp_weight(0.1)
-    assert w.mean_bound(0.3, 0.01) == math.exp((0.1 - 0.3) / 0.01)
-    for rate in (0.1, 0.05, 0.0):
-        with pytest.raises(ArithmeticError, match="unbounded near t=0"):
-            w.mean_bound(rate, 0.01)
-
-
-def _mpmath_mean(w, rate, t_cut):
-    """Mean of e^(-rate/t)/w(t) over (0, t_cut] by mpmath.quad on each
-    piece between knots, in the distance s from the piece's end where w is
-    smaller, so that a deep dip keeps its digits."""
-    knots = [0.0, *(t for t, _ in w.samples if 0 < t < t_cut), t_cut]
-    total = 0
-    for a, b in zip(knots, knots[1:]):
-        wa, wb = w(np.array([a, b]))
-        L = mpmath.mpf(b) - mpmath.mpf(a)
-        u, v = mpmath.mpf(min(wa, wb)), mpmath.mpf(max(wa, wb))
-        end, sign = (mpmath.mpf(a), 1) if wa <= wb else (mpmath.mpf(b), -1)
-        splits = [L * mpmath.mpf(10) ** -k for k in range(64, 0, -8)]
-        total += mpmath.quad(lambda s: mpmath.exp(-rate / (end + sign * s))
-                             / (u + (v - u) * s / L), [0, *splits, L])
-    return total / t_cut
-
-
-@pytest.mark.parametrize("rate, t_cut", [(0.262, 0.00373), (0.0, 1e-4),
-                                         (0.05, 0.01)])
-@pytest.mark.parametrize("w", [
-    DIP, make_tabulated_weight([(0.0, 0.5), (0.001, 0.2), (0.003, 1.0),
-                                (1.0, 2.0)]),
-    make_constant_weight(2.5)], ids=["dip", "knots", "constant"])
-def test_mean_bound_covers_the_mpmath_mean(w, rate, t_cut):
-    """The bound is rounded up, so it covers the mean itself, at rate 0
-    too, where a linear piece's integral is exact and its rounding alone
-    put the knotted weight's bound an ulp below the mean."""
-    with mpmath.workdps(30):
-        ref = _mpmath_mean(w, rate, t_cut)
-    assert w.mean_bound(rate, t_cut) >= ref
 
 
 def test_log_integral_over_a_deep_dip_matches_mpmath():
