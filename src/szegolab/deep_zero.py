@@ -224,31 +224,31 @@ def _theta_dual(t):
 
 
 def membership_check(series, w, tol=1e-8):
-    """Weighted energy  int_0^1 |H(t)|^2 / w(t) dt  of the infinite series
-    from k_min: M truncates the series route only, which sums k <= 20 at
-    least, where the dropped terms are below 1e-26.
+    """Weighted energy  int_0^1 |H(t)|^2 / w(t) dt, with divergence refused
+    from w's rate before any quadrature.
 
-    Near 0, |H|^2 ~ t^-3 e^{-pi/(8t)}/4 for k_min = 0 and |H| ~ t for
-    k_min >= 1, so exp(-c/t) with c >= pi/8, or c > 0 for k_min >= 1,
-    raises ArithmeticError before any quadrature.  As |H(t)| =
-    |H(1/2 - t)| = |H(t - 1/2)|, the integral runs over (0, 1/4] with 1/w
-    summed at t, 1/2 - t, 1/2 + t and 1 - t, and panel edges at _DUAL_T and
-    w's folded breakpoints.  For k_min = 0, |H| below _DUAL_T is the theta
-    sum's, each term one exponent (the series reads rounding noise there),
-    and the routes must meet at _DUAL_T within 64 eps times the l1 mass
-    plus the truncation bound.  A miss, or an integral unconverged at tol,
-    raises ArithmeticError (the CLI exits 3).  Returns (value, error).
+    For k_min = 0 and a truncation bound below the cancellation floor, 64
+    eps times the l1 mass, H is the infinite series to rounding: |H|^2 ~
+    t^-3 e^{-pi/(8t)}/4 near 0 refuses exp(-c/t) for c >= pi/8, and |H|
+    below _DUAL_T is the theta sum's, each term one exponent (the series
+    reads rounding noise there), which must meet the series at _DUAL_T
+    within the floor plus the truncation bound.  Any other series has
+    |H| ~ t near 0, is read off the series everywhere, and refuses c > 0.
+    As |H(t)| = |H(1/2 - t)| = |H(t - 1/2)|, the integral runs over
+    (0, 1/4] with 1/w summed at t, 1/2 - t, 1/2 + t and 1 - t, and panel
+    edges at _DUAL_T and w's folded breakpoints.  A miss, or an integral
+    unconverged at tol, raises ArithmeticError (the CLI exits 3).
+    Returns (value, error).
     """
-    series = DeepZeroSeries(series.k_min, max(series.M, 20))
-    dual = series.k_min == 0
+    floor = 128.0 * np.finfo(np.float64).eps * np.sum(np.abs(series.coeffs))
+    dual = series.k_min == 0 and series.truncation_bound <= floor
     if (w.c >= np.pi / 8.0) if dual else (w.c > 0.0):
         raise ArithmeticError(f"weighted energy of H diverges at t=0 against "
-                              f"exp(-{w.c:.4g}/t) for k_min={series.k_min}")
+                              f"exp(-{w.c:.4g}/t) for {series}")
     if dual:
         L, S = _theta_dual(np.array([_DUAL_T]))
         gap = abs(eval_H_series(series, _DUAL_T).imag + np.exp(-L[0]) * S[0])
-        if not gap <= (128.0 * np.finfo(np.float64).eps * np.sum(
-                np.abs(series.coeffs)) + series.truncation_bound):
+        if not gap <= floor + series.truncation_bound:
             raise ArithmeticError(f"theta sum and series differ by "
                                   f"{gap:.3e} at t={_DUAL_T}")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 import types
 import warnings
@@ -566,15 +567,16 @@ def test_membership_parseval(s20):
     assert abs(value - ref) <= err + 1e-8 * ref
 
 
-@pytest.mark.parametrize("M", [3, 5])
-def test_membership_is_the_infinite_series_at_every_M(s20, M):
-    """The theta sum near 0 is the infinite series', so the series route
-    takes terms up to k = 20 at least: a short series has the membership
-    of the long one, not a mix of the two (at M = 3 the mix was 2.8e-6
-    off Parseval's value with an error of 2.7e-14)."""
-    w = make_constant_weight(1.0)
-    assert (membership_check(DeepZeroSeries(0, M), w, 1e-12)
-            == membership_check(s20, w, 1e-12))
+@pytest.mark.parametrize("M", [3, 5, 10, 11])
+def test_membership_is_parseval_of_the_callers_series(M):
+    """w = 1: the membership is 2 sum c_k^2 over the caller's k <= M, on
+    the series route (M <= 10, truncation above the cancellation floor)
+    and the theta sum's (M = 11); the series to k = 20 in place of the
+    caller's read 5.5e-9 high at M = 3, with an error of 2.6e-13."""
+    s = DeepZeroSeries(0, M)
+    value, err = membership_check(s, make_constant_weight(1.0), 1e-12)
+    ref = 2.0 * math.fsum(s.coeffs ** 2)
+    assert abs(value - ref) <= err + 4.0 * np.finfo(np.float64).eps * ref
 
 
 def _companion(series, factor):
@@ -598,12 +600,15 @@ def test_membership_growth_grid_catches_an_overstated_decay(s20,
     """Divergence is decided from the weight's rate before any quadrature
     (integrate_finite is None here): |H|^2 ~ t^-3 e^(-pi/(8t))/4 near 0
     diverges against exp(-c/t) at c = pi/8 and c = 1, and a series without
-    its k = 0 term, |H| ~ t, against every c > 0."""
+    its k = 0 term, or one cut off above the cancellation floor, |H| ~ t,
+    against every c > 0."""
     monkeypatch.setattr(deep_zero, "integrate_finite", None)
     for series, c in [(s20, np.pi / 8), (s20, 1.0),
-                      (DeepZeroSeries(1, 20), 0.01)]:
+                      (DeepZeroSeries(1, 20), 0.01),
+                      (DeepZeroSeries(0, 3), 0.01)]:
         with pytest.raises(ArithmeticError, match=rf"diverges at t=0 .* "
-                           rf"for k_min={series.k_min}$"):
+                           rf"for DeepZeroSeries\(k_min={series.k_min}, "
+                           rf"M={series.M}\)$"):
             membership_check(series, make_exp_weight(c), 1e-8)
 
 

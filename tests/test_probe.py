@@ -910,3 +910,21 @@ def test_annihilator_without_a_deep_zero_has_an_honest_norm_error():
         assert rec.residual == rec.target_norm
         assert abs(rec.target_norm - 0.305671158952896) <= rec.residual_error
         assert rec.residual_error < 1e-4
+
+
+def test_annihilator_of_a_short_series_has_its_norm():
+    """w = 1, cubes removed, the series to M = 3: the target norm is
+    Parseval's sqrt(2 sum c_k^2) over k <= 3, and the kept odd squares 9,
+    25 and 49 take their c_k^2 off the residual's square.  A norm of the
+    series to k = 20 mixed with these inner products read 1.2e-9 high."""
+    series = DeepZeroSeries(0, 3)
+    c_sq = series.coeffs ** 2
+    cfg = ProbeConfig(weight=make_constant_weight(1.0),
+                      gamma=gen_power_set(3, 20),
+                      target=AnnihilatorTarget(series), tol=1e-13)
+    for rec in residual_curve(cfg, [50, 100]).records:
+        assert rec.target_norm == pytest.approx(
+            math.sqrt(2.0 * math.fsum(c_sq)), rel=4e-16, abs=0)
+        assert rec.residual == pytest.approx(
+            math.sqrt(2.0 * c_sq[0] + math.fsum(c_sq[1:])), rel=1e-14, abs=0)
+        assert rec.residual_error < 1e-13
