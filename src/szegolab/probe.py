@@ -24,17 +24,20 @@ trig target (0 in the span) and ||Phi||^2 - ||T_DD b_T||^2 for an
 annihilator, whose exact inner products b are nonzero on T in the kept
 set.  Neither reads cond(B_R), and no Gram matrix or floor enters.
 
-At most one recursion per rule, at the largest N', serves a curve's nested
-kept sets.  A trig target's ||f||^2 is summed on each rule's own nodes, as
-sum_j mu_j |f(z_j)|^2, so its norm and its residuals come from one discrete
-measure; an annihilator's is int |H|^2 / w from membership_check.  Of two
-rules of different sizes (_RULES) the larger gives the values;
-residual_error is their disagreement (reported, not a bound: two rules both
-off can agree), plus the norm's error where the residual reads the norm,
-plus n eps norm at degree n for rounding where it reads a solve.  The
-smaller rule runs, in full, only where some block has data or a trig
-residual is its norm.  A zero or NaN on T's diagonal, non-finite values or
-a residual_error above the norm raise ArithmeticError.
+A set whose block has no data (f-hat_S = 0, or no kept frequency on T) has
+x empty: its residual is the norm, or 0 for a trig target in the span, with
+no B and no QR.  So a rule recurses, once at the largest N' for a curve's
+nested kept sets, only where some block has data.  A trig target's
+||f||^2 is summed on each rule's own nodes, as sum_j mu_j |f(z_j)|^2, so
+its norm and its residuals come from one discrete measure; an
+annihilator's is int |H|^2 / w from membership_check.  Of two rules of
+different sizes (_RULES) the larger gives the values; residual_error is
+their disagreement (reported, not a bound: two rules both off can agree),
+plus the norm's error where the residual reads the norm, plus n eps norm at
+degree n for rounding where it reads a solve.  The smaller rule is measured
+only where some block has data or a trig residual is its norm.  A zero or
+NaN on the diagonal of a factored block's T, non-finite values or a
+residual_error above the norm raise ArithmeticError.
 """
 
 import functools
@@ -224,16 +227,18 @@ def _szego(z, root_mu, n, rows):
 
 
 def _recurse(w, n, rows, rules):
-    """Yields (z, root_mu) of _measure and (d2, B) of _szego per rule."""
+    """Yields (z, root_mu) of _measure per rule, and B of _szego where some
+    row is read, else None: a curve with no data runs no recursion."""
     for z, root_mu in (_measure(w, n, rule) for rule in rules):
-        yield (z, root_mu, *_szego(z, root_mu, n, rows))
+        yield z, root_mu, _szego(z, root_mu, n, rows)[1] if rows.size else None
 
 
 def _residuals(target, kept_sets, w, tol, coefficients=False):
     """Distances from the target to the spans of kept_sets, lists of
-    distinct frequencies, each a prefix of the last.  Returns (norm,
-    [(residual, residual_error) for each set], the projection's
-    coefficients on the last set when asked: they need every row of B)."""
+    distinct frequencies, each a prefix of the last.  Only the rows of
+    blocks with data are read, so with none no rule recurses.  Returns
+    (norm, [(residual, residual_error) for each set], the projection's
+    coefficients on the last set when asked: they read every row of B)."""
     trig = isinstance(target, TrigPolyTarget)
     F = np.array(list(target.coeffs) if trig else [], dtype=np.int64)
     norm_sq, norm_err = ((0.0, 0.0) if trig
@@ -253,7 +258,7 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
         f = target.at(S + lo) if trig and size else np.zeros(S.size)
         R = np.concatenate([S[f == 0], S[f != 0], kept[on_T]])
         data = np.concatenate([f[f != 0], b[:size][on_T]])
-        read[R] = True
+        read[R] |= data.size > 0
         blocks.append((n, R, slice(R.size - data.size, None), data,
                        not trig or not size))
     rows = np.arange(n_max + 1) if coefficients else np.flatnonzero(read)
@@ -264,8 +269,8 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
     # is its norm, summed on each rule's own nodes; elsewhere the last serves
     values, disagree = [], any(data.size or trig and reads_norm
                                for *_, data, reads_norm in blocks)
-    for z, root_mu, _, B in _recurse(w, n_max, rows,
-                                     _RULES if disagree else _RULES[-1:]):
+    for z, root_mu, B in _recurse(w, n_max, rows,
+                                  _RULES if disagree else _RULES[-1:]):
         if trig:
             with np.errstate(over="ignore", invalid="ignore"):
                 f_z = root_mu * sum(a * z ** k
@@ -285,13 +290,17 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
             # B_R^H = Q T: with D last, T_DD = T[D, D] holds D's rows projected
             # off the others; |x| is a trig residual, x = T_DD^-H f-hat_D, or
             # x = T_DD b_T, which an annihilator's residual^2 leaves off norm^2
-            A = B[np.searchsorted(rows, R), :n + 1].conj().T
-            T = np.linalg.qr(A, mode="r")
-            if not np.all(np.abs(T.diagonal()) > 0):
-                raise ArithmeticError(f"singular constraint block at n={n}")
-            x = (T[D, D] @ data if reads_norm
-                 else np.linalg.solve(T[D, D].conj().T, data))
-            x_sq = np.vdot(x, x).real
+            # (with no data x is empty, x_sq = 0, and no B_R is factored)
+            x_sq = 0.0
+            if data.size:
+                A = B[np.searchsorted(rows, R), :n + 1].conj().T
+                T = np.linalg.qr(A, mode="r")
+                if not np.all(np.abs(T.diagonal()) > 0):
+                    raise ArithmeticError(
+                        f"singular constraint block at n={n}")
+                x = (T[D, D] @ data if reads_norm
+                     else np.linalg.solve(T[D, D].conj().T, data))
+                x_sq = np.vdot(x, x).real
             res_sq = norm_sq - x_sq if reads_norm else x_sq
             values[-1].append(math.sqrt(min(max(res_sq, 0.0), norm_sq)))
     norm, out = math.sqrt(max(norm_sq, 0.0)), []
@@ -310,8 +319,10 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
         out.append((res, error))
     if not coefficients:
         return norm, out, None
-    # B Q_D x: the least-norm p with p-hat_R = f-hat_R, or Phi's projection
-    q = B[:, :n_max + 1] @ (np.linalg.qr(A)[0][:, D] @ x)
+    # B Q_D x: the least-norm p with p-hat_R = f-hat_R, or Phi's projection;
+    # 0 where the one block has no data
+    q = (B[:, :n_max + 1] @ (np.linalg.qr(A)[0][:, D] @ x) if data.size
+         else np.zeros(n_max + 1, dtype=np.complex128))
     return norm, out, (target.at(top) - q[top - lo]) if trig else q[top - lo]
 
 

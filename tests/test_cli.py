@@ -535,6 +535,26 @@ def test_deepzero_run_negative_slope(tmp_path, monkeypatch):
     assert len(csv) == 21
 
 
+def test_deepzero_summary_shows_the_exact_rate(tmp_path, capsys):
+    """Beside the fitted c2, the manifest summary gives the theta sum's
+    exact rate pi/16 (|H| ~ t^-3/2 e^{-pi/(16t)}) for k_min = 0 only, and
+    report prints it; the digested summary.json keeps the fit alone.  With
+    k_min = 1 there is no deep zero, and the fit fails (exit 3)."""
+    for k_min in (0, 1):
+        cfg = _write(tmp_path, f"c{k_min}.json",
+                     {**DEEPZERO_CONFIG, "k_min": k_min})
+        out = tmp_path / f"out{k_min}"
+        assert main(["run", cfg, "--out", str(out)]) == 3 * k_min
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary.get("c2_exact") == (math.pi / 16 if k_min == 0
+                                           else None)
+        assert "c2_exact" not in json.loads(
+            (out / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "out0" / "manifest.json")]) == 0
+    assert "c2_exact: 0.19635" in capsys.readouterr().out.splitlines()
+
+
 def test_deepzero_past_the_overflowing_terms_keeps_its_digests(tmp_path):
     """From k = 226 on the series' coefficients are +-0; a run to M = 300
     on 2000 points writes the bytes it wrote when the scan made its own

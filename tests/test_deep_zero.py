@@ -595,8 +595,8 @@ def test_membership_incompatible_weight_raises(s20):
         membership_check(s20, make_exp_weight(1.0), 1e-8)
 
 
-def test_membership_growth_grid_catches_an_overstated_decay(s20,
-                                                             monkeypatch):
+def test_membership_refuses_divergent_rates_before_quadrature(s20,
+                                                              monkeypatch):
     """Divergence is decided from the weight's rate before any quadrature
     (integrate_finite is None here): |H|^2 ~ t^-3 e^(-pi/(8t))/4 near 0
     diverges against exp(-c/t) at c = pi/8 and c = 1, and a series without
@@ -653,7 +653,7 @@ def test_series_terms_keep_their_bits(k_min, M, head, digest, bound):
     assert s.truncation_bound == bound
 
 
-def test_membership_dip_inside_the_sliver_adds_its_share_alone(s20):
+def test_membership_reads_a_dip_near_0_off_the_theta_sum(s20):
     """A tabulated weight dips to 1e-60 at t = 0.002, where the series
     reads rounding noise of about 5e-18, which the dip would blow up to
     2e25; the theta sum gives |H| = 1.3e-39 there, so the dip's share is
@@ -704,7 +704,7 @@ def _parseval(k_min, M):
 
 
 @pytest.mark.parametrize("k_min, M, tol", [(1, 20, 1e-8), (2, 12, 1e-13)])
-def test_membership_without_a_deep_zero_bounds_the_sliver_by_the_l1_mass(
+def test_membership_without_a_deep_zero_is_parseval_at_unit_weight(
         k_min, M, tol):
     """Without the k = 0 term, |H| ~ t near 0: the series serves on all of
     (0, 1), and at w = 1 the value is Parseval's within an error at most
@@ -728,7 +728,7 @@ def test_decay_fit_needs_four_points_off_zero(s20):
 
 
 @pytest.mark.parametrize("factor", [0.9, 0.95, 0.99])
-def test_membership_converges_at_the_sliver_tolerance(s20, monkeypatch, factor):
+def test_membership_converges_at_the_callers_tol(s20, monkeypatch, factor):
     """The quadrature gets the caller's tol, 1e-13, and converges in one
     integral over (0, 1/4] of at most 3000 evaluations.  A reference at
     tol 1e-7 on the same integrand agrees within both error estimates, and

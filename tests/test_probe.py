@@ -311,8 +311,8 @@ _IN_SPAN = {2: 1.0, 5: 0.5 + 0.25j, 11: 0.75j}
 # an in-span target whose first kept set is empty: nothing kept at N = 5,
 # all of it kept from N = 20; its records (N, residual, target_norm,
 # residual_error) as the closed-form residuals of a half-run smaller rule
-# gave them: running that rule in full keeps them.  The spans'
-# residual_error is the rounding term n eps norm, n = 20 and 40
+# gave them: measuring both rules and recursing on none keeps them.  The
+# spans' residual_error is the rounding term n eps norm, n = 20 and 40
 _EMPTY_FIRST = {6: 1.0, 9: 0.5 + 0.25j, 13: 0.75j}
 _EMPTY_FIRST_RECORDS = [
     (5, 1.0362870505067887, 1.0362870505067887, 3.4416143056007824e-14),
@@ -320,24 +320,28 @@ _EMPTY_FIRST_RECORDS = [
     (40, 0.0, 1.0362870505067887, 9.204077948748235e-15)]
 
 
-@pytest.mark.parametrize("gamma, target, N_list, runs", [
-    (gen_power_set(2, 100), "annihilator", [20, 50, 100], 1),
-    (gen_power_set(3, 100), _IN_SPAN, [20, 50, 100], 1),
-    (gen_power_set(3, 100), {0: 1.0}, [20, 50, 100], len(probe._RULES)),
-    (gen_power_set(3, 100), "annihilator", [20, 50, 100], len(probe._RULES)),
-    (FrequencySet((1, 2, 3, 4, 5)), _EMPTY_FIRST, [5, 20, 40],
-     len(probe._RULES)),
+_RUNS = len(probe._RULES)
+
+
+@pytest.mark.parametrize("gamma, target, N_list, measures, recursions", [
+    (gen_power_set(2, 100), "annihilator", [20, 50, 100], 1, 0),
+    (gen_power_set(3, 100), _IN_SPAN, [20, 50, 100], 1, 0),
+    (gen_power_set(3, 100), {0: 1.0}, [20, 50, 100], _RUNS, _RUNS),
+    (gen_power_set(3, 100), "annihilator", [20, 50, 100], _RUNS, _RUNS),
+    (FrequencySet((1, 2, 3, 4, 5)), _EMPTY_FIRST, [5, 20, 40], _RUNS, 0),
 ], ids=["squares-annihilator", "cubes-in-span", "cubes-e0",
         "cubes-annihilator", "in-span-empty-first"])
 def test_smaller_rule_recurses_only_where_a_solve_has_data(
-        s20, companion, gamma, target, N_list, runs, monkeypatch):
-    """A rule runs in full, measured and recursed, or not at all; the
-    smaller one runs only where two rules can disagree.  The squares'
-    annihilator has no inner product on a kept frequency, and the in-span
-    target no amplitude off the span: no solve has data, so only the last
-    rule runs.  e_0 is never kept, the cubes keep odd squares, where the
-    annihilator's inner products are not 0, and an empty kept set's trig
-    residual is the norm, which each rule sums on its own nodes."""
+        s20, companion, gamma, target, N_list, measures, recursions,
+        monkeypatch):
+    """A rule is measured where two rules can disagree, and recursed only
+    where some solve has data.  The squares' annihilator has no inner
+    product on a kept frequency, and the in-span targets no amplitude off
+    the span: no solve has data, so no rule recurses, and only the last is
+    measured, but where an empty kept set's trig residual is the norm,
+    which each rule sums on its own nodes.  e_0 is never kept, and the
+    cubes keep odd squares, where the annihilator's inner products are not
+    0: every rule runs in full."""
     calls, pinned = {}, target is _EMPTY_FIRST
     _count_calls(monkeypatch, probe, "_measure", calls)
     _count_calls(monkeypatch, probe, "_szego", calls)
@@ -345,7 +349,8 @@ def test_smaller_rule_recurses_only_where_a_solve_has_data(
               else TrigPolyTarget(target))
     cfg = ProbeConfig(weight=companion, gamma=gamma, target=target, tol=1e-13)
     records = residual_curve(cfg, N_list).records
-    assert calls == {"_measure": runs, "_szego": runs}
+    assert calls.pop("_measure") == measures
+    assert calls.get("_szego", 0) == recursions
     if pinned:
         assert [(r.N, r.residual, r.target_norm, r.residual_error)
                 for r in records] == _EMPTY_FIRST_RECORDS
@@ -424,21 +429,24 @@ def _record_qr_modes(monkeypatch):
     return modes
 
 
-@pytest.mark.parametrize("gamma, target", [
-    (gen_power_set(2, 100), "annihilator"),
-    (gen_power_set(3, 100), _IN_SPAN),
-], ids=["squares-annihilator", "cubes-in-span"])
-def test_curve_blocks_factor_R_only(s20, companion, gamma, target,
+@pytest.mark.parametrize("gamma, target, factored", [
+    (gen_power_set(2, 100), "annihilator", 0),
+    (gen_power_set(3, 100), _IN_SPAN, 0),
+    (gen_power_set(3, 100), "annihilator", 3 * _RUNS),
+], ids=["squares-annihilator", "cubes-in-span", "cubes-annihilator"])
+def test_curve_blocks_factor_R_only(s20, companion, gamma, target, factored,
                                     monkeypatch):
-    """A curve reads T alone: each of its blocks, one per N on the last
-    rule (no solve has data, so only that rule runs), is factored with
-    mode "r", and no Q is formed."""
+    """A curve reads T alone: a block whose solve has data, one per N and
+    rule, is factored with mode "r", and no Q is formed; a block without
+    data is not factored at all.  The squares' annihilator and the in-span
+    target have no data; the cubes keep odd squares, where the
+    annihilator's inner products are not 0."""
     modes = _record_qr_modes(monkeypatch)
     target = (AnnihilatorTarget(s20) if target == "annihilator"
               else TrigPolyTarget(target))
     cfg = ProbeConfig(weight=companion, gamma=gamma, target=target, tol=1e-13)
     residual_curve(cfg, [20, 50, 100])
-    assert modes == ["r"] * 3
+    assert modes == ["r"] * factored
 
 
 def test_weighted_residual_forms_Q_once(monkeypatch):
@@ -739,10 +747,9 @@ def test_weighted_residual_with_no_row_removed():
     assert np.array_equal(coeffs, target.at([0, 1, 2]))
 
 
-def test_singular_constraint_block_is_refused(companion, monkeypatch):
-    """A removed row with no coefficient in any phi_k leaves a zero on T's
-    diagonal: with B's row for z^0 zeroed, the first block, e_1 with the
-    cubes removed at N = 20, raises, naming its degree."""
+def _zero_the_row_of_z0(monkeypatch):
+    """B's row for z^0 zeroed on every recursion: a removed row with no
+    coefficient in any phi_k."""
     szego = probe._szego
 
     def zeroed(z, root_mu, n, rows):
@@ -751,11 +758,63 @@ def test_singular_constraint_block_is_refused(companion, monkeypatch):
         return d2, B
 
     monkeypatch.setattr(probe, "_szego", zeroed)
+
+
+def test_singular_constraint_block_is_refused(companion, monkeypatch):
+    """A removed row with no coefficient in any phi_k leaves a zero on T's
+    diagonal: with B's row for z^0 zeroed, the first block, e_1 with the
+    cubes removed at N = 20, raises, naming its degree."""
+    _zero_the_row_of_z0(monkeypatch)
     cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 50),
                       target=TrigPolyTarget({1: 1.0}), tol=1e-13)
     with pytest.raises(ArithmeticError) as info:
         residual_curve(cfg, [20, 40])
     assert str(info.value) == "singular constraint block at n=20"
+
+
+def test_singular_block_is_refused_only_where_a_solve_runs(s20, companion,
+                                                          monkeypatch):
+    """The annihilator with the cubes removed has no data at N = 5 (1 is
+    removed, 9 not yet kept), so that record is the norm with the norm's
+    error, from no factored block; at N = 20 the kept 9 gives its solve
+    data.  With B's row for z^0 zeroed only that block is refused."""
+    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(3, 50),
+                      target=AnnihilatorTarget(s20), tol=1e-13)
+    norm_sq, err = membership_check(s20, companion, 1e-13)
+    norm = math.sqrt(norm_sq)
+    first = residual_curve(cfg, [5, 20]).records[0]
+    assert (first.residual, first.residual_error) == (
+        norm, err / (norm + math.sqrt(norm * norm - err)))
+    _zero_the_row_of_z0(monkeypatch)
+    with pytest.raises(ArithmeticError) as info:
+        residual_curve(cfg, [5, 20])
+    assert str(info.value) == "singular constraint block at n=20"
+
+
+def test_data_free_curves_to_large_N_run_no_recursion(s20, companion,
+                                                      monkeypatch):
+    """Curves whose solves have no data run no recursion: the squares'
+    annihilator to N = 12800 (every odd square up to 113^2 removed) reads
+    the norm with the norm's error, and an in-span target, cubes removed,
+    to N = 6400 reads 0 with the rounding term n eps norm, at every N."""
+    calls = {}
+    _count_calls(monkeypatch, probe, "_szego", calls)
+    cfg = ProbeConfig(weight=companion, gamma=gen_power_set(2, 120),
+                      target=AnnihilatorTarget(s20), tol=1e-13)
+    norm_sq, err = membership_check(s20, companion, 1e-13)
+    norm = math.sqrt(norm_sq)
+    for rec in residual_curve(cfg, [50, 800, 3200, 12800]).records:
+        assert rec.residual == rec.target_norm == norm
+        assert rec.residual_error == err / (norm + math.sqrt(norm * norm
+                                                             - err))
+    cubes, target = gen_power_set(3, 20), TrigPolyTarget(_IN_SPAN)
+    cfg = ProbeConfig(weight=companion, gamma=cubes, target=target, tol=1e-13)
+    norm = math.sqrt(_node_norm(companion, 6400, probe._RULES[-1], target)[0])
+    for rec in residual_curve(cfg, [20, 400, 6400]).records:
+        kept = complement_in_range(cubes, rec.N)
+        assert (rec.residual, rec.target_norm) == (0.0, norm)
+        assert rec.residual_error == probe._ROUNDING * max(kept) * EPS * norm
+    assert calls == {}
 
 
 def test_annihilator_drop_matches_dense_schur_complement(s20, companion):
