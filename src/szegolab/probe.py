@@ -25,19 +25,20 @@ annihilator, whose exact inner products b are nonzero on T in the kept
 set.  Neither reads cond(B_R), and no Gram matrix or floor enters.
 
 A set whose block has no data (f-hat_S = 0, or no kept frequency on T) has
-x empty: its residual is the norm, or 0 for a trig target in the span, with
-no B and no QR.  So a rule recurses, once at the largest N' for a curve's
-nested kept sets, only where some block has data.  A trig target's
-||f||^2 is summed on each rule's own nodes, as sum_j mu_j |f(z_j)|^2, so
-its norm and its residuals come from one discrete measure; an
-annihilator's is int |H|^2 / w from membership_check.  Of two rules of
-different sizes (_RULES) the larger gives the values; residual_error is
-their disagreement (reported, not a bound: two rules both off can agree),
-plus the norm's error where the residual reads the norm, plus n eps norm at
-degree n for rounding where it reads a solve.  The smaller rule is measured
-only where some block has data or a trig residual is its norm.  A zero or
-NaN on the diagonal of a factored block's T, non-finite values or a
-residual_error above the norm raise ArithmeticError.
+x empty: its residual is 0 for a trig target in the span, or the norm,
+with no B and no QR.  The empty set is a span like any other, S all of
+[0, N'], its trig residual the solve's.  A trig target's ||f||^2 is summed
+on each rule's own nodes, as sum_j mu_j |f(z_j)|^2, so its norm and its
+residuals come from one discrete measure; an annihilator's is int |H|^2 / w
+from membership_check.  Of two rules of different sizes (_RULES) the larger
+gives the values; residual_error is their disagreement (reported, not a
+bound: two rules both off can agree), plus max(n, 1) eps norm at degree n
+for rounding where it reads a trig residual or a solve, plus the norm's
+error where an annihilator's residual reads the norm.  Every rule runs,
+recursing once at the largest N' for a curve's nested kept sets, where some
+block has data; else the last is measured for a trig norm, and none for an
+annihilator.  A zero or NaN on the diagonal of a factored block's T,
+non-finite values or a residual_error above the norm raise ArithmeticError.
 """
 
 import functools
@@ -134,14 +135,13 @@ class AnnihilatorTarget:
 
     def __init__(self, series):
         self.series = series
-        self._spectrum = {int(f): complex(c)
-                          for f, c in zip(series.freqs, series.coeffs)}
 
     def inner(self, freqs):
         """<Phi, e_m>_w for every m in freqs, whatever the weight."""
         m = np.asarray(freqs, dtype=np.int64)
-        c = np.array([self._spectrum.get(int(k), 0.0j) for k in np.abs(m)],
-                     dtype=np.complex128)
+        f = self.series.freqs
+        i = np.minimum(np.searchsorted(f, np.abs(m)), f.size - 1)
+        c = np.where(f[i] == np.abs(m), self.series.coeffs[i], 0.0j)
         return np.where(m > 0, c, np.where(m < 0, -c, 0.0j))
 
 
@@ -235,10 +235,11 @@ def _recurse(w, n, rows, rules):
 
 def _residuals(target, kept_sets, w, tol, coefficients=False):
     """Distances from the target to the spans of kept_sets, lists of
-    distinct frequencies, each a prefix of the last.  Only the rows of
-    blocks with data are read, so with none no rule recurses.  Returns
-    (norm, [(residual, residual_error) for each set], the projection's
-    coefficients on the last set when asked: they read every row of B)."""
+    distinct frequencies, each a prefix of the last (the empty set too).
+    Only the rows of blocks with data are read.  Returns (norm,
+    [(residual, residual_error) for each set], the projection's
+    coefficients on the last set when asked: they read every row of B
+    where its solve has data)."""
     trig = isinstance(target, TrigPolyTarget)
     F = np.array(list(target.coeffs) if trig else [], dtype=np.int64)
     norm_sq, norm_err = ((0.0, 0.0) if trig
@@ -248,45 +249,38 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
     b = np.zeros(top.size) if trig else target.inner(top)
     n_max = max(0, F.max(initial=0), top.max(initial=0)) - lo
     # per set: degree n, rows R (S, then the data rows D: f-hat_S's support,
-    # or T), D's place in R, f-hat_D or b_T, and whether residual^2 starts
-    # from the norm: all but a trig target's spans (its empty set has no D)
+    # or T), D's place in R, and f-hat_D or b_T
     blocks, read = [], np.zeros(n_max + 1, dtype=bool)
     for size in map(len, kept_sets):
         kept, on_T = top[:size] - lo, b[:size] != 0
         n = max(0, F.max(initial=0), top[:size].max(initial=0)) - lo
         S = np.delete(np.arange(n + 1), kept)
-        f = target.at(S + lo) if trig and size else np.zeros(S.size)
+        f = target.at(S + lo) if trig else np.zeros(S.size)
         R = np.concatenate([S[f == 0], S[f != 0], kept[on_T]])
         data = np.concatenate([f[f != 0], b[:size][on_T]])
         read[R] |= data.size > 0
-        blocks.append((n, R, slice(R.size - data.size, None), data,
-                       not trig or not size))
-    rows = np.arange(n_max + 1) if coefficients else np.flatnonzero(read)
+        blocks.append((n, R, slice(R.size - data.size, None), data))
+    rows = np.flatnonzero(read)
+    if coefficients and rows.size:
+        rows = np.arange(n_max + 1)
     if rows.size * (n_max + 1) > 1 << 26:       # B would take over 1 GiB
         raise ArithmeticError(f"{rows.size} x {n_max + 1} coefficients: "
                               f"the block B is capped at 2**26 entries")
-    # two rules can disagree only where a block has data or a trig residual
-    # is its norm, summed on each rule's own nodes; elsewhere the last serves
-    values, disagree = [], any(data.size or trig and reads_norm
-                               for *_, data, reads_norm in blocks)
-    for z, root_mu, B in _recurse(w, n_max, rows,
-                                  _RULES if disagree else _RULES[-1:]):
+    # two rules can disagree only where a solve reads B; with no data the
+    # last rule serves a trig norm, summed on its nodes, and an annihilator,
+    # whose norm is its own, needs none
+    values = []
+    for z, root_mu, B in _recurse(w, n_max, rows, _RULES if rows.size
+                                  else _RULES[-1:] if trig else ()):
         if trig:
             with np.errstate(over="ignore", invalid="ignore"):
                 f_z = root_mu * sum(a * z ** k
                                     for k, a in target.coeffs.items())
                 norm_sq = float(np.vdot(f_z, f_z).real)
-                # its rounding: z_j^k is off by at most 3.1 |k| eps (measured
-                # for |k| <= 800), the products and the n-term sum add (n + 2)
-                # eps, so norm^2 is off by at most eps (2 A norm sqrt(sum mu)
-                # + M norm^2) on M nodes, A = sum_k (4 |k| + n + 2) |a_k|
-                norm_err = _EPS * (z.size * norm_sq + 2.0 * math.sqrt(
-                    root_mu @ root_mu * norm_sq) * float(
-                        (4 * np.abs(F) + F.size + 2) @ np.abs(target.at(F))))
         if not math.isfinite(norm_sq):
             raise ArithmeticError(f"target norm^2 is not finite ({norm_sq})")
         values.append([])
-        for n, R, D, data, reads_norm in blocks:
+        for n, R, D, data in blocks:
             # B_R^H = Q T: with D last, T_DD = T[D, D] holds D's rows projected
             # off the others; |x| is a trig residual, x = T_DD^-H f-hat_D, or
             # x = T_DD b_T, which an annihilator's residual^2 leaves off norm^2
@@ -298,18 +292,19 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
                 if not np.all(np.abs(T.diagonal()) > 0):
                     raise ArithmeticError(
                         f"singular constraint block at n={n}")
-                x = (T[D, D] @ data if reads_norm
-                     else np.linalg.solve(T[D, D].conj().T, data))
+                x = (np.linalg.solve(T[D, D].conj().T, data) if trig
+                     else T[D, D] @ data)
                 x_sq = np.vdot(x, x).real
-            res_sq = norm_sq - x_sq if reads_norm else x_sq
+            res_sq = x_sq if trig else norm_sq - x_sq
             values[-1].append(math.sqrt(min(max(res_sq, 0.0), norm_sq)))
     norm, out = math.sqrt(max(norm_sq, 0.0)), []
-    for size, other, res, (n, *_, data, reads_norm) in zip(
+    values = values or [[norm] * len(blocks)]
+    for size, other, res, (n, *_, data) in zip(
             map(len, kept_sets), values[0], values[-1], blocks):
         error = abs(res - other)
-        if not reads_norm or data.size:
-            error += _ROUNDING * n * _EPS * norm
-        if reads_norm:   # res - sqrt(res^2 - norm_err), without cancelling
+        if trig or data.size:
+            error += _ROUNDING * max(n, 1) * _EPS * norm
+        if not trig:     # res - sqrt(res^2 - norm_err), without cancelling
             gap = res * res - norm_err
             error += norm_err / (res + math.sqrt(gap)) if gap > 0 else res
         if not (math.isfinite(res) and error <= norm):

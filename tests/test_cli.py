@@ -303,6 +303,49 @@ def test_shipped_configs_keep_their_digests(tmp_path):
         assert manifest["outputs"] == digests, name
 
 
+def _probe_config(weight, rho, count, target, N_list):
+    return {"kind": "probe", "weight": weight,
+            "gamma": {"generator": "power", "rho": rho, "count": count},
+            "target": target, "N_list": N_list, "tol": 1e-13}
+
+
+# probe curves whose solves have data, so every rule recurses: the sha256
+# of residuals.csv, run with one BLAS and OpenMP thread
+RECURSING_CURVES = {
+    "cubes-e0-c1": (_probe_config(
+        {"kind": "exp", "c": 1.0}, 3, 50,
+        {"kind": "trigpoly", "coeffs": {"0": [1.0, 0.0]}},
+        [50, 100, 400, 800]),
+        "913c0cb3f5ccee952ec58b3cf2c6b95f8ebc4a8e65a0836ba45ebee94fc5c743"),
+    "cubes-annihilator": (_probe_config(
+        {"kind": "companion", "factor": 0.9, "M": 20}, 3, 50,
+        {"kind": "annihilator", "M": 20}, [50, 200, 400]),
+        "22b2952a75c6a4765608a8983443f9cf274b97e7c3b112727cdcdeab6db73bdd"),
+    "squares-e1-c0.236": (_probe_config(
+        {"kind": "exp", "c": 0.236}, 2, 100,
+        {"kind": "trigpoly", "coeffs": {"1": [1.0, 0.0]}}, [100, 200, 800]),
+        "c6c7ebd95c6e0e38b52b391e741ef26a5d4be7d6179d7f13a2cdd2ff841e17cc"),
+}
+
+
+def test_recursing_probe_curves_keep_their_digests(tmp_path):
+    """Criterion 14 on curves that read B, which configs/probe.json (no
+    solve with data) does not: each run in a child process with one
+    BLAS/OpenMP thread writes the recorded residuals.csv."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    for name, (config, digest) in RECURSING_CURVES.items():
+        out = tmp_path / name
+        run = subprocess.run(
+            [sys.executable, "-m", "szegolab.cli", "run",
+             _write(tmp_path, f"{name}.json", config), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        data = (out / "residuals.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def test_identity_tolerance_miss_exits_3_complete(tmp_path, capsys):
     """A blaschke run whose Cauchy residuals miss identity_tol writes its
     artifacts, status "complete", and exits 3."""

@@ -310,12 +310,13 @@ _IN_SPAN = {2: 1.0, 5: 0.5 + 0.25j, 11: 0.75j}
 
 # an in-span target whose first kept set is empty: nothing kept at N = 5,
 # all of it kept from N = 20; its records (N, residual, target_norm,
-# residual_error) as the closed-form residuals of a half-run smaller rule
-# gave them: measuring both rules and recursing on none keeps them.  The
-# spans' residual_error is the rounding term n eps norm, n = 20 and 40
+# residual_error).  The empty span is solved on both rules like any other,
+# its residual 1 ulp under the norm, its error the rules' disagreement plus
+# n eps norm at n = 13; the later spans' residual_error is the rounding term
+# n eps norm, n = 20 and 40
 _EMPTY_FIRST = {6: 1.0, 9: 0.5 + 0.25j, 13: 0.75j}
 _EMPTY_FIRST_RECORDS = [
-    (5, 1.0362870505067887, 1.0362870505067887, 3.4416143056007824e-14),
+    (5, 1.0362870505067885, 1.0362870505067887, 3.435414543193239e-15),
     (20, 0.0, 1.0362870505067887, 4.602038974374117e-15),
     (40, 0.0, 1.0362870505067887, 9.204077948748235e-15)]
 
@@ -324,24 +325,24 @@ _RUNS = len(probe._RULES)
 
 
 @pytest.mark.parametrize("gamma, target, N_list, measures, recursions", [
-    (gen_power_set(2, 100), "annihilator", [20, 50, 100], 1, 0),
+    (gen_power_set(2, 100), "annihilator", [20, 50, 100], 0, 0),
     (gen_power_set(3, 100), _IN_SPAN, [20, 50, 100], 1, 0),
     (gen_power_set(3, 100), {0: 1.0}, [20, 50, 100], _RUNS, _RUNS),
     (gen_power_set(3, 100), "annihilator", [20, 50, 100], _RUNS, _RUNS),
-    (FrequencySet((1, 2, 3, 4, 5)), _EMPTY_FIRST, [5, 20, 40], _RUNS, 0),
+    (FrequencySet((1, 2, 3, 4, 5)), _EMPTY_FIRST, [5, 20, 40], _RUNS, _RUNS),
 ], ids=["squares-annihilator", "cubes-in-span", "cubes-e0",
         "cubes-annihilator", "in-span-empty-first"])
 def test_smaller_rule_recurses_only_where_a_solve_has_data(
         s20, companion, gamma, target, N_list, measures, recursions,
         monkeypatch):
-    """A rule is measured where two rules can disagree, and recursed only
-    where some solve has data.  The squares' annihilator has no inner
-    product on a kept frequency, and the in-span targets no amplitude off
-    the span: no solve has data, so no rule recurses, and only the last is
-    measured, but where an empty kept set's trig residual is the norm,
-    which each rule sums on its own nodes.  e_0 is never kept, and the
-    cubes keep odd squares, where the annihilator's inner products are not
-    0: every rule runs in full."""
+    """Every rule is measured and recursed where some solve has data.  The
+    squares' annihilator has no inner product on a kept frequency, and the
+    in-span target no amplitude off the span: no solve has data, so no
+    rule recurses, and only the last is measured, for the trig norm, which
+    the annihilator reads from membership_check instead.  e_0 is never
+    kept, the cubes keep odd squares, where the annihilator's inner
+    products are not 0, and an empty kept set is a span whose data is the
+    whole target: every rule runs in full."""
     calls, pinned = {}, target is _EMPTY_FIRST
     _count_calls(monkeypatch, probe, "_measure", calls)
     _count_calls(monkeypatch, probe, "_szego", calls)
@@ -349,7 +350,7 @@ def test_smaller_rule_recurses_only_where_a_solve_has_data(
               else TrigPolyTarget(target))
     cfg = ProbeConfig(weight=companion, gamma=gamma, target=target, tol=1e-13)
     records = residual_curve(cfg, N_list).records
-    assert calls.pop("_measure") == measures
+    assert calls.pop("_measure", 0) == measures
     assert calls.get("_szego", 0) == recursions
     if pinned:
         assert [(r.N, r.residual, r.target_norm, r.residual_error)
@@ -357,42 +358,35 @@ def test_smaller_rule_recurses_only_where_a_solve_has_data(
 
 
 def _node_norm(w, n_max, rule, target):
-    """A trig target's norm^2 summed on one rule's nodes, and its rounding
-    bound, in the probe's order of operations."""
+    """A trig target's norm^2 summed on one rule's nodes, in the probe's
+    order of operations."""
     z, root_mu = probe._measure(w, n_max, rule)
     f_z = root_mu * sum(a * z ** k for k, a in target.coeffs.items())
-    norm_sq = float(np.vdot(f_z, f_z).real)
-    F = np.array(list(target.coeffs))
-    A = float((4 * np.abs(F) + F.size + 2) @ np.abs(target.at(F)))
-    return norm_sq, EPS * (z.size * norm_sq + 2.0 * math.sqrt(
-        root_mu @ root_mu * norm_sq) * A)
+    return float(np.vdot(f_z, f_z).real)
 
 
 def test_unread_trig_curves_take_their_records_in_closed_form(companion):
-    """Trig curves whose solves have no data, pinned to parts computed
-    here: the residual is the norm, or 0 in the span; residual_error is
-    the norm's error, norm - sqrt(norm^2 - err) in the form that does not
-    cancel, or the rounding term,
-    plus, for an empty kept set, the rules' disagreement on the norm, from
-    the smaller rule's own node sum."""
-    # nothing kept at N = 3; 5 and 7 kept at N = 10
+    """Trig records whose solves have no data, pinned to parts computed
+    here: the residual is 0 in the span, and residual_error the rounding
+    term n eps norm, with the norm summed on the last rule's nodes.  An
+    empty kept set is a span like any other: its data is the whole target,
+    its residual the solve's, within residual_error of the norm, and its
+    error at least the rounding term at its degree."""
+    # nothing kept at N = 3 (degree 7); 5 and 7 kept at N = 10
     gamma, target = FrequencySet((1, 2, 3)), TrigPolyTarget({5: 0.5, 7: 1.0})
     cfg = ProbeConfig(weight=companion, gamma=gamma, target=target, tol=1e-13)
     first, second = residual_curve(cfg, [3, 10]).records
-    norm_sq, err = _node_norm(companion, 10, probe._RULES[-1], target)
-    smaller_sq, _ = _node_norm(companion, 10, probe._RULES[0], target)
-    norm = math.sqrt(norm_sq)
-    assert first.residual == first.target_norm == second.target_norm == norm
-    assert first.residual_error == (abs(norm - math.sqrt(smaller_sq))
-                                    + err / (norm + math.sqrt(norm * norm
-                                                              - err)))
+    norm = math.sqrt(_node_norm(companion, 10, probe._RULES[-1], target))
+    assert first.target_norm == second.target_norm == norm
+    assert abs(first.residual - norm) <= first.residual_error
+    assert first.residual_error >= probe._ROUNDING * 7 * EPS * norm
     assert second.residual == 0.0
     assert second.residual_error == 0.0 + probe._ROUNDING * 10 * EPS * norm
 
     cubes = gen_power_set(3, 50)
     target = TrigPolyTarget(_IN_SPAN)
     cfg = ProbeConfig(weight=companion, gamma=cubes, target=target, tol=1e-13)
-    norm = math.sqrt(_node_norm(companion, 80, probe._RULES[-1], target)[0])
+    norm = math.sqrt(_node_norm(companion, 80, probe._RULES[-1], target))
     for rec in residual_curve(cfg, [20, 40, 80]).records:
         kept = complement_in_range(cubes, rec.N)
         assert (rec.residual, rec.target_norm) == (0.0, norm)
@@ -400,20 +394,20 @@ def test_unread_trig_curves_take_their_records_in_closed_form(companion):
 
 
 def test_weighted_residual_of_an_in_span_target(companion, monkeypatch):
-    """One recursion, a residual of 0 and the target's own amplitudes as
-    the projection's coefficients, all exact, and the rounding term
-    n eps norm at degree 40 as the residual_error."""
+    """No recursion, since the solve has no data: a residual of 0 and the
+    target's own amplitudes as the projection's coefficients, all exact,
+    and the rounding term n eps norm at degree 40 as the residual_error."""
     calls = {}
     _count_calls(monkeypatch, probe, "_szego", calls)
     target = TrigPolyTarget(_IN_SPAN)
     freqs = complement_in_range(gen_power_set(3, 50), 40)
     res, coeffs, norm, error = weighted_residual(target, freqs, companion,
                                                  tol=1e-13)
-    assert calls == {"_szego": 1}
+    assert calls == {}
     assert res == 0.0
     assert np.array_equal(coeffs, target.at(freqs))
     assert norm == math.sqrt(
-        _node_norm(companion, 40, probe._RULES[-1], target)[0])
+        _node_norm(companion, 40, probe._RULES[-1], target))
     assert error == probe._ROUNDING * 40 * EPS * norm
 
 
@@ -809,7 +803,7 @@ def test_data_free_curves_to_large_N_run_no_recursion(s20, companion,
                                                              - err))
     cubes, target = gen_power_set(3, 20), TrigPolyTarget(_IN_SPAN)
     cfg = ProbeConfig(weight=companion, gamma=cubes, target=target, tol=1e-13)
-    norm = math.sqrt(_node_norm(companion, 6400, probe._RULES[-1], target)[0])
+    norm = math.sqrt(_node_norm(companion, 6400, probe._RULES[-1], target))
     for rec in residual_curve(cfg, [20, 400, 6400]).records:
         kept = complement_in_range(cubes, rec.N)
         assert (rec.residual, rec.target_norm) == (0.0, norm)
@@ -838,7 +832,7 @@ def test_annihilator_drop_matches_dense_schur_complement(s20, companion):
 
 def test_annihilator_residual_error_is_the_norm_error(s20, companion):
     """No kept frequency is on T, so no solve has data: the residual is the
-    norm, from the last rule, whose recursion alone ran.  Its error is the
+    norm, and no rule is measured.  Its error is the
     norm's, norm - sqrt(norm^2 - err) in the form that does not cancel:
     err is about an ulp of norm^2, and the difference itself reads 0."""
     squares = gen_power_set(2, 100)
@@ -902,21 +896,37 @@ def test_residual_curve_empty_first_complement(companion):
     cfg = ProbeConfig(weight=companion, gamma=FrequencySet((1, 2, 3)),
                       target=target, tol=1e-13)
     first, second = residual_curve(cfg, [3, 10]).records
-    assert first.residual == first.target_norm > 0
+    assert first.target_norm > 0
+    assert abs(first.residual - first.target_norm) <= first.residual_error
     assert second.residual < first.residual
 
 
 def test_empty_span_residual_error_has_a_rounding_floor():
-    """With nothing kept, a trig target's residual is its norm, whose only
-    error used to be the two rules' disagreement, 0 when both round the
-    node sum to the same double; the node sum's rounding bound is a floor."""
+    """With nothing kept, a trig target's residual is the solve's on the
+    whole target, whose error is the two rules' disagreement, 0 when both
+    round to the same double, plus the solve's rounding term n eps norm at
+    degree n = 1: that term is the floor."""
     w = make_exp_weight(1.0)
     cfg = ProbeConfig(weight=w, gamma=FrequencySet((1,)),
                       target=TrigPolyTarget({1: 1.0}), tol=1e-13)
     [record] = residual_curve(cfg, [1]).records
-    assert record.residual == record.target_norm > 0
-    # eps (2 A sqrt(w-hat(0)) norm + M norm^2) / (2 norm), A = 4 + 1 + 2
-    assert 1e-15 < record.residual_error < 1e-14
+    norm = record.target_norm
+    assert norm > 0
+    assert abs(record.residual - norm) <= record.residual_error
+    assert probe._ROUNDING * EPS * norm <= record.residual_error < 1e-14
+
+
+def test_degree_zero_empty_span_keeps_a_rounding_floor():
+    """e_0 with nothing kept is a solve at degree 0, where n eps norm would
+    read 0: the rounding term takes max(n, 1), so residual_error is at
+    least eps norm even when both rules round to the same double."""
+    cfg = ProbeConfig(weight=make_exp_weight(1.0),
+                      gamma=FrequencySet((1, 2, 3)),
+                      target=TrigPolyTarget({0: 1.0}), tol=1e-13)
+    [record] = residual_curve(cfg, [3]).records
+    assert record.target_norm > 0
+    assert record.residual_error >= EPS * record.target_norm
+    assert abs(record.residual - record.target_norm) <= record.residual_error
 
 
 def test_annihilator_flat_curve(s20, companion):
@@ -943,6 +953,25 @@ def test_annihilator_inner_products(s20):
     assert b[1] == 0.0                  # even square also annihilated
     assert b[2] == s20.coeffs[1]        # odd square carries the coefficient
     assert b[4] == -s20.coeffs[1]
+
+
+@pytest.mark.parametrize("k_min, M", [(0, 20), (1, 5), (0, 300), (3, 3)])
+def test_annihilator_inner_products_match_a_dict_lookup(k_min, M):
+    """The inner products looked up by one sorted search equal, bit for
+    bit and signed zeros included, a per-frequency dict of the series's
+    coefficients: c on +(odd square), -c on its negative, 0 elsewhere.
+    The series's own +-frequencies reach the -0.0 and +0.0 that its cosh
+    overflow makes of the coefficients from k = 226 on."""
+    series = DeepZeroSeries(k_min, M)
+    spectrum = {int(f): complex(c) for f, c in zip(series.freqs,
+                                                    series.coeffs)}
+    f = series.freqs.astype(np.int64)
+    m = np.concatenate([np.arange(-13000, 13001), f, -f])
+    c = np.array([spectrum.get(int(k), 0.0j) for k in np.abs(m)])
+    expected = np.where(m > 0, c, np.where(m < 0, -c, 0.0j))
+    got = AnnihilatorTarget(series).inner(m)
+    assert got.dtype == np.complex128
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_weighted_residual_refuses_a_repeated_frequency():
