@@ -9,6 +9,7 @@ separately.  On the slit every dropped factor is unimodular, so boundary
 moduli carry no truncation error at all.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -190,6 +191,21 @@ _T_SMALL = 4.0e4
 _SMALL_SEED = ((-_T_SMALL, 0.0), 0.5 * _S_SMALL)
 
 
+@functools.lru_cache(maxsize=4)
+def _small_G(j, s_bits, tol):
+    """compute_G's small-|s| branch at the float64 s whose bytes are s_bits
+    (so -0.0 and 0.0 are distinct keys), kept for the last four (j, s_bits,
+    tol): i times the real j's coefficients at -s on the seed, the envelope
+    tail beyond _T_SMALL added to the error, its arrays read-only."""
+    res = fourier_coefficients(j, -np.frombuffer(s_bits), tol, *_SMALL_SEED)
+    value = 1j * res.value
+    error = res.abs_error_estimate + _g_abs_tail(_T_SMALL)
+    converged = error <= tol
+    for a in (value, error, converged):
+        a.flags.writeable = False
+    return QuadratureResult(value, error, res.evaluations, converged)
+
+
 def compute_G(j, s, tol=1e-6):
     """Fourier transform of the jump: int_{-inf}^0 e^{2 pi i s u} g(u) du
     at each s (an array, or one number); the fields are arrays over s.
@@ -200,7 +216,9 @@ def compute_G(j, s, tol=1e-6):
     period of 0.05 wide, whatever the call's s (the quadrature's part of
     the error stays over 2000 times below the tail), and j on them is
     sampled once per jump and kept by the quadrature (equal jumps share
-    them), so a call samples only the panels it splits.  Larger |s|:
+    them), so a call samples only the panels it splits; the branch's result
+    is kept per jump, tol and bits of the small s (_small_G), evaluations
+    included, so a repeat reduces nothing.  Larger |s|:
     moderate T plus two integration-by-parts boundary terms at u = -T, with
     the remainder estimated from a finite-difference second derivative of
     g; j is sampled once for all of the call's s, and an |s| past the
@@ -213,9 +231,9 @@ def compute_G(j, s, tol=1e-6):
     evals = 0
     small = np.abs(s) < _S_SMALL
     if small.any():
-        res = fourier_coefficients(j, -s[small], tol, *_SMALL_SEED)
-        value[small] = 1j * res.value
-        error[small] = res.abs_error_estimate + _g_abs_tail(_T_SMALL)
+        res = _small_G(j, s[small].tobytes(), tol)
+        value[small] = res.value
+        error[small] = res.abs_error_estimate
         evals += res.evaluations
     if not small.all():
         T = 200.0
@@ -242,14 +260,17 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
     The direct route gets G from one compute_G call per round of its outer
     quadrature (integrate_finite with omega = q), and carries G's largest
     error (times t) in its error estimate.  Besides the quarter periods of
-    q, its outer panels are seeded where G is not smooth: by decades toward
-    s = 0 down to the outer tol (singular_ends), and at compute_G's branch
-    point 0.05, where G switches route.  Below 0.05, G turns a cycle per
-    factor 3.5 in s, ever faster toward 0, so a point at 0.02 keeps the
-    panel under 0.05 within a cycle.  One G batch then serves a check, two
-    for q = 0 past t = 0.3 (its second samples only s above 0.05).  A route whose quadrature does not converge
-    raises ArithmeticError naming it.  Returns a dict with the route values,
-    their error estimates and the max pairwise discrepancy.
+    q, its outer panels are seeded where G is not smooth, at points fixed
+    whatever t (those past t dropped): decades of G's branch point 0.05
+    toward s = 0, down to the outer tol, and 0.02, 0.05 and 0.5.  Below
+    0.05, G turns a cycle per factor 3.5 in s, ever faster toward 0, so 0.02
+    keeps the panel under 0.05 within a cycle.  One G batch serves a check,
+    two for q = 0 past t = 0.3 (the second only above 0.05), and its nodes
+    below 0.05 are one set for all t >= 0.05 at a tol while q's quarter
+    periods keep off (0, 0.05), as for any |q| <= 2: compute_G reduces them
+    once.  A route whose quadrature does not converge raises ArithmeticError
+    naming it.  Returns a dict with the route values, their error estimates
+    and the max pairwise discrepancy.
     """
     if not 0 < t <= 2:
         raise ValueError("t must lie in (0, 2]")
@@ -261,10 +282,12 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
         g_err = max(g_err, float(res.abs_error_estimate.max()))
         return res.value
 
+    decades = [d for d in (_S_SMALL * 10.0 ** -k for k in range(1, 9))
+               if d >= tol * 0.5]
     direct = integrate_finite(
         lambda s: np.exp(2j * np.pi * q * (t - s)) * g_of(s), 0.0, t,
-        tol * 0.5, singular_ends=("a",), omega=q,
-        points=(_S_SMALL, 0.4 * _S_SMALL), max_evals=30_000)
+        tol * 0.5, omega=q, max_evals=30_000,
+        points=(*decades, 0.4 * _S_SMALL, _S_SMALL, 10.0 * _S_SMALL))
     require(direct, "convolution route direct")
     # (e^{2 pi i u t} - e^{2 pi i q t})/(u - q) = 2 pi i t sinc((u - q) t)
     # e^{i pi (u + q) t}, times g = i j

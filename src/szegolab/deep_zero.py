@@ -146,6 +146,7 @@ def _h_abs_tail(X):
     return 2.0 * 16.0 * math.exp(-a * R) * poly
 
 
+@functools.lru_cache(maxsize=8)
 def _h_cut(tol):
     """The smallest integer X from 200 up with _h_abs_tail(X) <= tol/2, by
     one bisection: the tail falls strictly in X (its derivative in R = sqrt X

@@ -221,8 +221,8 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None):
     starts as equal panels no wider than half a period of nu_max (by
     default the largest |nu|); a seed past the seed cap raises ValueError
     before f is sampled.  A given nu_max is a kept seed: f is hashable,
-    and _seed_samples keeps its samples for the last four (f, breakpoints,
-    nu_max), so a repeat samples only the panels it splits.  On a panel
+    and _seed_samples keeps its panels and samples for the last four (f,
+    breakpoints, nu_max): a repeat samples only the split panels.  On a panel
     with midpoint m and half-width h, exp(-2 pi i nu t) is the phase
     exp(-2 pi i nu m) times the table exp(-2 pi i nu h x_j) that all
     panels of width 2h share; seed panels step by 2h, so a block's phases
@@ -256,10 +256,11 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None):
         raise ValueError(f"need a nonempty 1-d array of finite frequencies "
                          f"and increasing breakpoints, got {freqs.size} "
                          f"frequencies, breakpoints {breakpoints}")
-    seed = np.abs(freqs).max() if nu_max is None else nu_max
-    mid, half, runs = _fourier_mesh(edges, seed)
-    samples = (_sample(f, mid, half) if nu_max is None
-               else _seed_samples(f, tuple(edges), nu_max))
+    if nu_max is None:
+        mid, half, runs = _fourier_mesh(edges, np.abs(freqs).max())
+        samples = _sample(f, mid, half)
+    else:
+        mid, half, runs, samples = _seed_samples(f, tuple(edges), nu_max)
     share = tol / (edges[-1] - edges[0])            # of tol per unit width
     min_half = 0.5e-14 * max(edges[-1] - edges[0], np.abs(edges).max())
     values = np.zeros(freqs.size, dtype=np.complex128)
@@ -323,10 +324,13 @@ def _sample(f, mid, half):
 
 @functools.lru_cache(maxsize=4)
 def _seed_samples(f, edges, nu_max):
-    """_sample of the seed panels _fourier_mesh(edges, nu_max), read-only."""
-    y = _sample(f, *_fourier_mesh(edges, nu_max)[:2])
-    y.flags.writeable = False
-    return y
+    """(mid, half, runs, samples): the seed panels _fourier_mesh(edges,
+    nu_max) and _sample of them; mid, half and samples are read-only."""
+    mid, half, runs = _fourier_mesh(edges, nu_max)
+    y = _sample(f, mid, half)
+    for a in (mid, half, y):
+        a.flags.writeable = False
+    return mid, half, runs, y
 
 
 def _phase(cycles):

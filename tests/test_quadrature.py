@@ -257,7 +257,7 @@ def test_fourier_coefficients_keeps_the_seed_and_samples_only_split_panels(
     the result that sampling f afresh gives, bit for bit: its first call
     samples the seed panels, a repeat calls f only on the panels it splits;
     the kept samples are a C-contiguous float64 array that cannot be
-    written."""
+    written, and neither can the kept panels' midpoints and half-widths."""
     f, freqs, tol, edges, nu_max = _kept_sample_cases()[case]
     spy = _Counting(f)
     with monkeypatch.context() as m:
@@ -269,7 +269,7 @@ def test_fourier_coefficients_keeps_the_seed_and_samples_only_split_panels(
     for first in (True, False):
         spy.points = 0
         seeded = fourier_coefficients(spy, freqs, tol, edges, nu_max)
-        samples = quadrature._seed_samples(spy, edges, nu_max)
+        mid, half, _, samples = quadrature._seed_samples(spy, edges, nu_max)
         for got, want in ((seeded.value, fresh.value),
                           (seeded.abs_error_estimate,
                            fresh.abs_error_estimate)):
@@ -280,6 +280,7 @@ def test_fourier_coefficients_keeps_the_seed_and_samples_only_split_panels(
         assert 0 < spy.points == sampled
     assert samples.dtype == np.float64 and samples.shape[1] == 15
     assert samples.flags.c_contiguous and not samples.flags.writeable
+    assert not (mid.flags.writeable or half.flags.writeable)
 
 
 @pytest.mark.parametrize("nu_max", [None, 300.0],
