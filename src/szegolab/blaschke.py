@@ -9,14 +9,13 @@ separately.  On the slit every dropped factor is unimodular, so boundary
 moduli carry no truncation error at all.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frequency_sets import FrequencySet, sqrt_sum_diagnostic
-from .quadrature import (QuadratureResult, fourier_coefficients,
+from .quadrature import (QuadratureResult, decades, fourier_coefficients,
                          integrate_finite, integrate_left_halfline, require)
 
 __all__ = ["BlaschkeAnnihilator", "JumpFunction", "eval_phi",
@@ -191,21 +190,6 @@ _T_SMALL = 4.0e4
 _SMALL_SEED = ((-_T_SMALL, 0.0), 0.5 * _S_SMALL)
 
 
-@functools.lru_cache(maxsize=4)
-def _small_G(j, s_bits, tol):
-    """compute_G's small-|s| branch at the float64 s whose bytes are s_bits
-    (so -0.0 and 0.0 are distinct keys), kept for the last four (j, s_bits,
-    tol): i times the real j's coefficients at -s on the seed, the envelope
-    tail beyond _T_SMALL added to the error, its arrays read-only."""
-    res = fourier_coefficients(j, -np.frombuffer(s_bits), tol, *_SMALL_SEED)
-    value = 1j * res.value
-    error = res.abs_error_estimate + _g_abs_tail(_T_SMALL)
-    converged = error <= tol
-    for a in (value, error, converged):
-        a.flags.writeable = False
-    return QuadratureResult(value, error, res.evaluations, converged)
-
-
 def compute_G(j, s, tol=1e-6):
     """Fourier transform of the jump: int_{-inf}^0 e^{2 pi i s u} g(u) du
     at each s (an array, or one number); the fields are arrays over s.
@@ -216,24 +200,23 @@ def compute_G(j, s, tol=1e-6):
     period of 0.05 wide, whatever the call's s (the quadrature's part of
     the error stays over 2000 times below the tail), and j on them is
     sampled once per jump and kept by the quadrature (equal jumps share
-    them), so a call samples only the panels it splits; the branch's result
-    is kept per jump, tol and bits of the small s (_small_G), evaluations
-    included, so a repeat reduces nothing.  Larger |s|:
-    moderate T plus two integration-by-parts boundary terms at u = -T, with
-    the remainder estimated from a finite-difference second derivative of
-    g; j is sampled once for all of the call's s, and an |s| past the
-    seed cap, 333.333, raises ValueError before it is sampled.  converged
-    is per s: the total error, tail or remainder included, is within tol;
-    evaluations counts the nodes both rules used, kept samples included."""
+    them) with its last result, so a call samples only the panels it
+    splits, and a repeat at the same tol and bits of s reduces nothing.
+    Larger |s|: moderate T plus two integration-by-parts boundary terms at
+    u = -T, with the remainder estimated from a finite-difference second
+    derivative of g; j is sampled once for all of the call's s, and an |s|
+    past the seed cap, 333.333, raises ValueError before it is sampled.
+    converged is per s: the total error, tail or remainder included, is
+    within tol; evaluations counts both rules' nodes, kept samples too."""
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     value = np.empty(s.size, dtype=np.complex128)
     error = np.empty(s.size)
     evals = 0
     small = np.abs(s) < _S_SMALL
     if small.any():
-        res = _small_G(j, s[small].tobytes(), tol)
-        value[small] = res.value
-        error[small] = res.abs_error_estimate
+        res = fourier_coefficients(j, -s[small], tol, *_SMALL_SEED)
+        value[small] = 1j * res.value
+        error[small] = res.abs_error_estimate + _g_abs_tail(_T_SMALL)
         evals += res.evaluations
     if not small.all():
         T = 200.0
@@ -261,8 +244,8 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
     quadrature (integrate_finite with omega = q), and carries G's largest
     error (times t) in its error estimate.  Besides the quarter periods of
     q, its outer panels are seeded where G is not smooth, at points fixed
-    whatever t (those past t dropped): decades of G's branch point 0.05
-    toward s = 0, down to the outer tol, and 0.02, 0.05 and 0.5.  Below
+    whatever t (those past t dropped): decades(0.05, outer tol) from G's
+    branch point 0.05 toward s = 0, and 0.02, 0.05 and 0.5.  Below
     0.05, G turns a cycle per factor 3.5 in s, ever faster toward 0, so 0.02
     keeps the panel under 0.05 within a cycle.  One G batch serves a check,
     two for q = 0 past t = 0.3 (the second only above 0.05), and its nodes
@@ -282,12 +265,11 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
         g_err = max(g_err, float(res.abs_error_estimate.max()))
         return res.value
 
-    decades = [d for d in (_S_SMALL * 10.0 ** -k for k in range(1, 9))
-               if d >= tol * 0.5]
     direct = integrate_finite(
         lambda s: np.exp(2j * np.pi * q * (t - s)) * g_of(s), 0.0, t,
         tol * 0.5, omega=q, max_evals=30_000,
-        points=(*decades, 0.4 * _S_SMALL, _S_SMALL, 10.0 * _S_SMALL))
+        points=(*decades(_S_SMALL, tol * 0.5), 0.4 * _S_SMALL, _S_SMALL,
+                10.0 * _S_SMALL))
     require(direct, "convolution route direct")
     # (e^{2 pi i u t} - e^{2 pi i q t})/(u - q) = 2 pi i t sinc((u - q) t)
     # e^{i pi (u + q) t}, times g = i j

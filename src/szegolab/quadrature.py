@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureResult", "fourier_coefficients", "integrate_finite",
-           "integrate_left_halfline", "require"]
+__all__ = ["QuadratureResult", "decades", "fourier_coefficients",
+           "integrate_finite", "integrate_left_halfline", "require"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the QUADPACK qk15
 # abscissae and weights (Piessens et al., 1983), to full double precision.
@@ -124,32 +124,29 @@ def _eval_panels(f, lo, hi):
     return vk, _scaled(np.abs(vk - vg), resasc), y.size
 
 
-def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0, points=(),
-                     max_evals=_MAX_EVALS):
+def decades(scale, floor):
+    """scale times 10^-1, ..., 10^-8, those below floor dropped: seed
+    breakpoints toward a point scale away where f is not smooth.  With floor
+    tol they stop where a panel holds less than tol of an f of order 1."""
+    return [d for d in (scale * 10.0 ** -k for k in range(1, 9)) if d >= floor]
+
+
+def integrate_finite(f, a, b, tol, omega=0.0, points=(), max_evals=_MAX_EVALS):
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
     The seed mesh has equal panels no wider than a quarter period of
     ``omega``, the dominant frequency of an oscillatory f in cycles per
-    unit (one panel when omega is 0, at most max_evals/15), breakpoints at
-    the ``points`` inside (a, b), where f is only piecewise smooth, and
-    points at 10^-1, 10^-2, ... of the width from each endpoint named in
-    ``singular_ends`` ('a' and/or 'b'), where f is singular or not smooth.
-    The decades go down to the last one not below tol, as a panel narrower
-    than tol holds less than tol of an f of order 1, and to 10^-8 at most.
-    Adaptivity then halves each panel wider than the width floor whose
-    error is above its share of tol, and stops when none is left, or once
-    past max_evals integrand evaluations.
+    unit (one panel when omega is 0, at most max_evals/15), and breakpoints
+    at the ``points`` inside (a, b), where f is only piecewise smooth (the
+    decades toward a singular end, say).  Adaptivity then halves each panel
+    wider than the width floor whose error is above its share of tol, and
+    stops when none is left, or once past max_evals integrand evaluations.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     width = b - a
     quarters = int(np.ceil(width * 4.0 * abs(omega)))
-    steps = [d for d in (width * 10.0 ** -k for k in range(1, 9)) if d >= tol]
     pts = [p for p in points if a < p < b]
-    if "a" in singular_ends:
-        pts += [a + d for d in steps]
-    if "b" in singular_ends:
-        pts += [b - d for d in steps]
     seeds = np.linspace(a, b, max(min(quarters, max_evals // 15), 1) + 1)
     edges = _distinct(np.concatenate([seeds, pts]))
     lo, hi = edges[:-1], edges[1:]
@@ -182,9 +179,9 @@ def integrate_finite(f, a, b, tol, singular_ends=(), omega=0.0, points=(),
 def integrate_left_halfline(f, tol):
     """Integral of f over (-inf, 0] for f with |f(u)| <= M/(1+|u|)^2.
 
-    Uses u = -s/(1-s) to map onto [0, 1), seeded toward both ends as
-    integrate_finite's singular_ends: s -> 0 is u -> 0, where every jump
-    integrand has its |u|^(5/2) edge, and s -> 1 is the end of the map.
+    Uses u = -s/(1-s) to map onto [0, 1), its seed broken at the decades
+    toward both ends: s -> 0 is u -> 0, where every jump integrand has its
+    |u|^(5/2) edge, and s -> 1 is the end of the map.
     The sliver beyond the map's resolution is covered by the tail bound of
     that decay, every jump integrand's, added to the error estimate; converged
     means that the total, tail included, is within tol.  The tail is known
@@ -203,9 +200,10 @@ def integrate_left_halfline(f, tol):
                          * (1.0 + np.abs(probes)) ** 2))
     tail = 2.0 * m_est / (1.0 + cap)
 
-    res = integrate_finite(transformed, 0.0, s_max,
-                           tol - tail if tail < tol else tol,
-                           singular_ends=("a", "b"))
+    rest = tol - tail if tail < tol else tol
+    steps = decades(s_max, rest)
+    res = integrate_finite(transformed, 0.0, s_max, rest,
+                           points=steps + [s_max - d for d in steps])
     error = res.abs_error_estimate + tail
     return QuadratureResult(res.value, error, res.evaluations + probes.size,
                             error <= tol)
@@ -222,7 +220,9 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None):
     default the largest |nu|); a seed past the seed cap raises ValueError
     before f is sampled.  A given nu_max is a kept seed: f is hashable,
     and _seed_samples keeps its panels and samples for the last four (f,
-    breakpoints, nu_max): a repeat samples only the split panels.  On a panel
+    breakpoints, nu_max) and its last result: a repeat samples only the
+    split panels, or, at the same bits of freqs and the same tol, returns
+    that result, its arrays read-only, and reduces nothing.  On a panel
     with midpoint m and half-width h, exp(-2 pi i nu t) is the phase
     exp(-2 pi i nu m) times the table exp(-2 pi i nu h x_j) that all
     panels of width 2h share; seed panels step by 2h, so a block's phases
@@ -258,9 +258,12 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None):
                          f"frequencies, breakpoints {breakpoints}")
     if nu_max is None:
         mid, half, runs = _fourier_mesh(edges, np.abs(freqs).max())
-        samples = _sample(f, mid, half)
+        samples, kept = _sample(f, mid, half), None
     else:
-        mid, half, runs, samples = _seed_samples(f, tuple(edges), nu_max)
+        mid, half, runs, samples, kept = _seed_samples(f, tuple(edges), nu_max)
+        key = (freqs.tobytes(), tol)
+        if kept[0] == key:
+            return kept[1]
     share = tol / (edges[-1] - edges[0])            # of tol per unit width
     min_half = 0.5e-14 * max(edges[-1] - edges[0], np.abs(edges).max())
     values = np.zeros(freqs.size, dtype=np.complex128)
@@ -286,8 +289,12 @@ def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None):
         if not n_split or evals + 2 * n_split * _XK.size > _MAX_EVALS:
             values += rest_values
             errors += rest_errors
-            return QuadratureResult(values, errors, evals,
-                                    bool(errors.max() <= tol))
+            res = QuadratureResult(values, errors, evals,
+                                   bool(errors.max() <= tol))
+            if kept is not None:
+                values.flags.writeable = errors.flags.writeable = False
+                kept[:] = key, res
+            return res
         quarter = 0.5 * half[split]
         mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
         half = np.concatenate([quarter, quarter])
@@ -324,13 +331,14 @@ def _sample(f, mid, half):
 
 @functools.lru_cache(maxsize=4)
 def _seed_samples(f, edges, nu_max):
-    """(mid, half, runs, samples): the seed panels _fourier_mesh(edges,
-    nu_max) and _sample of them; mid, half and samples are read-only."""
+    """(mid, half, runs, samples, kept): the seed panels _fourier_mesh(edges,
+    nu_max), _sample of them, read-only as mid and half are, and the slot
+    kept = [key, result] of the seed's last reduction, [None, None] at first."""
     mid, half, runs = _fourier_mesh(edges, nu_max)
     y = _sample(f, mid, half)
     for a in (mid, half, y):
         a.flags.writeable = False
-    return mid, half, runs, y
+    return mid, half, runs, y, [None, None]
 
 
 def _phase(cycles):

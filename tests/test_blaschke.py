@@ -305,21 +305,39 @@ SMALL_S_SEED_NODES = (quadrature._fourier_mesh(*blaschke._SMALL_SEED)[0].size
                       * 15)
 
 
-def test_G_is_the_same_from_a_cold_and_a_warm_jump(jump):
+def _kept_seed_reductions(monkeypatch):
+    """The panel count of each kept seed fourier_coefficients reduces, one
+    entry per reduction: a reduction starts with one _fourier_panels call on
+    the seed's read-only samples, and a repeat that returns the seed's kept
+    result makes none."""
+    seeds, panels = [], quadrature._fourier_panels
+
+    def recording(freqs, mid, half, samples, runs=None):
+        if not samples.flags.writeable:
+            seeds.append(mid.size)
+        return panels(freqs, mid, half, samples, runs)
+
+    monkeypatch.setattr(quadrature, "_fourier_panels", recording)
+    return seeds
+
+
+def test_G_is_the_same_from_a_cold_and_a_warm_jump(jump, monkeypatch):
     """The small-|s| batch a jump keeps gives the values a cold jump
     computes, bit for bit, and a jump equal by value shares it (criterion
-    14); a spy, hashed by identity, computes it afresh."""
+    14): neither reduces the seed again.  A spy, hashed by identity,
+    reduces a seed of its own."""
     s = np.array([0.0, 0.0123, -0.0499, 0.05, 0.3, -2.0])
-    blaschke._small_G.cache_clear()
+    quadrature._seed_samples.cache_clear()
+    seeds = _kept_seed_reductions(monkeypatch)
     cold = compute_G(jump, s, 1e-6)
-    for res in (compute_G(jump, s, 1e-6),
-                compute_G(JumpFunction(jump.annihilator), s, 1e-6),
-                compute_G(_CountingJump(jump), s, 1e-6)):
+    for j, reductions in ((jump, 1), (JumpFunction(jump.annihilator), 1),
+                          (_CountingJump(jump), 2)):
+        res = compute_G(j, s, 1e-6)
         assert np.array_equal(res.value, cold.value)
         assert np.array_equal(res.abs_error_estimate, cold.abs_error_estimate)
         assert np.array_equal(res.converged, cold.converged)
         assert res.evaluations == cold.evaluations
-    assert blaschke._small_G.cache_info().hits == 2
+        assert seeds == [SMALL_S_SEED_NODES // 15] * reductions
 
 
 def test_second_small_s_call_samples_only_its_split_panels(jump):
@@ -463,8 +481,7 @@ def test_small_s_G_takes_a_tenth_of_the_panel_phase_exps(jump, monkeypatch):
     phases are direct.  The budget is a tenth of the 404,000 entries that
     direct exps took on the half-period seed of 4000 panels."""
     s = np.linspace(-0.0499, 0.0499, 101)
-    compute_G(jump, s, 5e-5)                # the jump's samples, kept
-    blaschke._small_G.cache_clear()         # but not its batch
+    quadrature._seed_samples.cache_clear()  # no batch kept to return
     counting = _CountingNumpy()
     monkeypatch.setattr(quadrature, "np", counting)
     compute_G(jump, s, 5e-5)
@@ -574,67 +591,55 @@ def test_convolution_one_G_batch_per_check(jump, monkeypatch):
             assert 1 <= len(calls) <= 2, (q, t, calls)
 
 
-def _small_s_batches(monkeypatch):
-    """Record the s below 0.05 of every compute_G call, and count the
-    fourier_coefficients calls on the small-|s| seed."""
-    seen = {"small_s": [], "reductions": 0}
-    compute, coefficients = blaschke.compute_G, blaschke.fourier_coefficients
-
-    def counted_G(j, s, tol):
-        seen["small_s"].append(s[np.abs(s) < 0.05])
-        return compute(j, s, tol)
-
-    def counted_coefficients(f, freqs, tol, *seed):
-        seen["reductions"] += seed == blaschke._SMALL_SEED
-        return coefficients(f, freqs, tol, *seed)
-
-    monkeypatch.setattr(blaschke, "compute_G", counted_G)
-    monkeypatch.setattr(blaschke, "fourier_coefficients",
-                        counted_coefficients)
-    return seen
-
-
 def test_convolution_checks_share_one_small_s_batch(jump, monkeypatch):
-    """From a cleared memo, criterion 4's six checks reduce the small-|s|
+    """From a cleared seed, criterion 4's six checks reduce the small-|s|
     seed once: their outer nodes below 0.05 are fixed points, not decades
     of t, so every later check reads the kept batch."""
-    seen = _small_s_batches(monkeypatch)
-    blaschke._small_G.cache_clear()
+    quadrature._seed_samples.cache_clear()
+    seeds = _kept_seed_reductions(monkeypatch)
     for q in (1.0, 0.0, -1.0):
         for t in (0.25, 1.0):
             out = convolution_identity_residual(jump, q, t, 1e-3)
             assert out["max_discrepancy"] < 1e-3
-    assert seen["reductions"] == 1
+    assert seeds == [SMALL_S_SEED_NODES // 15]
 
 
 def test_convolution_small_s_nodes_do_not_follow_q_or_t(jump, monkeypatch):
     """Checks of different q and t ask compute_G for one array of s below
     0.05, bit for bit, in their one batch that has any."""
-    seen = _small_s_batches(monkeypatch)
+    seen, compute = [], blaschke.compute_G
+
+    def counted_G(j, s, tol):
+        seen.append(s[np.abs(s) < 0.05])
+        return compute(j, s, tol)
+
+    monkeypatch.setattr(blaschke, "compute_G", counted_G)
     for q, t in ((1.0, 0.25), (-1.0, 1.0), (3.0, 0.5)):
         convolution_identity_residual(jump, q, t, 1e-3)
-    small = [s for s in seen["small_s"] if s.size]
+    small = [s for s in seen if s.size]
     assert len(small) == 3
     assert all(np.array_equal(s.view(np.uint64), small[0].view(np.uint64))
                for s in small)
 
 
-def test_kept_small_s_batch_keeps_its_bits_and_its_zero_sign(jump):
+def test_kept_small_s_batch_keeps_its_bits_and_its_zero_sign(jump,
+                                                             monkeypatch):
     """A warm compute_G gives the cold one's value, error, evaluations and
-    converged bit for bit; the memo keys on the bits of s, so s = -0.0
-    misses the entry of s = 0.0."""
+    converged bit for bit without reducing the seed; the kept result keys
+    on the bits of s, so s = -0.0 after s = 0.0 reduces it again."""
     s = np.array([0.0, 0.0123, -0.0499, 0.3])
-    blaschke._small_G.cache_clear()
+    quadrature._seed_samples.cache_clear()
+    seeds = _kept_seed_reductions(monkeypatch)
     cold = compute_G(jump, s, 5e-5)
     warm = compute_G(jump, s, 5e-5)
-    assert blaschke._small_G.cache_info()[:2] == (1, 1)
+    assert len(seeds) == 1
     for got, want in ((warm.value, cold.value),
                       (warm.abs_error_estimate, cold.abs_error_estimate),
                       (warm.converged, cold.converged)):
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
     assert warm.evaluations == cold.evaluations
     compute_G(jump, np.where(s == 0.0, -0.0, s), 5e-5)
-    assert blaschke._small_G.cache_info()[:2] == (1, 2)
+    assert len(seeds) == 2
 
 
 def test_convolution_below_the_fixed_points(jump):

@@ -38,6 +38,18 @@ def test_validate_ok(tmp_path, capsys):
     assert "config ok" in capsys.readouterr().out
 
 
+def test_module_entry_point_validates_a_shipped_config():
+    """python -m szegolab.cli runs main and exits with its code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-m", "szegolab.cli", "validate",
+         str(CONFIGS / "probe.json")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "config ok\n"
+
+
 def test_validate_bad_rho(tmp_path):
     cfg = _write(tmp_path, "c.json",
                  {"kind": "sets",

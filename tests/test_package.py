@@ -43,6 +43,45 @@ def test_each_public_name_is_declared_once(tmp_path):
     assert undeclared_exports(tmp_path) == ["planted:integrate_finite"]
 
 
+def cached_functions(package_dir):
+    """Functions of the package that functools' cache or lru_cache
+    decorates, by any import of it, as "module.name"."""
+    found = []
+    for path in sorted(Path(package_dir).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(dec, "attr", getattr(dec, "id", None)) in (
+                        "cache", "lru_cache"):
+                    found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_only_four_functions_keep_results(tmp_path):
+    """Four functions keep their results: the CLI's parser, the deep zero's
+    cut, the probe's node rules and quadrature's kept Fourier seeds, which
+    hold each seed's last result too, so no other module keeps quadrature
+    state.  The check finds planted decorators."""
+    assert cached_functions(Path(szegolab.__file__).parent) == [
+        "cli._parser", "deep_zero._h_cut", "probe._leggauss",
+        "quadrature._seed_samples"]
+    (tmp_path / "planted.py").write_text(
+        "import functools\n"
+        "from functools import lru_cache\n\n\n"
+        "@lru_cache(maxsize=4)\n"
+        "def kept(j, s_bits, tol):\n"
+        "    return s_bits\n\n\n"
+        "@functools.cache\n"
+        "def table(n):\n"
+        "    return n\n\n\n"
+        "def plain(n):\n"
+        "    return n\n", encoding="utf-8")
+    assert cached_functions(tmp_path) == ["planted.kept", "planted.table"]
+
+
 def test_src_keeps_its_line_budget():
     """The package's modules hold at most 2250 lines together (ROADMAP
     item 6): a change that adds lines pays for them inside the budget."""

@@ -10,7 +10,7 @@ import szegolab.quadrature as quadrature
 from szegolab import blaschke, deep_zero
 from szegolab.blaschke import BlaschkeAnnihilator, JumpFunction
 from szegolab.frequency_sets import gen_power_set
-from szegolab.quadrature import (_WG, _WK, _XK, QuadratureResult,
+from szegolab.quadrature import (_WG, _WK, _XK, QuadratureResult, decades,
                                  fourier_coefficients, integrate_finite,
                                  integrate_left_halfline, require)
 
@@ -31,8 +31,8 @@ def test_polynomial_exact():
 
 def test_deep_zero_integrand_self_convergence():
     f = lambda t: np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0) + 0j
-    coarse = integrate_finite(f, 0.0, 1.0, 1e-10, singular_ends=("a",))
-    fine = integrate_finite(f, 0.0, 1.0, 1e-12, singular_ends=("a",))
+    coarse = integrate_finite(f, 0.0, 1.0, 1e-10, points=decades(1.0, 1e-10))
+    fine = integrate_finite(f, 0.0, 1.0, 1e-12, points=decades(1.0, 1e-12))
     assert abs(coarse.value - fine.value) < 1e-10
     # independent oracle
     ref, _ = quad(lambda t: np.exp(-1.0 / t) if t > 0 else 0.0, 0, 1, limit=200)
@@ -50,9 +50,9 @@ def test_oscillatory_singular_end_matches_integrate_finite():
     endpoint the integral matches the one seeded toward the endpoint alone
     within both error estimates, and scipy's quad."""
     f = lambda s: np.sqrt(s) * np.exp(2j * np.pi * s)
-    osc = integrate_finite(f, 0.0, 1.0, 1e-10, singular_ends=("a",),
-                           omega=1.0)
-    fin = integrate_finite(f, 0.0, 1.0, 1e-10, singular_ends=("a",))
+    osc = integrate_finite(f, 0.0, 1.0, 1e-10, omega=1.0,
+                           points=decades(1.0, 1e-10))
+    fin = integrate_finite(f, 0.0, 1.0, 1e-10, points=decades(1.0, 1e-10))
     assert osc.converged and fin.converged
     assert abs(osc.value - fin.value) <= (osc.abs_error_estimate
                                           + fin.abs_error_estimate)
@@ -76,15 +76,15 @@ def _seed_edges(monkeypatch, call):
     return rounds[0]
 
 
-@pytest.mark.parametrize("tol, decades", [(5e-4, 3), (1e-10, 8)])
-def test_singular_end_seed_stops_at_tol(monkeypatch, tol, decades):
+@pytest.mark.parametrize("tol, count", [(5e-4, 3), (1e-10, 8)])
+def test_singular_end_seed_stops_at_tol(monkeypatch, tol, count):
     """The seed's decades toward a singular end go down to the last width
     not below tol, and to 10^-8 at most: a panel narrower than tol holds
     less than tol of an f of order 1."""
     edges = _seed_edges(monkeypatch, lambda: integrate_finite(
-        lambda t: np.sqrt(t) + 0j, 0.0, 1.0, tol, singular_ends=("a",)))
+        lambda t: np.sqrt(t) + 0j, 0.0, 1.0, tol, points=decades(1.0, tol)))
     assert np.array_equal(edges, [0.0, *(10.0 ** -k for k in range(
-        decades, 0, -1)), 1.0])
+        count, 0, -1)), 1.0])
 
 
 def test_seed_breaks_at_the_points_inside_the_interval(monkeypatch):
@@ -103,6 +103,29 @@ def test_halfline_seeds_both_ends_of_its_map(monkeypatch):
     steps = [s_max * 10.0 ** -k for k in range(1, 4)]
     assert np.array_equal(edges, sorted([0.0, *steps, s_max,
                                          *(s_max - d for d in steps)]))
+
+
+def test_decades_keep_the_seed_rule():
+    """decades(scale, floor) gives scale 10^-1, ..., 10^-8 down to floor:
+    the width-1 list at tol 1e-10 and the convolution check's points below
+    G's branch point 0.05 at its outer tol 5e-4."""
+    assert decades(1.0, 1e-10) == [10.0 ** -k for k in range(1, 9)]
+    assert decades(0.05, 5e-4) == pytest.approx([5e-3, 5e-4], rel=1e-15)
+    assert decades(1.0, 2.0) == []
+
+
+@pytest.mark.parametrize("tol, evaluations, error", [
+    (1e-6, 199, 9.264913978956691e-11), (1e-10, 259, 9.264913978955585e-11)],
+    ids=["1e-6", "1e-10"])
+def test_halfline_keeps_its_bits(tol, evaluations, error):
+    """The half-line integral of |u|^(5/2)/(1+|u|)^(9/2), whose exact value
+    is 2/7, keeps the value, error and evaluations it had while
+    integrate_finite itself seeded the decades toward both ends."""
+    res = integrate_left_halfline(
+        lambda u: np.abs(u) ** 2.5 / (1 + np.abs(u)) ** 4.5 + 0j, tol)
+    assert res.value == 0.2857142857132819
+    assert (res.abs_error_estimate, res.evaluations) == (error, evaluations)
+    assert res.converged and abs(res.value - 2.0 / 7.0) <= error
 
 
 def test_halfline_exponential():
@@ -255,32 +278,73 @@ def test_fourier_coefficients_keeps_the_seed_and_samples_only_split_panels(
         case, monkeypatch):
     """fourier_coefficients with a given nu_max keeps its seed and gives
     the result that sampling f afresh gives, bit for bit: its first call
-    samples the seed panels, a repeat calls f only on the panels it splits;
-    the kept samples are a C-contiguous float64 array that cannot be
-    written, and neither can the kept panels' midpoints and half-widths."""
+    samples the seed panels, a repeat at new frequencies calls f only on
+    the panels it splits, and a repeat at the same frequencies and tol
+    calls f not at all; the kept samples are a C-contiguous float64 array
+    that cannot be written, and neither can the kept panels' midpoints and
+    half-widths."""
     f, freqs, tol, edges, nu_max = _kept_sample_cases()[case]
     spy = _Counting(f)
+    shifted = freqs + 0.005
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_seed_samples",
                   quadrature._seed_samples.__wrapped__)
-        fresh = fourier_coefficients(spy, freqs, tol, edges, nu_max)
-    assert spy.points == fresh.evaluations
+        fresh = [fourier_coefficients(spy, nu, tol, edges, nu_max)
+                 for nu in (freqs, shifted)]
+    assert spy.points == fresh[0].evaluations + fresh[1].evaluations
+    seed = quadrature._fourier_mesh(np.array(edges), nu_max)[0].size * 15
     quadrature._seed_samples.cache_clear()
-    for first in (True, False):
+    for nu, want, sampled in ((freqs, fresh[0], fresh[0].evaluations),
+                              (freqs, fresh[0], 0),
+                              (shifted, fresh[1], fresh[1].evaluations - seed)):
         spy.points = 0
-        seeded = fourier_coefficients(spy, freqs, tol, edges, nu_max)
-        mid, half, _, samples = quadrature._seed_samples(spy, edges, nu_max)
-        for got, want in ((seeded.value, fresh.value),
-                          (seeded.abs_error_estimate,
-                           fresh.abs_error_estimate)):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert (seeded.evaluations, seeded.converged) == (fresh.evaluations,
-                                                          fresh.converged)
-        sampled = fresh.evaluations - (0 if first else samples.size)
-        assert 0 < spy.points == sampled
+        seeded = fourier_coefficients(spy, nu, tol, edges, nu_max)
+        mid, half, _, samples, _ = quadrature._seed_samples(spy, edges,
+                                                            nu_max)
+        for got, want_arr in ((seeded.value, want.value),
+                              (seeded.abs_error_estimate,
+                               want.abs_error_estimate)):
+            assert np.array_equal(got.view(np.uint64),
+                                  want_arr.view(np.uint64))
+        assert (seeded.evaluations, seeded.converged) == (want.evaluations,
+                                                          want.converged)
+        assert spy.points == sampled
+    assert 0 < sampled and samples.size == seed
     assert samples.dtype == np.float64 and samples.shape[1] == 15
     assert samples.flags.c_contiguous and not samples.flags.writeable
     assert not (mid.flags.writeable or half.flags.writeable)
+
+
+def test_a_kept_seed_returns_its_last_result_for_a_repeat(monkeypatch):
+    """A repeat at a kept seed's last frequency bits and tol returns that
+    seed's kept result, read-only, with no panel loop and no call to f;
+    -0.0 after 0.0, or another tol, reduces again.  A call without nu_max
+    keeps nothing, and its arrays can be written."""
+    spy = _Counting(lambda t: np.sqrt(t) * np.cos(3.0 * t))
+    loops, panels = [], quadrature._fourier_panels
+
+    def recording(*args):
+        loops.append(args[1].size)
+        return panels(*args)
+
+    monkeypatch.setattr(quadrature, "_fourier_panels", recording)
+    freqs, seed = np.array([0.0, 1.0, 2.5]), ((0.0, 1.0), 4.0)
+    first = fourier_coefficients(spy, freqs, 1e-10, *seed)
+    assert not (first.value.flags.writeable
+                or first.abs_error_estimate.flags.writeable)
+    loops.clear()
+    spy.points = 0
+    assert fourier_coefficients(spy, freqs.copy(), 1e-10, *seed) is first
+    assert loops == [] and spy.points == 0
+    signed = np.array([-0.0, 1.0, 2.5])
+    for nu, tol in ((signed, 1e-10), (signed, 1e-8)):
+        again = fourier_coefficients(spy, nu, tol, *seed)
+        assert loops and again is not first
+        loops.clear()
+    plain = [fourier_coefficients(spy, freqs, 1e-10) for _ in range(2)]
+    assert plain[0] is not plain[1] and len(loops) >= 2
+    assert plain[0].value.flags.writeable
+    assert plain[0].abs_error_estimate.flags.writeable
 
 
 @pytest.mark.parametrize("nu_max", [None, 300.0],
