@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .blaschke import (BlaschkeAnnihilator, JumpFunction,
                        cauchy_identity_residual, eval_phi_boundary)
-from .deep_zero import (ENVELOPE_GRID, DeepZeroSeries, decay_fit,
+from .deep_zero import (ENVELOPE_GRID, RATE, DeepZeroSeries, decay_fit,
                         membership_check)
 from .frequency_sets import (FrequencySet, complement_in_range,
                              condition_B_check, gen_interval_blocks,
@@ -393,8 +393,8 @@ def _run_deepzero(series, t_grid, weight, membership_tol, out, summary):
     fitted = {"c1": fit.c1, "c2": fit.c2, "correlation": fit.correlation,
               "M": series.M, "k_min": series.k_min}
     summary.update(fitted)
-    if series.k_min == 0:   # the theta sum's leading term t^-3/2 e^{-pi/(16t)}
-        summary["c2_exact"] = math.pi / 16
+    if series.dual:   # the theta sum's leading term t^-3/2 e^{-RATE/t}
+        summary["c2_exact"] = RATE
     files = [_write_csv(out / "deepzero_scan.csv",
                         ["t", "abs_H", "log_abs_H", "inv_t"], rows),
              _write_json(out / "summary.json", fitted)]

@@ -21,10 +21,11 @@ import numpy as np
 from .quadrature import (QuadratureResult, fourier_coefficients,
                          integrate_finite, require)
 
-__all__ = ["ENVELOPE_GRID", "eval_h",
+__all__ = ["RATE", "ENVELOPE_GRID", "eval_h",
            "series_coefficients", "DeepZeroSeries", "eval_H_series",
            "eval_H_integral", "DecayFit", "decay_fit", "membership_check"]
 
+RATE = math.pi / 16   # H's rate at the deep zero: |H| ~ t^-3/2 e^{-RATE/t}
 _SINE_BLOCK = 1 << 17      # entries of one eval_H_series block, points x terms
 # decay-fit grid, uniform in 1/t, of the companion weight and the deep-zero fit
 ENVELOPE_GRID = tuple(1.0 / np.linspace(5.0, 50.0, 20))
@@ -33,7 +34,7 @@ _DUAL_T = 0.1          # largest t at which membership_check reads theta sums
 # the leading one, z = i, at _DUAL_T: 28 of them
 _A, _B, _SIGN = np.array([(a, b, (-1) ** a * (2 - (a == 0)))  # a, -a paired
     for b in range(1, 16) for a in range(b) if (a + b) % 2 and math.hypot(a, b)
-    * math.exp(-np.pi * (b * b - a * a - 1) / (16 * _DUAL_T)) > 2 ** -60]).T
+    * math.exp(-RATE * (b * b - a * a - 1) / _DUAL_T) > 2 ** -60]).T
 
 
 def _cmul(a, b):
@@ -89,30 +90,33 @@ def series_coefficients(k_min, M):
         return np.where(k % 2, 4.0, -4.0) * n / np.cosh(0.5 * np.pi * n)
 
 
-def _coeff_envelope(k):
-    # |h((2k+1)^2)| = 4(2k+1)/cosh(pi(2k+1)/2) <= 8(2k+1) e^{-pi(2k+1)/2}
-    n = 2.0 * k + 1.0
-    return 8.0 * n * np.exp(-0.5 * np.pi * n)
-
-
 @dataclass(frozen=True)
 class DeepZeroSeries:
     """Odd-square sine series 2i * sum c_k sin(2 pi (2k+1)^2 t), k = k_min..M.
-    Its terms and the bound on those past M follow from (k_min, M), which
-    alone equality and hash compare."""
+    Its terms, the bound on those past M (|c_k| <= 8n e^{-pi n/2}, n = 2k+1),
+    its floor (128 eps sum |c_k|, the smallest |H| its row sum resolves) and
+    dual follow from (k_min, M), which alone equality and hash compare.
+    dual: k_min = 0 and a truncation bound at most the floor (M >= 11), so
+    the series is the infinite H to rounding, |H| ~ t^-3/2 e^{-RATE/t} near
+    0, and its theta sum holds; any other series has |H| ~ t near 0."""
 
     k_min: int = 0
     M: int = 20
     coeffs: np.ndarray = field(init=False, repr=False, compare=False)
     freqs: np.ndarray = field(init=False, repr=False, compare=False)
     truncation_bound: float = field(init=False, repr=False, compare=False)
+    floor: float = field(init=False, repr=False, compare=False)
+    dual: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         put = functools.partial(object.__setattr__, self)
         put("coeffs", series_coefficients(self.k_min, self.M))
         put("freqs", (2.0 * np.arange(self.k_min, self.M + 1) + 1.0) ** 2)
-        ks = np.arange(self.M + 1, self.M + 400)
-        put("truncation_bound", float(np.sum(2.0 * _coeff_envelope(ks))))
+        n = 2.0 * np.arange(self.M + 1, self.M + 400) + 1.0
+        put("truncation_bound",
+            float(np.sum(2.0 * (8.0 * n * np.exp(-0.5 * np.pi * n)))))
+        put("floor", 128 * 2.0 ** -52 * float(np.sum(np.abs(self.coeffs))))
+        put("dual", self.k_min == 0 and self.truncation_bound <= self.floor)
 
     @classmethod
     def build(cls, k_min=0, M=20):
@@ -191,14 +195,14 @@ class DecayFit:
 
 def decay_fit(series, t_grid, abscissa="inv_t"):
     """Least-squares line of log|H(t)| against 1/t (abscissa "inv_t") or
-    1/(1-t) near t=1 ("inv_1mt"), from centered sums over |H| > 1e-300."""
+    1/(1-t) near t=1 ("inv_1mt"), by centered sums over |H| > series.floor."""
     if abscissa not in ("inv_t", "inv_1mt"):
         raise ValueError(f"abscissa {abscissa!r} is not 'inv_t' or 'inv_1mt'")
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size < 8:
         raise ValueError("need at least 8 grid points")
     vals = np.abs(eval_H_series(series, t_grid))
-    keep = vals > 1e-300
+    keep = vals > series.floor
     x = 1.0 / (t_grid if abscissa == "inv_t" else 1.0 - t_grid)[keep]
     if x.size < 4 or not x.min() < x.max():
         raise ValueError("fewer than 4 usable points, or all at one t: no line")
@@ -211,13 +215,13 @@ def decay_fit(series, t_grid, abscissa="inv_t"):
 
 
 def _theta_dual(t):
-    """(L, S) with H(t) = -i e^{-L} S for k_min = 0 and 0 < t <= _DUAL_T,
+    """(L, S) with H(t) = -i e^{-L} S for a dual series and 0 < t <= _DUAL_T,
     from H(t)/i = -1/2 t^{-3/2} sum (-1)^a (-iz) e^{pi z^2/(16t)} over
     z = a + bi, b > |a|, a + b odd: a numerical finding, to 76-80 digits,
-    not yet proven.  With x = pi/(16t), e^{-L} = e^{-x} t^{-3/2}/2 is the
-    term z = i, and S = 1 + O(e^{-pi/(8t)}) sums the terms relative to it,
+    not yet proven.  With x = RATE/t, e^{-L} = e^{-x} t^{-3/2}/2 is the
+    term z = i, and S = 1 + O(e^{-2x}) sums the terms relative to it,
     so nothing underflows."""
-    x = np.pi / (16.0 * t[:, None])
+    x = RATE / t[:, None]
     ph = 2.0 * _A * _B * x
     S = _SIGN * np.exp(
         -(_B * _B - _A * _A - 1.0) * x) * (_B * np.cos(ph) + _A * np.sin(ph))
@@ -228,33 +232,29 @@ def membership_check(series, w, tol=1e-8):
     """Weighted energy  int_0^1 |H(t)|^2 / w(t) dt, with divergence refused
     from w's rate before any quadrature.
 
-    For k_min = 0 and a truncation bound below the cancellation floor, 64
-    eps times the l1 mass, H is the infinite series to rounding: |H|^2 ~
-    t^-3 e^{-pi/(8t)}/4 near 0 refuses exp(-c/t) for c >= pi/8, and |H|
-    below _DUAL_T is the theta sum's, each term one exponent (the series
-    reads rounding noise there), which must meet the series at _DUAL_T
-    within the floor plus the truncation bound.  Any other series has
-    |H| ~ t near 0, is read off the series everywhere, and refuses c > 0.
+    A dual series, |H|^2 ~ t^-3 e^{-2 RATE/t}/4 near 0, refuses exp(-c/t)
+    for c >= 2 RATE, and its |H| below _DUAL_T is the theta sum's, one
+    exponent a term (the series reads rounding noise there), which must meet
+    the series at _DUAL_T within its floor plus its truncation bound.  Any
+    other series is read off the series everywhere and refuses c > 0.
     As |H(t)| = |H(1/2 - t)| = |H(t - 1/2)|, the integral runs over
     (0, 1/4] with 1/w summed at t, 1/2 - t, 1/2 + t and 1 - t, and panel
     edges at _DUAL_T and w's folded breakpoints.  A miss, or an integral
     unconverged at tol, raises ArithmeticError (the CLI exits 3).
     Returns (value, error).
     """
-    floor = 128.0 * np.finfo(np.float64).eps * np.sum(np.abs(series.coeffs))
-    dual = series.k_min == 0 and series.truncation_bound <= floor
-    if (w.c >= np.pi / 8.0) if dual else (w.c > 0.0):
+    if (w.c >= 2.0 * RATE) if series.dual else (w.c > 0.0):
         raise ArithmeticError(f"weighted energy of H diverges at t=0 against "
                               f"exp(-{w.c:.4g}/t) for {series}")
-    if dual:
+    if series.dual:
         L, S = _theta_dual(np.array([_DUAL_T]))
         gap = abs(eval_H_series(series, _DUAL_T).imag + np.exp(-L[0]) * S[0])
-        if not gap <= floor + series.truncation_bound:
+        if not gap <= series.floor + series.truncation_bound:
             raise ArithmeticError(f"theta sum and series differ by "
                                   f"{gap:.3e} at t={_DUAL_T}")
 
     def integrand(t):
-        near = (t <= _DUAL_T) & dual
+        near = (t <= _DUAL_T) & series.dual
         log_abs = np.empty_like(t)
         L, S = _theta_dual(t[near])
         log_abs[near] = np.log(np.abs(S)) - L

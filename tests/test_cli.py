@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from szegolab import cli, deep_zero, probe, quadrature
 from szegolab.cli import main
+from szegolab.weights import make_exp_weight
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -592,22 +593,49 @@ def test_deepzero_run_negative_slope(tmp_path, monkeypatch):
 
 def test_deepzero_summary_shows_the_exact_rate(tmp_path, capsys):
     """Beside the fitted c2, the manifest summary gives the theta sum's
-    exact rate pi/16 (|H| ~ t^-3/2 e^{-pi/(16t)}) for k_min = 0 only, and
-    report prints it; the digested summary.json keeps the fit alone.  With
-    k_min = 1 there is no deep zero, and the fit fails (exit 3)."""
-    for k_min in (0, 1):
-        cfg = _write(tmp_path, f"c{k_min}.json",
-                     {**DEEPZERO_CONFIG, "k_min": k_min})
-        out = tmp_path / f"out{k_min}"
+    exact rate pi/16 (|H| ~ t^-3/2 e^{-pi/(16t)}) for a series that is the
+    infinite H to rounding, k_min = 0 and M >= 11, and report prints it;
+    the digested summary.json keeps the fit alone.  At M = 10 the
+    truncation bound 7.9e-14 stands above the 5.2e-14 floor.  With
+    k_min = 1 there is no deep zero, and the fit fails (exit 3).
+    membership_check refuses exp(-0.236/t) for exactly the series with no
+    exact rate, by the same predicate."""
+    weight = make_exp_weight(0.236)
+    for k_min, M, exact in [(0, 20, True), (1, 20, False), (0, 10, False),
+                            (0, 11, True)]:
+        cfg = _write(tmp_path, f"c{k_min}_{M}.json",
+                     {**DEEPZERO_CONFIG, "k_min": k_min, "M": M})
+        out = tmp_path / f"out{k_min}_{M}"
         assert main(["run", cfg, "--out", str(out)]) == 3 * k_min
         summary = json.loads((out / "manifest.json").read_text())["summary"]
-        assert summary.get("c2_exact") == (math.pi / 16 if k_min == 0
-                                           else None)
+        assert summary.get("c2_exact") == (math.pi / 16 if exact else None)
         assert "c2_exact" not in json.loads(
             (out / "summary.json").read_text())
-    capsys.readouterr()
-    assert main(["report", str(tmp_path / "out0" / "manifest.json")]) == 0
-    assert "c2_exact: 0.19635" in capsys.readouterr().out.splitlines()
+        capsys.readouterr()
+        assert main(["report", str(out / "manifest.json")]) == 0
+        assert ("c2_exact: 0.19635" in capsys.readouterr().out.splitlines()
+                ) == exact
+        series = deep_zero.DeepZeroSeries(k_min, M)
+        if exact:
+            assert math.isfinite(deep_zero.membership_check(series, weight)[0])
+        else:
+            with pytest.raises(ArithmeticError, match="diverges at t=0"):
+                deep_zero.membership_check(series, weight)
+
+
+def test_deepzero_fit_leaves_out_the_rows_below_the_floor(tmp_path):
+    """From t_min = 0.002 twelve of the 20 grid points lie below the
+    series' floor 5.2e-14, where it reads rounding noise (4.7e-18 at
+    t = 0.002, where the theta sum gives 1.3e-39).  The fit leaves them
+    out and fits the other eight (c2 near pi/16 there), and the scan
+    still writes all 20 rows."""
+    cfg = _write(tmp_path, "c.json", {**DEEPZERO_CONFIG, "t_min": 0.002})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["correlation"] < -0.99
+    assert summary["c2"] == pytest.approx(0.1729, abs=1e-4)
+    assert len((out / "deepzero_scan.csv").read_text().splitlines()) == 21
 
 
 def test_deepzero_past_the_overflowing_terms_keeps_its_digests(tmp_path):

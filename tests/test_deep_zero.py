@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import hashlib
 import math
 import tracemalloc
 import types
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -486,10 +488,11 @@ def test_decay_fit(s20):
 def _lstsq_fit(series, grid, abscissa):
     """(c1, c2, correlation) from a least-squares solve of the design
     matrix [x, 1] and numpy's correlation matrix, the oracle of the
-    closed-form fit."""
+    closed-form fit, over the |H| above 128 eps times the l1 mass."""
     grid = np.asarray(grid, dtype=np.float64)
     vals = np.abs(eval_H_series(series, grid))
-    keep = vals > 1e-300
+    floor = 128.0 * np.finfo(np.float64).eps * np.abs(series.coeffs).sum()
+    keep = vals > floor
     t = grid[keep]
     x = 1.0 / t if abscissa == "inv_t" else 1.0 / (1.0 - t)
     y = np.log(vals[keep])
@@ -508,13 +511,17 @@ _ACCEPTANCE_GRID = 1.0 / np.linspace(5.0, 50.0, 20)
     (0, 1.0 - _ACCEPTANCE_GRID, "inv_1mt"),
     (1, ENVELOPE_GRID, "inv_t"),
     (0, np.concatenate([np.zeros(5), ENVELOPE_GRID]), "inv_t"),
-], ids=["envelope", "acceptance", "mirror", "no-deep-zero", "underflowed"])
+    (0, 1.0 / np.linspace(5.0, 500.0, 20), "inv_t"),
+], ids=["envelope", "acceptance", "mirror", "no-deep-zero", "underflowed",
+        "below-floor"])
 def test_decay_fit_matches_a_least_squares_solve(k_min, grid, abscissa,
                                                  monkeypatch):
     """The line from centered sums is the least-squares line, and its
     correlation numpy's, to 1e-14 relative: with and without a deep zero
-    (k_min = 1 fits c2 = -0.016), and with points where H(0) = 0 left out.
-    The fit reads nothing of numpy.linalg, nor numpy.corrcoef."""
+    (k_min = 1 fits c2 = -0.016), and with points where H(0) = 0, or where
+    the series reads rounding noise below its floor (12 of 20 from
+    t = 0.002), left out.  The fit reads nothing of numpy.linalg, nor
+    numpy.corrcoef."""
     series = DeepZeroSeries(k_min, 20)
     ref = _lstsq_fit(series, grid, abscissa)
     abs_H = np.abs(eval_H_series(series, grid)).tobytes()
@@ -610,6 +617,65 @@ def test_membership_refuses_divergent_rates_before_quadrature(s20,
                            rf"for DeepZeroSeries\(k_min={series.k_min}, "
                            rf"M={series.M}\)$"):
             membership_check(series, make_exp_weight(c), 1e-8)
+
+
+@pytest.mark.parametrize("k_min, M, dual", [
+    (0, 10, False), (0, 11, True), (1, 20, False), (0, 300, True)])
+def test_a_series_knows_its_floor_and_whether_it_is_H(k_min, M, dual):
+    """floor is 128 eps times the l1 mass; dual holds for k_min = 0 once
+    the truncation bound is at most the floor: 7.9e-14 > 5.2e-14 at M = 10,
+    3.7e-15 at M = 11."""
+    s = DeepZeroSeries(k_min, M)
+    assert s.floor == 128.0 * np.finfo(np.float64).eps * np.abs(s.coeffs).sum()
+    assert s.dual is dual
+    assert "floor" not in repr(s) and "dual" not in repr(s)
+
+
+def family_readers(package_dir):
+    """Where modules of the package, deep_zero aside, compare an attribute
+    named k_min, or divide pi by 8 or 16 (or by 8 or 16 times something),
+    as "module:line"."""
+    def names_pi(node):
+        return any(getattr(n, "id", getattr(n, "attr", None)) == "pi"
+                   for n in ast.walk(node))
+
+    def reads_family(node):
+        if isinstance(node, ast.Compare):
+            return any(isinstance(n, ast.Attribute) and n.attr == "k_min"
+                       for n in (node.left, *node.comparators))
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+            return False
+        den = node.right
+        if isinstance(den, ast.BinOp) and isinstance(den.op, ast.Mult):
+            den = den.left
+        return (isinstance(den, ast.Constant) and den.value in (8, 16)
+                and names_pi(node.left))
+
+    found = []
+    for path in sorted(Path(package_dir).glob("*.py")):
+        if path.name == "deep_zero.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += sorted({f"{path.stem}:{n.lineno}" for n in ast.walk(tree)
+                         if reads_family(n)})
+    return found
+
+
+def test_only_deep_zero_answers_for_a_series_family(tmp_path):
+    """A series answers for whether it is the infinite H (dual), for its
+    floor and, through deep_zero.RATE, for H's rate pi/16, so no other
+    module compares a k_min or spells pi/16 or pi/8; reading k_min as a
+    value is no comparison.  The check finds planted ones."""
+    assert family_readers(Path(deep_zero.__file__).parent) == []
+    assert deep_zero.RATE == math.pi / 16 and 2 * deep_zero.RATE == np.pi / 8
+    (tmp_path / "planted.py").write_text(
+        "import math\n"
+        "def f(series, spec, t):\n"
+        "    if series.k_min == 0 or spec.get('k_min') == 0:\n"
+        "        return math.pi / 16, {'k_min': series.k_min}\n"
+        "    return 2.0 * math.pi / (8.0 * t)\n", encoding="utf-8")
+    assert family_readers(tmp_path) == ["planted:3", "planted:4",
+                                        "planted:5"]
 
 
 def test_a_series_has_at_least_one_term():
