@@ -21,9 +21,9 @@ import numpy as np
 from .quadrature import (QuadratureResult, fourier_coefficients,
                          integrate_finite, require)
 
-__all__ = ["RATE", "ENVELOPE_GRID", "eval_h",
-           "series_coefficients", "DeepZeroSeries", "eval_H_series",
-           "eval_H_integral", "DecayFit", "decay_fit", "membership_check"]
+__all__ = ["RATE", "ENVELOPE_GRID", "eval_h", "DeepZeroSeries",
+           "eval_H_series", "eval_H_integral", "DecayFit", "decay_fit",
+           "membership_check"]
 
 RATE = math.pi / 16   # H's rate at the deep zero: |H| ~ t^-3/2 e^{-RATE/t}
 _SINE_BLOCK = 1 << 17      # entries of one eval_H_series block, points x terms
@@ -79,21 +79,11 @@ def eval_h(z):
     return np.where(neg, -out, out)[()]
 
 
-def series_coefficients(k_min, M):
-    """[h((2k+1)^2)] for k = k_min..M: (-1)^(k+1) 4(2k+1)/cosh(pi(2k+1)/2).
-    From k = 226 on, cosh overflows to inf and the coefficient is +-0."""
-    if M < k_min:
-        raise ValueError("M must be >= k_min")
-    k = np.arange(k_min, M + 1)
-    n = 2.0 * k + 1.0
-    with np.errstate(over="ignore"):
-        return np.where(k % 2, 4.0, -4.0) * n / np.cosh(0.5 * np.pi * n)
-
-
 @dataclass(frozen=True)
 class DeepZeroSeries:
     """Odd-square sine series 2i * sum c_k sin(2 pi (2k+1)^2 t), k = k_min..M.
     Its terms, the bound on those past M (|c_k| <= 8n e^{-pi n/2}, n = 2k+1),
+    how many lead the c_k that are +-0 (terms; k >= 226, as cosh overflows),
     its floor (128 eps sum |c_k|, the smallest |H| its row sum resolves) and
     dual follow from (k_min, M), which alone equality and hash compare.
     dual: k_min = 0 and a truncation bound at most the floor (M >= 11), so
@@ -104,14 +94,21 @@ class DeepZeroSeries:
     M: int = 20
     coeffs: np.ndarray = field(init=False, repr=False, compare=False)
     freqs: np.ndarray = field(init=False, repr=False, compare=False)
+    terms: int = field(init=False, repr=False, compare=False)
     truncation_bound: float = field(init=False, repr=False, compare=False)
     floor: float = field(init=False, repr=False, compare=False)
     dual: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.M < self.k_min:
+            raise ValueError("M must be >= k_min")
         put = functools.partial(object.__setattr__, self)
-        put("coeffs", series_coefficients(self.k_min, self.M))
-        put("freqs", (2.0 * np.arange(self.k_min, self.M + 1) + 1.0) ** 2)
+        n = 2.0 * np.arange(self.k_min, self.M + 1) + 1.0
+        with np.errstate(over="ignore"):   # c_k > 0 for odd k, n = 3 mod 4
+            c = np.where(n % 4 == 3, 4.0, -4.0) * n / np.cosh(0.5 * np.pi * n)
+        put("coeffs", c)
+        put("freqs", n ** 2)
+        put("terms", int(np.count_nonzero(c)))
         n = 2.0 * np.arange(self.M + 1, self.M + 400) + 1.0
         put("truncation_bound",
             float(np.sum(2.0 * (8.0 * n * np.exp(-0.5 * np.pi * n)))))
@@ -125,19 +122,19 @@ class DeepZeroSeries:
 
 def eval_H_series(series, t):
     """Series value at t (purely imaginary for real t); periodic, period 1.
-    Each point's terms are summed along its own row, in blocks of 2^17
-    entries, so its value does not depend on the other points of the call."""
+    Each point's series.terms leading terms (not +-0) are summed along its
+    own row, in blocks of 2^17 entries, so no other point moves its value."""
     t = np.asarray(t, dtype=np.float64)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     out = np.empty(t.size, dtype=np.float64)
-    rows = max(1, _SINE_BLOCK // series.freqs.size)
+    freqs, coeffs = series.freqs[:series.terms], series.coeffs[:series.terms]
+    rows = _SINE_BLOCK // max(1, freqs.size)
     for lo in range(0, t.size, rows):
-        hi = lo + rows
-        ph = np.multiply.outer(2.0 * np.pi * t[lo:hi], series.freqs)
+        ph = np.multiply.outer(2.0 * np.pi * t[lo:lo + rows], freqs)
         np.sin(ph, out=ph)
-        ph *= series.coeffs
-        ph.sum(axis=1, out=out[lo:hi])
+        ph *= coeffs
+        ph.sum(axis=1, out=out[lo:lo + rows])
     vals = 2j * out
     return vals[0] if scalar else vals
 

@@ -653,6 +653,51 @@ def test_deepzero_past_the_overflowing_terms_keeps_its_digests(tmp_path):
             "5134b9bc75b7ec50f3cac5a072d6f74e511fcac50b762c1c8eb3f28f3cb079f6"}
 
 
+def test_deepzero_past_k_225_writes_the_bytes_of_M_225(tmp_path):
+    """The terms from k = 226 on are +-0, so a run to M = 1000 on 2000
+    points, membership included, writes the scan of M = 225 and the same
+    membership value and error."""
+    scans = []
+    for M in (225, 1000):
+        cfg = _write(tmp_path, f"c{M}.json", {"kind": "deepzero", "M": M,
+                                              "points": 2000,
+                                              "membership": True})
+        out = tmp_path / f"out{M}"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert (summary["membership_value"], summary["membership_error"]) == (
+            16.33503096192764, 4.254465441700185e-10)
+        scans.append((out / "deepzero_scan.csv").read_bytes())
+    assert scans[0] == scans[1]
+    assert hashlib.sha256(scans[0]).hexdigest() == (
+        "6d1ab2eb14e7a0fe28708f01281f606033c3190aedfbfbf3efd20182585fd1f6")
+
+
+def test_probe_with_an_annihilator_past_k_225_writes_the_bytes_of_M_225(
+        tmp_path):
+    """configs/probe.json with its target's series to M = 1000 writes the
+    residuals.csv of the target to M = 225."""
+    config = json.loads((CONFIGS / "probe.json").read_text(encoding="utf-8"))
+    residuals = []
+    for M in (225, 1000):
+        cfg = _write(tmp_path, f"p{M}.json",
+                     {**config, "target": {"kind": "annihilator", "M": M}})
+        out = tmp_path / f"out{M}"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        residuals.append((out / "residuals.csv").read_bytes())
+    assert residuals[0] == residuals[1]
+
+
+def test_deepzero_with_no_term_exits_3(tmp_path, capsys):
+    """From k_min = 300 every coefficient is +-0: the series reads 0
+    everywhere, and the fit has no point to fit."""
+    cfg = _write(tmp_path, "c.json", {"kind": "deepzero", "k_min": 300,
+                                      "M": 400})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "fewer than 4 usable points" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 def test_out_path_that_is_not_a_directory_exits_2(tmp_path, capsys, under):
     """--out naming an existing file, or a path under one, is a bad input:

@@ -15,7 +15,7 @@ from szegolab import deep_zero, quadrature
 from szegolab.quadrature import integrate_finite
 from szegolab.deep_zero import (ENVELOPE_GRID, DeepZeroSeries, decay_fit,
                                 eval_h, eval_H_integral, eval_H_series,
-                                membership_check, series_coefficients)
+                                membership_check)
 from szegolab.weights import (make_constant_weight, make_exp_weight,
                               make_tabulated_weight)
 
@@ -34,7 +34,7 @@ def test_h_integer_zeros():
 
 def test_h_coefficients_closed_form():
     # h((2k+1)^2) = -(-1)^k * 4(2k+1)/cosh(pi(2k+1)/2)
-    coeffs = series_coefficients(0, 6)
+    coeffs = DeepZeroSeries(0, 6).coeffs
     for k, c in enumerate(coeffs):
         n = 2 * k + 1
         ref = -((-1) ** k) * 4 * n / float(mpmath.cosh(mpmath.pi * n / 2))
@@ -296,7 +296,7 @@ def test_coefficients_quiet_and_finite_for_large_M():
 
 
 def test_series_coefficients_decay():
-    coeffs = series_coefficients(0, 8)
+    coeffs = DeepZeroSeries(0, 8).coeffs
     mags = np.abs(coeffs)
     assert np.all(mags[2:] < mags[1:-1])
 
@@ -311,8 +311,9 @@ def test_H_series_basic_identities(s20):
 
 def _sine_sum(t, coeffs, freqs):
     """sum_k coeffs[k] sin(2 pi freqs[k] t) through eval_H_series, which
-    reads a series' coeffs and freqs alone."""
-    series = types.SimpleNamespace(coeffs=coeffs, freqs=freqs)
+    reads a series' coeffs, freqs and terms alone (terms: all of them)."""
+    series = types.SimpleNamespace(coeffs=coeffs, freqs=freqs,
+                                   terms=len(coeffs))
     return (eval_H_series(series, t) / 2j).real
 
 
@@ -361,6 +362,69 @@ def test_sine_series_value_does_not_depend_on_the_batch():
         parts = [_sine_sum(t[lo:hi], coeffs, freqs)
                  for lo, hi in ((0, 1), (1, 3), (3, 8), (8, t.size))]
         assert np.array_equal(np.concatenate(parts), full)
+
+
+@pytest.mark.parametrize("k_min, M, terms", [
+    (0, 20, 21), (0, 225, 226), (0, 226, 226), (0, 1000, 226), (225, 300, 1),
+    (300, 400, 0)])
+def test_a_series_counts_its_terms_before_the_zeros(k_min, M, terms):
+    """terms is the number of leading coefficients that are not +-0: every
+    one through k = 225, none from k = 226 on (cosh overflows there), while
+    coeffs and freqs keep every k_min..M entry."""
+    s = DeepZeroSeries(k_min, M)
+    assert s.terms == terms
+    assert np.all(s.coeffs[:terms] != 0.0) and np.all(s.coeffs[terms:] == 0.0)
+    assert s.coeffs.size == s.freqs.size == M - k_min + 1
+    f = {f.name: f for f in dataclasses.fields(DeepZeroSeries)}["terms"]
+    assert (f.init, f.compare, f.repr) == (False, False, False)
+
+
+class _CountingSin:
+    """numpy, counting the entries of every sin it takes."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, x, *args, **kwargs):
+        out = np.sin(x, *args, **kwargs)
+        self.entries += out.size
+        return out
+
+
+def test_sine_sum_skips_the_zero_terms(monkeypatch):
+    """At M = 1000 a point takes 226 sines, one for each term through
+    k = 225, not 1001: the terms from k = 226 on are +-0 and add nothing."""
+    series = DeepZeroSeries(0, 1000)
+    t = np.linspace(0.01, 0.99, 300)
+    counting = _CountingSin()
+    monkeypatch.setattr(deep_zero, "np", counting)
+    eval_H_series(series, t)
+    assert counting.entries == 226 * t.size
+
+
+@pytest.mark.parametrize("M", [226, 300, 1000])
+def test_sine_sum_without_the_zero_terms_keeps_its_bits(M):
+    """Summing the 226 terms before the +-0 ones gives the one-shot
+    (points x terms) row sum over all M + 1 terms bit for bit."""
+    series = DeepZeroSeries(0, M)
+    t = np.linspace(0.0, 1.0, 5001)
+    ref = (np.sin(2.0 * np.pi * t[:, None] * series.freqs[None, :])
+           * series.coeffs).sum(axis=1)
+    got = eval_H_series(series, t)
+    assert np.array_equal(got.imag / 2.0, ref) and np.all(got.real == 0.0)
+
+
+def test_a_series_of_zero_terms_is_zero():
+    """From k_min = 226 on every coefficient is +-0: the series has no
+    term and reads exact zeros, sized into blocks without dividing by 0."""
+    series = DeepZeroSeries(300, 400)
+    t = np.linspace(0.0, 1.0, 1001)
+    assert series.terms == 0
+    assert np.array_equal(eval_H_series(series, t), np.zeros(t.size))
+    assert eval_H_series(series, 0.3) == 0.0
 
 
 def test_H_two_route_agreement(s20):
@@ -633,13 +697,16 @@ def test_a_series_knows_its_floor_and_whether_it_is_H(k_min, M, dual):
 
 def family_readers(package_dir):
     """Where modules of the package, deep_zero aside, compare an attribute
-    named k_min, or divide pi by 8 or 16 (or by 8 or 16 times something),
-    as "module:line"."""
+    named k_min, divide pi by 8 or 16 (or by 8 or 16 times something), or
+    call cosh, as "module:line"."""
     def names_pi(node):
         return any(getattr(n, "id", getattr(n, "attr", None)) == "pi"
                    for n in ast.walk(node))
 
     def reads_family(node):
+        if isinstance(node, ast.Call):   # builds a series' coefficients
+            return getattr(node.func, "id", getattr(node.func, "attr",
+                                                    None)) == "cosh"
         if isinstance(node, ast.Compare):
             return any(isinstance(n, ast.Attribute) and n.attr == "k_min"
                        for n in (node.left, *node.comparators))
@@ -663,9 +730,10 @@ def family_readers(package_dir):
 
 def test_only_deep_zero_answers_for_a_series_family(tmp_path):
     """A series answers for whether it is the infinite H (dual), for its
-    floor and, through deep_zero.RATE, for H's rate pi/16, so no other
-    module compares a k_min or spells pi/16 or pi/8; reading k_min as a
-    value is no comparison.  The check finds planted ones."""
+    floor, for its coefficients and terms and, through deep_zero.RATE, for
+    H's rate pi/16, so no other module compares a k_min, spells pi/16 or
+    pi/8, or calls cosh; reading k_min as a value is no comparison.  The
+    check finds planted ones."""
     assert family_readers(Path(deep_zero.__file__).parent) == []
     assert deep_zero.RATE == math.pi / 16 and 2 * deep_zero.RATE == np.pi / 8
     (tmp_path / "planted.py").write_text(
@@ -673,9 +741,12 @@ def test_only_deep_zero_answers_for_a_series_family(tmp_path):
         "def f(series, spec, t):\n"
         "    if series.k_min == 0 or spec.get('k_min') == 0:\n"
         "        return math.pi / 16, {'k_min': series.k_min}\n"
-        "    return 2.0 * math.pi / (8.0 * t)\n", encoding="utf-8")
+        "    return 2.0 * math.pi / (8.0 * t)\n"
+        "def g(n):\n"
+        "    return 4.0 * n / math.cosh(0.5 * math.pi * n)\n",
+        encoding="utf-8")
     assert family_readers(tmp_path) == ["planted:3", "planted:4",
-                                        "planted:5"]
+                                        "planted:5", "planted:7"]
 
 
 def test_a_series_has_at_least_one_term():
