@@ -226,13 +226,6 @@ def _szego(z, root_mu, n, rows):
     return d2, B
 
 
-def _recurse(w, n, rows, rules):
-    """Yields (z, root_mu) of _measure per rule, and B of _szego where some
-    row is read, else None: a curve with no data runs no recursion."""
-    for z, root_mu in (_measure(w, n, rule) for rule in rules):
-        yield z, root_mu, _szego(z, root_mu, n, rows)[1] if rows.size else None
-
-
 def _residuals(target, kept_sets, w, tol, coefficients=False):
     """Distances from the target to the spans of kept_sets, lists of
     distinct frequencies, each a prefix of the last (the empty set too).
@@ -270,8 +263,9 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
     # last rule serves a trig norm, summed on its nodes, and an annihilator,
     # whose norm is its own, needs none
     values = []
-    for z, root_mu, B in _recurse(w, n_max, rows, _RULES if rows.size
-                                  else _RULES[-1:] if trig else ()):
+    for rule in _RULES if rows.size else _RULES[-1:] if trig else ():
+        z, root_mu = _measure(w, n_max, rule)
+        B = _szego(z, root_mu, n_max, rows)[1] if rows.size else None
         if trig:
             with np.errstate(over="ignore", invalid="ignore"):
                 f_z = root_mu * sum(a * z ** k

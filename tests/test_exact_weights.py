@@ -12,14 +12,24 @@ Circle", 2005, section 1.7):
 The Bernstein-Szegő weight also serves whole residual curves: its
 coefficients are w-hat(n) = rho^|n| / (1 - rho^2), rho = 1/zeta, the
 covariances of a stationary AR(1) sequence, which is Markov.
+
+The title theorem's two errors are residuals of the public probe, with
+target e_0: Szegő's prediction error d_N against span{e_1..e_N} (a curve
+with nothing removed), and Kolmogorov's interpolation error sigma_N against
+span{e_k : 0 < |k| <= N} (Grenander & Szegő, "Toeplitz Forms and Their
+Applications", 1958).  Each meets its closed form, or a pinned 50-digit
+mpmath value, within the record's own residual_error.
 """
 
 import numpy as np
 import pytest
 
 from szegolab import probe
-from szegolab.frequency_sets import complement_in_range, gen_power_set
-from szegolab.probe import ProbeConfig, TrigPolyTarget, residual_curve
+from szegolab.frequency_sets import (FrequencySet, complement_in_range,
+                                     gen_power_set)
+from szegolab.probe import (ProbeConfig, TrigPolyTarget, residual_curve,
+                            weighted_residual)
+from szegolab.weights import make_exp_weight
 
 EPS = np.finfo(np.float64).eps
 
@@ -144,3 +154,88 @@ def test_kept_set_oracle_catches_a_planted_error(plant, monkeypatch):
                             _rotate_heaviest_node(probe._RULES))
     assert any(_oracle_misses(zeta, m) for zeta in (2.0, 1.05, 1.01, 1.001)
                for m in (0, 1, 8, -3))
+
+
+E0 = TrigPolyTarget({0: 1.0})
+
+
+def _prediction(w, N_list):
+    """The records of d_N, the distance from e_0 to span{e_1..e_N}, at each
+    N of N_list: the probe's residual curve with nothing removed."""
+    return residual_curve(ProbeConfig(weight=w, gamma=FrequencySet(()),
+                                      target=E0), N_list).records
+
+
+def _interpolation(w, N):
+    """(sigma_N, residual_error): the distance from e_0 to the span of e_k,
+    0 < |k| <= N, from weighted_residual."""
+    res, _, _, error = weighted_residual(
+        E0, [*range(-N, 0), *range(1, N + 1)], w)
+    return res, error
+
+
+def test_zero_on_the_circle_reads_szego_prediction_error():
+    """d_N^2 = 1 + 1/(N + 1) for w = |1 - z|^2, as a probe residual."""
+    w = _Weight(lambda t: np.abs(1.0 - np.exp(2j * np.pi * t)) ** 2)
+    for r in _prediction(w, [1, 10, 100, 1000]):
+        assert abs(r.residual - np.sqrt(1.0 + 1.0 / (r.N + 1))) <= (
+            r.residual_error), r
+
+
+@pytest.mark.parametrize("zeta", [2.0, 1.05])
+def test_bernstein_szego_reads_unit_prediction_error(zeta):
+    """d_N = 1 at every N >= 1 for w = 1/|1 - z/zeta|^2."""
+    for r in _prediction(_bernstein_szego(zeta), [1, 100, 800]):
+        assert abs(r.residual - 1.0) <= r.residual_error, r
+
+
+def test_exp_weight_prediction_error_meets_its_digits():
+    """d_N^2 for exp(-1/t) at N = 25, 100 and 800 (ROADMAP item 3):
+    both ends of d_N -+ residual_error round to the digits shown."""
+    pinned = {25: "3.46886e-02", 100: "1.80240e-02", 800: "6.50176e-03"}
+    for r in _prediction(make_exp_weight(1.0), list(pinned)):
+        for d in (r.residual - r.residual_error,
+                  r.residual + r.residual_error):
+            assert f"{d * d:.5e}" == pinned[r.N], r
+
+
+@pytest.mark.parametrize("N, sigma2", [
+    (10, 7.99700103285917e-4), (20, 2.16863050154642e-5),
+    (80, 2.86087433299702e-11)])
+def test_exp_weight_interpolation_error_meets_mpmath(N, sigma2):
+    """sigma_N^2 for exp(-1/t) against a 50-digit mpmath inverse of the
+    weight's Toeplitz matrix (ROADMAP item 10; the N = 80 inverse took
+    566 s, so its values are pinned, not recomputed)."""
+    res, error = _interpolation(make_exp_weight(1.0), N)
+    assert abs(res - np.sqrt(sigma2)) <= error
+
+
+@pytest.mark.parametrize("zeta", [2.0, 1.05])
+@pytest.mark.parametrize("N", [1, 5, 50])
+def test_bernstein_szego_interpolation_error_is_closed_form(N, zeta):
+    """sigma_N^2 = zeta^2 / (zeta^2 + 1) at every N >= 1: the sequence is
+    Markov, so only e_0's nearest neighbours e_-1 and e_1 enter
+    (_kept_distance with gaps a = b = 1)."""
+    res, error = _interpolation(_bernstein_szego(zeta), N)
+    assert abs(res - zeta / np.sqrt(zeta * zeta + 1.0)) <= error
+
+
+@pytest.mark.parametrize("c, row", [
+    (1.0, [0.3967, 0.4608, 0.4850, 0.4939]),
+    (0.236, [0.0945, 0.1105, 0.1156, 0.1171]),
+    (0.05, [0.0170, 0.0220, 0.0242, 0.0248])])
+def test_verblunsky_coefficients_read_off_consecutive_residuals(c, row):
+    """k |alpha_k|^2 = k (1 - d_{k+1}^2 / d_k^2) for exp(-c/t) at k = 10,
+    40, 160 and 640, from one curve (ROADMAP item 14): the value, moved
+    by its first-order error from both records, rounds to the digits
+    shown."""
+    ks = [10, 40, 160, 640]
+    d = {r.N: r for r in _prediction(make_exp_weight(c),
+                                     sorted(ks + [k + 1 for k in ks]))}
+    for k, pinned in zip(ks, row):
+        lo, hi = d[k], d[k + 1]
+        q = (hi.residual / lo.residual) ** 2
+        error = 2 * k * q * (hi.residual_error / hi.residual
+                             + lo.residual_error / lo.residual)
+        for value in (k * (1.0 - q) - error, k * (1.0 - q) + error):
+            assert round(value, 4) == pinned, (k, value)

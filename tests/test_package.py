@@ -82,6 +82,44 @@ def test_only_four_functions_keep_results(tmp_path):
     assert cached_functions(tmp_path) == ["planted.kept", "planted.table"]
 
 
+def spectral_callers(package_dir):
+    """Calls of the probe's node rule and recursion, _measure and _szego,
+    by name or as an attribute, as "module.function:callee", where function
+    is the innermost def around the call (the module itself at top level)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{path.stem}.{node.name}"
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("_measure", "_szego"):
+                found.append(f"{where}:{name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    for path in sorted(Path(package_dir).glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(found)
+
+
+def test_only_residuals_reads_the_spectrum(tmp_path):
+    """One spectral reader: only probe._residuals measures a node rule and
+    runs the Szegő recursion, so d_N, sigma_N and the Verblunsky
+    coefficients are read as its residuals (tests/test_exact_weights.py),
+    not by a second rule loop.  The check finds planted callers."""
+    assert spectral_callers(Path(szegolab.__file__).parent) == [
+        "probe._residuals:_measure", "probe._residuals:_szego"]
+    (tmp_path / "planted.py").write_text(
+        "from . import probe\n"
+        "from .probe import _szego\n\n\n"
+        "def d2(w, n, rule):\n"
+        "    z, root_mu = probe._measure(w, n, rule)\n"
+        "    return (lambda: _szego(z, root_mu, n, []))()[0]\n",
+        encoding="utf-8")
+    assert spectral_callers(tmp_path) == ["planted.d2:_measure",
+                                          "planted.d2:_szego"]
+
+
 def test_src_keeps_its_line_budget():
     """The package's modules hold at most 2250 lines together (ROADMAP
     item 6): a change that adds lines pays for them inside the budget."""
