@@ -201,27 +201,22 @@ def _make(field, make, *args):
 
 
 def _frequency_set(spec):
-    """The non-empty frequency set a gamma section describes."""
+    """The frequency set a gamma section describes, which may be empty."""
     gen = spec.get("generator", str, "explicit",
                    **_one_of("power", "blocks", "explicit"))
-    numbers = {"convert": _each(_real), "need": "a list of numbers"}
     if gen == "power":
-        fset = _make(spec.path, gen_power_set, spec.get("rho", _real),
+        return _make(spec.path, gen_power_set, spec.get("rho", _real),
                      spec.get("count", _integer, ok=lambda n: n <= _MAX_SIZE,
                               need=f"an integer at most {_MAX_SIZE}"))
-    elif gen == "blocks":
+    if gen == "blocks":
         integers = {"convert": _each(_integer), "need": "a list of integers"}
-        fset = _make(spec.path, gen_interval_blocks,
+        return _make(spec.path, gen_interval_blocks,
                      spec.get("starts", **integers),
                      spec.get("lengths", _each(_integer),
                               ok=lambda ls: sum(map(abs, ls)) <= _MAX_SIZE,
                               need=f"integers of total at most {_MAX_SIZE}"))
-    else:
-        elements = spec.get("elements", **numbers)
-        fset = _make(spec.field("elements"), FrequencySet, tuple(elements))
-    if not len(fset):
-        raise ConfigError(f"{spec.path} is empty")
-    return fset
+    elements = spec.get("elements", _each(_real), need="a list of numbers")
+    return _make(spec.field("elements"), FrequencySet, tuple(elements))
 
 
 def _series(spec):
@@ -283,9 +278,10 @@ def _target(spec):
 
 def _build_sets(cfg, tol, summary):
     fset = _frequency_set(cfg.section("gamma"))
+    report = _make("gamma", sqrt_sum_diagnostic, fset)
     cb = cfg.section("condition_B", None)
     if cb is None:
-        return partial(_run_sets, fset, None)
+        return partial(_run_sets, fset, report, None)
     C = cb.get("C", _real, **_POSITIVE)
     x_grid = cb.get("x_grid", _each(_real),
                     ok=lambda xs: all(x > math.e for x in xs),
@@ -293,11 +289,10 @@ def _build_sets(cfg, tol, summary):
     thinned = None
     if cb.get("thin", _flag, False):
         thinned = _make(cb.field("thin"), thin_to_condition_B, fset, C)
-    return partial(_run_sets, fset, (C, x_grid, thinned))
+    return partial(_run_sets, fset, report, (C, x_grid, thinned))
 
 
-def _run_sets(fset, condition_B, out, summary):
-    report = sqrt_sum_diagnostic(fset)
+def _run_sets(fset, report, condition_B, out, summary):
     summary.update(((k, getattr(report, k)) for k in (
         "verdict", "note", "tail_bound")), generator=fset.generator)
     files = [_write_text(out / "set.txt", fset.to_text()),

@@ -2,8 +2,8 @@
 the span of exponentials e_k, k in a kept set, and residual curves in the
 truncation order N, by the discrete Szegő recursion (Reichel, Ammar &
 Gragg, Math. Comp. 1991; Simon, "Orthogonal Polynomials on the Unit
-Circle", 2005).  Frequencies are shifted so the smallest (or 0) is 0, an
-isometry, and become degrees <= N' in z = e^{2 pi i t}.
+Circle", 2005).  Each kept set is shifted so its own smallest frequency, or
+the target's, or 0, is 0, an isometry: degrees <= N' in z = e^{2 pi i t}.
 
 w dt is sampled once: masses mu_j = omega_j w(t_j) at z_j = e^{2 pi i t_j},
 from a composite Gauss-Legendre rule split at w's breakpoints.  The monic
@@ -228,32 +228,37 @@ def _szego(z, root_mu, n, rows):
 
 def _residuals(target, kept_sets, w, tol, coefficients=False):
     """Distances from the target to the spans of kept_sets, lists of
-    distinct frequencies, each a prefix of the last (the empty set too).
-    Only the rows of blocks with data are read.  Returns (norm,
-    [(residual, residual_error) for each set], the projection's
-    coefficients on the last set when asked: they read every row of B
-    where its solve has data)."""
+    distinct frequencies, each a prefix of the last (the empty set too),
+    each solved in its own frame: shifted so that the smallest of its own
+    frequencies, the target's and 0 is degree 0.  Only the rows of blocks
+    with data are read, from one recursion to the last set's degree.
+    Returns (norm, [(residual, residual_error) for each set], the
+    projection's coefficients on the last set when asked: they read every
+    row of B where its solve has data)."""
     trig = isinstance(target, TrigPolyTarget)
     F = np.array(list(target.coeffs) if trig else [], dtype=np.int64)
     norm_sq, norm_err = ((0.0, 0.0) if trig
                          else membership_check(target.series, w, tol))
     top = np.array(kept_sets[-1], dtype=np.int64)
-    lo = min(0, F.min(initial=0), top.min(initial=0))
     b = np.zeros(top.size) if trig else target.inner(top)
-    n_max = max(0, F.max(initial=0), top.max(initial=0)) - lo
-    # per set: degree n, rows R (S, then the data rows D: f-hat_S's support,
-    # or T), D's place in R, and f-hat_D or b_T
-    blocks, read = [], np.zeros(n_max + 1, dtype=bool)
+    # per set, in its own frame (the least of its frequencies, the target's
+    # and 0 at degree 0): degree n, rows R (S, then the data rows D:
+    # f-hat_S's support, or T), D's place in R, and f-hat_D or b_T
+    blocks, read = [], [np.arange(0)]
     for size in map(len, kept_sets):
-        kept, on_T = top[:size] - lo, b[:size] != 0
-        n = max(0, F.max(initial=0), top[:size].max(initial=0)) - lo
-        S = np.delete(np.arange(n + 1), kept)
+        kept, on_T = top[:size], b[:size] != 0
+        lo = min(0, F.min(initial=0), kept.min(initial=0))
+        n = max(0, F.max(initial=0), kept.max(initial=0)) - lo
+        S = np.delete(np.arange(n + 1), kept - lo)
         f = target.at(S + lo) if trig else np.zeros(S.size)
-        R = np.concatenate([S[f == 0], S[f != 0], kept[on_T]])
+        R = np.concatenate([S[f == 0], S[f != 0], kept[on_T] - lo])
         data = np.concatenate([f[f != 0], b[:size][on_T]])
-        read[R] |= data.size > 0
+        if data.size:
+            read.append(R)
         blocks.append((n, R, slice(R.size - data.size, None), data))
-    rows = np.flatnonzero(read)
+    # n and lo are the last set's: its frame holds every prefix's degrees
+    n_max, read = n, np.concatenate(read)
+    rows = np.flatnonzero(np.bincount(read, minlength=n_max + 1))
     if coefficients and rows.size:
         rows = np.arange(n_max + 1)
     if rows.size * (n_max + 1) > 1 << 26:       # B would take over 1 GiB

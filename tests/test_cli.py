@@ -281,6 +281,9 @@ CONFIG_DIGESTS = {
     "probe": {
         "residuals.csv":
             "e2e1e63b041c69ef53949e98197d1351f188575e57175732acdbc0f92bc0a6bb"},
+    "prediction": {
+        "residuals.csv":
+            "265cbc280e681d25701d7e304b9dd16d9d76a4944d7922311d7ecdb630b37bd7"},
     "sets": {
         "condition_B.csv":
             "d7ce8248d17ae9062bbf017e6b7c8ed791c08ba541c8d2e694b3afd6e89d6e18",
@@ -385,6 +388,82 @@ def test_blaschke_run_past_the_bound_overflow_exits_0(tmp_path):
     rows = (out / "identity_scan.csv").read_text().splitlines()[1:]
     assert len(rows) == 5
     assert all(float(row.split(",")[2]) <= 1e-12 for row in rows)
+
+
+NOTHING_REMOVED = {"generator": "explicit", "elements": []}
+
+
+def _residual_rows(tmp_path, config):
+    """(N, residual, residual_error) of each row of a probe run's
+    residuals.csv; the run exits 0."""
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "c.json", config),
+                 "--out", str(out)]) == 0
+    rows = (out / "residuals.csv").read_text().splitlines()[1:]
+    return [(int(r.split(",")[0]), *map(float, r.split(",")[1::3]))
+            for r in rows]
+
+
+def test_probe_with_nothing_removed_reads_szego_prediction_error(tmp_path):
+    """configs/prediction.json: with gamma empty the residual of e_0 is
+    Szegő's d_N, and for exp(-1/t) both ends of d_N -+ residual_error
+    round to the digits tests/test_exact_weights.py pins."""
+    config = json.loads((CONFIGS / "prediction.json").read_text())
+    assert config["gamma"] == NOTHING_REMOVED
+    pinned = {25: "3.46886e-02", 100: "1.80240e-02", 800: "6.50176e-03"}
+    rows = {N: (d, error) for N, d, error in _residual_rows(tmp_path, config)}
+    for N, digits in pinned.items():
+        d, error = rows[N]
+        for end in (d - error, d + error):
+            assert f"{end * end:.5e}" == digits, N
+
+
+def test_probe_with_nothing_removed_falls_to_the_geometric_mean(tmp_path):
+    """Szegő's theorem on a tabulated weight: d_N^2 decreases toward
+    G(w) = exp(int log w) = 1.19524383064679 (50-digit mpmath), every
+    point above G and every step down larger than the two points'
+    residual_errors (the gaps d_N^2 - G halve on each doubling, from
+    1.09e-2 at N = 5 to 9.1e-5 at N = 640)."""
+    G = 1.19524383064679
+    rows = _residual_rows(tmp_path, {
+        "kind": "probe", "gamma": NOTHING_REMOVED,
+        "weight": {"kind": "tabulated",
+                   "samples": [[0, 0.5], [0.3, 1], [1, 2]]},
+        "target": {"kind": "trigpoly", "coeffs": {"0": 1}},
+        "N_list": [5 * 2 ** i for i in range(8)], "tol": 1e-13})
+    assert all((d - error) ** 2 > G for _, d, error in rows)
+    for (_, d, error), (_, d_next, error_next) in zip(rows, rows[1:]):
+        assert d - error > d_next + error_next
+
+
+def test_blaschke_with_nothing_removed_runs_the_empty_product(tmp_path):
+    """An empty gamma is the empty product z^2/(1 + sqrt z)^8, which
+    criterion 2 takes as its baseline: the run exits 0, and every Cauchy
+    identity residual is below identity_tol."""
+    cfg = _write(tmp_path, "c.json",
+                 {"kind": "blaschke", "gamma": NOTHING_REMOVED})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = (out / "identity_scan.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5
+    assert all(float(row.split(",")[2]) < manifest["summary"]["identity_tol"]
+               for row in rows)
+
+
+def test_shipped_configs_run_the_szego_recursion(tmp_path, monkeypatch):
+    """Some shipped config reaches probe._szego (configs/prediction.json;
+    configs/probe.json's solves have no data, so it runs no recursion)."""
+    calls, szego = [], probe._szego
+
+    def counted(*args):
+        calls.append(args[2])
+        return szego(*args)
+    monkeypatch.setattr(probe, "_szego", counted)
+    for path in sorted(CONFIGS.glob("*.json")):
+        assert main(["run", str(path), "--out",
+                     str(tmp_path / path.stem)]) == 0
+    assert calls
 
 
 def _field_paths(obj, prefix=()):

@@ -199,15 +199,43 @@ def test_exp_weight_prediction_error_meets_its_digits():
             assert f"{d * d:.5e}" == pinned[r.N], r
 
 
-@pytest.mark.parametrize("N, sigma2", [
-    (10, 7.99700103285917e-4), (20, 2.16863050154642e-5),
-    (80, 2.86087433299702e-11)])
+# sigma_N^2 for exp(-1/t) from a 50-digit mpmath inverse of the weight's
+# Toeplitz matrix (the N = 80 inverse took 566 s, so the values are pinned,
+# not recomputed)
+SIGMA2 = {10: 7.99700103285917e-4, 20: 2.16863050154642e-5,
+          80: 2.86087433299702e-11}
+
+
+@pytest.mark.parametrize("N, sigma2", SIGMA2.items())
 def test_exp_weight_interpolation_error_meets_mpmath(N, sigma2):
-    """sigma_N^2 for exp(-1/t) against a 50-digit mpmath inverse of the
-    weight's Toeplitz matrix (ROADMAP item 10; the N = 80 inverse took
-    566 s, so its values are pinned, not recomputed)."""
+    """sigma_N^2 for exp(-1/t) against SIGMA2 (ROADMAP item 10)."""
     res, error = _interpolation(make_exp_weight(1.0), N)
     assert abs(res - np.sqrt(sigma2)) <= error
+
+
+def test_nested_two_sided_spans_each_solve_in_their_own_frame(monkeypatch):
+    """One call over nested prefixes of (1, -1, 2, -2, ..., +-320) reads
+    sigma_N for N = 10, 20, 80 and 320: each span is shifted by its own
+    smallest frequency, so its only removed degree is e_0's, N, and the
+    recursion is asked for exactly one row per span.  sigma_N^2 meets
+    SIGMA2 within its own residual_error and within 1e-12 relative.  In
+    the largest span's frame sigma_10^2 was 2.4e-10 off, 3.8 times its
+    residual_error, and each rule read 311 rows."""
+    calls, szego = [], probe._szego
+
+    def counted(z, root_mu, n, rows):
+        calls.append(list(rows))
+        return szego(z, root_mu, n, rows)
+    monkeypatch.setattr(probe, "_szego", counted)
+    Ns = [10, 20, 80, 320]
+    order = [s * k for k in range(1, Ns[-1] + 1) for s in (1, -1)]
+    _, out, _ = probe._residuals(E0, [order[:2 * N] for N in Ns],
+                                 make_exp_weight(1.0), 1e-12)
+    assert calls == [Ns] * len(probe._RULES)
+    for N, (res, error) in zip(Ns, out):
+        if N in SIGMA2:
+            assert abs(res - np.sqrt(SIGMA2[N])) <= error, N
+            assert abs(res * res / SIGMA2[N] - 1.0) <= 1e-12, N
 
 
 @pytest.mark.parametrize("zeta", [2.0, 1.05])
