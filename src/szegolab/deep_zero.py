@@ -2,12 +2,10 @@
 
 Everything is built from the meromorphic function
 ``h(z) = e^{i pi z} sin(pi z) / (F(z) F(-z))`` with ``F(w) = cos(pi sqrt(w)/2)``,
-an entire function of w: cos is even, so which root sqrt(w) takes does not
-enter.  The removable singularities of h at +-(2k+1)^2 carry the series
-coefficients, whose values have the closed form h((2k+1)^2) =
-(-1)^(k+1) 4(2k+1)/cosh(pi(2k+1)/2); the resulting odd-square sine series H
-decays like t^{-3/2} e^{-pi/(16t)} near 0, 1/2 and 1, a theta sum's term.
-One odd kernel, sin(pi u)/(F(u) F(-u)) for Re u >= 0, evaluates those
+entire in w (cos is even).  Its removable singularities at +-(2k+1)^2 carry
+the coefficients h((2k+1)^2) = (-1)^(k+1) 4(2k+1)/cosh(pi(2k+1)/2) of the
+odd-square sine series H, ~ t^{-3/2} e^{-pi/(16t)} near 0, 1/2 and 1, a theta
+sum's term.  One odd kernel, sin(pi u)/(F(u) F(-u)), Re u >= 0, evaluates the
 singularities: eval_h folds h onto it, and eval_H_integral integrates it.
 """
 
@@ -31,10 +29,10 @@ _SINE_BLOCK = 1 << 17      # entries of one eval_H_series block, points x terms
 ENVELOPE_GRID = tuple(1.0 / np.linspace(5.0, 50.0, 20))
 _DUAL_T = 0.1          # largest t at which membership_check reads theta sums
 # the theta sum's z = a + bi (b > |a|, a + b odd) whose terms reach 2^-60 of
-# the leading one, z = i, at _DUAL_T: 28 of them
-_A, _B, _SIGN = np.array([(a, b, (-1) ** a * (2 - (a == 0)))  # a, -a paired
-    for b in range(1, 16) for a in range(b) if (a + b) % 2 and math.hypot(a, b)
-    * math.exp(-RATE * (b * b - a * a - 1) / _DUAL_T) > 2 ** -60]).T
+# the leading one, z = i, at t = 1/4: 43 of them, a and -a paired
+_A, _B, _SIGN = np.array([(a, b, (-1) ** a * (2 - (a == 0)))
+    for b in range(1, 32) for a in range(b) if (a + b) % 2 and math.hypot(a, b)
+    * math.exp(-4.0 * RATE * (b * b - a * a - 1)) > 2 ** -60]).T
 
 
 def _cmul(a, b):
@@ -225,20 +223,39 @@ def _theta_dual(t):
     return x[:, 0] + 1.5 * np.log(t) + math.log(2.0), S.sum(axis=1)
 
 
-def membership_check(series, w, tol=1e-8):
-    """Weighted energy  int_0^1 |H(t)|^2 / w(t) dt, with divergence refused
-    from w's rate before any quadrature.
+def _sliver(c):
+    """(value, error) of int_0^{1/4} |H|^2 e^{c/t} dt, 0 < c < 2 RATE.  As
+    |H|^2 = t^-3 (sum Re[q e^{(4 - 1/t) RATE z^2}])^2/4 with q = sign z
+    e^{-4 RATE z^2}, z = b - ai, a pair j <= k whose |q_j q_k| reaches 2^-60
+    of the leading pair's adds e^{4c} Re[f (4/b + 1/b^2)], with
+    m = z_j^2 + (z_k^2 or its conjugate), f = q_j (q_k or its conjugate)/8,
+    twice for j < k, and b = RATE m - c + (pi - math.pi) Re m/16, whose
+    last term keeps b's digits as c nears 2 RATE.  The error is 8 eps
+    sum |term|.  Nothing is kept between calls."""
+    z2 = (_B - 1j * _A) ** 2
+    q = _SIGN * (_B - 1j * _A) * np.exp(-4.0 * RATE * z2.real) * (
+        np.cos(4.0 * RATE * z2.imag) - 1j * np.sin(4.0 * RATE * z2.imag))
+    j, k = np.nonzero(abs(np.outer(q, q)) > 2 ** -60 * abs(q[0]) ** 2)
+    j, k = j[j <= k], k[j <= k]
+    m = z2[j] + np.stack([z2[k], z2[k].conj()])
+    f = q[j] * np.stack([q[k], q[k].conj()]) * (2.0 - (j == k)) / 8
+    inv = 1.0 / ((RATE * m - c) + m.real * (1.2246467991473532e-16 / 16))
+    t = f * (4.0 * inv + inv * inv) * math.exp(4.0 * c)
+    return float(t.real.sum()), 2.0 ** -49 * float(np.abs(t).sum())
 
-    A dual series, |H|^2 ~ t^-3 e^{-2 RATE/t}/4 near 0, refuses exp(-c/t)
-    for c >= 2 RATE, and its |H| below _DUAL_T is the theta sum's, one
-    exponent a term (the series reads rounding noise there), which must meet
-    the series at _DUAL_T within its floor plus its truncation bound.  Any
-    other series is read off the series everywhere and refuses c > 0.
-    As |H(t)| = |H(1/2 - t)| = |H(t - 1/2)|, the integral runs over
-    (0, 1/4] with 1/w summed at t, 1/2 - t, 1/2 + t and 1 - t, and panel
-    edges at _DUAL_T and w's folded breakpoints.  A miss, or an integral
-    unconverged at tol, raises ArithmeticError (the CLI exits 3).
-    Returns (value, error).
+
+def membership_check(series, w, tol=1e-8):
+    """(value, error) of the weighted energy  int_0^1 |H(t)|^2 / w(t) dt,
+    with divergence refused from w's rate before any quadrature.
+
+    A dual series (|H|^2 ~ t^-3 e^{-2 RATE/t}/4 near 0) refuses exp(-c/t)
+    for c >= 2 RATE, and its theta sum must meet the series at _DUAL_T
+    within its floor and truncation bound; any other series refuses c > 0.
+    As |H(t)| = |H(1/2 - t)| = |H(t - 1/2)|, the integral runs over (0, 1/4]
+    with 1/w summed at t, 1/2 - t, 1/2 + t and 1 - t, on 32 panels cut at
+    _DUAL_T and w's folded breakpoints: for c > 0 the term at t is _sliver's,
+    for c = 0 |H| below _DUAL_T the theta sum's.  A miss, a sum's error of
+    tol or more, or an unconverged rest raises ArithmeticError (CLI exit 3).
     """
     if (w.c >= 2.0 * RATE) if series.dual else (w.c > 0.0):
         raise ArithmeticError(f"weighted energy of H diverges at t=0 against "
@@ -249,19 +266,24 @@ def membership_check(series, w, tol=1e-8):
         if not gap <= series.floor + series.truncation_bound:
             raise ArithmeticError(f"theta sum and series differ by "
                                   f"{gap:.3e} at t={_DUAL_T}")
+    sliver = w.c > 0.0             # then the term at t is _sliver's
+    own, own_err = _sliver(w.c) if sliver else (0.0, 0.0)
+    if not own_err < tol:
+        raise ArithmeticError(f"the sliver's sum errs by {own_err:.2e}")
 
     def integrand(t):
-        near = (t <= _DUAL_T) & series.dual
+        near = (t <= _DUAL_T) & (series.dual and not sliver)
         log_abs = np.empty_like(t)
-        L, S = _theta_dual(t[near])
-        log_abs[near] = np.log(np.abs(S)) - L
+        if near.any():
+            L, S = _theta_dual(t[near])
+            log_abs[near] = np.log(np.abs(S)) - L
         with np.errstate(divide="ignore"):
             log_abs[~near] = np.log(np.abs(eval_H_series(series, t[~near])))
         return sum(np.exp(2.0 * log_abs - w.log(s))
-                   for s in (t, 0.5 - t, 0.5 + t, 1.0 - t))
+                   for s in (t, 0.5 - t, 0.5 + t, 1.0 - t)[sliver:])
 
     folded = (min(b, 1.0 - b, abs(0.5 - b)) for b in w.breakpoints)
-    res = integrate_finite(integrand, 0.0, 0.25, tol,
-                           points=(_DUAL_T, *folded))
+    res = integrate_finite(integrand, 0.0, 0.25, tol - own_err, points=(
+        _DUAL_T, *folded, *np.linspace(0.0, 0.25, 33)))
     require(res, "weighted energy of H on (0, 1)")
-    return res.value.real, res.abs_error_estimate
+    return own + res.value.real, res.abs_error_estimate + own_err

@@ -280,7 +280,7 @@ CONFIG_DIGESTS = {
             "979a72004fe26b5cd514771a21028e87b4b2a0145d5fcb6d44c0ef791fa5e00e"},
     "probe": {
         "residuals.csv":
-            "e2e1e63b041c69ef53949e98197d1351f188575e57175732acdbc0f92bc0a6bb"},
+            "7b0bd8dcb190737b0c08350b061f622f36062f943a95da6b2a7561be421c1fb7"},
     "prediction": {
         "residuals.csv":
             "265cbc280e681d25701d7e304b9dd16d9d76a4944d7922311d7ecdb630b37bd7"},
@@ -336,7 +336,7 @@ RECURSING_CURVES = {
     "cubes-annihilator": (_probe_config(
         {"kind": "companion", "factor": 0.9, "M": 20}, 3, 50,
         {"kind": "annihilator", "M": 20}, [50, 200, 400]),
-        "22b2952a75c6a4765608a8983443f9cf274b97e7c3b112727cdcdeab6db73bdd"),
+        "9632d81b7689d01c39f19eb9bf81b0d73c71a509e6c3fb6051f304b76e1728b0"),
     "squares-e1-c0.236": (_probe_config(
         {"kind": "exp", "c": 0.236}, 2, 100,
         {"kind": "trigpoly", "coeffs": {"1": [1.0, 0.0]}}, [100, 200, 800]),
@@ -745,7 +745,7 @@ def test_deepzero_past_k_225_writes_the_bytes_of_M_225(tmp_path):
         assert main(["run", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "manifest.json").read_text())["summary"]
         assert (summary["membership_value"], summary["membership_error"]) == (
-            16.33503096192764, 4.254465441700185e-10)
+            16.3350309619275, 2.8027534881200315e-14)
         scans.append((out / "deepzero_scan.csv").read_bytes())
     assert scans[0] == scans[1]
     assert hashlib.sha256(scans[0]).hexdigest() == (

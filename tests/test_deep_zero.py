@@ -96,10 +96,10 @@ def test_theta_sum_is_the_series_in_mpmath():
 
 @pytest.mark.parametrize("t", [0.01, 0.02, 0.05, 0.1])
 def test_theta_dual_is_the_series_in_float64(s20, t):
-    """The 28 terms z of the theta sum at t <= 0.1, a and -a paired, meet
+    """The 82 terms z of the theta sum at t <= 1/4, a and -a paired, meet
     eval_H_series within its cancellation floor, 64 eps times the sum of
     its terms' moduli; far below, S is exactly 1 and nothing underflows."""
-    assert int(np.sum(np.where(deep_zero._A > 0, 2, 1))) == 28
+    assert int(np.sum(np.where(deep_zero._A > 0, 2, 1))) == 82
     L, S = deep_zero._theta_dual(np.array([t, 1e-4, 1e-300]))
     scale = 2.0 * float(np.abs(s20.coeffs).sum())
     assert abs(-np.exp(-L[0]) * S[0] - eval_H_series(s20, t).imag) <= (
@@ -866,10 +866,11 @@ def test_decay_fit_needs_four_points_off_zero(s20):
 
 @pytest.mark.parametrize("factor", [0.9, 0.95, 0.99])
 def test_membership_converges_at_the_callers_tol(s20, monkeypatch, factor):
-    """The quadrature gets the caller's tol, 1e-13, and converges in one
-    integral over (0, 1/4] of at most 3000 evaluations.  A reference at
-    tol 1e-7 on the same integrand agrees within both error estimates, and
-    so does the value at tol 1e-8."""
+    """An exp weight's value is the sliver's closed sum plus one integral
+    over (0, 1/4], asked for the caller's tol, 1e-13, less the sum's error,
+    converging on its seed of 33 panels (495 evaluations); the error is the
+    two errors' sum.  A reference at tol 1e-7 on the same integrand agrees
+    within both error estimates, and so does the value at tol 1e-8."""
     calls = []
 
     def recording(f, a, b, tol, **kw):
@@ -881,13 +882,15 @@ def test_membership_converges_at_the_callers_tol(s20, monkeypatch, factor):
     monkeypatch.setattr(deep_zero, "integrate_finite", recording)
     w = _companion(s20, factor)
     value, err = membership_check(s20, w, 1e-13)
+    sliver, sliver_err = deep_zero._sliver(w.c)
     (a, b, tol, res, ref), = calls
-    assert (a, b, tol) == (0.0, 0.25, 1e-13)
-    assert res.converged and res.evaluations <= 3000
+    assert (a, b, tol) == (0.0, 0.25, 1e-13 - sliver_err)
+    assert res.converged and res.evaluations == 495
     assert ref.converged
     assert abs(res.value - ref.value) <= (res.abs_error_estimate
                                           + ref.abs_error_estimate)
-    assert (value, err) == (res.value.real, res.abs_error_estimate)
+    assert (value, err) == (sliver + res.value.real,
+                            res.abs_error_estimate + sliver_err)
     coarse, coarse_err = membership_check(s20, w, 1e-8)
     assert abs(value - coarse) <= err + coarse_err
 
@@ -913,6 +916,112 @@ def test_membership_is_finite_below_pi_over_8(s20):
     exact one: the integral is finite and meets mpmath's."""
     value, err = membership_check(s20, make_exp_weight(0.3), 1e-10)
     assert abs(value - _MPMATH_MEMBERSHIP[0.3]) <= err < 1e-11
+
+
+# int_0^{1/4} |H|^2 exp(c/t) dt (the sliver) and int_0^1 |H|^2 exp(c/t) dt
+# for the float64 c, by mpmath quadrature at 50 digits with |H| from the
+# theta sum over its 144 z whose terms reach e^-140 of the leading one at
+# t = 1/4, not from the pair formula: the sliver in u = 1/t over
+# [4, 260/(2 RATE - c)] split at powers of 2, the three other fold terms in t
+_MPMATH_SLIVER = {0.05: (1.8159065587835985034, 6.0997117582616404914),
+                  0.236: (10.038653098455561784, 16.335184399214562407),
+                  0.3: (29.067775845578853354, 36.309067441232979961),
+                  0.325: (54.578193395867741469, 62.234007245472150300),
+                  0.38: (1550.4028794984415453, 1559.0744815575590712),
+                  0.39: (34317.097270003217349, 34325.970353484883174)}
+
+
+@pytest.mark.parametrize("c", [0.05, 0.236, 0.3, 0.38])
+def test_sliver_is_the_mpmath_value(c):
+    """The closed pair sum over (0, 1/4] is within 1e-14 (relative) of the
+    mpmath quadrature, and within its own error."""
+    value, err = deep_zero._sliver(c)
+    ref = _MPMATH_SLIVER[c][0]
+    assert abs(value - ref) <= min(err, 1e-14 * ref)
+
+
+@pytest.mark.parametrize("c", [0.05, 0.236, 0.3, 0.38])
+def test_sliver_meets_the_quadrature_of_its_piece(s20, c):
+    """The pair sum meets the same piece integrated as membership_check
+    integrates a tabulated weight: |H| off the theta sum on (0, 0.1] and
+    off the series on (0.1, 1/4], within the two errors."""
+    def integrand(t):
+        near = t <= 0.1
+        log_abs = np.empty_like(t)
+        L, S = deep_zero._theta_dual(t[near])
+        log_abs[near] = np.log(np.abs(S)) - L
+        log_abs[~near] = np.log(np.abs(eval_H_series(s20, t[~near])))
+        return np.exp(2.0 * log_abs + c / t)
+
+    value, err = deep_zero._sliver(c)
+    res = integrate_finite(integrand, 0.0, 0.25, 1e-12 * value,
+                           points=(0.1,))
+    assert res.converged
+    assert abs(value - res.value.real) <= err + res.abs_error_estimate
+
+
+@pytest.mark.parametrize("w, points", [(make_exp_weight(0.236), 1),
+                                       (make_constant_weight(1.0), None)],
+                         ids=["exp", "constant"])
+def test_membership_reads_the_theta_sum_once_for_an_exp_weight(
+        s20, monkeypatch, w, points):
+    """An exp weight's term at t is the closed sum, so the theta sum runs
+    only at the cross-check point; a weight with c = 0 reads it on every
+    node below 0.1."""
+    seen = []
+    dual = deep_zero._theta_dual
+
+    def counting(t):
+        seen.append(t.size)
+        return dual(t)
+
+    monkeypatch.setattr(deep_zero, "_theta_dual", counting)
+    membership_check(s20, w, 1e-13)
+    assert sum(seen) == points if points else sum(seen) > 100
+
+
+def test_membership_at_c_0_3_covers_its_error(s20):
+    """c = 0.3 at tol 1e-13 (above the fitted rate, below pi/8): the value
+    is within its error of mpmath's, and the error within tol."""
+    value, err = membership_check(s20, make_exp_weight(0.3), 1e-13)
+    assert abs(value - _MPMATH_MEMBERSHIP[0.3]) <= err <= 1e-13
+
+
+@pytest.mark.parametrize("c, tol", [(0.325, 1e-13), (0.38, 1e-11),
+                                    (0.39, 1e-8)])
+def test_membership_near_pi_over_8_is_the_mpmath_value(s20, monkeypatch, c,
+                                                       tol):
+    """Near the threshold the sliver's sum costs what it costs anywhere,
+    and the quadrature of the bounded terms converges in at most 1500
+    evaluations to a total within its error of mpmath's, and within tol.
+    At tol 1e-13, c = 0.325 is just below the last c the sum's error
+    admits, 0.32525 (9.93e-14 there)."""
+    evals = []
+
+    def recording(*args, **kw):
+        res = quadrature.integrate_finite(*args, **kw)
+        evals.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(deep_zero, "integrate_finite", recording)
+    value, err = membership_check(s20, make_exp_weight(c), tol)
+    assert abs(value - _MPMATH_SLIVER[c][1]) <= err <= tol
+    assert sum(evals) <= 1500
+
+
+@pytest.mark.parametrize("c", [0.326, 0.38, 0.39])
+def test_membership_past_its_sums_rounding_raises_at_once(s20, monkeypatch,
+                                                          c):
+    """At tol 1e-13 the sum's error, 8 eps times the moduli it sums, is
+    tol or more from c = 0.32525 on (1.02e-13 at c = 0.326, 2.76e-12 at
+    0.38 and 6.10e-11 at 0.39; a float64 near 1559 is 2.3e-13 from its
+    neighbours): the check raises, naming that error, before any
+    quadrature."""
+    monkeypatch.setattr(deep_zero, "integrate_finite", None)
+    err = deep_zero._sliver(c)[1]
+    with pytest.raises(ArithmeticError,
+                       match=f"sliver's sum errs by {err:.2e}"):
+        membership_check(s20, make_exp_weight(c), 1e-13)
 
 
 def test_membership_checks_the_theta_sum_against_the_series(s20,
