@@ -241,19 +241,19 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
     half-line form; and, for q among the retained frequencies, the reduced
     form that uses the vanishing of the Cauchy transform on the set.
     The direct route gets G from one compute_G call per round of its outer
-    quadrature (integrate_finite with omega = q), and carries G's largest
-    error (times t) in its error estimate.  Besides the quarter periods of
-    q, its outer panels are seeded where G is not smooth, at points fixed
-    whatever t (those past t dropped): decades(0.05, outer tol) from G's
-    branch point 0.05 toward s = 0, and 0.02, 0.05 and 0.5.  Below
-    0.05, G turns a cycle per factor 3.5 in s, ever faster toward 0, so 0.02
-    keeps the panel under 0.05 within a cycle.  One G batch serves a check,
-    two for q = 0 past t = 0.3 (the second only above 0.05), and its nodes
-    below 0.05 are one set for all t >= 0.05 at a tol while q's quarter
-    periods keep off (0, 0.05), as for any |q| <= 2: compute_G reduces them
-    once.  A route whose quadrature does not converge raises ArithmeticError
-    naming it.  Returns a dict with the route values, their error estimates
-    and the max pairwise discrepancy.
+    quadrature, and carries G's largest error (times t) in its error estimate.
+    Its outer panels are seeded at q's quarter periods (at most 2000, a
+    fifteenth of its 30,000 evaluations) and where G is not smooth, at points
+    fixed whatever t (those past t dropped): decades(0.05, outer tol) from G's
+    branch point 0.05 toward s = 0, and 0.02, 0.05 and 0.5.  Below 0.05, G
+    turns a cycle per factor 3.5 in s, ever faster toward 0, so 0.02 keeps the
+    panel under 0.05 within a cycle.  One G batch serves a check, two for q = 0
+    past t = 0.3 (the second only above 0.05), and its nodes below 0.05 are one
+    set for all t >= 0.05 at a tol while q's quarter periods keep off
+    (0, 0.05), as for any |q| <= 2: compute_G reduces them once.  A route
+    whose quadrature does not converge raises ArithmeticError naming it.
+    Returns a dict with the route values, their error estimates and the max
+    pairwise discrepancy.
     """
     if not 0 < t <= 2:
         raise ValueError("t must lie in (0, 2]")
@@ -267,9 +267,10 @@ def convolution_identity_residual(j, q, t, tol=1e-3):
 
     direct = integrate_finite(
         lambda s: np.exp(2j * np.pi * q * (t - s)) * g_of(s), 0.0, t,
-        tol * 0.5, omega=q, max_evals=30_000,
-        points=(*decades(_S_SMALL, tol * 0.5), 0.4 * _S_SMALL, _S_SMALL,
-                10.0 * _S_SMALL))
+        tol * 0.5, max_evals=30_000, points=np.concatenate([
+            np.linspace(0.0, t, min(math.ceil(t * 4.0 * abs(q)), 2000) + 1),
+            decades(_S_SMALL, tol * 0.5),
+            [0.4 * _S_SMALL, _S_SMALL, 10.0 * _S_SMALL]]))
     require(direct, "convolution route direct")
     # (e^{2 pi i u t} - e^{2 pi i q t})/(u - q) = 2 pi i t sinc((u - q) t)
     # e^{i pi (u + q) t}, times g = i j

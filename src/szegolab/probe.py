@@ -38,7 +38,8 @@ error where an annihilator's residual reads the norm.  Every rule runs,
 recursing once at the largest N' for a curve's nested kept sets, where some
 block has data; else the last is measured for a trig norm, and none for an
 annihilator.  A zero or NaN on the diagonal of a factored block's T,
-non-finite values or a residual_error above the norm raise ArithmeticError.
+non-finite values, a residual_error above the norm or a residual above a
+smaller nested set's beyond both errors raise ArithmeticError.
 """
 
 import functools
@@ -310,6 +311,10 @@ def _residuals(target, kept_sets, w, tol, coefficients=False):
             raise ArithmeticError(
                 f"residual {res:.3e} +- {error:.3e} against the target norm "
                 f"{norm:.3e} at {size} frequencies")
+        if out and res - error > sum(out[-1]):      # nested spans: d_N falls
+            raise ArithmeticError(
+                f"residual {res:.7g} +- {error:.1e} at {size} frequencies is "
+                f"above {out[-1][0]:.7g} +- {out[-1][1]:.1e} at the prior set")
         out.append((res, error))
     if not coefficients:
         return norm, out, None

@@ -131,27 +131,21 @@ def decades(scale, floor):
     return [d for d in (scale * 10.0 ** -k for k in range(1, 9)) if d >= floor]
 
 
-def integrate_finite(f, a, b, tol, omega=0.0, points=(), max_evals=_MAX_EVALS):
+def integrate_finite(f, a, b, tol, points=(), max_evals=_MAX_EVALS):
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
-    The seed mesh has equal panels no wider than a quarter period of
-    ``omega``, the dominant frequency of an oscillatory f in cycles per
-    unit (one panel when omega is 0, at most max_evals/15), and breakpoints
-    at the ``points`` inside (a, b), where f is only piecewise smooth (the
-    decades toward a singular end, say).  Adaptivity then halves each panel
-    wider than the width floor whose error is above its share of tol, and
-    stops when none is left, or once past max_evals integrand evaluations.
+    The seed mesh is [a, b] broken at the ``points`` inside it, where f is
+    only piecewise smooth (decades toward a singular end) or oscillates (a
+    caller's quarter periods).  Adaptivity then halves each panel wider than
+    the width floor whose error is above its share of tol, and stops when
+    none is left, or once past max_evals integrand evaluations.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    width = b - a
-    quarters = int(np.ceil(width * 4.0 * abs(omega)))
-    pts = [p for p in points if a < p < b]
-    seeds = np.linspace(a, b, max(min(quarters, max_evals // 15), 1) + 1)
-    edges = _distinct(np.concatenate([seeds, pts]))
+    edges = _distinct(np.clip(np.concatenate([[a, b], points]), a, b))
     lo, hi = edges[:-1], edges[1:]
     val, err, evals = _eval_panels(f, lo, hi)
-    min_width = 1e-14 * max(width, abs(b), abs(a))
+    min_width = 1e-14 * max(b - a, abs(b), abs(a))
 
     for _ in range(_MAX_ROUNDS):
         if err.sum() <= tol or evals >= max_evals:

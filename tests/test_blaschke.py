@@ -233,6 +233,53 @@ def test_convolution_two_routes_quick(jump):
     assert out["max_discrepancy"] < 1e-3
 
 
+# convolution_identity_residual(jump, q, t, 1e-3) as (max_discrepancy,
+# {route: (value real, value imag, error estimate)}), recorded when
+# integrate_finite seeded the direct route's quarter periods itself: the
+# route now passes them as points, and its mesh, so every bit, is the same
+DIRECT_ROUTE_PINS = {
+    (1, 0.25): (7.354483747641107e-08, {
+        "direct": (0.00010090101244768126, 0.006301640972693981,
+                   6.135033914527294e-05),
+        "difference_form": (0.00010090316814139349, 0.0063015716750234865,
+                            4.301725438008416e-05),
+        "reduced": (0.0001009031681413932, 0.00630156745945637,
+                    4.244933068784104e-05)}),
+    (0, 1.0): (9.484432019920338e-08, {
+        "direct": (-0.011505100129690374, 0.005076368001890803,
+                   0.000139865727502766),
+        "difference_form": (-0.011505093797600402, 0.0050762733691812854,
+                            4.433613895940998e-05)}),
+    (-3, 0.51): (1.1307001058267499e-07, {
+        "direct": (-0.02128223802115093, 0.037220592376166754,
+                   3.8103703161849775e-05),
+        "difference_form": (-0.02128232304623441, 0.037220517840521106,
+                            4.771487674894462e-05)}),
+    (7.3, 0.03): (1.2713212196490922e-07, {
+        "direct": (2.697499504969463e-05, -0.00013616403064921389,
+                   1.1536192302926783e-05),
+        "difference_form": (2.6886228120449088e-05, -0.0001362550416853997,
+                            5.552819470873698e-06)}),
+    (2, 1.7): (9.722240978807005e-08, {
+        "direct": (0.0007227587301159191, 0.0006333430232339231,
+                   0.00010559628790443313),
+        "difference_form": (0.0007227598105969408, 0.0006334402396395641,
+                            8.708529117125117e-05)}),
+}
+
+
+@pytest.mark.parametrize("q, t", list(DIRECT_ROUTE_PINS))
+def test_convolution_routes_keep_their_bits(jump, q, t):
+    """The direct route's seed, q's quarter periods capped at 2000 beside
+    the decades and G's fixed points, gives the pinned values, error
+    estimates and discrepancy exactly, the other routes too."""
+    disc, routes = DIRECT_ROUTE_PINS[q, t]
+    out = convolution_identity_residual(jump, q, t, 1e-3)
+    assert {k: (v.real, v.imag, out["error_estimates"][k])
+            for k, v in out["values"].items()} == routes
+    assert out["max_discrepancy"] == disc
+
+
 def _G_per_s(j, s, tol):
     """compute_G's route before batching, one adaptive quadrature per s on
     the same interval, with the same tail and integration-by-parts terms."""
@@ -240,12 +287,13 @@ def _G_per_s(j, s, tol):
         T = 4.0e4
         res = integrate_finite(
             lambda u: 1j * j(u) * np.exp(2j * np.pi * s * u), -T, 0.0, tol,
-            omega=s)
+            points=np.linspace(-T, 0.0, math.ceil(T * 4.0 * abs(s)) + 1))
         tail = 2.0 * (1 / (1 + T) - 1 / (1 + T) ** 2 + 1 / (3 * (1 + T) ** 3))
         return res.value, res.abs_error_estimate + tail, res.converged
     T = 200.0
     res = integrate_finite(lambda u: 1j * j(u) * np.exp(2j * np.pi * s * u),
-                           -T, 0.0, tol, omega=s)
+                           -T, 0.0, tol, points=np.linspace(
+                               -T, 0.0, math.ceil(T * 4.0 * abs(s)) + 1))
     c = 2j * np.pi * s
     h = 1e-3
     g0, gm, gp = 1j * j(np.array([-T, -T - h, -T + h]))

@@ -1079,6 +1079,35 @@ def test_probe_error_above_the_norm_exits_3(tmp_path, capsys, monkeypatch):
     assert not (out / "residuals.csv").exists()
 
 
+# e_1 against exp(-0.6/t), every square removed: past N = 4000 the solve
+# loses digits faster than residual_error shows, and the distance to a
+# larger span reads larger (ROADMAP item 24)
+RISING_CONFIG = {"kind": "probe", "weight": {"kind": "exp", "c": 0.6},
+                 "gamma": {"generator": "power", "rho": 2, "count": 90},
+                 "target": {"kind": "trigpoly", "coeffs": {"1": 1}},
+                 "N_list": [3200, 4000, 4800], "tol": 1e-12}
+
+
+def test_probe_curve_rising_past_both_errors_exits_3(tmp_path, capsys):
+    """Nested spans only bring the target nearer, so a residual above the
+    prior set's by more than both errors is a numeric failure: the run
+    exits 3 naming both (N = 4800 keeps 4731 frequencies), marks its
+    manifest failed and writes no residuals."""
+    cfg = _write(tmp_path, "rising.json", RISING_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    found = re.search(
+        r"numeric failure: residual (\S+) \+- (\S+) at 4731 frequencies is "
+        r"above (\S+) \+- (\S+) at the prior set$",
+        capsys.readouterr().err, re.MULTILINE)
+    assert found
+    res, error, prior, prior_error = map(float, found.groups())
+    assert res - error > prior + prior_error
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert not (out / "residuals.csv").exists()
+
+
 def test_manifest_written_before_data(tmp_path):
     # a failing run still leaves a manifest behind
     cfg = _write(tmp_path, "c.json", {

@@ -507,8 +507,8 @@ def test_H_integral_matches_the_quarter_period_route(t):
     X = deep_zero._h_cut(1e-8)
     ref = integrate_finite(
         lambda x: np.sin(np.pi * (1.0 - 2.0 * t) * x) * _sin_over_FF(x),
-        0.0, X, 0.5 * (1e-8 - deep_zero._h_abs_tail(X)),
-        omega=max(abs(t), abs(1.0 - t)))
+        0.0, X, 0.5 * (1e-8 - deep_zero._h_abs_tail(X)), points=np.linspace(
+            0.0, X, math.ceil(X * 4.0 * max(abs(t), abs(1.0 - t))) + 1))
     assert ref.converged and res.converged
     assert abs(res.value - (-2j * ref.value.real)) <= 1e-11
 

@@ -63,7 +63,8 @@ def test_fourier_coeff_conjugate_symmetry():
 
 def _per_lag(w, k, tol):
     return integrate_finite(lambda t: w(t) * np.exp(-2j * np.pi * k * t),
-                            0.0, 1.0, tol, omega=k)
+                            0.0, 1.0, tol,
+                            points=np.linspace(0.0, 1.0, 4 * abs(k) + 1))
 
 
 @pytest.mark.parametrize("K", [0, 1, 17, 799])
@@ -946,7 +947,8 @@ def test_annihilator_inner_products(s20):
     for m, value in zip(ms, b):
         res = integrate_finite(
             lambda t: eval_H_series(s20, t) * np.exp(-2j * np.pi * m * t),
-            0.0, 1.0, 1e-9, omega=max(top, abs(m)))
+            0.0, 1.0, 1e-9, points=np.linspace(
+                0.0, 1.0, math.ceil(4.0 * max(top, abs(m))) + 1))
         assert res.converged
         assert abs(value - res.value) < 1e-7
     assert b[0] == 0.0                  # no frequency-2 component
