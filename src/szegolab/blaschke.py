@@ -4,9 +4,9 @@ Cauchy representation, and the convolution identities used downstream.
 
 The product is truncated to the K smallest stored frequencies; the
 truncated object is exact for that finite set (all identities hold for it
-by the same residue argument), and the dropped-factor log bound is carried
-separately.  On the slit every dropped factor is unimodular, so boundary
-moduli carry no truncation error at all.
+by the same residue argument), and the dropped-factor log bound lives in
+BlaschkeAnnihilator.tail_bound alone.  On the slit every dropped factor is
+unimodular, so boundary moduli carry no truncation error at all.
 """
 
 import math
@@ -111,25 +111,18 @@ class JumpFunction:
 
 
 def eval_phi(ann, z):
-    """phi at points of the slit plane, from the sum of log((1-r)/(1+r)),
-    r = sqrt(z/g), over the retained g; where some 1 - r is 0, phi is 0.
-
-    Returns (values, multiplicative_error_bound): exp(tail) - 1, or inf
-    past 709, for the dropped-factor tail at the largest |z| queried.
-    """
-    scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    """phi of the retained product at points of the slit plane, in z's
+    shape, from the sum of log((1-r)/(1+r)), r = sqrt(z/g), over the
+    retained g; where some 1 - r is 0, phi is 0."""
+    z = np.asarray(z, dtype=np.complex128)
     if np.any((z.imag == 0) & (z.real <= 0)):
         raise ValueError("phi is evaluated off the cut (-inf, 0]; "
                          "use eval_phi_boundary on the slit")
     pref = z * z / (1.0 + np.sqrt(z)) ** 8
-    r = np.sqrt(z[:, None] / ann.retained)
+    r = np.sqrt(z[..., None] / ann.retained)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log((1.0 - r) / (1.0 + r)).sum(axis=1)
-    vals = pref * np.exp(logs)
-    tail = ann.tail_bound(float(np.max(np.abs(z))))
-    bound = math.expm1(tail) if tail <= 709.0 else math.inf
-    return (vals[0] if scalar else vals), bound
+        logs = np.log((1.0 - r) / (1.0 + r)).sum(axis=-1)
+    return (pref * np.exp(logs))[()]
 
 
 def eval_phi_boundary(ann, t):
@@ -170,7 +163,7 @@ def cauchy_identity_residual(ann, j, z, tol=1e-6):
     z = complex(z)
     if abs(z) > 1e3:
         raise ValueError("identity is checked at moderate |z| (<= 1e3)")
-    phi_val, _ = eval_phi(ann, z)
+    phi_val = eval_phi(ann, z)
     res = integrate_left_halfline(lambda u: 1j * j(u) / (u - z), tol)
     require(res, f"Cauchy integral of g at z={z}")
     cauchy = res.value / (2j * np.pi)

@@ -33,6 +33,9 @@ _DUAL_T = 0.1          # largest t at which membership_check reads theta sums
 _A, _B, _SIGN = np.array([(a, b, (-1) ** a * (2 - (a == 0)))
     for b in range(1, 32) for a in range(b) if (a + b) % 2 and math.hypot(a, b)
     * math.exp(-4.0 * RATE * (b * b - a * a - 1)) > 2 ** -60]).T
+# those whose terms reach 2^-60 at t = _DUAL_T, the rows _theta_dual reads: 15
+_DA, _DB, _DSIGN = np.array([_A, _B, _SIGN])[:, np.hypot(_A, _B) * np.exp(
+    -(RATE / _DUAL_T) * (_B * _B - _A * _A - 1)) > 2 ** -60]
 
 
 def _cmul(a, b):
@@ -217,9 +220,9 @@ def _theta_dual(t):
     term z = i, and S = 1 + O(e^{-2x}) sums the terms relative to it,
     so nothing underflows."""
     x = RATE / t[:, None]
-    ph = 2.0 * _A * _B * x
-    S = _SIGN * np.exp(
-        -(_B * _B - _A * _A - 1.0) * x) * (_B * np.cos(ph) + _A * np.sin(ph))
+    ph = 2.0 * _DA * _DB * x
+    S = _DSIGN * np.exp(-(_DB * _DB - _DA * _DA - 1.0) * x) * (
+        _DB * np.cos(ph) + _DA * np.sin(ph))
     return x[:, 0] + 1.5 * np.log(t) + math.log(2.0), S.sum(axis=1)
 
 

@@ -43,40 +43,35 @@ def test_vanishes_on_retained(ann):
     """phi is 0 at a retained g, where the log of its factor is -inf.  At
     729 numpy's complex division rounds r = sqrt(z/g) to 1 - 1.1e-16, so
     the factor is not 0 and phi is 1.27e-35."""
-    vals, bound = eval_phi(ann, np.array([1.0 + 0j, 8.0 + 0j, 27.0 + 0j]))
+    vals = eval_phi(ann, np.array([1.0 + 0j, 8.0 + 0j, 27.0 + 0j]))
     assert np.all(vals == 0)
-    assert bound == 0.0  # full product retained
-    vals, _ = eval_phi(ann, ann.retained[:10].astype(np.complex128))
+    vals = eval_phi(ann, ann.retained[:10].astype(np.complex128))
     expected = np.zeros(10, dtype=np.complex128)
     expected[8] = 1.2711911422643006e-35 - 1.2454081307827547e-50j
     assert np.all(vals == expected)
 
 
-def test_error_bound_is_inf_where_its_exp_overflows():
+def test_empty_product_is_the_prefactor_past_exps_range():
     """K = 0 of the block [1, 50001] drops a tail 2 sqrt|z| sum g^(-1/2)
-    near 893 at |z| = 1, past exp's range: the bound is inf, and the values,
-    the prefactor alone, are still returned; a tail below 709 keeps
-    exp(tail) - 1."""
+    near 893 at |z| = 1, past exp's range, and 0.89 at |z| = 1e-6; the
+    product keeps no factor, so phi is the prefactor alone."""
     ann = BlaschkeAnnihilator(gen_interval_blocks([1], [50000]), K=0)
     z = np.array([1j, 2.0 + 0j])
     assert ann.tail_bound(2.0) > ann.tail_bound(1.0) > 709
-    vals, bound = eval_phi(ann, z)
-    assert bound == math.inf
-    assert np.array_equal(vals, z * z / (1.0 + np.sqrt(z)) ** 8)
+    assert np.array_equal(eval_phi(ann, z), z * z / (1.0 + np.sqrt(z)) ** 8)
     assert ann.tail_bound(1e-6) < 709
-    assert eval_phi(ann, 1e-6j)[1] == math.expm1(ann.tail_bound(1e-6))
 
 
 def test_conjugate_symmetry(ann):
     z = 1.0 + 1.0j
-    v1, _ = eval_phi(ann, z)
-    v2, _ = eval_phi(ann, np.conj(z))
+    v1 = eval_phi(ann, z)
+    v2 = eval_phi(ann, np.conj(z))
     assert abs(v1 - np.conj(v2)) < 1e-12 * abs(v1)
 
 
 def test_modulus_below_blaschke_prefactor(ann):
     for z in (1j, 1 + 1j, -2 + 0.5j, 3 - 2j):
-        v, _ = eval_phi(ann, z)
+        v = eval_phi(ann, z)
         pref = abs(z ** 2 / (1 + np.sqrt(complex(z))) ** 8)
         assert abs(v) <= pref * (1 + 1e-12)
 
@@ -90,7 +85,7 @@ def test_boundary_matches_interior_limit(ann):
     # phi_+ is the limit of phi from the upper side
     t = -2.0
     bv = eval_phi_boundary(ann, t)
-    inner, _ = eval_phi(ann, t + 1e-9j)
+    inner = eval_phi(ann, t + 1e-9j)
     assert abs(bv - inner) < 1e-6 * abs(bv)
 
 
@@ -108,12 +103,16 @@ def test_boundary_zero_at_origin(ann):
 
 
 def test_scalar_only_for_a_scalar_argument(ann):
-    """A 0-d argument gives a scalar, a one-element array an array."""
+    """A 0-d argument gives a scalar, a one-element array an array; phi
+    keeps a 2-d z's shape, each value the one a 1-d call gives."""
     assert np.ndim(eval_phi_boundary(ann, -1.0)) == 0
     assert eval_phi_boundary(ann, np.array([-1.0])).shape == (1,)
-    assert np.ndim(eval_phi(ann, 1j)[0]) == 0
-    vals, _ = eval_phi(ann, np.array([1j]))
-    assert vals.shape == (1,)
+    assert np.ndim(eval_phi(ann, 1j)) == 0
+    assert eval_phi(ann, np.array([1j])).shape == (1,)
+    z = np.array([[1j, 1 + 1j, -2 + 0.5j], [3 - 2j, 0.5 + 0j, 27.0 + 0j]])
+    vals = eval_phi(ann, z)
+    assert vals.shape == (2, 3)
+    assert np.array_equal(vals, [eval_phi(ann, row) for row in z])
 
 
 def test_jump_support_and_purity(ann, jump):
@@ -159,9 +158,8 @@ def test_off_set_residual_is_the_product_value(ann, jump, q):
     the two routes share no quadrature.  Criterion 3's control point is
     q=2, where 2 pi |phi(2)| is 7.69e-5."""
     resid, err = gamma_vanishing_residual(jump, q, 1e-8)
-    phi, bound = eval_phi(ann, q)
-    expected = 2.0 * np.pi * abs(phi)
-    assert abs(resid - expected) <= err + expected * bound
+    expected = 2.0 * np.pi * abs(eval_phi(ann, q))
+    assert abs(resid - expected) <= err
 
 
 def test_annihilator_K_defaults_to_the_whole_set():
@@ -194,7 +192,7 @@ def test_cauchy_identity_sampled(ann, jump):
 def test_large_z_decay(ann):
     # |z^2 phi(z)| climbs monotonically toward 1 once |z| clears the
     # largest product zero, so |phi(z)| = O(|z|^-2) with constant <= 1
-    scaled = [abs(eval_phi(ann, R * 1j)[0]) * R ** 2
+    scaled = [abs(eval_phi(ann, R * 1j)) * R ** 2
               for R in (1e9, 1e10, 1e11)]
     assert scaled[0] < scaled[1] < scaled[2] <= 1.0
     assert scaled[2] > 0.9
@@ -754,7 +752,7 @@ def test_tail_bound_truncation(cubes):
 
 def test_exact_zero_marker():
     ann = BlaschkeAnnihilator(FrequencySet((4.0, 9.0)))
-    val, _ = eval_phi(ann, np.array([4.0 + 0j]))
+    val = eval_phi(ann, np.array([4.0 + 0j]))
     assert val[0] == 0.0
 
 

@@ -1088,18 +1088,25 @@ RISING_CONFIG = {"kind": "probe", "weight": {"kind": "exp", "c": 0.6},
                  "N_list": [3200, 4000, 4800], "tol": 1e-12}
 
 
-def test_probe_curve_rising_past_both_errors_exits_3(tmp_path, capsys):
+def test_probe_curve_rising_past_both_errors_exits_3(tmp_path):
     """Nested spans only bring the target nearer, so a residual above the
     prior set's by more than both errors is a numeric failure: the run
     exits 3 naming both (N = 4800 keeps 4731 frequencies), marks its
-    manifest failed and writes no residuals."""
-    cfg = _write(tmp_path, "rising.json", RISING_CONFIG)
+    manifest failed and writes no residuals.  It runs in a child process
+    with one BLAS/OpenMP thread, as the QR solves' time and digits at this
+    N depend on the thread count."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     out = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(out)]) == 3
+    run = subprocess.run(
+        [sys.executable, "-m", "szegolab.cli", "run",
+         _write(tmp_path, "rising.json", RISING_CONFIG), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 3
     found = re.search(
         r"numeric failure: residual (\S+) \+- (\S+) at 4731 frequencies is "
-        r"above (\S+) \+- (\S+) at the prior set$",
-        capsys.readouterr().err, re.MULTILINE)
+        r"above (\S+) \+- (\S+) at the prior set$", run.stderr, re.MULTILINE)
     assert found
     res, error, prior, prior_error = map(float, found.groups())
     assert res - error > prior + prior_error

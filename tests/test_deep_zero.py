@@ -107,6 +107,21 @@ def test_theta_dual_is_the_series_in_float64(s20, t):
     assert S[1:].tolist() == [1.0, 1.0] and np.all(np.isfinite(L))
 
 
+def test_theta_dual_reads_the_rows_that_reach_2_to_the_minus_60_at_0_1():
+    """_theta_dual reads the 15 rows of the table whose terms reach 2^-60
+    of the leading one at t = 0.1, the largest t it serves, and meets the
+    sum over all 43 within 4 eps relative; L is the same."""
+    A, B, sign = deep_zero._A, deep_zero._B, deep_zero._SIGN
+    assert (A.size, deep_zero._DA.size) == (43, 15)
+    t = np.array([0.01, 0.05, 0.1])
+    x = deep_zero.RATE / t[:, None]
+    S_all = (sign * np.exp(-(B * B - A * A - 1.0) * x) * (
+        B * np.cos(2.0 * A * B * x) + A * np.sin(2.0 * A * B * x))).sum(axis=1)
+    L, S = deep_zero._theta_dual(t)
+    assert np.array_equal(L, x[:, 0] + 1.5 * np.log(t) + math.log(2.0))
+    assert np.all(np.abs(S - S_all) <= 4 * np.finfo(np.float64).eps * S_all)
+
+
 def test_h_offset_consistency():
     for m in (0, 1, 2):
         n0 = (2 * m + 1) ** 2
