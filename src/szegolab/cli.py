@@ -7,9 +7,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 tolerance failure.
 `validate` runs the build step of `run`, which reads every config field and
-builds the run's objects before anything is written.  A manifest is written
-(status "incomplete") before any data file and finalized with sha256
-digests, so interrupted runs are identifiable.
+builds the run's objects before anything is written.  Only the blaschke,
+deepzero and probe kinds read `tol`, the absolute tolerance of the run's
+integrals.  A manifest (status "incomplete") precedes any data file and is
+finalized with sha256 digests, so interrupted runs are identifiable.
 """
 
 import argparse
@@ -276,7 +277,7 @@ def _target(spec):
     return TrigPolyTarget(amplitudes)
 
 
-def _build_sets(cfg, tol, summary):
+def _build_sets(cfg, summary):
     fset = _frequency_set(cfg.section("gamma"))
     report = _make("gamma", sqrt_sum_diagnostic, fset)
     cb = cfg.section("condition_B", None)
@@ -284,8 +285,8 @@ def _build_sets(cfg, tol, summary):
         return partial(_run_sets, fset, report, None)
     C = cb.get("C", _real, **_POSITIVE)
     x_grid = cb.get("x_grid", _each(_real),
-                    ok=lambda xs: all(x > math.e for x in xs),
-                    need="a list of numbers above e")
+                    ok=lambda xs: xs and all(x > math.e for x in xs),
+                    need="a non-empty list of numbers above e")
     thinned = None
     if cb.get("thin", _flag, False):
         thinned = _make(cb.field("thin"), thin_to_condition_B, fset, C)
@@ -312,7 +313,7 @@ def _run_sets(fset, report, condition_B, out, summary):
     return files, True
 
 
-def _build_weights(cfg, tol, summary):
+def _build_weights(cfg, summary):
     return partial(_run_weights, _weight(cfg.section("weight"), summary))
 
 
@@ -325,7 +326,7 @@ def _run_weights(weight, out, summary):
                        report.log_integral_values)], True
 
 
-def _build_blaschke(cfg, tol, summary):
+def _build_blaschke(cfg, summary):
     gamma = _frequency_set(cfg.section("gamma"))
     K = cfg.get("K", _integer, len(gamma), ok=lambda k: 0 <= k <= len(gamma),
                 need=f"an integer in [0, {len(gamma)}]")
@@ -340,9 +341,10 @@ def _build_blaschke(cfg, tol, summary):
                        need="a list of [re, im] points off the cut "
                             "(-inf, 0] with |z| <= 1000")
     identity_tol = cfg.get("identity_tol", _real, 1e-4, **_POSITIVE)
+    summary["tolerance"] = tol = cfg.get("tol", _real, 1e-8, **_POSITIVE)
     return partial(_run_blaschke, jump,
                    np.sort(np.asarray(t_scan, dtype=np.float64)), z_points,
-                   identity_tol, min(tol, 1e-6))
+                   identity_tol, tol)
 
 
 def _run_blaschke(j, t_scan, z_points, identity_tol, cauchy_tol, out,
@@ -364,7 +366,7 @@ def _run_blaschke(j, t_scan, z_points, identity_tol, cauchy_tol, out,
     return files, summary["identity_passed"]
 
 
-def _build_deepzero(cfg, tol, summary):
+def _build_deepzero(cfg, summary):
     series = _series(cfg)
     t_min = cfg.get("t_min", _real, 0.02, ok=lambda t: 0 < t < 1,
                     need="a number in (0, 1)")
@@ -378,6 +380,7 @@ def _build_deepzero(cfg, tol, summary):
     if cfg.get("membership", _flag, False):
         weight = _make("membership", _companion, series, _COMPANION_FACTOR,
                        summary)
+    summary["tolerance"] = tol = cfg.get("tol", _real, 1e-8, **_POSITIVE)
     return partial(_run_deepzero, series, t_grid, weight, tol)
 
 
@@ -402,7 +405,7 @@ def _run_deepzero(series, t_grid, weight, membership_tol, out, summary):
     return files, ok
 
 
-def _build_probe(cfg, tol, summary):
+def _build_probe(cfg, summary):
     weight = _weight(cfg.section("weight"), summary)
     gamma = _frequency_set(cfg.section("gamma"))
     _make("gamma", complement_in_range, gamma, 1)   # gamma holds integers
@@ -411,8 +414,8 @@ def _build_probe(cfg, tol, summary):
                      ok=lambda ns: ns and 1 <= ns[0] and ns[-1] <= _MAX_SIZE
                      and all(a < b for a, b in zip(ns, ns[1:])),
                      need=f"a non-empty increasing list in [1, {_MAX_SIZE}]")
-    config = ProbeConfig(weight=weight, gamma=gamma, target=target,
-                         tol=min(tol, 1e-10))
+    summary["tolerance"] = tol = cfg.get("tol", _real, 1e-10, **_POSITIVE)
+    config = ProbeConfig(weight=weight, gamma=gamma, target=target, tol=tol)
     return partial(_run_probe, config, N_list)
 
 
@@ -439,22 +442,21 @@ def _build_experiment(config):
     """Read every field of a parsed config once, with its default,
     conversion and range, and build the objects its run needs.
 
-    Returns (tol, run, summary): run(out, summary) writes the artifacts to
-    the directory out and returns ([their paths], within_tol); summary holds
-    what the build has found already.  Raises ConfigError naming the first
-    field that is missing, mistyped or out of range, or every field that
-    the build of its kind does not read.
+    Returns (run, summary): run(out, summary) writes the artifacts to the
+    directory out and returns ([their paths], within_tol); summary holds
+    what the build found, the "tolerance" of a kind that integrates among it.
+    Raises ConfigError naming the first field that is missing, mistyped or
+    out of range, or every field that the build of its kind does not read.
     """
     cfg = _Spec(config, "")
     kind = cfg.get("kind", str, **_one_of(*_BUILDERS))
-    tol = cfg.get("tol", _real, 1e-8, **_POSITIVE)
     summary = {}
-    run = _BUILDERS[kind](cfg, tol, summary)
+    run = _BUILDERS[kind](cfg, summary)
     unread = list(cfg.unread())
     if unread:
         raise ConfigError(f"unknown field {', '.join(unread)} "
                           f"in a {kind} config")
-    return tol, run, summary
+    return run, summary
 
 
 def _build_file(config_path):
@@ -484,13 +486,13 @@ def run_experiment(config_path, out_dir):
     built = _build_file(config_path)
     if built is None:
         return EXIT_CONFIG
-    config, (tol, run, summary) = built
+    config, (run, summary) = built
 
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     manifest = {"kind": config["kind"], "parameters": config,
-                "version": __version__, "tolerance": tol,
-                "status": "incomplete", "outputs": {}, "summary": {}}
+                "version": __version__, "status": "incomplete",
+                "outputs": {}, "summary": {}}
     try:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(manifest_path, manifest)
@@ -546,6 +548,8 @@ def _report_lines(manifest):
             value = json.dumps(value)      # true, false, null, an integer
         lines.append(f"{key}: {value}")
     for name, digest in sorted(outputs.items()):
+        if not isinstance(digest, str):
+            raise TypeError(f"output {name}: digest {digest!r} not a string")
         lines.append(f"output {name} sha256={digest[:16]}...")
     return lines
 

@@ -96,7 +96,7 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
      "target.coeffs key must be an integer of size at most 100000"),
     ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {"2": 1}},
       "N_list": [10, "abc"]}, "N_list"),
-    ({**SETS_CONFIG, "tol": "abc"}, "tol"),
+    ({**DEEPZERO_CONFIG, "tol": "abc"}, "tol"),
     ({**DEEPZERO_CONFIG, "t_min": "abc"}, "t_min"),
     ({**WEIGHTS_CONFIG, "weight": 1.0}, "weight"),
     ({**BLASCHKE_CONFIG, "gamma": POWER_SQUARES}, "gamma"),
@@ -147,8 +147,8 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
                                 "count": 10.9}}, "gamma.count"),
     ({"kind": "sets", "gamma": {"generator": "power", "rho": "3",
                                 "count": 10}}, "gamma.rho"),
-    ({**SETS_CONFIG, "tol": "1e-8"}, "tol"),
-    ({**SETS_CONFIG, "tol": True}, "tol"),
+    ({**DEEPZERO_CONFIG, "tol": "1e-8"}, "tol"),
+    ({**DEEPZERO_CONFIG, "tol": True}, "tol"),
     ({**PROBE_CONFIG, "target": {"kind": "annihilator", "M": True}},
      "target.M"),
     ({**DEEPZERO_CONFIG, "k_min": 1.0}, "k_min"),
@@ -194,6 +194,9 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
       "N_list": 50}, "N_list"),
     ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {}}},
      "target.coeffs"),
+    # a check of no points would pass
+    ({"kind": "sets", "gamma": POWER_SQUARES,
+      "condition_B": {"C": 3.0, "x_grid": []}}, "condition_B.x_grid"),
 ], ids=["rho-not-a-number", "top-level-list", "trigpoly-without-coeffs",
         "coeff-key", "coeff-keys-03", "coeff-keys-+3", "coeff-key-past-cap",
         "N_list-entry", "tol",
@@ -215,7 +218,7 @@ POWER_SQUARES = {"generator": "power", "rho": 2, "count": 100}
         "blocks-length-fraction", "blocks-length-negative",
         "amplitude-empty", "amplitude-one-part", "amplitude-three-parts",
         "tabulated-abscissa-twice", "probe-gamma-fractions",
-        "N_list-not-a-list", "coeffs-empty"])
+        "N_list-not-a-list", "coeffs-empty", "x_grid-empty"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, config, field,
                                             command):
@@ -360,6 +363,38 @@ def test_recursing_probe_curves_keep_their_digests(tmp_path):
         assert run.returncode == 0, run.stderr
         data = (out / "residuals.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_tol_is_the_tolerance_the_integrals_get(tmp_path, monkeypatch):
+    """A config's tol reaches its integrals unchanged, neither finer nor
+    coarser, and the summary records it: the probe's annihilator norm and
+    blaschke's Cauchy integrals.  At tol 1e-3 the Cauchy residuals miss
+    identity_tol, so that run exits 3."""
+    asked = []
+
+    def spy(integrate):
+        def call(*args):
+            asked.append(args[-1])
+            return integrate(*args)
+        return call
+
+    monkeypatch.setattr(probe, "membership_check",
+                        spy(probe.membership_check))
+    monkeypatch.setattr(cli, "cauchy_identity_residual",
+                        spy(cli.cauchy_identity_residual))
+    for config, tol, code in (
+            ({"kind": "probe", "weight": {"kind": "exp", "c": 0.3},
+              "gamma": {"generator": "power", "rho": 2, "count": 30},
+              "target": {"kind": "annihilator", "M": 20},
+              "N_list": [10, 20], "tol": 1e-8}, 1e-8, 0),
+            ({**BLASCHKE_CONFIG, "tol": 1e-3}, 1e-3, 3)):
+        asked.clear()
+        cfg = _write(tmp_path, "c.json", config)
+        out = tmp_path / config["kind"]
+        assert main(["run", cfg, "--out", str(out)]) == code
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert asked and set(asked) == {tol}
+        assert summary["tolerance"] == tol
 
 
 def test_identity_tolerance_miss_exits_3_complete(tmp_path, capsys):
@@ -610,7 +645,9 @@ def test_runtime_imports_no_test_oracle():
     b'{"kind": "sets", "summary": {"verdict": "\xff"}}',
     b'{"kind": "sets", "outputs": {"set.txt": 5}}',
     b'{"kind": "deepzero", "summary": {"c2": [1.0]}}',
-], ids=["list", "outputs-list", "not-utf8", "digest-number", "nested-value"])
+    b'{"kind": "sets", "outputs": {"x": [1, 2]}}',
+], ids=["list", "outputs-list", "not-utf8", "digest-number", "nested-value",
+        "digest-list"])
 def test_report_malformed_manifest_exits_2(tmp_path, capsys, content):
     path = tmp_path / "manifest.json"
     path.write_bytes(content)
@@ -845,8 +882,12 @@ def test_unconverged_membership_exits_3(tmp_path, capsys, monkeypatch):
                                 "elements": [1, 2]}}, "gamma.elements"),
     ({**WEIGHTS_CONFIG, "grid_size": 64}, "grid_size"),
     ({**PROBE_CONFIG, "floor": 0}, "floor"),
+    # only the kinds that integrate read tol
+    ({**SETS_CONFIG, "tol": 1e-8}, "tol"),
+    ({**WEIGHTS_CONFIG, "tol": 1e-8}, "tol"),
 ], ids=["misspelled-flag", "field-of-another-weight-kind",
-        "field-of-another-generator", "removed-field", "removed-floor"])
+        "field-of-another-generator", "removed-field", "removed-floor",
+        "sets-tol", "weights-tol"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_unread_field_exits_2_naming_it(tmp_path, capsys, config, field,
                                         command):
