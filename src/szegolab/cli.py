@@ -1,26 +1,26 @@
 """Experiment runner: JSON configs in, CSV/JSON artifacts + manifest out.
 
-Subcommands:
+main(argv) takes argv (sys.argv[1:] if None) in one of three forms,
   szego-lab run <config.json> --out <dir>
   szego-lab validate <config.json>
   szego-lab report <manifest.json>
-
-Exit codes: 0 success, 2 configuration error, 3 tolerance failure.
-`validate` runs the build step of `run`, which reads every config field and
-builds the run's objects before anything is written.  Only the blaschke,
-deepzero and probe kinds read `tol`, the absolute tolerance of the run's
-integrals.  A manifest (status "incomplete") precedes any data file and is
-finalized with sha256 digests, so interrupted runs are identifiable.
+or -h / --help alone for the usage line, and returns the exit code: 0
+success, 2 a configuration error or any other argv (usage on stderr), 3 a
+tolerance failure.  `validate` runs the build step of `run`, which reads
+every config field and builds the run's objects before anything is written.
+Only the blaschke, deepzero and probe kinds read `tol`, the absolute
+tolerance of the run's integrals; the summary records it where one ran.  A
+manifest (status "incomplete") precedes any data file and is finalized with
+sha256 digests, so interrupted runs are identifiable.
 """
 
-import argparse
 import hashlib
 import json
 import math
 import sys
 import time
 from contextlib import suppress
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,8 @@ from .weights import (make_constant_weight, make_exp_weight,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
+_USAGE = ("usage: szego-lab run <config> --out <dir> | validate <config> | "
+         "report <manifest>")
 
 _COMPANION_FACTOR = 0.9   # default weight.factor; deepzero membership uses it
 _MAX_SIZE = 100_000   # cap on count, blocks' length, points, N, |frequency|
@@ -347,23 +349,22 @@ def _build_blaschke(cfg, summary):
                    identity_tol, tol)
 
 
-def _run_blaschke(j, t_scan, z_points, identity_tol, cauchy_tol, out,
-                  summary):
+def _run_blaschke(j, t_scan, z_points, identity_tol, tol, out, summary):
     ann = j.annihilator
     pp = eval_phi_boundary(ann, t_scan)
-    bound = j.envelope(t_scan)
     files = [_write_csv(out / "boundary_scan.csv",
                         ["t", "re_phi_plus", "im_phi_plus", "abs_g", "bound"],
                         [(t, p.real, p.imag, 2.0 * abs(p.imag), b)
-                         for t, p, b in zip(t_scan, pp, bound)])]
-    rows = [(x, y, cauchy_identity_residual(ann, j, complex(x, y), cauchy_tol))
+                         for t, p, b in zip(t_scan, pp, j.envelope(t_scan))])]
+    rows = [(x, y, cauchy_identity_residual(ann, j, complex(x, y), tol))
             for x, y in z_points]
     files.append(_write_csv(out / "identity_scan.csv",
                             ["z_re", "z_im", "residual"], rows))
-    max_resid = max((r for _, _, r in rows), default=0.0)
-    summary.update(max_identity_residual=max_resid, identity_tol=identity_tol,
-                   identity_passed=max_resid < identity_tol)
-    return files, summary["identity_passed"]
+    if rows:   # a scan of no points records no verdict
+        worst = max(r for _, _, r in rows)
+        summary.update(max_identity_residual=worst, identity_tol=identity_tol,
+                       identity_passed=worst < identity_tol)
+    return files, summary.get("identity_passed", True)
 
 
 def _build_deepzero(cfg, summary):
@@ -380,7 +381,7 @@ def _build_deepzero(cfg, summary):
     if cfg.get("membership", _flag, False):
         weight = _make("membership", _companion, series, _COMPANION_FACTOR,
                        summary)
-    summary["tolerance"] = tol = cfg.get("tol", _real, 1e-8, **_POSITIVE)
+    tol = cfg.get("tol", _real, 1e-8, **_POSITIVE)
     return partial(_run_deepzero, series, t_grid, weight, tol)
 
 
@@ -396,11 +397,11 @@ def _run_deepzero(series, t_grid, weight, membership_tol, out, summary):
     files = [_write_csv(out / "deepzero_scan.csv",
                         ["t", "abs_H", "log_abs_H", "inv_t"], rows),
              _write_json(out / "summary.json", fitted)]
-    ok = fit.c2 > 0 and abs(fit.correlation) > 0.99
-    summary["fit_passed"] = ok
+    summary["fit_passed"] = ok = fit.c2 > 0 and abs(fit.correlation) > 0.99
     if weight is not None:
         value, err = membership_check(series, weight, membership_tol)
-        summary.update(membership_value=value, membership_error=err)
+        summary.update(membership_value=value, membership_error=err,
+                       tolerance=membership_tol)
         ok = ok and np.isfinite(value)
     return files, ok
 
@@ -414,7 +415,9 @@ def _build_probe(cfg, summary):
                      ok=lambda ns: ns and 1 <= ns[0] and ns[-1] <= _MAX_SIZE
                      and all(a < b for a, b in zip(ns, ns[1:])),
                      need=f"a non-empty increasing list in [1, {_MAX_SIZE}]")
-    summary["tolerance"] = tol = cfg.get("tol", _real, 1e-10, **_POSITIVE)
+    tol = cfg.get("tol", _real, 1e-10, **_POSITIVE)
+    if isinstance(target, AnnihilatorTarget):   # a trigpoly integrates nothing
+        summary["tolerance"] = tol
     config = ProbeConfig(weight=weight, gamma=gamma, target=target, tol=tol)
     return partial(_run_probe, config, N_list)
 
@@ -444,7 +447,7 @@ def _build_experiment(config):
 
     Returns (run, summary): run(out, summary) writes the artifacts to the
     directory out and returns ([their paths], within_tol); summary holds
-    what the build found, the "tolerance" of a kind that integrates among it.
+    what the build found, and the run adds what it found to it.
     Raises ConfigError naming the first field that is missing, mistyped or
     out of range, or every field that the build of its kind does not read.
     """
@@ -554,32 +557,22 @@ def _report_lines(manifest):
     return lines
 
 
-@cache
-def _parser():
-    parser = argparse.ArgumentParser(
-        prog="szego-lab",
-        description="weighted-completeness experiments: annihilator products, "
-                    "deep-zero series, projection probes")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, arg, text in (
-            ("run", "config", "run an experiment from a JSON config"),
-            ("validate", "config", "check a config without running"),
-            ("report", "manifest", "summarize a finished run")):
-        sub.add_parser(name, help=text).add_argument(arg)
-    sub.choices["run"].add_argument("--out", required=True)
-    return parser
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    if args.command == "run":
-        return run_experiment(args.config, args.out)
-    if args.command == "validate":
-        if _build_file(args.config) is None:
-            return EXIT_CONFIG
-        print("config ok")
-        return EXIT_OK
-    return emit_report(args.manifest)
+    match sys.argv[1:] if argv is None else argv:
+        case ["-h" | "--help"]:
+            print(_USAGE)
+            return EXIT_OK
+        case ["run", config, "--out", out]:
+            return run_experiment(config, out)
+        case ["validate", config]:
+            if _build_file(config) is None:
+                return EXIT_CONFIG
+            print("config ok")
+            return EXIT_OK
+        case ["report", manifest]:
+            return emit_report(manifest)
+    print(_USAGE, file=sys.stderr)
+    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -226,6 +226,19 @@ def _theta_dual(t):
     return x[:, 0] + 1.5 * np.log(t) + math.log(2.0), S.sum(axis=1)
 
 
+@functools.cache
+def _sliver_pairs():
+    """_sliver's (m, f), which do not depend on c, as read-only arrays."""
+    z2 = (_B - 1j * _A) ** 2
+    q = _SIGN * (_B - 1j * _A) * np.exp(-4.0 * RATE * z2.real) * (
+        np.cos(4.0 * RATE * z2.imag) - 1j * np.sin(4.0 * RATE * z2.imag))
+    j, k = np.nonzero(np.triu(abs(np.outer(q, q)) > 2 ** -60 * abs(q[0]) ** 2))
+    m = z2[j] + np.stack([z2[k], z2[k].conj()])
+    f = q[j] * np.stack([q[k], q[k].conj()]) * (2.0 - (j == k)) / 8
+    m.flags.writeable = f.flags.writeable = False
+    return m, f
+
+
 def _sliver(c):
     """(value, error) of int_0^{1/4} |H|^2 e^{c/t} dt, 0 < c < 2 RATE.  As
     |H|^2 = t^-3 (sum Re[q e^{(4 - 1/t) RATE z^2}])^2/4 with q = sign z
@@ -234,14 +247,8 @@ def _sliver(c):
     m = z_j^2 + (z_k^2 or its conjugate), f = q_j (q_k or its conjugate)/8,
     twice for j < k, and b = RATE m - c + (pi - math.pi) Re m/16, whose
     last term keeps b's digits as c nears 2 RATE.  The error is 8 eps
-    sum |term|.  Nothing is kept between calls."""
-    z2 = (_B - 1j * _A) ** 2
-    q = _SIGN * (_B - 1j * _A) * np.exp(-4.0 * RATE * z2.real) * (
-        np.cos(4.0 * RATE * z2.imag) - 1j * np.sin(4.0 * RATE * z2.imag))
-    j, k = np.nonzero(abs(np.outer(q, q)) > 2 ** -60 * abs(q[0]) ** 2)
-    j, k = j[j <= k], k[j <= k]
-    m = z2[j] + np.stack([z2[k], z2[k].conj()])
-    f = q[j] * np.stack([q[k], q[k].conj()]) * (2.0 - (j == k)) / 8
+    sum |term|.  The pair table is built once per process, read-only."""
+    m, f = _sliver_pairs()
     inv = 1.0 / ((RATE * m - c) + m.real * (1.2246467991473532e-16 / 16))
     t = f * (4.0 * inv + inv * inv) * math.exp(4.0 * c)
     return float(t.real.sum()), 2.0 ** -49 * float(np.abs(t).sum())

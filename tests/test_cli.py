@@ -26,6 +26,14 @@ def _write(tmp_path, name, obj):
     return str(p)
 
 
+def _child(*args, **kwargs):
+    """python -c or -m in a child process, importing szegolab from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)}, **kwargs)
+
+
 SETS_CONFIG = {"kind": "sets",
                "gamma": {"generator": "power", "rho": 3, "count": 50}}
 WEIGHTS_CONFIG = {"kind": "weights", "weight": {"kind": "exp", "c": 1.0}}
@@ -397,6 +405,34 @@ def test_tol_is_the_tolerance_the_integrals_get(tmp_path, monkeypatch):
         assert summary["tolerance"] == tol
 
 
+@pytest.mark.parametrize("config, recorded", [
+    ({**DEEPZERO_CONFIG, "tol": 1e-3}, False),
+    ({**DEEPZERO_CONFIG, "membership": True, "tol": 1e-9}, True),
+    ({**PROBE_TRIGPOLY, "target": {"kind": "trigpoly", "coeffs": {"0": 1}},
+      "tol": 0.5}, False),
+    ({**PROBE_CONFIG, "weight": {"kind": "exp", "c": 0.3}, "tol": 1e-9},
+     True)],
+    ids=["deepzero", "deepzero-membership", "trigpoly-probe",
+         "annihilator-probe"])
+def test_tolerance_is_recorded_only_where_an_integral_ran(tmp_path, capsys,
+                                                          config, recorded):
+    """A run records tol as its summary's tolerance, and report prints it,
+    only where an integral read it: a deepzero run with membership, a probe
+    with an annihilator target.  The others still read and check tol."""
+    cfg = _write(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary.get("tolerance") == (config["tol"] if recorded else None)
+    capsys.readouterr()
+    assert main(["report", str(out / "manifest.json")]) == 0
+    assert ("tolerance:" in capsys.readouterr().out) == recorded
+    bad = _write(tmp_path, "bad.json", {**config, "tol": 0})
+    assert main(["validate", bad]) == 2
+    assert "config error: tol must be a positive number" in (
+        capsys.readouterr().err)
+
+
 def test_identity_tolerance_miss_exits_3_complete(tmp_path, capsys):
     """A blaschke run whose Cauchy residuals miss identity_tol writes its
     artifacts, status "complete", and exits 3."""
@@ -682,6 +718,28 @@ def test_blaschke_run_one_point_scan(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     lines = (out / "boundary_scan.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("-1,")
+
+
+@pytest.mark.parametrize("z_points, verdict", [([], False), ([[1, 1]], True)],
+                         ids=["no-points", "one-point"])
+def test_blaschke_scan_of_no_points_records_no_verdict(tmp_path, capsys,
+                                                       z_points, verdict):
+    """A Cauchy scan of no points writes its header-only CSV and exits 0,
+    but records no residual and no verdict, so report prints none; one
+    point records both."""
+    cfg = _write(tmp_path, "c.json", {**BLASCHKE_CONFIG, "t_scan": [-1.0],
+                                      "z_points": z_points})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    lines = (out / "identity_scan.csv").read_text().splitlines()
+    assert lines[0] == "z_re,z_im,residual" and len(lines) == 1 + len(z_points)
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    keys = {"max_identity_residual", "identity_tol", "identity_passed"}
+    assert keys & summary.keys() == (keys if verdict else set())
+    assert summary.get("identity_passed") is (True if verdict else None)
+    capsys.readouterr()
+    assert main(["report", str(out / "manifest.json")]) == 0
+    assert ("identity_passed: true" in capsys.readouterr().out) == verdict
 
 
 def test_deepzero_run_negative_slope(tmp_path, monkeypatch):
@@ -1028,33 +1086,77 @@ def test_probe_run_loads_no_numpy_polynomial(tmp_path):
     assert out.stdout.splitlines()[-1] == "0 []"
 
 
-def test_main_builds_its_parser_once(tmp_path, capsys):
+def test_main_answers_alike_in_one_process(tmp_path, capsys, monkeypatch):
     """validate, run, report, a config error and a usage error, in one
-    process, answer as each does after a fresh parser build."""
+    process, answer as each does in a process of its own; the usage error
+    names --out and writes nothing."""
     cfg = _write(tmp_path, "c.json", SETS_CONFIG)
     bad = _write(tmp_path, "bad.json", {"kind": "sets"})
     out = str(tmp_path / "out")
     argvs = [["validate", cfg], ["run", cfg, "--out", out],
              ["report", out + "/manifest.json"], ["validate", bad],
              ["run", cfg]]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
 
     def call(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = f"SystemExit {exc.code}"
-        return code, *capsys.readouterr()
+        return main(argv), *capsys.readouterr()
 
-    cli._parser.cache_clear()
-    in_one_process = [call(argv) for argv in argvs]
-    assert cli._parser.cache_info().misses == 1
-    separate = []
-    for argv in argvs:
-        cli._parser.cache_clear()
-        separate.append(call(argv))
+    in_one_process = [call(argv) for argv in argvs[:-1]]
+    before = sorted(tmp_path.rglob("*"))
+    in_one_process.append(call(argvs[-1]))
+    assert sorted(tmp_path.rglob("*")) == before
+    separate = [(run.returncode, run.stdout, run.stderr) for run in (
+        _child("-m", "szegolab.cli", *argv, cwd=cwd) for argv in argvs)]
     assert in_one_process == separate
-    assert [code for code, *_ in separate] == [0, 0, 0, 2, "SystemExit 2"]
-    assert "the following arguments are required: --out" in separate[-1][2]
+    assert [code for code, *_ in separate] == [0, 0, 0, 2, 2]
+    assert separate[-1][1:] == ("", cli._USAGE + "\n")
+    assert "--out" in separate[-1][2]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate", "c.json"], ["validate", "c.json", "--out", "d"],
+    ["run", "c.json"], ["run", "c.json", "--out=d"],
+    ["run", "--out", "d", "c.json"], ["run", "c.json", "--ou", "d"],
+    ["report"], ["-h", "run"]],
+    ids=["empty", "unknown-command", "validate-with-out", "run-without-out",
+         "out-equals", "option-first", "abbreviated", "report-alone",
+         "help-and-more"])
+def test_any_other_argv_prints_the_usage_and_exits_2(tmp_path, capsys,
+                                                     monkeypatch, argv):
+    """An argv outside the three forms (argparse's --out=DIR, option-first
+    order and abbreviations among them) exits 2 with the usage line on
+    stderr, and reads and writes nothing."""
+    _write(tmp_path, "c.json", SETS_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", cli._USAGE + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage_on_stdout(capsys, flag):
+    assert main([flag]) == 0
+    assert capsys.readouterr() == (cli._USAGE + "\n", "")
+    assert cli._USAGE.startswith("usage: szego-lab run <config> --out <dir>")
+
+
+def test_module_entry_point_without_arguments_exits_2():
+    """python -m szegolab.cli with no arguments prints the usage line and
+    exits 2, with no traceback."""
+    run = _child("-m", "szegolab.cli")
+    assert (run.returncode, run.stdout, run.stderr) == (
+        2, "", cli._USAGE + "\n")
+
+
+def test_importing_the_cli_loads_no_argparse():
+    """The CLI reads its argv itself, so importing it loads neither argparse
+    nor gettext, whose imports and parser build were most of the first
+    command's time in a fresh process."""
+    run = _child("-c", "import sys, szegolab.cli; print(sorted(m for m in "
+                       "('argparse', 'gettext') if m in sys.modules))")
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
 @pytest.mark.parametrize("config, message", [

@@ -955,6 +955,37 @@ def test_sliver_is_the_mpmath_value(c):
     assert abs(value - ref) <= min(err, 1e-14 * ref)
 
 
+# (value, error) of _sliver(c) as float.hex, as the sum gave them when it
+# rebuilt its pair table on every call
+_SLIVER_BITS = {
+    0.05: ("0x1.d0df409291450p+0", "0x1.1169396e37c03p-48"),
+    0.236: ("0x1.413ca56c382ecp+3", "0x1.5b721b1d3681dp-46"),
+    0.3: ("0x1.d1159c200384cp+4", "0x1.e379aac31ca2ep-45"),
+    0.38: ("0x1.8399c8c717823p+10", "0x1.840b1d7ebf15ep-39")}
+
+
+@pytest.mark.parametrize("c", sorted(_SLIVER_BITS))
+def test_sliver_keeps_its_bits(c):
+    """The kept pair table gives the sum its bits, first call or later."""
+    deep_zero._sliver_pairs.cache_clear()
+    first = tuple(map(float.hex, deep_zero._sliver(c)))
+    assert first == tuple(map(float.hex, deep_zero._sliver(c)))
+    assert first == _SLIVER_BITS[c]
+
+
+def test_sliver_pair_table_is_built_once_and_read_only():
+    """Every call gets the same read-only arrays, 2 x 480 pairs, which no
+    caller can write through."""
+    m, f = deep_zero._sliver_pairs()
+    again = deep_zero._sliver_pairs()
+    assert again[0] is m and again[1] is f
+    assert m.shape == f.shape == (2, 480)
+    for a in (m, f):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("c", [0.05, 0.236, 0.3, 0.38])
 def test_sliver_meets_the_quadrature_of_its_piece(s20, c):
     """The pair sum meets the same piece integrated as membership_check

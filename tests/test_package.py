@@ -61,12 +61,12 @@ def cached_functions(package_dir):
 
 
 def test_only_four_functions_keep_results(tmp_path):
-    """Four functions keep their results: the CLI's parser, the deep zero's
-    cut, the probe's node rules and quadrature's kept Fourier seeds, which
-    hold each seed's last result too, so no other module keeps quadrature
-    state.  The check finds planted decorators."""
+    """Four functions keep their results: the deep zero's cut and its
+    sliver's pair table, the probe's node rules and quadrature's kept
+    Fourier seeds, which hold each seed's last result too, so no other
+    module keeps quadrature state.  The check finds planted decorators."""
     assert cached_functions(Path(szegolab.__file__).parent) == [
-        "cli._parser", "deep_zero._h_cut", "probe._leggauss",
+        "deep_zero._h_cut", "deep_zero._sliver_pairs", "probe._leggauss",
         "quadrature._seed_samples"]
     (tmp_path / "planted.py").write_text(
         "import functools\n"
