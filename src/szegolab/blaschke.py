@@ -176,11 +176,10 @@ def _g_abs_tail(T):
     return 2.0 * (1.0 / a - 1.0 / a ** 2 + 1.0 / (3.0 * a ** 3))
 
 
-# compute_G's small-|s| branch: |s| below _S_SMALL, on [-_T_SMALL, 0]
-_S_SMALL = 0.05
-_T_SMALL = 4.0e4
-# its seed (breakpoints, nu_max): panels one period of _S_SMALL wide
-_SMALL_SEED = ((-_T_SMALL, 0.0), 0.5 * _S_SMALL)
+# compute_G's branches: |s| below _S_SMALL on [-_T_SMALL, 0], else [-200, 0]
+_S_SMALL, _T_SMALL = 0.05, 4.0e4
+_SMALL_SEED = ((-_T_SMALL, *(-d for d in decades(_T_SMALL, 0.0)), 0.0), 8)
+_LARGE_SEED = ((-200.0, *(-d for d in decades(200.0, 0.0)), 0.0), 8)
 
 
 def compute_G(j, s, tol=1e-6):
@@ -188,32 +187,31 @@ def compute_G(j, s, tol=1e-6):
     at each s (an array, or one number); the fields are arrays over s.
 
     Each branch is i times one batched quadrature of the real j = g/i on
-    [-T, 0] at the frequencies -s.  Small |s| (below 0.05): the algebraic
-    envelope tail, 5e-5, is added to the error; the seed panels are one
-    period of 0.05 wide, whatever the call's s (the quadrature's part of
-    the error stays over 2000 times below the tail), and j on them is
-    sampled once per jump and kept by the quadrature (equal jumps share
-    them) with its last result, so a call samples only the panels it
-    splits, and a repeat at the same tol and bits of s reduces nothing.
-    Larger |s|: moderate T plus two integration-by-parts boundary terms at
-    u = -T, with the remainder estimated from a finite-difference second
-    derivative of g; j is sampled once for all of the call's s, and an |s|
-    past the seed cap, 333.333, raises ValueError before it is sampled.
-    converged is per s: the total error, tail or remainder included, is
-    within tol; evaluations counts both rules' nodes, kept samples too."""
+    [-T, 0] at the frequencies -s, seeded toward the jump's |u|^(5/2) edge
+    whatever the call's s; the quadrature keeps j there (equal jumps share
+    it) with its last result, so a call samples only the panels it splits,
+    and a repeat at the same tol and bits of s reduces nothing.  Small |s|
+    (below 0.05), T = 4e4: the envelope tail, 5e-5, is added to the error,
+    and the quadrature is asked for what it leaves of tol, at most a
+    thousandth of it.  Larger |s|, T = 200: two integration-by-parts terms
+    at u = -T, with the remainder from a finite-difference g''.  converged
+    is per s: the total error, tail or remainder included, is within tol;
+    evaluations counts both rules' nodes, kept samples too."""
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     value = np.empty(s.size, dtype=np.complex128)
     error = np.empty(s.size)
     evals = 0
     small = np.abs(s) < _S_SMALL
     if small.any():
-        res = fourier_coefficients(j, -s[small], tol, *_SMALL_SEED)
+        tail = _g_abs_tail(_T_SMALL)
+        rest = min(tol - tail if tail < tol else tol, 1e-3 * tail)
+        res = fourier_coefficients(j, -s[small], rest, *_SMALL_SEED)
         value[small] = 1j * res.value
-        error[small] = res.abs_error_estimate + _g_abs_tail(_T_SMALL)
+        error[small] = res.abs_error_estimate + tail
         evals += res.evaluations
     if not small.all():
         T = 200.0
-        main = fourier_coefficients(j, -s[~small], tol, (-T, 0.0))
+        main = fourier_coefficients(j, -s[~small], tol, *_LARGE_SEED)
         c = 2j * np.pi * s[~small]
         step = 1e-3
         g0, gm, gp = 1j * j(np.array([-T, -T - step, -T + step]))

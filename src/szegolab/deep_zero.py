@@ -166,18 +166,20 @@ def eval_H_integral(t, tol=1e-8):
     the half-line: -2i times the real integral of sin(pi (1 - 2t) x) K(x)
     over [0, X], K(x) = sin(pi x)/(F(x) F(-x)), which is minus the
     imaginary part of K's Fourier coefficient at nu = 1/2 - t.  Its seed
-    panels are half periods of 1: every t shares one mesh of 2X panels,
-    on which the quadrature keeps K, so a call samples only the panels it
-    splits; a t off [0, 1] raises ValueError before K is sampled.  X is
-    the smallest integer from 200 up whose analytic |h| tail beyond X is
-    at most tol/2; the quadrature gets the rest of tol, and converged
-    means that the total error, tail included, is within tol."""
+    panels are each half a period of K's sin(pi x), halved on [0, 20],
+    where |K| is largest: every t shares them, and the quadrature keeps K
+    there, so a call samples only the panels it splits; a t off [0, 1]
+    raises ValueError before K is sampled.  X is the smallest integer from
+    200 up whose analytic |h| tail beyond X is at most tol/2; the
+    quadrature gets the rest of tol, and converged means that the total
+    error, tail included, is within tol."""
     if not (tol > 0 and 0.0 <= t <= 1.0):
         raise ValueError(f"need tol > 0 and t in [0, 1], got {tol}, {t}")
     t, X = float(t), _h_cut(tol)
     tail = _h_abs_tail(X)
     res = fourier_coefficients(_sin_over_FF, np.array([0.5 - t]),
-                               0.5 * (tol - tail), (0.0, X), 1.0)
+                               0.5 * (tol - tail), (0.0, 20.0, X),
+                               (40, int(X) - 20))
     error = 2.0 * float(res.abs_error_estimate[0]) + tail
     return QuadratureResult(2j * res.value[0].imag, error, res.evaluations,
                             error <= tol)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .deep_zero import membership_check
 from .frequency_sets import complement_in_range
-from .quadrature import fourier_coefficients
+from .quadrature import decades, fourier_coefficients
 
 __all__ = ["weight_fourier_coeff", "weight_fourier_coeffs", "gram_matrix",
            "TrigPolyTarget", "AnnihilatorTarget", "weighted_residual",
@@ -73,20 +73,21 @@ _EPS = np.finfo(np.float64).eps
 def weight_fourier_coeffs(w, K, tol=1e-12):
     """The weight's Fourier coefficients w-hat(0..K) as a fresh vector, in
     closed form for a tabulated weight of equal samples (a constant), else
-    from one batched quadrature split at w's breakpoints; a lag whose error
-    exceeds tol raises, and K past the seed cap, 66666, raises ValueError."""
+    from one batched quadrature seeded at w's breakpoints (and toward 0 for
+    exp(-c/t)); a lag whose error exceeds tol raises."""
     K = int(K)
     if len({v for _, v in w.samples}) == 1:
         what = np.zeros(K + 1, dtype=np.complex128)
         what[0] = w.samples[0][1]
         return what
-    res = fourier_coefficients(w, np.arange(K + 1), tol, w.breakpoints)
+    res = fourier_coefficients(w, np.arange(K + 1), tol, sorted(
+        {*w.breakpoints, *(decades(1.0, tol) if w.c else ())}))
     if not res.converged:
         k = int(np.argmax(res.abs_error_estimate))
         raise ArithmeticError(
             f"weight coefficient k={k} reached only "
             f"{res.abs_error_estimate[k]:.2e}")
-    return res.value
+    return res.value.copy()
 
 
 def _at_lags(what, d):

@@ -1,12 +1,14 @@
-"""Deterministic adaptive quadrature on Gauss-Kronrod 7/15 panel pairs.
+"""Deterministic adaptive quadrature on Gauss-Kronrod 7/15 panel pairs,
+with Filon weights on them for fourier_coefficients.
 
 Integrands are vectorized: they take a 1-d numpy array of abscissae and
 return an array of the same shape, real for fourier_coefficients.  All
 panel bookkeeping is deterministic (ties broken by position, final
-summation in left-to-right order), so repeated runs are bit-identical.
+summation in a fixed order), so repeated runs are bit-identical.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,21 +40,40 @@ _WG_HALF = (0.129484966168869693270611432679082,
 _XK = np.array([-x for x in _XK_POS] + [0.0] + list(_XK_POS[::-1]))
 _WK = np.array(_WK_HALF + _WK_HALF[-2::-1])
 _WG = np.array(_WG_HALF + _WG_HALF[-2::-1])
-# fourier_coefficients' rows of weights on the 15 nodes: Kronrod's, Kronrod's
-# less Gauss's, and Kronrod's times sgn(x), which sum to zero
-_W3 = np.array([_WK, _WK, _WK * np.sign(_XK)])
-_W3[1, 1::2] -= _WG
-
+# fourier_coefficients' Filon rule: the Legendre coefficients of the
+# degree-14 interpolant on the nodes (C15) and of the degree-6 one on the
+# Gauss nodes (C7) are (n + 1/2) w_j P_n(x_j) where the rule is exact, all
+# of C7 and C15's rows n <= 8; C15's rows 9..14 solve the rest by
+# elimination.  No constant calls LAPACK or numpy's integer, power, outer
+# or accumulate loops: each first call adds 0.1-0.4 MB to a process's peak.
+_N, _P = np.arange(15), np.ones((15, 15))
+_P[1] = _XK
+for _n in range(1, 14):
+    _P[_n + 1] = ((2 * _n + 1) * _XK * _P[_n] - _n * _P[_n - 1]) / (_n + 1)
+_C15 = (_N + 0.5)[:, None] * _WK * _P
+_A = np.hstack([(_WK * _P[9:, None] * _P[9:]).sum(axis=-1), _WK * _P[9:]])
+for _n in range(6):
+    _row = _A[_n] / _A[_n, _n]
+    _A -= _A[:, _n, None] * _row
+    _A[_n] = _row
+_C15[9:] = _A[:, 6:]
+_C7 = np.zeros((15, 15))
+_C7[:7, 1::2] = (_N[:7] + 0.5)[:, None] * _WG * _P[:7, 1::2]
+# a panel's 31 sums: K's (C15) and K - G's (C15 - C7) coefficients times
+# Re or Im 2 (-i)^n, and A's, Kronrod's weights times sgn(x), summing to 0
+_SIGN = np.array([2.0, -2.0, -2.0, 2.0] * 4)[:15, None]
+_FILON = np.vstack([_SIGN * _C15, _SIGN * (_C15 - _C7), _WK * np.sign(_XK)]).T
+# j_n(w) / w^n as a series in w^2, (-1/2)^k / (k! (2n + 2k + 1)!!), to the
+# 13 terms past which the rest is below 2^-60 of the first at |w| < 2
+_SERIES = np.array([[(-0.5) ** k / math.factorial(k) / math.prod(range(
+    2 * (n + k) + 1, 0, -2)) for k in range(13)] for n in range(15)])
 _MAX_ROUNDS = 80
-# complex entries in one block's (panels x 3 frequencies) product in
-# fourier_coefficients: 2**16 entries take 1 MB; with the block's other
-# (panels x frequencies) arrays and a run's step table, a third of that, a
-# block stays near 3 MB whatever the number of frequencies
+# (panels x 3 frequencies) entries of a block of fourier_coefficients' K,
+# K - G and phases: 2**16 take 1 MB, so a block stays near 3 MB
 _FOURIER_BLOCK = 1 << 16
 _SAMPLE_PANELS = 256   # panels _sample samples at a time
-# integrand evaluations one integral spends at most: integrate_finite and
-# integrate_left_halfline stop their adaptive loop once past it, and
-# fourier_coefficients refuses seeds and halvings that would pass it
+# integrand evaluations one integral spends at most: the adaptive loops
+# stop once past it, fourier_coefficients' before a halving would pass it
 _MAX_EVALS = 2_000_000
 
 
@@ -98,13 +119,11 @@ def _scaled(raw, resasc):
 
 
 def _rescale(raw, resasc):
-    """_scaled(raw, max(resasc, 200 raw)) in place, in the arrays given,
-    with fewer passes: with r = 200 raw, resasc (r/resasc)^1.5 is
-    r sqrt(r/resasc), where min(1, .) never binds, since resasc >= r.  The
-    smallest subnormal floor only meets resasc = r = 0, where it gives 0."""
+    """_scaled(raw, max(resasc, 200 raw)), raw overwritten, in fewer passes:
+    with r = 200 raw, resasc (r/resasc)^1.5 is r sqrt(r/resasc), as
+    resasc >= r.  The subnormal floor only meets resasc = r = 0."""
     raw *= 200.0
-    np.maximum(resasc, raw, out=resasc)
-    np.maximum(resasc, np.finfo(np.float64).smallest_subnormal, out=resasc)
+    resasc = np.maximum(resasc, np.maximum(raw, 5e-324))   # subnormal floor
     np.divide(raw, resasc, out=resasc)
     np.sqrt(resasc, out=resasc)
     resasc *= raw
@@ -203,172 +222,152 @@ def integrate_left_halfline(f, tol):
                             error <= tol)
 
 
-def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), nu_max=None):
-    """Integrals of f(t) exp(-2 pi i nu t) over the breakpoints' span, for
-    every real frequency nu in the 1-d array freqs.
+def fourier_coefficients(f, freqs, tol, breakpoints=(0.0, 1.0), pieces=1):
+    """Integrals of f(t) exp(-2 pi i nu t) over the breakpoints' span at
+    each real frequency nu of the 1-d array freqs, f real and hashable.
 
-    One composite Gauss-Kronrod 7/15 rule serves every frequency, so f,
-    which is real (complex samples raise TypeError), is sampled once per
-    node, by _sample.  Each interval between consecutive breakpoints
-    starts as equal panels no wider than half a period of nu_max (by
-    default the largest |nu|); a seed past the seed cap raises ValueError
-    before f is sampled.  A given nu_max is a kept seed: f is hashable,
-    and _seed_samples keeps its panels and samples for the last four (f,
-    breakpoints, nu_max) and its last result: a repeat samples only the
-    split panels, or, at the same bits of freqs and the same tol, returns
-    that result, its arrays read-only, and reduces nothing.  On a panel
-    with midpoint m and half-width h, exp(-2 pi i nu t) is the phase
-    exp(-2 pi i nu m) times the table exp(-2 pi i nu h x_j) that all
-    panels of width 2h share; seed panels step by 2h, so a block's phases
-    are its first row's times a step table exp(-2 pi i nu 2h r), and a
-    split panel's phase is one exp.  One matrix product per block, samples
-    (panels x 15 nodes) times the (re, im) pairs of the table under three
-    rows of weights, gives the Kronrod sum K, the difference K - G from
-    the Gauss sum and the antisymmetric sum A of the Kronrod weights times
-    sgn(x_j).  Those weights sum to zero, so A is the same sum taken about
-    the panel mean, and |A| is at most QUADPACK's resasc.  The error is
-    QUADPACK's rescaling of raw = |K - G| with max(|A|, 200 raw) in place
-    of resasc: the rescaled error is largest at resasc = 200 raw and falls
-    beyond it, so this error is never below QUADPACK's, up to rounding
-    where |A| tends to resasc (nu near 0 on a panel where f is monotone).
+    One Filon rule (Iserles and Norsett, Proc. R. Soc. A 461, 2005) serves
+    every nu: on a panel of midpoint m and half-width h, K is h e^(-2 pi i
+    nu m) times the integral of f's degree-14 interpolant on the Kronrod
+    nodes against e^(-i w x), w = 2 pi nu h, its Legendre coefficients
+    times the moments 2 (-i)^n j_n(w); G is the degree-6 one's on the Gauss
+    nodes; at w = 0 they are the Kronrod and Gauss sums.  The error is
+    QUADPACK's rescaling of |K - G| with max(|A|, 200 |K - G|) for resasc,
+    A the phase-free sum of f times Kronrod's weights times sgn(x_j).
 
-    A panel is kept when its error at every frequency is within its share
-    of tol (tol times its width over the span), so the kept panels' errors
-    sum to at most tol at every frequency; the others are halved and
-    evaluated again, until every panel is kept, a halving would pass
-    _MAX_EVALS, or the panels reach the width floor.
-
-    Returns a QuadratureResult whose value and abs_error_estimate are arrays
-    over freqs, and whose evaluations count the rule's nodes, kept samples
-    included; converged means that every frequency met tol.  The Fourier
-    coefficients of f on [0, 1] are freqs = np.arange(K + 1).
+    The seed cuts each interval between breakpoints into `pieces` equal
+    panels (one count, or a tuple of one per interval); _seed_samples
+    keeps f's sums on them for the last eight seeds, with the seed's last
+    result: a repeat samples only the panels it splits, or, at the same
+    bits of freqs and tol, returns that result.  A panel whose error at
+    some nu is above its share of tol (tol times its width over the span)
+    is halved, until none is, a halving would pass _MAX_EVALS, or the
+    width floor.  Returns a QuadratureResult of read-only arrays over
+    freqs, with every node counted, and converged if every nu met tol.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     edges = np.asarray(breakpoints, dtype=np.float64)
-    if (freqs.ndim != 1 or not freqs.size or not np.all(np.isfinite(freqs))
-            or edges.size < 2 or not np.all(np.diff(edges) > 0)):
+    if (freqs.ndim != 1 or not freqs.size or not np.isfinite(freqs).all()
+            or edges.size < 2 or not (edges[1:] > edges[:-1]).all()):
         raise ValueError(f"need a nonempty 1-d array of finite frequencies "
                          f"and increasing breakpoints, got {freqs.size} "
                          f"frequencies, breakpoints {breakpoints}")
-    if nu_max is None:
-        mid, half, runs = _fourier_mesh(edges, np.abs(freqs).max())
-        samples, kept = _sample(f, mid, half), None
-    else:
-        mid, half, runs, samples, kept = _seed_samples(f, tuple(edges), nu_max)
-        key = (freqs.tobytes(), tol)
-        if kept[0] == key:
-            return kept[1]
+    mid, half, sums, kept = _seed_samples(f, tuple(edges), pieces)
+    key = (freqs.tobytes(), tol)
+    if kept[0] == key:
+        return kept[1]
     share = tol / (edges[-1] - edges[0])            # of tol per unit width
     min_half = 0.5e-14 * max(edges[-1] - edges[0], np.abs(edges).max())
-    values = np.zeros(freqs.size, dtype=np.complex128)
-    errors = np.zeros(freqs.size)
-    evals = 0
+    # the kept panels' sums, and this round's others'
+    values = np.zeros((2, freqs.size), dtype=np.complex128)
+    errors, evals = np.zeros((2, freqs.size)), 0
     while True:
-        rest_values = np.zeros_like(values)
-        rest_errors = np.zeros_like(errors)
+        values[1] = errors[1] = 0.0
         split = np.zeros(mid.size, dtype=bool)
-        for rows, vals, errs in _fourier_panels(freqs, mid, half, samples,
-                                                runs):
-            bad = ((errs.max(axis=1) > share * 2.0 * half[rows])
-                   & (half[rows] > min_half))
-            # the kept panels, nearly all of a block, summed by one product
-            good = (~bad).astype(np.float64)
-            values += (good @ vals.view(np.float64)).view(np.complex128)
-            errors += good @ errs
-            rest_values += vals[bad].sum(axis=0)
-            rest_errors += errs[bad].sum(axis=0)
-            split[rows] = bad
+        for rows, vals, errs in _fourier_panels(freqs, mid, half, sums):
+            split[rows] = ((errs.max(axis=1) > share * 2.0 * half[rows])
+                           & (half[rows] > min_half))
+            both = np.array([~split[rows], split[rows]], dtype=np.float64)
+            values += (both @ vals.view(np.float64)).view(np.complex128)
+            errors += both @ errs
         evals += mid.size * _XK.size
         n_split = int(split.sum())
         if not n_split or evals + 2 * n_split * _XK.size > _MAX_EVALS:
-            values += rest_values
-            errors += rest_errors
-            res = QuadratureResult(values, errors, evals,
-                                   bool(errors.max() <= tol))
-            if kept is not None:
-                values.flags.writeable = errors.flags.writeable = False
-                kept[:] = key, res
-            return res
-        quarter = 0.5 * half[split]
-        mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
-        half = np.concatenate([quarter, quarter])
-        samples, runs = _sample(f, mid, half), None
-
-
-def _fourier_mesh(edges, nu_max):
-    """Midpoints, half-widths and runs of the seed panels: each interval
-    between edges in equal panels no wider than half a period of nu_max
-    (ceil adds at most one per interval), one panel at nu_max 0, its
-    panels' indices one run.  A nu_max past the seed cap raises ValueError."""
-    cap = _MAX_EVALS // _XK.size / (2 * (edges[-1] - edges[0]))
-    if nu_max > cap:
-        raise ValueError(f"nu_max {nu_max:g} is past the seed cap {cap:.6g}")
-    widths = np.diff(edges)
-    counts = np.maximum(np.ceil(widths * 2 * nu_max), 1).astype(np.int64)
-    mid = np.concatenate([a + h * (2.0 * np.arange(n) + 1.0) for a, h, n
-                          in zip(edges[:-1], 0.5 * widths / counts, counts)])
-    return (mid, np.repeat(0.5 * widths / counts, counts),
-            [np.arange(e - n, e) for e, n in zip(np.cumsum(counts), counts)])
+            values, errors = values.sum(axis=0), errors.sum(axis=0)
+            values.flags.writeable = errors.flags.writeable = False
+            kept[:] = key, QuadratureResult(values, errors, evals,
+                                            bool(errors.max() <= tol))
+            return kept[1]
+        # each panel's halves side by side, so the half-widths stay sorted
+        half = np.repeat(0.5 * half[split], 2)
+        mid = np.repeat(mid[split], 2) + half * np.tile([-1.0, 1.0], n_split)
+        sums = _sample(f, mid, half)
 
 
 def _sample(f, mid, half):
-    """A real f at the nodes of the panels (mid, half), one row per panel:
-    sampled in blocks, so f's temporaries stay small, into a C-contiguous
-    float64 array (complex samples raise TypeError)."""
-    y = np.empty((mid.size, _XK.size))
+    """h times the sums _FILON takes of a real f at the nodes of the panels
+    (mid, half), one row per panel, into a float64 array (complex samples
+    raise TypeError): f is sampled in blocks, so its temporaries stay small."""
+    sums = np.empty((mid.size, _FILON.shape[1]))
     for p0 in range(0, mid.size, _SAMPLE_PANELS):
         rows = slice(p0, p0 + _SAMPLE_PANELS)
         x = mid[rows, None] + half[rows, None] * _XK
-        np.copyto(y[rows], np.asarray(f(x.ravel())).reshape(x.shape))
-    return y
+        y = np.asarray(f(x.ravel())).reshape(x.shape) * half[rows, None]
+        np.matmul(y, _FILON, out=sums[rows])
+    return sums
 
 
-@functools.lru_cache(maxsize=4)
-def _seed_samples(f, edges, nu_max):
-    """(mid, half, runs, samples, kept): the seed panels _fourier_mesh(edges,
-    nu_max), _sample of them, read-only as mid and half are, and the slot
-    kept = [key, result] of the seed's last reduction, [None, None] at first."""
-    mid, half, runs = _fourier_mesh(edges, nu_max)
-    y = _sample(f, mid, half)
-    for a in (mid, half, y):
+@functools.lru_cache(maxsize=8)
+def _seed_samples(f, edges, pieces):
+    """(mid, half, sums, kept): the seed panels, `pieces` equal ones per
+    interval between edges, sorted by half-width, _sample of them, all
+    read-only, and the slot kept = [key, result] of its last reduction."""
+    edges, n = np.array(edges), np.broadcast_to(pieces, len(edges) - 1)
+    half = np.repeat(0.5 * np.diff(edges) / n, n)
+    # panel k of an interval [a, b] has its midpoint at a + (2k + 1) h
+    k = np.arange(half.size) - np.repeat(np.cumsum(n) - n, n)
+    order = np.argsort(half, kind="stable")
+    mid = (np.repeat(edges[:-1], n) + (2.0 * k + 1.0) * half)[order]
+    half = half[order]
+    sums = _sample(f, mid, half)
+    for a in (mid, half, sums):
         a.flags.writeable = False
-    return mid, half, runs, y, [None, None]
+    return mid, half, sums, [None, None]
 
 
-def _phase(cycles):
-    """exp(-2 pi i cycles), rounding as cycles does, not as 2 pi cycles."""
-    return np.exp(-2j * np.pi * (cycles - np.round(cycles)))
+def _spherical_jn(w):
+    """j_0..j_14 at each w, one row per order: the power series below
+    |w| = 2, Miller's downward recurrence, scaled to the larger of j_0 and
+    j_1, below 14, and from 14 on the upward one, stable to order |w|."""
+    a = np.abs(w)
+    j = np.empty((15,) + a.shape)
+    low, high = a < 2.0, a >= 14.0
+    x = a[low]
+    j[:, low] = x ** _N[:, None] * (_SERIES @ (x * x) ** _N[:13, None])
+    for part in (~(low | high), high):
+        x, up = a[part], part is high
+        if not x.size:
+            continue
+        top = 14 if up else 18 + int(x.max())
+        inv, r = 1.0 / x, np.empty((top + 2, x.size))
+        j0 = r[0] = np.sin(x) * inv
+        j1 = r[1] = (j0 - np.cos(x)) * inv
+        r[top:] = [[1.0], [0.0]]     # Miller's start; going up, overwritten
+        # r_(n -+ 1) = (2n + 1) r_n / x - r_(n +- 1), in place (3x faster)
+        for n in range(1, 14) if up else range(top, 0, -1):
+            new, old = (n + 1, n - 1) if up else (n - 1, n + 1)
+            np.multiply(inv, 2 * n + 1, out=r[new])
+            r[new] *= r[n]
+            r[new] -= r[old]
+        big = np.abs(j0) >= np.abs(j1)
+        j[:, part] = r[:15] if up else r[:15] * (
+            np.where(big, j0, j1) / np.where(big, r[0], r[1]))
+    j[1::2] *= np.sign(w)
+    return j
 
 
-def _fourier_panels(freqs, mid, half, samples, runs=None):
-    """Yield (panel indices, values, errors) over blocks of panels, each row
-    a panel's Kronrod value of f(t) exp(-2 pi i nu t) and its error, one
-    column per frequency nu, from samples, f at the panels' nodes, one row
-    per panel, by runs of panels of one half-width h whose midpoints step
-    by 2h (else by half-width)."""
+def _fourier_panels(freqs, mid, half, sums):
+    """Yield (panel indices, values, errors) over blocks of the panels,
+    sorted by half-width: per row a panel's K and error at each frequency,
+    from its sums (_sample)."""
     nf = freqs.size
     rows = max(1, _FOURIER_BLOCK // (3 * nf))
-    for run in runs or [np.flatnonzero(half == h) for h in _distinct(half)]:
-        h = half[run[0]]
-        # the table at the nodes x >= 0, its conjugate at -x, under the
-        # rows of weights of K, K - G and A, times h
-        right = _phase(h * np.outer(_XK[7:], freqs))
-        weights = np.hstack(h * _W3[:, :, None] * np.concatenate(
-            [right[:0:-1].conj(), right]))
-        if runs:
-            kronrod = weights[:, :nf].copy()
-            step = _phase(np.outer(2.0 * h * np.arange(min(rows, run.size)),
-                                   freqs))
-        for p0 in range(0, run.size, rows):
-            idx = run[p0:p0 + rows]
-            if runs:
-                # the block's first phase, carried by the Kronrod weights
-                weights[:, :nf] = kronrod * _phase(mid[idx[0]] * freqs)
-            sums = (samples[idx] @ weights.view(np.float64)).view(
-                np.complex128)
-            # |antisymmetric sum| <= QUADPACK's resasc, and the rescaled error
-            # only falls as resasc grows beyond 200 raw
-            err = _rescale(np.abs(sums[:, nf:2 * nf]),
-                           np.abs(sums[:, 2 * nf:]))
-            yield idx, sums[:, :nf] * (step[:idx.size] if runs else _phase(
-                np.outer(mid[idx], freqs))), err
+    starts = np.flatnonzero(np.concatenate(([True], half[1:] != half[:-1])))
+    runs = list(zip(starts.tolist(), starts[1:].tolist() + [half.size]))
+    # per half-width and frequency, j_n in the column of Re (n even) or Im
+    jn = _spherical_jn(2.0 * np.pi * np.outer(half[starts], freqs))
+    moments = (jn.swapaxes(0, 1)[..., None] * np.eye(2)[_N % 2, None]
+               ).reshape(starts.size, 15, 2 * nf)
+    for p0 in range(0, half.size, rows):
+        idx = slice(p0, min(p0 + rows, half.size))
+        kg = np.empty((idx.stop - p0, 2, 2 * nf))
+        for w, (lo, hi) in enumerate(runs):
+            lo, hi = max(lo, p0), min(hi, idx.stop)
+            if lo < hi:
+                np.matmul(sums[lo:hi, :30].reshape(-1, 15), moments[w],
+                          out=kg[lo - p0:hi - p0].reshape(-1, 2 * nf))
+        kg = kg.view(np.complex128)
+        # the phase rounds as nu m does, not as 2 pi nu m
+        cycles = np.outer(mid[idx], freqs)
+        kg[:, 0] *= np.exp(-2j * np.pi * (cycles - np.round(cycles)))
+        yield idx, kg[:, 0], _rescale(np.abs(kg[:, 1]), np.abs(sums[idx, 30:]))

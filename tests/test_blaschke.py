@@ -232,10 +232,12 @@ def test_convolution_two_routes_quick(jump):
 
 
 # convolution_identity_residual(jump, q, t, 1e-3) as (max_discrepancy,
-# {route: (value real, value imag, error estimate)}), recorded when
-# integrate_finite seeded the direct route's quarter periods itself: the
-# route now passes them as points, and its mesh, so every bit, is the same
-DIRECT_ROUTE_PINS = {
+# {route: (value real, value imag, error estimate)}), recorded while
+# compute_G's panels were half periods of the call's largest |s| and took
+# the phase at the nodes: DIRECT_ROUTE_PINS_HALF_PERIOD, kept as the record
+# that the Filon rule's values must lie within; the other routes' bits are
+# unchanged
+DIRECT_ROUTE_PINS_HALF_PERIOD = {
     (1, 0.25): (7.354483747641107e-08, {
         "direct": (0.00010090101244768126, 0.006301640972693981,
                    6.135033914527294e-05),
@@ -264,18 +266,50 @@ DIRECT_ROUTE_PINS = {
         "difference_form": (0.0007227598105969408, 0.0006334402396395641,
                             8.708529117125117e-05)}),
 }
+DIRECT_ROUTE_PINS = {
+    (1, 0.25): (7.354451373403482e-08, {
+        "direct": (0.00010090101268127544, 0.006301640972376949,
+                   6.134532870246481e-05),
+        "difference_form": (0.00010090316814139349, 0.0063015716750234865,
+                            4.301725438008416e-05),
+        "reduced": (0.0001009031681413932, 0.00630156745945637,
+                    4.244933068784104e-05)}),
+    (0, 1.0): (9.4842324351018e-08, {
+        "direct": (-0.011505100129643555, 0.0050763679998936245,
+                   0.00013984543459462503),
+        "difference_form": (-0.011505093797600402, 0.0050762733691812854,
+                            4.433613895940998e-05)}),
+    (-3, 0.51): (1.1306982726981123e-07, {
+        "direct": (-0.021282238021330314, 0.0372205923760933,
+                   3.8094056182565e-05),
+        "difference_form": (-0.02128232304623441, 0.037220517840521106,
+                            4.771487674894462e-05)}),
+    (7.3, 0.03): (1.2713212195407302e-07, {
+        "direct": (2.6974995049738278e-05, -0.0001361640306492716,
+                   1.1536098960592651e-05),
+        "difference_form": (2.6886228120449088e-05, -0.0001362550416853997,
+                            5.552819470873698e-06)}),
+    (2, 1.7): (9.722243095446805e-08, {
+        "direct": (0.0007227587301474616, 0.0006333430232124048,
+                   0.00010556692162452897),
+        "difference_form": (0.0007227598105969408, 0.0006334402396395641,
+                            8.708529117125117e-05)}),
+}
 
 
 @pytest.mark.parametrize("q, t", list(DIRECT_ROUTE_PINS))
 def test_convolution_routes_keep_their_bits(jump, q, t):
     """The direct route's seed, q's quarter periods capped at 2000 beside
     the decades and G's fixed points, gives the pinned values, error
-    estimates and discrepancy exactly, the other routes too."""
+    estimates and discrepancy exactly, the other routes too; each direct
+    value lies within the error estimate of the half-period rule's."""
     disc, routes = DIRECT_ROUTE_PINS[q, t]
     out = convolution_identity_residual(jump, q, t, 1e-3)
     assert {k: (v.real, v.imag, out["error_estimates"][k])
             for k, v in out["values"].items()} == routes
     assert out["max_discrepancy"] == disc
+    old = DIRECT_ROUTE_PINS_HALF_PERIOD[q, t][1]["direct"]
+    assert abs(out["values"]["direct"] - complex(*old[:2])) <= old[2]
 
 
 def _G_per_s(j, s, tol):
@@ -347,31 +381,32 @@ class _CountingJump:
 
 
 # the small-|s| branch's seed: its panels of 15 nodes on [-4e4, 0]
-SMALL_S_SEED_NODES = (quadrature._fourier_mesh(*blaschke._SMALL_SEED)[0].size
-                      * 15)
+SMALL_S_SEED_NODES = (15 * blaschke._SMALL_SEED[1]
+                      * (len(blaschke._SMALL_SEED[0]) - 1))
 
 
 def _kept_seed_reductions(monkeypatch):
-    """The panel count of each kept seed fourier_coefficients reduces, one
-    entry per reduction: a reduction starts with one _fourier_panels call on
-    the seed's read-only samples, and a repeat that returns the seed's kept
-    result makes none."""
+    """The left end of each kept seed fourier_coefficients reduces, one
+    entry per reduction: -4e4 for compute_G's small-|s| seed, -200 for its
+    other one.  A reduction starts with one _fourier_panels call on the
+    seed's read-only sums, and a repeat that returns the seed's kept result
+    makes none."""
     seeds, panels = [], quadrature._fourier_panels
 
-    def recording(freqs, mid, half, samples, runs=None):
-        if not samples.flags.writeable:
-            seeds.append(mid.size)
-        return panels(freqs, mid, half, samples, runs)
+    def recording(freqs, mid, half, sums):
+        if not sums.flags.writeable:
+            seeds.append(float((mid - half).min()))
+        return panels(freqs, mid, half, sums)
 
     monkeypatch.setattr(quadrature, "_fourier_panels", recording)
     return seeds
 
 
 def test_G_is_the_same_from_a_cold_and_a_warm_jump(jump, monkeypatch):
-    """The small-|s| batch a jump keeps gives the values a cold jump
-    computes, bit for bit, and a jump equal by value shares it (criterion
-    14): neither reduces the seed again.  A spy, hashed by identity,
-    reduces a seed of its own."""
+    """The batches a jump keeps give the values a cold jump computes, bit
+    for bit, and a jump equal by value shares them (criterion 14): neither
+    reduces a seed again.  A spy, hashed by identity, reduces seeds of its
+    own."""
     s = np.array([0.0, 0.0123, -0.0499, 0.05, 0.3, -2.0])
     quadrature._seed_samples.cache_clear()
     seeds = _kept_seed_reductions(monkeypatch)
@@ -383,10 +418,13 @@ def test_G_is_the_same_from_a_cold_and_a_warm_jump(jump, monkeypatch):
         assert np.array_equal(res.abs_error_estimate, cold.abs_error_estimate)
         assert np.array_equal(res.converged, cold.converged)
         assert res.evaluations == cold.evaluations
-        assert seeds == [SMALL_S_SEED_NODES // 15] * reductions
+        assert seeds == [-4e4, -200.0] * reductions
 
 
 def test_second_small_s_call_samples_only_its_split_panels(jump):
+    """A second call on the kept small-|s| seed samples the jump only on
+    the panels it splits: the seed's nodes are counted in its evaluations
+    but not sampled again."""
     spy = _CountingJump(jump)
     first = compute_G(spy, np.array([0.0, 0.02, -0.04]), 5e-5)
     # the seed's nodes and the split panels', all sampled once
@@ -397,32 +435,14 @@ def test_second_small_s_call_samples_only_its_split_panels(jump):
     assert spy.points == second.evaluations - SMALL_S_SEED_NODES
 
 
-def _G_direct(j, s, tol, monkeypatch):
-    """compute_G's value, error and evaluations from fresh samples of j
-    and a direct exp for every phase, the runs taken out of every seed
-    mesh and no seed kept: the small-|s| branch as fourier_coefficients'
-    loop on the same seed panels, the others by compute_G."""
-    mesh = quadrature._fourier_mesh
-    s = np.atleast_1d(s)
-    small = np.abs(s) < 0.05
-    value, error, evals = np.empty(s.size, complex), np.empty(s.size), 0
+def _G_fresh(j, s, tol, monkeypatch):
+    """compute_G's value, error and evaluations from fresh samples of j,
+    no seed kept."""
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "_fourier_mesh",
-                  lambda edges, nu: (*mesh(edges, nu)[:2], None))
         m.setattr(quadrature, "_seed_samples",
                   quadrature._seed_samples.__wrapped__)
-        if small.any():
-            res = fourier_coefficients(j, -s[small], tol,
-                                       *blaschke._SMALL_SEED)
-            value[small] = 1j * res.value
-            error[small] = (res.abs_error_estimate
-                            + blaschke._g_abs_tail(4.0e4))
-            evals += res.evaluations
-        if not small.all():
-            res = compute_G(j, s[~small], tol)
-            value[~small], error[~small] = res.value, res.abs_error_estimate
-            evals += res.evaluations
-    return value, error, evals
+        res = compute_G(j, s, tol)
+    return res.value, res.abs_error_estimate, res.evaluations
 
 
 @pytest.mark.parametrize("s", [np.linspace(-0.0499, 0.0499, 41),
@@ -431,24 +451,25 @@ def _G_direct(j, s, tol, monkeypatch):
                                -0.031],
                          ids=["small", "mixed", "scalar"])
 def test_G_matches_the_direct_exp_route(jump, s, monkeypatch):
-    """The step-table phases and the kept samples of the real jump
-    function give G within 1e-13 of fresh samples and direct exps, with the
-    same panels split and so the same evaluations; a scalar s counts as
-    one, and gives arrays of one."""
+    """The kept sums of the real jump function give G bit for bit as
+    fresh samples do, every phase a direct exp in both, with the same
+    panels split and so the same evaluations; a scalar s counts as one,
+    and gives arrays of one."""
     tol = 5e-5
     res = compute_G(jump, s, tol)
-    value, error, evals = _G_direct(jump, s, tol, monkeypatch)
+    value, error, evals = _G_fresh(jump, s, tol, monkeypatch)
     assert res.converged.shape == np.atleast_1d(s).shape
-    assert np.abs(res.value - value).max() <= 1e-13
+    assert np.array_equal(res.value, value)
     assert np.array_equal(res.converged, error <= tol)
     assert res.evaluations == evals
 
 
-# compute_G of the cubes' jump at G_PIN_S, recorded while its large-|s|
-# branch still integrated the complex jump: per tol, the evaluations, the
-# error estimates, converged and the values
+# compute_G of the cubes' jump at G_PIN_S: per tol, the evaluations, the
+# error estimates, converged and the values.  G_PIN_HALF_PERIOD was recorded
+# on half-period panels with the phase at the nodes; it is kept as the
+# record that the Filon rule's values must lie within
 G_PIN_S = np.array([0.01, 0.03, 0.06, 0.2, 0.7, 1.5])
-G_PIN = {
+G_PIN_HALF_PERIOD = {
     5e-5: (39_363,
            [4.999774772887623e-05, 5.000080067267594e-05,
             3.9759860280426936e-05, 3.5849447400935584e-06,
@@ -472,35 +493,60 @@ G_PIN = {
             -0.048501884317149094 + 0.05193521671111923j,
             0.01643595291529597 - 0.009363483250083304j]),
 }
+G_PIN = {
+    5e-5: (3_483,
+           [4.9997817872961965e-05, 4.9997643991606186e-05,
+            3.986708589056389e-05, 7.115516169886132e-06,
+            9.377125557088696e-07, 2.7803311826343047e-07],
+           [True, True, True, True, True, True],
+           [-0.0010361208843855257 - 0.007996680989536544j,
+            -0.02952512172119794 - 0.016371045455579943j,
+            0.07017555669651304 + 0.003105665690423205j,
+            0.07023996619625718 + 0.11611702793557735j,
+            -0.04850188431715094 + 0.051935216711114944j,
+            0.01643595291529355 - 0.009363483250086747j]),
+    1e-6: (3_183,
+           [5.0004478221977024e-05, 4.999963412579655e-05,
+            3.975341549511726e-05, 3.6026576587372475e-06,
+            3.002923107735906e-07, 8.780939526589065e-08],
+           [False, False, False, False, True, True],
+           [-0.001036120884385642 - 0.007996680989536592j,
+            -0.02952512172119799 - 0.01637104545557995j,
+            0.07017555669651304 + 0.003105665690423205j,
+            0.07023996619625728 + 0.11611702793557593j,
+            -0.04850188431715371 + 0.05193521671111585j,
+            0.016435952915294882 - 0.00936348325008678j]),
+}
 
 
 @pytest.mark.parametrize("tol", [5e-5, 1e-6])
 def test_G_pinned_across_both_branches(jump, tol):
-    """Both branches integrate the real j = g/i and multiply by i: the error
-    estimates, evaluations and converged are those of the complex jump's
-    route bit for bit, and the values agree within 1e-15 relative."""
+    """Both branches integrate the real j = g/i and multiply by i: the
+    error estimates, evaluations and converged are the pinned ones bit for
+    bit, the values agree within 1e-15 relative, and each value lies
+    within the half-period rule's error estimate of its value."""
     evaluations, errors, converged, values = G_PIN[tol]
     res = compute_G(jump, G_PIN_S, tol)
     assert res.evaluations == evaluations
     assert res.abs_error_estimate.tolist() == errors
     assert res.converged.tolist() == converged
     assert np.all(np.abs(res.value - values) <= 1e-15 * np.abs(values))
+    _, old_errors, _, old_values = G_PIN_HALF_PERIOD[tol]
+    assert np.all(np.abs(res.value - old_values) <= old_errors)
 
 
 @pytest.mark.parametrize("tol", [5e-5, 1e-6])
 def test_period_wide_small_s_seed_keeps_the_tail_dominant(jump, tol):
-    """The small-|s| seed, panels one period of 0.05 wide, gives G within
-    1e-13 of the half-period seed's, and the quadrature's part of its error
-    stays within 1e-3 of the envelope tail beyond 4e4, which sets the
-    branch's error."""
-    edges, nu = blaschke._SMALL_SEED
-    mesh = quadrature._fourier_mesh
-    assert mesh(edges, 0.05)[0].size == 2 * mesh(edges, nu)[0].size
+    """The small-|s| seed, decades toward 0 in 8 panels each, gives G
+    within 1e-13 of the same rule on 4000 half-period panels of 0.05, and
+    the quadrature's part of its error stays within 1e-3 of the envelope
+    tail beyond 4e4, which sets the branch's error."""
     s = np.concatenate([np.linspace(-0.0499, 0.0499, 41), [0.0123, -0.031]])
     res = compute_G(jump, s, tol)
-    half = fourier_coefficients(jump, -s, tol, edges, 0.05)
-    assert np.abs(res.value - 1j * half.value).max() <= 1e-13
     tail = blaschke._g_abs_tail(4.0e4)
+    rest = min(tol - tail if tail < tol else tol, 1e-3 * tail)
+    half = fourier_coefficients(jump, -s, rest, (-4.0e4, 0.0), 4000)
+    assert np.abs(res.value - 1j * half.value).max() <= 1e-13
     assert np.all(res.abs_error_estimate - tail <= 1e-3 * tail)
 
 
@@ -521,35 +567,37 @@ class _CountingNumpy:
 
 
 def test_small_s_G_takes_a_tenth_of_the_panel_phase_exps(jump, monkeypatch):
-    """One small-|s| call, 101 frequencies on the seed panels, takes no
-    complex exp per (panel, frequency): the seed round's phases are a step
-    table's rows times one row per block, and only the split panels'
-    phases are direct.  The budget is a tenth of the 404,000 entries that
+    """One small-|s| call, 101 frequencies, takes one complex exp per
+    (panel, frequency) on a seed of 72 panels and the panels it splits,
+    and none in its moments: within a tenth of the 404,000 entries that
     direct exps took on the half-period seed of 4000 panels."""
     s = np.linspace(-0.0499, 0.0499, 101)
     quadrature._seed_samples.cache_clear()  # no batch kept to return
     counting = _CountingNumpy()
     monkeypatch.setattr(quadrature, "np", counting)
-    compute_G(jump, s, 5e-5)
+    res = compute_G(jump, s, 5e-5)
+    assert counting.entries == res.evaluations // 15 * s.size
     assert 0 < counting.entries <= 4000 * s.size // 10
 
 
 def test_route_check_cost_budget(jump):
-    """Criterion 4's six convolution checks sample the jump at 89,348
-    points (85,883 before the half-line integrals were seeded toward both
-    ends, 115,163 on the half-period small-|s| seed, 715,178 before the
-    jump's samples were kept), and the three H checks of
-    test_H_two_route_agreement take 28,800 evaluations (44,160 on
-    quarter-period panels of the integrand's top frequency, 86,400 before
-    that); each budget is about 20% above its count."""
+    """Criterion 4's six convolution checks sample the jump at 32,843
+    points (89,348 with the phase at the nodes of half-period panels,
+    85,883 before the half-line integrals were seeded toward both ends,
+    115,163 on the half-period small-|s| seed, 715,178 before the jump's
+    samples were kept), and the three H checks of
+    test_H_two_route_agreement take 15,300 evaluations (28,800 on half
+    periods of 1, 44,160 on quarter-period panels of the integrand's top
+    frequency, 86,400 before that); each budget is about 20% above its
+    count."""
     spy = _CountingJump(jump)
     for q in (1.0, 0.0, -1.0):
         for t in (0.25, 1.0):
             convolution_identity_residual(spy, q, t, 1e-3)
-    assert spy.points <= 103_000
+    assert spy.points <= 39_500
     evaluations = sum(eval_H_integral(t, 1e-8).evaluations
                       for t in (0.1, 0.5, 0.9))
-    assert evaluations <= 34_500
+    assert evaluations <= 18_400
 
 
 def _config_z_points():
@@ -647,7 +695,7 @@ def test_convolution_checks_share_one_small_s_batch(jump, monkeypatch):
         for t in (0.25, 1.0):
             out = convolution_identity_residual(jump, q, t, 1e-3)
             assert out["max_discrepancy"] < 1e-3
-    assert seeds == [SMALL_S_SEED_NODES // 15]
+    assert seeds.count(-4e4) == 1
 
 
 def test_convolution_small_s_nodes_do_not_follow_q_or_t(jump, monkeypatch):
@@ -671,21 +719,22 @@ def test_convolution_small_s_nodes_do_not_follow_q_or_t(jump, monkeypatch):
 def test_kept_small_s_batch_keeps_its_bits_and_its_zero_sign(jump,
                                                              monkeypatch):
     """A warm compute_G gives the cold one's value, error, evaluations and
-    converged bit for bit without reducing the seed; the kept result keys
-    on the bits of s, so s = -0.0 after s = 0.0 reduces it again."""
+    converged bit for bit without reducing either seed; the kept result
+    keys on the bits of s, so s = -0.0 after s = 0.0 reduces the small-|s|
+    seed again."""
     s = np.array([0.0, 0.0123, -0.0499, 0.3])
     quadrature._seed_samples.cache_clear()
     seeds = _kept_seed_reductions(monkeypatch)
     cold = compute_G(jump, s, 5e-5)
     warm = compute_G(jump, s, 5e-5)
-    assert len(seeds) == 1
+    assert seeds == [-4e4, -200.0]
     for got, want in ((warm.value, cold.value),
                       (warm.abs_error_estimate, cold.abs_error_estimate),
                       (warm.converged, cold.converged)):
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
     assert warm.evaluations == cold.evaluations
     compute_G(jump, np.where(s == 0.0, -0.0, s), 5e-5)
-    assert len(seeds) == 2
+    assert seeds == [-4e4, -200.0, -4e4]
 
 
 def test_convolution_below_the_fixed_points(jump):

@@ -467,13 +467,15 @@ def test_H_cut_is_the_smallest_integer_that_fits(tol, X):
 
 
 def test_H_integral_within_its_bound_inside_and_outside_the_support(s20):
-    """Seeded at half a period of 1, the route meets its declared bound on
-    [0, 1], the support's ends included, on the 640 seed panels of
-    [0, 320]; off [0, 1] the transform of h vanishes, where the periodic
-    series does not, and the route refuses t."""
+    """Seeded at half periods of K's sin(pi x), halved on [0, 20], the
+    route meets its declared bound on [0, 1], the support's ends included,
+    on the 340 seed panels of [0, 320], two more split at the ends; off
+    [0, 1] the transform of h vanishes, where the periodic series does not,
+    and the route refuses t."""
     for t in (0.0, 0.05, 0.5, 0.95, 1.0):
         res = eval_H_integral(t, 1e-8)
-        assert res.converged and res.evaluations == 640 * 15
+        assert res.converged
+        assert res.evaluations == (342 if t in (0.0, 1.0) else 340) * 15
         assert (abs(eval_H_series(s20, t) - res.value)
                 <= res.abs_error_estimate + s20.truncation_bound)
     for t in (-0.5, 1.3):
@@ -496,7 +498,7 @@ class _CountingKernel:
 
 
 def test_H_integral_reads_the_kernel_from_one_table(monkeypatch):
-    """Every t in [0, 1] shares the 640 seed panels of [0, 320], on which
+    """Every t in [0, 1] shares the 340 seed panels of [0, 320], on which
     the t-free kernel is sampled once and kept: a call at another t
     samples it only on the panels it splits, the support's ends
     included."""
@@ -504,11 +506,11 @@ def test_H_integral_reads_the_kernel_from_one_table(monkeypatch):
     spy = _CountingKernel()
     monkeypatch.setattr(deep_zero, "_sin_over_FF", spy)
     first = eval_H_integral(0.1, 1e-8)
-    assert spy.points == first.evaluations >= 640 * 15
+    assert spy.points == first.evaluations >= 340 * 15
     for t in (0.0, 0.3, 0.5, 0.95, 1.0):
         spy.points = 0
         res = eval_H_integral(t, 1e-8)
-        assert spy.points == res.evaluations - 640 * 15
+        assert spy.points == res.evaluations - 340 * 15
     assert quadrature._seed_samples.cache_info().hits == 5
 
 
@@ -540,9 +542,9 @@ def test_H_integral_error_budget_holds_tail_included(s20, tol):
 
 
 def test_H_integral_past_the_seed_cap_raises(monkeypatch):
-    """At t = 500 half periods of 500 on [0, 320] would be 320,000 panels,
-    past the seed cap.  No t off [0, 1] reaches the quadrature now, NaN
-    included: the call raises before it samples anything."""
+    """No t off [0, 1] reaches the quadrature, NaN included: the call
+    raises before it samples anything (at t = 500 the seed of half periods
+    of 500 on [0, 320] would once have been past the seed cap)."""
     kernel = _CountingKernel()
     monkeypatch.setattr(deep_zero, "_sin_over_FF", kernel)
     for t in (500.0, -500.0, -0.5, 1.3, -1e-300, np.nextafter(1.0, 2.0),

@@ -19,7 +19,8 @@ from szegolab.frequency_sets import (FrequencySet, complement_in_range,
 from szegolab.probe import (AnnihilatorTarget, ProbeConfig, TrigPolyTarget,
                             gram_matrix, residual_curve, weight_fourier_coeff,
                             weight_fourier_coeffs, weighted_residual)
-from szegolab.quadrature import fourier_coefficients, integrate_finite
+from szegolab.quadrature import (decades, fourier_coefficients,
+                                 integrate_finite)
 from szegolab.weights import (make_constant_weight, make_exp_weight,
                               make_tabulated_weight)
 
@@ -72,7 +73,9 @@ def _per_lag(w, k, tol):
 def test_fourier_coeffs_match_per_lag_route(c, K):
     tol = 1e-12
     w = make_exp_weight(c)
-    res = fourier_coefficients(w, np.arange(K + 1), tol, w.breakpoints)
+    # the vector's seed: w's breakpoints and the decades toward 0
+    seed = sorted({*w.breakpoints, *decades(1.0, tol)})
+    res = fourier_coefficients(w, np.arange(K + 1), tol, seed)
     assert res.converged and np.all(res.abs_error_estimate <= tol)
     vec = weight_fourier_coeffs(w, K, tol)
     assert np.array_equal(vec, res.value)
@@ -108,15 +111,14 @@ def test_fourier_coeffs_flat_tabulated_weight_exact():
 
 
 def test_fourier_coeffs_unconverged_lag_raises(monkeypatch):
-    """A budget of 100 evaluations seeds lags up to 3 on [0, 1] (6 panels)
-    and halves none: the unconverged lag raises ArithmeticError.  Lag 4
-    needs more seed panels than the budget holds, and raises ValueError
-    before the weight is sampled."""
+    """A budget of 100 evaluations holds less than the seed, 9 panels on
+    [0, 1] whatever the lags, which is sampled once and halved nowhere: the
+    unconverged lag raises ArithmeticError, at K = 3 as at K = 4000, for
+    which half-period panels once needed a seed past the budget."""
     monkeypatch.setattr(quadrature, "_MAX_EVALS", 100)
-    with pytest.raises(ArithmeticError, match=r"k=\d+ reached only"):
-        weight_fourier_coeffs(make_exp_weight(1.0), 3, 1e-12)
-    with pytest.raises(ValueError, match=r"nu_max 4 is past the seed cap 3$"):
-        weight_fourier_coeffs(make_exp_weight(1.0), 4, 1e-12)
+    for K in (3, 4000):
+        with pytest.raises(ArithmeticError, match=r"k=\d+ reached only"):
+            weight_fourier_coeffs(make_exp_weight(1.0), K, 1e-12)
 
 
 def test_coefficient_vector_does_not_depend_on_what_was_asked_before():
@@ -132,11 +134,25 @@ def test_coefficient_vector_does_not_depend_on_what_was_asked_before():
 
 
 def test_fourier_coeffs_bench_weight_evaluation_count():
-    # the companion weight of the probe benchmarks: one round of 2K panels
-    # on [0, 1], none halved
+    # the companion weight of the probe benchmarks on [0, 1]: 73 panels,
+    # halved from one where exp(-c/t) needs them (23,970 on one round of
+    # 2K half-period panels, none halved, with the phase at the nodes)
     res = fourier_coefficients(make_exp_weight(0.465), np.arange(800), 1e-13)
     assert res.converged
-    assert res.evaluations == 23_970
+    assert res.evaluations == 1_095
+
+
+def test_fourier_coeffs_are_a_fresh_writable_vector():
+    """The quadrature keeps its result read-only; each call returns a copy
+    the caller may write, and writing it leaves the kept result alone."""
+    w = make_exp_weight(0.3)
+    first = weight_fourier_coeffs(w, 50, 1e-12)
+    second = weight_fourier_coeffs(w, 50, 1e-12)
+    assert first is not second and np.array_equal(first, second)
+    assert first.flags.writeable and second.flags.writeable
+    want = second.copy()
+    first[:] = 0.0
+    assert np.array_equal(weight_fourier_coeffs(w, 50, 1e-12), want)
 
 
 def test_fourier_coeffs_memory_stays_below_the_panel_lag_node_tensor():

@@ -1,10 +1,13 @@
 import ast
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import legendre
 from scipy.integrate import quad
+from scipy.special import spherical_jn
 
 import szegolab.quadrature as quadrature
 from szegolab import blaschke, deep_zero
@@ -260,7 +263,7 @@ class _Counting:
 
 
 def _kept_sample_cases():
-    """(f, frequencies, tol, breakpoints, nu_max) of the two routes that
+    """(f, frequencies, tol, breakpoints, pieces) of the two routes that
     keep samples: the H kernel at t = 0.1 and t = 1 as eval_H_integral takes
     it at tol 1e-14, where both split panels, and the cubes' real jump
     function on compute_G's small-|s| seed at tol 5e-5."""
@@ -268,39 +271,38 @@ def _kept_sample_cases():
     tol = 0.5 * (1e-14 - deep_zero._h_abs_tail(X))
     jump = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 50)))
     s = np.array([0.0, 0.02, -0.04])
-    return [(deep_zero._sin_over_FF, np.array([0.5 - t]), tol, (0.0, X),
-             1.0) for t in (0.1, 1.0)] + [
+    return [(deep_zero._sin_over_FF, np.array([0.5 - t]), tol,
+             (0.0, 20.0, X), (40, int(X) - 20)) for t in (0.1, 1.0)] + [
         (jump, -s, 5e-5, *blaschke._SMALL_SEED)]
 
 
 @pytest.mark.parametrize("case", range(3), ids=["H0.1", "H1.0", "G"])
 def test_fourier_coefficients_keeps_the_seed_and_samples_only_split_panels(
         case, monkeypatch):
-    """fourier_coefficients with a given nu_max keeps its seed and gives
-    the result that sampling f afresh gives, bit for bit: its first call
-    samples the seed panels, a repeat at new frequencies calls f only on
-    the panels it splits, and a repeat at the same frequencies and tol
-    calls f not at all; the kept samples are a C-contiguous float64 array
+    """fourier_coefficients keeps its seed and gives the result that
+    sampling f afresh gives, bit for bit: its first call samples the seed
+    panels, a repeat at new frequencies calls f only on the panels it
+    splits, and a repeat at the same frequencies and tol calls f not at
+    all; the kept sums are a C-contiguous float64 array of 31 per panel
     that cannot be written, and neither can the kept panels' midpoints and
     half-widths."""
-    f, freqs, tol, edges, nu_max = _kept_sample_cases()[case]
+    f, freqs, tol, edges, pieces = _kept_sample_cases()[case]
     spy = _Counting(f)
     shifted = freqs + 0.005
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_seed_samples",
                   quadrature._seed_samples.__wrapped__)
-        fresh = [fourier_coefficients(spy, nu, tol, edges, nu_max)
+        fresh = [fourier_coefficients(spy, nu, tol, edges, pieces)
                  for nu in (freqs, shifted)]
     assert spy.points == fresh[0].evaluations + fresh[1].evaluations
-    seed = quadrature._fourier_mesh(np.array(edges), nu_max)[0].size * 15
+    seed = int(np.sum(np.broadcast_to(pieces, len(edges) - 1))) * 15
     quadrature._seed_samples.cache_clear()
     for nu, want, sampled in ((freqs, fresh[0], fresh[0].evaluations),
                               (freqs, fresh[0], 0),
                               (shifted, fresh[1], fresh[1].evaluations - seed)):
         spy.points = 0
-        seeded = fourier_coefficients(spy, nu, tol, edges, nu_max)
-        mid, half, _, samples, _ = quadrature._seed_samples(spy, edges,
-                                                            nu_max)
+        seeded = fourier_coefficients(spy, nu, tol, edges, pieces)
+        mid, half, sums, _ = quadrature._seed_samples(spy, edges, pieces)
         for got, want_arr in ((seeded.value, want.value),
                               (seeded.abs_error_estimate,
                                want.abs_error_estimate)):
@@ -309,17 +311,17 @@ def test_fourier_coefficients_keeps_the_seed_and_samples_only_split_panels(
         assert (seeded.evaluations, seeded.converged) == (want.evaluations,
                                                           want.converged)
         assert spy.points == sampled
-    assert 0 < sampled and samples.size == seed
-    assert samples.dtype == np.float64 and samples.shape[1] == 15
-    assert samples.flags.c_contiguous and not samples.flags.writeable
+    assert 0 < sampled and sums.shape == (seed // 15, 31)
+    assert sums.dtype == np.float64 and np.all(np.diff(half) >= 0)
+    assert sums.flags.c_contiguous and not sums.flags.writeable
     assert not (mid.flags.writeable or half.flags.writeable)
 
 
 def test_a_kept_seed_returns_its_last_result_for_a_repeat(monkeypatch):
     """A repeat at a kept seed's last frequency bits and tol returns that
     seed's kept result, read-only, with no panel loop and no call to f;
-    -0.0 after 0.0, or another tol, reduces again.  A call without nu_max
-    keeps nothing, and its arrays can be written."""
+    -0.0 after 0.0, or another tol, reduces again.  Every seed is kept, the
+    default one too."""
     spy = _Counting(lambda t: np.sqrt(t) * np.cos(3.0 * t))
     loops, panels = [], quadrature._fourier_panels
 
@@ -328,7 +330,7 @@ def test_a_kept_seed_returns_its_last_result_for_a_repeat(monkeypatch):
         return panels(*args)
 
     monkeypatch.setattr(quadrature, "_fourier_panels", recording)
-    freqs, seed = np.array([0.0, 1.0, 2.5]), ((0.0, 1.0), 4.0)
+    freqs, seed = np.array([0.0, 1.0, 2.5]), ((0.0, 1.0), 4)
     first = fourier_coefficients(spy, freqs, 1e-10, *seed)
     assert not (first.value.flags.writeable
                 or first.abs_error_estimate.flags.writeable)
@@ -342,26 +344,25 @@ def test_a_kept_seed_returns_its_last_result_for_a_repeat(monkeypatch):
         assert loops and again is not first
         loops.clear()
     plain = [fourier_coefficients(spy, freqs, 1e-10) for _ in range(2)]
-    assert plain[0] is not plain[1] and len(loops) >= 2
-    assert plain[0].value.flags.writeable
-    assert plain[0].abs_error_estimate.flags.writeable
+    assert plain[0] is plain[1] and len(loops) >= 1
+    assert not plain[0].value.flags.writeable
 
 
-@pytest.mark.parametrize("nu_max", [None, 300.0],
-                         ids=["default seed", "kept seed"])
-def test_fourier_coefficients_refuse_a_complex_f(nu_max):
-    """Samples are real: a complex f raises TypeError, with or without a
-    given nu_max, where casting would drop its imaginary part (e^{6 pi i t}
-    would give 0.5 at nu = 3).  The seed holds 600 panels, and f is called
-    on the first block of _SAMPLE_PANELS alone."""
+@pytest.mark.parametrize("pieces", [1, 600],
+                         ids=["default seed", "600-panel seed"])
+def test_fourier_coefficients_refuse_a_complex_f(pieces):
+    """Samples are real: a complex f raises TypeError, on one panel or on
+    600, where casting would drop its imaginary part (e^{6 pi i t} would
+    give 0.5 at nu = 3); f is called on the first block of at most
+    _SAMPLE_PANELS panels alone."""
     spy = _Counting(lambda t: np.exp(6j * np.pi * t))
     with pytest.raises(TypeError, match="complex128"):
-        fourier_coefficients(spy, np.arange(301), 1e-10, (0.0, 1.0), nu_max)
-    assert spy.points == quadrature._SAMPLE_PANELS * 15
+        fourier_coefficients(spy, np.arange(301), 1e-10, (0.0, 1.0), pieces)
+    assert spy.points == min(pieces, quadrature._SAMPLE_PANELS) * 15
 
 
 # the node layout's private names: only quadrature may use them
-NODE_LAYOUT = {"_XK", "_fourier_mesh", "_eval_panels", "_MAX_EVALS",
+NODE_LAYOUT = {"_XK", "_FILON", "_eval_panels", "_MAX_EVALS",
                "_distinct", "_sample", "_seed_samples"}
 
 
@@ -394,21 +395,15 @@ def test_only_quadrature_knows_the_node_layout(tmp_path):
 
 
 def test_fourier_seed_round_keeps_to_the_evaluation_budget(monkeypatch):
-    """A seed may hold at most _MAX_EVALS/15 panels, so even the first
-    round stays within the budget: 21 frequencies on [0, 1] would seed 40
-    half-period panels, 600 nodes, against a budget of 150.  Such a seed,
-    the default one or a given one, raises ValueError, naming the seed
-    cap, nu_max 5, before f is sampled; a seed at the cap runs."""
+    """A seed is the caller's panels whatever the frequencies: 21 of them
+    on [0, 1], which took 40 half-period panels (600 nodes) before the
+    phase was integrated exactly, seed one panel, and the halvings stop
+    before they would pass a budget of 150 evaluations."""
     monkeypatch.setattr(quadrature, "_MAX_EVALS", 150)
     spy = _Counting(lambda t: np.exp(-1 / np.maximum(t, 1e-300)))
-    for nu_max in (None, 20.0):
-        with pytest.raises(ValueError,
-                           match=r"nu_max 20 is past the seed cap 5$"):
-            fourier_coefficients(spy, np.arange(21), 1e-12, (0.0, 1.0),
-                                 nu_max)
-        assert spy.points == 0
-    res = fourier_coefficients(spy, np.arange(6), 1e-12)
-    assert spy.points == res.evaluations == 150
+    res = fourier_coefficients(spy, np.arange(21), 1e-12)
+    assert spy.points == res.evaluations <= 150
+    assert not res.converged
 
 
 def test_invalid_interval():
@@ -455,7 +450,8 @@ def test_fourier_coefficients_stop_at_max_evals(monkeypatch):
     f = lambda t: np.exp(-1.0 / np.maximum(t, 1e-300))
     res = fourier_coefficients(f, np.arange(4), 1e-14)
     assert not res.converged
-    assert res.evaluations == 6 * 15   # one round: 6 panels, none halved
+    # the seed panel, then its halves, whose halving would pass the budget
+    assert res.evaluations == 3 * 15
     assert res.abs_error_estimate.max() > 1e-14
 
 
@@ -490,57 +486,60 @@ def test_fourier_coefficients_invalid_input():
         fourier_coefficients(f, np.arange(4), 1e-8, breakpoints=(0.5, 0.5))
 
 
-def _quadpack_panel_errors(f, freqs, mid, half):
-    """raw |K-G|, QUADPACK's rescaled error and the rounding level of each
-    (panel, frequency), from the explicit (panel x frequency x node) tensor
-    of samples times exp(-2 pi i nu h x_j) and QUADPACK's exact resasc."""
+def _filon_panel_errors(f, freqs, mid, half):
+    """Per (panel, frequency): the Filon K, raw |K - G|, QUADPACK's
+    rescaling of raw with f's exact resasc, and the rounding level, from an
+    independent route: numpy's Legendre fits of the samples on the 15
+    Kronrod and the 7 Gauss nodes and scipy's spherical Bessel functions."""
     h = half[:, None]
-    x = mid[:, None] + h * _XK
-    y = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
-    z = y[:, None, :] * np.exp(-2j * np.pi * h[..., None]
-                               * freqs[None, :, None] * _XK)
-    vk = (z * _WK).sum(axis=-1) * h
-    vg = (z[..., 1::2] * _WG).sum(axis=-1) * h
-    raw = np.abs(vk - vg)
-    resasc = (np.abs(z - (vk / (2 * h))[..., None]) * _WK).sum(axis=-1) * h
+    y = f((mid[:, None] + h * _XK).ravel()).reshape(mid.size, 15)
+    a15 = legendre.legfit(_XK, y.T, 14).T
+    a7 = np.zeros_like(a15)
+    a7[:, :7] = legendre.legfit(_XK[1::2], y[:, 1::2].T, 6).T
+    n = np.arange(15)[:, None, None]
+    w = 2.0 * np.pi * h * freqs
+    moments = 2.0 * (-1j) ** n * spherical_jn(n, np.abs(w)) * np.sign(w) ** n
+    phase = np.exp(-2j * np.pi * np.outer(mid, freqs))
+    k = h * phase * np.einsum("pn,npf->pf", a15, moments)
+    raw = np.abs(h * np.einsum("pn,npf->pf", a15 - a7, moments))
+    resasc = h * (np.abs(y - (y @ _WK / 2)[:, None]) @ _WK)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where(resasc > 0,
                        resasc * np.minimum(1.0, (200 * raw / resasc) ** 1.5),
                        raw)
     # below the smallest normal number rounding is absolute
-    noise = (np.finfo(float).eps * (np.abs(y) * _WK).sum(axis=-1)[:, None] * h
-             + np.finfo(float).tiny)
-    return raw, err, noise
+    noise = 100 * np.finfo(float).eps * h * np.abs(y).sum(axis=1)[:, None]
+    return k, raw, err, noise + np.finfo(float).tiny
 
 
 def _panels(edges):
-    """(mid, half, runs) of the panels between edges, given no runs."""
-    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges), None
+    """(mid, half) of the panels between edges, sorted by half-width."""
+    order = np.argsort(np.diff(edges), kind="stable")
+    return 0.5 * (edges[1:] + edges[:-1])[order], 0.5 * np.diff(edges)[order]
 
 
 def _oracle_case(name):
-    """(integrand, frequencies, panels (mid, half, runs)) of an oracle case.
-    The panels of the first cases have many widths, most of them too wide
-    for their frequencies, so that |K-G| stands well above rounding on many
-    (panel, frequency) pairs.  The seed cases take _fourier_mesh's equal
-    panels and their runs: the real jump function on compute_G's
-    small-|s| span, an exp weight on [0, 1].  Every integrand is real, as
-    fourier_coefficients takes them."""
+    """(integrand, frequencies, panels (mid, half)) of an oracle case.  The
+    panels of the first cases have many widths, most of them too wide for
+    f, so that |K-G| stands well above rounding on many (panel, frequency)
+    pairs.  The seed cases take their caller's seed panels: the real jump
+    function on compute_G's small-|s| seed, an exp weight on the
+    coefficients' seed.  Every integrand is real, as fourier_coefficients
+    takes them."""
+    seed = quadrature._seed_samples.__wrapped__
     if name == "seed jump":
         jump = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 20)))
-        # away from nu = 0: there |A| tends to resasc on a panel where the
-        # jump is monotone, the two estimates agree in exact arithmetic,
-        # and the rounding of raw decides (2e-3 apart at raw = 1e3 noise)
         return (jump, -np.linspace(0.005, 0.0499, 10),
-                quadrature._fourier_mesh(np.array([-4e4, 0.0]), 0.05))
+                seed(np.zeros_like, *blaschke._SMALL_SEED)[:2])
     if name == "seed exp c=1.0":
         return (lambda t: np.exp(-1.0 / np.maximum(t, 1e-300)),
                 np.arange(41.0),
-                quadrature._fourier_mesh(np.array([0.0, 1.0]), 40.0))
+                seed(np.zeros_like, (0.0, *decades(1.0, 1e-12)[::-1], 1.0),
+                     1)[:2])
     if name == "jump":
         jump = JumpFunction(BlaschkeAnnihilator(gen_power_set(3, 20)))
         return (jump, -np.linspace(0.05, 0.6, 12),
-                _panels(np.linspace(-200.0, 0.0, 65)))
+                _panels(np.linspace(-200.0, 0.0, 17)))
     c = float(name.removeprefix("exp c="))
     return (lambda t: np.exp(-c / np.maximum(t, 1e-300)), np.arange(41.0),
             _panels(np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 40)])))
@@ -550,41 +549,98 @@ def _oracle_case(name):
                                   (1e-4, 1e-3, 1e-2, 0.1, 0.465, 1.0, 5.0)]
                          + ["jump", "seed jump", "seed exp c=1.0"])
 def test_fourier_panel_errors_never_below_quadpack(name):
-    f, freqs, (mid, half, runs) = _oracle_case(name)
-    raw, quadpack, noise = _quadpack_panel_errors(f, freqs, mid, half)
-    err = np.empty(raw.shape)
-    samples = quadrature._sample(f, mid, half)
-    for idx, _, errs in quadrature._fourier_panels(freqs, mid, half,
-                                                   samples, runs):
-        err[idx] = errs
+    """The Filon K is the independent route's to rounding, and the error
+    is never below QUADPACK's rescaling of the same |K - G| with f's exact
+    resasc, of which |A| is a lower bound."""
+    f, freqs, (mid, half) = _oracle_case(name)
+    k, raw, quadpack, noise = _filon_panel_errors(f, freqs, mid, half)
+    vals, err = np.empty(raw.shape, complex), np.empty(raw.shape)
+    sums = quadrature._sample(f, mid, half)
+    for idx, v, errs in quadrature._fourier_panels(freqs, mid, half, sums):
+        vals[idx], err[idx] = v, errs
+    assert np.all(np.abs(vals - k) <= noise)
     above = raw > 1e3 * noise
     assert above.sum() >= 0.1 * above.size
     # the bound holds in exact arithmetic; the two routes round differently
     assert np.all(err[above] >= quadpack[above] * (1 - 1e-12))
 
 
-def test_seed_phases_from_the_step_table():
+def test_seed_phases_round_as_the_cycles():
     """On a mesh of 4000 panels on [-4e4, 0], compute_G's small-|s| span
-    at half periods of 0.05 (its seed is half as many panels), the
-    seed round's phases, a step table times each block's first row, are
-    exp(-2 pi i nu m) within 1e-12.  The reference takes nu m to within
-    half a cycle exactly (m times nu's leading 30 bits is exact), as
-    np.exp of the rounded -2 pi i nu m, up to 1.3e4 rad, is itself off by
-    up to 2e-12."""
-    mid, half, runs = quadrature._fourier_mesh(np.array([-4e4, 0.0]), 0.05)
-    assert [run.size for run in runs] == [4000] and np.all(half == 5.0)
+    at half periods of 0.05, every panel's phase is exp(-2 pi i nu m)
+    within 1e-12.  The reference takes nu m to within half a cycle exactly
+    (m times nu's leading 30 bits is exact), as np.exp of the rounded
+    -2 pi i nu m, up to 1.3e4 rad, is itself off by up to 2e-12."""
+    mid, half = _panels(np.linspace(-4e4, 0.0, 4001))
     freqs = np.linspace(-0.0499, 0.0499, 101)
     vals = np.empty((mid.size, freqs.size), dtype=np.complex128)
-    for idx, v, _ in quadrature._fourier_panels(
-            freqs, mid, half, np.ones((mid.size, _XK.size)), runs):
+    sums = quadrature._sample(np.ones_like, mid, half)
+    for idx, v, _ in quadrature._fourier_panels(freqs, mid, half, sums):
         vals[idx] = v
-    # f = 1: every panel's Kronrod sum is the same
-    vk = 5.0 * np.exp(-2j * np.pi * 5.0 * np.outer(freqs, _XK)) @ _WK
+    # f = 1: every panel's K is 2 h j_0(w) = 2 sin(w)/(2 pi nu)
+    vk = np.where(freqs == 0, 10.0, np.sin(10 * np.pi * freqs)
+                  / (np.pi * np.where(freqs == 0, 1.0, freqs)))
     lead = np.round(freqs * 2.0 ** 30) / 2.0 ** 30
     cycles = np.outer(mid, lead)
     want = np.exp(-2j * np.pi * (cycles - np.round(cycles)
                                  + np.outer(mid, freqs - lead)))
     assert np.abs(vals / vk - want).max() <= 1e-12
+
+
+def _filon_weights(w):
+    """The Filon rule's node weights at w, K's and G's on the 15 nodes
+    (G's zero off the Gauss nodes): the sums' coefficients times 2 (-i)^n
+    j_n(w), as fourier_coefficients takes them."""
+    unit = np.where(np.arange(15) % 2, 1j, 1.0)[:, None]
+    jn = unit * quadrature._spherical_jn(np.array([w]))
+    k = quadrature._FILON[:, :15] @ jn
+    return k[:, 0], (k - quadrature._FILON[:, 15:30] @ jn)[:, 0]
+
+
+def test_filon_weights_at_zero_frequency_are_kronrod_and_gauss():
+    """At w = 0 the moments are 2, 0, ..., 0, so the Filon weights are the
+    Kronrod and the Gauss weights, within 4 ulp, and the rule is the one
+    integrate_finite uses."""
+    k, g = _filon_weights(0.0)
+    assert np.all(np.abs(k - _WK) <= 4 * np.spacing(_WK))
+    assert np.all(np.abs(g[1::2] - _WG) <= 4 * np.spacing(_WG))
+    assert np.all(g[0::2] == 0) and np.all(k.imag == 0) and np.all(g.imag == 0)
+
+
+def test_moments_match_scipy():
+    """m_n(w) = 2 (-i)^n j_n(w): the series, Miller's and the upward
+    recurrence give j_n within 1e-15 of scipy's on both sides of the
+    switches at |w| = 2 and 14, at 0 and far out."""
+    w = np.array([0.0, 1e-8, -1e-8, 0.3, 1.999, 2.0, 13.9, 14.1, 100.0, 1e5,
+                  -13.9, -1e5])
+    n = np.arange(15)[:, None]
+    assert np.abs(quadrature._spherical_jn(w) - spherical_jn(n, w)).max() <= 1e-15
+
+
+def _monomial_transform(w, p):
+    """int_{-1}^{1} x^p e^{-iwx} dx in closed form, by mpmath at 50 digits:
+    the sum of p + 1 integration-by-parts terms at each end."""
+    mpmath.mp.dps = 50
+    if w == 0:
+        return complex(mpmath.mpf(1 + (-1) ** p) / (p + 1))
+    c = -1j * mpmath.mpf(w)
+
+    def prim(x):     # an antiderivative of x^p e^{c x}
+        return mpmath.exp(c * x) * mpmath.fsum(
+            (-1) ** k * mpmath.factorial(p) / mpmath.factorial(p - k)
+            * mpmath.mpf(x) ** (p - k) / c ** (k + 1) for k in range(p + 1))
+    return complex(prim(1) - prim(-1))
+
+
+@pytest.mark.parametrize("w", [0.0, 3.0, 40.0, 1e4])
+def test_one_panel_integrates_its_interpolant_exactly(w):
+    """One panel of half-width 1 integrates x^14 e^{-iwx} and e^{-iwx},
+    polynomial amplitudes of its degree, to their closed forms, within
+    rounding of the largest term, at any w."""
+    nu = np.array([w / (2.0 * np.pi)])
+    for p in (0, 14):
+        res = fourier_coefficients(lambda t: t ** p, nu, 1.0, (-1.0, 1.0))
+        assert abs(res.value[0] - _monomial_transform(w, p)) <= 2e-16
 
 
 def test_fourier_rescale_is_quadpacks_with_the_antisymmetric_bound():
